@@ -242,22 +242,22 @@ func (a *Analyzer) AnalyzeClustered(log []LogRecord, k int, rng *sim.RNG) []Cand
 	if minSize <= 0 {
 		minSize = 5
 	}
+	const dims = 2
 	var recs []LogRecord
-	var points [][]float64
+	var points []float64 // row-major, dims per record
 	for _, rec := range log {
 		if rec.Req == nil {
 			continue
 		}
 		recs = append(recs, rec)
-		points = append(points, []float64{
+		points = append(points,
 			math.Log1p(rec.Req.Est.Timerons),
-			math.Log1p(rec.ResponseSeconds),
-		})
+			math.Log1p(rec.ResponseSeconds))
 	}
-	if len(points) == 0 {
+	if len(recs) == 0 {
 		return nil
 	}
-	res := learn.KMeans(learn.Normalize(points), k, 50, rng)
+	res := learn.KMeansFlat(learn.NormalizeFlat(points, len(recs), dims), len(recs), dims, k, 50, rng)
 
 	type ckey struct {
 		cluster int

@@ -171,6 +171,32 @@ func genPoints(n, dims, c int, seed uint64, dupEvery int, constDim bool) [][]flo
 	return pts
 }
 
+// latticePoints draws n points from the integer grid {0..side-1}^dims: few
+// distinct rows, many exact duplicates, and — coordinates and small sums being
+// exact in floating point — many exactly equal squared distances from a point
+// to two different centroids, the ties the lowest-index rule has to settle.
+func latticePoints(n, dims, side int, seed uint64) [][]float64 {
+	rng := sim.NewRNG(seed)
+	pts := make([][]float64, n)
+	for i := range pts {
+		p := make([]float64, dims)
+		for d := range p {
+			p[d] = float64(rng.Intn(side))
+		}
+		pts[i] = p
+	}
+	return pts
+}
+
+// scalePoints multiplies every coordinate by f in place.
+func scalePoints(pts [][]float64, f float64) {
+	for _, p := range pts {
+		for d := range p {
+			p[d] *= f
+		}
+	}
+}
+
 func requireSameResult(t *testing.T, label string, got, want KMeansResult) {
 	t.Helper()
 	if !reflect.DeepEqual(got.Assignments, want.Assignments) {
@@ -194,10 +220,13 @@ func requireSameResult(t *testing.T, label string, got, want KMeansResult) {
 	}
 }
 
-// TestKMeansFlatMatchesReference pins the tentpole equivalence claim: the
-// flat kernel — incremental seeding, parallel assignment and all — is
-// bit-for-bit the old implementation, across cluster shapes, duplicate-heavy
-// inputs, k ≥ n, and multi-worker GOMAXPROCS.
+// TestKMeansFlatMatchesReference pins the equivalence claim: the flat kernel
+// — incremental seeding, parallel bounded assignment and all — is bit-for-bit
+// the brute-force implementation, across cluster shapes, duplicate-heavy
+// inputs, k ≥ n, and multi-worker GOMAXPROCS. The later rows are the shapes
+// that break naive distance bounds: the compressor's own (k = n/16), exact
+// ties, stranded centroids, and the same clouds at 1e-9 and 1e+9 scale (a
+// rounding margin has to be relative to the data, not absolute).
 func TestKMeansFlatMatchesReference(t *testing.T) {
 	prev := runtime.GOMAXPROCS(4) // force real fan-out even on 1-CPU hosts
 	defer runtime.GOMAXPROCS(prev)
@@ -209,20 +238,44 @@ func TestKMeansFlatMatchesReference(t *testing.T) {
 		k, iters int
 		dupEvery int
 		constDim bool
+		lattice  int     // > 0: integer-grid points of this side instead of blobs
+		scale    float64 // 0 = unscaled
 	}{
-		{"small", 40, 3, 4, 4, 25, 0, false},
-		{"k-exceeds-n", 5, 4, 2, 9, 10, 0, false},
-		{"k-equals-n", 8, 2, 3, 8, 25, 0, false},
-		{"duplicate-heavy", 120, 5, 3, 6, 25, 2, false},
-		{"constant-dim", 90, 5, 4, 5, 25, 0, true},
-		{"single-point", 1, 3, 1, 3, 25, 0, false},
-		{"one-cluster", 60, 4, 1, 1, 25, 0, false},
-		{"large-parallel", 3000, 5, 6, 12, 30, 7, false},
-		{"zero-iters-default", 50, 3, 3, 5, 0, 0, false},
+		{name: "small", n: 40, dims: 3, clusters: 4, k: 4, iters: 25},
+		{name: "k-exceeds-n", n: 5, dims: 4, clusters: 2, k: 9, iters: 10},
+		{name: "k-equals-n", n: 8, dims: 2, clusters: 3, k: 8, iters: 25},
+		{name: "duplicate-heavy", n: 120, dims: 5, clusters: 3, k: 6, iters: 25, dupEvery: 2},
+		{name: "constant-dim", n: 90, dims: 5, clusters: 4, k: 5, iters: 25, constDim: true},
+		{name: "single-point", n: 1, dims: 3, clusters: 1, k: 3, iters: 25},
+		{name: "one-cluster", n: 60, dims: 4, clusters: 1, k: 1, iters: 25},
+		{name: "large-parallel", n: 3000, dims: 5, clusters: 6, k: 12, iters: 30, dupEvery: 7},
+		{name: "zero-iters-default", n: 50, dims: 3, clusters: 3, k: 5},
+
+		{name: "compress-shape", n: 2560, dims: 5, clusters: 9, k: 160, iters: 25},
+		{name: "compress-shape-default-iters", n: 2560, dims: 5, clusters: 9, k: 160},
+		{name: "compress-shape-dups-const", n: 2560, dims: 5, clusters: 9, k: 160, iters: 25, dupEvery: 3, constDim: true},
+		{name: "empty-clusters", n: 60, dims: 3, clusters: 2, k: 20, iters: 25, dupEvery: 2},
+		{name: "lattice-ties", n: 400, dims: 2, k: 7, iters: 25, lattice: 4},
+		{name: "lattice-ties-5d", n: 1200, dims: 5, k: 40, iters: 25, lattice: 2},
+		{name: "uniform-grid", n: 2000, dims: 3, k: 100, iters: 40, lattice: 50},
+		{name: "lattice-k-exceeds-distinct", n: 64, dims: 2, k: 30, iters: 25, lattice: 3},
+		{name: "scaled-1e-9", n: 2560, dims: 5, clusters: 9, k: 160, iters: 25, dupEvery: 5, scale: 1e-9},
+		{name: "scaled-1e+9", n: 2560, dims: 5, clusters: 9, k: 160, iters: 25, dupEvery: 5, scale: 1e+9},
+		{name: "lattice-scaled-1e-9", n: 400, dims: 3, k: 12, iters: 25, lattice: 3, scale: 1e-9},
+		{name: "lattice-scaled-1e+9", n: 400, dims: 3, k: 12, iters: 25, lattice: 3, scale: 1e+9},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			pts := genPoints(tc.n, tc.dims, tc.clusters, uint64(tc.n)*31+uint64(tc.k), tc.dupEvery, tc.constDim)
+			seed := uint64(tc.n)*31 + uint64(tc.k)
+			var pts [][]float64
+			if tc.lattice > 0 {
+				pts = latticePoints(tc.n, tc.dims, tc.lattice, seed)
+			} else {
+				pts = genPoints(tc.n, tc.dims, tc.clusters, seed, tc.dupEvery, tc.constDim)
+			}
+			if tc.scale != 0 {
+				scalePoints(pts, tc.scale)
+			}
 			want := kmeansReference(pts, tc.k, tc.iters, sim.NewRNG(99))
 			got := KMeans(pts, tc.k, tc.iters, sim.NewRNG(99))
 			requireSameResult(t, "nested-vs-reference", got, want)
@@ -239,6 +292,40 @@ func TestKMeansFlatMatchesReference(t *testing.T) {
 			}
 			if !reflect.DeepEqual(fr.Assignments, want.Assignments) {
 				t.Fatalf("flat assignments differ from reference")
+			}
+		})
+	}
+}
+
+// TestLloydBoundsLeaveTiesToTheScan hands the pruning state the tightest
+// bounds that are still true — ub and lb both equal to the real distance —
+// for a point exactly equidistant from two centroids. Equal bounds prove
+// nothing, so the pass must fall through to the exact scan and apply the
+// lowest-index rule, whichever of the two the point was assigned to.
+func TestLloydBoundsLeaveTiesToTheScan(t *testing.T) {
+	for _, tc := range []struct {
+		name        string
+		cents       []float64
+		from, want  int
+		wantChanged bool
+	}{
+		{"held-by-the-higher-index", []float64{-1, 0, 1, 0}, 1, 0, true},
+		{"held-by-the-lower-index", []float64{-1, 0, 1, 0}, 0, 0, false},
+		{"three-way", []float64{9, 9, 0, 1, 1, 0, 0, -1}, 3, 1, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			const dims = 2
+			data := []float64{0, 0}
+			assign := []int{tc.from}
+			b := newLloydBounds(data, 1, dims, len(tc.cents)/dims, tc.cents, assign)
+			b.ub[0], b.lb[0] = 1, 1
+			b.prepare()
+			changed, evals := b.assignRange(0, 1)
+			if assign[0] != tc.want || changed != tc.wantChanged {
+				t.Fatalf("assigned %d (changed=%v), want %d (changed=%v)", assign[0], changed, tc.want, tc.wantChanged)
+			}
+			if evals < 3 {
+				t.Fatalf("%d exact distances: the tied centroids were not both scanned", evals)
 			}
 		})
 	}
@@ -359,4 +446,23 @@ func TestNormalizeFlatMatchesReference(t *testing.T) {
 			t.Fatalf("constant dim row %d = %v, want exactly +0", i, out[i][0])
 		}
 	}
+}
+
+// BenchmarkKMeansFlat clusters one group of the compressor's shape (2560
+// points, k = n/16, the 5 admission features, default iteration cap). Beside
+// the time it reports the Lloyd loop's work as counts that repeat exactly for
+// a seed: dist_evals/op is what the bounded assignment evaluated (separation
+// matrix and centroid moves included), exhaustive_evals/op what scanning every
+// centroid for every point would have over the same passes.
+func BenchmarkKMeansFlat(b *testing.B) {
+	const n, dims, k = 2560, 5, 160
+	data := NormalizeFlat(packRows(genPoints(n, dims, 9, 501, 0, false), dims), n, dims)
+	var work lloydWork
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_, work = kmeansFlat(data, n, dims, k, 0, sim.NewRNG(501))
+	}
+	b.ReportMetric(float64(work.distEvals), "dist_evals/op")
+	b.ReportMetric(float64(work.passes*n*k), "exhaustive_evals/op")
+	b.ReportMetric(float64(work.passes), "passes/op")
 }

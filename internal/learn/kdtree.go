@@ -2,7 +2,7 @@ package learn
 
 import (
 	"math"
-	"sort"
+	"slices"
 )
 
 // This file replaces KNN.PredictValue's O(n) scan with a k-d tree over the
@@ -163,10 +163,19 @@ func (t *kdTree) build(m *KNN, subset []int32) int32 {
 		return -1
 	}
 	d := splitDim(m, subset)
-	sort.Slice(subset, func(a, b int) bool {
-		va := m.samples[subset[a]].Features[d]
-		vb := m.samples[subset[b]].Features[d]
-		return va < vb || (va == vb && subset[a] < subset[b])
+	// (feature value, sample index) is a total order, so the unstable sort
+	// still yields one tree per sample set.
+	slices.SortFunc(subset, func(a, b int32) int {
+		va, vb := m.samples[a].Features[d], m.samples[b].Features[d]
+		switch {
+		case va < vb:
+			return -1
+		case va > vb:
+			return 1
+		case va == vb:
+			return int(a - b)
+		}
+		return 0
 	})
 	mid := len(subset) / 2
 	id := int32(len(t.nodes))

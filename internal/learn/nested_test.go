@@ -1,8 +1,12 @@
 package learn
 
-import (
-	"dbwlm/internal/sim"
-)
+import "dbwlm/internal/sim"
+
+// The slice-of-slices clustering API this package exported before every
+// caller moved to the flat kernels. It lives on in the tests only: as the
+// shape kmeansReference and normalizeReference are written against, and as
+// thin adapters that let the historical behavioural tests in kmeans_test.go
+// keep driving KMeansFlat/NormalizeFlat unchanged.
 
 // KMeansResult holds a clustering outcome.
 type KMeansResult struct {
@@ -14,16 +18,8 @@ type KMeansResult struct {
 	Inertia float64
 }
 
-// KMeans clusters points with Lloyd's algorithm, seeded deterministically by
-// k-means++ over the provided RNG. Inputs are used as-is (normalize first if
-// dimensions have different scales). Used by the clustering workload
-// analyzer to discover query groups in a log the way Teradata Workload
-// Analyzer's candidate-workload mining does.
-//
-// This is a thin adapter over KMeansFlat: it packs the rows into one flat
-// buffer, runs the cache-friendly kernel, and exposes the centroids as
-// subslices of the flat result. Outputs are bit-identical to the historical
-// slice-of-slices implementation (pinned by TestKMeansFlatMatchesReference).
+// KMeans packs the rows into one flat buffer, runs KMeansFlat, and exposes the
+// centroids as subslices of the flat result.
 func KMeans(points [][]float64, k, iters int, rng *sim.RNG) KMeansResult {
 	n := len(points)
 	if n == 0 || k <= 0 {
@@ -43,9 +39,9 @@ func sqDist(a, b []float64) float64 {
 	return sqDistFlat(a, b)
 }
 
-// Normalize min-max scales each dimension of points into [0, 1] in place
-// copies (the originals are untouched) and returns the scaled set. Thin
-// adapter over NormalizeFlat; rows of the result alias one flat buffer.
+// Normalize min-max scales each dimension of points into [0, 1] through
+// NormalizeFlat; the originals are untouched and the rows of the result alias
+// one flat buffer.
 func Normalize(points [][]float64) [][]float64 {
 	n := len(points)
 	if n == 0 {
