@@ -75,13 +75,15 @@ bench-trace:
 	./scripts/bench_trace.sh
 
 # fuzz-short smoke-fuzzes the SQL pipeline (lexer/parser/planner/fingerprint),
-# the wire-frame decoder, both trace encodings, and the bounded k-means kernel
-# against its brute-force reference — enough to shake out panics and bit
-# mismatches without stalling CI. The trace patterns are anchored because the
-# package has two targets.
+# the wire-frame decoder, both trace encodings, the bounded k-means kernel
+# against its brute-force reference, and the selection-built k-d tree against
+# the sort-built one — enough to shake out panics and bit mismatches without
+# stalling CI. The trace patterns are anchored because the package has two
+# targets.
 fuzz-short:
 	$(GO) test -fuzz FuzzParse -fuzztime 10s -run '^$$' ./internal/sqlmini/
 	$(GO) test -fuzz FuzzDecode -fuzztime 10s -run '^$$' ./internal/wire/
 	$(GO) test -fuzz '^FuzzTraceDecode$$' -fuzztime 10s -run '^$$' ./internal/trace/
 	$(GO) test -fuzz '^FuzzTraceJSONL$$' -fuzztime 10s -run '^$$' ./internal/trace/
 	$(GO) test -fuzz FuzzKMeansFlatMatchesReference -fuzztime 10s -run '^$$' ./internal/learn/
+	$(GO) test -fuzz FuzzKDBuildMatchesReference -fuzztime 10s -run '^$$' ./internal/learn/

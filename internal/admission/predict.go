@@ -4,6 +4,7 @@ import (
 	"math"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"dbwlm/internal/learn"
 	"dbwlm/internal/sim"
@@ -113,6 +114,111 @@ type ObservedRun struct {
 	Seconds  float64
 }
 
+// refitInterval is the least time between the starts of two background
+// refits. Counting observations alone cannot pace a live trainer: at wire
+// rates "every 25 observations" is always already due, so a faster fit only
+// buys more fits. One constant, not a knob: 10 ms keeps a model at most a few
+// hundred observations stale at any rate the daemon sustains and costs about
+// 1 % of one core in fits.
+const refitInterval = 10 * time.Millisecond
+
+// refitPace is the refit schedule both online predictors share, so that
+// Background means one thing. A refit is due once the predictor holds enough
+// history and either has never refit or has seen `every` observations since
+// the last refit began. The synchronous (simulated) path is paced by that
+// count alone and stays deterministic; a background refit additionally waits
+// until refitInterval has passed since the previous one began, and at most
+// one is in flight. The clock is read once per `every` observations, not once
+// per observation, so a model is never staler than refitInterval plus `every`
+// observations plus one fit.
+//
+// refitPace is only ever embedded in a predictor; the mu its counters name is
+// that predictor's.
+type refitPace struct {
+	sinceFit  int              // observations since the last refit began; guarded by mu
+	begun     bool             // a first refit has been claimed; guarded by mu
+	lastBegan time.Time        // guarded by mu
+	now       func() time.Time // test seam; nil reads the wall clock
+
+	retraining atomic.Bool
+	retrains   atomic.Int64
+	fittedAt   atomic.Int64 // unix nanoseconds the current model was published; 0 before the first
+	fitNanos   atomic.Int64 // how long that fit took
+}
+
+func (r *refitPace) clock() time.Time {
+	if r.now != nil {
+		return r.now()
+	}
+	return time.Now()
+}
+
+// observed counts one observation and reports whether a refit starts now,
+// claiming it if so. Whether a first refit has begun is the pace's own state,
+// not read off the model pointer: the trainer publishes the model before it
+// releases the in-flight flag, and an observer that saw "no model" in between
+// would otherwise claim a second first fit.
+//
+//dbwlm:locked mu
+func (r *refitPace) observed(background, enough bool, every int) bool {
+	r.sinceFit++
+	if !enough || (r.begun && r.sinceFit < every) {
+		return false
+	}
+	if background {
+		if r.begun && r.sinceFit%every != 0 {
+			return false
+		}
+		t := r.clock()
+		if r.begun && t.Sub(r.lastBegan) < refitInterval {
+			return false
+		}
+		if !r.retraining.CompareAndSwap(false, true) {
+			// A trainer is in flight; sinceFit keeps accumulating and a later
+			// observation starts the next round.
+			return false
+		}
+		r.lastBegan = t
+	}
+	r.begun = true
+	r.sinceFit = 0
+	return true
+}
+
+// run executes a claimed refit — fit trains and publishes the model — inline,
+// or on a goroutine when background is set, and records its duration and the
+// moment the model landed.
+func (r *refitPace) run(background bool, fit func()) {
+	timed := func() {
+		began := r.clock()
+		fit()
+		landed := r.clock()
+		r.fitNanos.Store(int64(landed.Sub(began)))
+		r.fittedAt.Store(landed.UnixNano())
+		r.retrains.Add(1)
+		r.retraining.Store(false)
+	}
+	if background {
+		go timed()
+	} else {
+		timed()
+	}
+}
+
+// Retrains reports how many models have been fit and swapped in.
+func (r *refitPace) Retrains() int64 { return r.retrains.Load() }
+
+// LastFit reports how long ago the current model was published and how long
+// fitting it took; both are zero before the first model lands. With paced
+// refits the age is what tells an operator how stale a prediction can be.
+func (r *refitPace) LastFit() (age, took time.Duration) {
+	at := r.fittedAt.Load()
+	if at == 0 {
+		return 0, 0
+	}
+	return r.clock().Sub(time.Unix(0, at)), time.Duration(r.fitNanos.Load())
+}
+
 // TreePredictor predicts runtime ranges with a decision tree (Gupta PQR).
 // It accumulates observations online and retrains every RetrainEvery
 // completions. The model lives behind an atomic pointer — the decision path
@@ -131,17 +237,16 @@ type TreePredictor struct {
 	// MinTraining is the number of observations required before the
 	// predictor starts gating (default 30); before that it admits all.
 	MinTraining int
-	// Background moves retraining onto a goroutine. The simulated path keeps
-	// the default (synchronous, deterministic); the live runtime sets it.
+	// Background moves retraining onto a goroutine and paces it by time as
+	// well as by count (see refitPace). The simulated path keeps the default
+	// (synchronous, count-paced, deterministic); the live runtime sets it.
 	Background bool
 
-	mu       sync.Mutex // guards history and sinceFit
-	history  []learn.Sample
-	sinceFit int
+	mu      sync.Mutex // guards history and the pace's counters
+	history []learn.Sample
+	refitPace
 
-	model      atomic.Pointer[learn.DecisionTree]
-	retraining atomic.Bool
-	retrains   atomic.Int64
+	model atomic.Pointer[learn.DecisionTree]
 }
 
 // Name implements Controller.
@@ -184,7 +289,6 @@ func (p *TreePredictor) ObserveCompletion(r *workload.Request, responseSeconds f
 		Features: RequestFeatures(r),
 		Label:    int(BucketOf(responseSeconds)),
 	})
-	p.sinceFit++
 	min := p.MinTraining
 	if min <= 0 {
 		min = 30
@@ -193,43 +297,23 @@ func (p *TreePredictor) ObserveCompletion(r *workload.Request, responseSeconds f
 	if every <= 0 {
 		every = 50
 	}
-	due := len(p.history) >= min && (p.model.Load() == nil || p.sinceFit >= every)
-	if !due {
+	if !p.observed(p.Background, len(p.history) >= min, every) {
 		p.mu.Unlock()
 		return
 	}
-	if p.Background && !p.retraining.CompareAndSwap(false, true) {
-		// A trainer is already in flight; sinceFit keeps accumulating and the
-		// next completion after it lands triggers the following round.
-		p.mu.Unlock()
-		return
-	}
-	p.sinceFit = 0
 	// Snapshot: history only ever grows and samples are immutable once
 	// appended, so the trainer can read a prefix copy without the lock.
 	snap := make([]learn.Sample, len(p.history))
 	copy(snap, p.history)
 	p.mu.Unlock()
 
-	train := func() {
+	p.run(p.Background, func() {
 		p.model.Store(learn.TrainDecisionTree(snap, numBuckets, learn.TreeConfig{MaxDepth: 8, MinLeafSize: 3}))
-		p.retrains.Add(1)
-		if p.Background {
-			p.retraining.Store(false)
-		}
-	}
-	if p.Background {
-		go train()
-	} else {
-		train()
-	}
+	})
 }
 
 // Trained reports whether the predictor has fit a model yet.
 func (p *TreePredictor) Trained() bool { return p.model.Load() != nil }
-
-// Retrains reports how many models have been fit and swapped in.
-func (p *TreePredictor) Retrains() int64 { return p.retrains.Load() }
 
 // KNNPredictor predicts runtime seconds from the k nearest historical
 // queries in feature space (Ganapathi-style similarity) and gates work whose
@@ -241,8 +325,9 @@ func (p *TreePredictor) Retrains() int64 { return p.retrains.Load() }
 // The fitted model sits behind an atomic pointer: Decide and Predict are
 // lock-free and torn-read-free however many goroutines call them. With
 // Background set, retraining happens on a goroutine (at most one in flight,
-// CAS-gated) and the finished model — including its k-d tree index when
-// Indexed is set — swaps in atomically.
+// no sooner than refitInterval after the previous one began) and the finished
+// model — including its k-d tree index when Indexed is set — swaps in
+// atomically.
 type KNNPredictor struct {
 	MaxSeconds float64
 	K          int // default 5
@@ -250,22 +335,32 @@ type KNNPredictor struct {
 	// MinTraining before gating begins (default 30).
 	MinTraining int
 	// MaxHistory bounds memory (default 2000, split evenly across runtime
-	// buckets with FIFO eviction within a bucket).
+	// buckets with FIFO eviction within a bucket). A bucket's share is fixed
+	// when its first run is observed.
 	MaxHistory int
-	// Background moves retraining onto a goroutine (live runtime); the
-	// simulated path keeps the synchronous, deterministic default.
+	// Background moves retraining onto a goroutine and paces it by time as
+	// well as by count (live runtime; see refitPace); the simulated path
+	// keeps the synchronous, count-paced, deterministic default.
 	Background bool
 	// Indexed builds the k-d tree index at train time, replacing the O(n)
 	// prediction scan with a pruned search.
 	Indexed bool
 
-	mu       sync.Mutex // guards history and sinceFit
-	history  map[RuntimeBucket][]learn.RegSample
-	sinceFit int
+	mu sync.Mutex // guards history, oldest and the pace's counters
+	// history is one flat ring per runtime bucket: it fills to the bucket's
+	// share of MaxHistory, then each new run overwrites the oldest.
+	history [numBuckets][]knnRun
+	oldest  [numBuckets]int // where a full ring's oldest run sits
+	refitPace
 
-	model      atomic.Pointer[learn.KNN]
-	retraining atomic.Bool
-	retrains   atomic.Int64
+	model atomic.Pointer[learn.KNN]
+}
+
+// knnRun is one retained observation, features inline, so a bucket's window
+// is a single allocation and recording a run makes none.
+type knnRun struct {
+	features FeatureVec
+	seconds  float64
 }
 
 // Name implements Controller.
@@ -328,18 +423,17 @@ func (p *KNNPredictor) Observe(f *FeatureVec, responseSeconds float64) {
 		perBucket = 1
 	}
 	p.mu.Lock()
-	if p.history == nil {
-		p.history = make(map[RuntimeBucket][]learn.RegSample)
-	}
 	b := BucketOf(responseSeconds)
 	hs := p.history[b]
-	if len(hs) >= perBucket {
-		hs = hs[1:]
+	if hs == nil {
+		hs = make([]knnRun, 0, perBucket)
 	}
-	features := make([]float64, NumFeatures)
-	copy(features, f[:])
-	p.history[b] = append(hs, learn.RegSample{Features: features, Value: responseSeconds})
-	p.sinceFit++
+	if len(hs) < cap(hs) {
+		p.history[b] = append(hs, knnRun{*f, responseSeconds})
+	} else {
+		hs[p.oldest[b]] = knnRun{*f, responseSeconds}
+		p.oldest[b] = (p.oldest[b] + 1) % len(hs)
+	}
 	min := p.MinTraining
 	if min <= 0 {
 		min = 30
@@ -348,50 +442,37 @@ func (p *KNNPredictor) Observe(f *FeatureVec, responseSeconds float64) {
 	if k <= 0 {
 		k = 5
 	}
-	due := p.historySize() >= min && (p.model.Load() == nil || p.sinceFit >= 25)
-	if !due {
+	n := p.historySize()
+	if !p.observed(p.Background, n >= min, 25) {
 		p.mu.Unlock()
 		return
 	}
-	if p.Background && !p.retraining.CompareAndSwap(false, true) {
-		p.mu.Unlock()
-		return
-	}
-	p.sinceFit = 0
-	// Concatenate buckets in fixed order: k-NN breaks distance ties by
-	// sample position, so a map-order walk would make predictions (and
-	// admission decisions) nondeterministic. The copy also snapshots history
-	// for the background trainer: bucket slices are re-sliced by trimming but
-	// their samples are immutable, so the snapshot is stable off-lock.
-	all := make([]learn.RegSample, 0, p.historySize())
-	for b := RuntimeBucket(0); b < numBuckets; b++ {
-		all = append(all, p.history[b]...)
+	// Snapshot for the trainer: buckets in fixed order, each ring oldest
+	// first. k-NN breaks distance ties by sample position, so this order is
+	// part of every prediction (and admission decision).
+	all := make([]learn.RegSample, 0, n)
+	flat := make([]float64, n*NumFeatures)
+	for b, hs := range p.history {
+		for i := range hs {
+			run := &hs[(p.oldest[b]+i)%len(hs)]
+			row := flat[len(all)*NumFeatures:][:NumFeatures:NumFeatures]
+			copy(row, run.features[:])
+			all = append(all, learn.RegSample{Features: row, Value: run.seconds})
+		}
 	}
 	p.mu.Unlock()
 
-	train := func() {
+	p.run(p.Background, func() {
 		m := learn.TrainKNN(all, k)
 		if p.Indexed {
 			m.BuildIndex()
 		}
 		p.model.Store(m)
-		p.retrains.Add(1)
-		if p.Background {
-			p.retraining.Store(false)
-		}
-	}
-	if p.Background {
-		go train()
-	} else {
-		train()
-	}
+	})
 }
 
 // Trained reports whether a model has been fit and swapped in.
 func (p *KNNPredictor) Trained() bool { return p.model.Load() != nil }
-
-// Retrains reports how many models have been fit and swapped in.
-func (p *KNNPredictor) Retrains() int64 { return p.retrains.Load() }
 
 // historySize must be called with mu held (or from single-threaded tests).
 func (p *KNNPredictor) historySize() int {

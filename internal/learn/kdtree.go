@@ -2,6 +2,7 @@ package learn
 
 import (
 	"math"
+	"math/bits"
 	"slices"
 )
 
@@ -33,6 +34,18 @@ type kdNode struct {
 type kdTree struct {
 	nodes []kdNode
 	root  int32
+	// rows is the tree's own copy of the sample features, row-major with
+	// stride dims (row i = sample i), so build and search read contiguous
+	// memory instead of chasing one slice header per sample.
+	rows []float64
+	dims int
+}
+
+// row returns sample i's features.
+//
+//dbwlm:hotpath
+func (t *kdTree) row(i int32) []float64 {
+	return t.rows[int(i)*t.dims:][:t.dims]
 }
 
 // better reports whether neighbour (d1,i1) ranks before (d2,i2): nearer
@@ -113,79 +126,141 @@ func (b *kbest) mean(samples []RegSample) float64 {
 	return sum / float64(b.n)
 }
 
+// kdKey is one sample in a subset being split: its value on the split
+// dimension beside its index, so selection compares contiguous pairs.
+type kdKey struct {
+	v   float64
+	idx int32
+}
+
+// kdBefore is the build's total order: (feature value, sample index).
+func kdBefore(a, b kdKey) bool {
+	return a.v < b.v || (a.v == b.v && a.idx < b.idx)
+}
+
 // buildKD constructs the tree over the model's samples: median split on the
-// dimension with the largest normalized spread in each subset, subsets sorted
-// by (feature value, sample index) so construction is deterministic.
+// dimension with the largest normalized spread in each subset. The median and
+// the two sides are those of the subset sorted by (feature value, sample
+// index) — a total order, so there is one tree per sample set — but they are
+// found by selection, which never orders a side it is about to re-split on
+// another dimension.
 func buildKD(m *KNN) *kdTree {
-	n := len(m.samples)
-	t := &kdTree{nodes: make([]kdNode, 0, n)}
-	order := make([]int32, n)
-	for i := range order {
-		order[i] = int32(i)
+	n, dims := len(m.samples), len(m.lo)
+	t := &kdTree{nodes: make([]kdNode, 0, n), rows: make([]float64, n*dims), dims: dims}
+	keys := make([]kdKey, n)
+	for i := range m.samples {
+		copy(t.row(int32(i)), m.samples[i].Features)
+		keys[i].idx = int32(i)
 	}
-	t.root = t.build(m, order)
+	t.root = t.build(m, keys, make([]float64, 2*dims))
 	return t
 }
 
 // splitDim picks the dimension with the widest normalized spread over the
-// subset; -1 when every dimension is degenerate (identical points in the
-// weighted space), in which case any split works and dimension 0 is used.
-func splitDim(m *KNN, subset []int32) int {
-	dims := len(m.lo)
-	bestDim, bestSpread := -1, 0.0
-	for d := 0; d < dims; d++ {
+// subset; every dimension degenerate (identical points in the weighted
+// space) means any split works and dimension 0 is used. ext is scratch for
+// the subset's per-dimension extremes, 2·dims long; one pass over the rows
+// fills it, branch-free (min and max of a set do not depend on the order it
+// is walked in; a NaN feature, which no total order covers, drops its
+// dimension).
+func (t *kdTree) splitDim(m *KNN, subset []kdKey, ext []float64) int {
+	lo, hi := ext[:t.dims], ext[t.dims:]
+	for d := range lo {
+		lo[d], hi[d] = math.Inf(1), math.Inf(-1)
+	}
+	for _, k := range subset {
+		for d, v := range t.row(k.idx) {
+			lo[d], hi[d] = min(lo[d], v), max(hi[d], v)
+		}
+	}
+	bestDim, bestSpread := 0, 0.0
+	for d := range lo {
 		span := m.hi[d] - m.lo[d]
 		if span <= 0 {
 			continue
 		}
-		lo, hi := math.Inf(1), math.Inf(-1)
-		for _, i := range subset {
-			v := m.samples[i].Features[d]
-			if v < lo {
-				lo = v
-			}
-			if v > hi {
-				hi = v
-			}
-		}
-		if spread := (hi - lo) / span; spread > bestSpread {
+		if spread := (hi[d] - lo[d]) / span; spread > bestSpread {
 			bestSpread, bestDim = spread, d
 		}
-	}
-	if bestDim < 0 {
-		return 0
 	}
 	return bestDim
 }
 
-func (t *kdTree) build(m *KNN, subset []int32) int32 {
+func (t *kdTree) build(m *KNN, subset []kdKey, ext []float64) int32 {
 	if len(subset) == 0 {
 		return -1
 	}
-	d := splitDim(m, subset)
-	// (feature value, sample index) is a total order, so the unstable sort
-	// still yields one tree per sample set.
-	slices.SortFunc(subset, func(a, b int32) int {
-		va, vb := m.samples[a].Features[d], m.samples[b].Features[d]
-		switch {
-		case va < vb:
-			return -1
-		case va > vb:
-			return 1
-		case va == vb:
-			return int(a - b)
-		}
-		return 0
-	})
+	d := t.splitDim(m, subset, ext)
+	for i := range subset {
+		subset[i].v = t.rows[int(subset[i].idx)*t.dims+d]
+	}
 	mid := len(subset) / 2
+	selectKth(subset, mid, 2*bits.Len(uint(len(subset))))
 	id := int32(len(t.nodes))
-	t.nodes = append(t.nodes, kdNode{idx: subset[mid], split: int16(d)})
-	// Children are built after the node is appended; the slice may move, so
-	// indices are written through t.nodes[id] afterwards.
-	left := t.build(m, subset[:mid])
-	right := t.build(m, subset[mid+1:])
+	t.nodes = append(t.nodes, kdNode{idx: subset[mid].idx, split: int16(d)})
+	left := t.build(m, subset[:mid], ext)
+	right := t.build(m, subset[mid+1:], ext)
 	t.nodes[id].left, t.nodes[id].right = left, right
 	return id
+}
+
+// selectKth partially orders keys so that keys[k] is the element a full sort
+// under kdBefore would put there, everything before it ranks before it and
+// everything after it after. Quickselect with a median-of-three pivot; a
+// range still open after budget partitions (the build allows 2·log2(n)) is
+// sorted outright, which bounds the worst case without changing the result.
+func selectKth(keys []kdKey, k, budget int) {
+	lo, hi := 0, len(keys)-1
+	for ; lo < hi; budget-- {
+		if budget == 0 {
+			slices.SortFunc(keys[lo:hi+1], func(a, b kdKey) int {
+				switch {
+				case kdBefore(a, b):
+					return -1
+				case kdBefore(b, a):
+					return 1
+				}
+				return 0
+			})
+			return
+		}
+		// Median of three to keys[lo+(hi-lo)/2], then Hoare partition.
+		mid := lo + (hi-lo)/2
+		if kdBefore(keys[mid], keys[lo]) {
+			keys[mid], keys[lo] = keys[lo], keys[mid]
+		}
+		if kdBefore(keys[hi], keys[lo]) {
+			keys[hi], keys[lo] = keys[lo], keys[hi]
+		}
+		if kdBefore(keys[hi], keys[mid]) {
+			keys[hi], keys[mid] = keys[mid], keys[hi]
+		}
+		pivot := keys[mid]
+		i, j := lo, hi
+		for i <= j {
+			for kdBefore(keys[i], pivot) {
+				i++
+			}
+			for kdBefore(pivot, keys[j]) {
+				j--
+			}
+			if i <= j {
+				keys[i], keys[j] = keys[j], keys[i]
+				i++
+				j--
+			}
+		}
+		// keys[lo..j] rank at or before the pivot, keys[i..hi] at or after it,
+		// and anything strictly between j and i is the pivot itself.
+		switch {
+		case k <= j:
+			hi = j
+		case k >= i:
+			lo = i
+		default:
+			return
+		}
+	}
 }
 
 // predict runs the pruned search and averages the selected values.
@@ -230,7 +305,7 @@ func (t *kdTree) search(m *KNN, features []float64, b *kbest) {
 			continue // plane moved out of range since the frame was deferred
 		}
 		nd := &t.nodes[f.node]
-		s := m.samples[nd.idx].Features
+		s := t.row(nd.idx)
 		b.add(m.dist(features, s), nd.idx)
 		d := int(nd.split)
 		span := m.hi[d] - m.lo[d]

@@ -102,6 +102,11 @@ func (g *PredictGate) WritePrometheus(p *obsv.PromWriter) {
 		trained = 1
 	}
 	p.Val(trained)
+	age, took := g.knn.LastFit()
+	p.Gauge("dbwlm_predict_model_age_seconds", "Time since the model predictions are read from was published.")
+	p.Val(age.Seconds())
+	p.Gauge("dbwlm_predict_refit_seconds", "How long fitting that model took.")
+	p.Val(took.Seconds())
 	p.Histogram("dbwlm_predicted_seconds", "Predicted service seconds on modeled admits.")
 	p.Hist(g.predicted)
 }

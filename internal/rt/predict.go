@@ -218,17 +218,25 @@ type PredictStats struct {
 	Retrains  int64              `json:"retrains"`
 	Trained   bool               `json:"trained"`
 	MaxBucket string             `json:"max_bucket"`
+	// ModelAgeSeconds is how long ago the model now answering predictions
+	// was published, RefitSeconds how long fitting it took; both 0 before
+	// the first model.
+	ModelAgeSeconds float64 `json:"model_age_seconds"`
+	RefitSeconds    float64 `json:"refit_seconds"`
 }
 
 // Stats merges the gate's stripes and the plan cache's shards.
 func (g *PredictGate) Stats() PredictStats {
+	age, took := g.knn.LastFit()
 	return PredictStats{
-		Cache:     g.cache.Stats(),
-		Gated:     g.gated.Value(),
-		Unmodeled: g.unmodeled.Value(),
-		Predicted: g.predicted.Snapshot(),
-		Retrains:  g.knn.Retrains(),
-		Trained:   g.knn.Trained(),
-		MaxBucket: g.maxBucket.String(),
+		Cache:           g.cache.Stats(),
+		Gated:           g.gated.Value(),
+		Unmodeled:       g.unmodeled.Value(),
+		Predicted:       g.predicted.Snapshot(),
+		Retrains:        g.knn.Retrains(),
+		Trained:         g.knn.Trained(),
+		ModelAgeSeconds: age.Seconds(),
+		RefitSeconds:    took.Seconds(),
+		MaxBucket:       g.maxBucket.String(),
 	}
 }

@@ -1,9 +1,12 @@
 package rt
 
 import (
+	"bytes"
+	"strings"
 	"testing"
 
 	"dbwlm/internal/admission"
+	"dbwlm/internal/obsv"
 	"dbwlm/internal/policy"
 	"dbwlm/internal/sqlmini"
 )
@@ -164,4 +167,39 @@ func BenchmarkPredictAdmitParallel(b *testing.B) {
 			g.rt.Done(grant, 0)
 		}
 	})
+}
+
+// TestPredictGateReportsModelAge: the two model-freshness gauges read 0 until
+// a model lands, then report the last fit on /metrics and in Stats alike.
+func TestPredictGateReportsModelAge(t *testing.T) {
+	g := newPredictGate(t, admission.BucketMonster)
+	page := func() string {
+		var buf bytes.Buffer
+		p := obsv.NewPromWriter(&buf)
+		g.WritePrometheus(p)
+		if err := p.Err(); err != nil {
+			t.Fatal(err)
+		}
+		return buf.String()
+	}
+	before := page()
+	for _, line := range []string{
+		"# TYPE dbwlm_predict_model_age_seconds gauge\ndbwlm_predict_model_age_seconds 0\n",
+		"# TYPE dbwlm_predict_refit_seconds gauge\ndbwlm_predict_refit_seconds 0\n",
+	} {
+		if !strings.Contains(before, line) {
+			t.Fatalf("untrained /metrics lacks %q:\n%s", line, before)
+		}
+	}
+	if st := g.Stats(); st.ModelAgeSeconds != 0 || st.RefitSeconds != 0 {
+		t.Fatalf("untrained stats report a fit: %+v", st)
+	}
+	train(g)
+	st := g.Stats()
+	if st.RefitSeconds <= 0 || st.ModelAgeSeconds < 0 || st.ModelAgeSeconds > 60 {
+		t.Fatalf("trained stats: age %v s, refit %v s", st.ModelAgeSeconds, st.RefitSeconds)
+	}
+	if after := page(); strings.Contains(after, "dbwlm_predict_refit_seconds 0\n") {
+		t.Fatalf("trained /metrics still reports no fit:\n%s", after)
+	}
 }

@@ -1,6 +1,7 @@
 package sqlmini
 
 import (
+	"math"
 	"sync"
 	"sync/atomic"
 	"unsafe"
@@ -41,39 +42,48 @@ type CachedPlan struct {
 	touch atomic.Int64 // shard LRU clock at last hit
 }
 
-// planShardCap bounds how many entries one shard holds; eviction is
-// approximate-LRU within the shard (the entry with the oldest touch tick
-// goes). Sizing note: capacity is split evenly across shards, so per-shard
-// capacity stays small and the miss path's copy-on-write map clone is cheap
-// next to the parse+plan it just paid for.
+// planWays is the least associativity of a set once a shard has more than one:
+// eight slot pointers are one cache line. A key may live in either of its two
+// candidate sets, so an insert chooses among at least sixteen ways.
+const planWays = 8
+
+// planShard is one stripe of the cache: a fixed array of slots, grouped into
+// sets of PlanCache.ways consecutive slots. Readers scan a key's candidate
+// sets with atomic loads and no lock; a writer, under mu, stores into exactly
+// one slot. Nothing is ever cloned or rehashed, so a miss costs its parse+plan
+// plus one pointer store whatever the shard holds.
 type planShard struct {
-	// entries is copy-on-write: readers load the pointer and index the
-	// immutable map with no lock; writers clone under mu and swap. Keyed by
-	// Fingerprint.Lo; the entry stores the full 128-bit fingerprint and the
-	// reader compares it, so a Lo collision inside a shard reads as a miss.
-	entries atomic.Pointer[map[uint64]*CachedPlan]
-	mu      sync.Mutex
+	slots   []atomic.Pointer[CachedPlan]
+	mu      sync.Mutex   // serializes inserts; readers never take it
 	clock   atomic.Int64 // per-shard LRU tick (global clock would share a line)
 	hits    atomic.Int64
 	misses  atomic.Int64
-	_       [88]byte // pad to 128B so adjacent shards never share a cache line
+	entries atomic.Int64 // occupied slots (an insert only ever fills or replaces)
+	_       [64]byte     // pad to 128B so adjacent shards never share a cache line
 }
 
 // PlanCache interns normalized SQL: repeated query shapes skip lexing,
 // parsing, and plan building entirely, returning the memoized plan and cost
-// in a few fingerprint-hash plus map-probe nanoseconds with zero allocation.
-// The read path is lock-free (atomic pointer load of an immutable per-shard
-// map); only misses serialize, per shard, while inserting.
+// in a few fingerprint-hash plus slot-probe nanoseconds with zero allocation.
+// Each shard is set-associative: a fingerprint maps to two candidate sets and
+// may occupy any way of either. The read path is lock-free (atomic loads of
+// the candidate slots, full 128-bit compare on each); only misses serialize,
+// per shard, while storing their one slot. Eviction is approximate LRU scoped
+// to the candidate ways: the oldest touch tick among them goes.
 type PlanCache struct {
 	model  *CostModel
 	shards []planShard
 	mask   uint32
-	cap    int // per-shard entry cap
+	sets   uint32 // sets per shard
+	ways   uint32 // slots per set
 }
 
 // NewPlanCache builds a cache over the cost model. capacity is the total
 // entry budget (default 4096), shards the stripe count (rounded up to a power
-// of two, default 8).
+// of two, default 8). The budget is split evenly across shards and each
+// shard's share into sets of 8 to 15 ways, so a share of up to 15 entries is
+// one fully associative set (exact LRU) and the resident count never exceeds
+// capacity (a share that is no multiple of its set count rounds down).
 func NewPlanCache(model *CostModel, capacity, shards int) *PlanCache {
 	if capacity <= 0 {
 		capacity = 4096
@@ -85,24 +95,59 @@ func NewPlanCache(model *CostModel, capacity, shards int) *PlanCache {
 	for n < shards {
 		n <<= 1
 	}
-	per := capacity / n
-	if per < 1 {
-		per = 1
-	}
-	c := &PlanCache{model: model, shards: make([]planShard, n), mask: uint32(n - 1), cap: per}
+	per := max(capacity/n, 1)
+	sets := max(per/planWays, 1)
+	ways := per / sets
+	c := &PlanCache{model: model, shards: make([]planShard, n), mask: uint32(n - 1),
+		sets: uint32(sets), ways: uint32(ways)}
 	for i := range c.shards {
-		m := make(map[uint64]*CachedPlan)
-		c.shards[i].entries.Store(&m)
+		c.shards[i].slots = make([]atomic.Pointer[CachedPlan], sets*ways)
 	}
 	return c
 }
 
-// shardOf picks the home shard from the high lane so the map key (the low
-// lane) stays fully discriminating within the shard.
+// shardOf picks the home shard from the low bits of the high lane.
 //
 //dbwlm:hotpath
 func (c *PlanCache) shardOf(fp Fingerprint) *planShard {
 	return &c.shards[uint32(fp.Hi)&c.mask]
+}
+
+// setsOf returns the first slot of each of the key's two candidate sets (the
+// same slot twice when the shard is a single set). The index must not come
+// from the low bits of either lane: both lanes are FNV-1a over the same bytes
+// with the same odd multiplier, so their low bits evolve in lock step — bit 0
+// of Lo is always the complement of bit 0 of Hi, and inside a shard chosen by
+// Hi's low bits a Lo-modulo index reaches only half the sets. Folding the two
+// lanes across each other's halves and taking the high bits of a
+// multiplicative hash uses every bit of both.
+//
+//dbwlm:hotpath
+func (c *PlanCache) setsOf(fp Fingerprint) (a, b uint32) {
+	h := (fp.Lo ^ (fp.Hi<<32 | fp.Hi>>32)) * 0x9E3779B97F4A7C15
+	a = uint32((h >> 32) * uint64(c.sets) >> 32)
+	b = a
+	if c.sets > 1 {
+		// A distinct second set: step 1..sets-1 from the first.
+		b += 1 + uint32(uint64(uint32(h))*uint64(c.sets-1)>>32)
+		if b >= c.sets {
+			b -= c.sets
+		}
+	}
+	return a * c.ways, b * c.ways
+}
+
+// find scans one set for the fingerprint.
+//
+//dbwlm:hotpath
+func (sh *planShard) find(base, ways uint32, fp Fingerprint) *CachedPlan {
+	set := sh.slots[base : base+ways]
+	for i := range set {
+		if e := set[i].Load(); e != nil && e.FP == fp {
+			return e
+		}
+	}
+	return nil
 }
 
 // Lookup returns the cached plan for a fingerprint, or nil. Allocation-free.
@@ -110,13 +155,18 @@ func (c *PlanCache) shardOf(fp Fingerprint) *planShard {
 //dbwlm:hotpath
 func (c *PlanCache) Lookup(fp Fingerprint) *CachedPlan {
 	sh := c.shardOf(fp)
-	if e := (*sh.entries.Load())[fp.Lo]; e != nil && e.FP == fp {
-		e.touch.Store(sh.clock.Add(1))
-		sh.hits.Add(1)
-		return e
+	a, b := c.setsOf(fp)
+	e := sh.find(a, c.ways, fp)
+	if e == nil && b != a {
+		e = sh.find(b, c.ways, fp)
 	}
-	sh.misses.Add(1)
-	return nil
+	if e == nil {
+		sh.misses.Add(1)
+		return nil
+	}
+	e.touch.Store(sh.clock.Add(1))
+	sh.hits.Add(1)
+	return e
 }
 
 // Plan resolves one SQL statement through the cache: fingerprint, lock-free
@@ -173,29 +223,54 @@ func (c *PlanCache) planMiss(fp Fingerprint, sql string) (entry *CachedPlan, hit
 	return e, false, nil
 }
 
+// insert stores e into one slot of its candidate sets: over a resident entry
+// with the same fingerprint if there is one, else into an empty way of the
+// emptier set (the first on a tie; balancing the two keeps a population of
+// half the capacity fully resident), else over the candidate with the oldest
+// touch tick.
 func (c *PlanCache) insert(e *CachedPlan) {
 	sh := c.shardOf(e.FP)
+	a, b := c.setsOf(e.FP)
 	e.touch.Store(sh.clock.Add(1))
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	old := *sh.entries.Load()
-	next := make(map[uint64]*CachedPlan, len(old)+1)
-	for k, v := range old {
-		next[k] = v
+	var empty [2]*atomic.Pointer[CachedPlan] // first empty way per candidate set
+	var free [2]int                          // empty ways per candidate set
+	var dst *atomic.Pointer[CachedPlan]      // the slot e goes into
+	oldest := int64(math.MaxInt64)
+	bases := []uint32{a, b}
+	if b == a {
+		bases = bases[:1]
 	}
-	next[e.FP.Lo] = e
-	// Evict the least-recently-touched entries down to the shard cap.
-	for len(next) > c.cap {
-		var victim uint64
-		oldest := int64(1<<63 - 1)
-		for k, v := range next {
-			if t := v.touch.Load(); t < oldest {
-				oldest, victim = t, k
+	for s, base := range bases {
+		for i := base; i < base+c.ways; i++ {
+			way := &sh.slots[i]
+			switch p := way.Load(); {
+			case p == nil:
+				if free[s] == 0 {
+					empty[s] = way
+				}
+				free[s]++
+			case p.FP == e.FP:
+				way.Store(e)
+				return
+			default:
+				if t := p.touch.Load(); t < oldest {
+					oldest, dst = t, way
+				}
 			}
 		}
-		delete(next, victim)
 	}
-	sh.entries.Store(&next)
+	switch {
+	case free[0] > 0 && free[0] >= free[1]:
+		dst = empty[0]
+	case free[1] > 0:
+		dst = empty[1]
+	}
+	if dst.Load() == nil {
+		sh.entries.Add(1)
+	}
+	dst.Store(e)
 }
 
 // CacheStats is the merged monitoring view of the cache.
@@ -212,7 +287,7 @@ func (c *PlanCache) Stats() CacheStats {
 		sh := &c.shards[i]
 		st.Hits += sh.hits.Load()
 		st.Misses += sh.misses.Load()
-		st.Entries += len(*sh.entries.Load())
+		st.Entries += int(sh.entries.Load())
 	}
 	return st
 }
