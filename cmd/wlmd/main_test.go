@@ -147,24 +147,24 @@ func TestPolicyReloadEndpoint(t *testing.T) {
 	}
 }
 
-func TestLoadFeedAndIndicatorLoop(t *testing.T) {
+func TestLoadFeedAndMAPELoop(t *testing.T) {
 	r, srv := testServer(t, defaultClasses(), rt.Options{})
 	if code := post(t, srv, "/load", url.Values{"mem": {"1.5"}, "conflict": {"0.1"}, "cpu": {"0.99"}}, nil); code != http.StatusOK {
 		t.Fatalf("load status %d", code)
 	}
-	stop := rthttp.RunIndicatorLoop(r, time.Millisecond)
+	stop := rthttp.StartMAPELoop(rthttp.NewMAPELoop(r, nil), time.Millisecond)
 	defer stop()
 	deadline := time.Now().Add(2 * time.Second)
 	for !r.LowPriorityGate() {
 		if time.Now().After(deadline) {
-			t.Fatal("indicator loop never closed the gate under memory pressure")
+			t.Fatal("MAPE loop never closed the gate under memory pressure")
 		}
 		time.Sleep(time.Millisecond)
 	}
 	post(t, srv, "/load", url.Values{"mem": {"0.1"}, "conflict": {"0"}, "cpu": {"0.1"}}, nil)
 	for r.LowPriorityGate() {
 		if time.Now().After(deadline) {
-			t.Fatal("indicator loop never reopened the gate")
+			t.Fatal("MAPE loop never reopened the gate")
 		}
 		time.Sleep(time.Millisecond)
 	}

@@ -1,51 +1,51 @@
-// Command wlmload drives a wlmd daemon at saturation and reports admission
-// throughput and latency. It speaks all three fronts the daemon serves —
+// Command wlmload replays a recorded workload trace against a live wlmd over
+// the binary wire protocol, open-loop:
 //
-//	wlmload -mode wire -addr 127.0.0.1:9628        # binary TCP, pipelined
-//	wlmload -mode http-batch -url http://127.0.0.1:8628
-//	wlmload -mode http -url http://127.0.0.1:8628  # single-op form POSTs
+//	wlmload -trace full.trace -addr 127.0.0.1:9628 -speed 10
 //
-// — with the same op stream: each connection alternates admit and done ops so
-// the in-engine population stays bounded while every decision exercises the
-// full gate/counter/recorder path. scripts/bench_wire.sh runs it across batch
-// sizes and GOMAXPROCS settings to produce BENCH_wire.json.
+// Admits are paced from the recorded inter-arrival gaps (scaled by -speed),
+// so a backed-up daemon sees the recorded offered load, not a stream
+// throttled by its own response times. Each row is replayed as recorded: its
+// class index is the daemon's class ID (the daemon's class table must cover
+// the trace header's — wlmd's built-in three classes line up with `wlmtrace
+// synth`), a row carrying SQL is a predict-admit (needs wlmd -predict), any
+// other row a cost admit at its recorded timerons. The report carries
+// decision throughput, round-trip percentiles, and — for rows recorded with
+// a response-time SLO — per-class deadline misses.
 //
-// With -trace FILE the op stream comes from a recorded workload trace
-// instead: admits are paced open-loop from the recorded inter-arrival gaps
-// (scaled by -speed), so a backed-up daemon sees the recorded offered load,
-// not a stream throttled by its own response times. Trace replay runs on the
-// wire transport.
+// Closed-loop saturation traffic (cost, SQL and single-op HTTP admits) is
+// cmd/wlmbench's job: the live-cost, live-sql and live-rtt workloads.
 package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
-	"math/rand/v2"
 	"net"
-	"net/http"
-	"net/url"
 	"os"
 	"runtime"
 	"sort"
-	"strconv"
-	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"dbwlm/internal/trace"
 	"dbwlm/internal/wire"
 )
 
-// classMix is one service class's share of generated admits. ID is the class's
-// index in the server's class table; the -mix flag lists entries in table
-// order (wlmd's default table: interactive, reporting, batch).
-type classMix struct {
-	Name   string
-	ID     uint16
-	Weight float64
+// frameOps caps the ops in one frame: every admit due at the same instant
+// rides together up to this many, and done ops fill the slots left over.
+const frameOps = 256
+
+// config is the parsed command line.
+type config struct {
+	addr      string
+	conns     int
+	block     bool
+	jsonOut   bool
+	tracePath string
+	speed     float64
 }
 
 // grantRec is one outstanding admission a later done op releases.
@@ -55,23 +55,9 @@ type grantRec struct {
 	fpHi, fpLo           uint64
 }
 
-// config is the parsed command line.
-type config struct {
-	mode      string
-	addr      string
-	baseURL   string
-	conns     int
-	depth     int
-	batch     int
-	ops       int64
-	cost      float64
-	sqlFrac   float64
-	block     bool
-	mix       []classMix
-	seed      uint64
-	jsonOut   bool
-	tracePath string
-	speed     float64
+func (g grantRec) doneOp() wire.Op {
+	return wire.Op{Code: wire.OpDone, Class: g.class, Shard: g.shard,
+		GShard: g.gshard, Start: g.start, QID: g.qid, FPHi: g.fpHi, FPLo: g.fpLo}
 }
 
 // latSample is one timed round trip and the number of decisions it carried;
@@ -81,342 +67,164 @@ type latSample struct {
 	ops int
 }
 
-// counters aggregates op outcomes across all connections.
-type counters struct {
-	admitted atomic.Int64
-	rejected atomic.Int64
-	released atomic.Int64
-	errored  atomic.Int64
-}
-
-// deadlineCount tallies one class's recorded-SLO outcomes during trace
-// replay: how many admits carried a response-time objective, and how many of
-// those came back past it. The clock starts at the row's recorded due
-// instant, so daemon queueing during a backlog counts against the deadline —
-// and a rejected or errored admit counts as a miss outright (the request
-// never ran). Targets are wall-clock seconds as recorded, not scaled by
-// -speed.
+// deadlineCount tallies one class's recorded-SLO outcomes: how many admits
+// carried a response-time objective, and how many of those came back past
+// it. The clock starts at the row's recorded due instant, so daemon queueing
+// during a backlog counts against the deadline — and a rejected or errored
+// admit counts as a miss outright (the request never ran). Targets are
+// wall-clock seconds as recorded, not scaled by -speed.
 type deadlineCount struct {
-	Total  int64
-	Missed int64
+	Class  string `json:"class"`
+	Total  int64  `json:"total"`
+	Missed int64  `json:"missed"`
 }
 
-// corpus is the built-in SQL shapes for -sql-frac traffic, written against
-// sqlmini's default star-schema catalog.
-var corpus = []string{
-	"SELECT id, name FROM customers WHERE id = 42",
-	"SELECT * FROM orders WHERE total > 100",
-	"SELECT COUNT(*) FROM orders WHERE region = 'west'",
-	"SELECT d.year, SUM(f.amount) FROM sales_fact f JOIN date_dim d ON f.date_id = d.id GROUP BY d.year",
-	"SELECT DISTINCT region FROM store_dim ORDER BY region LIMIT 5",
-	"SELECT c.name, o.total FROM customers c JOIN orders o ON o.customer_id = c.id WHERE o.total > 500",
+// connResult is what one connection's replay adds to the report.
+type connResult struct {
+	admitted, rejected, released, errored int64
+	lats                                  []latSample
+	deadlines                             map[uint16]*deadlineCount
 }
 
-func main() {
-	cfg, err := parseFlags()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "wlmload:", err)
-		os.Exit(2)
-	}
-	var traceRows []trace.Row
-	if cfg.tracePath != "" {
-		src, closer, err := trace.OpenFile(cfg.tracePath)
-		if err == nil {
-			traceRows, err = trace.ReadAll(src)
-			closer.Close()
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "wlmload:", err)
-			os.Exit(1)
-		}
-	}
-	var (
-		cnt       counters
-		mu        sync.Mutex
-		lats      []latSample
-		deadlines = make(map[string]*deadlineCount)
-	)
-	issued := &atomic.Int64{}
-	start := time.Now()
-	var wg sync.WaitGroup
-	for c := 0; c < cfg.conns; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			var (
-				local []latSample
-				dl    map[string]*deadlineCount
-				err   error
-			)
-			switch {
-			case cfg.tracePath != "":
-				local, dl, err = runTraceConn(cfg, c, traceRows, start, &cnt)
-			case cfg.mode == "wire":
-				local, err = runWireConn(cfg, c, issued, &cnt)
-			case cfg.mode == "http-batch":
-				local, err = runHTTPBatchConn(cfg, c, issued, &cnt)
-			case cfg.mode == "http":
-				local, err = runHTTPConn(cfg, c, issued, &cnt)
-			}
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "wlmload: conn %d: %v\n", c, err)
-				cnt.errored.Add(1)
-			}
-			mu.Lock()
-			lats = append(lats, local...)
-			for class, d := range dl {
-				if deadlines[class] == nil {
-					deadlines[class] = &deadlineCount{}
-				}
-				deadlines[class].Total += d.Total
-				deadlines[class].Missed += d.Missed
-			}
-			mu.Unlock()
-		}(c)
-	}
-	wg.Wait()
-	elapsed := time.Since(start).Seconds()
-	report(cfg, elapsed, lats, &cnt, deadlines)
-	if cnt.errored.Load() > 0 {
-		os.Exit(1)
-	}
-}
-
-func parseFlags() (config, error) {
-	var cfg config
-	var mix string
-	flag.StringVar(&cfg.mode, "mode", "wire", "transport: wire | http-batch | http")
-	flag.StringVar(&cfg.addr, "addr", "127.0.0.1:9628", "wire mode: wlmd -wire-addr TCP address")
-	flag.StringVar(&cfg.baseURL, "url", "http://127.0.0.1:8628", "http modes: wlmd base URL")
-	flag.IntVar(&cfg.conns, "conns", 4, "parallel connections")
-	flag.IntVar(&cfg.depth, "depth", 4, "wire mode: pipelined frames in flight per connection")
-	flag.IntVar(&cfg.batch, "batch", 16, "ops per frame (wire, http-batch)")
-	flag.Int64Var(&cfg.ops, "ops", 100000, "total ops to issue across all connections")
-	flag.Float64Var(&cfg.cost, "cost", 100, "estimated cost (timerons) on plain admit ops")
-	flag.Float64Var(&cfg.sqlFrac, "sql-frac", 0, "fraction of admits sent as raw SQL (needs wlmd -predict)")
-	flag.BoolVar(&cfg.block, "block", false, "admits block while queued instead of reporting rejected-timeout")
-	flag.StringVar(&mix, "mix", "interactive=1", "class mix as name=weight pairs, in server class-table order")
-	flag.Uint64Var(&cfg.seed, "seed", 1, "RNG seed")
-	flag.BoolVar(&cfg.jsonOut, "json", false, "emit the report as JSON")
-	flag.StringVar(&cfg.tracePath, "trace", "", "replay this recorded trace open-loop instead of generating ops")
-	flag.Float64Var(&cfg.speed, "speed", 1, "trace replay speed multiplier (2 = twice as fast as recorded)")
-	flag.Parse()
-	switch cfg.mode {
-	case "wire", "http-batch", "http":
-	default:
-		return cfg, fmt.Errorf("unknown -mode %q", cfg.mode)
-	}
-	if cfg.conns < 1 || cfg.depth < 1 || cfg.batch < 1 || cfg.ops < 1 {
-		return cfg, fmt.Errorf("-conns, -depth, -batch, -ops must be positive")
-	}
-	if cfg.batch > wire.MaxOps {
-		return cfg, fmt.Errorf("-batch %d exceeds wire.MaxOps %d", cfg.batch, wire.MaxOps)
-	}
-	if cfg.tracePath != "" && cfg.mode != "wire" {
-		return cfg, fmt.Errorf("-trace requires -mode wire")
-	}
-	if cfg.speed <= 0 {
-		return cfg, fmt.Errorf("-speed must be positive")
-	}
-	for i, part := range strings.Split(mix, ",") {
-		name, w, ok := strings.Cut(strings.TrimSpace(part), "=")
-		if !ok {
-			return cfg, fmt.Errorf("bad -mix entry %q (want name=weight)", part)
-		}
-		weight, err := strconv.ParseFloat(w, 64)
-		if err != nil || weight < 0 {
-			return cfg, fmt.Errorf("bad -mix weight %q", w)
-		}
-		cfg.mix = append(cfg.mix, classMix{Name: name, ID: uint16(i), Weight: weight})
-	}
-	return cfg, nil
-}
-
-// pickClass draws a class from the mix.
-func pickClass(rng *rand.Rand, mix []classMix) classMix {
-	total := 0.0
-	for _, m := range mix {
-		total += m.Weight
-	}
-	x := rng.Float64() * total
-	for _, m := range mix {
-		if x -= m.Weight; x < 0 {
-			return m
-		}
-	}
-	return mix[len(mix)-1]
-}
-
-// buildFrame composes one request batch: done ops for up to half the slots
-// (draining the grant pool) and admit ops for the rest. Returns the ops and
-// how many were taken from the issue budget.
-func buildFrame(cfg config, rng *rand.Rand, ops []wire.Op, grants *[]grantRec, budget int64) []wire.Op {
-	n := int64(cfg.batch)
-	if n > budget {
-		n = budget
-	}
-	ops = ops[:0]
-	deadline := int64(1) // try-don't-wait
-	if cfg.block {
-		deadline = 0
-	}
-	for i := int64(0); i < n; i++ {
-		if i%2 == 1 && len(*grants) > 0 {
-			g := (*grants)[len(*grants)-1]
-			*grants = (*grants)[:len(*grants)-1]
-			ops = append(ops, wire.Op{Code: wire.OpDone, Class: g.class, Shard: g.shard,
-				GShard: g.gshard, Start: g.start, QID: g.qid, FPHi: g.fpHi, FPLo: g.fpLo})
-			continue
-		}
-		m := pickClass(rng, cfg.mix)
-		if cfg.sqlFrac > 0 && rng.Float64() < cfg.sqlFrac {
-			sql := corpus[rng.IntN(len(corpus))]
-			ops = append(ops, wire.Op{Code: wire.OpAdmitSQL, Class: m.ID,
-				DeadlineNS: deadline, SQL: []byte(sql)})
-			continue
-		}
-		ops = append(ops, wire.Op{Code: wire.OpAdmit, Class: m.ID,
-			DeadlineNS: deadline, Cost: cfg.cost})
-	}
-	return ops
-}
-
-// harvest records one decoded response batch into the counters and collects
-// fresh grants for later done ops.
-func harvest(results []wire.Result, grants *[]grantRec, cnt *counters) {
+// harvest tallies one decoded response batch and collects fresh grants for
+// later done ops.
+func (c *connResult) harvest(results []wire.Result, grants *[]grantRec) {
 	for i := range results {
 		r := &results[i]
 		switch {
 		case r.Status == wire.StatusAdmitted:
-			cnt.admitted.Add(1)
+			c.admitted++
 			*grants = append(*grants, grantRec{class: r.Class, shard: r.Shard,
 				gshard: r.GShard, start: r.Start, qid: r.QID, fpHi: r.FPHi, fpLo: r.FPLo})
 		case r.Status == wire.StatusReleased:
-			cnt.released.Add(1)
+			c.released++
 		case r.Status.Rejected():
-			cnt.rejected.Add(1)
+			c.rejected++
 		default:
-			cnt.errored.Add(1)
+			if c.errored == 0 {
+				fmt.Fprintf(os.Stderr, "wlmload: op answered %v\n", r.Status)
+			}
+			c.errored++
 		}
 	}
 }
 
-// runWireConn drives one pipelined wire connection: a writer goroutine keeps
-// up to depth frames in flight while this goroutine reads, decodes, and times
-// responses. Returns per-frame round-trip seconds.
-func runWireConn(cfg config, id int, issued *atomic.Int64, cnt *counters) ([]latSample, error) {
-	conn, err := net.Dial("tcp", cfg.addr)
+func main() {
+	cfg, err := parseFlags(os.Args[1:])
 	if err != nil {
-		return nil, err
+		if !errors.Is(err, flag.ErrHelp) {
+			fmt.Fprintln(os.Stderr, "wlmload:", err)
+		}
+		os.Exit(2)
 	}
-	defer conn.Close()
-	type sent struct {
-		at  time.Time
-		ops int
+	src, closer, err := trace.OpenFile(cfg.tracePath)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "wlmload:", err)
+		os.Exit(1)
 	}
-	var (
-		rng    = rand.New(rand.NewPCG(cfg.seed, uint64(id)))
-		fc     = wire.NewFrameConn(conn)
-		grants []grantRec
-		sendTs = make(chan sent, cfg.depth)
-		werr   = make(chan error, 1)
-		mu     sync.Mutex // guards grants between writer (build) and reader (harvest)
-		lats   []latSample
-	)
-	go func() {
-		defer close(sendTs)
-		wfc := wire.NewFrameConn(conn)
-		var ops []wire.Op
-		var buf []byte
-		for {
-			take := int64(cfg.batch)
-			if got := issued.Add(take); got > cfg.ops {
-				take -= got - cfg.ops
-				if take <= 0 {
-					werr <- nil
-					return
-				}
-			}
-			mu.Lock()
-			ops = buildFrame(cfg, rng, ops, &grants, take)
-			mu.Unlock()
-			payload, err := wire.EncodeRequest(buf, ops)
-			if err != nil {
-				werr <- err
-				return
-			}
-			buf = payload
-			sendTs <- sent{time.Now(), len(ops)} // blocks at depth frames in flight
-			if err := wfc.WriteFrame(payload); err != nil {
-				werr <- err
-				return
-			}
-		}
-	}()
-	var res wire.BatchRes
-	for ts := range sendTs {
-		payload, err := fc.ReadFrame()
-		if err != nil {
-			return lats, err
-		}
-		if err := wire.DecodeResponse(payload, &res); err != nil {
-			return lats, err
-		}
-		lats = append(lats, latSample{time.Since(ts.at).Seconds(), ts.ops})
-		mu.Lock()
-		harvest(res.Results, &grants, cnt)
-		mu.Unlock()
+	rows, err := trace.ReadAll(src)
+	closer.Close()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "wlmload:", err)
+		os.Exit(1)
 	}
-	if err := <-werr; err != nil {
-		return lats, err
+	h := src.Header()
+	rep := run(cfg, &h, rows)
+	rep.print(os.Stdout, cfg.jsonOut)
+	if rep.Errors > 0 {
+		os.Exit(1)
 	}
-	// Release whatever is still admitted so the daemon ends balanced; these
-	// frames are cleanup, not measured throughput.
-	for len(grants) > 0 {
-		n := len(grants)
-		if n > cfg.batch {
-			n = cfg.batch
-		}
-		ops := make([]wire.Op, 0, n)
-		for _, g := range grants[len(grants)-n:] {
-			ops = append(ops, wire.Op{Code: wire.OpDone, Class: g.class, Shard: g.shard,
-				GShard: g.gshard, Start: g.start, QID: g.qid, FPHi: g.fpHi, FPLo: g.fpLo})
-		}
-		grants = grants[:len(grants)-n]
-		payload, err := wire.EncodeRequest(nil, ops)
-		if err != nil {
-			return lats, err
-		}
-		if err := fc.WriteFrame(payload); err != nil {
-			return lats, err
-		}
-		payload, err = fc.ReadFrame()
-		if err != nil {
-			return lats, err
-		}
-		if err := wire.DecodeResponse(payload, &res); err != nil {
-			return lats, err
-		}
-		var drained []grantRec
-		harvest(res.Results, &drained, cnt)
-	}
-	return lats, nil
 }
 
-// runTraceConn replays this connection's share of a recorded trace against
-// the daemon, open-loop: each admit is due at its recorded arrival offset
-// divided by -speed, measured from the shared start instant, and frames are
-// sent when due whether or not earlier responses have come back (the send
-// queue is unbounded, so a backed-up daemon cannot throttle the offered
-// load). Done ops piggyback on later frames to keep the daemon's population
-// bounded. Trace class indexes map onto the -mix class table modulo its
-// size; rows carrying SQL are sent as admit-SQL when -sql-frac > 0. Rows
-// recorded with a response-time SLO are scored into the returned per-class
-// deadline-miss tally.
-func runTraceConn(cfg config, id int, rows []trace.Row, start time.Time, cnt *counters) ([]latSample, map[string]*deadlineCount, error) {
+func parseFlags(args []string) (config, error) {
+	var cfg config
+	fs := flag.NewFlagSet("wlmload", flag.ContinueOnError)
+	fs.StringVar(&cfg.tracePath, "trace", "", "recorded trace to replay (required)")
+	fs.StringVar(&cfg.addr, "addr", "127.0.0.1:9628", "wlmd -wire-addr TCP address")
+	fs.IntVar(&cfg.conns, "conns", 4, "parallel connections; each replays every conns-th row")
+	fs.Float64Var(&cfg.speed, "speed", 1, "replay speed multiplier (2 = twice as fast as recorded)")
+	fs.BoolVar(&cfg.block, "block", false, "admits block while queued instead of reporting rejected-timeout")
+	fs.BoolVar(&cfg.jsonOut, "json", false, "emit the report as JSON")
+	if err := fs.Parse(args); err != nil {
+		return cfg, err
+	}
+	if cfg.tracePath == "" {
+		return cfg, errors.New("-trace FILE is required")
+	}
+	if cfg.conns < 1 {
+		return cfg, errors.New("-conns must be positive")
+	}
+	if cfg.speed <= 0 {
+		return cfg, errors.New("-speed must be positive")
+	}
+	return cfg, nil
+}
+
+// run replays rows over cfg.conns connections and merges their results.
+func run(cfg config, h *trace.Header, rows []trace.Row) *report {
+	results := make([]connResult, cfg.conns)
+	var wg sync.WaitGroup
+	start := time.Now()
+	for c := range results {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			var err error
+			if results[c], err = runTraceConn(cfg, c, rows, start); err != nil {
+				fmt.Fprintf(os.Stderr, "wlmload: conn %d: %v\n", c, err)
+				results[c].errored++
+			}
+		}(c)
+	}
+	wg.Wait()
+	elapsed := time.Since(start).Seconds()
+	total := connResult{deadlines: make(map[uint16]*deadlineCount)}
+	for _, res := range results {
+		total.admitted += res.admitted
+		total.rejected += res.rejected
+		total.released += res.released
+		total.errored += res.errored
+		total.lats = append(total.lats, res.lats...)
+		for class, d := range res.deadlines {
+			t := total.deadlines[class]
+			if t == nil {
+				t = &deadlineCount{Class: h.ClassName(class)}
+				total.deadlines[class] = t
+			}
+			t.Total += d.Total
+			t.Missed += d.Missed
+		}
+	}
+	return newReport(cfg, elapsed, &total)
+}
+
+// roundTrip writes one request frame and decodes its response into res.
+func roundTrip(fc *wire.FrameConn, ops []wire.Op, res *wire.BatchRes) error {
+	payload, err := wire.EncodeRequest(nil, ops)
+	if err != nil {
+		return err
+	}
+	if err := fc.WriteFrame(payload); err != nil {
+		return err
+	}
+	if payload, err = fc.ReadFrame(); err != nil {
+		return err
+	}
+	return wire.DecodeResponse(payload, res)
+}
+
+// runTraceConn replays this connection's share of the trace, open-loop: each
+// admit is due at its recorded arrival offset divided by -speed, measured
+// from the shared start instant, and frames are sent when due whether or not
+// earlier responses have come back (the send queue is unbounded, so a
+// backed-up daemon cannot throttle the offered load). Done ops piggyback on
+// later frames to keep the daemon's population bounded; whatever is still
+// admitted at the end is released, unmeasured, so the daemon ends balanced.
+func runTraceConn(cfg config, id int, rows []trace.Row, start time.Time) (connResult, error) {
+	out := connResult{deadlines: make(map[uint16]*deadlineCount)}
 	conn, err := net.Dial("tcp", cfg.addr)
 	if err != nil {
-		return nil, nil, err
+		return out, err
 	}
 	defer conn.Close()
 	// opMeta scores one frame slot: zero deadline for done ops and
@@ -424,7 +232,7 @@ func runTraceConn(cfg config, id int, rows []trace.Row, start time.Time, cnt *co
 	// its due instant. Results come back in op order, so meta[i] describes
 	// res.Results[i].
 	type opMeta struct {
-		class    string
+		class    uint16
 		due      time.Time
 		deadline float64
 	}
@@ -434,13 +242,11 @@ func runTraceConn(cfg config, id int, rows []trace.Row, start time.Time, cnt *co
 		meta []opMeta
 	}
 	var (
-		fc        = wire.NewFrameConn(conn)
-		grants    []grantRec
-		sendTs    = make(chan sent, len(rows)+1) // never blocks: open loop
-		werr      = make(chan error, 1)
-		mu        sync.Mutex
-		lats      []latSample
-		deadlines = make(map[string]*deadlineCount)
+		fc     = wire.NewFrameConn(conn)
+		grants []grantRec
+		sendTs = make(chan sent, len(rows)+1) // never blocks: open loop
+		werr   = make(chan error, 1)
+		mu     sync.Mutex // guards grants between the writer and the reader
 	)
 	deadline := int64(1) // try-don't-wait
 	if cfg.block {
@@ -455,45 +261,34 @@ func runTraceConn(cfg config, id int, rows []trace.Row, start time.Time, cnt *co
 		var ops []wire.Op
 		var buf []byte
 		// This connection owns every conns-th row.
-		mine := make([]int, 0, len(rows)/cfg.conns+1)
-		for i := id; i < len(rows); i += cfg.conns {
-			mine = append(mine, i)
-		}
-		for p := 0; p < len(mine); {
-			if wait := time.Until(dueAt(&rows[mine[p]])); wait > 0 {
+		for p := id; p < len(rows); {
+			if wait := time.Until(dueAt(&rows[p])); wait > 0 {
 				time.Sleep(wait)
 			}
 			ops = ops[:0]
 			var meta []opMeta
-			// Everything due now rides in one frame, up to the batch cap.
-			for p < len(mine) && len(ops) < cfg.batch {
-				r := &rows[mine[p]]
-				if time.Until(dueAt(r)) > 0 {
+			// Everything due now rides in one frame, up to the cap.
+			for ; p < len(rows) && len(ops) < frameOps; p += cfg.conns {
+				r := &rows[p]
+				due := dueAt(r)
+				if time.Until(due) > 0 {
 					break
 				}
-				m := cfg.mix[int(r.Class)%len(cfg.mix)]
-				meta = append(meta, opMeta{class: m.Name, due: dueAt(r), deadline: r.SLODeadline()})
-				cost := r.EstTimerons
-				if cost <= 0 {
-					cost = cfg.cost
-				}
-				if len(r.SQL) > 0 && cfg.sqlFrac > 0 {
-					ops = append(ops, wire.Op{Code: wire.OpAdmitSQL, Class: m.ID,
+				meta = append(meta, opMeta{class: r.Class, due: due, deadline: r.SLODeadline()})
+				if len(r.SQL) > 0 {
+					ops = append(ops, wire.Op{Code: wire.OpAdmitSQL, Class: r.Class,
 						DeadlineNS: deadline, SQL: r.SQL})
 				} else {
-					ops = append(ops, wire.Op{Code: wire.OpAdmit, Class: m.ID,
-						DeadlineNS: deadline, Cost: cost})
+					ops = append(ops, wire.Op{Code: wire.OpAdmit, Class: r.Class,
+						DeadlineNS: deadline, Cost: r.EstTimerons})
 				}
-				p++
 			}
 			// Piggyback done ops in the remaining slots (unscored: their meta
 			// slots stay zero).
 			mu.Lock()
-			for len(ops) < cfg.batch && len(grants) > 0 {
-				g := grants[len(grants)-1]
+			for len(ops) < frameOps && len(grants) > 0 {
+				ops = append(ops, grants[len(grants)-1].doneOp())
 				grants = grants[:len(grants)-1]
-				ops = append(ops, wire.Op{Code: wire.OpDone, Class: g.class, Shard: g.shard,
-					GShard: g.gshard, Start: g.start, QID: g.qid, FPHi: g.fpHi, FPLo: g.fpLo})
 				meta = append(meta, opMeta{})
 			}
 			mu.Unlock()
@@ -515,22 +310,22 @@ func runTraceConn(cfg config, id int, rows []trace.Row, start time.Time, cnt *co
 	for ts := range sendTs {
 		payload, err := fc.ReadFrame()
 		if err != nil {
-			return lats, deadlines, err
+			return out, err
 		}
 		if err := wire.DecodeResponse(payload, &res); err != nil {
-			return lats, deadlines, err
+			return out, err
 		}
 		arrived := time.Now()
-		lats = append(lats, latSample{arrived.Sub(ts.at).Seconds(), ts.ops})
+		out.lats = append(out.lats, latSample{arrived.Sub(ts.at).Seconds(), ts.ops})
 		for i := range res.Results {
 			if i >= len(ts.meta) || ts.meta[i].deadline <= 0 {
 				continue
 			}
 			m := &ts.meta[i]
-			d := deadlines[m.class]
+			d := out.deadlines[m.class]
 			if d == nil {
 				d = &deadlineCount{}
-				deadlines[m.class] = d
+				out.deadlines[m.class] = d
 			}
 			d.Total++
 			if res.Results[i].Status != wire.StatusAdmitted ||
@@ -539,219 +334,33 @@ func runTraceConn(cfg config, id int, rows []trace.Row, start time.Time, cnt *co
 			}
 		}
 		mu.Lock()
-		harvest(res.Results, &grants, cnt)
+		out.harvest(res.Results, &grants)
 		mu.Unlock()
 	}
 	if err := <-werr; err != nil {
-		return lats, deadlines, err
+		return out, err
 	}
-	// Release whatever is still admitted, unmeasured.
 	for len(grants) > 0 {
-		n := len(grants)
-		if n > cfg.batch {
-			n = cfg.batch
-		}
+		n := min(len(grants), frameOps)
 		ops := make([]wire.Op, 0, n)
 		for _, g := range grants[len(grants)-n:] {
-			ops = append(ops, wire.Op{Code: wire.OpDone, Class: g.class, Shard: g.shard,
-				GShard: g.gshard, Start: g.start, QID: g.qid, FPHi: g.fpHi, FPLo: g.fpLo})
+			ops = append(ops, g.doneOp())
 		}
 		grants = grants[:len(grants)-n]
-		payload, err := wire.EncodeRequest(nil, ops)
-		if err != nil {
-			return lats, deadlines, err
-		}
-		if err := fc.WriteFrame(payload); err != nil {
-			return lats, deadlines, err
-		}
-		payload, err = fc.ReadFrame()
-		if err != nil {
-			return lats, deadlines, err
-		}
-		if err := wire.DecodeResponse(payload, &res); err != nil {
-			return lats, deadlines, err
+		if err := roundTrip(fc, ops, &res); err != nil {
+			return out, err
 		}
 		var drained []grantRec
-		harvest(res.Results, &drained, cnt)
+		out.harvest(res.Results, &drained)
 	}
-	return lats, deadlines, nil
+	return out, nil
 }
 
-// runHTTPBatchConn drives POST /batch: the same binary frames, one in flight
-// per connection, HTTP supplying the framing.
-func runHTTPBatchConn(cfg config, id int, issued *atomic.Int64, cnt *counters) ([]latSample, error) {
-	client := &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: 1}}
-	defer client.CloseIdleConnections()
-	var (
-		rng    = rand.New(rand.NewPCG(cfg.seed, uint64(id)))
-		grants []grantRec
-		ops    []wire.Op
-		buf    []byte
-		res    wire.BatchRes
-		lats   []latSample
-	)
-	for {
-		take := int64(cfg.batch)
-		if got := issued.Add(take); got > cfg.ops {
-			take -= got - cfg.ops
-			if take <= 0 {
-				return lats, drainHTTPBatch(client, cfg.baseURL, grants, cfg.batch)
-			}
-		}
-		ops = buildFrame(cfg, rng, ops, &grants, take)
-		payload, err := wire.EncodeRequest(buf, ops)
-		if err != nil {
-			return lats, err
-		}
-		buf = payload
-		start := time.Now()
-		body, err := postBatch(client, cfg.baseURL, payload)
-		if err != nil {
-			return lats, err
-		}
-		lats = append(lats, latSample{time.Since(start).Seconds(), len(ops)})
-		if err := wire.DecodeResponse(body, &res); err != nil {
-			return lats, err
-		}
-		harvest(res.Results, &grants, cnt)
-	}
-}
-
-// drainHTTPBatch releases outstanding grants over /batch, unmeasured.
-func drainHTTPBatch(client *http.Client, baseURL string, grants []grantRec, batch int) error {
-	for len(grants) > 0 {
-		n := len(grants)
-		if n > batch {
-			n = batch
-		}
-		ops := make([]wire.Op, 0, n)
-		for _, g := range grants[len(grants)-n:] {
-			ops = append(ops, wire.Op{Code: wire.OpDone, Class: g.class, Shard: g.shard,
-				GShard: g.gshard, Start: g.start, QID: g.qid})
-		}
-		grants = grants[:len(grants)-n]
-		payload, err := wire.EncodeRequest(nil, ops)
-		if err != nil {
-			return err
-		}
-		if _, err := postBatch(client, baseURL, payload); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func postBatch(client *http.Client, baseURL string, payload []byte) ([]byte, error) {
-	resp, err := client.Post(baseURL+"/batch", "application/octet-stream",
-		strings.NewReader(string(payload)))
-	if err != nil {
-		return nil, err
-	}
-	body, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		return nil, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("/batch: %s: %s", resp.Status, body)
-	}
-	return body, nil
-}
-
-// httpGrant is one /admit token awaiting its /done.
-type httpGrant struct {
-	token string
-	sql   string
-}
-
-// runHTTPConn drives the single-op form-encoded path: alternating POST /admit
-// and POST /done, one op per request — the baseline the wire protocol is
-// measured against.
-func runHTTPConn(cfg config, id int, issued *atomic.Int64, cnt *counters) ([]latSample, error) {
-	client := &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: 1}}
-	defer client.CloseIdleConnections()
-	rng := rand.New(rand.NewPCG(cfg.seed, uint64(id)))
-	var (
-		grants []httpGrant
-		lats   []latSample
-		next   int64
-	)
-	for {
-		if next = issued.Add(1); next > cfg.ops {
-			break
-		}
-		start := time.Now()
-		if len(grants) > 0 && next%2 == 1 {
-			g := grants[len(grants)-1]
-			grants = grants[:len(grants)-1]
-			form := url.Values{"token": {g.token}}
-			if g.sql != "" {
-				form.Set("sql", g.sql)
-			}
-			code, _, err := postForm(client, cfg.baseURL+"/done", form)
-			if err != nil {
-				return lats, err
-			}
-			if code == http.StatusOK {
-				cnt.released.Add(1)
-			} else {
-				cnt.errored.Add(1)
-			}
-		} else {
-			m := pickClass(rng, cfg.mix)
-			form := url.Values{"class": {m.Name}}
-			sql := ""
-			if cfg.sqlFrac > 0 && rng.Float64() < cfg.sqlFrac {
-				sql = corpus[rng.IntN(len(corpus))]
-				form.Set("sql", sql)
-			} else {
-				form.Set("cost", strconv.FormatFloat(cfg.cost, 'f', -1, 64))
-			}
-			code, body, err := postForm(client, cfg.baseURL+"/admit", form)
-			if err != nil {
-				return lats, err
-			}
-			var ar struct {
-				Verdict string `json:"verdict"`
-				Token   string `json:"token"`
-			}
-			if err := json.Unmarshal(body, &ar); err != nil {
-				return lats, fmt.Errorf("/admit: %s: %s", http.StatusText(code), body)
-			}
-			if ar.Verdict == "admitted" {
-				cnt.admitted.Add(1)
-				grants = append(grants, httpGrant{token: ar.Token, sql: sql})
-			} else {
-				cnt.rejected.Add(1)
-			}
-		}
-		lats = append(lats, latSample{time.Since(start).Seconds(), 1})
-	}
-	// Cleanup: release outstanding tokens, unmeasured.
-	for _, g := range grants {
-		postForm(client, cfg.baseURL+"/done", url.Values{"token": {g.token}})
-	}
-	return lats, nil
-}
-
-func postForm(client *http.Client, u string, form url.Values) (int, []byte, error) {
-	resp, err := client.Post(u, "application/x-www-form-urlencoded",
-		strings.NewReader(form.Encode()))
-	if err != nil {
-		return 0, nil, err
-	}
-	body, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	return resp.StatusCode, body, err
-}
-
-// reportJSON is the machine-readable run summary (the bench harness consumes
-// it). NumCPU and GOMAXPROCS stamp the hardware the numbers came from.
-type reportJSON struct {
-	Mode            string  `json:"mode"`
+// report is the run summary. NumCPU and GOMAXPROCS stamp the hardware the
+// numbers came from.
+type report struct {
 	Conns           int     `json:"conns"`
-	Depth           int     `json:"depth"`
-	Batch           int     `json:"batch"`
+	Speed           float64 `json:"speed"`
 	Ops             int64   `json:"ops"`
 	ElapsedSeconds  float64 `json:"elapsed_seconds"`
 	DecisionsPerSec float64 `json:"decisions_per_sec"`
@@ -767,20 +376,14 @@ type reportJSON struct {
 	DecisionP99Ms   float64 `json:"decision_p99_ms"`
 	NumCPU          int     `json:"num_cpu"`
 	GOMAXPROCS      int     `json:"gomaxprocs"`
-	// DeadlineMisses appears in trace mode when the replayed rows carry
-	// response-time SLOs: per class, how many admits had a recorded deadline
-	// and how many decisions came back past it.
-	DeadlineMisses []deadlineJSON `json:"deadline_misses,omitempty"`
+	// DeadlineMisses lists, per class whose rows carry a response-time SLO,
+	// how many admits had a recorded deadline and how many decisions came
+	// back past it.
+	DeadlineMisses []deadlineCount `json:"deadline_misses,omitempty"`
 }
 
-// deadlineJSON is one class's deadline tally in the JSON report.
-type deadlineJSON struct {
-	Class  string `json:"class"`
-	Total  int64  `json:"total"`
-	Missed int64  `json:"missed"`
-}
-
-func report(cfg config, elapsed float64, lats []latSample, cnt *counters, deadlines map[string]*deadlineCount) {
+func newReport(cfg config, elapsed float64, total *connResult) *report {
+	lats := total.lats
 	sort.Slice(lats, func(a, b int) bool { return lats[a].sec < lats[b].sec })
 	// rtt_* percentiles treat every round trip equally; decision_*
 	// percentiles weight each round trip by the decisions it carried, so a
@@ -789,17 +392,13 @@ func report(cfg config, elapsed float64, lats []latSample, cnt *counters, deadli
 		if len(lats) == 0 {
 			return 0
 		}
-		i := int(p * float64(len(lats)-1))
-		return lats[i].sec * 1000
+		return lats[int(p*float64(len(lats)-1))].sec * 1000
 	}
 	var totalOps int64
 	for _, l := range lats {
 		totalOps += int64(l.ops)
 	}
 	dpct := func(p float64) float64 {
-		if totalOps == 0 {
-			return 0
-		}
 		target := int64(p * float64(totalOps-1))
 		var seen int64
 		for _, l := range lats {
@@ -807,46 +406,45 @@ func report(cfg config, elapsed float64, lats []latSample, cnt *counters, deadli
 				return l.sec * 1000
 			}
 		}
-		return lats[len(lats)-1].sec * 1000
+		return 0
 	}
-	decisions := cnt.admitted.Load() + cnt.rejected.Load() + cnt.released.Load()
-	mode := cfg.mode
-	if cfg.tracePath != "" {
-		mode = "wire-trace"
-	}
-	r := reportJSON{
-		Mode: mode, Conns: cfg.conns, Depth: cfg.depth, Batch: cfg.batch,
+	decisions := total.admitted + total.rejected + total.released
+	r := &report{
+		Conns: cfg.conns, Speed: cfg.speed,
 		Ops: decisions, ElapsedSeconds: elapsed,
 		DecisionsPerSec: float64(decisions) / elapsed,
-		Admitted:        cnt.admitted.Load(), Rejected: cnt.rejected.Load(),
-		Released: cnt.released.Load(), Errors: cnt.errored.Load(),
+		Admitted:        total.admitted, Rejected: total.rejected,
+		Released: total.released, Errors: total.errored,
 		P50Ms: pct(0.50), P95Ms: pct(0.95), P99Ms: pct(0.99),
 		DecisionP50Ms: dpct(0.50), DecisionP95Ms: dpct(0.95), DecisionP99Ms: dpct(0.99),
 		NumCPU: runtime.NumCPU(), GOMAXPROCS: runtime.GOMAXPROCS(0),
 	}
-	classes := make([]string, 0, len(deadlines))
-	for class := range deadlines {
+	classes := make([]uint16, 0, len(total.deadlines))
+	for class := range total.deadlines {
 		classes = append(classes, class)
 	}
-	sort.Strings(classes)
+	sort.Slice(classes, func(a, b int) bool { return classes[a] < classes[b] })
 	for _, class := range classes {
-		d := deadlines[class]
-		r.DeadlineMisses = append(r.DeadlineMisses, deadlineJSON{Class: class, Total: d.Total, Missed: d.Missed})
+		r.DeadlineMisses = append(r.DeadlineMisses, *total.deadlines[class])
 	}
-	if cfg.jsonOut {
-		json.NewEncoder(os.Stdout).Encode(r)
+	return r
+}
+
+func (r *report) print(w io.Writer, asJSON bool) {
+	if asJSON {
+		json.NewEncoder(w).Encode(r)
 		return
 	}
-	fmt.Printf("%s: %d decisions in %.2fs = %.0f decisions/sec (conns=%d depth=%d batch=%d)\n",
-		r.Mode, r.Ops, r.ElapsedSeconds, r.DecisionsPerSec, r.Conns, r.Depth, r.Batch)
-	fmt.Printf("  admitted %d, rejected %d, released %d, errors %d\n",
+	fmt.Fprintf(w, "trace replay: %d decisions in %.2fs = %.0f decisions/sec (conns=%d speed=%g)\n",
+		r.Ops, r.ElapsedSeconds, r.DecisionsPerSec, r.Conns, r.Speed)
+	fmt.Fprintf(w, "  admitted %d, rejected %d, released %d, errors %d\n",
 		r.Admitted, r.Rejected, r.Released, r.Errors)
-	fmt.Printf("  rtt ms: p50 %.3f  p95 %.3f  p99 %.3f  (num_cpu=%d gomaxprocs=%d)\n",
+	fmt.Fprintf(w, "  rtt ms: p50 %.3f  p95 %.3f  p99 %.3f  (num_cpu=%d gomaxprocs=%d)\n",
 		r.P50Ms, r.P95Ms, r.P99Ms, r.NumCPU, r.GOMAXPROCS)
-	fmt.Printf("  decision ms: p50 %.3f  p95 %.3f  p99 %.3f\n",
+	fmt.Fprintf(w, "  decision ms: p50 %.3f  p95 %.3f  p99 %.3f\n",
 		r.DecisionP50Ms, r.DecisionP95Ms, r.DecisionP99Ms)
 	for _, d := range r.DeadlineMisses {
-		fmt.Printf("  deadline %-14s %d/%d missed (%.2f%%)\n",
+		fmt.Fprintf(w, "  deadline %-14s %d/%d missed (%.2f%%)\n",
 			d.Class, d.Missed, d.Total, 100*float64(d.Missed)/float64(d.Total))
 	}
 }

@@ -9,9 +9,6 @@
 //	wlmtrace compress [-ratio 16] [-strata 6] [-seed 0] [-workers 0] IN OUT
 //	wlmtrace replay [-cores 8] [-mem 16384] [-io 800] [-seed 42] [-scale 0] FILE
 //	wlmtrace divergence [-bound 0.3] FULL COMPRESSED
-//	wlmtrace bench [-rows 2000000] [-whatif-rows 8000] [-bound 0.3] [-min-speedup 10]
-//	               [-compress-rows 20000] [-min-compress-rows 20000]
-//	               [-fanout-jobs 16] [-max-pooled-alloc-frac 0.7]
 //
 // Encodings are sniffed on read (binary magic vs JSONL) and picked by
 // extension on write (.jsonl/.json → JSONL, anything else → binary), so
@@ -23,25 +20,17 @@
 // traces concurrently — the compressed one at its rate-preserving time scale
 // — and reports the per-class arrival-rate and response-histogram
 // total-variation distances; with -bound > 0 it exits nonzero when the worst
-// distance exceeds the bound. bench measures streaming decode throughput
-// (gate: zero allocs/row, >= 1M rows/sec), the compressed what-if speedup
-// (gate: >= -min-speedup at divergence <= -bound), compression throughput
-// across a GOMAXPROCS matrix (gate: >= -min-compress-rows rows/sec at every
-// proc count), and the pooled what-if fan-out (gate: pooled replays allocate
-// <= -max-pooled-alloc-frac of fresh ones), emitting a JSON report.
+// distance exceeds the bound. The pipeline's throughput is measured by the
+// whatif workload of cmd/wlmbench, not here.
 package main
 
 import (
-	"bytes"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"runtime"
-	"runtime/debug"
-	"testing"
 	"time"
 
 	"dbwlm/internal/engine"
@@ -66,8 +55,6 @@ func main() {
 		err = cmdReplay(os.Args[2:])
 	case "divergence":
 		err = cmdDivergence(os.Args[2:])
-	case "bench":
-		err = cmdBench(os.Args[2:])
 	default:
 		usage()
 	}
@@ -78,7 +65,7 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: wlmtrace info|convert|synth|compress|replay|divergence|bench [flags] [args]")
+	fmt.Fprintln(os.Stderr, "usage: wlmtrace info|convert|synth|compress|replay|divergence [flags] [args]")
 	os.Exit(2)
 }
 
@@ -382,345 +369,6 @@ func cmdDivergence(args []string) error {
 		elapsed.Seconds()*1000, float64(full.Rows+comp.Rows)/elapsed.Seconds())
 	if *bound > 0 && div.Max > *bound {
 		return fmt.Errorf("divergence %.4f exceeds bound %.2f", div.Max, *bound)
-	}
-	return nil
-}
-
-// loopReader serves its payload forever so the decode benchmark never pays
-// reader reconstruction on the measured path.
-type loopReader struct {
-	data []byte
-	pos  int
-}
-
-func (l *loopReader) Read(p []byte) (int, error) {
-	if l.pos == len(l.data) {
-		l.pos = 0
-	}
-	n := copy(p, l.data[l.pos:])
-	l.pos += n
-	return n, nil
-}
-
-// benchReport is the machine-readable bench result; scripts/bench_trace.sh
-// writes it to BENCH_trace.json.
-type benchReport struct {
-	Benchmark  string `json:"benchmark"`
-	NumCPU     int    `json:"num_cpu"`
-	GOMAXPROCS int    `json:"gomaxprocs"`
-	Decode     struct {
-		Rows         int64   `json:"rows"`
-		NsPerRow     float64 `json:"ns_per_row"`
-		RowsPerSec   float64 `json:"rows_per_sec"`
-		AllocsPerRow float64 `json:"allocs_per_row"`
-	} `json:"decode"`
-	WhatIf struct {
-		Rows         int     `json:"rows"`
-		Reps         int     `json:"representatives"`
-		Ratio        float64 `json:"ratio"`
-		FullMs       float64 `json:"full_ms"`
-		CompressedMs float64 `json:"compressed_ms"`
-		Speedup      float64 `json:"speedup"`
-		Divergence   float64 `json:"divergence"`
-		RateTV       float64 `json:"rate_tv"`
-		CostTV       float64 `json:"cost_tv"`
-		Bound        float64 `json:"bound"`
-	} `json:"whatif"`
-	Compress struct {
-		Rows          int        `json:"rows"`
-		Reps          int        `json:"representatives"`
-		SequentialMs  float64    `json:"sequential_ms"`
-		SeqRowsPerSec float64    `json:"sequential_rows_per_sec"`
-		Matrix        []procRate `json:"matrix"`
-		MinRowsPerSec float64    `json:"min_rows_per_sec"`
-	} `json:"compress"`
-	Fanout struct {
-		Jobs                  int        `json:"jobs"`
-		Matrix                []procRate `json:"matrix"`
-		FreshAllocsPerReplay  float64    `json:"fresh_allocs_per_replay"`
-		PooledAllocsPerReplay float64    `json:"pooled_allocs_per_replay"`
-		PooledAllocFrac       float64    `json:"pooled_alloc_frac"`
-		MaxPooledAllocFrac    float64    `json:"max_pooled_alloc_frac"`
-	} `json:"fanout"`
-}
-
-// procRate is one GOMAXPROCS matrix row: wall time and throughput (rows/sec
-// for compression, jobs/sec for the what-if fan-out) at that proc count.
-type procRate struct {
-	Procs  int     `json:"gomaxprocs"`
-	Ms     float64 `json:"ms"`
-	PerSec float64 `json:"per_sec"`
-}
-
-// benchProcs is the GOMAXPROCS matrix the parallel sections sweep. Counts
-// above NumCPU are measured anyway: on small hosts they demonstrate that
-// oversubscription does not hurt, on big ones they show the scaling curve.
-var benchProcs = []int{1, 2, 4, 8}
-
-func cmdBench(args []string) error {
-	fs := flag.NewFlagSet("bench", flag.ExitOnError)
-	rows := fs.Int64("rows", 2_000_000, "rows to stream-decode")
-	whatifRows := fs.Int("whatif-rows", 8000, "rows in the what-if replay comparison")
-	ratio := fs.Float64("ratio", 16, "compression ratio for the what-if comparison")
-	bound := fs.Float64("bound", 0.3, "divergence bound the what-if replay must stay within")
-	minSpeedup := fs.Float64("min-speedup", 10, "minimum compressed-replay speedup over the full replay")
-	maxNs := fs.Float64("max-ns", 1000, "maximum ns/row for streaming decode (1000 = 1M rows/sec)")
-	compressRows := fs.Int("compress-rows", 20000, "rows in the compression-throughput measurement")
-	minCompressRows := fs.Float64("min-compress-rows", 20000,
-		"minimum compression rows/sec at every proc count (floor: 3x the pre-flat sequential kernel)")
-	fanoutJobs := fs.Int("fanout-jobs", 16, "what-if jobs in the fan-out measurement")
-	maxPooledFrac := fs.Float64("max-pooled-alloc-frac", 0.7,
-		"maximum pooled-replay allocations as a fraction of fresh-replay allocations")
-	cores, mem, iobw, seed := engineFlags(fs)
-	fs.Parse(args)
-
-	var rep benchReport
-	rep.Benchmark = "trace streaming decode + divergence-bounded what-if replay + parallel compression + pooled fan-out"
-	rep.NumCPU = runtime.NumCPU()
-	rep.GOMAXPROCS = runtime.GOMAXPROCS(0)
-
-	// --- streaming decode: a framed binary trace served in a loop. ---
-	h, synth := trace.Synth(1, 4096)
-	hdr, err := trace.AppendHeader(nil, h)
-	if err != nil {
-		return err
-	}
-	var framed []byte
-	for i := range synth {
-		at := len(framed)
-		framed = append(framed, 0, 0, 0, 0)
-		framed, err = trace.AppendRow(framed, &synth[i])
-		if err != nil {
-			return err
-		}
-		n := len(framed) - at - 4
-		framed[at] = byte(n)
-		framed[at+1] = byte(n >> 8)
-		framed[at+2] = byte(n >> 16)
-		framed[at+3] = byte(n >> 24)
-	}
-	r, err := trace.NewReader(io.MultiReader(bytes.NewReader(hdr), &loopReader{data: framed}))
-	if err != nil {
-		return err
-	}
-	var row trace.Row
-	// Warm the reader buffer and the row scratch, then pin the zero-alloc
-	// contract the same way the unit test does.
-	for i := 0; i < 8192; i++ {
-		if err := r.Next(&row); err != nil {
-			return err
-		}
-	}
-	rep.Decode.AllocsPerRow = testing.AllocsPerRun(4096, func() {
-		if err := r.Next(&row); err != nil {
-			panic(err)
-		}
-	})
-	start := time.Now()
-	for i := int64(0); i < *rows; i++ {
-		if err := r.Next(&row); err != nil {
-			return err
-		}
-	}
-	elapsed := time.Since(start)
-	rep.Decode.Rows = *rows
-	rep.Decode.NsPerRow = float64(elapsed.Nanoseconds()) / float64(*rows)
-	rep.Decode.RowsPerSec = float64(*rows) / elapsed.Seconds()
-
-	// --- what-if: full replay vs compressed replay at the rate scale. ---
-	// Each replay is timed best-of-5: the replays are deterministic, so
-	// repeat runs differ only by scheduler and GC noise, and the minimum is
-	// the honest cost.
-	wh, wrows := trace.Synth(9, *whatifRows)
-	cfg := trace.ReplayConfig{
-		Engine: engine.Config{Cores: *cores, MemoryMB: *mem, IOMBps: *iobw},
-		Seed:   *seed, TimeScale: 1,
-	}
-	timed := func(src *trace.SliceSource, c trace.ReplayConfig) (*trace.ReplayStats, time.Duration, error) {
-		var best time.Duration
-		var st *trace.ReplayStats
-		for i := 0; i < 5; i++ {
-			src.Reset()
-			t0 := time.Now()
-			s, err := trace.Replay(src, c)
-			if err != nil {
-				return nil, 0, err
-			}
-			if d := time.Since(t0); i == 0 || d < best {
-				best = d
-			}
-			st = s
-		}
-		return st, best, nil
-	}
-	full, fullDur, err := timed(&trace.SliceSource{H: wh, Rows: wrows}, cfg)
-	if err != nil {
-		return err
-	}
-	comp := trace.Compress(wh, wrows, trace.CompressConfig{Ratio: *ratio, Strata: 6, Seed: 1})
-	ccfg := cfg
-	ccfg.TimeScale = trace.RateScale(comp)
-	cs, compDur, err := timed(&trace.SliceSource{H: wh, Rows: comp}, ccfg)
-	if err != nil {
-		return err
-	}
-	div := trace.Diverge(full, cs)
-	rep.WhatIf.Rows = *whatifRows
-	rep.WhatIf.Reps = len(comp)
-	rep.WhatIf.Ratio = float64(*whatifRows) / float64(len(comp))
-	rep.WhatIf.FullMs = float64(fullDur.Microseconds()) / 1000
-	rep.WhatIf.CompressedMs = float64(compDur.Microseconds()) / 1000
-	rep.WhatIf.Speedup = fullDur.Seconds() / compDur.Seconds()
-	rep.WhatIf.Divergence = div.Max
-	rep.WhatIf.RateTV = div.RateTV
-	rep.WhatIf.CostTV = div.CostTV
-	rep.WhatIf.Bound = *bound
-
-	// --- compression throughput: sequential baseline, then the GOMAXPROCS
-	// matrix with the per-group fan-out enabled. Each point is best-of-3:
-	// compression is deterministic, so repeats differ only by noise. ---
-	bh, brows := trace.Synth(5, *compressRows)
-	timedCompress := func(maxWorkers int) (int, time.Duration) {
-		var best time.Duration
-		var reps int
-		for i := 0; i < 3; i++ {
-			t0 := time.Now()
-			comp := trace.Compress(bh, brows, trace.CompressConfig{
-				Ratio: *ratio, Strata: 6, Seed: 1, MaxWorkers: maxWorkers,
-			})
-			if d := time.Since(t0); i == 0 || d < best {
-				best = d
-			}
-			reps = len(comp)
-		}
-		return reps, best
-	}
-	prevProcs := runtime.GOMAXPROCS(0)
-	reps, seqDur := timedCompress(1)
-	rep.Compress.Rows = *compressRows
-	rep.Compress.Reps = reps
-	rep.Compress.SequentialMs = float64(seqDur.Microseconds()) / 1000
-	rep.Compress.SeqRowsPerSec = float64(*compressRows) / seqDur.Seconds()
-	rep.Compress.MinRowsPerSec = *minCompressRows
-	for _, p := range benchProcs {
-		runtime.GOMAXPROCS(p)
-		_, d := timedCompress(0)
-		rep.Compress.Matrix = append(rep.Compress.Matrix, procRate{
-			Procs: p, Ms: float64(d.Microseconds()) / 1000,
-			PerSec: float64(*compressRows) / d.Seconds(),
-		})
-	}
-	runtime.GOMAXPROCS(prevProcs)
-
-	// --- what-if fan-out: N compressed replays under varying seeds through
-	// the pooled ReplayMany, swept over the GOMAXPROCS matrix, plus the
-	// pooled-vs-fresh allocation comparison that justifies the pool. ---
-	jobs := make([]trace.ReplayJob, *fanoutJobs)
-	for i := range jobs {
-		jcfg := ccfg
-		jcfg.Seed = uint64(i + 1)
-		jobs[i] = trace.ReplayJob{Src: &trace.SliceSource{H: wh, Rows: comp}, Cfg: jcfg}
-	}
-	resetJobs := func() {
-		for i := range jobs {
-			jobs[i].Src.(*trace.SliceSource).Reset()
-		}
-	}
-	rep.Fanout.Jobs = *fanoutJobs
-	for _, p := range benchProcs {
-		runtime.GOMAXPROCS(p)
-		var best time.Duration
-		for i := 0; i < 3; i++ {
-			resetJobs()
-			t0 := time.Now()
-			if _, err := trace.ReplayMany(jobs, 0); err != nil {
-				runtime.GOMAXPROCS(prevProcs)
-				return err
-			}
-			if d := time.Since(t0); i == 0 || d < best {
-				best = d
-			}
-		}
-		rep.Fanout.Matrix = append(rep.Fanout.Matrix, procRate{
-			Procs: p, Ms: float64(best.Microseconds()) / 1000,
-			PerSec: float64(*fanoutJobs) / best.Seconds(),
-		})
-	}
-	runtime.GOMAXPROCS(prevProcs)
-
-	// Allocation comparison, single-worker so the measurement sees only
-	// replay work, with the GC parked so Mallocs deltas are clean. The
-	// pool is warm from the matrix above; fresh runs rebuild sim/engine
-	// per job the way independent Replay calls do.
-	mallocsPer := func(f func() error) (float64, error) {
-		var m0, m1 runtime.MemStats
-		runtime.ReadMemStats(&m0)
-		if err := f(); err != nil {
-			return 0, err
-		}
-		runtime.ReadMemStats(&m1)
-		return float64(m1.Mallocs-m0.Mallocs) / float64(len(jobs)), nil
-	}
-	gcPrev := debug.SetGCPercent(-1)
-	resetJobs()
-	pooled, err := mallocsPer(func() error { _, err := trace.ReplayMany(jobs, 1); return err })
-	if err == nil {
-		resetJobs()
-		var fresh float64
-		fresh, err = mallocsPer(func() error {
-			for i := range jobs {
-				if _, err := trace.Replay(jobs[i].Src, jobs[i].Cfg); err != nil {
-					return err
-				}
-			}
-			return nil
-		})
-		rep.Fanout.FreshAllocsPerReplay = fresh
-		rep.Fanout.PooledAllocsPerReplay = pooled
-		if fresh > 0 {
-			rep.Fanout.PooledAllocFrac = pooled / fresh
-		}
-		rep.Fanout.MaxPooledAllocFrac = *maxPooledFrac
-	}
-	debug.SetGCPercent(gcPrev)
-	if err != nil {
-		return err
-	}
-
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(&rep); err != nil {
-		return err
-	}
-
-	// Gates: loud failure, not quiet drift.
-	if rep.Decode.AllocsPerRow != 0 {
-		return fmt.Errorf("streaming decode allocates %.2f allocs/row, want 0", rep.Decode.AllocsPerRow)
-	}
-	if rep.Decode.NsPerRow > *maxNs {
-		return fmt.Errorf("streaming decode %.0f ns/row exceeds %.0f (under %d rows/sec)",
-			rep.Decode.NsPerRow, *maxNs, int64(1e9 / *maxNs))
-	}
-	if rep.WhatIf.Speedup < *minSpeedup {
-		return fmt.Errorf("what-if speedup %.1fx below %.1fx", rep.WhatIf.Speedup, *minSpeedup)
-	}
-	if *bound > 0 && div.Max > *bound {
-		return fmt.Errorf("what-if divergence %.4f exceeds bound %.2f", div.Max, *bound)
-	}
-	if rep.Compress.SeqRowsPerSec < *minCompressRows {
-		return fmt.Errorf("sequential compression %.0f rows/sec below %.0f",
-			rep.Compress.SeqRowsPerSec, *minCompressRows)
-	}
-	for _, m := range rep.Compress.Matrix {
-		if m.PerSec < *minCompressRows {
-			return fmt.Errorf("compression at GOMAXPROCS=%d ran %.0f rows/sec, below %.0f",
-				m.Procs, m.PerSec, *minCompressRows)
-		}
-	}
-	if rep.Fanout.PooledAllocFrac > *maxPooledFrac {
-		return fmt.Errorf("pooled replay allocates %.2fx of fresh (%.0f vs %.0f per replay), want <= %.2fx",
-			rep.Fanout.PooledAllocFrac, rep.Fanout.PooledAllocsPerReplay,
-			rep.Fanout.FreshAllocsPerReplay, *maxPooledFrac)
 	}
 	return nil
 }

@@ -170,8 +170,12 @@ type Indicators struct {
 func (c *Indicators) Name() string { return "indicators" }
 
 // Congested reports whether any indicator is over threshold.
-func (c *Indicators) Congested() bool {
-	st := c.Engine.StatsNow()
+func (c *Indicators) Congested() bool { return c.Excess(c.Engine.StatsNow()) > 0 }
+
+// Excess reports how far st's worst indicator is over its threshold, in the
+// indicator's own units (pressure, blocked fraction, conflict ratio); 0 means
+// no threshold fired.
+func (c *Indicators) Excess(st engine.Stats) float64 {
 	maxMem := c.MaxMemPressure
 	if maxMem <= 0 {
 		maxMem = 1.0
@@ -184,16 +188,21 @@ func (c *Indicators) Congested() bool {
 	if maxCR <= 0 {
 		maxCR = 1.5
 	}
-	if st.MemPressure > maxMem {
-		return true
+	// Plain comparisons, not the max builtin: a NaN indicator must read as
+	// "not over", never poison the others.
+	worst := 0.0
+	if d := st.MemPressure - maxMem; d > worst {
+		worst = d
 	}
-	if st.InEngine > 0 && float64(st.Blocked)/float64(st.InEngine) > maxBlocked {
-		return true
+	if st.InEngine > 0 {
+		if d := float64(st.Blocked)/float64(st.InEngine) - maxBlocked; d > worst {
+			worst = d
+		}
 	}
-	if st.ConflictRatio > maxCR {
-		return true
+	if d := st.ConflictRatio - maxCR; d > worst {
+		worst = d
 	}
-	return false
+	return worst
 }
 
 // Decide implements Controller.

@@ -1,23 +1,22 @@
-package trace
+// Package le is the little-endian byte packing the wire codec (internal/wire)
+// and the trace codec (internal/trace) share. It is hand-rolled so the
+// codecs' hot paths stay inside the static analyzer's allocation-free
+// allowlist (encoding/binary's package surface includes reflective readers
+// the hotpath analyzer would otherwise have to trust). The explicit bounds
+// check at the top of each helper lets the compiler elide the per-byte checks.
+package le
 
 import "math"
 
-// Little-endian byte packing, hand-rolled for the same reason internal/wire
-// rolls its own: the codec's hot paths must stay inside the static analyzer's
-// allocation-free allowlist, and encoding/binary's package surface includes
-// reflective readers the hotpath analyzer would otherwise have to trust. The
-// explicit bounds check at the top of each helper lets the compiler elide
-// the per-byte checks.
-
 //dbwlm:hotpath
-func pu16(b []byte, off int, v uint16) {
+func PutU16(b []byte, off int, v uint16) {
 	_ = b[off+1]
 	b[off] = byte(v)
 	b[off+1] = byte(v >> 8)
 }
 
 //dbwlm:hotpath
-func pu32(b []byte, off int, v uint32) {
+func PutU32(b []byte, off int, v uint32) {
 	_ = b[off+3]
 	b[off] = byte(v)
 	b[off+1] = byte(v >> 8)
@@ -26,7 +25,7 @@ func pu32(b []byte, off int, v uint32) {
 }
 
 //dbwlm:hotpath
-func pu64(b []byte, off int, v uint64) {
+func PutU64(b []byte, off int, v uint64) {
 	_ = b[off+7]
 	b[off] = byte(v)
 	b[off+1] = byte(v >> 8)
@@ -39,23 +38,23 @@ func pu64(b []byte, off int, v uint64) {
 }
 
 //dbwlm:hotpath
-func pf64(b []byte, off int, v float64) { pu64(b, off, math.Float64bits(v)) }
+func PutF64(b []byte, off int, v float64) { PutU64(b, off, math.Float64bits(v)) }
 
 //dbwlm:hotpath
-func gu16(b []byte, off int) uint16 {
+func U16(b []byte, off int) uint16 {
 	_ = b[off+1]
 	return uint16(b[off]) | uint16(b[off+1])<<8
 }
 
 //dbwlm:hotpath
-func gu32(b []byte, off int) uint32 {
+func U32(b []byte, off int) uint32 {
 	_ = b[off+3]
 	return uint32(b[off]) | uint32(b[off+1])<<8 | uint32(b[off+2])<<16 |
 		uint32(b[off+3])<<24
 }
 
 //dbwlm:hotpath
-func gu64(b []byte, off int) uint64 {
+func U64(b []byte, off int) uint64 {
 	_ = b[off+7]
 	return uint64(b[off]) | uint64(b[off+1])<<8 | uint64(b[off+2])<<16 |
 		uint64(b[off+3])<<24 | uint64(b[off+4])<<32 | uint64(b[off+5])<<40 |
@@ -63,4 +62,4 @@ func gu64(b []byte, off int) uint64 {
 }
 
 //dbwlm:hotpath
-func gf64(b []byte, off int) float64 { return math.Float64frombits(gu64(b, off)) }
+func F64(b []byte, off int) float64 { return math.Float64frombits(U64(b, off)) }

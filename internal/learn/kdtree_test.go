@@ -103,7 +103,7 @@ func benchKNN(b *testing.B, n int, indexed bool) {
 }
 
 // The acceptance criterion requires the indexed search to beat the linear
-// scan at n >= 1000 history samples; bench_predict.sh records both.
+// scan at n >= 1000 history samples; these four record both.
 func BenchmarkKNNLinear1000(b *testing.B)  { benchKNN(b, 1000, false) }
 func BenchmarkKNNIndexed1000(b *testing.B) { benchKNN(b, 1000, true) }
 func BenchmarkKNNLinear4000(b *testing.B)  { benchKNN(b, 4000, false) }

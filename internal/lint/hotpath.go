@@ -7,8 +7,8 @@ import (
 )
 
 // HotPath checks that functions annotated //dbwlm:hotpath contain no
-// allocating constructs. The admission fast path's 0-allocs/op figure
-// (BENCH_live.json, BENCH_obs.json) is a hand-maintained property; this
+// allocating constructs. The admission fast path's 0-allocs/op figure (the
+// AllocsPerRun tests in internal/rt) is a hand-maintained property; this
 // analyzer pins the syntactic half of it so a drive-by edit cannot silently
 // put an allocation back.
 //

@@ -29,14 +29,15 @@ func stripeShards() int {
 	return 1 << bits.Len(uint(n-1))
 }
 
-// stripeIdx selects a shard for one write. Go does not expose the current P,
-// so the next-best allocation-free selector is the runtime's per-thread fast
-// random state (math/rand/v2's global functions): writers spread uniformly
-// across shards, which bounds the expected collision rate at
-// writers/shards per instant.
+// StripeIdx selects a shard for one write, for this package's striped
+// recorders and for internal/rt's striped gates and qid allocator. Go does
+// not expose the current P, so the next-best allocation-free selector is the
+// runtime's per-thread fast random state (math/rand/v2's global functions):
+// writers spread uniformly across shards, which bounds the expected collision
+// rate at writers/shards per instant.
 //
 //dbwlm:hotpath
-func stripeIdx(mask uint32) uint32 { return rand.Uint32() & mask }
+func StripeIdx(mask uint32) uint32 { return rand.Uint32() & mask }
 
 // counterShard is one padded counter cell. The padding keeps two shards from
 // sharing a cache line (64B line; 128B guards against adjacent-line
@@ -63,7 +64,7 @@ func NewStripedCounter(shards int) *StripedCounter {
 // Inc adds one.
 //
 //dbwlm:hotpath
-func (c *StripedCounter) Inc() { c.shards[stripeIdx(c.mask)].v.Add(1) }
+func (c *StripedCounter) Inc() { c.shards[StripeIdx(c.mask)].v.Add(1) }
 
 // Add adds delta (which must be nonnegative; merged reads assume monotony).
 //
@@ -72,7 +73,7 @@ func (c *StripedCounter) Add(delta int64) {
 	if delta < 0 {
 		panic("metrics: StripedCounter.Add with negative delta")
 	}
-	c.shards[stripeIdx(c.mask)].v.Add(delta)
+	c.shards[StripeIdx(c.mask)].v.Add(delta)
 }
 
 // Value merges the shards.
@@ -149,10 +150,14 @@ type histShard struct {
 	_       [64]byte
 }
 
+// record publishes v's sum/min/max contribution before its bucket and its
+// bucket before its count (Go atomics are sequentially consistent), so a
+// reader that loads count, then buckets, then sum/min/max sees the full
+// contribution of every record it counted: count > 0 implies a bucket is
+// set, and a counted bucket implies sum, min and max already include it.
+//
 //dbwlm:hotpath
 func (s *histShard) record(v float64) {
-	s.buckets[stripedBucketIndex(v)].Add(1)
-	s.count.Add(1)
 	for {
 		old := s.sumBits.Load()
 		next := math.Float64bits(math.Float64frombits(old) + v)
@@ -178,6 +183,8 @@ func (s *histShard) record(v float64) {
 			break
 		}
 	}
+	s.buckets[stripedBucketIndex(v)].Add(1)
+	s.count.Add(1)
 }
 
 // StripedHistogram records a distribution of nonnegative values (seconds,
@@ -212,10 +219,17 @@ func (h *StripedHistogram) Record(v float64) {
 	if v > maxValue {
 		v = maxValue
 	}
-	h.shards[stripeIdx(h.mask)].record(v)
+	h.shards[StripeIdx(h.mask)].record(v)
 }
 
 // merged is the shard-merged state of a striped histogram at read time.
+// Invariant of every merged view (merge, MergeBuckets, and everything built
+// on them): Σ buckets == count. A shard's count is not read from its counter
+// but derived from the bucket values the merge actually loaded, so a Record
+// landing mid-walk can never leave the +Inf bucket and the count from
+// different instants. sum/min/max are loaded after the buckets, so they
+// cover every counted record (histShard.record publishes them first) and
+// may run ahead of count by records still in flight.
 type merged struct {
 	buckets  [stripedBuckets]int64
 	count    int64
@@ -226,22 +240,11 @@ type merged struct {
 //dbwlm:hotpath
 func (h *StripedHistogram) merge() merged {
 	m := merged{min: math.Inf(1), max: math.Inf(-1)}
+	m.count, m.sum = h.MergeBuckets(&m.buckets)
 	for i := range h.shards {
 		s := &h.shards[i]
-		c := s.count.Load()
-		if c == 0 {
-			// Idle shard: nothing recorded, so its buckets/sum/min/max are at
-			// their zero state and the bucket walk can be skipped — most
-			// shards of most histograms in a Snapshot are empty. A Record
-			// racing the load is deferred to the next merge, within the
-			// merged view's existing cross-field looseness.
-			continue
-		}
-		for b := range s.buckets {
-			m.buckets[b] += s.buckets[b].Load()
-		}
-		m.count += c
-		m.sum += math.Float64frombits(s.sumBits.Load())
+		// An idle shard still holds its ±Inf sentinels, which lose every
+		// comparison.
 		if v := math.Float64frombits(s.minBits.Load()); v < m.min {
 			m.min = v
 		}
@@ -356,19 +359,26 @@ func StripedUpper(i int) float64 { return stripedBucketUpper(i) }
 // and reports the merged count and sum. Like every merged read, each shard's
 // contribution is exact at the instant it is read and all counters are
 // monotone, so the result is bounded by the true state at the start and end
-// of the call.
+// of the call; count is derived from the loaded buckets, so Σ dst == count
+// holds exactly and two calls can be diffed bucket-against-count.
+//
+//dbwlm:hotpath
 func (h *StripedHistogram) MergeBuckets(dst *[StripedBuckets]int64) (count int64, sum float64) {
 	*dst = [StripedBuckets]int64{}
 	for i := range h.shards {
 		s := &h.shards[i]
-		c := s.count.Load()
-		if c == 0 {
+		if s.count.Load() == 0 {
+			// Idle shard: nothing recorded, so its buckets and sum are at
+			// their zero state and the bucket walk can be skipped — most
+			// shards of most histograms in a Snapshot are empty. A Record
+			// racing the load is deferred to the next merge.
 			continue
 		}
 		for b := range s.buckets {
-			dst[b] += s.buckets[b].Load()
+			n := s.buckets[b].Load()
+			dst[b] += n
+			count += n
 		}
-		count += c
 		sum += math.Float64frombits(s.sumBits.Load())
 	}
 	return count, sum

@@ -7,10 +7,10 @@ import (
 )
 
 // BenchmarkLiveAdmit measures the lock-free admit/release cycle under
-// parallel load. Run with -cpu=1,2,4,8 (scripts/bench_live.sh does) to record
-// admit throughput at GOMAXPROCS 1/2/4/8: the striped gate and recorders keep
-// the parallel paths on disjoint cache lines, so throughput should scale with
-// cores instead of serializing on a shared mutex.
+// parallel load. Run with -cpu=1,2,4,8 to see admit throughput at GOMAXPROCS
+// 1/2/4/8: the striped gate and recorders keep the parallel paths on
+// disjoint cache lines, so throughput should scale with cores instead of
+// serializing on a shared mutex.
 func BenchmarkLiveAdmit(b *testing.B) {
 	r, err := New([]ClassSpec{
 		{Name: "oltp", Priority: policy.PriorityHigh, MaxMPL: 1 << 16, MaxCostTimerons: 1e6},

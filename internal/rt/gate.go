@@ -12,8 +12,9 @@
 package rt
 
 import (
-	"math/rand/v2"
 	"sync/atomic"
+
+	"dbwlm/internal/metrics"
 )
 
 // gateLimits is one immutable limit block; policy reloads swap the pointer.
@@ -49,12 +50,6 @@ func newGate(shards int, lim gateLimits) *gate {
 	return g
 }
 
-// stripeIdx picks a home shard from the runtime's per-thread fast random
-// state — allocation-free and lock-free (see metrics.stripeIdx for why).
-//
-//dbwlm:hotpath
-func stripeIdx(mask uint32) uint32 { return rand.Uint32() & mask }
-
 // shardCap is shard i's slice of the MPL limit: limit/shards with the
 // remainder spread over the lowest-indexed shards, so the caps sum to
 // exactly the limit.
@@ -75,7 +70,7 @@ func shardCap(limit int64, shards, i int) int64 {
 //dbwlm:hotpath
 func (g *gate) tryEnter() int32 {
 	lim := g.limits.Load()
-	home := int(stripeIdx(g.mask))
+	home := int(metrics.StripeIdx(g.mask))
 	if lim.maxMPL <= 0 {
 		g.shards[home].n.Add(1)
 		return int32(home)

@@ -192,7 +192,7 @@ func TestRecorderOnAdmitAllocBound(t *testing.T) {
 
 // BenchmarkLiveAdmitRecorded prices the flight recorder on the plain admit
 // hot path; compare against BenchmarkLiveAdmit for the enabled overhead
-// (scripts/bench_obs.sh gates the delta).
+// (obsv.record_ns in cmd/wlmbench is the in-harness price).
 func BenchmarkLiveAdmitRecorded(b *testing.B) {
 	r, err := New([]ClassSpec{
 		{Name: "oltp", Priority: policy.PriorityHigh, MaxMPL: 1 << 16, MaxCostTimerons: 1e6},
@@ -211,8 +211,8 @@ func BenchmarkLiveAdmitRecorded(b *testing.B) {
 }
 
 // BenchmarkPredictAdmitRecorded is the full wire-speed prediction pipeline
-// with the flight recorder attached — the configuration the acceptance bound
-// compares against BENCH_predict's recorder-free baseline.
+// with the flight recorder attached; compare against BenchmarkPredictAdmit
+// for the enabled overhead.
 func BenchmarkPredictAdmitRecorded(b *testing.B) {
 	g := newPredictGate(b, admission.BucketMonster)
 	train(g)

@@ -113,7 +113,8 @@ func TestPredictGateParseErrors(t *testing.T) {
 }
 
 // TestPredictAdmitZeroAllocHit pins the tentpole's hot path: cache hit +
-// trained model + open gate admits with zero allocations.
+// trained model + open gate admits with zero allocations, and stays inside
+// the recorder's one-alloc budget once a flight recorder is attached.
 func TestPredictAdmitZeroAllocHit(t *testing.T) {
 	g := newPredictGate(t, admission.BucketMonster)
 	train(g)
@@ -124,14 +125,19 @@ func TestPredictAdmitZeroAllocHit(t *testing.T) {
 	}
 	g.rt.Done(grant, 0)
 
-	if avg := testing.AllocsPerRun(1000, func() {
+	cycle := func() {
 		grant, pred, err := g.AdmitSQL(0, predictCheapSQL)
 		if err != nil || !grant.Admitted() || !pred.Modeled || !pred.CacheHit {
 			t.Fatal("hot path fell off the fast path")
 		}
 		g.rt.Done(grant, 0)
-	}); avg != 0 {
+	}
+	if avg := testing.AllocsPerRun(1000, cycle); avg != 0 {
 		t.Fatalf("predict-admit hot path allocates %v allocs/op, want 0", avg)
+	}
+	g.rt.SetRecorder(obsv.NewRecorder(4096))
+	if avg := testing.AllocsPerRun(1000, cycle); avg > 1 {
+		t.Fatalf("recorder-on predict-admit allocates %v allocs/op, want <= 1", avg)
 	}
 }
 

@@ -1,6 +1,10 @@
 package rt
 
-import "sync/atomic"
+import (
+	"sync/atomic"
+
+	"dbwlm/internal/metrics"
+)
 
 // qidAlloc hands out flight-recorder admission IDs. It used to be a single
 // shared atomic counter — one cache line written by every admit on every
@@ -39,6 +43,6 @@ func (a *qidAlloc) init(shards int) {
 //
 //dbwlm:hotpath
 func (a *qidAlloc) next() int64 {
-	i := stripeIdx(a.mask)
+	i := metrics.StripeIdx(a.mask)
 	return a.shards[i].n.Add(1)<<a.bits | int64(i)
 }

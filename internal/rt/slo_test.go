@@ -125,20 +125,27 @@ func TestSLOPolicyReload(t *testing.T) {
 }
 
 // TestSLOAdmitZeroAlloc pins the acceptance bound: with the SLO engine
-// attached and no recorder, the admit+done cycle still allocates nothing.
+// attached and no recorder, the admit+done cycle still allocates nothing —
+// and with the recorder attached too, the engine adds no allocation to what
+// the recorded cycle costs without it.
 func TestSLOAdmitZeroAlloc(t *testing.T) {
 	clock := int64(0)
 	r := newSLORuntime(t, &clock)
-	if avg := testing.AllocsPerRun(1000, func() {
-		r.Done(r.Admit(0, 10), 0.001)
-	}); avg != 0 {
+	cycle := func() { r.Done(r.Admit(0, 10), 0.001) }
+	if avg := testing.AllocsPerRun(1000, cycle); avg != 0 {
 		t.Fatalf("slo-on admit+done allocates %v allocs/op, want 0", avg)
+	}
+	r.SetRecorder(obsv.NewRecorder(4096))
+	recorded := testing.AllocsPerRun(1000, cycle)
+	r.SetSLO(nil)
+	if base := testing.AllocsPerRun(1000, cycle); recorded > base {
+		t.Fatalf("slo adds allocations to the recorded admit+done: %v vs %v allocs/op", recorded, base)
 	}
 }
 
 // BenchmarkLiveAdmitSLO prices SLO deadline accounting on the plain admit
 // hot path; compare against BenchmarkLiveAdmit for the enabled overhead
-// (scripts/bench_obs.sh gates the delta).
+// (slo.observe_ns in cmd/wlmbench is the in-harness price).
 func BenchmarkLiveAdmitSLO(b *testing.B) {
 	r, err := New([]ClassSpec{
 		{Name: "oltp", Priority: policy.PriorityHigh, MaxMPL: 1 << 16, MaxCostTimerons: 1e6},

@@ -316,8 +316,7 @@ type batchState struct {
 // the body), the response body one wire response payload. It shares the
 // dispatcher with the TCP listener, so a batch admits, releases, and records
 // exactly as it would on the raw socket; HTTP supplies framing, routing, and
-// middleware at the cost of per-request header overhead (bench_wire.sh
-// measures that gap).
+// middleware at the cost of per-request header overhead.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	st, _ := s.batchPool.Get().(*batchState)
 	if st == nil {
@@ -613,28 +612,6 @@ func httpError(w http.ResponseWriter, status int, format string, args ...any) {
 	writeJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
-// RunIndicatorLoop runs the indicator controller (Zhang et al.) against the
-// runtime's View every interval: when the composite load indicators say the
-// engine is congested, the low-priority gate closes; new low-priority work
-// queues until the indicators clear. Returns a stop function.
-func RunIndicatorLoop(r *rt.Runtime, interval time.Duration) (stop func()) {
-	ind := &admission.Indicators{Engine: r}
-	done := make(chan struct{})
-	go func() {
-		t := time.NewTicker(interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-t.C:
-				r.SetLowPriorityGate(ind.Congested())
-			case <-done:
-				return
-			}
-		}
-	}()
-	return func() { close(done) }
-}
-
 // NewMAPELoop builds the live autonomic manager (Section 5.3) over the
 // runtime: the monitor snapshots the merged-shard view, the analyzer applies
 // the indicator thresholds (Zhang et al.) to diagnose overload — or
@@ -652,6 +629,7 @@ func NewMAPELoop(r *rt.Runtime, rec *obsv.Recorder) *autonomic.Loop {
 	// Evaluation scratch reused across cycles (the loop runs RunOnce on one
 	// goroutine).
 	var sloReports []slo.Report
+	indicators := &admission.Indicators{Engine: r}
 	return &autonomic.Loop{
 		Flight: rec,
 		ClassID: func(name string) int32 {
@@ -690,10 +668,10 @@ func NewMAPELoop(r *rt.Runtime, rec *obsv.Recorder) *autonomic.Loop {
 					})
 				}
 			}
-			congested, severity := congestion(obs)
+			excess := indicators.Excess(obs.Engine)
 			switch {
-			case congested:
-				out = append(out, autonomic.Symptom{Kind: autonomic.SymptomOverload, Severity: severity})
+			case excess > 0:
+				out = append(out, autonomic.Symptom{Kind: autonomic.SymptomOverload, Severity: min(1, excess)})
 			case len(out) == 0 && r.LowPriorityGate():
 				// The gate is holding work that neither the indicators nor
 				// the burn rates still justify.
@@ -723,28 +701,6 @@ func NewMAPELoop(r *rt.Runtime, rec *obsv.Recorder) *autonomic.Loop {
 			}
 		},
 	}
-}
-
-// congestion applies the Indicators defaults to one observation, reporting
-// whether any threshold fired and the worst normalized excess in (0, 1].
-func congestion(obs autonomic.Observation) (bool, float64) {
-	st := obs.Engine
-	worst := 0.0
-	if st.MemPressure > 1.0 {
-		worst = max(worst, st.MemPressure-1.0)
-	}
-	if st.InEngine > 0 {
-		if f := float64(st.Blocked) / float64(st.InEngine); f > 0.4 {
-			worst = max(worst, f-0.4)
-		}
-	}
-	if st.ConflictRatio > 1.5 {
-		worst = max(worst, st.ConflictRatio-1.5)
-	}
-	if worst <= 0 {
-		return false, 0
-	}
-	return true, min(1, worst)
 }
 
 // StartMAPELoop runs the loop's RunOnce on a wall-clock ticker. Returns a

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"io"
 	"testing"
+
+	"dbwlm/internal/le"
 )
 
 // benchTrace builds an in-memory binary trace with a realistic field mix:
@@ -41,7 +43,7 @@ func benchTrace(tb testing.TB, n int) (header []byte, rowBytes []byte) {
 		if err != nil {
 			tb.Fatal(err)
 		}
-		pu32(buf, at, uint32(len(buf)-at-4))
+		le.PutU32(buf, at, uint32(len(buf)-at-4))
 	}
 	return hdr, buf
 }
@@ -64,8 +66,8 @@ func (l *loopReader) Read(p []byte) (int, error) {
 }
 
 // BenchmarkTraceStreamDecode measures the full streaming path — buffered
-// reads, length framing, row decode — per row. The bench-trace gate requires
-// >= 1M rows/sec (ns/op <= 1000) at 0 allocs/op.
+// reads, length framing, row decode — per row; TestStreamDecodeZeroAlloc pins
+// its 0 allocs/op, and cmd/wlmbench reports it as trace.decode_ns_per_row.
 func BenchmarkTraceStreamDecode(b *testing.B) {
 	hdr, rows := benchTrace(b, 4096)
 	r, err := NewReader(io.MultiReader(bytes.NewReader(hdr), &loopReader{data: rows}))
@@ -88,7 +90,7 @@ func BenchmarkTraceDecodeRow(b *testing.B) {
 	// Slice the individual row encodings out of the framed stream.
 	var encs [][]byte
 	for off := 0; off < len(rows); {
-		n := int(gu32(rows, off))
+		n := int(le.U32(rows, off))
 		encs = append(encs, rows[off+4:off+4+n])
 		off += 4 + n
 	}

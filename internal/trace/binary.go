@@ -3,6 +3,8 @@ package trace
 import (
 	"fmt"
 	"io"
+
+	"dbwlm/internal/le"
 )
 
 // Binary trace encoding, in the internal/wire codec style: a magic/version
@@ -79,11 +81,11 @@ func AppendHeader(dst []byte, h Header) ([]byte, error) {
 	dst = dst[:off+n]
 	dst[off] = Magic
 	dst[off+1] = Version
-	pu64(dst, off+2, uint64(h.DurationUS))
-	pu16(dst, off+10, uint16(len(h.Classes)))
+	le.PutU64(dst, off+2, uint64(h.DurationUS))
+	le.PutU16(dst, off+10, uint16(len(h.Classes)))
 	off += headerFixedLen
 	for _, c := range h.Classes {
-		pu16(dst, off, uint16(len(c)))
+		le.PutU16(dst, off, uint16(len(c)))
 		copy(dst[off+2:], c)
 		off += 2 + len(c)
 	}
@@ -106,8 +108,8 @@ func DecodeHeader(buf []byte) (Header, int, error) {
 		return h, 0, fmt.Errorf("trace: unsupported version %d (want %d)", buf[1], Version)
 	}
 	h.Version = Version
-	h.DurationUS = int64(gu64(buf, 2))
-	count := int(gu16(buf, 10))
+	h.DurationUS = int64(le.U64(buf, 2))
+	count := int(le.U16(buf, 10))
 	off := headerFixedLen
 	if count > 0 {
 		h.Classes = make([]string, 0, count)
@@ -116,7 +118,7 @@ func DecodeHeader(buf []byte) (Header, int, error) {
 		if off+2 > len(buf) {
 			return Header{}, 0, fmt.Errorf("trace: truncated class table at class %d of %d", i, count)
 		}
-		n := int(gu16(buf, off))
+		n := int(le.U16(buf, off))
 		off += 2
 		if n > MaxClassName {
 			return Header{}, 0, fmt.Errorf("trace: class name of %d bytes exceeds %d", n, MaxClassName)
@@ -154,35 +156,35 @@ func AppendRow(dst []byte, row *Row) ([]byte, error) {
 	off := len(dst)
 	dst = dst[:off+n]
 	b := dst[off : off+n]
-	pu64(b, offID, uint64(row.ID))
-	pu64(b, offArriveUS, uint64(row.ArriveUS))
-	pf64(b, offWeight, row.Weight)
-	pu64(b, offFPHi, row.FPHi)
-	pu64(b, offFPLo, row.FPLo)
-	pf64(b, offEstCPU, row.EstCPUSeconds)
-	pf64(b, offEstIO, row.EstIOMB)
-	pf64(b, offEstMem, row.EstMemMB)
-	pf64(b, offEstRows, row.EstRows)
-	pf64(b, offEstTimerons, row.EstTimerons)
-	pf64(b, offCPUWork, row.CPUWork)
-	pf64(b, offIOWork, row.IOWork)
-	pf64(b, offMemMB, row.MemMB)
-	pf64(b, offParallelism, row.Parallelism)
-	pu64(b, offRows, uint64(row.Rows))
-	pf64(b, offStateMB, row.StateMB)
-	pf64(b, offCheckpoint, row.CheckpointEvery)
-	pf64(b, offSLOTarget, row.SLOTarget)
-	pf64(b, offSLOPct, row.SLOPct)
-	pu16(b, offClass, row.Class)
-	pu16(b, offLockCount, uint16(len(row.Locks)))
+	le.PutU64(b, offID, uint64(row.ID))
+	le.PutU64(b, offArriveUS, uint64(row.ArriveUS))
+	le.PutF64(b, offWeight, row.Weight)
+	le.PutU64(b, offFPHi, row.FPHi)
+	le.PutU64(b, offFPLo, row.FPLo)
+	le.PutF64(b, offEstCPU, row.EstCPUSeconds)
+	le.PutF64(b, offEstIO, row.EstIOMB)
+	le.PutF64(b, offEstMem, row.EstMemMB)
+	le.PutF64(b, offEstRows, row.EstRows)
+	le.PutF64(b, offEstTimerons, row.EstTimerons)
+	le.PutF64(b, offCPUWork, row.CPUWork)
+	le.PutF64(b, offIOWork, row.IOWork)
+	le.PutF64(b, offMemMB, row.MemMB)
+	le.PutF64(b, offParallelism, row.Parallelism)
+	le.PutU64(b, offRows, uint64(row.Rows))
+	le.PutF64(b, offStateMB, row.StateMB)
+	le.PutF64(b, offCheckpoint, row.CheckpointEvery)
+	le.PutF64(b, offSLOTarget, row.SLOTarget)
+	le.PutF64(b, offSLOPct, row.SLOPct)
+	le.PutU16(b, offClass, row.Class)
+	le.PutU16(b, offLockCount, uint16(len(row.Locks)))
 	b[offFlags] = row.Flags
 	b[offPriority] = row.Priority
 	b[offSLOKind] = row.SLOKind
 	p := rowFixedLen
 	for i := range row.Locks {
 		l := &row.Locks[i]
-		pu64(b, p, uint64(l.Key))
-		pf64(b, p+8, l.AtProgress)
+		le.PutU64(b, p, uint64(l.Key))
+		le.PutF64(b, p+8, l.AtProgress)
 		if l.Exclusive {
 			b[p+16] = 1
 		} else {
@@ -190,7 +192,7 @@ func AppendRow(dst []byte, row *Row) ([]byte, error) {
 		}
 		p += lockLen
 	}
-	pu32(b, p, uint32(len(row.SQL)))
+	le.PutU32(b, p, uint32(len(row.SQL)))
 	copy(b[p+4:], row.SQL)
 	return dst, nil
 }
@@ -215,7 +217,7 @@ func DecodeRow(buf []byte, row *Row) error {
 		//dbwlm:nolint hotpath -- error construction on the reject path
 		return fmt.Errorf("trace: unknown flag bits 0x%02x", flags)
 	}
-	lockCount := int(gu16(buf, offLockCount))
+	lockCount := int(le.U16(buf, offLockCount))
 	if lockCount > MaxLocks {
 		//dbwlm:nolint hotpath -- error construction on the reject path
 		return fmt.Errorf("trace: %d locks exceeds %d", lockCount, MaxLocks)
@@ -225,7 +227,7 @@ func DecodeRow(buf []byte, row *Row) error {
 		//dbwlm:nolint hotpath -- error construction on the reject path
 		return fmt.Errorf("trace: row of %d bytes truncates %d locks", len(buf), lockCount)
 	}
-	sqlLen := int(gu32(buf, p))
+	sqlLen := int(le.U32(buf, p))
 	if sqlLen > MaxSQLLen {
 		//dbwlm:nolint hotpath -- error construction on the reject path
 		return fmt.Errorf("trace: SQL of %d bytes exceeds %d", sqlLen, MaxSQLLen)
@@ -234,26 +236,26 @@ func DecodeRow(buf []byte, row *Row) error {
 		//dbwlm:nolint hotpath -- error construction on the reject path
 		return fmt.Errorf("trace: row length %d, want %d", len(buf), p+4+sqlLen)
 	}
-	row.ID = int64(gu64(buf, offID))
-	row.ArriveUS = int64(gu64(buf, offArriveUS))
-	row.Weight = gf64(buf, offWeight)
-	row.FPHi = gu64(buf, offFPHi)
-	row.FPLo = gu64(buf, offFPLo)
-	row.EstCPUSeconds = gf64(buf, offEstCPU)
-	row.EstIOMB = gf64(buf, offEstIO)
-	row.EstMemMB = gf64(buf, offEstMem)
-	row.EstRows = gf64(buf, offEstRows)
-	row.EstTimerons = gf64(buf, offEstTimerons)
-	row.CPUWork = gf64(buf, offCPUWork)
-	row.IOWork = gf64(buf, offIOWork)
-	row.MemMB = gf64(buf, offMemMB)
-	row.Parallelism = gf64(buf, offParallelism)
-	row.Rows = int64(gu64(buf, offRows))
-	row.StateMB = gf64(buf, offStateMB)
-	row.CheckpointEvery = gf64(buf, offCheckpoint)
-	row.SLOTarget = gf64(buf, offSLOTarget)
-	row.SLOPct = gf64(buf, offSLOPct)
-	row.Class = gu16(buf, offClass)
+	row.ID = int64(le.U64(buf, offID))
+	row.ArriveUS = int64(le.U64(buf, offArriveUS))
+	row.Weight = le.F64(buf, offWeight)
+	row.FPHi = le.U64(buf, offFPHi)
+	row.FPLo = le.U64(buf, offFPLo)
+	row.EstCPUSeconds = le.F64(buf, offEstCPU)
+	row.EstIOMB = le.F64(buf, offEstIO)
+	row.EstMemMB = le.F64(buf, offEstMem)
+	row.EstRows = le.F64(buf, offEstRows)
+	row.EstTimerons = le.F64(buf, offEstTimerons)
+	row.CPUWork = le.F64(buf, offCPUWork)
+	row.IOWork = le.F64(buf, offIOWork)
+	row.MemMB = le.F64(buf, offMemMB)
+	row.Parallelism = le.F64(buf, offParallelism)
+	row.Rows = int64(le.U64(buf, offRows))
+	row.StateMB = le.F64(buf, offStateMB)
+	row.CheckpointEvery = le.F64(buf, offCheckpoint)
+	row.SLOTarget = le.F64(buf, offSLOTarget)
+	row.SLOPct = le.F64(buf, offSLOPct)
+	row.Class = le.U16(buf, offClass)
 	row.Flags = flags
 	row.Priority = buf[offPriority]
 	row.SLOKind = buf[offSLOKind]
@@ -266,8 +268,8 @@ func DecodeRow(buf []byte, row *Row) error {
 			return fmt.Errorf("trace: lock %d exclusive byte 0x%02x not 0 or 1", i, x)
 		}
 		row.Locks[i] = Lock{
-			Key:        int64(gu64(buf, q)),
-			AtProgress: gf64(buf, q+8),
+			Key:        int64(le.U64(buf, q)),
+			AtProgress: le.F64(buf, q+8),
 			Exclusive:  x == 1,
 		}
 		q += lockLen
@@ -344,7 +346,7 @@ func (w *Writer) WriteRow(row *Row) error {
 		return err
 	}
 	w.buf = buf
-	pu32(w.buf, lenAt, uint32(len(w.buf)-lenAt-4))
+	le.PutU32(w.buf, lenAt, uint32(len(w.buf)-lenAt-4))
 	if len(w.buf) >= writerFlushAt {
 		return w.Flush()
 	}
@@ -399,7 +401,7 @@ func (r *Reader) readHeader() error {
 		return fmt.Errorf("trace: reading header: %w", err)
 	}
 	need := headerFixedLen
-	count := int(gu16(r.buf, r.pos+10)) // validated against MaxClasses by size math below
+	count := int(le.U16(r.buf, r.pos+10)) // validated against MaxClasses by size math below
 	if r.buf[r.pos] != Magic || r.buf[r.pos+1] != Version || count > MaxClasses {
 		// Let DecodeHeader produce the precise error.
 		_, _, err := DecodeHeader(r.buf[r.pos:r.end])
@@ -412,7 +414,7 @@ func (r *Reader) readHeader() error {
 		if err := r.ensure(need + 2); err != nil {
 			return fmt.Errorf("trace: truncated class table: %w", err)
 		}
-		nameLen := int(gu16(r.buf, r.pos+need))
+		nameLen := int(le.U16(r.buf, r.pos+need))
 		if nameLen > MaxClassName {
 			return fmt.Errorf("trace: class name of %d bytes exceeds %d", nameLen, MaxClassName)
 		}
@@ -443,7 +445,7 @@ func (r *Reader) Next(row *Row) error {
 		}
 		return err
 	}
-	n := int(gu32(r.buf, r.pos))
+	n := int(le.U32(r.buf, r.pos))
 	if n < rowFixedLen+4 || n > MaxRowLen {
 		//dbwlm:nolint hotpath -- error construction on the reject path
 		return fmt.Errorf("trace: row length prefix %d out of range [%d, %d]", n, rowFixedLen+4, MaxRowLen)

@@ -3,6 +3,7 @@ package trace
 import (
 	"reflect"
 	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"dbwlm/internal/engine"
@@ -86,5 +87,62 @@ func TestReplayManyError(t *testing.T) {
 	}
 	if got[1] != nil {
 		t.Fatal("failed job returned stats")
+	}
+}
+
+// TestReplayManyPooledAllocs pins what the pool is for: a warm ReplayMany
+// allocates at most 0.7x of what the same jobs cost as independent Replay
+// calls, each of which builds its sim/engine pair afresh. Single worker and a
+// parked GC, so the Mallocs deltas see only replay work.
+func TestReplayManyPooledAllocs(t *testing.T) {
+	// Under the race detector sync.Pool drops a quarter of its Puts on
+	// purpose, so pooled-allocation ratios mean nothing there.
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range bi.Settings {
+			if s.Key == "-race" && s.Value == "true" {
+				t.Skip("sync.Pool randomly drops items under -race")
+			}
+		}
+	}
+	h, rows := Synth(9, 8000)
+	comp := Compress(h, rows, CompressConfig{Ratio: 16, Strata: 6, Seed: 1})
+	jobs := make([]ReplayJob, 16)
+	for i := range jobs {
+		jobs[i] = ReplayJob{
+			Src: &SliceSource{H: h, Rows: comp},
+			Cfg: ReplayConfig{
+				Engine: engine.Config{Cores: 8, MemoryMB: 16384, IOMBps: 800},
+				Seed:   uint64(i + 1), TimeScale: RateScale(comp),
+			},
+		}
+	}
+	mallocs := func(f func()) uint64 {
+		for i := range jobs {
+			jobs[i].Src.(*SliceSource).Reset()
+		}
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		f()
+		runtime.ReadMemStats(&m1)
+		return m1.Mallocs - m0.Mallocs
+	}
+	pooledRun := func() {
+		if _, err := ReplayMany(jobs, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	mallocs(pooledRun) // warm the pool
+	pooled := mallocs(pooledRun)
+	fresh := mallocs(func() {
+		for i := range jobs {
+			if _, err := Replay(jobs[i].Src, jobs[i].Cfg); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if frac := float64(pooled) / float64(fresh); frac > 0.7 {
+		t.Fatalf("pooled replays allocate %.2fx of fresh (%d vs %d mallocs over %d jobs), want <= 0.70x",
+			frac, pooled, fresh, len(jobs))
 	}
 }

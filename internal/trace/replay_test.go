@@ -47,7 +47,7 @@ func TestReplayDeterministic(t *testing.T) {
 // TestCompressedReplayDivergence is the core contract: compressing a trace
 // and replaying it at the rate-preserving time scale must reproduce the full
 // replay's per-class arrival shape and response-time histogram within the
-// bound the bench gate enforces.
+// bound cmd/wlmbench's whatif workload also enforces on every run.
 func TestCompressedReplayDivergence(t *testing.T) {
 	const bound = 0.30
 	h, rows := Synth(9, 8000)

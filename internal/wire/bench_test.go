@@ -17,7 +17,7 @@ func benchOps(n int) []Op {
 // BenchmarkCodecRoundtrip256 prices one full frame cycle at the benchmark
 // matrix's largest batch: encode a 256-op request, decode it, encode the
 // 256-result response, decode that. Divide ns/op by 512 for per-decision
-// codec cost; allocs/op must be 0 (bench_wire.sh enforces it).
+// codec cost; allocs/op must be 0 (TestCodecZeroAlloc enforces it).
 func BenchmarkCodecRoundtrip256(b *testing.B) {
 	ops := benchOps(256)
 	results := make([]Result, 256)

@@ -7,17 +7,19 @@ import (
 	"net"
 	"sync"
 	"sync/atomic"
+
+	"dbwlm/internal/le"
 )
 
 // FrameConn frames payloads over a byte stream: every frame is a little-endian
 // u32 payload length followed by exactly that many payload bytes. Both ends of
-// the wire protocol use it — the server's connection loop and the wlmload
-// client — so the framing rules live in one place. A FrameConn owns reusable
-// scratch (read buffer, writev vector), so the steady state of a persistent
-// connection reads and writes frames without allocating. Not safe for
-// concurrent use; pipelining clients run one writer and one reader goroutine
-// over two FrameConns sharing the socket (reads and writes never touch the
-// same scratch).
+// the wire protocol use it — the server's connection loop and the clients
+// (cmd/wlmload, internal/bench) — so the framing rules live in one place. A
+// FrameConn owns reusable scratch (read buffer, writev vector), so the steady
+// state of a persistent connection reads and writes frames without
+// allocating. Not safe for concurrent use; pipelining clients run one writer
+// and one reader goroutine over two FrameConns sharing the socket (reads and
+// writes never touch the same scratch).
 type FrameConn struct {
 	rw   io.ReadWriter
 	rhdr [4]byte
@@ -43,7 +45,7 @@ func (f *FrameConn) ReadFrame() ([]byte, error) {
 		}
 		return nil, fmt.Errorf("wire: frame header: %w", err)
 	}
-	n := gu32(f.rhdr[:], 0)
+	n := le.U32(f.rhdr[:], 0)
 	if n == 0 || n > MaxFrame {
 		return nil, fmt.Errorf("wire: frame length %d out of range (1..%d)", n, MaxFrame)
 	}
@@ -60,7 +62,7 @@ func (f *FrameConn) WriteFrame(payload []byte) error {
 	if len(payload) == 0 || len(payload) > MaxFrame {
 		return fmt.Errorf("wire: frame length %d out of range (1..%d)", len(payload), MaxFrame)
 	}
-	pu32(f.whdr[:], 0, uint32(len(payload)))
+	le.PutU32(f.whdr[:], 0, uint32(len(payload)))
 	f.vec[0], f.vec[1] = f.whdr[:], payload
 	bufs := net.Buffers(f.vec[:])
 	_, err := bufs.WriteTo(f.rw)
@@ -72,7 +74,7 @@ func (f *FrameConn) WriteFrame(payload []byte) error {
 // request frame (one encoded batch) is answered by one response frame, in
 // order. Connections are pipelined — a client may write several request frames
 // before reading the first response — which is what lets small batches still
-// saturate the dispatcher (cmd/wlmload drives it that way).
+// saturate the dispatcher (cmd/wlmbench's live workloads drive it that way).
 //
 // Framing errors are fatal to the connection: once the byte stream cannot be
 // trusted (bad magic, oversized length, truncated op), resynchronizing is

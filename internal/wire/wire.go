@@ -24,7 +24,11 @@
 // understood or fully rejected, never half-applied.
 package wire
 
-import "fmt"
+import (
+	"fmt"
+
+	"dbwlm/internal/le"
+)
 
 // Frame header bytes.
 const (
@@ -301,38 +305,38 @@ func EncodeRequest(buf []byte, ops []Op) ([]byte, error) {
 	}
 	buf = grow(buf, n)
 	buf[0], buf[1], buf[2] = Magic, Version, kindRequest
-	pu16(buf, 3, uint16(len(ops)))
+	le.PutU16(buf, 3, uint16(len(ops)))
 	off := headerLen
 	for i := range ops {
 		op := &ops[i]
 		buf[off] = byte(op.Code)
 		switch op.Code {
 		case OpAdmit:
-			pu16(buf, off+1, op.Class)
-			pf64(buf, off+3, op.Cost)
-			pu64(buf, off+11, uint64(op.DeadlineNS))
+			le.PutU16(buf, off+1, op.Class)
+			le.PutF64(buf, off+3, op.Cost)
+			le.PutU64(buf, off+11, uint64(op.DeadlineNS))
 			off += opAdmitLen
 		case OpDone:
-			pu16(buf, off+1, op.Class)
-			pu16(buf, off+3, op.Shard)
-			pu16(buf, off+5, op.GShard)
-			pu64(buf, off+7, uint64(op.Start))
-			pu64(buf, off+15, uint64(op.QID))
-			pf64(buf, off+23, op.Ideal)
-			pu64(buf, off+31, op.FPHi)
-			pu64(buf, off+39, op.FPLo)
+			le.PutU16(buf, off+1, op.Class)
+			le.PutU16(buf, off+3, op.Shard)
+			le.PutU16(buf, off+5, op.GShard)
+			le.PutU64(buf, off+7, uint64(op.Start))
+			le.PutU64(buf, off+15, uint64(op.QID))
+			le.PutF64(buf, off+23, op.Ideal)
+			le.PutU64(buf, off+31, op.FPHi)
+			le.PutU64(buf, off+39, op.FPLo)
 			off += opDoneLen
 		case OpAdmitSQL:
-			pu16(buf, off+1, op.Class)
-			pu64(buf, off+3, uint64(op.DeadlineNS))
-			pu32(buf, off+11, uint32(len(op.SQL)))
+			le.PutU16(buf, off+1, op.Class)
+			le.PutU64(buf, off+3, uint64(op.DeadlineNS))
+			le.PutU32(buf, off+11, uint32(len(op.SQL)))
 			off += opSQLHead
 			off += copy(buf[off:], op.SQL)
 		case OpAdmitFP:
-			pu16(buf, off+1, op.Class)
-			pu64(buf, off+3, uint64(op.DeadlineNS))
-			pu64(buf, off+11, op.FPHi)
-			pu64(buf, off+19, op.FPLo)
+			le.PutU16(buf, off+1, op.Class)
+			le.PutU64(buf, off+3, uint64(op.DeadlineNS))
+			le.PutU64(buf, off+11, op.FPHi)
+			le.PutU64(buf, off+19, op.FPLo)
 			off += opFPLen
 		}
 	}
@@ -363,30 +367,30 @@ func DecodeRequest(frame []byte, req *BatchReq) error {
 			if off+opAdmitLen > len(frame) {
 				return errTruncated(i, count)
 			}
-			op.Class = gu16(frame, off+1)
-			op.Cost = gf64(frame, off+3)
-			op.DeadlineNS = int64(gu64(frame, off+11))
+			op.Class = le.U16(frame, off+1)
+			op.Cost = le.F64(frame, off+3)
+			op.DeadlineNS = int64(le.U64(frame, off+11))
 			off += opAdmitLen
 		case OpDone:
 			if off+opDoneLen > len(frame) {
 				return errTruncated(i, count)
 			}
-			op.Class = gu16(frame, off+1)
-			op.Shard = gu16(frame, off+3)
-			op.GShard = gu16(frame, off+5)
-			op.Start = int64(gu64(frame, off+7))
-			op.QID = int64(gu64(frame, off+15))
-			op.Ideal = gf64(frame, off+23)
-			op.FPHi = gu64(frame, off+31)
-			op.FPLo = gu64(frame, off+39)
+			op.Class = le.U16(frame, off+1)
+			op.Shard = le.U16(frame, off+3)
+			op.GShard = le.U16(frame, off+5)
+			op.Start = int64(le.U64(frame, off+7))
+			op.QID = int64(le.U64(frame, off+15))
+			op.Ideal = le.F64(frame, off+23)
+			op.FPHi = le.U64(frame, off+31)
+			op.FPLo = le.U64(frame, off+39)
 			off += opDoneLen
 		case OpAdmitSQL:
 			if off+opSQLHead > len(frame) {
 				return errTruncated(i, count)
 			}
-			op.Class = gu16(frame, off+1)
-			op.DeadlineNS = int64(gu64(frame, off+3))
-			n := int(gu32(frame, off+11))
+			op.Class = le.U16(frame, off+1)
+			op.DeadlineNS = int64(le.U64(frame, off+3))
+			n := int(le.U32(frame, off+11))
 			if n > MaxSQLLen {
 				//dbwlm:nolint hotpath -- error construction on the reject path
 				return fmt.Errorf("wire: op %d SQL length %d exceeds %d", i, n, MaxSQLLen)
@@ -401,10 +405,10 @@ func DecodeRequest(frame []byte, req *BatchReq) error {
 			if off+opFPLen > len(frame) {
 				return errTruncated(i, count)
 			}
-			op.Class = gu16(frame, off+1)
-			op.DeadlineNS = int64(gu64(frame, off+3))
-			op.FPHi = gu64(frame, off+11)
-			op.FPLo = gu64(frame, off+19)
+			op.Class = le.U16(frame, off+1)
+			op.DeadlineNS = int64(le.U64(frame, off+3))
+			op.FPHi = le.U64(frame, off+11)
+			op.FPLo = le.U64(frame, off+19)
 			off += opFPLen
 		default:
 			//dbwlm:nolint hotpath -- error construction on the reject path
@@ -433,31 +437,31 @@ func EncodeResponse(buf []byte, results []Result) ([]byte, error) {
 	}
 	buf = grow(buf, n)
 	buf[0], buf[1], buf[2] = Magic, Version, kindResponse
-	pu16(buf, 3, uint16(len(results)))
+	le.PutU16(buf, 3, uint16(len(results)))
 	off := headerLen
 	for i := range results {
 		r := &results[i]
 		buf[off] = byte(r.Code)
 		buf[off+1] = byte(r.Status)
-		pu64(buf, off+2, uint64(r.QID))
+		le.PutU64(buf, off+2, uint64(r.QID))
 		off += resHeadLen
 		switch r.Code {
 		case OpAdmit:
-			pf64(buf, off, r.Cost)
+			le.PutF64(buf, off, r.Cost)
 			off += resCostLen
 		case OpAdmitSQL, OpAdmitFP:
-			pf64(buf, off, r.Cost)
-			pf64(buf, off+8, r.Predicted)
-			pu64(buf, off+16, r.FPHi)
-			pu64(buf, off+24, r.FPLo)
+			le.PutF64(buf, off, r.Cost)
+			le.PutF64(buf, off+8, r.Predicted)
+			le.PutU64(buf, off+16, r.FPHi)
+			le.PutU64(buf, off+24, r.FPLo)
 			buf[off+32] = r.Flags
 			off += resCostLen + resPredLen
 		}
 		if r.Status == StatusAdmitted {
-			pu16(buf, off, r.Class)
-			pu16(buf, off+2, r.Shard)
-			pu16(buf, off+4, r.GShard)
-			pu64(buf, off+6, uint64(r.Start))
+			le.PutU16(buf, off, r.Class)
+			le.PutU16(buf, off+2, r.Shard)
+			le.PutU16(buf, off+4, r.GShard)
+			le.PutU64(buf, off+6, uint64(r.Start))
 			off += resGrantLen
 		}
 	}
@@ -481,23 +485,23 @@ func DecodeResponse(frame []byte, res *BatchRes) error {
 		}
 		r := &res.Results[i]
 		*r = Result{Code: OpCode(frame[off]), Status: Status(frame[off+1]),
-			QID: int64(gu64(frame, off+2))}
+			QID: int64(le.U64(frame, off+2))}
 		off += resHeadLen
 		switch r.Code {
 		case OpAdmit:
 			if off+resCostLen > len(frame) {
 				return errTruncated(i, count)
 			}
-			r.Cost = gf64(frame, off)
+			r.Cost = le.F64(frame, off)
 			off += resCostLen
 		case OpAdmitSQL, OpAdmitFP:
 			if off+resCostLen+resPredLen > len(frame) {
 				return errTruncated(i, count)
 			}
-			r.Cost = gf64(frame, off)
-			r.Predicted = gf64(frame, off+8)
-			r.FPHi = gu64(frame, off+16)
-			r.FPLo = gu64(frame, off+24)
+			r.Cost = le.F64(frame, off)
+			r.Predicted = le.F64(frame, off+8)
+			r.FPHi = le.U64(frame, off+16)
+			r.FPLo = le.U64(frame, off+24)
 			r.Flags = frame[off+32]
 			off += resCostLen + resPredLen
 		case OpDone:
@@ -510,10 +514,10 @@ func DecodeResponse(frame []byte, res *BatchRes) error {
 			if off+resGrantLen > len(frame) {
 				return errTruncated(i, count)
 			}
-			r.Class = gu16(frame, off)
-			r.Shard = gu16(frame, off+2)
-			r.GShard = gu16(frame, off+4)
-			r.Start = int64(gu64(frame, off+6))
+			r.Class = le.U16(frame, off)
+			r.Shard = le.U16(frame, off+2)
+			r.GShard = le.U16(frame, off+4)
+			r.Start = int64(le.U64(frame, off+6))
 			off += resGrantLen
 		}
 	}
@@ -556,7 +560,7 @@ func checkHeader(frame []byte, wantKind byte) (int, error) {
 		//dbwlm:nolint hotpath -- error construction on the reject path
 		return 0, fmt.Errorf("wire: payload kind %d, want %d", frame[2], wantKind)
 	}
-	count := int(gu16(frame, 3))
+	count := int(le.U16(frame, 3))
 	if count > MaxOps {
 		//dbwlm:nolint hotpath -- error construction on the reject path
 		return 0, fmt.Errorf("wire: count %d exceeds MaxOps %d", count, MaxOps)

@@ -5,6 +5,8 @@ import (
 	"math"
 	"math/rand/v2"
 	"testing"
+
+	"dbwlm/internal/le"
 )
 
 // randOp generates one valid op of any kind.
@@ -215,13 +217,13 @@ func TestSQLLengthBound(t *testing.T) {
 		t.Fatal(err)
 	}
 	b := append([]byte{}, payload...)
-	pu32(b, headerLen+11, uint32(len(b))) // length runs past the end
+	le.PutU32(b, headerLen+11, uint32(len(b))) // length runs past the end
 	var req BatchReq
 	if err := DecodeRequest(b, &req); err == nil {
 		t.Fatal("oversized SQL length decoded without error")
 	}
 	b = append([]byte{}, payload...)
-	pu32(b, headerLen+11, MaxSQLLen+1)
+	le.PutU32(b, headerLen+11, MaxSQLLen+1)
 	if err := DecodeRequest(b, &req); err == nil {
 		t.Fatal("SQL length over MaxSQLLen decoded without error")
 	}

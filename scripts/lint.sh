@@ -24,6 +24,17 @@ fi
 
 go vet ./...
 
+# cmd/wlmbench is the one instrument (BENCHMARK.json). The shell bench
+# scripts and BENCH_*.json files it replaced must not be half-resurrected by a
+# stray reference; CHANGES.md, ROADMAP.md, ISSUE.md and internal/bench keep
+# them as history.
+if git grep -nE 'BENCH_[a-z]+\.json|scripts/bench_|bench_[a-z]+\.sh|BENCH_SMP' -- \
+	'*.md' '*.go' Makefile \
+	':!CHANGES.md' ':!ROADMAP.md' ':!ISSUE.md' ':!internal/bench/'; then
+	echo "lint: reference to the retired bench scripts or BENCH_*.json files; cite cmd/wlmbench instead" >&2
+	exit 1
+fi
+
 # Analysis fans out across GOMAXPROCS workers; output is byte-identical at
 # any worker count, so parallelism is always safe to leave on.
 if [ "${LINT_JSON:-0}" = "1" ]; then
