@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race lint verify bench fuzz-short
+.PHONY: build test vet race lint verify bench fuzz-short loc
 
 build:
 	$(GO) build ./...
@@ -51,3 +51,9 @@ fuzz-short:
 	$(GO) test -fuzz '^FuzzTraceJSONL$$' -fuzztime 10s -run '^$$' ./internal/trace/
 	$(GO) test -fuzz FuzzKMeansFlatMatchesReference -fuzztime 10s -run '^$$' ./internal/learn/
 	$(GO) test -fuzz FuzzKDBuildMatchesReference -fuzztime 10s -run '^$$' ./internal/learn/
+
+# loc prints non-test Go lines per package and in total. The benchmark
+# (internal/bench, cmd/wlmbench) and the lint fixture corpus are not product
+# and are left out.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './internal/bench/*' ! -path './cmd/wlmbench/*' ! -path './internal/lint/testdata/*' ! -path './.bench_build/*' | sort | xargs wc -l | awk '$$2 == "total" { next } { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } END { for (d in n) printf "%7d %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%7d total\n", t }'

@@ -88,10 +88,16 @@ func main() {
 	}
 
 	var wanted []section
+	keys := []string{"e0"}
 	for _, s := range sections {
+		keys = append(keys, s.key)
 		if *only == "" || *only == s.key {
 			wanted = append(wanted, s)
 		}
+	}
+	if len(wanted) == 0 && *only != "e0" {
+		fmt.Fprintf(os.Stderr, "benchtables: unknown -only %q (valid: %s)\n", *only, strings.Join(keys, ", "))
+		os.Exit(2)
 	}
 	rendered := experiments.RunIndexed(len(wanted), func(i int) string {
 		return wanted[i].render()

@@ -30,7 +30,6 @@ import (
 	"dbwlm/internal/sim"
 	"dbwlm/internal/slo"
 	"dbwlm/internal/sqlmini"
-	"dbwlm/internal/wire"
 )
 
 // defaultClasses is the built-in three-tier service-class table: interactive
@@ -125,7 +124,8 @@ func main() {
 			fmt.Print("slo:\n" + dbwlm.SLOPanel(eng.Evaluate()))
 		}
 		if *traceDump > 0 {
-			fmt.Print(traceTail(r, *traceDump))
+			fmt.Print(dbwlm.TraceTail(r.Recorder(), *traceDump,
+				func(id int32) string { return r.ClassName(rt.ClassID(id)) }))
 		}
 		fmt.Println(totals.line())
 		if totals.admits == 0 {
@@ -135,7 +135,6 @@ func main() {
 	}
 
 	srv := rthttp.NewServer(r)
-	var gate *rt.PredictGate
 	if *predict {
 		bucket, ok := admission.BucketFromName(*maxBucket)
 		if !ok {
@@ -148,8 +147,7 @@ func main() {
 			Background:  true, // retrain off the admit path; models swap in atomically
 			Indexed:     true,
 		}
-		gate = rt.NewPredictGate(r, cache, knn, bucket)
-		srv.EnablePredict(gate)
+		srv.EnablePredict(rt.NewPredictGate(r, cache, knn, bucket))
 		log.Printf("wlmd: prediction gate on (max bucket %s, plan cache %d)", bucket, *planCache)
 	}
 	if *pprofOn {
@@ -161,13 +159,13 @@ func main() {
 	defer r.Stop()
 	if *wireAddr != "" {
 		// The batched binary wire protocol: persistent TCP connections of
-		// length-prefixed frames, sharing the HTTP server's runtime (and
-		// prediction gate), so both fronts hand out interchangeable grants.
+		// length-prefixed frames into the HTTP server's dispatcher, so both
+		// fronts decide in one place and hand out interchangeable grants.
 		l, err := net.Listen("tcp", *wireAddr)
 		if err != nil {
 			log.Fatal(err)
 		}
-		ws := wire.NewServer(&wire.Dispatcher{RT: r, Predict: gate})
+		ws := srv.EnableWire()
 		defer ws.Close()
 		go func() {
 			if err := ws.Serve(l); err != nil {
@@ -179,7 +177,7 @@ func main() {
 	// The live autonomic manager: monitor load, diagnose congestion, work the
 	// low-priority gate. Every iteration lands in the flight recorder when
 	// one is attached.
-	stopLoop := rthttp.StartMAPELoop(rthttp.NewMAPELoop(r, r.Recorder()), 250*time.Millisecond)
+	stopLoop := rt.StartMAPELoop(rt.NewMAPELoop(r), 250*time.Millisecond)
 	defer stopLoop()
 	if eng := r.SLO(); eng != nil {
 		log.Printf("wlmd: slo engine on (%d classes, fast %s, slow %s; GET /slo)",
@@ -187,8 +185,14 @@ func main() {
 	}
 	log.Printf("wlmd: %d classes, global MPL %d, trace %d events, listening on %s",
 		r.NumClasses(), *globalMPL, *traceCap, *addr)
-	log.Fatal(http.ListenAndServe(*addr, srv))
+	// No write timeout: /admit parks with its request while the op is queued.
+	hs := &http.Server{Addr: *addr, Handler: srv, ReadHeaderTimeout: readHeaderTimeout}
+	log.Fatal(hs.ListenAndServe())
 }
+
+// readHeaderTimeout bounds how long a client may take to send its request
+// headers, so a stalled connection cannot hold a server goroutine forever.
+const readHeaderTimeout = 10 * time.Second
 
 // selfTotals is the selftest outcome ledger across all classes.
 type selfTotals struct {
@@ -207,11 +211,11 @@ func (t selfTotals) line() string {
 func runSelfTest(r *rt.Runtime, workers, perWorker int, seed uint64) (string, selfTotals) {
 	r.Start()
 	defer r.Stop()
-	if rec := r.Recorder(); rec != nil {
+	if r.Recorder() != nil {
 		// With a recorder attached, drive one overload and one recovery MAPE
 		// cycle before the workers start so the trace shows the autonomic
 		// loop acting — and the gate ends open, so no waiter can hang on it.
-		loop := rthttp.NewMAPELoop(r, rec)
+		loop := rt.NewMAPELoop(r)
 		r.SetLoad(1.5, 0, 0.9)
 		loop.RunOnce() // overload symptom -> throttle action: gate closes
 		r.SetLoad(0.2, 0, 0.2)
@@ -250,17 +254,4 @@ func runSelfTest(r *rt.Runtime, workers, perWorker int, seed uint64) (string, se
 		totals.timeouts += st.Timeouts
 	}
 	return out, totals
-}
-
-// traceTail renders the flight recorder's last n events with class names
-// resolved through the runtime.
-func traceTail(r *rt.Runtime, n int) string {
-	rec := r.Recorder()
-	events := rec.Tail(n, obsv.MatchAll)
-	out := fmt.Sprintf("trace: %d recorded, %d overwritten, showing %d\n",
-		rec.Recorded(), rec.Overwritten(), len(events))
-	for i := range events {
-		out += events[i].Format(func(id int32) string { return r.ClassName(rt.ClassID(id)) }) + "\n"
-	}
-	return out
 }

@@ -152,7 +152,7 @@ func TestLoadFeedAndMAPELoop(t *testing.T) {
 	if code := post(t, srv, "/load", url.Values{"mem": {"1.5"}, "conflict": {"0.1"}, "cpu": {"0.99"}}, nil); code != http.StatusOK {
 		t.Fatalf("load status %d", code)
 	}
-	stop := rthttp.StartMAPELoop(rthttp.NewMAPELoop(r, nil), time.Millisecond)
+	stop := rt.StartMAPELoop(rt.NewMAPELoop(r), time.Millisecond)
 	defer stop()
 	deadline := time.Now().Add(2 * time.Second)
 	for !r.LowPriorityGate() {

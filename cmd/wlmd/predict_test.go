@@ -60,7 +60,7 @@ func TestAdmitRawSQLRoundTrip(t *testing.T) {
 
 	// Warm the model past MinTraining, then admit again: cache hit + modeled.
 	for i := 0; i < 8; i++ {
-		gate.Observe(sql, 0.01)
+		gate.ObserveFP(sqlmini.FingerprintSQL(sql), 0.01)
 	}
 	var ar2 rthttp.AdmitResponse
 	if code := post(t, srv, "/admit", url.Values{"class": {"interactive"}, "sql": {sql}}, &ar2); code != http.StatusOK {
@@ -78,10 +78,13 @@ func TestAdmitRawSQLRoundTrip(t *testing.T) {
 func TestAdmitRawSQLGated(t *testing.T) {
 	_, srv, gate := predictServer(t, admission.BucketShort)
 	const heavy = "SELECT d.year, SUM(f.amount) FROM sales_fact f JOIN date_dim d ON f.date_id = d.id GROUP BY d.year"
-	for i := 0; i < 8; i++ {
-		gate.Observe(heavy, 900) // monster completions
-	}
+	// Intern the shape (no model yet: admitted on cost alone), then train it.
 	var ar rthttp.AdmitResponse
+	post(t, srv, "/admit", url.Values{"class": {"reporting"}, "sql": {heavy}}, &ar)
+	post(t, srv, "/done", url.Values{"token": {ar.Token}}, nil)
+	for i := 0; i < 8; i++ {
+		gate.ObserveFP(sqlmini.FingerprintSQL(heavy), 900) // monster completions
+	}
 	if code := post(t, srv, "/admit", url.Values{"class": {"reporting"}, "sql": {heavy}}, &ar); code != http.StatusTooManyRequests {
 		t.Fatalf("gated admit status %d, response %+v", code, ar)
 	}

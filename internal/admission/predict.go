@@ -108,12 +108,6 @@ func RequestFeatures(r *workload.Request) []float64 {
 	return out
 }
 
-// ObservedRun is one training example for the predictors.
-type ObservedRun struct {
-	Features []float64
-	Seconds  float64
-}
-
 // refitInterval is the least time between the starts of two background
 // refits. Counting observations alone cannot pace a live trainer: at wire
 // rates "every 25 observations" is always already due, so a faster fit only
@@ -268,16 +262,6 @@ func (p *TreePredictor) Decide(r *workload.Request, _ sim.Time) Decision {
 		return Reject
 	}
 	return Queue
-}
-
-// PredictBucket exposes the predicted runtime range for a feature vector;
-// ok is false before the first model lands.
-func (p *TreePredictor) PredictBucket(f *FeatureVec) (RuntimeBucket, bool) {
-	t := p.model.Load()
-	if t == nil {
-		return BucketShort, false
-	}
-	return RuntimeBucket(t.Predict(f[:])), true
 }
 
 // ObserveCompletion implements CompletionObserver: record the actual runtime

@@ -11,7 +11,7 @@ import (
 // closure is cached, and the tick event itself is pooled by the simulator.
 func TestTickZeroAlloc(t *testing.T) {
 	s := sim.New(1)
-	e := New(s, Config{Cores: 4, MemoryMB: 4096, IOMBps: 400, DisableFastForward: true})
+	e := New(s, Config{Cores: 4, MemoryMB: 4096, IOMBps: 400, disableFastForward: true})
 	for i := 0; i < 6; i++ {
 		e.Submit(QuerySpec{CPUWork: 1e9, IOWork: 1e9, MemMB: 64, Parallelism: 2}, 1+float64(i), nil)
 	}
@@ -32,7 +32,7 @@ func TestTickZeroAlloc(t *testing.T) {
 // once the lock table's scratch buffers are warm.
 func TestTickZeroAllocWithBlockedAndSweeps(t *testing.T) {
 	s := sim.New(1)
-	e := New(s, Config{Cores: 4, MemoryMB: 4096, IOMBps: 400, DisableFastForward: true})
+	e := New(s, Config{Cores: 4, MemoryMB: 4096, IOMBps: 400, disableFastForward: true})
 	// Holder grinds forever holding key 1; waiters block on it, so every
 	// DeadlockCheckEvery-th quantum runs a (cycle-free) deadlock sweep.
 	e.Submit(QuerySpec{CPUWork: 1e9, MemMB: 64, Locks: []LockReq{{Key: 1, Exclusive: true}}}, 1, nil)

@@ -26,11 +26,11 @@ type Config struct {
 	// DeadlockCheckEvery is the number of quanta between wait-for-graph
 	// deadlock sweeps (default 5).
 	DeadlockCheckEvery int
-	// DisableFastForward turns off tick elision: every quantum is executed
-	// by the full scheduling loop. Fast-forward is on by default because it
-	// is bit-for-bit equivalent; disabling it is useful for debugging and
-	// for the equivalence tests themselves.
-	DisableFastForward bool
+	// disableFastForward turns off tick elision: every quantum is executed
+	// by the full scheduling loop. A test seam, not a knob: fast-forward is
+	// bit-for-bit equivalent, and only this package's equivalence and
+	// allocation tests run without it.
+	disableFastForward bool
 }
 
 func (c Config) withDefaults() Config {
@@ -54,9 +54,6 @@ func (c Config) withDefaults() Config {
 	}
 	return c
 }
-
-// DefaultConfig is an 8-core, 4GB, 400MB/s server.
-func DefaultConfig() Config { return Config{}.withDefaults() }
 
 // SuspendStrategy selects how a query's state is preserved across suspension
 // (Chandramouli et al., Section 4.2.3 of the paper).
@@ -595,7 +592,7 @@ func (e *Engine) tick() {
 	// the exact same per-query increments until the next "interesting"
 	// point. Apply those increments here and skip the intermediate ticks.
 	gap := sim.Duration(0)
-	if finished == 0 && !e.cfg.DisableFastForward &&
+	if finished == 0 && !e.cfg.disableFastForward &&
 		(e.OnQuantum == nil || e.OnQuantumCoarse) {
 		gap = e.fastForward(runnable, cpuShares, ioShares, eff, alive, blockedN)
 	}

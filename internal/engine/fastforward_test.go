@@ -24,7 +24,7 @@ func runFFWorkload(t *testing.T, disableFF bool, seed uint64) ffTrace {
 	s := sim.New(seed)
 	e := New(s, Config{
 		Cores: 4, MemoryMB: 2048, IOMBps: 400,
-		DisableFastForward: disableFF,
+		disableFastForward: disableFF,
 	})
 	rng := s.RNG().Fork(17)
 	var tr ffTrace

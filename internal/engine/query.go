@@ -197,14 +197,8 @@ func (q *Query) SubmittedAt() sim.Time { return q.submitAt }
 // BlockedTime reports cumulative time spent waiting on locks.
 func (q *Query) BlockedTime() sim.Duration { return q.blockedFor }
 
-// SuspendedTime reports cumulative time spent suspended.
-func (q *Query) SuspendedTime() sim.Duration { return q.suspended }
-
 // Suspends reports how many times the query has been suspended.
 func (q *Query) Suspends() int { return q.suspends }
 
 // HeldLocks reports the number of locks currently held.
 func (q *Query) HeldLocks() int { return len(q.held) }
-
-// LastCheckpoint reports the progress fraction of the latest checkpoint.
-func (q *Query) LastCheckpoint() float64 { return q.lastCheckpoint }

@@ -214,13 +214,3 @@ func isMapType(t types.Type) bool {
 	_, ok := t.Underlying().(*types.Map)
 	return ok
 }
-
-// recvOf returns the receiver base expression of a method call selector
-// (x.mu.Lock() -> "x.mu") rendered as source text, or "".
-func recvOf(call *ast.CallExpr) (string, string) {
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok {
-		return "", ""
-	}
-	return types.ExprString(sel.X), sel.Sel.Name
-}

@@ -351,10 +351,6 @@ func (h *StripedHistogram) Cumulative(f func(upperBound float64, cumulative int6
 // snapshots cumulative bucket state and diffs it on read).
 const StripedBuckets = stripedBuckets
 
-// StripedUpper reports the inclusive upper bound of striped bucket i in the
-// shared log-bucket layout.
-func StripedUpper(i int) float64 { return stripedBucketUpper(i) }
-
 // MergeBuckets merges the shards' bucket arrays into dst (overwriting it)
 // and reports the merged count and sum. Like every merged read, each shard's
 // contribution is exact at the instant it is read and all counters are

@@ -78,28 +78,14 @@ func NewPredictGate(r *Runtime, cache *sqlmini.PlanCache, knn *admission.KNNPred
 	return g
 }
 
-// MaxBucket reports the configured bucket ceiling.
-func (g *PredictGate) MaxBucket() admission.RuntimeBucket { return g.maxBucket }
-
-// AdmitSQL runs one raw SQL statement through the full prediction pipeline.
-// A non-nil error means the statement did not parse; a RejectedPredicted
-// grant means the model forecast a runtime beyond MaxBucket. Admitted grants
-// must be released via Done (or ObserveDone, to also feed the model).
-//
-//dbwlm:hotpath
-func (g *PredictGate) AdmitSQL(class ClassID, sql string) (Grant, Prediction, error) {
-	e, hit, err := g.cache.PlanInfo(sql)
-	if err != nil {
-		return Grant{}, Prediction{}, err
-	}
-	return g.admitPlanned(class, e, hit, true)
-}
-
-// AdmitSQLBytes is AdmitSQL for SQL text held in a transient byte buffer —
-// the batched wire transport's decode scratch. The bytes are only read while
-// the call runs (PlanCache.PlanInfoBytes copies to a stable string before
-// caching anything), so the caller may reuse its buffer immediately. wait as
-// in Admit vs AdmitNoWait.
+// AdmitSQLBytes runs one raw SQL statement through the full prediction
+// pipeline. A non-nil error means the statement did not parse; a
+// RejectedPredicted grant means the model forecast a runtime beyond the
+// bucket ceiling. Admitted grants must be released via Runtime.Done. The
+// text typically sits in a transport's decode scratch: the bytes are only
+// read while the call runs (PlanCache.PlanInfoBytes copies to a stable string
+// before caching anything), so the caller may reuse its buffer immediately.
+// wait as in Admit vs AdmitNoWait.
 //
 //dbwlm:hotpath
 func (g *PredictGate) AdmitSQLBytes(class ClassID, sql []byte, wait bool) (Grant, Prediction, error) {
@@ -164,50 +150,28 @@ func (g *PredictGate) admitPlanned(class ClassID, e *sqlmini.CachedPlan, hit, wa
 	return g.rt.admitWith(class, pred.Timerons, e.FP.Lo, pred.Seconds, wait), pred, nil
 }
 
-// ObserveDone releases an admitted grant and feeds the observed service time
-// back into the predictor, re-resolving the statement's features through the
-// cache (a hit for any statement recently admitted). This is the /done path:
-// the grant token plus the original SQL is all the client carries.
-func (g *PredictGate) ObserveDone(grant Grant, sql string) {
-	seconds := g.rt.ElapsedSeconds(grant)
-	g.rt.Done(grant, 0)
-	g.Observe(sql, seconds)
-}
-
-// Observe feeds one completed (sql, seconds) observation into the predictor
-// without touching the runtime — the training half of ObserveDone, also
-// usable for offline warm-up.
-func (g *PredictGate) Observe(sql string, seconds float64) {
-	e, _, err := g.cache.PlanInfo(sql)
-	if err != nil {
-		return
-	}
-	g.observeEntry(e, seconds)
-}
-
 // ObserveFP trains the predictor on a completed observation identified by
-// statement fingerprint — the wire /done path, where the client carries the
-// 16-byte fingerprint from its admit result instead of the SQL text. Reports
-// whether the shape was still interned (a miss drops the observation; the
-// model only ever trains on features it can recompute).
+// statement fingerprint — the done path of every transport: wire clients
+// carry the 16-byte fingerprint from their admit result, HTTP clients echo
+// the SQL text and the codec fingerprints it. Reports whether the shape was
+// still interned (a miss drops the observation; the model only ever trains
+// on features it can recompute).
 func (g *PredictGate) ObserveFP(fp sqlmini.Fingerprint, seconds float64) bool {
 	e := g.cache.Lookup(fp)
 	if e == nil {
 		return false
 	}
-	g.observeEntry(e, seconds)
-	return true
-}
-
-// observeEntry is the shared training tail: features from the cached plan,
-// one k-NN observation.
-func (g *PredictGate) observeEntry(e *sqlmini.CachedPlan, seconds float64) {
 	var f admission.FeatureVec
 	admission.FeaturesFrom(workload.TimeronsOf(e.Cost.CPUSeconds, e.Cost.IOMB),
 		e.Cost.Rows, e.Cost.MemMB, e.Cost.IOMB, e.Cost.Type == sqlmini.StmtRead, &f)
 	//dbwlm:nolint hotclosure -- training path: the predictor takes its stripe lock and amortizes ring growth; observation is off the admit fast path by design
 	g.knn.Observe(&f, seconds)
+	return true
 }
+
+// BucketName names the runtime bucket a predicted service time falls in, as
+// transports render Prediction.Seconds.
+func BucketName(seconds float64) string { return admission.BucketOf(seconds).String() }
 
 // PredictStats is the merged monitoring view of the prediction pipeline.
 type PredictStats struct {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"dbwlm/internal/admission"
 	"dbwlm/internal/obsv"
@@ -27,6 +28,22 @@ func newPredictGate(t testing.TB, maxBucket admission.RuntimeBucket) *PredictGat
 	cache := sqlmini.NewPlanCache(sqlmini.NewCostModel(sqlmini.DefaultCatalog()), 0, 0)
 	knn := &admission.KNNPredictor{MaxSeconds: 10, MinTraining: 4, K: 3, Indexed: true}
 	return NewPredictGate(r, cache, knn, maxBucket)
+}
+
+// AdmitSQL and Observe are the string-typed forms these tests are written
+// against, over the byte and fingerprint entry points the transports use. The
+// byte view is zero-copy so the allocation tests measure the gate, not the
+// shim.
+func (g *PredictGate) AdmitSQL(class ClassID, sql string) (Grant, Prediction, error) {
+	return g.AdmitSQLBytes(class, unsafe.Slice(unsafe.StringData(sql), len(sql)), true)
+}
+
+// Observe interns the statement's plan, as an admit would have, and trains on
+// it; unparseable SQL is a silent no-op.
+func (g *PredictGate) Observe(sql string, seconds float64) {
+	if e, _, err := g.cache.PlanInfoBytes([]byte(sql)); err == nil {
+		g.ObserveFP(e.FP, seconds)
+	}
 }
 
 // train feeds repeated completions so the inline trainer publishes a model:
@@ -54,7 +71,7 @@ func TestPredictGateGatesByBucket(t *testing.T) {
 	if !grant.Admitted() {
 		t.Fatalf("cheap statement rejected: %v", grant.Verdict())
 	}
-	g.ObserveDone(grant, predictCheapSQL)
+	g.rt.Done(grant, 0)
 
 	grant, pred, err = g.AdmitSQL(0, predictHeavySQL)
 	if err != nil {

@@ -788,7 +788,8 @@ func (r *Runtime) GrantFromParts(class ClassID, shard, gshard int32, startNanos,
 }
 
 // ParseToken reconstructs an admitted Grant from its token (with or without
-// the optional trailing admission-ID field).
+// the optional trailing admission-ID field), under GrantFromParts' range
+// validation.
 func (r *Runtime) ParseToken(tok string) (Grant, error) {
 	parts := strings.Split(tok, ":")
 	if len(parts) != 4 && len(parts) != 5 {
@@ -796,21 +797,21 @@ func (r *Runtime) ParseToken(tok string) (Grant, error) {
 	}
 	var nums [5]int64
 	for i, p := range parts {
-		v, err := strconv.ParseInt(p, 10, 64)
+		bits := 64
+		if i < 3 {
+			bits = 32 // class, shard, gshard
+		}
+		v, err := strconv.ParseInt(p, 10, bits)
 		if err != nil {
 			return Grant{}, fmt.Errorf("rt: malformed token %q: %w", tok, err)
 		}
 		nums[i] = v
 	}
-	class, shard, gshard := nums[0], nums[1], nums[2]
-	if class < 0 || class >= int64(len(r.classes)) {
-		return Grant{}, fmt.Errorf("rt: token class %d out of range", class)
+	g, ok := r.GrantFromParts(ClassID(nums[0]), int32(nums[1]), int32(nums[2]), nums[3], nums[4])
+	if !ok {
+		return Grant{}, fmt.Errorf("rt: token %q names no gate slot", tok)
 	}
-	nShards := int64(len(r.classes[class].gate.shards))
-	if shard < 0 || shard >= nShards || gshard < 0 || gshard >= int64(len(r.global.shards)) {
-		return Grant{}, fmt.Errorf("rt: token shard out of range")
-	}
-	return Grant{verdict: Admitted, class: ClassID(class), shard: int32(shard), gshard: int32(gshard), start: nums[3], id: nums[4]}, nil
+	return g, nil
 }
 
 func defaultShards() int {

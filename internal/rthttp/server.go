@@ -7,22 +7,19 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
 	"net/http/pprof"
 	"runtime"
+	"sort"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
-	"dbwlm/internal/admission"
-	"dbwlm/internal/autonomic"
 	"dbwlm/internal/obsv"
 	"dbwlm/internal/policy"
 	"dbwlm/internal/rt"
-	"dbwlm/internal/sim"
 	"dbwlm/internal/slo"
+	"dbwlm/internal/sqlmini"
 	"dbwlm/internal/wire"
 )
 
@@ -33,32 +30,25 @@ import (
 // GET /metrics exposes the striped statistics in Prometheus text format and
 // GET /trace drains the flight recorder. Every response — including 400/404/
 // 405 errors — is JSON with Content-Type set, except the Prometheus page.
+//
+// The package is transport and nothing else: /admit, /done and /batch are
+// codecs over one wire.Dispatcher, the same one the TCP listener drives.
 type Server struct {
-	rt      *rt.Runtime
-	predict *rt.PredictGate
-	mux     *http.ServeMux
+	rt  *rt.Runtime
+	mux *http.ServeMux
 
-	// dispatch executes /batch frames — the same transport-independent
-	// dispatcher the TCP wire listener runs, so both paths produce identical
-	// verdicts and recorder events for one op stream.
+	// dispatch is the daemon's one decision path. /admit and /done build one
+	// wire.Op from their form fields and render its wire.Result; /batch and
+	// the TCP listener (EnableWire) hand it whole frames.
 	dispatch wire.Dispatcher
-
-	// statsBuf recycles snapshot scratch buffers across /stats requests so
-	// the monitoring read does not allocate a fresh per-class slice each poll.
-	statsBuf sync.Pool
-	// respPool recycles the hand-built JSON reply buffers of the single-op
-	// hot endpoints (/admit, /done), keeping their per-request response cost
-	// to a pool round-trip instead of an encoder allocation.
-	respPool sync.Pool
-	// batchPool recycles /batch scratch (body, decoded ops, results, encoded
-	// response) across requests.
-	batchPool sync.Pool
+	// wire is the TCP front end, when one is attached; /metrics exports its
+	// counters.
+	wire *wire.Server
 }
 
 // NewServer wires the endpoints over a runtime.
 func NewServer(r *rt.Runtime) *Server {
-	s := &Server{rt: r, mux: http.NewServeMux()}
-	s.dispatch.RT = r
+	s := &Server{rt: r, mux: http.NewServeMux(), dispatch: wire.Dispatcher{RT: r}}
 	s.handle("/admit", methods{http.MethodPost: s.handleAdmit})
 	s.handle("/done", methods{http.MethodPost: s.handleDone})
 	s.handle("/batch", methods{http.MethodPost: s.handleBatch})
@@ -88,12 +78,7 @@ func (s *Server) handle(path string, m methods) {
 	for method := range m {
 		allowed = append(allowed, method)
 	}
-	// Deterministic Allow header (map order is random).
-	for i := 1; i < len(allowed); i++ {
-		for j := i; j > 0 && allowed[j] < allowed[j-1]; j-- {
-			allowed[j], allowed[j-1] = allowed[j-1], allowed[j]
-		}
-	}
+	sort.Strings(allowed) // deterministic Allow header (map order is random)
 	allow := strings.Join(allowed, ", ")
 	s.mux.HandleFunc(path, func(w http.ResponseWriter, r *http.Request) {
 		h, ok := m[r.Method]
@@ -111,9 +96,15 @@ func (s *Server) handle(path string, m methods) {
 // field (fingerprinted, planned, and runtime-predicted before admission) and
 // /done with the same `sql` feeds the observed service time back into the
 // model. Call before serving traffic.
-func (s *Server) EnablePredict(g *rt.PredictGate) {
-	s.predict = g
-	s.dispatch.Predict = g
+func (s *Server) EnablePredict(g *rt.PredictGate) { s.dispatch.Predict = g }
+
+// EnableWire builds the TCP front end of the batched protocol over this
+// server's dispatcher — both fronts hand out interchangeable grants — and
+// exports its listener counters on /metrics as dbwlm_wire_*. The caller
+// runs Serve on it and closes it.
+func (s *Server) EnableWire() *wire.Server {
+	s.wire = wire.NewServer(&s.dispatch)
+	return s.wire
 }
 
 // EnablePprof mounts the net/http/pprof handlers under /debug/pprof/ on the
@@ -144,230 +135,119 @@ type AdmitResponse struct {
 	CacheHit         bool    `json:"cache_hit,omitempty"`
 }
 
+// dispatchOne runs a single-op request through the decision path.
+func (s *Server) dispatchOne(op wire.Op) wire.Result {
+	return s.dispatch.Dispatch([]wire.Op{op}, nil)[0]
+}
+
+// handleAdmit is the form codec for one admit op: class name -> id, `sql`
+// (prediction-based) or `cost`. DeadlineNS stays 0, so the op blocks while
+// queued and the client's HTTP request parks with it — the wait queue made
+// visible to the client.
 func (s *Server) handleAdmit(w http.ResponseWriter, r *http.Request) {
 	class, ok := s.rt.Class(r.FormValue("class"))
 	if !ok {
 		httpError(w, http.StatusBadRequest, "unknown class %q", r.FormValue("class"))
 		return
 	}
-	var (
-		g    rt.Grant
-		resp AdmitResponse
-	)
-	if sql := r.FormValue("sql"); sql != "" && s.predict != nil {
-		// Wire-speed path: the statement itself is the cost estimate.
-		grant, pred, err := s.predict.AdmitSQL(class, sql)
-		if err != nil {
-			httpError(w, http.StatusBadRequest, "sql: %v", err)
+	op := wire.Op{Code: wire.OpAdmit, Class: uint16(class)}
+	if sql := r.FormValue("sql"); sql != "" {
+		// The statement itself is the cost estimate.
+		op.Code, op.SQL = wire.OpAdmitSQL, []byte(sql)
+	} else {
+		var err error
+		if op.Cost, err = formFloat(r, "cost"); err != nil {
+			httpError(w, http.StatusBadRequest, "%v", err)
 			return
 		}
-		g = grant
-		resp.Cost = pred.Timerons
-		resp.Modeled = pred.Modeled
-		resp.CacheHit = pred.CacheHit
-		if pred.Modeled {
-			resp.PredictedSeconds = pred.Seconds
-			resp.PredictedBucket = pred.Bucket.String()
-		}
-	} else {
-		cost := 0.0
-		if v := r.FormValue("cost"); v != "" {
-			var err error
-			if cost, err = strconv.ParseFloat(v, 64); err != nil {
-				httpError(w, http.StatusBadRequest, "bad cost %q", v)
-				return
-			}
-		}
-		// Admit blocks while the request is queued; the client's HTTP request
-		// parks with it, which is the wait queue made visible to the client.
-		g = s.rt.Admit(class, cost)
 	}
-	resp.Verdict = g.Verdict().String()
-	resp.Token = g.Token()
-	status := http.StatusOK
-	if !g.Admitted() {
-		status = http.StatusTooManyRequests
+	res := s.dispatchOne(op)
+	switch res.Status {
+	case wire.StatusParseError:
+		httpError(w, http.StatusBadRequest, "sql: statement does not parse or plan")
+	case wire.StatusNoPredict:
+		httpError(w, http.StatusBadRequest, "sql admission needs the prediction gate (start wlmd with -predict)")
+	default:
+		s.writeAdmit(w, &res)
 	}
-	s.writeAdmit(w, status, &resp)
 }
 
-// writeAdmit renders an AdmitResponse through a pooled scratch buffer —
-// byte-identical in shape to what encoding/json produces for the struct
-// (same fields, same omitempty rules) without the per-request encoder state.
-// The hot verdict strings and tokens are plain ASCII, so appendJSONString's
-// fast path runs a single copy.
-func (s *Server) writeAdmit(w http.ResponseWriter, status int, resp *AdmitResponse) {
-	bp, _ := s.respPool.Get().(*[]byte)
-	if bp == nil {
-		b := make([]byte, 0, 256)
-		bp = &b
+// writeAdmit renders an admit op's verdict as the /admit reply: 200 with the
+// token /done takes back, or 429.
+func (s *Server) writeAdmit(w http.ResponseWriter, res *wire.Result) {
+	resp := AdmitResponse{Verdict: rt.Verdict(res.Status).String()}
+	status := http.StatusTooManyRequests
+	if res.Status == wire.StatusAdmitted {
+		status = http.StatusOK
+		g, _ := s.rt.GrantFromParts(rt.ClassID(res.Class), int32(res.Shard),
+			int32(res.GShard), res.Start, res.QID)
+		resp.Token = g.Token()
 	}
-	b := (*bp)[:0]
-	b = append(b, `{"verdict":`...)
-	b = appendJSONString(b, resp.Verdict)
-	if resp.Token != "" {
-		b = append(b, `,"token":`...)
-		b = appendJSONString(b, resp.Token)
-	}
-	if resp.Cost != 0 {
-		b = append(b, `,"cost":`...)
-		b = appendJSONFloat(b, resp.Cost)
-	}
-	if resp.PredictedSeconds != 0 {
-		b = append(b, `,"predicted_seconds":`...)
-		b = appendJSONFloat(b, resp.PredictedSeconds)
-	}
-	if resp.PredictedBucket != "" {
-		b = append(b, `,"predicted_bucket":`...)
-		b = appendJSONString(b, resp.PredictedBucket)
-	}
-	if resp.Modeled {
-		b = append(b, `,"modeled":true`...)
-	}
-	if resp.CacheHit {
-		b = append(b, `,"cache_hit":true`...)
-	}
-	b = append(b, '}', '\n')
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	w.Write(b)
-	*bp = b
-	s.respPool.Put(bp)
-}
-
-// appendJSONString appends s as a JSON string literal. The fast path — every
-// string this server emits on its hot endpoints — is ASCII with nothing to
-// escape; anything else falls back to the stdlib encoder's rules via
-// strconv.AppendQuote, which escapes quotes, backslashes, and controls.
-func appendJSONString(b []byte, s string) []byte {
-	for i := 0; i < len(s); i++ {
-		if c := s[i]; c < 0x20 || c == '"' || c == '\\' || c >= 0x80 {
-			return strconv.AppendQuote(b, s)
+	if res.Code == wire.OpAdmitSQL {
+		resp.Cost = res.Cost
+		resp.Modeled = res.Flags&wire.FlagModeled != 0
+		resp.CacheHit = res.Flags&wire.FlagCacheHit != 0
+		if resp.Modeled {
+			resp.PredictedSeconds = res.Predicted
+			resp.PredictedBucket = rt.BucketName(res.Predicted)
 		}
 	}
-	b = append(b, '"')
-	b = append(b, s...)
-	return append(b, '"')
+	writeJSON(w, status, resp)
 }
 
-// appendJSONFloat appends v using encoding/json's format selection: fixed
-// notation inside the range JSON numbers read naturally, exponent outside it
-// (with the stdlib's e-07 -> e-7 exponent cleanup, so output stays
-// byte-identical to json.Marshal).
-func appendJSONFloat(b []byte, v float64) []byte {
-	abs := math.Abs(v)
-	f := byte('f')
-	if abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		f = 'e'
-	}
-	b = strconv.AppendFloat(b, v, f, -1, 64)
-	if f == 'e' {
-		if n := len(b); n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
-			b[n-2] = b[n-1]
-			b = b[:n-1]
-		}
-	}
-	return b
-}
-
+// handleDone is the form codec for one done op: the token's five grant
+// parts, `ideal`, and — stateless feedback — the fingerprint of an echoed
+// `sql`, which names the interned plan whose features the observed service
+// time trains.
 func (s *Server) handleDone(w http.ResponseWriter, r *http.Request) {
 	g, err := s.rt.ParseToken(r.FormValue("token"))
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	ideal := 0.0
-	if v := r.FormValue("ideal"); v != "" {
-		if ideal, err = strconv.ParseFloat(v, 64); err != nil {
-			httpError(w, http.StatusBadRequest, "bad ideal %q", v)
-			return
-		}
+	class, shard, gshard, start, id, _ := g.Parts()
+	op := wire.Op{Code: wire.OpDone, Class: uint16(class), Shard: uint16(shard),
+		GShard: uint16(gshard), Start: start, QID: id}
+	if op.Ideal, err = formFloat(r, "ideal"); err != nil {
+		httpError(w, http.StatusBadRequest, "%v", err)
+		return
 	}
-	if sql := r.FormValue("sql"); sql != "" && s.predict != nil {
-		// Stateless feedback: the client echoes the statement and the server
-		// re-resolves its features through the plan cache (a guaranteed hit
-		// for anything recently admitted), then trains on the elapsed time.
-		elapsed := s.rt.ElapsedSeconds(g)
-		s.rt.Done(g, ideal)
-		s.predict.Observe(sql, elapsed)
-	} else {
-		s.rt.Done(g, ideal)
+	if sql := r.FormValue("sql"); sql != "" {
+		fp := sqlmini.FingerprintSQL(sql)
+		op.FPHi, op.FPLo = fp.Hi, fp.Lo
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	w.Write(releasedJSON)
-}
-
-// releasedJSON is the constant /done success body; the hot release path never
-// builds it per request.
-var releasedJSON = []byte("{\"status\":\"released\"}\n")
-
-// batchState is one /batch request's reusable scratch: request body, decoded
-// ops, dispatch results, and the encoded response payload.
-type batchState struct {
-	body []byte
-	req  wire.BatchReq
-	res  []wire.Result
-	out  []byte
+	if res := s.dispatchOne(op); res.Status != wire.StatusReleased {
+		httpError(w, http.StatusBadRequest, "token does not name a grant (%v)", res.Status)
+		return
+	}
+	writeJSON(w, http.StatusOK, map[string]string{"status": "released"})
 }
 
 // handleBatch serves the binary batched admission protocol over HTTP: the
 // request body is one wire request payload (no length prefix — HTTP frames
-// the body), the response body one wire response payload. It shares the
-// dispatcher with the TCP listener, so a batch admits, releases, and records
-// exactly as it would on the raw socket; HTTP supplies framing, routing, and
+// the body), the response body one wire response payload, through the same
+// ServeFrame as the TCP listener; HTTP supplies framing, routing, and
 // middleware at the cost of per-request header overhead.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	st, _ := s.batchPool.Get().(*batchState)
-	if st == nil {
-		st = &batchState{}
-	}
-	defer s.batchPool.Put(st)
 	if r.ContentLength > wire.MaxFrame {
 		httpError(w, http.StatusRequestEntityTooLarge,
 			"batch body %d exceeds %d", r.ContentLength, wire.MaxFrame)
 		return
 	}
-	var err error
-	st.body, err = readBody(st.body[:0], http.MaxBytesReader(w, r.Body, wire.MaxFrame))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, wire.MaxFrame))
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "read body: %v", err)
 		return
 	}
-	if err := wire.DecodeRequest(st.body, &st.req); err != nil {
+	var st wire.FrameState
+	out, err := s.dispatch.ServeFrame(body, &st)
+	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
-	}
-	st.res = s.dispatch.Dispatch(st.req.Ops, st.res)
-	out, err := wire.EncodeResponse(st.out, st.res[:len(st.req.Ops)])
-	if err != nil {
-		httpError(w, http.StatusInternalServerError, "%v", err)
-		return
-	}
-	if cap(out) > cap(st.out) {
-		st.out = out
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.WriteHeader(http.StatusOK)
 	w.Write(out)
-}
-
-// readBody reads r to EOF into buf, reusing its capacity (io.ReadAll always
-// allocates; the batch path must not once warm).
-func readBody(buf []byte, r io.Reader) ([]byte, error) {
-	for {
-		if len(buf) == cap(buf) {
-			buf = append(buf, 0)[:len(buf)]
-		}
-		n, err := r.Read(buf[len(buf):cap(buf)])
-		buf = buf[:len(buf)+n]
-		if err == io.EOF {
-			return buf, nil
-		}
-		if err != nil {
-			return buf, err
-		}
-	}
 }
 
 // StatsResponse is the /stats reply: the merged-shard monitoring view.
@@ -386,21 +266,18 @@ type StatsResponse struct {
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	buf, _ := s.statsBuf.Get().([]rt.ClassStats)
-	classes := s.rt.SnapshotInto(buf)
 	resp := StatsResponse{
 		InEngine:        s.rt.InEngine(),
 		LowPriorityGate: s.rt.LowPriorityGate(),
 		NumCPU:          runtime.NumCPU(),
 		GOMAXPROCS:      runtime.GOMAXPROCS(0),
-		Classes:         classes,
+		Classes:         s.rt.Snapshot(),
 	}
-	if s.predict != nil {
-		st := s.predict.Stats()
+	if g := s.dispatch.Predict; g != nil {
+		st := g.Stats()
 		resp.Predict = &st
 	}
 	writeJSON(w, http.StatusOK, resp)
-	s.statsBuf.Put(classes[:0])
 }
 
 // TraceEvent is one flight-recorder event rendered for the /trace reply.
@@ -547,8 +424,11 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	p := obsv.NewPromWriter(w)
 	s.rt.WritePrometheus(p)
-	if s.predict != nil {
-		s.predict.WritePrometheus(p)
+	if g := s.dispatch.Predict; g != nil {
+		g.WritePrometheus(p)
+	}
+	if s.wire != nil {
+		s.wire.WritePrometheus(p)
 	}
 	// A write error here means the scraper hung up; nothing to do.
 	_ = p.Err()
@@ -610,114 +490,4 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 
 func httpError(w http.ResponseWriter, status int, format string, args ...any) {
 	writeJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
-}
-
-// NewMAPELoop builds the live autonomic manager (Section 5.3) over the
-// runtime: the monitor snapshots the merged-shard view, the analyzer applies
-// the indicator thresholds (Zhang et al.) to diagnose overload — or
-// underload once the congestion gate is closed and the indicators have
-// cleared — the planner picks the gate action, and the executor flips the
-// low-priority gate. When the runtime carries an SLO engine, the analyzer
-// also consumes its multi-window burn rates: a class burning error budget in
-// both windows raises an slo-violation symptom whose recorder reason says
-// why (burn-rate, or budget-exhausted once the cumulative budget is spent),
-// and the planner sheds low-priority work for it. With a flight
-// recorder attached, every iteration's snapshot, symptoms, and actions land
-// in the trace: the MAPE loop thinking out loud. Drive it with RunOnce
-// (tests, selftest) or StartMAPELoop.
-func NewMAPELoop(r *rt.Runtime, rec *obsv.Recorder) *autonomic.Loop {
-	// Evaluation scratch reused across cycles (the loop runs RunOnce on one
-	// goroutine).
-	var sloReports []slo.Report
-	indicators := &admission.Indicators{Engine: r}
-	return &autonomic.Loop{
-		Flight: rec,
-		ClassID: func(name string) int32 {
-			if id, ok := r.Class(name); ok {
-				return int32(id)
-			}
-			return obsv.NoClass
-		},
-		Monitor: func() autonomic.Observation {
-			return autonomic.Observation{
-				At:     sim.Time(r.NowNanos() / 1000),
-				Engine: r.StatsNow(),
-			}
-		},
-		Analyze: func(obs autonomic.Observation) []autonomic.Symptom {
-			var out []autonomic.Symptom
-			if e := r.SLO(); e != nil {
-				sloReports = e.EvaluateInto(sloReports)
-				for i := range sloReports {
-					rp := &sloReports[i]
-					if !rp.Burning {
-						continue
-					}
-					reason := obsv.ReasonBurnRate
-					sev := rp.Windows[0].BurnRate / (2 * rp.BurnThreshold)
-					if rp.BudgetRemaining == 0 {
-						reason = obsv.ReasonBudgetExhausted
-						sev = 1
-					}
-					if sev > 1 {
-						sev = 1
-					}
-					out = append(out, autonomic.Symptom{
-						Kind: autonomic.SymptomSLOViolation, Class: rp.Class,
-						Severity: sev, Reason: reason,
-					})
-				}
-			}
-			excess := indicators.Excess(obs.Engine)
-			switch {
-			case excess > 0:
-				out = append(out, autonomic.Symptom{Kind: autonomic.SymptomOverload, Severity: min(1, excess)})
-			case len(out) == 0 && r.LowPriorityGate():
-				// The gate is holding work that neither the indicators nor
-				// the burn rates still justify.
-				out = append(out, autonomic.Symptom{Kind: autonomic.SymptomUnderload, Severity: 1})
-			}
-			return out
-		},
-		Plan: func(_ autonomic.Observation, symptoms []autonomic.Symptom) []autonomic.PlannedAction {
-			for _, sym := range symptoms {
-				switch sym.Kind {
-				case autonomic.SymptomOverload, autonomic.SymptomSLOViolation:
-					return []autonomic.PlannedAction{{Kind: autonomic.ActionThrottle, Amount: 1}}
-				case autonomic.SymptomUnderload:
-					return []autonomic.PlannedAction{{Kind: autonomic.ActionResume}}
-				}
-			}
-			return nil
-		},
-		Execute: func(actions []autonomic.PlannedAction) {
-			for _, a := range actions {
-				switch a.Kind {
-				case autonomic.ActionThrottle:
-					r.SetLowPriorityGate(true)
-				case autonomic.ActionResume:
-					r.SetLowPriorityGate(false)
-				}
-			}
-		},
-	}
-}
-
-// StartMAPELoop runs the loop's RunOnce on a wall-clock ticker. Returns a
-// stop function.
-func StartMAPELoop(loop *autonomic.Loop, interval time.Duration) (stop func()) {
-	done := make(chan struct{})
-	go func() {
-		t := time.NewTicker(interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-t.C:
-				loop.RunOnce()
-			case <-done:
-				return
-			}
-		}
-	}()
-	return func() { close(done) }
 }

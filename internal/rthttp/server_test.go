@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -16,6 +17,7 @@ import (
 	"dbwlm/internal/obsv"
 	"dbwlm/internal/policy"
 	"dbwlm/internal/rt"
+	"dbwlm/internal/wire"
 )
 
 func testSpecs() []rt.ClassSpec {
@@ -232,6 +234,57 @@ func TestMetricsGolden(t *testing.T) {
 	}
 }
 
+// TestMetricsWireGolden is TestMetricsGolden with the TCP listener attached:
+// two good frames on one connection and a zero-length frame on another, and
+// the page ends with the dbwlm_wire_* families. Regenerate with
+// UPDATE_GOLDEN=1.
+func TestMetricsWireGolden(t *testing.T) {
+	r, err := rt.New(testSpecs(), rt.Options{Now: func() int64 { return 0 }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewServer(r)
+	ws := s.EnableWire()
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go ws.Serve(l)
+	defer ws.Close()
+
+	send := dialWire(t, l.Addr().String())
+	g := send([]wire.Op{{Code: wire.OpAdmit, Class: 0, Cost: 100}})[0]
+	send([]wire.Op{{Code: wire.OpDone, Class: g.Class, Shard: g.Shard, GShard: g.GShard, Start: g.Start}})
+	bad, err := net.Dial("tcp", l.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer bad.Close()
+	bad.Write([]byte{0, 0, 0, 0})
+	// The listener counts the violation before it hangs up.
+	if _, err := bad.Read(make([]byte, 1)); err != io.EOF {
+		t.Fatalf("read after a zero-length frame: %v, want EOF", err)
+	}
+
+	rec := httptest.NewRecorder()
+	s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	body := rec.Body.Bytes()
+
+	golden := filepath.Join("testdata", "metrics_wire.golden")
+	if os.Getenv("UPDATE_GOLDEN") == "1" {
+		if err := os.WriteFile(golden, body, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("%v (run with UPDATE_GOLDEN=1 to regenerate)", err)
+	}
+	if !bytes.Equal(body, want) {
+		t.Fatalf("/metrics drifted from golden file:\n--- got ---\n%s--- want ---\n%s", body, want)
+	}
+}
+
 // TestTraceEndpointFilters exercises the /trace surface over a recorder fed
 // through real admissions: bad parameters are JSON 400s, filters narrow the
 // drain, and events carry renderable names.
@@ -294,73 +347,5 @@ func TestTraceEndpointFilters(t *testing.T) {
 	done := get("?kind=done")
 	if len(done.Events) != 1 || done.Events[0].Value != 0.001 || done.Events[0].QID != e.QID {
 		t.Fatalf("done event %+v (admit qid %d)", done.Events, e.QID)
-	}
-}
-
-// TestMAPELoopLive: the live autonomic loop closes the low-priority gate
-// under fed congestion and reopens it on recovery, recording symptoms and
-// actions in the flight recorder.
-func TestMAPELoopLive(t *testing.T) {
-	r, err := rt.New(testSpecs(), rt.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec := obsv.NewRecorder(1024)
-	r.SetRecorder(rec)
-	loop := NewMAPELoop(r, rec)
-
-	r.SetLoad(1.5, 0, 0.9)
-	loop.RunOnce()
-	if !r.LowPriorityGate() {
-		t.Fatal("gate open after overload cycle")
-	}
-	r.SetLoad(0.2, 0, 0.1)
-	loop.RunOnce()
-	if r.LowPriorityGate() {
-		t.Fatal("gate closed after recovery cycle")
-	}
-	loop.RunOnce() // healthy and open: no symptom, no action
-	if got := loop.Cycles(); got != 3 {
-		t.Fatalf("cycles %d", got)
-	}
-	if got := loop.Symptoms(); got != 2 {
-		t.Fatalf("symptoms %d", got)
-	}
-	f := obsv.MatchAll
-	f.Kind = obsv.KindMAPEAction
-	actions := rec.Tail(0, f)
-	if len(actions) != 2 ||
-		actions[0].Reason != obsv.ReasonThrottle || actions[1].Reason != obsv.ReasonResume {
-		t.Fatalf("recorded actions %+v", actions)
-	}
-	f.Kind = obsv.KindMAPEMonitor
-	if got := len(rec.Tail(0, f)); got != 3 {
-		t.Fatalf("monitor snapshots %d", got)
-	}
-}
-
-// TestStartMAPELoopTicker: the wall-clock ticker variant reacts to fed load
-// without manual stepping.
-func TestStartMAPELoopTicker(t *testing.T) {
-	r, err := rt.New(testSpecs(), rt.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.SetLoad(2.0, 0, 0.9)
-	stop := StartMAPELoop(NewMAPELoop(r, nil), time.Millisecond)
-	defer stop()
-	deadline := time.Now().Add(2 * time.Second)
-	for !r.LowPriorityGate() {
-		if time.Now().After(deadline) {
-			t.Fatal("MAPE loop never closed the gate under memory pressure")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	r.SetLoad(0.1, 0, 0.1)
-	for r.LowPriorityGate() {
-		if time.Now().After(deadline) {
-			t.Fatal("MAPE loop never reopened the gate")
-		}
-		time.Sleep(time.Millisecond)
 	}
 }

@@ -81,7 +81,10 @@ func (m InteractionModel) OrderScore(order []BatchQuery) float64 {
 
 // PlanBatch orders a batch to maximize total adjacency interaction:
 // greedy nearest-neighbour seed, then pairwise-swap local search to a local
-// optimum. Deterministic for a given input order.
+// optimum. The greedy seed can strand the search in an optimum below the
+// order the batch arrived in; when it does, the same search runs from the
+// input order, so the result never scores lower than the input.
+// Deterministic for a given input order.
 func PlanBatch(queries []BatchQuery, model InteractionModel) []BatchQuery {
 	n := len(queries)
 	if n <= 2 {
@@ -113,16 +116,28 @@ func PlanBatch(queries []BatchQuery, model InteractionModel) []BatchQuery {
 		remaining = append(remaining[:best], remaining[best+1:]...)
 	}
 
-	// Local search: pairwise swaps until no improvement.
-	improved := true
-	for improved {
+	score := swapSearch(order, model)
+	if score < model.OrderScore(queries) {
+		input := append([]BatchQuery(nil), queries...)
+		if swapSearch(input, model) > score {
+			return input
+		}
+	}
+	return order
+}
+
+// swapSearch improves order in place by pairwise swaps until none raises
+// the order score, and returns the score reached.
+func swapSearch(order []BatchQuery, model InteractionModel) float64 {
+	n := len(order)
+	cur := model.OrderScore(order)
+	for improved := true; improved; {
 		improved = false
-		cur := model.OrderScore(order)
 		for i := 0; i < n-1; i++ {
 			for j := i + 1; j < n; j++ {
 				order[i], order[j] = order[j], order[i]
-				if model.OrderScore(order) > cur+1e-12 {
-					cur = model.OrderScore(order)
+				if s := model.OrderScore(order); s > cur+1e-12 {
+					cur = s
 					improved = true
 				} else {
 					order[i], order[j] = order[j], order[i]
@@ -130,7 +145,7 @@ func PlanBatch(queries []BatchQuery, model InteractionModel) []BatchQuery {
 			}
 		}
 	}
-	return order
+	return cur
 }
 
 // BatchToItems converts an ordered batch into scheduler items preserving the

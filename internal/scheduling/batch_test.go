@@ -88,6 +88,11 @@ func TestPlanBatchNeverWorseThanInputOrder(t *testing.T) {
 		}
 		return m.OrderScore(planned) >= m.OrderScore(batch)-1e-9
 	}
+	// The greedy seed's local optimum scores 1.26 on this batch against 1.44
+	// for the input order.
+	if !f([7]uint8{0xc5, 0x70, 0xae, 0xa5, 0x95, 0x74, 0xc0}, [7]uint8{0x78, 0xe4, 0xce, 0x85, 0x83, 0xdf, 0x6f}) {
+		t.Fatal("planned order scores below the input order on the pinned counterexample")
+	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Fatal(err)
 	}

@@ -169,34 +169,15 @@ func (c *PlanCache) Lookup(fp Fingerprint) *CachedPlan {
 	return e
 }
 
-// Plan resolves one SQL statement through the cache: fingerprint, lock-free
-// lookup, and on miss parse+plan+insert. The returned CachedPlan is shared —
-// read-only to callers.
-//
-//dbwlm:hotpath
-func (c *PlanCache) Plan(sql string) (*CachedPlan, error) {
-	e, _, err := c.PlanInfo(sql)
-	return e, err
-}
-
-// PlanInfo is Plan plus whether the statement hit the cache.
-//
-//dbwlm:hotpath
-func (c *PlanCache) PlanInfo(sql string) (entry *CachedPlan, hit bool, err error) {
-	fp := FingerprintSQL(sql)
-	if e := c.Lookup(fp); e != nil {
-		return e, true, nil
-	}
-	//dbwlm:nolint hotpath, hotclosure -- a cache miss pays parse+plan+insert by definition; the steady state is the hit path above
-	return c.planMiss(fp, sql)
-}
-
-// PlanInfoBytes is PlanInfo for SQL held in a transient byte buffer — the
-// batched wire transport's decode scratch, which is overwritten by the next
-// frame. The bytes are read only during fingerprinting (via an unsafe no-copy
-// string view that is never retained); a cache miss copies them into a stable
-// string before parsing, so no cached structure ever aliases the caller's
-// buffer. The hit path — the steady state — is allocation-free.
+// PlanInfoBytes resolves one SQL statement through the cache — fingerprint,
+// lock-free lookup, and on a miss parse+plan+insert — and reports whether it
+// hit. The returned CachedPlan is shared: read-only to callers. The text
+// typically sits in a transient byte buffer (a transport's decode scratch,
+// overwritten by the next frame): the bytes are read only during
+// fingerprinting (via an unsafe no-copy string view that is never retained);
+// a cache miss copies them into a stable string before parsing, so no cached
+// structure ever aliases the caller's buffer. The hit path — the steady
+// state — is allocation-free.
 //
 //dbwlm:hotpath
 func (c *PlanCache) PlanInfoBytes(sql []byte) (entry *CachedPlan, hit bool, err error) {
@@ -208,7 +189,7 @@ func (c *PlanCache) PlanInfoBytes(sql []byte) (entry *CachedPlan, hit bool, err 
 	return c.planMiss(fp, string(sql))
 }
 
-// planMiss is the cold half of PlanInfo: parse, plan, and insert, all outside
+// planMiss is the cold half of PlanInfoBytes: parse, plan, and insert, all outside
 // the shard lock. Concurrent misses on the same shape may plan twice; last
 // store wins and both results are identical.
 func (c *PlanCache) planMiss(fp Fingerprint, sql string) (entry *CachedPlan, hit bool, err error) {

@@ -6,6 +6,17 @@ import (
 	"testing"
 )
 
+// Plan and PlanInfo are the string-typed forms these tests are written
+// against, over PlanInfoBytes.
+func (c *PlanCache) Plan(sql string) (*CachedPlan, error) {
+	e, _, err := c.PlanInfo(sql)
+	return e, err
+}
+
+func (c *PlanCache) PlanInfo(sql string) (entry *CachedPlan, hit bool, err error) {
+	return c.PlanInfoBytes([]byte(sql))
+}
+
 // corpus is a spread of statement shapes across the dialect.
 var cacheCorpus = []string{
 	"SELECT id, name FROM customers WHERE id = 42",
@@ -143,13 +154,13 @@ func TestPlanCacheLRUEviction(t *testing.T) {
 
 func TestPlanCacheHitZeroAlloc(t *testing.T) {
 	cache := NewPlanCache(NewCostModel(DefaultCatalog()), 64, 4)
-	sql := cacheCorpus[3]
-	if _, err := cache.Plan(sql); err != nil {
+	sql := []byte(cacheCorpus[3])
+	if _, _, err := cache.PlanInfoBytes(sql); err != nil {
 		t.Fatal(err)
 	}
 	if avg := testing.AllocsPerRun(1000, func() {
-		e, err := cache.Plan(sql)
-		if err != nil || e == nil {
+		e, hit, err := cache.PlanInfoBytes(sql)
+		if err != nil || e == nil || !hit {
 			t.Fatal("unexpected miss")
 		}
 	}); avg != 0 {

@@ -5,12 +5,12 @@ import (
 	"dbwlm/internal/sqlmini"
 )
 
-// Dispatcher executes decoded batches against the live runtime. It is the
-// transport-independent middle of the wire path: the TCP listener and the
-// HTTP /batch endpoint both decode into a BatchReq, call Dispatch, and encode
-// the results — so one op stream produces identical verdicts, grant
-// accounting, and flight-recorder events whichever transport carried it (the
-// replay-equivalence tests pin this against the single-op HTTP path too).
+// Dispatcher is the daemon's one decision path: every transport is a codec
+// that turns a request into Ops, calls Dispatch, and renders the Results. The
+// TCP listener and HTTP /batch carry whole frames through ServeFrame; HTTP
+// /admit and /done build one Op from their form fields. One op stream so
+// produces identical verdicts, grant accounting, and flight-recorder events
+// whichever transport carried it (rthttp's replay-equivalence test pins it).
 //
 // A Dispatcher is stateless and safe for concurrent use; per-connection
 // scratch lives with the connection, not here.
@@ -39,6 +39,32 @@ func (d *Dispatcher) Dispatch(ops []Op, res []Result) []Result {
 		d.dispatchOne(&ops[i], &res[i])
 	}
 	return res
+}
+
+// FrameState is ServeFrame's reusable scratch: the decoded batch, the result
+// slice, and the response payload buffer persist across frames, so a
+// persistent connection serves its steady state without allocating. (HTTP
+// /batch, whose per-request cost dwarfs the scratch, uses a fresh one.)
+type FrameState struct {
+	req BatchReq
+	res []Result
+	out []byte
+}
+
+// ServeFrame is everything between two transports' framing: decode one
+// request payload, dispatch its ops, encode the response payload. The
+// returned slice aliases st and is valid until st is next used. An error
+// means the payload was malformed and rejected whole, before any op ran.
+//
+//dbwlm:hotpath
+func (d *Dispatcher) ServeFrame(payload []byte, st *FrameState) ([]byte, error) {
+	if err := DecodeRequest(payload, &st.req); err != nil {
+		return nil, err
+	}
+	st.res = d.Dispatch(st.req.Ops, st.res)
+	var err error
+	st.out, err = EncodeResponse(st.out, st.res)
+	return st.out, err
 }
 
 // dispatchOne executes one op into one result.
@@ -73,7 +99,7 @@ func (d *Dispatcher) dispatchOne(op *Op, r *Result) {
 		if d.Predict != nil && (op.FPHi != 0 || op.FPLo != 0) {
 			elapsed := d.RT.ElapsedSeconds(g)
 			d.RT.Done(g, op.Ideal)
-			//dbwlm:nolint hotpath -- training ingest: the predictor's observation buffer grows by design, like the HTTP done-with-sql path
+			//dbwlm:nolint hotpath -- training ingest: the predictor's observation buffer grows by design
 			d.Predict.ObserveFP(sqlmini.Fingerprint{Hi: op.FPHi, Lo: op.FPLo}, elapsed)
 		} else {
 			d.RT.Done(g, op.Ideal)

@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 
 	"dbwlm/internal/le"
+	"dbwlm/internal/obsv"
 )
 
 // FrameConn frames payloads over a byte stream: every frame is a little-endian
@@ -118,6 +119,18 @@ func (s *Server) Stats() ServerStats {
 	}
 }
 
+// WritePrometheus renders the listener counters as the dbwlm_wire_* families
+// of the daemon's /metrics page.
+func (s *Server) WritePrometheus(p *obsv.PromWriter) {
+	st := s.Stats()
+	p.Counter("dbwlm_wire_connections_accepted_total", "Wire-protocol connections accepted.")
+	p.Val(float64(st.Accepted))
+	p.Counter("dbwlm_wire_frames_total", "Wire-protocol request frames dispatched.")
+	p.Val(float64(st.Frames))
+	p.Counter("dbwlm_wire_protocol_errors_total", "Wire-protocol connections dropped for protocol violations.")
+	p.Val(float64(st.ProtoErrors))
+}
+
 // Serve accepts connections on l until Close. It retains l and closes it on
 // shutdown. Blocks; run it in a goroutine.
 func (s *Server) Serve(l net.Listener) error {
@@ -179,22 +192,12 @@ func (s *Server) untrack(c net.Conn) {
 	s.mu.Unlock()
 }
 
-// connState is one connection's reusable scratch: the decoded batch, the
-// result slice, and the response payload buffer persist across frames
-// (FrameConn holds the read side), so a persistent connection's steady state
-// serves frames without allocating.
-type connState struct {
-	req BatchReq
-	res []Result
-	out []byte
-}
-
 // serveConn runs one connection's frame loop until hangup or protocol error.
 func (s *Server) serveConn(c net.Conn) {
 	defer s.untrack(c)
 	defer c.Close()
 	fc := NewFrameConn(c)
-	var st connState
+	var st FrameState
 	for {
 		payload, err := fc.ReadFrame()
 		if err != nil {
@@ -203,7 +206,7 @@ func (s *Server) serveConn(c net.Conn) {
 			}
 			return
 		}
-		resp, err := s.handleFrame(payload, &st)
+		resp, err := s.dispatcher.ServeFrame(payload, &st)
 		if err != nil {
 			s.protoErr.Add(1)
 			return
@@ -213,23 +216,4 @@ func (s *Server) serveConn(c net.Conn) {
 			return
 		}
 	}
-}
-
-// handleFrame decodes, dispatches, and encodes one request payload, returning
-// the response payload (aliases st.out).
-//
-//dbwlm:hotpath
-func (s *Server) handleFrame(payload []byte, st *connState) ([]byte, error) {
-	if err := DecodeRequest(payload, &st.req); err != nil {
-		return nil, err
-	}
-	st.res = s.dispatcher.Dispatch(st.req.Ops, st.res)
-	out, err := EncodeResponse(st.out, st.res[:len(st.req.Ops)])
-	if err != nil {
-		return nil, err
-	}
-	if cap(out) > cap(st.out) {
-		st.out = out
-	}
-	return out, nil
 }

@@ -292,9 +292,6 @@ func (m *Manager) Resubmit(rr *Running) bool {
 	return true
 }
 
-// Running returns the manager handle for an engine query ID, or nil.
-func (m *Manager) RunningByQuery(id int64) *Running { return m.running[id] }
-
 // RunningAll returns all in-flight handles in ascending engine query ID
 // order. The order matters: controllers (execution control, MAPE planning)
 // iterate this list and act on queries in sequence, so a map-order walk
@@ -320,12 +317,6 @@ func (m *Manager) QueriesOfClass(class string) []int64 {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
-}
-
-// SLOOf reports the SLO recorded for a workload name.
-func (m *Manager) SLOOf(name string) (policy.SLO, bool) {
-	s, ok := m.slos[name]
-	return s, ok
 }
 
 // Attainment evaluates a workload's SLO against its observed statistics.
