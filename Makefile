@@ -16,7 +16,8 @@ race:
 		./internal/admission/... ./internal/sqlmini/... ./internal/obsv/... \
 		./internal/rthttp/... ./internal/metrics/... ./internal/wire/... \
 		./cmd/wlmload/... ./internal/trace/... ./internal/learn/... \
-		./internal/slo/...
+		./internal/slo/... ./internal/engine/... ./internal/scheduling/... \
+		./internal/workload/... ./internal/sim/... ./internal/fifo/... .
 
 # lint is the static-analysis gate: gofmt, go vet, and wlmlint — the suite
 # that machine-checks hotpath allocation-freedom and non-blocking closure

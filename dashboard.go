@@ -69,9 +69,9 @@ func (m *Manager) Dashboard() string {
 		100*st.CPUUtilization, 100*st.IOUtilization, 100*st.MemPressure, st.ConflictRatio)
 	if m.Scheduler != nil {
 		fmt.Fprintf(&b, "delay queue: %d waiting, %d dispatched; admission queue: %d\n",
-			m.Scheduler.Waiting(), m.Scheduler.Dispatched(), len(m.admissionQueue))
+			m.Scheduler.Waiting(), m.Scheduler.Dispatched(), m.admissionQueue.Len())
 	} else {
-		fmt.Fprintf(&b, "admission queue: %d\n", len(m.admissionQueue))
+		fmt.Fprintf(&b, "admission queue: %d\n", m.admissionQueue.Len())
 	}
 	fmt.Fprintf(&b, "%-14s %7s %6s %8s %9s %10s %6s %7s %7s\n",
 		"workload", "active", "susp", "arr/s", "done", "meanRT", "SLG", "killed", "resub")

@@ -138,6 +138,9 @@ type Engine struct {
 	// because outstanding *Query handles stay readable until Reset.
 	freeQ   []*Query
 	retired []*Query
+	// freeFire recycles the records that carry onFinish callbacks to their
+	// zero-delay events, so a completion allocates no closure.
+	freeFire []*finishFire
 
 	// OnQuantum, when non-nil, is invoked at the end of every quantum with
 	// the engine; controllers that need per-quantum observation (PI
@@ -243,6 +246,9 @@ func (e *Engine) Submit(spec QuerySpec, weight float64, onFinish func(*Query, Ou
 		q = &Query{}
 	}
 	held := q.held[:0]
+	if held == nil {
+		held = q.heldBuf[:0]
+	}
 	*q = Query{
 		ID:         e.nextID,
 		Spec:       spec,
@@ -446,12 +452,38 @@ func (e *Engine) finish(q *Query, st State, oc Outcome) {
 		e.deadlocks++
 	}
 	if q.onFinish != nil {
-		cb := q.onFinish
 		// Fire the callback after the current quantum's bookkeeping, so
 		// callbacks observe a consistent engine. Detached: the event is
 		// pooled by the simulator once it fires.
-		e.sim.ScheduleDetached(0, func() { cb(q, oc) })
+		var f *finishFire
+		if n := len(e.freeFire); n > 0 {
+			f = e.freeFire[n-1]
+			e.freeFire = e.freeFire[:n-1]
+		} else {
+			f = &finishFire{e: e}
+			f.fn = f.fire
+		}
+		f.cb, f.q, f.oc = q.onFinish, q, oc
+		e.sim.ScheduleDetached(0, f.fn)
 	}
+}
+
+// finishFire is one pending onFinish callback. fn is the fire method value,
+// bound once when the record is first made; the record goes back on the
+// engine's free list as it fires.
+type finishFire struct {
+	e  *Engine
+	cb func(*Query, Outcome)
+	q  *Query
+	oc Outcome
+	fn func()
+}
+
+func (f *finishFire) fire() {
+	cb, q, oc := f.cb, f.q, f.oc
+	f.cb, f.q = nil, nil
+	f.e.freeFire = append(f.e.freeFire, f)
+	cb(q, oc)
 }
 
 func (e *Engine) wake(q *Query) {

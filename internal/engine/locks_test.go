@@ -68,7 +68,7 @@ func TestLockTableReentrant(t *testing.T) {
 	if !lt.tryAcquire(a, 2, true) {
 		t.Fatal("upgrade by sole holder failed")
 	}
-	if !lt.exclusive[2] {
+	if !lt.keys[2].exclusive {
 		t.Fatal("upgrade did not set exclusive")
 	}
 }
@@ -161,12 +161,12 @@ func TestLockTableSafetyProperty(t *testing.T) {
 			lt.tryAcquire(q, int(o.Key%4), o.Exclusive)
 		}
 		// Invariant check.
-		for key, holders := range lt.holders {
-			if lt.exclusive[key] && len(holders) > 1 {
+		for _, e := range lt.keys {
+			if e.exclusive && len(e.holders) > 1 {
 				return false
 			}
-			if len(holders) == 0 {
-				return false // empty holder sets must be deleted
+			if len(e.holders) == 0 {
+				return false // a key nobody holds must have no entry
 			}
 		}
 		return true

@@ -198,12 +198,7 @@ func TestNoLostLocksAfterChaos(t *testing.T) {
 		t.Fatalf("%d queries stuck in engine", e.InEngine())
 	}
 	// All locks must be released.
-	for key, holders := range e.locks.holders {
-		if len(holders) > 0 {
-			t.Fatalf("key %d still held by %v after all queries left", key, holders)
-		}
-	}
-	if len(e.locks.waiters) != 0 {
-		t.Fatalf("waiter queues not empty: %v", e.locks.waiters)
+	for key, le := range e.locks.keys {
+		t.Fatalf("key %d still held by %v, awaited by %d, after all queries left", key, le.holders, len(le.waiters))
 	}
 }

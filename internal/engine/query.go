@@ -149,6 +149,9 @@ type Query struct {
 	nextLock   int   // index of the next LockReq to acquire
 	held       []int // keys currently held
 	waitingKey int   // key waited on when blocked (-1 otherwise)
+	// heldBuf is held's first backing array: a transaction's one or two lock
+	// keys fit, so holding them allocates nothing beyond the Query itself.
+	heldBuf [2]int
 
 	onFinish func(*Query, Outcome)
 	// pendingResume is non-nil while a suspension dump is in flight.

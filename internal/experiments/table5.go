@@ -522,19 +522,7 @@ func (g *funcGen) Name() string { return g.name }
 
 func (g *funcGen) Start(s *sim.Simulator, horizon sim.Time, submit workload.SubmitFunc) {
 	rng := s.RNG().Fork(uint64(len(g.name)) * 131)
-	var next func()
-	next = func() {
-		gap := sim.DurationFromSeconds(rng.ExpFloat64(g.rate))
-		at := s.Now().Add(gap)
-		if at > horizon {
-			return
-		}
-		s.At(at, func() {
-			submit(g.start(s.Now()))
-			next()
-		})
-	}
-	next()
+	workload.PoissonArrivals(s, rng, g.rate, horizon, func() { submit(g.start(s.Now())) })
 }
 
 // RunTable5 runs every research-technique experiment. All rows across the

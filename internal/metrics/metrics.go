@@ -11,6 +11,7 @@ import (
 	"math"
 	"sort"
 
+	"dbwlm/internal/fifo"
 	"dbwlm/internal/sim"
 )
 
@@ -202,7 +203,10 @@ func (s Snapshot) String() string {
 // RateWindow measures event throughput over a sliding window of virtual time.
 type RateWindow struct {
 	window sim.Duration
-	times  []sim.Time // ring of event timestamps, oldest first
+	// times holds the timestamps inside the window, oldest first. A
+	// fifo.Queue, so an expiring timestamp does not move the rest of the
+	// window down on every event.
+	times fifo.Queue[sim.Time]
 }
 
 // NewRateWindow returns a throughput window of the given span.
@@ -215,29 +219,27 @@ func NewRateWindow(window sim.Duration) *RateWindow {
 
 // Observe records one event at time t.
 func (w *RateWindow) Observe(t sim.Time) {
-	w.times = append(w.times, t)
+	w.times.Push(t)
 	w.trim(t)
 }
 
 // trim drops events older than the window.
 func (w *RateWindow) trim(now sim.Time) {
 	cutoff := now.Add(-w.window)
-	i := sort.Search(len(w.times), func(i int) bool { return w.times[i] > cutoff })
-	if i > 0 {
-		w.times = append(w.times[:0], w.times[i:]...)
-	}
+	times := w.times.Items()
+	w.times.Drop(sort.Search(len(times), func(i int) bool { return times[i] > cutoff }))
 }
 
 // Rate reports events per second over the window ending at now.
 func (w *RateWindow) Rate(now sim.Time) float64 {
 	w.trim(now)
-	return float64(len(w.times)) / w.window.Seconds()
+	return float64(w.times.Len()) / w.window.Seconds()
 }
 
 // Count reports the number of events currently inside the window ending at now.
 func (w *RateWindow) Count(now sim.Time) int {
 	w.trim(now)
-	return len(w.times)
+	return w.times.Len()
 }
 
 // EWMA is an exponentially weighted moving average over irregular samples.

@@ -9,8 +9,7 @@
 package scheduling
 
 import (
-	"container/heap"
-
+	"dbwlm/internal/fifo"
 	"dbwlm/internal/sim"
 	"dbwlm/internal/workload"
 )
@@ -43,7 +42,7 @@ type Queue interface {
 // at the tail), so items the scheduler pops, skips over, and re-pushes keep
 // their original position.
 type FCFS struct {
-	items []*Item
+	q fifo.Queue[*Item]
 }
 
 // NewFCFS returns an empty FCFS queue.
@@ -56,10 +55,11 @@ func (q *FCFS) Name() string { return "fcfs" }
 func (q *FCFS) Push(it *Item) {
 	// Binary insert by (Enqueued, request ID): stable FIFO even when the
 	// scheduler re-pushes skipped items.
-	lo, hi := 0, len(q.items)
+	items := q.q.Items()
+	lo, hi := 0, len(items)
 	for lo < hi {
 		mid := (lo + hi) / 2
-		m := q.items[mid]
+		m := items[mid]
 		if m.Enqueued < it.Enqueued ||
 			(m.Enqueued == it.Enqueued && m.Req.ID <= it.Req.ID) {
 			lo = mid + 1
@@ -67,143 +67,151 @@ func (q *FCFS) Push(it *Item) {
 			hi = mid
 		}
 	}
-	q.items = append(q.items, nil)
-	copy(q.items[lo+1:], q.items[lo:])
-	q.items[lo] = it
+	q.q.Insert(lo, it)
 }
 
 // Pop implements Queue.
 func (q *FCFS) Pop(_ sim.Time) *Item {
-	if len(q.items) == 0 {
-		return nil
+	it := q.Peek(0)
+	if it != nil {
+		q.q.Drop(1)
 	}
-	it := q.items[0]
-	q.items = q.items[1:]
 	return it
 }
 
 // Peek implements Queue.
 func (q *FCFS) Peek(_ sim.Time) *Item {
-	if len(q.items) == 0 {
+	if q.q.Len() == 0 {
 		return nil
 	}
-	return q.items[0]
+	return q.q.Items()[0]
 }
 
 // Len implements Queue.
-func (q *FCFS) Len() int { return len(q.items) }
+func (q *FCFS) Len() int { return q.q.Len() }
 
-// ---------- Priority queue ----------
+// ---------- Heap-ordered queues ----------
 
-type priHeap []*Item
-
-func (h priHeap) Len() int { return len(h) }
-func (h priHeap) Less(i, j int) bool {
-	if h[i].Req.Priority != h[j].Req.Priority {
-		return h[i].Req.Priority > h[j].Req.Priority // higher priority first
-	}
-	return h[i].Enqueued < h[j].Enqueued // FCFS within a priority
+// itemHeap is a binary min-heap of items under before. It sifts exactly as
+// container/heap does — the same comparisons, so the same layout after every
+// push and pop — because before need not be a total order: items that tie
+// (one priority, one enqueue instant) must keep popping in the order they
+// always have. It moves the sifted item once instead of swapping it down, and
+// calls before directly instead of through heap.Interface.
+type itemHeap struct {
+	items  []*Item
+	before func(a, b *Item) bool
 }
-func (h priHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *priHeap) Push(x any)   { *h = append(*h, x.(*Item)) }
-func (h *priHeap) Pop() any {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return it
+
+func (h *itemHeap) push(it *Item) {
+	h.items = append(h.items, it)
+	i := len(h.items) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !h.before(it, h.items[parent]) {
+			break
+		}
+		h.items[i] = h.items[parent]
+		i = parent
+	}
+	h.items[i] = it
+}
+
+// pop removes and returns the first item, or nil when the heap is empty.
+func (h *itemHeap) pop() *Item {
+	if len(h.items) == 0 {
+		return nil
+	}
+	n := len(h.items) - 1
+	top, last := h.items[0], h.items[n]
+	h.items[n] = nil
+	h.items = h.items[:n]
+	if n == 0 {
+		return top
+	}
+	i := 0
+	for {
+		child := 2*i + 1
+		if child >= n {
+			break
+		}
+		if r := child + 1; r < n && h.before(h.items[r], h.items[child]) {
+			child = r
+		}
+		if !h.before(h.items[child], last) {
+			break
+		}
+		h.items[i] = h.items[child]
+		i = child
+	}
+	h.items[i] = last
+	return top
+}
+
+func (h *itemHeap) peek() *Item {
+	if len(h.items) == 0 {
+		return nil
+	}
+	return h.items[0]
 }
 
 // Priority releases the highest business priority first, FCFS within a
 // level — the classic multi-level wait queue of Section 3.3.
-type Priority struct {
-	h priHeap
-}
+type Priority struct{ h itemHeap }
 
 // NewPriority returns an empty priority queue.
-func NewPriority() *Priority { return &Priority{} }
+func NewPriority() *Priority {
+	return &Priority{h: itemHeap{before: func(a, b *Item) bool {
+		if a.Req.Priority != b.Req.Priority {
+			return a.Req.Priority > b.Req.Priority // higher priority first
+		}
+		return a.Enqueued < b.Enqueued // FCFS within a priority
+	}}}
+}
 
 // Name implements Queue.
 func (q *Priority) Name() string { return "priority" }
 
 // Push implements Queue.
-func (q *Priority) Push(it *Item) { heap.Push(&q.h, it) }
+func (q *Priority) Push(it *Item) { q.h.push(it) }
 
 // Pop implements Queue.
-func (q *Priority) Pop(_ sim.Time) *Item {
-	if len(q.h) == 0 {
-		return nil
-	}
-	return heap.Pop(&q.h).(*Item)
-}
+func (q *Priority) Pop(_ sim.Time) *Item { return q.h.pop() }
 
 // Peek implements Queue.
-func (q *Priority) Peek(_ sim.Time) *Item {
-	if len(q.h) == 0 {
-		return nil
-	}
-	return q.h[0]
-}
+func (q *Priority) Peek(_ sim.Time) *Item { return q.h.peek() }
 
 // Len implements Queue.
-func (q *Priority) Len() int { return len(q.h) }
-
-// ---------- Shortest job first ----------
-
-type sjfHeap []*Item
-
-func (h sjfHeap) Len() int { return len(h) }
-func (h sjfHeap) Less(i, j int) bool {
-	if h[i].Req.Est.Timerons != h[j].Req.Est.Timerons {
-		return h[i].Req.Est.Timerons < h[j].Req.Est.Timerons
-	}
-	return h[i].Enqueued < h[j].Enqueued
-}
-func (h sjfHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *sjfHeap) Push(x any)   { *h = append(*h, x.(*Item)) }
-func (h *sjfHeap) Pop() any {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return it
-}
+func (q *Priority) Len() int { return len(q.h.items) }
 
 // SJF releases the cheapest estimated query first — minimizing mean waiting
 // time for batches, at the price of starving large queries.
-type SJF struct {
-	h sjfHeap
-}
+type SJF struct{ h itemHeap }
 
 // NewSJF returns an empty shortest-job-first queue.
-func NewSJF() *SJF { return &SJF{} }
+func NewSJF() *SJF {
+	return &SJF{h: itemHeap{before: func(a, b *Item) bool {
+		if a.Req.Est.Timerons != b.Req.Est.Timerons {
+			return a.Req.Est.Timerons < b.Req.Est.Timerons
+		}
+		return a.Enqueued < b.Enqueued
+	}}}
+}
 
 // Name implements Queue.
 func (q *SJF) Name() string { return "sjf" }
 
 // Push implements Queue.
-func (q *SJF) Push(it *Item) { heap.Push(&q.h, it) }
+func (q *SJF) Push(it *Item) { q.h.push(it) }
 
 // Pop implements Queue.
-func (q *SJF) Pop(_ sim.Time) *Item {
-	if len(q.h) == 0 {
-		return nil
-	}
-	return heap.Pop(&q.h).(*Item)
-}
+func (q *SJF) Pop(_ sim.Time) *Item { return q.h.pop() }
 
 // Peek implements Queue.
-func (q *SJF) Peek(_ sim.Time) *Item {
-	if len(q.h) == 0 {
-		return nil
-	}
-	return q.h[0]
-}
+func (q *SJF) Peek(_ sim.Time) *Item { return q.h.peek() }
 
 // Len implements Queue.
-func (q *SJF) Len() int { return len(q.h) }
+func (q *SJF) Len() int { return len(q.h.items) }
 
 // ---------- Rank function (Gupta et al.) ----------
 

@@ -18,6 +18,9 @@ type Scheduler struct {
 	MaxSkip int
 
 	dispatched int64
+	// skipped is popDispatchable's scratch: the items it popped, found
+	// non-dispatchable and must push back.
+	skipped []*Item
 }
 
 // NewScheduler builds a scheduler over the queue and dispatcher.
@@ -56,24 +59,36 @@ func (s *Scheduler) TryDispatch(now sim.Time) {
 	}
 }
 
+// popDispatchable pops the first item the dispatcher accepts, looking at
+// most MaxSkip items past the head; the items it passed over go back on the
+// queue in the order they were popped. It adds no allocation of its own to
+// what the queue and the dispatcher — the scheduler's policy plug-ins — cost.
+//
+//dbwlm:hotpath
 func (s *Scheduler) popDispatchable(now sim.Time) *Item {
-	var skipped []*Item
-	defer func() {
-		for _, it := range skipped {
-			s.queue.Push(it)
-		}
-	}()
+	var found *Item
+	skipped := s.skipped[:0]
 	for tries := 0; tries <= s.MaxSkip; tries++ {
+		//dbwlm:nolint hotpath, hotclosure -- plug-in boundary: a queue's pop is its own cost (a heap sift, a rank scan)
 		it := s.queue.Pop(now)
 		if it == nil {
-			return nil
+			break
 		}
+		//dbwlm:nolint hotpath, hotclosure -- plug-in boundary: a dispatcher's test is its own cost (FeedbackMPL arms its sampling loop on first use)
 		if s.dispatcher.CanDispatch(it, now) {
-			return it
+			found = it
+			break
 		}
+		//dbwlm:nolint hotpath -- scheduler-owned scratch; growth stops at MaxSkip+1 entries
 		skipped = append(skipped, it)
 	}
-	return nil
+	for i, it := range skipped {
+		//dbwlm:nolint hotpath, hotclosure -- plug-in boundary: a queue's push is its own cost (amortized growth of its backing array)
+		s.queue.Push(it)
+		skipped[i] = nil
+	}
+	s.skipped = skipped[:0]
+	return found
 }
 
 // OnFinish informs the scheduler that a released item left the engine, and

@@ -10,10 +10,7 @@
 //dbwlm:deterministic
 package sim
 
-import (
-	"container/heap"
-	"fmt"
-)
+import "fmt"
 
 // Time is a point in virtual time, in microseconds since the simulation epoch.
 type Time int64
@@ -69,7 +66,7 @@ type Event struct {
 	at       Time
 	seq      int64
 	fn       func()
-	index    int // heap index; -1 once popped
+	queued   bool // in the event heap
 	canceled bool
 	// detached events were scheduled via ScheduleDetached: no caller holds a
 	// reference, so the simulator recycles them through a free list.
@@ -87,7 +84,7 @@ func (e *Event) Cancel() {
 		return
 	}
 	e.canceled = true
-	if e.index >= 0 && e.sim != nil {
+	if e.queued && e.sim != nil {
 		e.sim.noteCanceled()
 	}
 }
@@ -95,33 +92,76 @@ func (e *Event) Cancel() {
 // Canceled reports whether Cancel has been called on the event.
 func (e *Event) Canceled() bool { return e.canceled }
 
+// eventHeap is a binary min-heap on (at, seq), written out for *Event rather
+// than driven through container/heap: the simulator's loop is a push and a pop
+// per event, and the interface calls and per-swap bookkeeping were a tenth of
+// a managed scenario. (at, seq) is a total order — seq is unique — so the pop
+// order is the order any correct heap gives.
 type eventHeap []*Event
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+//dbwlm:hotpath
+func (e *Event) before(o *Event) bool {
+	if e.at != o.at {
+		return e.at < o.at
 	}
-	return h[i].seq < h[j].seq
+	return e.seq < o.seq
 }
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
+
+//dbwlm:hotpath
+func (h *eventHeap) push(e *Event) {
+	e.queued = true
+	//dbwlm:nolint hotpath -- the heap's backing array survives Reset; growth stops at the peak number of pending events
+	ev := append(*h, e)
+	i := len(ev) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !e.before(ev[parent]) {
+			break
+		}
+		ev[i] = ev[parent]
+		i = parent
+	}
+	ev[i] = e
+	*h = ev
 }
-func (h *eventHeap) Push(x any) {
-	e := x.(*Event)
-	e.index = len(*h)
-	*h = append(*h, e)
+
+// pop removes and returns the earliest event.
+//
+//dbwlm:hotpath
+func (h *eventHeap) pop() *Event {
+	ev := *h
+	n := len(ev) - 1
+	top, last := ev[0], ev[n]
+	ev[n] = nil
+	ev = ev[:n]
+	if n > 0 {
+		ev.sink(0, last)
+	}
+	*h = ev
+	top.queued = false
+	return top
 }
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	e.index = -1
-	*h = old[:n-1]
-	return e
+
+// sink places e at index i or below, moving smaller children up: the slot at
+// i is treated as empty.
+//
+//dbwlm:hotpath
+func (h eventHeap) sink(i int, e *Event) {
+	for {
+		child := 2*i + 1
+		if child >= len(h) {
+			break
+		}
+		if r := child + 1; r < len(h) && h[r].before(h[child]) {
+			child = r
+		}
+		if !h[child].before(e) {
+			break
+		}
+		h[i] = h[child]
+		i = child
+	}
+	h[i] = e
 }
 
 // Simulator is a single-threaded discrete-event simulator. It is not safe for
@@ -162,7 +202,7 @@ func New(seed uint64) *Simulator {
 // bit-for-bit identical to a run on a freshly constructed simulator.
 func (s *Simulator) Reset(seed uint64) {
 	for i, e := range s.events {
-		e.index = -1
+		e.queued = false
 		s.recycle(e)
 		s.events[i] = nil
 	}
@@ -202,7 +242,7 @@ func (s *Simulator) At(t Time, fn func()) *Event {
 	}
 	e := &Event{at: t, seq: s.seq, fn: fn, sim: s}
 	s.seq++
-	heap.Push(&s.events, e)
+	s.events.push(e)
 	return e
 }
 
@@ -237,7 +277,7 @@ func (s *Simulator) AtDetached(t Time, fn func()) {
 		e = &Event{at: t, seq: s.seq, fn: fn, detached: true, sim: s}
 	}
 	s.seq++
-	heap.Push(&s.events, e)
+	s.events.push(e)
 }
 
 // recycle returns a fired (or discarded-canceled) detached event to the free
@@ -269,7 +309,7 @@ func (s *Simulator) compact() {
 	kept := s.events[:0]
 	for _, e := range s.events {
 		if e.canceled {
-			e.index = -1
+			e.queued = false
 			s.recycle(e)
 			continue
 		}
@@ -280,7 +320,9 @@ func (s *Simulator) compact() {
 	}
 	s.events = kept
 	s.canceledPending = 0
-	heap.Init(&s.events)
+	for i := len(kept)/2 - 1; i >= 0; i-- {
+		kept.sink(i, kept[i])
+	}
 }
 
 // NextEventAt reports the time of the earliest pending (non-canceled) event.
@@ -291,7 +333,7 @@ func (s *Simulator) NextEventAt() (Time, bool) {
 		if !e.canceled {
 			return e.at, true
 		}
-		heap.Pop(&s.events)
+		s.events.pop()
 		s.canceledPending--
 		s.recycle(e)
 	}
@@ -334,7 +376,7 @@ func (s *Simulator) Every(interval Duration, fn func() bool) (stop func()) {
 //dbwlm:hotpath
 func (s *Simulator) Step() bool {
 	for len(s.events) > 0 {
-		e := heap.Pop(&s.events).(*Event)
+		e := s.events.pop()
 		if e.canceled {
 			s.canceledPending--
 			s.recycle(e)
@@ -364,7 +406,7 @@ func (s *Simulator) Run(until Time) int {
 		// Peek.
 		e := s.events[0]
 		if e.canceled {
-			heap.Pop(&s.events)
+			s.events.pop()
 			s.canceledPending--
 			s.recycle(e)
 			continue
@@ -372,7 +414,7 @@ func (s *Simulator) Run(until Time) int {
 		if e.at > until {
 			break
 		}
-		heap.Pop(&s.events)
+		s.events.pop()
 		s.now = e.at
 		fn := e.fn
 		s.recycle(e)

@@ -362,3 +362,66 @@ func TestAtDetached(t *testing.T) {
 		t.Fatalf("chain fired %d times, want 1000", n)
 	}
 }
+
+// TestFiringOrderIsTimeThenSchedulingOrder pins the event heap to its
+// contract under heavy ties, cancellations (enough to trigger the one-pass
+// compaction and its re-heapify) and events scheduled from inside events:
+// what fires is exactly the surviving events, stably sorted by time.
+func TestFiringOrderIsTimeThenSchedulingOrder(t *testing.T) {
+	type planned struct {
+		at       Time
+		id       int // scheduling order
+		handle   *Event
+		canceled bool
+	}
+	for seed := uint64(1); seed <= 20; seed++ {
+		s := New(seed)
+		rng := NewRNG(seed)
+		var plan []*planned
+		var fired []int
+		var schedule func(depth int)
+		schedule = func(depth int) {
+			p := &planned{at: s.Now().Add(Duration(rng.Intn(40))), id: len(plan)}
+			plan = append(plan, p)
+			fn := func() {
+				fired = append(fired, p.id)
+				if depth < 2 && rng.Bool(0.3) {
+					schedule(depth + 1)
+				}
+			}
+			if rng.Bool(0.3) {
+				s.AtDetached(p.at, fn)
+			} else {
+				p.handle = s.At(p.at, fn)
+			}
+		}
+		for i := 0; i < 1500; i++ {
+			schedule(0)
+		}
+		for _, p := range plan {
+			if p.handle != nil && rng.Bool(0.9) {
+				p.handle.Cancel()
+				p.canceled = true
+			}
+		}
+		if s.Pending() >= 1500 {
+			t.Fatalf("seed %d: %d events pending after canceling most of 1500; compaction did not run", seed, s.Pending())
+		}
+		s.RunAll(1 << 20)
+		var want []*planned
+		for _, p := range plan {
+			if !p.canceled {
+				want = append(want, p)
+			}
+		}
+		sort.SliceStable(want, func(i, j int) bool { return want[i].at < want[j].at })
+		if len(fired) != len(want) {
+			t.Fatalf("seed %d: %d events fired, want %d", seed, len(fired), len(want))
+		}
+		for i, p := range want {
+			if fired[i] != p.id {
+				t.Fatalf("seed %d: event %d fired %d-th, want event %d (at %d)", seed, fired[i], i, p.id, p.at)
+			}
+		}
+	}
+}

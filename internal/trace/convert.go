@@ -88,7 +88,6 @@ func (row *Row) Request(h *Header) *workload.Request {
 	if len(row.SQL) > 0 {
 		req.SQL = string(row.SQL)
 		if stmt, err := sqlmini.Parse(req.SQL); err == nil {
-			req.Stmt = stmt
 			req.Type = stmt.Type
 		}
 	}

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"fmt"
+	"strconv"
 
 	"dbwlm/internal/engine"
 	"dbwlm/internal/policy"
@@ -29,25 +30,28 @@ func (s *Sequence) Next() int64 {
 	return s.n
 }
 
-// poissonArrivals schedules arrivals at exponential interarrival times with
-// the given rate until the horizon.
-func poissonArrivals(s *sim.Simulator, rng *sim.RNG, rate float64, horizon sim.Time, fire func()) {
+// PoissonArrivals calls fire at exponential interarrival times with the given
+// rate until the horizon. The two closures are built once per stream and the
+// events are detached (nobody cancels an arrival), so an arrival allocates
+// nothing here.
+func PoissonArrivals(s *sim.Simulator, rng *sim.RNG, rate float64, horizon sim.Time, fire func()) {
 	if rate <= 0 {
 		return
 	}
-	var next func()
-	next = func() {
+	var arrive func()
+	arm := func() {
 		gap := sim.DurationFromSeconds(rng.ExpFloat64(rate))
 		at := s.Now().Add(gap)
 		if at > horizon {
 			return
 		}
-		s.At(at, func() {
-			fire()
-			next()
-		})
+		s.AtDetached(at, arrive)
 	}
-	next()
+	arrive = func() {
+		fire()
+		arm()
+	}
+	arm()
 }
 
 // OLTPGen generates a stream of short transactional requests: point reads,
@@ -64,6 +68,7 @@ type OLTPGen struct {
 	Est          *EstimateModel
 	rng          *sim.RNG
 	zipf         *sim.ZipfGen
+	sqlBuf       []byte // statement text is rendered here, then copied out once
 }
 
 // Name implements Generator.
@@ -81,18 +86,23 @@ func (g *OLTPGen) Start(s *sim.Simulator, horizon sim.Time, submit SubmitFunc) {
 		skew = 0.8
 	}
 	g.zipf = sim.NewZipfGen(g.rng.Fork(1), keys, skew)
-	poissonArrivals(s, g.rng, g.Rate, horizon, func() {
+	PoissonArrivals(s, g.rng, g.Rate, horizon, func() {
 		submit(g.makeRequest(s.Now()))
 	})
 }
 
 func (g *OLTPGen) makeRequest(now sim.Time) *Request {
 	kind := g.rng.Intn(3)
-	var sql string
+	// The literals are drawn before the spec's, in statement order: the RNG
+	// stream, and so every table, depends on it.
+	sql := g.sqlBuf[:0]
+	var typ sqlmini.StatementType
 	var spec engine.QuerySpec
 	switch kind {
 	case 0: // point read
-		sql = fmt.Sprintf("SELECT balance FROM accounts WHERE id = %d", g.rng.Intn(1000000))
+		typ = sqlmini.StmtRead
+		sql = append(sql, "SELECT balance FROM accounts WHERE id = "...)
+		sql = strconv.AppendInt(sql, int64(g.rng.Intn(1000000)), 10)
 		spec = engine.QuerySpec{
 			CPUWork: 0.008 + g.rng.Float64()*0.012,
 			IOWork:  0.2 + g.rng.Float64()*0.3,
@@ -101,8 +111,11 @@ func (g *OLTPGen) makeRequest(now sim.Time) *Request {
 			Locks:   []engine.LockReq{{Key: g.zipf.Next(), Exclusive: false, AtProgress: 0}},
 		}
 	case 1: // payment update
-		sql = fmt.Sprintf("UPDATE accounts SET balance = balance - %d WHERE id = %d",
-			1+g.rng.Intn(100), g.rng.Intn(1000000))
+		typ = sqlmini.StmtWrite
+		sql = append(sql, "UPDATE accounts SET balance = balance - "...)
+		sql = strconv.AppendInt(sql, int64(1+g.rng.Intn(100)), 10)
+		sql = append(sql, " WHERE id = "...)
+		sql = strconv.AppendInt(sql, int64(g.rng.Intn(1000000)), 10)
 		spec = engine.QuerySpec{
 			CPUWork: 0.015 + g.rng.Float64()*0.025,
 			IOWork:  0.4 + g.rng.Float64()*0.6,
@@ -114,8 +127,14 @@ func (g *OLTPGen) makeRequest(now sim.Time) *Request {
 			},
 		}
 	default: // order insert
-		sql = fmt.Sprintf("INSERT INTO orders VALUES (%d, %d, %d)",
-			g.rng.Intn(1000000), g.rng.Intn(100000), 1+g.rng.Intn(500))
+		typ = sqlmini.StmtWrite
+		sql = append(sql, "INSERT INTO orders VALUES ("...)
+		sql = strconv.AppendInt(sql, int64(g.rng.Intn(1000000)), 10)
+		sql = append(sql, ", "...)
+		sql = strconv.AppendInt(sql, int64(g.rng.Intn(100000)), 10)
+		sql = append(sql, ", "...)
+		sql = strconv.AppendInt(sql, int64(1+g.rng.Intn(500)), 10)
+		sql = append(sql, ')')
 		spec = engine.QuerySpec{
 			CPUWork: 0.01 + g.rng.Float64()*0.02,
 			IOWork:  0.4 + g.rng.Float64()*0.8,
@@ -124,7 +143,7 @@ func (g *OLTPGen) makeRequest(now sim.Time) *Request {
 			Locks:   []engine.LockReq{{Key: g.zipf.Next(), Exclusive: true, AtProgress: 0}},
 		}
 	}
-	stmt := sqlmini.MustParse(sql)
+	g.sqlBuf = sql
 	var est Estimates
 	if g.Est != nil {
 		est = g.Est.FromSpec(spec)
@@ -134,9 +153,8 @@ func (g *OLTPGen) makeRequest(now sim.Time) *Request {
 	}
 	return &Request{
 		ID:       g.Seq.Next(),
-		SQL:      sql,
-		Stmt:     stmt,
-		Type:     stmt.Type,
+		SQL:      string(sql),
+		Type:     typ,
 		Origin:   Origin{App: "pos-terminal", User: "cashier", ClientIP: "10.0.1.15"},
 		Workload: g.WorkloadName,
 		Priority: g.Priority,
@@ -204,7 +222,7 @@ func (g *BIGen) Start(s *sim.Simulator, horizon sim.Time, submit SubmitFunc) {
 		}
 		g.plans[i] = p
 	}
-	poissonArrivals(s, g.rng, g.Rate, horizon, func() {
+	PoissonArrivals(s, g.rng, g.Rate, horizon, func() {
 		submit(g.MakeRequest(s.Now()))
 	})
 }
@@ -222,7 +240,6 @@ func (g *BIGen) MakeRequest(now sim.Time) *Request {
 	return &Request{
 		ID:       g.Seq.Next(),
 		SQL:      tpl.SQL,
-		Stmt:     plan.Stmt,
 		Type:     plan.Stmt.Type,
 		Origin:   origin,
 		Workload: g.WorkloadName,
@@ -306,12 +323,10 @@ func (g *UtilityGen) makeUtility(now sim.Time) *Request {
 		sql = "CALL backup(full)"
 		spec = engine.QuerySpec{CPUWork: 10, IOWork: 4000, MemMB: 128, Parallelism: 1, StateMB: 16}
 	}
-	stmt := sqlmini.MustParse(sql)
 	return &Request{
 		ID:       g.Seq.Next(),
 		SQL:      sql,
-		Stmt:     stmt,
-		Type:     stmt.Type,
+		Type:     sqlmini.StmtCall,
 		Origin:   Origin{App: "dba-tools", User: "dba", ClientIP: "10.0.0.2"},
 		Workload: g.WorkloadName,
 		Priority: g.Priority,
@@ -339,6 +354,7 @@ type AdHocGen struct {
 	UnderestimateFactor float64
 	Seq                 *Sequence
 	rng                 *sim.RNG
+	sqlBuf              []byte
 }
 
 // Name implements Generator.
@@ -347,7 +363,7 @@ func (g *AdHocGen) Name() string { return g.WorkloadName }
 // Start implements Generator.
 func (g *AdHocGen) Start(s *sim.Simulator, horizon sim.Time, submit SubmitFunc) {
 	g.rng = s.RNG().Fork(hashLabel(g.WorkloadName))
-	poissonArrivals(s, g.rng, g.Rate, horizon, func() {
+	PoissonArrivals(s, g.rng, g.Rate, horizon, func() {
 		submit(g.makeRequest(s.Now()))
 	})
 }
@@ -381,7 +397,9 @@ func (g *AdHocGen) makeRequest(now sim.Time) *Request {
 			Rows:       float64(spec.Rows) / under,
 		}
 	} else {
-		sql = fmt.Sprintf("SELECT COUNT(*) FROM orders WHERE total > %d", g.rng.Intn(1000))
+		g.sqlBuf = append(g.sqlBuf[:0], "SELECT COUNT(*) FROM orders WHERE total > "...)
+		g.sqlBuf = strconv.AppendInt(g.sqlBuf, int64(g.rng.Intn(1000)), 10)
+		sql = string(g.sqlBuf)
 		spec = engine.QuerySpec{
 			CPUWork:     0.5 + g.rng.Float64()*2,
 			IOWork:      50 + g.rng.Float64()*200,
@@ -393,12 +411,10 @@ func (g *AdHocGen) makeRequest(now sim.Time) *Request {
 		est = Estimates{CPUSeconds: spec.CPUWork, IOMB: spec.IOWork, MemMB: spec.MemMB, Rows: float64(spec.Rows)}
 	}
 	est.Timerons = TimeronsOf(est.CPUSeconds, est.IOMB)
-	stmt := sqlmini.MustParse(sql)
 	return &Request{
 		ID:       g.Seq.Next(),
 		SQL:      sql,
-		Stmt:     stmt,
-		Type:     stmt.Type,
+		Type:     sqlmini.StmtRead,
 		Origin:   Origin{App: "sql-workbench", User: "analyst2", ClientIP: "10.0.3.7"},
 		Workload: g.WorkloadName,
 		Priority: g.Priority,

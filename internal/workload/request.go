@@ -46,7 +46,6 @@ func TimeronsOf(cpuSeconds, ioMB float64) float64 {
 type Request struct {
 	ID   int64
 	SQL  string
-	Stmt *sqlmini.Statement
 	Type sqlmini.StatementType
 
 	Origin   Origin

@@ -50,7 +50,7 @@ func EntryOf(r *Request) TraceEntry {
 	}
 }
 
-// ToRequest reconstructs a request (re-parsing the SQL).
+// ToRequest reconstructs a request, parsing the SQL for its statement type.
 func (e TraceEntry) ToRequest() (*Request, error) {
 	stmt, err := sqlmini.Parse(e.SQL)
 	if err != nil {
@@ -59,7 +59,6 @@ func (e TraceEntry) ToRequest() (*Request, error) {
 	return &Request{
 		ID:       e.ID,
 		SQL:      e.SQL,
-		Stmt:     stmt,
 		Type:     stmt.Type,
 		Origin:   Origin{App: e.App, User: e.User, ClientIP: e.ClientIP},
 		Workload: e.Workload,

@@ -34,8 +34,8 @@ func TestOLTPGenProducesRequests(t *testing.T) {
 		if r.True.CPUWork <= 0 {
 			t.Fatal("no CPU work")
 		}
-		if r.Stmt == nil {
-			t.Fatal("no parsed statement")
+		if r.SQL == "" {
+			t.Fatal("no statement text")
 		}
 		if r.Est.Timerons <= 0 {
 			t.Fatal("no timeron estimate")

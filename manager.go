@@ -1,12 +1,14 @@
 package dbwlm
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"dbwlm/internal/admission"
 	"dbwlm/internal/characterize"
 	"dbwlm/internal/engine"
+	"dbwlm/internal/fifo"
 	"dbwlm/internal/metrics"
 	"dbwlm/internal/policy"
 	"dbwlm/internal/scheduling"
@@ -63,11 +65,18 @@ type Manager struct {
 	eng   *engine.Engine
 	stats *metrics.Registry
 
-	admissionQueue []*workload.Request
+	// admissionQueue holds requests the admission controller deferred. A
+	// fifo.Queue, so a retry that takes the head neither leaves the array
+	// pinning requests it already admitted nor re-grows it while an overload
+	// lasts.
+	admissionQueue fifo.Queue[*workload.Request]
 	retryArmed     bool
 	running        map[int64]*Running // by engine query ID
 	slos           map[string]policy.SLO
 	classOf        map[string]string // workload name -> class name
+	// onEngineFinish is m.finished bound once, so a release hands the engine
+	// the same func value every time instead of a closure of its own.
+	onEngineFinish func(*engine.Query, engine.Outcome)
 }
 
 // New builds a manager over a fresh engine on the simulator.
@@ -80,6 +89,7 @@ func New(s *sim.Simulator, engCfg engine.Config) *Manager {
 		slos:    make(map[string]policy.SLO),
 		classOf: make(map[string]string),
 	}
+	m.onEngineFinish = m.finished
 	return m
 }
 
@@ -129,7 +139,7 @@ func (m *Manager) admit(req *workload.Request, class *characterize.ServiceClass)
 			Workload: req.Workload, What: "reject", Value: req.Est.Timerons,
 		})
 	case admission.Queue:
-		m.admissionQueue = append(m.admissionQueue, req)
+		m.admissionQueue.Push(req)
 		m.armRetry()
 	case admission.Admit:
 		m.dispatchOrSchedule(req, class)
@@ -137,7 +147,7 @@ func (m *Manager) admit(req *workload.Request, class *characterize.ServiceClass)
 }
 
 func (m *Manager) armRetry() {
-	if m.retryArmed || len(m.admissionQueue) == 0 {
+	if m.retryArmed || m.admissionQueue.Len() == 0 {
 		return
 	}
 	m.retryArmed = true
@@ -147,14 +157,15 @@ func (m *Manager) armRetry() {
 	}
 	m.sim.Schedule(retry, func() {
 		m.retryArmed = false
-		pending := m.admissionQueue
-		if m.RetryBatch > 0 && len(pending) > m.RetryBatch {
-			m.admissionQueue = pending[m.RetryBatch:]
-			pending = pending[:m.RetryBatch]
-		} else {
-			m.admissionQueue = nil
+		// The batch is counted before the loop: admit may queue a request
+		// again, behind everything already waiting.
+		batch := m.admissionQueue.Len()
+		if m.RetryBatch > 0 && batch > m.RetryBatch {
+			batch = m.RetryBatch
 		}
-		for _, req := range pending {
+		for ; batch > 0; batch-- {
+			req := m.admissionQueue.Items()[0]
+			m.admissionQueue.Drop(1)
 			if m.MaxQueueDelay > 0 && m.sim.Now().Sub(req.Arrive) > m.MaxQueueDelay {
 				m.stats.Workload(req.Workload).Rejected.Inc()
 				m.stats.System.Rejected.Inc()
@@ -218,9 +229,7 @@ func (m *Manager) classByName(name string) *characterize.ServiceClass {
 // release sends an item into the engine.
 func (m *Manager) release(it *scheduling.Item, class *characterize.ServiceClass) {
 	req := it.Req
-	q := m.eng.Submit(req.True, it.Weight, func(q *engine.Query, oc engine.Outcome) {
-		m.finished(q, oc)
-	})
+	q := m.eng.Submit(req.True, it.Weight, m.onEngineFinish)
 	rr := &Running{Req: req, Query: q, Item: it, Class: class, DispatchedAt: m.sim.Now()}
 	m.running[q.ID] = rr
 	if m.OnDispatch != nil {
@@ -301,7 +310,7 @@ func (m *Manager) RunningAll() []*Running {
 	for _, rr := range m.running {
 		out = append(out, rr)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Query.ID < out[j].Query.ID })
+	slices.SortFunc(out, func(a, b *Running) int { return cmp.Compare(a.Query.ID, b.Query.ID) })
 	return out
 }
 
@@ -309,13 +318,13 @@ func (m *Manager) RunningAll() []*Running {
 // class — the reallocator's view. Sorted ascending for deterministic
 // control decisions.
 func (m *Manager) QueriesOfClass(class string) []int64 {
-	var out []int64
+	out := make([]int64, 0, len(m.running))
 	for id, rr := range m.running {
 		if rr.Class != nil && rr.Class.Name == class {
 			out = append(out, id)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 

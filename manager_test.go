@@ -1,6 +1,8 @@
 package dbwlm
 
 import (
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -204,5 +206,79 @@ func TestManagerVelocityBounds(t *testing.T) {
 	v := m.Stats().Workload("oltp").MeanVelocity()
 	if v <= 0 || v > 1 {
 		t.Fatalf("velocity = %v out of (0,1]", v)
+	}
+}
+
+// TestManagedOLTPAllocBudget bounds what one managed transaction allocates
+// end to end — generator, admission, FCFS queue behind an MPL dispatcher,
+// engine, lock table, completion statistics. What is left is the
+// transaction's own (DESIGN.md section 6): its Request, lock list and SQL
+// text, its Item, Running and engine Query — six — plus, with no Router set,
+// the two stand-in ServiceClass values Submit and release make. The commit
+// before the generators stopped parsing their own SQL measured 32.4 here and
+// this one 8.0; the budget is under half the former and far enough above the
+// latter to trip on a closure or a map per transaction coming back, not on
+// noise.
+func TestManagedOLTPAllocBudget(t *testing.T) {
+	const budget = 12.0
+	s := sim.New(1)
+	m := New(s, engine.Config{Cores: 8, MemoryMB: 4096, IOMBps: 800})
+	m.Scheduler = scheduling.NewScheduler(scheduling.NewFCFS(), &scheduling.MPL{Max: 16})
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	m.RunWorkload([]workload.Generator{oltpGen(100)}, 60*sim.Second, 10*sim.Second)
+	runtime.ReadMemStats(&after)
+	done := m.Stats().Workload("oltp").Completed.Value()
+	if done < 5000 {
+		t.Fatalf("completed = %d, want ~6000", done)
+	}
+	perTxn := float64(after.Mallocs-before.Mallocs) / float64(done)
+	t.Logf("%.1f allocations per completed transaction over %d", perTxn, done)
+	if perTxn > budget {
+		t.Fatalf("%.1f allocations per completed transaction, budget %.0f", perTxn, budget)
+	}
+}
+
+// deferTwice queues every request on its first two decisions and admits it
+// on the third, recording the order it is asked in.
+type deferTwice struct {
+	seen  map[int64]int
+	asked []int64
+}
+
+func (deferTwice) Name() string { return "defer-twice" }
+
+func (c *deferTwice) Decide(r *workload.Request, _ sim.Time) admission.Decision {
+	c.asked = append(c.asked, r.ID)
+	if c.seen[r.ID]++; c.seen[r.ID] <= 2 {
+		return admission.Queue
+	}
+	return admission.Admit
+}
+
+// TestRetryBatchKeepsQueueOrder pins the admission queue's discipline across
+// the retry loop: each retry re-evaluates the RetryBatch oldest requests, and
+// one deferred again goes behind everything already waiting.
+func TestRetryBatchKeepsQueueOrder(t *testing.T) {
+	s := sim.New(1)
+	m := New(s, engine.Config{})
+	ctrl := &deferTwice{seen: map[int64]int{}}
+	m.Admission = ctrl
+	m.RetryBatch = 2
+	m.AdmissionRetry = sim.Second
+	for id := int64(1); id <= 5; id++ {
+		m.Submit(&workload.Request{ID: id, Workload: "w", True: engine.QuerySpec{CPUWork: 0.001}})
+	}
+	s.Run(sim.Time(sim.Minute))
+	want := []int64{
+		1, 2, 3, 4, 5, // arrivals: all deferred
+		1, 2, 3, 4, 5, // retries of two: deferred again, to the back
+		1, 2, 3, 4, 5, // admitted
+	}
+	if !slices.Equal(ctrl.asked, want) {
+		t.Fatalf("decisions asked for %v, want %v", ctrl.asked, want)
+	}
+	if m.admissionQueue.Len() != 0 || m.Stats().Workload("w").Completed.Value() != 5 {
+		t.Fatalf("%d still queued, %d completed", m.admissionQueue.Len(), m.Stats().Workload("w").Completed.Value())
 	}
 }
