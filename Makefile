@@ -20,10 +20,9 @@ race:
 		./internal/workload/... ./internal/sim/... ./internal/fifo/... .
 
 # lint is the static-analysis gate: gofmt, go vet, and wlmlint — the suite
-# that machine-checks hotpath allocation-freedom and non-blocking closure
-# over the call graph, atomic field discipline (direct and interprocedural),
-# lock-order cycle freedom, replay determinism, and mutex guard contracts
-# (DESIGN.md section 10). wlmlint parallelizes across GOMAXPROCS; set
+# that machine-checks allocation-freedom and non-blocking of everything
+# reachable from a hotpath root, typed atomics only, no nested locking,
+# replay determinism, and mutex guard contracts (DESIGN.md section 10). wlmlint parallelizes across GOMAXPROCS; set
 # LINT_JSON=1 for machine-readable findings.
 lint:
 	./scripts/lint.sh

@@ -7,15 +7,18 @@ import (
 	"dbwlm/internal/sim"
 )
 
+const (
+	// victimPriorityBelow: only requests below this priority are candidate
+	// targets for the MAPE loop's control actions.
+	victimPriorityBelow = policy.PriorityHigh
+	// throttleAmount is applied by its throttle actions.
+	throttleAmount = 0.85
+)
+
 // AutonomicOptions configures the packaged Section 5.3 MAPE loop.
 type AutonomicOptions struct {
 	// Period between MAPE cycles (default 2s).
 	Period sim.Duration
-	// VictimPriorityBelow: only requests below this priority are candidate
-	// targets for control actions (default PriorityHigh).
-	VictimPriorityBelow policy.Priority
-	// ThrottleAmount applied by throttle actions (default 0.85).
-	ThrottleAmount float64
 	// SuspendStrategy for suspend actions (default DumpState).
 	SuspendStrategy engine.SuspendStrategy
 	// ResumeEvery controls how often suspended work is re-checked for
@@ -28,12 +31,6 @@ type AutonomicOptions struct {
 func (o AutonomicOptions) withDefaults() AutonomicOptions {
 	if o.Period <= 0 {
 		o.Period = 2 * sim.Second
-	}
-	if o.VictimPriorityBelow == 0 {
-		o.VictimPriorityBelow = policy.PriorityHigh
-	}
-	if o.ThrottleAmount <= 0 || o.ThrottleAmount >= 1 {
-		o.ThrottleAmount = 0.85
 	}
 	if o.ResumeEvery <= 0 {
 		o.ResumeEvery = 5 * sim.Second
@@ -102,7 +99,7 @@ func (am *AutonomicManager) plan(obs autonomic.Observation, symptoms []autonomic
 	}
 	var out []autonomic.PlannedAction
 	for _, rr := range am.m.RunningAll() {
-		if rr.Req.Priority >= am.opts.VictimPriorityBelow {
+		if rr.Req.Priority >= victimPriorityBelow {
 			continue
 		}
 		if rr.Query.State() != engine.StateRunning {
@@ -114,9 +111,9 @@ func (am *AutonomicManager) plan(obs autonomic.Observation, symptoms []autonomic
 			{
 				Action: autonomic.PlannedAction{
 					Kind: autonomic.ActionThrottle, Query: rr.Query.ID,
-					Amount: am.opts.ThrottleAmount,
+					Amount: throttleAmount,
 				},
-				FreedWeight:    am.opts.ThrottleAmount,
+				FreedWeight:    throttleAmount,
 				LatencySeconds: 0.1,
 			},
 			{

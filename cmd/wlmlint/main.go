@@ -1,8 +1,8 @@
 // Command wlmlint runs dbwlm's in-tree static-analysis suite (internal/lint)
-// over the module: hotpath allocation checking (intra-procedural and across
-// the whole static call graph), sync/atomic field discipline (direct and
-// through helpers), determinism linting, guarded-field verification, global
-// lock-order cycle detection, and the AllocsPerRun coupling check.
+// over the module: allocation and blocking checks over everything reachable
+// from a //dbwlm:hotpath root, typed-atomics-only, determinism linting,
+// guarded-field verification, no nested locking, and the AllocsPerRun
+// coupling check.
 //
 // Usage:
 //
@@ -12,9 +12,10 @@
 // "internal/sim/..."); analysis always covers the whole module because the
 // facts the analyzers share are cross-package.
 //
-// Exit codes: 0 clean, 1 diagnostics reported, 2 the module failed to load
-// (parse or type error) — so CI can tell "found findings" from "could not
-// analyze".
+// Exit codes: 0 clean, 1 diagnostics reported, 2 nothing was analyzed — the
+// module failed to load (parse or type error), -run names an analyzer that
+// does not exist, or a package pattern matches no package — so CI can tell
+// "found findings" from "could not analyze", and a typo from "clean".
 package main
 
 import (
@@ -56,11 +57,15 @@ func main() {
 		os.Exit(2)
 	}
 	loaded := time.Now()
-	diags := lint.Run(m, lint.Options{
+	diags, err := lint.Run(m, lint.Options{
 		Analyzers: analyzers,
 		Packages:  flag.Args(),
 		Workers:   *workers,
 	})
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "wlmlint:", err)
+		os.Exit(2)
+	}
 	if *timing {
 		n := *workers
 		if n <= 0 {

@@ -8,14 +8,12 @@
 //	       [-horizon 180] [-drain 90] [-seed 1]
 //	       [-oltp 40] [-bi 0.05] [-adhoc 0.12] [-monster 0.4]
 //	       [-cores 8] [-mem 4096] [-io 800]
-//	       [-trace out.jsonl] [-replay in.jsonl]
 //	       [-record out.trace] [-replay-trace in.trace]
 //
-// -record and -replay-trace use the versioned internal/trace format (binary
-// or JSONL by extension / sniffed magic byte); recording is transparent
-// (bit-identical engine results with or without it) and a recorded trace
-// replays bit-identically. -trace/-replay keep the older workload-level JSONL
-// entries.
+// -record and -replay-trace use the versioned internal/trace format (binary,
+// or JSONL with a .jsonl/.json extension; sniffed by magic byte on replay);
+// recording is transparent (bit-identical engine results with or without it)
+// and a recorded trace replays bit-identically.
 package main
 
 import (
@@ -43,8 +41,6 @@ func main() {
 	cores := flag.Float64("cores", 8, "server CPU cores")
 	memMB := flag.Float64("mem", 4096, "server memory (MB)")
 	ioMBps := flag.Float64("io", 800, "server IO bandwidth (MB/s)")
-	tracePath := flag.String("trace", "", "write the generated request trace to this JSONL file")
-	replayPath := flag.String("replay", "", "replay a previously recorded JSONL trace instead of generating")
 	recordPath := flag.String("record", "", "record the run to a versioned trace file (binary, or JSONL with a .jsonl/.json extension)")
 	replayTracePath := flag.String("replay-trace", "", "replay a versioned trace file instead of generating")
 	configPath := flag.String("config", "", "apply a JSON WLM configuration (overrides -profile)")
@@ -101,20 +97,6 @@ func main() {
 			}
 		}()
 		fmt.Printf("replaying trace %s\n", *replayTracePath)
-	} else if *replayPath != "" {
-		f, err := os.Open(*replayPath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		entries, err := workload.ReadTrace(f)
-		f.Close()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		gens = []workload.Generator{&workload.ReplayGen{WorkloadName: "replay", Entries: entries}}
-		fmt.Printf("replaying %d requests from %s\n", len(entries), *replayPath)
 	} else {
 		gens = workload.Consolidated(s.RNG().Fork(1), workload.ScenarioConfig{
 			OLTPRate: *oltp, BIRate: *bi, AdHocRate: *adhoc, MonsterProb: *monster,
@@ -127,19 +109,8 @@ func main() {
 		gens = workload.Record(gens, rec.Tap)
 	}
 
-	var entries []workload.TraceEntry
-	if *tracePath != "" {
-		for _, g := range gens {
-			g.Start(s, sim.Time(sim.DurationFromSeconds(*horizon)), func(r *workload.Request) {
-				entries = append(entries, workload.EntryOf(r))
-				m.Submit(r)
-			})
-		}
-		s.Run(sim.Time(sim.DurationFromSeconds(*horizon + *drain)))
-	} else {
-		m.RunWorkload(gens,
-			sim.DurationFromSeconds(*horizon), sim.DurationFromSeconds(*drain))
-	}
+	m.RunWorkload(gens,
+		sim.DurationFromSeconds(*horizon), sim.DurationFromSeconds(*drain))
 
 	fmt.Printf("profile=%s seed=%d horizon=%.0fs server=%.0f cores / %.0f MB / %.0f MB/s\n\n",
 		*profileName, *seed, *horizon, *cores, *memMB, *ioMBps)
@@ -148,19 +119,6 @@ func main() {
 	fmt.Printf("\nengine: completed=%d killed=%d deadlocks=%d still-resident=%d\n",
 		st.Completed, st.Killed, st.Deadlocks, st.InEngine)
 
-	if *tracePath != "" {
-		f, err := os.Create(*tracePath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		defer f.Close()
-		if err := workload.WriteTrace(f, entries); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Printf("\ntrace: %d requests written to %s\n", len(entries), *tracePath)
-	}
 	if rec != nil {
 		rec.DurationUS = int64(sim.DurationFromSeconds(*horizon))
 		if err := trace.WriteFile(*recordPath, rec.Header(), rec.Rows()); err != nil {

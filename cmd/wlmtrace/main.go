@@ -205,7 +205,6 @@ func cmdCompress(args []string) error {
 	fs := flag.NewFlagSet("compress", flag.ExitOnError)
 	ratio := fs.Float64("ratio", 16, "target compression ratio (rows per representative)")
 	strata := fs.Int("strata", 6, "time strata clustering is confined to")
-	iters := fs.Int("iters", 0, "k-means iteration cap (0 = library default)")
 	seed := fs.Uint64("seed", 0, "clustering seed")
 	workers := fs.Int("workers", 0, "clustering worker cap (0 = GOMAXPROCS, 1 = sequential)")
 	fs.Parse(args)
@@ -224,7 +223,7 @@ func cmdCompress(args []string) error {
 	h := src.Header()
 	t0 := time.Now()
 	comp := trace.Compress(h, rows, trace.CompressConfig{
-		Ratio: *ratio, Strata: *strata, Iters: *iters, Seed: *seed, MaxWorkers: *workers,
+		Ratio: *ratio, Strata: *strata, Seed: *seed, MaxWorkers: *workers,
 	})
 	elapsed := time.Since(t0)
 	if err := trace.WriteFile(fs.Arg(1), h, comp); err != nil {

@@ -34,7 +34,7 @@ func TestTickZeroAllocWithBlockedAndSweeps(t *testing.T) {
 	s := sim.New(1)
 	e := New(s, Config{Cores: 4, MemoryMB: 4096, IOMBps: 400, disableFastForward: true})
 	// Holder grinds forever holding key 1; waiters block on it, so every
-	// DeadlockCheckEvery-th quantum runs a (cycle-free) deadlock sweep.
+	// deadlockCheckEvery-th quantum runs a (cycle-free) deadlock sweep.
 	e.Submit(QuerySpec{CPUWork: 1e9, MemMB: 64, Locks: []LockReq{{Key: 1, Exclusive: true}}}, 1, nil)
 	for i := 0; i < 4; i++ {
 		e.Submit(QuerySpec{CPUWork: 1e9, MemMB: 64, Locks: []LockReq{{Key: 1, Exclusive: true}}}, 1, nil)

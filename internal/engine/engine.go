@@ -8,6 +8,17 @@ import (
 	"dbwlm/internal/sim"
 )
 
+const (
+	// overcommitExponent shapes the slowdown when demanded working memory
+	// exceeds MemoryMB: every query's progress is divided by
+	// (demand/MemoryMB)^overcommitExponent — a superlinear penalty that
+	// produces the classic thrashing knee.
+	overcommitExponent = 2
+	// deadlockCheckEvery is the number of quanta between wait-for-graph
+	// deadlock sweeps.
+	deadlockCheckEvery = 5
+)
+
 // Config sets the simulated server's capacity and behaviour.
 type Config struct {
 	// Cores is the total CPU capacity in core-seconds per second.
@@ -18,14 +29,6 @@ type Config struct {
 	IOMBps float64
 	// Quantum is the scheduling quantum (default 10ms).
 	Quantum sim.Duration
-	// OvercommitExponent shapes the slowdown when demanded working memory
-	// exceeds MemoryMB: every query's progress is divided by
-	// (demand/MemoryMB)^OvercommitExponent. Default 2 — a superlinear
-	// penalty that produces the classic thrashing knee.
-	OvercommitExponent float64
-	// DeadlockCheckEvery is the number of quanta between wait-for-graph
-	// deadlock sweeps (default 5).
-	DeadlockCheckEvery int
 	// disableFastForward turns off tick elision: every quantum is executed
 	// by the full scheduling loop. A test seam, not a knob: fast-forward is
 	// bit-for-bit equivalent, and only this package's equivalence and
@@ -45,12 +48,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Quantum <= 0 {
 		c.Quantum = 10 * sim.Millisecond
-	}
-	if c.OvercommitExponent <= 0 {
-		c.OvercommitExponent = 2
-	}
-	if c.DeadlockCheckEvery <= 0 {
-		c.DeadlockCheckEvery = 5
 	}
 	return c
 }
@@ -534,7 +531,7 @@ func (e *Engine) tick() {
 	}
 	slowdown := 1.0
 	if memDemand > e.cfg.MemoryMB {
-		slowdown = math.Pow(memDemand/e.cfg.MemoryMB, e.cfg.OvercommitExponent)
+		slowdown = math.Pow(memDemand/e.cfg.MemoryMB, overcommitExponent)
 	}
 
 	// Phase 3: CPU and IO allocation among runnable queries.
@@ -598,7 +595,7 @@ func (e *Engine) tick() {
 	// Phase 6: periodic deadlock detection; the youngest query in a cycle
 	// is chosen as the victim. A sweep with no blocked queries is a no-op
 	// and is skipped outright.
-	if e.quantumN%e.cfg.DeadlockCheckEvery == 0 && blockedN > 0 {
+	if e.quantumN%deadlockCheckEvery == 0 && blockedN > 0 {
 		finished += e.resolveDeadlocks()
 	}
 
@@ -683,7 +680,7 @@ func (e *Engine) fastForward(runnable []*Query, cpuShares, ioShares []float64, e
 	}
 	if blockedN > 0 {
 		// The next deadlock sweep may kill a victim; stop just before it.
-		d := int64(e.cfg.DeadlockCheckEvery)
+		d := int64(deadlockCheckEvery)
 		if g := d - int64(e.quantumN)%d - 1; g < gapMax {
 			gapMax = g
 		}

@@ -372,7 +372,7 @@ func (m *KNN) PredictValue(features []float64) float64 {
 	if m.tree != nil && m.k <= kMaxNeighbors {
 		return m.tree.predict(m, features)
 	}
-	//dbwlm:nolint hotpath, hotclosure -- exhaustive-scan fallback for oversized k or a treeless model; live models always take the tree path
+	//dbwlm:nolint hotpath -- exhaustive-scan fallback for oversized k or a treeless model; live models always take the tree path
 	return m.PredictValueLinear(features)
 }
 

@@ -10,7 +10,7 @@ import (
 )
 
 // This file builds the module-wide static call graph the interprocedural
-// analyzers (hotclosure, lockorder) walk. Nodes are analyzable bodies:
+// analyzers (hotpath, lockorder) walk. Nodes are analyzable bodies:
 // declared functions and methods, plus function literals (a literal is its
 // own node so a closure handed to another package is analyzed once, with
 // chains that name its creation site). Edges are, in decreasing order of
@@ -31,7 +31,7 @@ import (
 //
 // A call through a function value none of whose targets can be resolved —
 // or any of whose observed sources is an external function we cannot
-// analyze — is recorded as an unresolved dynamic call; hotclosure demands a
+// analyze — is recorded as an unresolved dynamic call; hotpath demands a
 // //dbwlm:dyncall justification for those (the injected-clock pattern).
 // _test.go files contribute neither nodes nor value-flow facts: tests may
 // inject blocking fakes freely without widening the production closure.
@@ -47,9 +47,6 @@ type cgNode struct {
 
 	edges []cgEdge
 	dyn   []dynSite // unresolved dynamic call sites
-	// calls maps each call expression to its resolved module targets, for
-	// analyses (lockorder) that need per-site resolution with local state.
-	calls map[*ast.CallExpr][]*cgNode
 }
 
 // cgEdge is one may-call edge, positioned at the site that creates it.
@@ -69,11 +66,13 @@ type dynSite struct {
 // callGraph is the module-wide graph plus the value-flow table it was
 // resolved against.
 type callGraph struct {
-	m      *Module
-	nodes  map[*types.Func]*cgNode
-	lits   map[*ast.FuncLit]*cgNode
-	all    []*cgNode // sorted by (file, line, col)
-	owners map[*ast.FuncLit]*cgNode
+	m     *Module
+	nodes map[*types.Func]*cgNode
+	lits  map[*ast.FuncLit]*cgNode
+	all   []*cgNode // sorted by (file, line, col)
+	// calls maps each call expression to its resolved module targets, for
+	// analyses (lockorder) that need per-site resolution with local state.
+	calls map[*ast.CallExpr][]*cgNode
 
 	// flows maps function-typed variables (fields, locals, params,
 	// package-level vars) to the candidate targets observed flowing into
@@ -96,7 +95,7 @@ func (m *Module) buildCallGraph() *callGraph {
 		m:             m,
 		nodes:         make(map[*types.Func]*cgNode),
 		lits:          make(map[*ast.FuncLit]*cgNode),
-		owners:        make(map[*ast.FuncLit]*cgNode),
+		calls:         make(map[*ast.CallExpr][]*cgNode),
 		flows:         make(map[*types.Var][]*cgNode),
 		flowVars:      make(map[*types.Var][]*types.Var),
 		extern:        make(map[*types.Var]bool),
@@ -156,7 +155,6 @@ func (g *callGraph) addLitNodes(owner *cgNode, body *ast.BlockStmt) {
 				name: fmt.Sprintf("func literal (%s:%d)", baseName(p.Filename), p.Line),
 			}
 			g.lits[lit] = ln
-			g.owners[lit] = owner
 			g.all = append(g.all, ln)
 			walk(lit.Body, ln)
 			return false
@@ -187,11 +185,13 @@ func (n *cgNode) pos() token.Pos {
 	return n.lit.Pos()
 }
 
-// inspectOwn walks the statements belonging to node n itself, not descending
-// into nested function literals (those are their own nodes).
+// inspectOwn walks the statements belonging to node n itself: a nested
+// function literal is visited (its creation belongs to n) but not entered
+// (its body is a node of its own).
 func (n *cgNode) inspectOwn(fn func(ast.Node) bool) {
 	ast.Inspect(n.body, func(x ast.Node) bool {
-		if lit, ok := x.(*ast.FuncLit); ok && lit != n.lit {
+		if _, ok := x.(*ast.FuncLit); ok {
+			fn(x)
 			return false
 		}
 		return fn(x)
@@ -386,7 +386,6 @@ func varLess(m *Module, a, b *types.Var) bool {
 // resolveEdges walks one node's body adding edges and unresolved dyn sites.
 func (g *callGraph) resolveEdges(n *cgNode) {
 	info := n.pkg.Info
-	n.calls = make(map[*ast.CallExpr][]*cgNode)
 	callFun := make(map[ast.Node]bool)
 	n.inspectOwn(func(x ast.Node) bool {
 		if call, ok := x.(*ast.CallExpr); ok {
@@ -455,7 +454,7 @@ func (g *callGraph) resolveCall(n *cgNode, call *ast.CallExpr) {
 		}
 		if tn := g.nodes[fn]; tn != nil {
 			n.edges = append(n.edges, cgEdge{to: tn, pos: call.Pos(), desc: "calls"})
-			n.calls[call] = append(n.calls[call], tn)
+			g.calls[call] = append(g.calls[call], tn)
 		}
 		return // external concrete function: the allowlists judge it
 	}
@@ -463,7 +462,7 @@ func (g *callGraph) resolveCall(n *cgNode, call *ast.CallExpr) {
 	if lit, ok := ast.Unparen(call.Fun).(*ast.FuncLit); ok {
 		if tn := g.lits[lit]; tn != nil {
 			n.edges = append(n.edges, cgEdge{to: tn, pos: call.Pos(), desc: "calls"})
-			n.calls[call] = append(n.calls[call], tn)
+			g.calls[call] = append(g.calls[call], tn)
 		}
 		return
 	}
@@ -493,7 +492,7 @@ func (g *callGraph) resolveCall(n *cgNode, call *ast.CallExpr) {
 	if v != nil && !g.extern[v] && len(g.flows[v]) > 0 {
 		for _, tn := range g.flows[v] {
 			n.edges = append(n.edges, cgEdge{to: tn, pos: call.Pos(), desc: "calls via " + v.Name()})
-			n.calls[call] = append(n.calls[call], tn)
+			g.calls[call] = append(g.calls[call], tn)
 		}
 		return
 	}
@@ -513,7 +512,7 @@ func (g *callGraph) resolveInterfaceCall(n *cgNode, call *ast.CallExpr, fn *type
 		recv := tn.fn.Type().(*types.Signature).Recv().Type()
 		if types.Implements(recv, iface) || types.Implements(types.NewPointer(recv), iface) {
 			n.edges = append(n.edges, cgEdge{to: tn, pos: call.Pos(), desc: "dispatches to"})
-			n.calls[call] = append(n.calls[call], tn)
+			g.calls[call] = append(g.calls[call], tn)
 		}
 	}
 }

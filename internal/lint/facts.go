@@ -15,53 +15,32 @@ var (
 	guardsRe    = regexp.MustCompile(`(?i)^\s*guards\s+(.+)`)
 )
 
-// buildFacts indexes the whole module once: which struct fields are accessed
-// through sync/atomic functions (and at which sites), and which fields are
-// declared mutex-guarded by comment.
+// buildFacts indexes the whole module once — which fields are declared
+// mutex-guarded by comment, the call graph — and runs the two analyzers that
+// are module-wide traversals rather than per-package passes.
 func (m *Module) buildFacts() {
-	m.atomicFld = make(map[*types.Var]bool)
-	m.atomicUse = make(map[ast.Node]bool)
 	m.guarded = make(map[*types.Var]string)
 	for _, pkg := range m.Pkgs {
 		for _, f := range pkg.Files {
 			ast.Inspect(f.Ast, func(n ast.Node) bool {
-				switch n := n.(type) {
-				case *ast.CallExpr:
-					m.recordAtomicCall(pkg, n)
-				case *ast.StructType:
-					m.recordGuardedFields(pkg, n)
+				if st, ok := n.(*ast.StructType); ok {
+					m.recordGuardedFields(pkg, st)
 				}
 				return true
 			})
 		}
 	}
 	m.cg = m.buildCallGraph()
-	m.runHotClosure()
+	m.preDiags = map[string]map[*Package][]Diagnostic{"hotpath": {}, "lockorder": {}}
+	m.runHotPath()
 	m.runLockOrder()
-	m.runAtomicMix()
-	m.sortPreDiags()
 }
 
-// recordAtomicCall notes fields whose address is passed to a sync/atomic
-// function (atomic.AddInt64(&s.f, ...)): the field joins the must-be-atomic
-// set and the selector node is remembered as a legal access site.
-func (m *Module) recordAtomicCall(pkg *Package, call *ast.CallExpr) {
-	fn := calleeOf(pkg.Info, call)
-	if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != "sync/atomic" || len(call.Args) == 0 {
-		return
-	}
-	un, ok := ast.Unparen(call.Args[0]).(*ast.UnaryExpr)
-	if !ok || un.Op.String() != "&" {
-		return
-	}
-	sel, ok := ast.Unparen(un.X).(*ast.SelectorExpr)
-	if !ok {
-		return
-	}
-	if v, ok := pkg.Info.Uses[sel.Sel].(*types.Var); ok && v.IsField() {
-		m.atomicFld[v] = true
-		m.atomicUse[sel] = true
-	}
+// addPreDiag stores a module-wide analyzer's finding under the package that
+// anchors it. Both traversals visit nodes in sorted order, so each package's
+// list is deterministic.
+func (m *Module) addPreDiag(analyzer string, pkg *Package, d Diagnostic) {
+	m.preDiags[analyzer][pkg] = append(m.preDiags[analyzer][pkg], d)
 }
 
 // recordGuardedFields parses the two guarded-field comment conventions on a
@@ -161,6 +140,14 @@ func calleeOf(info *types.Info, call *ast.CallExpr) *types.Func {
 		if fn, ok := info.Uses[f.Sel].(*types.Func); ok {
 			return fn
 		}
+	}
+	return nil
+}
+
+// typeOfExpr is the type the checker recorded for e, nil if none.
+func typeOfExpr(info *types.Info, e ast.Expr) types.Type {
+	if tv, ok := info.Types[e]; ok {
+		return tv.Type
 	}
 	return nil
 }

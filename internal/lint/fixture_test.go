@@ -69,6 +69,16 @@ func collectWants(t *testing.T, root string) []*wantExpect {
 	return wants
 }
 
+// mustRun is Run for filters the test knows select something.
+func mustRun(t *testing.T, m *Module, opts Options) []Diagnostic {
+	t.Helper()
+	diags, err := Run(m, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return diags
+}
+
 // splitPatterns parses the backquoted (or double-quoted) regexes following
 // the want keyword.
 func splitPatterns(rest string) []string {
@@ -104,7 +114,7 @@ func TestFixtures(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	diags := Run(m, Options{})
+	diags := mustRun(t, m, Options{})
 	wants := collectWants(t, root)
 
 	byLine := make(map[string][]*wantExpect)
@@ -145,7 +155,7 @@ func TestFixtureAnalyzerFilter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	diags := Run(m, Options{Analyzers: []string{"detlint"}})
+	diags := mustRun(t, m, Options{Analyzers: []string{"detlint"}})
 	if len(diags) == 0 {
 		t.Fatal("detlint-only run found nothing in the fixture corpus")
 	}
@@ -166,13 +176,36 @@ func TestFixturePackageFilter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	diags := Run(m, Options{Packages: []string{"guardedby"}})
+	diags := mustRun(t, m, Options{Packages: []string{"guardedby"}})
 	if len(diags) == 0 {
 		t.Fatal("guardedby package run found nothing")
 	}
 	for _, d := range diags {
 		if !strings.HasPrefix(d.File, "guardedby/") {
 			t.Errorf("package-filtered run leaked %s", d)
+		}
+	}
+}
+
+// TestRunRejectsEmptyFilters: a -run name that is not an analyzer, or a
+// package pattern matching no package, selects nothing — that is an error
+// naming the valid choices, never a clean run.
+func TestRunRejectsEmptyFilters(t *testing.T) {
+	m, err := Load(filepath.Join("testdata", "src"), "fix")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = Run(m, Options{Analyzers: []string{"hotpath", "nosuchanalyzer"}})
+	if err == nil || !strings.Contains(err.Error(), `"nosuchanalyzer"`) || !strings.Contains(err.Error(), "noescape-test") {
+		t.Errorf("unknown analyzer: got %v, want an error naming it and listing the valid names", err)
+	}
+	_, err = Run(m, Options{Packages: []string{"guardedby", "./nosuchdir/..."}})
+	if err == nil || !strings.Contains(err.Error(), `"./nosuchdir/..."`) {
+		t.Errorf("unmatched package pattern: got %v, want an error naming it", err)
+	}
+	for _, ok := range [][]string{{"./..."}, {"lockorder/..."}, {"fix/lockorder/locka"}} {
+		if _, err := Run(m, Options{Packages: ok}); err != nil {
+			t.Errorf("pattern %v: %v", ok, err)
 		}
 	}
 }

@@ -10,17 +10,11 @@ import (
 //	mu sync.Mutex // guards history and sinceFit
 //	q  []*waiter  // guarded by mu
 //
-// — are only touched while that mutex is held. The walker is intra-procedural
-// and deliberately conservative in what it tracks: a linear pass over each
-// function body maintaining the set of held mutexes (keyed by the source text
-// of the receiver expression, so t.mu.Lock() guards t.history). Branches that
-// end in return do not contribute to the post-branch lock state, which keeps
-// the check-unlock-return idiom clean. Function literals are analyzed with
-// the lock state at their creation point — in this codebase closures touching
-// guarded state are sort comparators and the like, invoked synchronously
-// under the lock that wraps them. Calls to functions whose doc says the
-// caller must hold a mutex (//dbwlm:locked or "caller holds mu" prose)
-// require that mutex held at the call site.
+// — are only touched while that mutex is held, and that calls to functions
+// whose doc says the caller must hold a mutex (//dbwlm:locked or "caller holds
+// mu" prose) are made with it held. The held set comes from lockWalker
+// (lockwalk.go), keyed by the source text of the mutex expression, so
+// t.mu.Lock() guards t.history.
 //
 // _test.go files are exempt: tests reach into guarded state freely while
 // single-threaded.
@@ -31,7 +25,8 @@ var GuardedBy = &Analyzer{
 }
 
 func runGuardedBy(m *Module, pkg *Package) []Diagnostic {
-	var diags []Diagnostic
+	c := &guardChecker{m: m, pkg: pkg}
+	w := &lockWalker{pkg: pkg, visit: c.visit}
 	for _, f := range pkg.Files {
 		if f.Test {
 			continue
@@ -41,246 +36,57 @@ func runGuardedBy(m *Module, pkg *Package) []Diagnostic {
 			if !ok || fd.Body == nil {
 				continue
 			}
-			w := &lockWalker{m: m, pkg: pkg}
-			held := make(lockSet)
+			held := make(heldLocks)
 			if fn, _ := pkg.Info.Defs[fd.Name].(*types.Func); fn != nil {
 				if mu := m.lockedBy[fn]; mu != "" && fd.Recv != nil && len(fd.Recv.List) == 1 &&
 					len(fd.Recv.List[0].Names) == 1 {
-					held[fd.Recv.List[0].Names[0].Name+"."+mu] = true
+					held[fd.Recv.List[0].Names[0].Name+"."+mu] = ""
 				}
 			}
 			w.walkStmts(fd.Body.List, held)
-			diags = append(diags, w.diags...)
 		}
 	}
-	return diags
+	return c.diags
 }
 
-type lockSet map[string]bool
-
-func (s lockSet) clone() lockSet {
-	c := make(lockSet, len(s))
-	for k := range s {
-		c[k] = true
-	}
-	return c
-}
-
-type lockWalker struct {
+type guardChecker struct {
 	m     *Module
 	pkg   *Package
 	diags []Diagnostic
 }
 
-// walkStmts processes a statement list against the entry lock state, mutating
-// held in place. It reports whether the list terminates (return/panic), so
-// callers can exclude dead exits from merge points.
-func (w *lockWalker) walkStmts(stmts []ast.Stmt, held lockSet) (terminates bool) {
-	for _, s := range stmts {
-		if w.walkStmt(s, held) {
-			return true
-		}
-	}
-	return false
-}
-
-func (w *lockWalker) walkStmt(s ast.Stmt, held lockSet) (terminates bool) {
-	switch s := s.(type) {
-	case *ast.ExprStmt:
-		if mu, op := lockOp(w.pkg, s.X); mu != "" {
-			switch op {
-			case "Lock", "RLock":
-				held[mu] = true
-			case "Unlock", "RUnlock":
-				delete(held, mu)
-			}
-			return false
-		}
-		w.checkExpr(s.X, held)
-	case *ast.DeferStmt:
-		if mu, _ := lockOp(w.pkg, s.Call); mu != "" {
-			return false // defer mu.Unlock() fires at exit, not here
-		}
-		w.checkExpr(s.Call, held)
-	case *ast.ReturnStmt:
-		for _, r := range s.Results {
-			w.checkExpr(r, held)
-		}
-		return true
-	case *ast.IfStmt:
-		if s.Init != nil {
-			w.walkStmt(s.Init, held)
-		}
-		w.checkExpr(s.Cond, held)
-		thenHeld := held.clone()
-		thenTerm := w.walkStmts(s.Body.List, thenHeld)
-		var exits []lockSet
-		if !thenTerm {
-			exits = append(exits, thenHeld)
-		}
-		if s.Else != nil {
-			elseHeld := held.clone()
-			var elseTerm bool
-			switch e := s.Else.(type) {
-			case *ast.BlockStmt:
-				elseTerm = w.walkStmts(e.List, elseHeld)
-			default:
-				elseTerm = w.walkStmt(e, elseHeld)
-			}
-			if !elseTerm {
-				exits = append(exits, elseHeld)
-			}
-		} else {
-			exits = append(exits, held.clone())
-		}
-		mergeInto(held, exits)
-		return len(exits) == 0
-	case *ast.BlockStmt:
-		return w.walkStmts(s.List, held)
-	case *ast.ForStmt:
-		if s.Init != nil {
-			w.walkStmt(s.Init, held)
-		}
-		if s.Cond != nil {
-			w.checkExpr(s.Cond, held)
-		}
-		body := held.clone()
-		w.walkStmts(s.Body.List, body)
-		if s.Post != nil {
-			w.walkStmt(s.Post, body)
-		}
-		// Loop bodies are assumed lock-balanced; the post-loop state is the
-		// entry state.
-	case *ast.RangeStmt:
-		w.checkExpr(s.X, held)
-		body := held.clone()
-		w.walkStmts(s.Body.List, body)
-	case *ast.SwitchStmt:
-		if s.Init != nil {
-			w.walkStmt(s.Init, held)
-		}
-		if s.Tag != nil {
-			w.checkExpr(s.Tag, held)
-		}
-		w.walkClauses(s.Body.List, held)
-	case *ast.TypeSwitchStmt:
-		if s.Init != nil {
-			w.walkStmt(s.Init, held)
-		}
-		w.walkClauses(s.Body.List, held)
-	case *ast.SelectStmt:
-		w.walkClauses(s.Body.List, held)
-	case *ast.AssignStmt:
-		for _, e := range s.Rhs {
-			w.checkExpr(e, held)
-		}
-		for _, e := range s.Lhs {
-			w.checkExpr(e, held)
-		}
-	case *ast.IncDecStmt:
-		w.checkExpr(s.X, held)
-	case *ast.GoStmt:
-		// The goroutine runs later, under no lock the spawner holds.
-		w.checkExpr(s.Call.Fun, nil)
-		for _, a := range s.Call.Args {
-			w.checkExpr(a, held) // arguments evaluate now
-		}
-	case *ast.DeclStmt, *ast.SendStmt, *ast.LabeledStmt, *ast.BranchStmt, *ast.EmptyStmt:
-		ast.Inspect(s, func(n ast.Node) bool {
-			if e, ok := n.(ast.Expr); ok {
-				w.checkExpr(e, held)
-				return false
-			}
-			return true
-		})
-	}
-	return false
-}
-
-// walkClauses analyzes each case body against a copy of the entry state;
-// clauses are assumed lock-balanced, so the post state is the entry state.
-func (w *lockWalker) walkClauses(clauses []ast.Stmt, held lockSet) {
-	for _, c := range clauses {
-		var body []ast.Stmt
-		switch c := c.(type) {
-		case *ast.CaseClause:
-			for _, e := range c.List {
-				w.checkExpr(e, held)
-			}
-			body = c.Body
-		case *ast.CommClause:
-			body = c.Body
-		}
-		w.walkStmts(body, held.clone())
+func (c *guardChecker) visit(n ast.Node, held heldLocks) {
+	switch n := n.(type) {
+	case *ast.SelectorExpr:
+		c.checkAccess(n, held)
+	case *ast.CallExpr:
+		c.checkLockedCall(n, held)
 	}
 }
 
-// mergeInto replaces held with the intersection of the live exit states.
-func mergeInto(held lockSet, exits []lockSet) {
-	for k := range held {
-		delete(held, k)
-	}
-	if len(exits) == 0 {
-		return
-	}
-	for k := range exits[0] {
-		all := true
-		for _, e := range exits[1:] {
-			if !e[k] {
-				all = false
-				break
-			}
-		}
-		if all {
-			held[k] = true
-		}
-	}
-}
-
-// checkExpr flags guarded-field accesses and locked-callee calls made without
-// the required mutex. It does not descend into nested function literals'
-// statements as statements — their bodies are walked with the current state.
-func (w *lockWalker) checkExpr(e ast.Expr, held lockSet) {
-	if e == nil {
-		return
-	}
-	ast.Inspect(e, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.SelectorExpr:
-			w.checkAccess(n, held)
-		case *ast.CallExpr:
-			w.checkLockedCall(n, held)
-		case *ast.FuncLit:
-			w.walkStmts(n.Body.List, held.clone())
-			return false
-		}
-		return true
-	})
-}
-
-func (w *lockWalker) checkAccess(sel *ast.SelectorExpr, held lockSet) {
-	v, ok := w.pkg.Info.Uses[sel.Sel].(*types.Var)
+func (c *guardChecker) checkAccess(sel *ast.SelectorExpr, held heldLocks) {
+	v, ok := c.pkg.Info.Uses[sel.Sel].(*types.Var)
 	if !ok || !v.IsField() {
 		return
 	}
-	mu := w.m.guarded[v]
+	mu := c.m.guarded[v]
 	if mu == "" {
 		return
 	}
 	need := types.ExprString(sel.X) + "." + mu
-	if !held[need] {
-		w.diags = append(w.diags, w.m.diag("guardedby", sel.Pos(),
+	if _, ok := held[need]; !ok {
+		c.diags = append(c.diags, c.m.diag("guardedby", sel.Pos(),
 			"access to %s without holding %s (field is commented guarded by %s)",
 			v.Name(), need, mu))
 	}
 }
 
-func (w *lockWalker) checkLockedCall(call *ast.CallExpr, held lockSet) {
-	fn := calleeOf(w.pkg.Info, call)
-	if fn == nil || !w.m.isModuleFunc(fn) {
+func (c *guardChecker) checkLockedCall(call *ast.CallExpr, held heldLocks) {
+	fn := calleeOf(c.pkg.Info, call)
+	if fn == nil || !c.m.isModuleFunc(fn) {
 		return
 	}
-	mu := w.m.lockedBy[fn]
+	mu := c.m.lockedBy[fn]
 	if mu == "" {
 		return
 	}
@@ -289,32 +95,9 @@ func (w *lockWalker) checkLockedCall(call *ast.CallExpr, held lockSet) {
 		return // plain function with a locked contract: receiver unknown, trust it
 	}
 	need := types.ExprString(sel.X) + "." + mu
-	if !held[need] {
-		w.diags = append(w.diags, w.m.diag("guardedby", call.Pos(),
+	if _, ok := held[need]; !ok {
+		c.diags = append(c.diags, c.m.diag("guardedby", call.Pos(),
 			"call to %s requires %s held (its doc says the caller must hold %s)",
 			fn.Name(), need, mu))
 	}
-}
-
-// lockOp recognizes mu.Lock()/RLock()/Unlock()/RUnlock() on a sync mutex and
-// returns the mutex expression's source text and the operation.
-func lockOp(pkg *Package, e ast.Expr) (mu, op string) {
-	call, ok := ast.Unparen(e).(*ast.CallExpr)
-	if !ok {
-		return "", ""
-	}
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok {
-		return "", ""
-	}
-	switch sel.Sel.Name {
-	case "Lock", "RLock", "Unlock", "RUnlock":
-	default:
-		return "", ""
-	}
-	fn, ok := pkg.Info.Uses[sel.Sel].(*types.Func)
-	if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "sync" {
-		return "", ""
-	}
-	return types.ExprString(sel.X), sel.Sel.Name
 }

@@ -6,13 +6,17 @@ import (
 	"go/types"
 )
 
-// HotPath checks that functions annotated //dbwlm:hotpath contain no
-// allocating constructs. The admission fast path's 0-allocs/op figure (the
-// AllocsPerRun tests in internal/rt) is a hand-maintained property; this
-// analyzer pins the syntactic half of it so a drive-by edit cannot silently
-// put an allocation back.
+// HotPath holds every function reachable from a //dbwlm:hotpath root to the
+// admission fast path's contract: no allocation, no blocking. An annotation
+// marks a root; the traversal descends from there over the static call graph
+// (callgraph.go: direct calls, method values, function-typed fields,
+// CHA-resolved interface dispatch), so helpers need no annotation of their
+// own. The 0-allocs/op figures (the AllocsPerRun tests in internal/rt) are the
+// ground truth; this analyzer pins their syntactic half so a drive-by edit
+// three calls below a root cannot silently put an allocation or a lock back.
+// Every finding prints the witness call chain from its root.
 //
-// Flagged inside a hotpath function:
+// Allocating constructs flagged in every reached body:
 //
 //   - make, new, append, and debug print builtins
 //   - map and slice composite literals (they always allocate) and &T{...}
@@ -26,26 +30,47 @@ import (
 //     value where an interface parameter is declared
 //   - calls to variadic functions with non-empty variadic arguments (the
 //     argument slice allocates)
-//   - calls into module functions not themselves annotated //dbwlm:hotpath,
-//     and calls into standard-library packages outside a small allowlist of
+//   - calls into standard-library packages outside a small allowlist of
 //     allocation-free ones
 //
-// Known soundness gaps, deliberate: calls through function values (the
-// runtime's injected clock) and panics are trusted; value composite literals
-// are allowed because the paths this guards pass them by value, where escape
-// analysis keeps them on the stack — the AllocsPerRun tests remain the
-// ground truth the analyzer approximates.
+// Blocking constructs flagged in every reached body:
+//
+//   - sync lock acquisition (Mutex/RWMutex Lock and RLock), sync.WaitGroup
+//     and sync.Cond Wait, sync.Once.Do, and any sync.Map method (its slow
+//     path takes an internal mutex)
+//   - channel sends, receives, selects, and ranges over channels
+//   - time.Sleep and the timer constructors (After, Tick, NewTimer,
+//     NewTicker)
+//   - calls into I/O packages (os, io, bufio, net, syscall, os/exec,
+//     database/sql, log, and fmt's writer-printing half) and into reflect
+//   - calls through function values whose target set cannot be resolved
+//     from observed value flow, unless the call or the function-typed
+//     declaration it dispatches through carries //dbwlm:dyncall -- <reason>
+//
+// A //dbwlm:nolint hotpath on a line waives that line's findings and prunes
+// the call edges leaving it: one reasoned waiver at the boundary where a hot
+// path deliberately enters slow-path code silences the whole subtree, instead
+// of demanding one on every leaf statement beneath it.
+//
+// Known soundness gaps, deliberate: panics are trusted; value composite
+// literals are allowed because the paths this guards pass them by value,
+// where escape analysis keeps them on the stack. Bodies of standard-library
+// functions are never analyzed — the hotAllowedPkgs/hotAllowedFuncs allowlists
+// are the audited assertion that their call surface neither allocates nor
+// blocks.
 var HotPath = &Analyzer{
 	Name: "hotpath",
-	Doc:  "forbid allocating constructs in //dbwlm:hotpath functions",
-	Run:  runHotPath,
+	Doc:  "functions reachable from //dbwlm:hotpath roots must be alloc-free and non-blocking",
+	Run: func(m *Module, pkg *Package) []Diagnostic {
+		return m.preDiags["hotpath"][pkg]
+	},
 }
 
 // hotAllowedPkgs are standard-library packages whose exported call surface
 // used by this codebase is allocation-free AND non-blocking. This allowlist
 // is the analyzers' trust boundary: standard-library bodies are never
 // analyzed, so an entry here is a human assertion, audited when added and
-// re-audited when the closure analyzer surfaces a new call site. Packages
+// re-audited when the traversal surfaces a new call site. Packages
 // that call back into module code through an interface (container/heap) do
 // not widen the boundary — the callback re-enters the closure through the
 // CHA edges at the module call sites that constructed the container.
@@ -75,60 +100,101 @@ var hotAllowedFuncs = map[string]bool{
 	"time.Hours":        true,
 }
 
-func runHotPath(m *Module, pkg *Package) []Diagnostic {
-	var diags []Diagnostic
-	for _, f := range pkg.Files {
-		for _, decl := range f.Ast.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			fn, _ := pkg.Info.Defs[fd.Name].(*types.Func)
-			if fn == nil || !m.hot[fn] {
-				continue
-			}
-			w := &hotWalker{m: m, pkg: pkg, fn: fn}
-			w.prepass(fd.Body)
-			w.walk(fd.Body)
-			diags = append(diags, w.diags...)
-		}
-	}
-	return diags
+// ioPkgs are standard-library packages whose calls mean I/O (or reflection):
+// never acceptable on a hot closure.
+var ioPkgs = map[string]bool{
+	"os": true, "io": true, "io/fs": true, "io/ioutil": true, "bufio": true,
+	"net": true, "net/http": true, "syscall": true, "os/exec": true,
+	"os/signal": true, "database/sql": true, "log": true, "log/slog": true,
+	"reflect": true, "runtime/pprof": true,
 }
 
+// runHotPath walks the closure once, at fact-build time, distributing
+// findings to the packages that anchor them and recording the reached
+// functions for noescape-test.
+func (m *Module) runHotPath() {
+	g := m.cg
+	parent := make(map[*cgNode]*cgNode)
+	reached := make(map[*cgNode]bool)
+	var queue []*cgNode
+	for _, n := range g.all { // sorted: the BFS, and so every chain, is deterministic
+		if n.fn != nil && m.hot[n.fn] {
+			reached[n] = true
+			queue = append(queue, n)
+		}
+	}
+	for len(queue) > 0 {
+		n := queue[0]
+		queue = queue[1:]
+		for _, e := range n.edges {
+			// The waiver is consulted first so it counts as used wherever the
+			// traversal meets it, not only where it happens to arrive first.
+			if m.waived("hotpath", e.pos) || reached[e.to] {
+				continue
+			}
+			reached[e.to] = true
+			parent[e.to] = n
+			queue = append(queue, e.to)
+		}
+	}
+	m.hotReach = make(map[*types.Func]bool)
+	for _, n := range g.all {
+		if !reached[n] {
+			continue
+		}
+		if n.fn != nil {
+			m.hotReach[n.fn] = true
+		}
+		w := &hotWalker{m: m, n: n, chain: chainTo(parent, n)}
+		w.prepass()
+		n.inspectOwn(w.check)
+		for _, dyn := range n.dyn {
+			if !dyn.justified {
+				w.errf(dyn.pos,
+					"call through function value %s with unresolvable targets on a hot closure (resolve it, or justify with //dbwlm:dyncall -- <reason> on the call or the declaration it dispatches through)",
+					dyn.expr)
+			}
+		}
+	}
+}
+
+// chainTo reconstructs the witness chain root -> ... -> n.
+func chainTo(parent map[*cgNode]*cgNode, n *cgNode) []string {
+	var rev []string
+	for c := n; c != nil; c = parent[c] {
+		rev = append(rev, c.name)
+	}
+	chain := make([]string, len(rev))
+	for i := range rev {
+		chain[i] = rev[len(rev)-1-i]
+	}
+	return chain
+}
+
+// hotWalker checks one reached body; findings land on the module under the
+// node's package, carrying the chain that reached it.
 type hotWalker struct {
 	m     *Module
-	pkg   *Package
-	fn    *types.Func
-	diags []Diagnostic
-
-	// analyzer, when set, re-brands the walker for an interprocedural pass
-	// (hotclosure): findings carry that name and the witness chain, and the
-	// "calls non-hotpath" rule is skipped — the closure traversal descends
-	// into callees itself instead of demanding annotations on them.
-	analyzer string
-	chain    []string
+	n     *cgNode
+	chain []string
 
 	callFun    map[ast.Node]bool     // expressions in call-Fun position
 	deferLit   map[ast.Node]bool     // FuncLits that are a defer's call
 	directOnly map[*ast.FuncLit]bool // closures bound to a var used only in call position
-	litBounds  map[*ast.FuncLit]token.Pos
 }
 
 func (w *hotWalker) errf(pos token.Pos, format string, args ...any) {
-	name := w.analyzer
-	if name == "" {
-		name = "hotpath"
-	}
-	d := w.m.diag(name, pos, format, args...)
+	d := w.m.diag("hotpath", pos, format, args...)
 	d.Chain = w.chain
-	w.diags = append(w.diags, d)
+	w.m.addPreDiag("hotpath", w.n.pkg, d)
 }
 
 // prepass records which expressions sit in call position, which closures are
 // deferred calls, and which closures are bound to a variable that is only
-// ever called directly (and therefore never escapes).
-func (w *hotWalker) prepass(body *ast.BlockStmt) {
+// ever called directly (and therefore never escapes). It looks through nested
+// literals: a use of the variable inside one is still a use.
+func (w *hotWalker) prepass() {
+	body, info := w.n.body, w.n.pkg.Info
 	w.callFun = make(map[ast.Node]bool)
 	w.deferLit = make(map[ast.Node]bool)
 	w.directOnly = make(map[*ast.FuncLit]bool)
@@ -157,13 +223,13 @@ func (w *hotWalker) prepass(body *ast.BlockStmt) {
 		if !ok {
 			return true
 		}
-		obj := w.pkg.Info.Defs[id]
+		obj := info.Defs[id]
 		if obj == nil {
 			return true
 		}
 		escapes := false
 		ast.Inspect(body, func(u ast.Node) bool {
-			if uid, ok := u.(*ast.Ident); ok && w.pkg.Info.Uses[uid] == obj && !w.callFun[uid] {
+			if uid, ok := u.(*ast.Ident); ok && info.Uses[uid] == obj && !w.callFun[uid] {
 				escapes = true
 			}
 			return true
@@ -175,49 +241,60 @@ func (w *hotWalker) prepass(body *ast.BlockStmt) {
 	})
 }
 
-func (w *hotWalker) walk(n ast.Node) {
-	if n == nil {
-		return
-	}
-	ast.Inspect(n, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.GoStmt:
-			w.errf(n.Pos(), "go statement in hotpath function (allocates a goroutine)")
-		case *ast.CallExpr:
-			w.checkCall(n)
-		case *ast.CompositeLit:
-			w.checkCompositeLit(n)
-		case *ast.UnaryExpr:
-			if n.Op == token.AND {
-				if _, ok := ast.Unparen(n.X).(*ast.CompositeLit); ok {
-					w.errf(n.Pos(), "&T{...} in hotpath function escapes to the heap")
-				}
+// check is the per-statement visitor, run over the node's own statements
+// (nested literals are nodes of their own, reached through their creation
+// edge).
+func (w *hotWalker) check(n ast.Node) bool {
+	switch n := n.(type) {
+	case *ast.GoStmt:
+		w.errf(n.Pos(), "go statement in hotpath function (allocates a goroutine)")
+	case *ast.CallExpr:
+		w.checkCall(n)
+	case *ast.CompositeLit:
+		w.checkCompositeLit(n)
+	case *ast.UnaryExpr:
+		switch n.Op {
+		case token.AND:
+			if _, ok := ast.Unparen(n.X).(*ast.CompositeLit); ok {
+				w.errf(n.Pos(), "&T{...} in hotpath function escapes to the heap")
 			}
-		case *ast.BinaryExpr:
-			if n.Op == token.ADD {
-				if t := w.typeOf(n); t != nil && isStringType(t) {
-					w.errf(n.Pos(), "string concatenation in hotpath function allocates")
-				}
-			}
-		case *ast.SelectorExpr:
-			w.checkMethodValue(n)
-		case *ast.FuncLit:
-			w.checkFuncLit(n)
-			return false // body walked by checkFuncLit
+		case token.ARROW:
+			w.errf(n.Pos(), "channel receive blocks on a hot closure")
 		}
-		return true
-	})
+	case *ast.BinaryExpr:
+		if n.Op == token.ADD {
+			if t := w.typeOf(n); t != nil && isStringType(t) {
+				w.errf(n.Pos(), "string concatenation in hotpath function allocates")
+			}
+		}
+	case *ast.SelectorExpr:
+		w.checkMethodValue(n)
+	case *ast.FuncLit:
+		if !w.directOnly[n] && !w.deferLit[n] {
+			// One only called directly, or the immediate call of a defer, never
+			// escapes and stays on the stack.
+			if capt := w.captures(n); capt != "" {
+				w.errf(n.Pos(), "closure capturing %s in hotpath function allocates", capt)
+			}
+		}
+	case *ast.SendStmt:
+		w.errf(n.Pos(), "channel send blocks on a hot closure")
+	case *ast.SelectStmt:
+		w.errf(n.Pos(), "select blocks on a hot closure")
+	case *ast.RangeStmt:
+		if t := w.typeOf(n.X); t != nil {
+			if _, isChan := t.Underlying().(*types.Chan); isChan {
+				w.errf(n.Pos(), "range over channel blocks on a hot closure")
+			}
+		}
+	}
+	return true
 }
 
-func (w *hotWalker) typeOf(e ast.Expr) types.Type {
-	if tv, ok := w.pkg.Info.Types[e]; ok {
-		return tv.Type
-	}
-	return nil
-}
+func (w *hotWalker) typeOf(e ast.Expr) types.Type { return typeOfExpr(w.n.pkg.Info, e) }
 
 func (w *hotWalker) checkCall(call *ast.CallExpr) {
-	info := w.pkg.Info
+	info := w.n.pkg.Info
 	if b := builtinOf(info, call); b != "" {
 		switch b {
 		case "make":
@@ -235,22 +312,20 @@ func (w *hotWalker) checkCall(call *ast.CallExpr) {
 		w.checkConversion(call)
 		return
 	}
+	w.checkBoxing(call)
 	fn := calleeOf(info, call)
-	if fn == nil {
-		// A call through a function value (the runtime's injected clock): the
-		// dynamic target is unknowable statically; trusted by design.
-		w.checkBoxing(call)
+	if fn == nil || fn.Pkg() == nil {
+		// A call through a function value is the call graph's to resolve (or
+		// report as unresolved); error.Error and other universe-scope methods
+		// have nothing to check.
 		return
 	}
-	w.checkBoxing(call)
+	if d := blockingCall(fn); d != "" {
+		w.errf(call.Pos(), "%s", d)
+	}
 	switch {
-	case fn.Pkg() == nil:
-		// error.Error and other universe-scope methods.
 	case w.m.isModuleFunc(fn):
-		if !w.m.hot[fn] && w.analyzer == "" {
-			w.errf(call.Pos(), "hotpath function calls non-hotpath %s.%s",
-				fn.Pkg().Name(), fn.Name())
-		}
+		// The traversal descends into it.
 	case hotAllowedFuncs[fn.Pkg().Path()+"."+fn.Name()]:
 		// An individually vetted allocation-free, non-blocking function.
 	case !hotAllowedPkgs[fn.Pkg().Path()]:
@@ -266,7 +341,7 @@ func (w *hotWalker) checkCall(call *ast.CallExpr) {
 // checkBoxing flags arguments boxed into interface parameters and the slice
 // allocated by a non-empty variadic call.
 func (w *hotWalker) checkBoxing(call *ast.CallExpr) {
-	tv, ok := w.pkg.Info.Types[call.Fun]
+	tv, ok := w.n.pkg.Info.Types[call.Fun]
 	if !ok || tv.Type == nil {
 		return
 	}
@@ -301,7 +376,7 @@ func (w *hotWalker) checkBoxing(call *ast.CallExpr) {
 		if at == nil || isInterface(at) || pointerShaped(at) {
 			continue
 		}
-		if tv, ok := w.pkg.Info.Types[arg]; ok && tv.Value != nil {
+		if tv, ok := w.n.pkg.Info.Types[arg]; ok && tv.Value != nil {
 			continue // constants box through static data
 		}
 		if b, ok := at.Underlying().(*types.Basic); ok && b.Kind() == types.UntypedNil {
@@ -355,22 +430,9 @@ func (w *hotWalker) checkMethodValue(sel *ast.SelectorExpr) {
 	if w.callFun[sel] {
 		return
 	}
-	if s, ok := w.pkg.Info.Selections[sel]; ok && s.Kind() == types.MethodVal {
+	if s, ok := w.n.pkg.Info.Selections[sel]; ok && s.Kind() == types.MethodVal {
 		w.errf(sel.Pos(), "method value %s allocates a bound closure", types.ExprString(sel))
 	}
-}
-
-func (w *hotWalker) checkFuncLit(lit *ast.FuncLit) {
-	switch {
-	case w.directOnly[lit], w.deferLit[lit]:
-		// Never escapes (only called directly / the immediate call of a
-		// defer): stack-allocated. Its body still runs on the hot path.
-	default:
-		if capt := w.captures(lit); capt != "" {
-			w.errf(lit.Pos(), "closure capturing %s in hotpath function allocates", capt)
-		}
-	}
-	w.walk(lit.Body)
 }
 
 // captures reports a variable the literal captures from its enclosing
@@ -382,7 +444,7 @@ func (w *hotWalker) captures(lit *ast.FuncLit) string {
 		if !ok || found != "" {
 			return found == ""
 		}
-		v, ok := w.pkg.Info.Uses[id].(*types.Var)
+		v, ok := w.n.pkg.Info.Uses[id].(*types.Var)
 		if !ok || v.IsField() || v.Parent() == nil || v.Parent().Parent() == types.Universe {
 			return true // fields, package-level vars, and non-vars never capture
 		}
@@ -407,4 +469,58 @@ func isByteOrRuneSlice(t types.Type) bool {
 	b, ok := s.Elem().Underlying().(*types.Basic)
 	return ok && (b.Kind() == types.Byte || b.Kind() == types.Rune ||
 		b.Kind() == types.Uint8 || b.Kind() == types.Int32)
+}
+
+// blockingCall classifies a callee as blocking ("" when it is not).
+func blockingCall(fn *types.Func) string {
+	path, name := fn.Pkg().Path(), fn.Name()
+	switch path {
+	case "sync":
+		recv := syncRecvName(fn)
+		switch {
+		case name == "Lock" || name == "RLock":
+			return "sync." + recv + "." + name + " blocks on a hot closure"
+		case name == "Wait":
+			return "sync." + recv + ".Wait blocks on a hot closure"
+		case name == "Do" && recv == "Once":
+			return "sync.Once.Do blocks until the first call completes"
+		case recv == "Map":
+			return "sync.Map." + name + " may take its internal mutex on a hot closure"
+		}
+	case "time":
+		switch name {
+		case "Sleep":
+			return "time.Sleep blocks on a hot closure"
+		case "After", "Tick", "NewTimer", "NewTicker", "AfterFunc":
+			return "time." + name + " arms a timer on a hot closure"
+		}
+	case "fmt":
+		switch name {
+		case "Print", "Println", "Printf", "Fprint", "Fprintln", "Fprintf":
+			return "fmt." + name + " performs I/O on a hot closure"
+		}
+	}
+	if ioPkgs[path] {
+		if path == "reflect" {
+			return "reflection (reflect." + name + ") on a hot closure"
+		}
+		return "I/O call " + fn.Pkg().Name() + "." + name + " on a hot closure"
+	}
+	return ""
+}
+
+// syncRecvName names the sync type a method hangs off ("Mutex", "Map", ...).
+func syncRecvName(fn *types.Func) string {
+	sig, ok := fn.Type().(*types.Signature)
+	if !ok || sig.Recv() == nil {
+		return ""
+	}
+	t := sig.Recv().Type()
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	if named, ok := t.(*types.Named); ok {
+		return named.Obj().Name()
+	}
+	return t.String()
 }

@@ -20,7 +20,7 @@ func TestJSONGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := WriteJSON(&buf, Run(m, Options{})); err != nil {
+	if err := WriteJSON(&buf, mustRun(t, m, Options{})); err != nil {
 		t.Fatal(err)
 	}
 	golden := filepath.Join("testdata", "golden.json")
@@ -59,12 +59,12 @@ func TestRunDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	var base bytes.Buffer
-	if err := WriteJSON(&base, Run(m, Options{Workers: 1})); err != nil {
+	if err := WriteJSON(&base, mustRun(t, m, Options{Workers: 1})); err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 8} {
 		var buf bytes.Buffer
-		if err := WriteJSON(&buf, Run(m, Options{Workers: workers})); err != nil {
+		if err := WriteJSON(&buf, mustRun(t, m, Options{Workers: workers})); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(base.Bytes(), buf.Bytes()) {

@@ -1,14 +1,13 @@
-// Package lint is dbwlm's in-tree static-analysis suite: eight analyzers over
+// Package lint is dbwlm's in-tree static-analysis suite: six analyzers over
 // go/ast + go/types that machine-check the invariants the runtime's
 // correctness and performance rest on — zero-allocation, non-blocking hot
-// paths (checked intra-procedurally and across the whole static call graph),
-// atomic field discipline and 64-bit alignment (including interprocedural
-// mixed plain/atomic access), deterministic iteration in the
-// simulation/reporting packages, mutex-guarded field access, global
-// lock-ordering acyclicity, and the coupling between AllocsPerRun tests and
-// the hot paths they guard. The
-// driver (cmd/wlmlint) loads the whole module with full type information
-// using only the standard library, keeping go.mod dependency-free.
+// paths (everything reachable from an annotated root over the static call
+// graph), typed atomics only, deterministic iteration in the
+// simulation/reporting packages, mutex-guarded field access, no nested
+// locking, and the coupling between AllocsPerRun tests and the hot paths they
+// guard. The driver (cmd/wlmlint) loads the whole module with full type
+// information using only the standard library, keeping go.mod
+// dependency-free.
 //
 // See DESIGN.md §10 for the analyzer catalogue and the //dbwlm: annotation
 // vocabulary.
@@ -44,7 +43,8 @@ func (d Diagnostic) String() string {
 }
 
 // Analyzer is one check. Run inspects a single package; cross-package facts
-// (annotation sets, atomic-field tables) are prebuilt on the Module.
+// (annotation sets, the call graph, the module-wide analyzers' findings) are
+// prebuilt on the Module.
 type Analyzer struct {
 	Name string
 	Doc  string
@@ -54,9 +54,7 @@ type Analyzer struct {
 // Analyzers is the full suite, in reporting order.
 var Analyzers = []*Analyzer{
 	HotPath,
-	HotClosure,
-	AtomicField,
-	AtomicMix,
+	Atomic,
 	DetLint,
 	GuardedBy,
 	LockOrder,
@@ -70,6 +68,16 @@ var analyzerNames = func() map[string]bool {
 	}
 	return names
 }()
+
+// validNames renders the suite's analyzer names, in reporting order, for the
+// unknown-analyzer error.
+func validNames() string {
+	names := make([]string, len(Analyzers))
+	for i, a := range Analyzers {
+		names[i] = a.Name
+	}
+	return strings.Join(names, ", ")
+}
 
 // Options tunes one Run.
 type Options struct {
@@ -91,14 +99,23 @@ type Options struct {
 // surviving findings: suppressed diagnostics are dropped (their suppressions
 // marked used), and — when the full suite runs unfiltered — unused
 // suppressions and malformed directives are reported as "directive" findings.
-func Run(m *Module, opts Options) []Diagnostic {
+// A filter that can select nothing — an analyzer name not in Analyzers, a
+// package pattern matching no loaded package — is an error, not a clean run.
+func Run(m *Module, opts Options) ([]Diagnostic, error) {
 	wantAnalyzer := func(string) bool { return true }
 	if len(opts.Analyzers) > 0 {
 		set := make(map[string]bool)
 		for _, n := range opts.Analyzers {
+			if !analyzerNames[n] {
+				return nil, fmt.Errorf("lint: unknown analyzer %q (valid: %s)", n, validNames())
+			}
 			set[n] = true
 		}
 		wantAnalyzer = func(n string) bool { return set[n] }
+	}
+	match, err := m.packageMatcher(opts.Packages)
+	if err != nil {
+		return nil, err
 	}
 
 	// Fan the (analyzer, package) grid across workers. Analyzer Run functions
@@ -155,7 +172,7 @@ func Run(m *Module, opts Options) []Diagnostic {
 	// analyzers on its own line and the line below it.
 	kept := diags[:0]
 	for _, d := range diags {
-		if m.suppressed(d) {
+		if m.waivedAt(d.Analyzer, m.absFile(d.File), d.Line) {
 			continue
 		}
 		kept = append(kept, d)
@@ -194,7 +211,6 @@ func Run(m *Module, opts Options) []Diagnostic {
 	}
 
 	if len(opts.Packages) > 0 {
-		match := m.packageMatcher(opts.Packages)
 		kept := diags[:0]
 		for _, d := range diags {
 			if match(d.File) {
@@ -217,17 +233,19 @@ func Run(m *Module, opts Options) []Diagnostic {
 		}
 		return a.Analyzer < b.Analyzer
 	})
-	return diags
+	return diags, nil
 }
 
-func (m *Module) suppressed(d Diagnostic) bool {
-	f := m.byFile[m.absFile(d.File)]
+// waivedAt reports whether a //dbwlm:nolint naming analyzer covers the line
+// (it sits on it or on the line above), marking the suppression used.
+func (m *Module) waivedAt(analyzer, file string, line int) bool {
+	f := m.byFile[file]
 	if f == nil {
 		return false
 	}
 	for i := range f.suppress {
 		s := &f.suppress[i]
-		if (s.line == d.Line || s.line == d.Line-1) && s.analyzers[d.Analyzer] {
+		if (s.line == line || s.line == line-1) && s.analyzers[analyzer] {
 			s.used = true
 			return true
 		}
@@ -235,16 +253,29 @@ func (m *Module) suppressed(d Diagnostic) bool {
 	return false
 }
 
+// waived is waivedAt for a token position; hotpath prunes its traversal at
+// waived call sites with it.
+func (m *Module) waived(analyzer string, pos token.Pos) bool {
+	p := m.Fset.Position(pos)
+	return m.waivedAt(analyzer, p.Filename, p.Line)
+}
+
 // packageMatcher compiles CLI package patterns into a predicate over
-// module-relative file paths.
-func (m *Module) packageMatcher(patterns []string) func(string) bool {
+// module-relative file paths, rejecting a pattern no loaded package matches.
+func (m *Module) packageMatcher(patterns []string) (func(file string) bool, error) {
 	type pat struct {
 		dir string // module-relative package dir, "" = root
 		all bool   // trailing /...
 	}
+	matches := func(p pat, dir string) bool {
+		if dir == p.dir {
+			return true
+		}
+		return p.all && (p.dir == "" || strings.HasPrefix(dir, p.dir+"/"))
+	}
 	var pats []pat
-	for _, p := range patterns {
-		p = strings.TrimPrefix(p, m.Path+"/")
+	for _, arg := range patterns {
+		p := strings.TrimPrefix(arg, m.Path+"/")
 		p = strings.TrimPrefix(p, "./")
 		all := false
 		if p == "..." || p == m.Path {
@@ -253,7 +284,21 @@ func (m *Module) packageMatcher(patterns []string) func(string) bool {
 		if rest, ok := strings.CutSuffix(p, "/..."); ok {
 			p, all = rest, true
 		}
-		pats = append(pats, pat{dir: p, all: all})
+		if p == "." {
+			p = "" // the root package
+		}
+		pt := pat{dir: p, all: all}
+		found := false
+		for _, pkg := range m.Pkgs {
+			if matches(pt, strings.TrimPrefix(strings.TrimPrefix(pkg.Dir, m.Dir), "/")) {
+				found = true
+				break
+			}
+		}
+		if !found {
+			return nil, fmt.Errorf("lint: package pattern %q matches no package of module %s", arg, m.Path)
+		}
+		pats = append(pats, pt)
 	}
 	return func(file string) bool {
 		dir := ""
@@ -261,16 +306,12 @@ func (m *Module) packageMatcher(patterns []string) func(string) bool {
 			dir = file[:i]
 		}
 		for _, p := range pats {
-			if p.all {
-				if p.dir == "" || dir == p.dir || strings.HasPrefix(dir, p.dir+"/") {
-					return true
-				}
-			} else if dir == p.dir {
+			if matches(p, dir) {
 				return true
 			}
 		}
 		return false
-	}
+	}, nil
 }
 
 // diag builds a Diagnostic at a token position.
@@ -297,23 +338,4 @@ func (m *Module) absFile(rel string) string {
 		return rel
 	}
 	return m.Dir + "/" + rel
-}
-
-// suppressedAt reports whether a //dbwlm:nolint for analyzer covers pos,
-// marking the suppression used. Interprocedural analyzers use it to prune
-// traversal at suppressed call sites.
-func (m *Module) suppressedAt(analyzer string, pos token.Pos) bool {
-	p := m.Fset.Position(pos)
-	f := m.byFile[p.Filename]
-	if f == nil {
-		return false
-	}
-	for i := range f.suppress {
-		s := &f.suppress[i]
-		if (s.line == p.Line || s.line == p.Line-1) && s.analyzers[analyzer] {
-			s.used = true
-			return true
-		}
-	}
-	return false
 }

@@ -67,13 +67,12 @@ type Module struct {
 	byFile map[string]*File
 
 	// Facts built after type checking (annot.go, facts.go).
-	hot       map[*types.Func]bool   // //dbwlm:hotpath functions
-	lockedBy  map[*types.Func]string // caller-must-hold-mutex functions
-	det       map[*Package]bool      // //dbwlm:deterministic packages
-	dirDiags  []Diagnostic           // malformed/misplaced directive findings
-	atomicFld map[*types.Var]bool    // fields passed to sync/atomic functions
-	atomicUse map[ast.Node]bool      // selector nodes that ARE atomic accesses
-	guarded   map[*types.Var]string  // field -> sibling mutex field name
+	hot      map[*types.Func]bool   // //dbwlm:hotpath functions: the closure's roots
+	hotReach map[*types.Func]bool   // declared functions in the hot closure
+	lockedBy map[*types.Func]string // caller-must-hold-mutex functions
+	det      map[*Package]bool      // //dbwlm:deterministic packages
+	dirDiags []Diagnostic           // malformed/misplaced directive findings
+	guarded  map[*types.Var]string  // field -> sibling mutex field name
 
 	// Interprocedural layer (callgraph.go): the module-wide call graph and
 	// the per-package findings the module-level analyzers precompute from it.
@@ -471,6 +470,7 @@ func (i *modImporter) Import(path string) (*types.Package, error) {
 	}
 	i.stdMu.Lock()
 	defer i.stdMu.Unlock()
+	//dbwlm:nolint lockorder -- std is go/importer's source importer, never a modImporter; interface dispatch cannot tell, and stdMu is the only lock beneath this call
 	return i.std.Import(path)
 }
 

@@ -1,7 +1,6 @@
 package lint
 
 import (
-	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
@@ -9,121 +8,114 @@ import (
 	"strings"
 )
 
-// LockOrder derives a global lock-ordering graph and reports cycles as
-// potential deadlocks. Lock identity is abstracted to the declaration site —
-// a struct's mutex field ("rt.Runtime.mu") or a package-level mutex variable
-// ("policy.reloadMu") — so two goroutines locking two *instances* of the
-// same pair of locks in opposite orders collapse onto the same cycle. Edges
-// come from two observations, both over non-test code:
+// LockOrder forbids nested locking: acquiring a lock while holding another is
+// a finding, whether the second Lock is in the same function or somewhere
+// beneath a call made with the first held — through a direct call, a resolved
+// function value, or CHA interface dispatch; //dbwlm:locked callees start
+// with their contract mutex held. A lock-order deadlock needs a cycle in the
+// acquired-while-holding graph, a cycle needs an edge, and every edge is a
+// nested acquisition, so a module with no nesting has no such deadlock — and
+// the rule needs no graph. A nesting that is wanted carries
 //
-//   - direct: a function acquires B while holding A (the acquisition walk
-//     follows guardedby's discipline: branch-local states, defer Unlock
-//     held to exit, function literals analyzed at their creation point
-//     under the locks held there)
-//   - transitive: a function holding A calls — directly, through a resolved
-//     function value, or via CHA interface dispatch — a callee that
-//     somewhere beneath it acquires B; //dbwlm:locked callees start with
-//     their contract mutex held, so their inner acquisitions order after it
+//	//dbwlm:nolint lockorder -- <the global order that makes it safe>
 //
-// Each cycle is reported once, anchored at its first edge's witness, with
-// one witness chain per edge (who held what, where, and through which call
-// path the second lock is reached). Re-acquiring the same abstract lock on
-// a different instance (A -> A) is reported too: two instances locked in
-// opposite orders by two goroutines deadlock just as surely.
+// on the acquiring line (or the call that reaches it).
 //
-// Known imprecision, deliberate: RLock is treated as an acquisition of the
-// same abstract lock (reader/reader pairs cannot deadlock alone, but any
-// cycle involving a writer elsewhere makes the order real), and lock
-// identity by declaration site means a sharded `for i := range shards {
-// shards[i].mu.Lock() }` sweep reads as a self-edge — annotate the sweep
-// with a reasoned //dbwlm:nolint lockorder if shard order is globally fixed.
+// Lock identity is abstracted to the declaration site — a struct's mutex
+// field ("rt.Runtime.mu") or a package-level mutex variable
+// ("policy.reloadMu") — and a second instance of the same abstract lock
+// counts: two goroutines pairing two instances in opposite orders deadlock
+// just as surely. Re-locking the very same expression is left to the walker's
+// imprecision (lockwalk.go) rather than reported. RLock counts as an
+// acquisition: reader/reader pairs cannot deadlock alone, but a writer
+// elsewhere makes the order real. Locals and other mutexes with no
+// declaration-site name are not tracked.
 var LockOrder = &Analyzer{
 	Name: "lockorder",
-	Doc:  "lock-ordering cycles across the module are potential deadlocks",
+	Doc:  "no lock is acquired while another is held, directly or through a callee",
 	Run: func(m *Module, pkg *Package) []Diagnostic {
 		return m.preDiags["lockorder"][pkg]
 	},
 }
 
-// lockAcq is how a node comes to acquire an abstract lock: directly (via is
-// nil, pos is the Lock call) or through a callee (via names the callee, pos
-// is the call site).
-type lockAcq struct {
-	pos token.Pos
-	via *cgNode
-}
+// lockAcqs is the abstract locks a node acquires, each mapped to the callee
+// it is reached through — nil when the node takes it itself.
+type lockAcqs map[string]*cgNode
 
-// lockEdge is one observed ordering: to acquired while from was held.
-type lockEdge struct {
-	from, to string
-	node     *cgNode // function the observation anchors in
-	pos      token.Pos
-	via      []string // call path from node down to the actual Lock, when indirect
-}
-
-// runLockOrder builds the lock graph and reports cycles, at fact-build time.
+// runLockOrder reports nested acquisitions module-wide, at fact-build time.
 func (m *Module) runLockOrder() {
 	g := m.cg
-	if g == nil {
-		return
-	}
-	// Pass 1: per-node direct acquisitions, direct edges, and call sites
-	// annotated with the locks held around them.
-	direct := make(map[*cgNode]map[string]lockAcq)
-	type callSite struct {
-		targets []*cgNode
-		pos     token.Pos
-		held    []string
-	}
-	callsByNode := make(map[*cgNode][]callSite)
-	edges := make(map[[2]string]*lockEdge)
-	addEdge := func(e *lockEdge) {
-		k := [2]string{e.from, e.to}
-		if old := edges[k]; old == nil || edgeLess(m, e, old) {
-			edges[k] = e
+	// report files "acquires key while holding ...", for every named lock in
+	// held other than the instance being acquired (relocked).
+	report := func(n *cgNode, pos token.Pos, key string, held heldLocks, relocked string, path []string) {
+		var holding []string
+		for mu, h := range held {
+			if h != "" && mu != relocked {
+				holding = append(holding, h)
+			}
 		}
+		if len(holding) == 0 {
+			return
+		}
+		sort.Strings(holding)
+		d := m.diag("lockorder", pos, "acquires %s while holding %s", key, strings.Join(holding, ", "))
+		if path != nil {
+			d.Chain = append([]string{n.name}, path...)
+		}
+		m.addPreDiag("lockorder", n.pkg, d)
 	}
 
+	// Pass 1: walk every body once, recording the locks it acquires itself
+	// and every resolved call with the locks held around it. A literal's
+	// statements are walked from its creator, under the locks held there, so
+	// the creator owns their acquisitions and calls and declared functions
+	// do all the reporting; a literal's own walk only summarizes it for the
+	// callers that reach it through a function value.
+	type callSite struct {
+		call *ast.CallExpr
+		held heldLocks
+	}
+	acq := make(map[*cgNode]lockAcqs, len(g.all))
+	sites := make(map[*cgNode][]callSite)
 	for _, n := range g.all {
-		w := &orderWalker{m: m, n: n, acq: make(map[string]lockAcq)}
-		held := make(map[string]string) // instance expr text -> abstract key
+		acq[n] = make(lockAcqs)
+		w := &lockWalker{
+			pkg: n.pkg,
+			acquire: func(call *ast.CallExpr, mu string, held heldLocks) string {
+				key := lockKeyOf(n.pkg.Info, call)
+				if key == "" {
+					return ""
+				}
+				acq[n][key] = nil
+				if n.fn != nil {
+					report(n, call.Pos(), key, held, mu, nil)
+				}
+				return key
+			},
+			visit: func(x ast.Node, held heldLocks) {
+				if call, ok := x.(*ast.CallExpr); ok && len(g.calls[call]) > 0 {
+					sites[n] = append(sites[n], callSite{call, held.clone()})
+				}
+			},
+		}
+		held := make(heldLocks)
 		if n.fn != nil {
 			if mu := m.lockedBy[n.fn]; mu != "" {
-				if key := recvLockKey(m, n.fn, mu); key != "" {
-					held["<caller>."+mu] = key
-				}
+				held["<caller>."+mu] = recvLockKey(n.fn, mu)
 			}
 		}
 		w.walkStmts(n.body.List, held)
-		direct[n] = w.acq
-		for _, e := range w.edges {
-			addEdge(e)
-		}
-		callsByNode[n] = nil
-		for _, c := range w.calls {
-			callsByNode[n] = append(callsByNode[n], callSite{targets: c.targets, pos: c.pos, held: c.held})
-		}
 	}
 
-	// Pass 2: transitive acquisitions to a fixpoint.
-	trans := make(map[*cgNode]map[string]lockAcq, len(g.all))
-	for _, n := range g.all {
-		trans[n] = make(map[string]lockAcq, len(direct[n]))
-		for k, a := range direct[n] {
-			trans[n][k] = a
-		}
-	}
+	// Pass 2: close acquisitions over the calls to a fixpoint.
 	for changed := true; changed; {
 		changed = false
 		for _, n := range g.all {
-			for _, cs := range callsByNode[n] {
-				for _, t := range cs.targets {
-					if t == n {
-						continue // self-recursion adds no new acquisitions
-					}
-					for _, k := range sortedKeys(trans[t]) {
-						if _, ok := trans[n][k]; !ok {
-							trans[n][k] = lockAcq{pos: cs.pos, via: t}
+			for _, cs := range sites[n] {
+				for _, t := range g.calls[cs.call] {
+					for k := range acq[t] {
+						if _, ok := acq[n][k]; !ok {
+							acq[n][k] = t
 							changed = true
 						}
 					}
@@ -132,413 +124,58 @@ func (m *Module) runLockOrder() {
 		}
 	}
 
-	// Pass 3: interprocedural edges — held at a call site x everything the
-	// callee transitively acquires.
+	// Pass 3: a call made with a lock held nests everything its targets
+	// acquire; one finding per acquired lock, witnessed by the first target
+	// that reaches it.
 	for _, n := range g.all {
-		for _, cs := range callsByNode[n] {
-			for _, t := range cs.targets {
-				keys := sortedKeys(trans[t])
-				for _, k := range keys {
-					for _, h := range cs.held {
-						if h == k {
-							continue // same abstract lock: recursion, not ordering
-						}
-						addEdge(&lockEdge{
-							from: h, to: k, node: n, pos: cs.pos,
-							via: acqPath(trans, t, k),
-						})
+		if n.fn == nil {
+			continue
+		}
+		for _, cs := range sites[n] {
+			if len(cs.held) == 0 {
+				continue
+			}
+			seen := make(map[string]bool)
+			for _, t := range g.calls[cs.call] {
+				for _, k := range sortedKeys(acq[t]) {
+					if !seen[k] {
+						seen[k] = true
+						report(n, cs.call.Pos(), k, cs.held, "", acqPath(acq, t, k))
 					}
 				}
 			}
 		}
 	}
-
-	m.reportLockCycles(edges)
 }
 
 // acqPath renders the call path from t down to the function directly
 // acquiring k.
-func acqPath(trans map[*cgNode]map[string]lockAcq, t *cgNode, k string) []string {
+func acqPath(acq map[*cgNode]lockAcqs, t *cgNode, k string) []string {
 	var path []string
-	for t != nil {
+	for ; t != nil; t = acq[t][k] {
 		path = append(path, t.name)
-		a, ok := trans[t][k]
-		if !ok {
-			break
-		}
-		t = a.via
 	}
 	return path
 }
 
-// edgeLess orders edge witnesses so the kept one is deterministic: earliest
-// (file, line, col), then the shorter via chain.
-func edgeLess(m *Module, a, b *lockEdge) bool {
-	pa, pb := m.Fset.Position(a.pos), m.Fset.Position(b.pos)
-	if pa.Filename != pb.Filename {
-		return pa.Filename < pb.Filename
+func sortedKeys(m lockAcqs) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
 	}
-	if pa.Offset != pb.Offset {
-		return pa.Offset < pb.Offset
-	}
-	return len(a.via) < len(b.via)
-}
-
-// reportLockCycles finds strongly connected components of the lock graph and
-// reports one diagnostic per cyclic component.
-func (m *Module) reportLockCycles(edges map[[2]string]*lockEdge) {
-	adj := make(map[string][]string)
-	nodes := make(map[string]bool)
-	for k := range edges {
-		adj[k[0]] = append(adj[k[0]], k[1])
-		nodes[k[0]], nodes[k[1]] = true, true
-	}
-	for _, next := range adj {
-		sort.Strings(next)
-	}
-	names := sortedBoolKeys(nodes)
-
-	// Tarjan over the deterministic ordering.
-	index := make(map[string]int)
-	low := make(map[string]int)
-	onStack := make(map[string]bool)
-	var stack []string
-	var sccs [][]string
-	counter := 0
-	var strongconnect func(v string)
-	strongconnect = func(v string) {
-		index[v], low[v] = counter, counter
-		counter++
-		stack = append(stack, v)
-		onStack[v] = true
-		for _, w := range adj[v] {
-			if _, seen := index[w]; !seen {
-				strongconnect(w)
-				if low[w] < low[v] {
-					low[v] = low[w]
-				}
-			} else if onStack[w] && index[w] < low[v] {
-				low[v] = index[w]
-			}
-		}
-		if low[v] == index[v] {
-			var scc []string
-			for {
-				w := stack[len(stack)-1]
-				stack = stack[:len(stack)-1]
-				onStack[w] = false
-				scc = append(scc, w)
-				if w == v {
-					break
-				}
-			}
-			sccs = append(sccs, scc)
-		}
-	}
-	for _, v := range names {
-		if _, seen := index[v]; !seen {
-			strongconnect(v)
-		}
-	}
-
-	for _, scc := range sccs {
-		if len(scc) == 1 {
-			if edges[[2]string{scc[0], scc[0]}] == nil {
-				continue // acyclic node
-			}
-		}
-		sort.Strings(scc)
-		cycle := cycleThrough(scc, adj, edges)
-		if len(cycle) == 0 {
-			continue
-		}
-		var chain []string
-		for i := 0; i < len(cycle); i++ {
-			from, to := cycle[i], cycle[(i+1)%len(cycle)]
-			e := edges[[2]string{from, to}]
-			chain = append(chain, renderEdge(m, e))
-		}
-		first := edges[[2]string{cycle[0], cycle[1%len(cycle)]}]
-		d := m.diag("lockorder", first.pos,
-			"potential deadlock: lock-order cycle %s -> %s", strings.Join(cycle, " -> "), cycle[0])
-		d.Chain = chain
-		m.addPreDiag("lockorder", first.node.pkg, d)
-	}
-}
-
-// cycleThrough extracts one representative simple cycle inside an SCC: from
-// the smallest member, the shortest path back to itself (BFS over the
-// component, neighbors in sorted order).
-func cycleThrough(scc []string, adj map[string][]string, edges map[[2]string]*lockEdge) []string {
-	in := make(map[string]bool, len(scc))
-	for _, v := range scc {
-		in[v] = true
-	}
-	start := scc[0]
-	if len(scc) == 1 {
-		if edges[[2]string{start, start}] != nil {
-			return []string{start}
-		}
-		return nil
-	}
-	// BFS from each successor of start back to start.
-	prev := map[string]string{}
-	var queue []string
-	for _, w := range adj[start] {
-		if in[w] {
-			if _, seen := prev[w]; !seen {
-				prev[w] = start
-				queue = append(queue, w)
-			}
-		}
-	}
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		if v == start {
-			break
-		}
-		for _, w := range adj[v] {
-			if !in[w] {
-				continue
-			}
-			if _, seen := prev[w]; !seen {
-				prev[w] = v
-				queue = append(queue, w)
-			}
-		}
-	}
-	if _, ok := prev[start]; !ok {
-		return nil
-	}
-	var rev []string
-	for v := prev[start]; v != start; v = prev[v] {
-		rev = append(rev, v)
-	}
-	cycle := []string{start}
-	for i := len(rev) - 1; i >= 0; i-- {
-		cycle = append(cycle, rev[i])
-	}
-	return cycle
-}
-
-// renderEdge formats one edge witness for the diagnostic chain.
-func renderEdge(m *Module, e *lockEdge) string {
-	p := m.Fset.Position(e.pos)
-	loc := fmt.Sprintf("%s:%d", m.relFile(p.Filename), p.Line)
-	if len(e.via) == 0 {
-		return fmt.Sprintf("%s -> %s: %s acquires %s at %s while holding %s",
-			e.from, e.to, e.node.name, e.to, loc, e.from)
-	}
-	return fmt.Sprintf("%s -> %s: %s holds %s and calls %s at %s, which acquires %s",
-		e.from, e.to, e.node.name, e.from, strings.Join(e.via, " -> "), loc, e.to)
-}
-
-// orderWalker is the acquisition-order walker: guardedby's branch discipline,
-// but tracking (instance expression -> abstract lock key) and recording
-// acquisitions, held-at-acquire edges, and held-at-call-site snapshots.
-type orderWalker struct {
-	m     *Module
-	n     *cgNode
-	acq   map[string]lockAcq
-	edges []*lockEdge
-	calls []orderCall
-}
-
-type orderCall struct {
-	targets []*cgNode
-	pos     token.Pos
-	held    []string
-}
-
-func (w *orderWalker) walkStmts(stmts []ast.Stmt, held map[string]string) (terminates bool) {
-	for _, s := range stmts {
-		if w.walkStmt(s, held) {
-			return true
-		}
-	}
-	return false
-}
-
-func (w *orderWalker) walkStmt(s ast.Stmt, held map[string]string) (terminates bool) {
-	switch s := s.(type) {
-	case *ast.ExprStmt:
-		if w.lockStep(s.X, held) {
-			return false
-		}
-		w.scanExpr(s.X, held)
-	case *ast.DeferStmt:
-		if mu, op := lockOp(w.n.pkg, s.Call); mu != "" {
-			_ = op // defer mu.Unlock() fires at exit: the lock stays held here
-			return false
-		}
-		w.scanExpr(s.Call, held)
-	case *ast.ReturnStmt:
-		for _, r := range s.Results {
-			w.scanExpr(r, held)
-		}
-		return true
-	case *ast.IfStmt:
-		if s.Init != nil {
-			w.walkStmt(s.Init, held)
-		}
-		w.scanExpr(s.Cond, held)
-		thenHeld := cloneHeld(held)
-		w.walkStmts(s.Body.List, thenHeld)
-		if s.Else != nil {
-			elseHeld := cloneHeld(held)
-			switch e := s.Else.(type) {
-			case *ast.BlockStmt:
-				w.walkStmts(e.List, elseHeld)
-			default:
-				w.walkStmt(e, elseHeld)
-			}
-		}
-		// Post-branch state: conservatively the entry state (ordering facts
-		// inside the branches were already recorded against their copies).
-	case *ast.BlockStmt:
-		return w.walkStmts(s.List, held)
-	case *ast.ForStmt:
-		if s.Init != nil {
-			w.walkStmt(s.Init, held)
-		}
-		if s.Cond != nil {
-			w.scanExpr(s.Cond, held)
-		}
-		body := cloneHeld(held)
-		w.walkStmts(s.Body.List, body)
-		if s.Post != nil {
-			w.walkStmt(s.Post, body)
-		}
-	case *ast.RangeStmt:
-		w.scanExpr(s.X, held)
-		body := cloneHeld(held)
-		w.walkStmts(s.Body.List, body)
-	case *ast.SwitchStmt:
-		if s.Init != nil {
-			w.walkStmt(s.Init, held)
-		}
-		if s.Tag != nil {
-			w.scanExpr(s.Tag, held)
-		}
-		w.walkClauses(s.Body.List, held)
-	case *ast.TypeSwitchStmt:
-		if s.Init != nil {
-			w.walkStmt(s.Init, held)
-		}
-		w.walkClauses(s.Body.List, held)
-	case *ast.SelectStmt:
-		w.walkClauses(s.Body.List, held)
-	case *ast.AssignStmt:
-		for _, e := range s.Rhs {
-			w.scanExpr(e, held)
-		}
-	case *ast.GoStmt:
-		// The goroutine runs under no lock the spawner holds.
-		none := make(map[string]string)
-		w.scanExpr(s.Call.Fun, none)
-		for _, a := range s.Call.Args {
-			w.scanExpr(a, none)
-		}
-	default:
-		ast.Inspect(s, func(n ast.Node) bool {
-			if e, ok := n.(ast.Expr); ok {
-				w.scanExpr(e, held)
-				return false
-			}
-			return true
-		})
-	}
-	return false
-}
-
-func (w *orderWalker) walkClauses(clauses []ast.Stmt, held map[string]string) {
-	for _, c := range clauses {
-		var body []ast.Stmt
-		switch c := c.(type) {
-		case *ast.CaseClause:
-			for _, e := range c.List {
-				w.scanExpr(e, held)
-			}
-			body = c.Body
-		case *ast.CommClause:
-			body = c.Body
-		}
-		w.walkStmts(body, cloneHeld(held))
-	}
-}
-
-// lockStep applies a lock operation to the held state, recording the
-// acquisition and the ordering edges it creates. Reports whether e was one.
-func (w *orderWalker) lockStep(e ast.Expr, held map[string]string) bool {
-	inst, op := lockOp(w.n.pkg, e)
-	if inst == "" {
-		return false
-	}
-	key := w.lockKeyOf(e)
-	switch op {
-	case "Lock", "RLock":
-		if key != "" {
-			pos := ast.Unparen(e).Pos()
-			if _, ok := w.acq[key]; !ok {
-				w.acq[key] = lockAcq{pos: pos}
-			}
-			for heldInst, heldKey := range held {
-				if heldInst == inst {
-					continue // re-locking the very same instance: recursion
-				}
-				w.edges = append(w.edges, &lockEdge{from: heldKey, to: key, node: w.n, pos: pos})
-			}
-			held[inst] = key
-		}
-	case "Unlock", "RUnlock":
-		delete(held, inst)
-	}
-	return true
-}
-
-// scanExpr records nested lock ops, call sites, and literal bodies under the
-// current held state.
-func (w *orderWalker) scanExpr(e ast.Expr, held map[string]string) {
-	if e == nil {
-		return
-	}
-	ast.Inspect(e, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.CallExpr:
-			if w.lockStep(n, held) {
-				return false
-			}
-			if targets := w.n.calls[n]; len(targets) > 0 {
-				w.calls = append(w.calls, orderCall{
-					targets: targets, pos: n.Pos(), held: sortedVals(held),
-				})
-			}
-		case *ast.FuncLit:
-			// Analyzed at its creation point, under the locks held there
-			// (sort comparators invoked synchronously under the wrapping
-			// lock). Its body is also summarized standalone via its own node.
-			w.walkStmts(n.Body.List, cloneHeld(held))
-			return false
-		}
-		return true
-	})
+	sort.Strings(keys)
+	return keys
 }
 
 // lockKeyOf abstracts the mutex a Lock/Unlock call operates on to its
 // declaration site: "pkg.Type.field" for struct mutexes (embedded ones hash
 // as the embedded type name), "pkg.var" for package-level mutexes, "" for
 // locals and unresolvable shapes.
-func (w *orderWalker) lockKeyOf(e ast.Expr) string {
-	call, ok := ast.Unparen(e).(*ast.CallExpr)
-	if !ok {
-		return ""
-	}
+func lockKeyOf(info *types.Info, call *ast.CallExpr) string {
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok {
 		return ""
 	}
-	info := w.n.pkg.Info
 	mx := ast.Unparen(sel.X)
 	t := typeOfExpr(info, mx)
 	if t != nil && !isSyncLockType(t) {
@@ -567,13 +204,6 @@ func (w *orderWalker) lockKeyOf(e ast.Expr) string {
 		}
 	}
 	return ""
-}
-
-func typeOfExpr(info *types.Info, e ast.Expr) types.Type {
-	if tv, ok := info.Types[e]; ok {
-		return tv.Type
-	}
-	return nil
 }
 
 func isSyncLockType(t types.Type) bool {
@@ -608,7 +238,7 @@ func namedName(t types.Type) string {
 
 // recvLockKey resolves a //dbwlm:locked contract mutex on fn's receiver type
 // to an abstract key.
-func recvLockKey(m *Module, fn *types.Func, mu string) string {
+func recvLockKey(fn *types.Func, mu string) string {
 	sig, ok := fn.Type().(*types.Signature)
 	if !ok || sig.Recv() == nil {
 		return ""
@@ -617,38 +247,4 @@ func recvLockKey(m *Module, fn *types.Func, mu string) string {
 		return owner + "." + mu
 	}
 	return ""
-}
-
-func cloneHeld(h map[string]string) map[string]string {
-	c := make(map[string]string, len(h))
-	for k, v := range h {
-		c[k] = v
-	}
-	return c
-}
-
-func sortedVals(h map[string]string) []string {
-	set := make(map[string]bool, len(h))
-	for _, v := range h {
-		set[v] = true
-	}
-	return sortedBoolKeys(set)
-}
-
-func sortedKeys(m map[string]lockAcq) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
-func sortedBoolKeys(m map[string]bool) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }

@@ -5,16 +5,17 @@ import (
 	"go/types"
 )
 
-// NoEscapeTest couples the zero-allocation tests to the hotpath annotations:
-// a test that asserts testing.AllocsPerRun(...) == 0 is documenting a hot
-// path, so the function it exercises must carry //dbwlm:hotpath — otherwise
-// the property is enforced dynamically but invisible statically, and the two
-// halves of the suite drift apart. Only zero-comparisons count; tests that
+// NoEscapeTest couples the zero-allocation tests to the hotpath analyzer: a
+// test that asserts testing.AllocsPerRun(...) == 0 is documenting a hot path,
+// so the function it exercises must be in the hot closure — a
+// //dbwlm:hotpath root or reachable from one — otherwise the property is
+// enforced dynamically but invisible statically, and the two halves of the
+// suite drift apart. Only zero-comparisons count; tests that
 // tolerate a small allocation budget (avg > 1 guards) are making a different,
 // weaker claim and are left alone.
 var NoEscapeTest = &Analyzer{
 	Name: "noescape-test",
-	Doc:  "AllocsPerRun==0 tests must exercise a //dbwlm:hotpath function",
+	Doc:  "AllocsPerRun==0 tests must exercise a function in the //dbwlm:hotpath closure",
 	Run:  runNoEscapeTest,
 }
 
@@ -84,7 +85,7 @@ func checkAllocTest(m *Module, pkg *Package, fd *ast.FuncDecl) []Diagnostic {
 		}
 		if !callsHotPath(m, pkg, lit) {
 			diags = append(diags, m.diag("noescape-test", s.call.Pos(),
-				"AllocsPerRun==0 assertion exercises no //dbwlm:hotpath function; annotate the function under test so the analyzer guards it too"))
+				"AllocsPerRun==0 assertion exercises no //dbwlm:hotpath function nor anything reachable from one; annotate the function under test so the analyzer guards it too"))
 		}
 	}
 	return diags
@@ -129,7 +130,7 @@ func isZeroLit(e ast.Expr) bool {
 }
 
 // callsHotPath reports whether the benchmark body directly calls at least one
-// //dbwlm:hotpath module function.
+// module function in the hot closure.
 func callsHotPath(m *Module, pkg *Package, lit *ast.FuncLit) bool {
 	found := false
 	ast.Inspect(lit.Body, func(n ast.Node) bool {
@@ -137,7 +138,7 @@ func callsHotPath(m *Module, pkg *Package, lit *ast.FuncLit) bool {
 		if !ok || found {
 			return !found
 		}
-		if fn := calleeOf(pkg.Info, call); fn != nil && m.hot[fn] {
+		if fn := calleeOf(pkg.Info, call); fn != nil && m.hotReach[fn] {
 			found = true
 		}
 		return !found

@@ -14,7 +14,7 @@ func TestModuleClean(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, d := range Run(m, Options{}) {
+	for _, d := range mustRun(t, m, Options{}) {
 		t.Errorf("%s", d)
 	}
 }

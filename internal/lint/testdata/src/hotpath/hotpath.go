@@ -1,7 +1,8 @@
-// Package hotpath exercises the hotpath analyzer: every construct the
-// analyzer considers allocating fires below, and the allowed shapes
-// (sync/atomic, constants boxed through static data, hot callees) stay
-// silent.
+// Package hotpath exercises the hotpath analyzer. This file: every construct
+// the analyzer considers allocating fires below, and the allowed shapes
+// (sync/atomic types, constants boxed through static data, clean callees)
+// stay silent. closure.go: what is reached from a root rather than written
+// in one.
 package hotpath
 
 import (
@@ -17,7 +18,8 @@ type counter struct {
 
 func (c *counter) read() int64 { return c.n }
 
-// helper is deliberately unannotated: hot callers must not reach it.
+// helper is deliberately unannotated: the traversal descends into it from
+// calls and finds nothing.
 func helper() int { return 1 }
 
 //dbwlm:hotpath
@@ -51,16 +53,16 @@ func builtins(xs []int) []int {
 
 //dbwlm:hotpath
 func calls(c *counter) {
-	x := helper()               // want `hotpath function calls non-hotpath hotpath.helper`
-	sink(x)                     // want `int value boxed into interface parameter allocates`
-	sink(3)                     // constants box through static data: allowed
-	sink(c)                     // pointers do not box: allowed
-	_ = variadicSink(1, 2)      // want `variadic call to variadicSink allocates its argument slice`
-	_ = strings.Repeat("a", 2)  // want `outside the hotpath stdlib allowlist`
-	fmt.Print(c)                // want `fmt.Print in hotpath function allocates` `variadic call` `fmt.Print performs I/O on a hot closure`
-	_ = allowed(c)              // hot callee: allowed
-	go allowed(c)               // want `go statement in hotpath function`
-	n := helper()               // want `hotpath function calls non-hotpath hotpath.helper`
+	x := helper()              // unannotated but clean: allowed
+	sink(x)                    // want `int value boxed into interface parameter allocates`
+	sink(3)                    // constants box through static data: allowed
+	sink(c)                    // pointers do not box: allowed
+	_ = variadicSink(1, 2)     // want `variadic call to variadicSink allocates its argument slice`
+	_ = strings.Repeat("a", 2) // want `outside the hotpath stdlib allowlist`
+	fmt.Print(c)               // want `fmt.Print in hotpath function allocates` `variadic call` `fmt.Print performs I/O on a hot closure`
+	_ = allowed(c)             // annotated callee: allowed
+	go allowed(c)              // want `go statement in hotpath function`
+	n := helper()
 	_ = func() int { return n } // want `closure capturing n in hotpath function allocates`
 	_ = c.read                  // want `method value c.read allocates a bound closure`
 }

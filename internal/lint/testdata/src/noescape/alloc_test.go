@@ -9,6 +9,13 @@ func TestHotAddNoAlloc(t *testing.T) {
 	}
 }
 
+func TestInnerAddNoAlloc(t *testing.T) {
+	n := testing.AllocsPerRun(100, func() { _ = innerAdd(1, 2) }) // in the closure: no finding
+	if n != 0 {
+		t.Fatal(n)
+	}
+}
+
 func TestColdAddNoAlloc(t *testing.T) {
 	n := testing.AllocsPerRun(100, func() { _ = coldAdd(1, 2) }) // want `AllocsPerRun==0 assertion exercises no //dbwlm:hotpath function`
 	if n != 0 {

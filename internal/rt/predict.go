@@ -164,7 +164,6 @@ func (g *PredictGate) ObserveFP(fp sqlmini.Fingerprint, seconds float64) bool {
 	var f admission.FeatureVec
 	admission.FeaturesFrom(workload.TimeronsOf(e.Cost.CPUSeconds, e.Cost.IOMB),
 		e.Cost.Rows, e.Cost.MemMB, e.Cost.IOMB, e.Cost.Type == sqlmini.StmtRead, &f)
-	//dbwlm:nolint hotclosure -- training path: the predictor takes its stripe lock and amortizes ring growth; observation is off the admit fast path by design
 	g.knn.Observe(&f, seconds)
 	return true
 }

@@ -44,10 +44,6 @@ type Options struct {
 	// GlobalMaxMPL caps concurrent admissions across all classes
 	// (0 = unlimited).
 	GlobalMaxMPL int
-	// GatePriorityBelow: when the low-priority gate is closed, only classes
-	// with priority strictly below this queue (default PriorityHigh —
-	// admission.Indicators' default).
-	GatePriorityBelow policy.Priority
 	// Shards overrides the per-gate shard count (rounded up to a power of
 	// two; default sized from GOMAXPROCS).
 	Shards int
@@ -158,8 +154,7 @@ type Runtime struct {
 	now        func() int64
 	retryEvery time.Duration
 
-	gatePriorityBelow policy.Priority
-	lowPriorityGate   atomicBool
+	lowPriorityGate atomicBool
 
 	// Externally fed load indicators (the live analogue of engine gauges the
 	// runtime cannot observe itself); admission.View exposes them.
@@ -228,16 +223,12 @@ func New(specs []ClassSpec, opts Options) (*Runtime, error) {
 		shards = ceilPow2(shards)
 	}
 	r := &Runtime{
-		byName:            make(map[string]ClassID, len(specs)),
-		retryEvery:        opts.RetryEvery,
-		gatePriorityBelow: opts.GatePriorityBelow,
-		now:               opts.Now,
+		byName:     make(map[string]ClassID, len(specs)),
+		retryEvery: opts.RetryEvery,
+		now:        opts.Now,
 	}
 	if r.retryEvery <= 0 {
 		r.retryEvery = 500 * time.Millisecond
-	}
-	if r.gatePriorityBelow == 0 {
-		r.gatePriorityBelow = policy.PriorityHigh
 	}
 	if r.now == nil {
 		epoch := time.Now()
@@ -353,7 +344,7 @@ func (r *Runtime) admitWith(class ClassID, costTimerons float64, fp uint64, pred
 		}
 		return Grant{verdict: RejectedCost, class: class, id: qid}
 	}
-	gated := r.lowPriorityGate.Load() && cs.spec.Priority < r.gatePriorityBelow
+	gated := r.lowPriorityGate.Load() && cs.spec.Priority < gatePriorityBelow
 	// FIFO within class: once waiters exist, new arrivals park behind them
 	// instead of barging past on the fast path.
 	if !gated && cs.gate.waiters.Load() == 0 {
@@ -382,7 +373,7 @@ func (r *Runtime) admitWith(class ClassID, costTimerons float64, fp uint64, pred
 		}
 		return Grant{verdict: RejectedTimeout, class: class, id: qid}
 	}
-	//dbwlm:nolint hotpath, hotclosure -- the queued slow path: once a request must park, the channel wait dwarfs the waiter-pool setup
+	//dbwlm:nolint hotpath -- the queued slow path: once a request must park, the channel wait dwarfs the waiter-pool setup
 	return r.await(cs, class, costTimerons, qid, fp, predicted, gated)
 }
 
@@ -453,7 +444,7 @@ func (r *Runtime) Done(g Grant, idealSeconds float64) {
 	cs.gate.leave(g.shard)
 	r.global.leave(g.gshard)
 	if cs.gate.waiters.Load() > 0 {
-		//dbwlm:nolint hotpath, hotclosure -- waiters parked means the uncontended fast path is already gone; drain takes the queue mutex by design
+		//dbwlm:nolint hotpath -- waiters parked means the uncontended fast path is already gone; drain takes the queue mutex by design
 		r.drain(cs, g.class, false)
 	}
 }
@@ -471,7 +462,7 @@ func (r *Runtime) drain(cs *classState, class ClassID, enforceTimeout bool) {
 		batch = int(^uint(0) >> 1)
 	}
 	now := r.now()
-	gated := r.lowPriorityGate.Load() && cs.spec.Priority < r.gatePriorityBelow
+	gated := r.lowPriorityGate.Load() && cs.spec.Priority < gatePriorityBelow
 	cs.queue.mu.Lock()
 	defer cs.queue.mu.Unlock()
 	for processed := 0; processed < batch; processed++ {
@@ -579,8 +570,12 @@ func (r *Runtime) SetLoad(memPressure, conflictRatio, cpuUtil float64) {
 	r.cpuUtil.Set(cpuUtil)
 }
 
+// gatePriorityBelow: while the low-priority gate is closed, only classes with
+// priority strictly below this queue (admission.Indicators' default).
+const gatePriorityBelow = policy.PriorityHigh
+
 // SetLowPriorityGate opens or closes the congestion gate: while closed-on,
-// classes below GatePriorityBelow queue instead of admitting — the effector
+// classes below gatePriorityBelow queue instead of admitting — the effector
 // half of the indicator controller (Zhang et al.), whose Decide loop runs
 // against the runtime's View and flips this flag.
 func (r *Runtime) SetLowPriorityGate(on bool) { r.lowPriorityGate.Store(on) }

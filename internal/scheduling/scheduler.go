@@ -69,12 +69,12 @@ func (s *Scheduler) popDispatchable(now sim.Time) *Item {
 	var found *Item
 	skipped := s.skipped[:0]
 	for tries := 0; tries <= s.MaxSkip; tries++ {
-		//dbwlm:nolint hotpath, hotclosure -- plug-in boundary: a queue's pop is its own cost (a heap sift, a rank scan)
+		//dbwlm:nolint hotpath -- plug-in boundary: a queue's pop is its own cost (a heap sift, a rank scan)
 		it := s.queue.Pop(now)
 		if it == nil {
 			break
 		}
-		//dbwlm:nolint hotpath, hotclosure -- plug-in boundary: a dispatcher's test is its own cost (FeedbackMPL arms its sampling loop on first use)
+		//dbwlm:nolint hotpath -- plug-in boundary: a dispatcher's test is its own cost (FeedbackMPL arms its sampling loop on first use)
 		if s.dispatcher.CanDispatch(it, now) {
 			found = it
 			break
@@ -83,7 +83,7 @@ func (s *Scheduler) popDispatchable(now sim.Time) *Item {
 		skipped = append(skipped, it)
 	}
 	for i, it := range skipped {
-		//dbwlm:nolint hotpath, hotclosure -- plug-in boundary: a queue's push is its own cost (amortized growth of its backing array)
+		//dbwlm:nolint hotpath -- plug-in boundary: a queue's push is its own cost (amortized growth of its backing array)
 		s.queue.Push(it)
 		skipped[i] = nil
 	}

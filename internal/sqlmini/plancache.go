@@ -185,7 +185,7 @@ func (c *PlanCache) PlanInfoBytes(sql []byte) (entry *CachedPlan, hit bool, err 
 	if e := c.Lookup(fp); e != nil {
 		return e, true, nil
 	}
-	//dbwlm:nolint hotpath, hotclosure -- a cache miss pays the stable-string copy plus parse+plan+insert by definition
+	//dbwlm:nolint hotpath -- a cache miss pays the stable-string copy plus parse+plan+insert by definition
 	return c.planMiss(fp, string(sql))
 }
 

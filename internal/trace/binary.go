@@ -485,7 +485,7 @@ func (r *Reader) ensure(n int) error {
 		r.buf = nb
 	}
 	for r.end < n {
-		//dbwlm:nolint hotpath, hotclosure -- buffer refill from the underlying source, amortized over many rows
+		//dbwlm:nolint hotpath -- buffer refill from the underlying source, amortized over many rows
 		m, err := r.src.Read(r.buf[r.end:])
 		r.end += m
 		if err != nil {

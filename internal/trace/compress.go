@@ -53,8 +53,6 @@ type CompressConfig struct {
 	// classes; finer strata pin the rate curve tighter but collapse small
 	// classes to one representative per slice.
 	Strata int
-	// Iters is the k-means iteration cap; 0 takes learn's default.
-	Iters int
 	// Seed seeds the clustering RNG.
 	Seed uint64
 	// MaxWorkers caps the per-group clustering fan-out: 0 uses the
@@ -135,7 +133,7 @@ func Compress(h Header, rows []Row, cfg CompressConfig) []Row {
 
 	groupReps := experiments.RunIndexedBounded(len(jobs), cfg.MaxWorkers, func(i int) []Row {
 		j := jobs[i]
-		return compressGroup(rows, j.members, j.k, cfg.Iters, j.rng)
+		return compressGroup(rows, j.members, j.k, j.rng)
 	})
 	var total int
 	for _, reps := range groupReps {
@@ -198,7 +196,7 @@ func RateScale(comp []Row) float64 {
 // representatives (deep copies of real input rows). It runs on the flat
 // learn kernels: one feature buffer for the whole group, normalized and
 // clustered without per-row slice headers.
-func compressGroup(rows []Row, members []int, k, iters int, rng *sim.RNG) []Row {
+func compressGroup(rows []Row, members []int, k int, rng *sim.RNG) []Row {
 	if len(members) <= k {
 		reps := make([]Row, 0, len(members))
 		for _, i := range members {
@@ -223,7 +221,7 @@ func compressGroup(rows []Row, members []int, k, iters int, rng *sim.RNG) []Row 
 		copy(flat[mi*dims:(mi+1)*dims], fv[:])
 	}
 	norm := learn.NormalizeFlat(flat, len(members), dims)
-	km := learn.KMeansFlat(norm, len(members), dims, k, iters, rng)
+	km := learn.KMeansFlat(norm, len(members), dims, k, 0, rng) // 0: learn's default iteration cap
 
 	// Snap each centroid onto the nearest real row via the k-d tree, then
 	// pour every member's weight into its cluster's representative.

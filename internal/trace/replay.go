@@ -42,6 +42,10 @@ func histBucket(s float64) int {
 	return 1 + int(l)
 }
 
+// replayDrain is how long past the last arrival a replay's engine runs to let
+// in-flight queries finish.
+const replayDrain = 120 * sim.Second
+
 // ReplayConfig parameterizes an engine-direct replay.
 type ReplayConfig struct {
 	// Engine is the engine sizing; zero fields take engine defaults.
@@ -53,9 +57,6 @@ type ReplayConfig struct {
 	// same arrival *rate* as the original while finishing in a fraction of
 	// the virtual (and wall) time.
 	TimeScale float64
-	// DrainUS is how long past the last arrival the engine runs to let
-	// in-flight queries finish. Default 120 s.
-	DrainUS int64
 	// Windows is the number of equal time slices the arrival-rate curve is
 	// split into. Default 6, matching the compressor's default strata so a
 	// stratified compression's weight conservation shows up as near-zero
@@ -155,10 +156,6 @@ func replayWith(src Source, cfg ReplayConfig, s *sim.Simulator, eng *engine.Engi
 	if windows <= 0 {
 		windows = 6
 	}
-	drain := cfg.DrainUS
-	if drain <= 0 {
-		drain = 120_000_000
-	}
 	durUS := int64(float64(h.DurationUS) * scale)
 	st := &ReplayStats{DurationUS: durUS}
 	classAt := func(idx uint16) *ClassStats {
@@ -242,7 +239,7 @@ func replayWith(src Source, cfg ReplayConfig, s *sim.Simulator, eng *engine.Engi
 			}
 		})
 	}
-	s.Run(last.Add(sim.Duration(drain)))
+	s.Run(last.Add(replayDrain))
 	return st, nil
 }
 

@@ -99,7 +99,7 @@ func (d *Dispatcher) dispatchOne(op *Op, r *Result) {
 		if d.Predict != nil && (op.FPHi != 0 || op.FPLo != 0) {
 			elapsed := d.RT.ElapsedSeconds(g)
 			d.RT.Done(g, op.Ideal)
-			//dbwlm:nolint hotpath -- training ingest: the predictor's observation buffer grows by design
+			//dbwlm:nolint hotpath -- training ingest: the predictor takes its stripe lock and its observation ring grows by design; observation is off the admit fast path
 			d.Predict.ObserveFP(sqlmini.Fingerprint{Hi: op.FPHi, Lo: op.FPLo}, elapsed)
 		} else {
 			d.RT.Done(g, op.Ideal)

@@ -1,7 +1,6 @@
 package workload
 
 import (
-	"bytes"
 	"math"
 	"testing"
 
@@ -205,58 +204,6 @@ func TestAdHocGenMonsters(t *testing.T) {
 	s.RunAll(1 << 20)
 	if monsters == 0 || normal == 0 {
 		t.Fatalf("monsters=%d normal=%d; want a mix", monsters, normal)
-	}
-}
-
-func TestTraceRoundTrip(t *testing.T) {
-	s := sim.New(1)
-	g := &OLTPGen{WorkloadName: "oltp", Rate: 20, Priority: policy.PriorityHigh,
-		SLO: policy.AvgResponseTime(sim.Second), Seq: &Sequence{}}
-	var entries []TraceEntry
-	g.Start(s, sim.Time(5*sim.Second), func(r *Request) { entries = append(entries, EntryOf(r)) })
-	s.RunAll(1 << 20)
-	if len(entries) == 0 {
-		t.Fatal("no entries")
-	}
-	var buf bytes.Buffer
-	if err := WriteTrace(&buf, entries); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadTrace(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(back) != len(entries) {
-		t.Fatalf("round trip %d -> %d", len(entries), len(back))
-	}
-	r, err := back[0].ToRequest()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Workload != "oltp" || r.Priority != policy.PriorityHigh || r.SLO.Kind != policy.SLOAvgResponseTime {
-		t.Fatalf("reconstructed request wrong: %+v", r)
-	}
-	if r.True.CPUWork != entries[0].True.CPUWork {
-		t.Fatal("true spec not preserved")
-	}
-}
-
-func TestReplayGen(t *testing.T) {
-	entries := []TraceEntry{
-		{ID: 1, SQL: "SELECT a FROM t", Workload: "w", ArriveUS: int64(sim.Second)},
-		{ID: 2, SQL: "SELECT b FROM t", Workload: "w", ArriveUS: int64(3 * sim.Second)},
-		{ID: 3, SQL: "SELECT c FROM t", Workload: "w", ArriveUS: int64(100 * sim.Second)},
-	}
-	s := sim.New(1)
-	g := &ReplayGen{WorkloadName: "w", Entries: entries}
-	var got []*Request
-	g.Start(s, sim.Time(10*sim.Second), func(r *Request) { got = append(got, r) })
-	s.RunAll(100)
-	if len(got) != 2 {
-		t.Fatalf("replayed %d, want 2 (third past horizon)", len(got))
-	}
-	if got[0].Arrive != sim.Time(sim.Second) {
-		t.Fatalf("arrival time = %v", got[0].Arrive)
 	}
 }
 

@@ -1,11 +1,12 @@
 #!/bin/sh
 # lint.sh — the static-analysis gate: gofmt, go vet, and wlmlint.
 #
-# wlmlint (cmd/wlmlint) machine-checks the module's own invariants: hotpath
-# allocation-freedom and non-blocking closure over the static call graph,
-# sync/atomic field discipline (direct and through helpers), lock-order
-# cycle freedom, replay determinism, mutex guard contracts, and the coupling
-# between AllocsPerRun==0 tests and //dbwlm:hotpath annotations. Run via
+# wlmlint (cmd/wlmlint) machine-checks the module's own invariants with six
+# analyzers: allocation-freedom and non-blocking of everything reachable from
+# a //dbwlm:hotpath root (hotpath), typed atomics only (atomic), no nested
+# locking (lockorder), replay determinism (detlint), mutex guard contracts
+# (guardedby), and the coupling between AllocsPerRun==0 tests and the hot
+# closure (noescape-test). Run via
 # `make lint` from the repository root; `make verify` runs it before the
 # test suite. Set LINT_JSON=1 to emit findings as the stable JSON array
 # instead of text (for CI annotators); either way the exit code gates.
@@ -32,6 +33,16 @@ if git grep -nE 'BENCH_[a-z]+\.json|scripts/bench_|bench_[a-z]+\.sh|BENCH_SMP' -
 	'*.md' '*.go' Makefile \
 	':!CHANGES.md' ':!ROADMAP.md' ':!ISSUE.md' ':!internal/bench/'; then
 	echo "lint: reference to the retired bench scripts or BENCH_*.json files; cite cmd/wlmbench instead" >&2
+	exit 1
+fi
+
+# The analyzer names wlmlint retired (their rules live on, stronger, under
+# hotpath, atomic and lockorder) must not come back in a waiver, a -run list
+# or a doc: an unknown name in a //dbwlm:nolint voids the waiver. (The
+# bracketed letters keep the pattern from matching this file.)
+if git grep -nE 'hot[c]losure|atomic[f]ield|atomic[m]ix' -- \
+	':!CHANGES.md' ':!ROADMAP.md' ':!ISSUE.md'; then
+	echo "lint: reference to a retired wlmlint analyzer name; the analyzers are hotpath, atomic, detlint, guardedby, lockorder, noescape-test" >&2
 	exit 1
 fi
 
