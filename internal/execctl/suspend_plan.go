@@ -23,7 +23,7 @@ func SuspendCostsFromPlan(plan *sqlmini.Plan, progress, checkpointEvery float64)
 	if checkpointEvery <= 0 {
 		checkpointEvery = 0.1
 	}
-	totalCPU := plan.TotalCPU()
+	totalCPU := sqlmini.CostOf(plan).CPUSeconds
 	if totalCPU <= 0 {
 		return nil
 	}

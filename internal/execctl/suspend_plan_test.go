@@ -49,7 +49,7 @@ func TestSuspendCostsFromPlanBoundaries(t *testing.T) {
 	for _, c := range costs {
 		redo += c.RedoSeconds
 	}
-	want := 0.05 * plan.TotalCPU()
+	want := 0.05 * sqlmini.CostOf(plan).CPUSeconds
 	if redo < want*0.9 || redo > want*1.1 {
 		t.Fatalf("redo = %v, want ~%v (5%% of total CPU)", redo, want)
 	}
@@ -70,8 +70,8 @@ func TestSuspendCostsStateGrowsWithProgress(t *testing.T) {
 		t.Fatalf("dumpable state should grow with progress: %v -> %v", early, late)
 	}
 	// And never exceeds the plan's total state.
-	if late > plan.TotalState()+1e-9 {
-		t.Fatalf("state %v exceeds plan total %v", late, plan.TotalState())
+	if total := sqlmini.CostOf(plan).StateMB; late > total+1e-9 {
+		t.Fatalf("state %v exceeds plan total %v", late, total)
 	}
 }
 

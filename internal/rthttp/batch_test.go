@@ -13,6 +13,7 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"dbwlm/internal/admission"
 	"dbwlm/internal/metrics"
@@ -217,6 +218,34 @@ func doneSQL(script []replayStep, step replayStep) string {
 		return step.sql
 	}
 	return script[step.ref].sql
+}
+
+// TestAdmitNonASCIISQL: POST /admit with a statement holding a Latin-1
+// letter byte is a 400, answered promptly — such a byte used to spin the
+// handler in an identifier scan that never advanced.
+func TestAdmitNonASCIISQL(t *testing.T) {
+	st := newPredictStack(t, 256)
+	for _, b := range []byte{0xAA, 0xB5, 0xC0, 0xE9, 0xFF} {
+		form := url.Values{"class": {"interactive"}, "sql": {"SELECT * FROM orders WHERE x = " + string([]byte{b})}}
+		code := make(chan int, 1)
+		go func() {
+			resp, err := http.PostForm(st.srv.URL+"/admit", form)
+			if err != nil {
+				code <- 0
+				return
+			}
+			resp.Body.Close()
+			code <- resp.StatusCode
+		}()
+		select {
+		case c := <-code:
+			if c != http.StatusBadRequest {
+				t.Fatalf("byte %#x: /admit status %d, want 400", b, c)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("byte %#x: /admit did not answer", b)
+		}
+	}
 }
 
 // TestBatchReplayEquivalence pins the one-decision-path contract: a batch of

@@ -367,20 +367,21 @@ func TestSlicePlanEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	slices := SlicePlan(plan, workload.TimeronsOf(plan.TotalCPU(), plan.TotalIO())/4)
+	total := sqlmini.CostOf(plan)
+	slices := SlicePlan(plan, workload.TimeronsOf(total.CPUSeconds, total.IOMB)/4)
 	if len(slices) < 2 {
 		t.Fatalf("plan not sliced: %d slices", len(slices))
 	}
 	cpu, io := TotalWork(slices)
-	if math.Abs(cpu-plan.TotalCPU()) > 1e-9 {
-		t.Fatalf("CPU not conserved: %v vs %v", cpu, plan.TotalCPU())
+	if math.Abs(cpu-total.CPUSeconds) > 1e-9 {
+		t.Fatalf("CPU not conserved: %v vs %v", cpu, total.CPUSeconds)
 	}
-	if io < plan.TotalIO() {
-		t.Fatalf("IO should include handoff overhead: %v < %v", io, plan.TotalIO())
+	if io < total.IOMB {
+		t.Fatalf("IO should include handoff overhead: %v < %v", io, total.IOMB)
 	}
 	// Each slice smaller than the whole.
 	for _, s := range slices {
-		if s.Spec.CPUWork >= plan.TotalCPU() {
+		if s.Spec.CPUWork >= total.CPUSeconds {
 			t.Fatal("slice as large as the plan")
 		}
 	}

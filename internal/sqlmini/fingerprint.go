@@ -109,7 +109,7 @@ func FingerprintSQL(input string) Fingerprint {
 				i++
 			}
 			continue
-		case unicode.IsLetter(c) || c == '_':
+		case isIdentStart(input[i]):
 			start := i
 			for i < n && isIdentByte(input[i]) {
 				i++

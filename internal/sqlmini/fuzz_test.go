@@ -2,14 +2,11 @@ package sqlmini
 
 import "testing"
 
-// FuzzParse drives arbitrary bytes through the full statement pipeline:
-// lexer, parser, planner, and fingerprint. The invariants are total-function
-// ones — no panic on any input, deterministic fingerprints, and every
-// successfully parsed statement plans and formats without blowing up.
-//
-//	make fuzz-short   # 10s smoke run
-//	go test -fuzz FuzzParse ./internal/sqlmini/
-func FuzzParse(f *testing.F) {
+// parseSeeds is the seed corpus of the SQL fuzz targets: a spread of the
+// dialect, error shapes, and every non-ASCII byte once in an identifier's
+// place (Latin-1 letter bytes used to start an identifier scan that never
+// advanced).
+func parseSeeds() []string {
 	seeds := []string{
 		"SELECT id, name FROM customers WHERE id = 42",
 		"SELECT * FROM orders",
@@ -30,7 +27,21 @@ func FuzzParse(f *testing.F) {
 		"((((((((((",
 		"SELECT a FROM b WHERE c = 1e309",
 	}
-	for _, s := range seeds {
+	for b := 0x80; b <= 0xFF; b++ {
+		seeds = append(seeds, "SELECT * FROM orders WHERE x = "+string([]byte{byte(b)}))
+	}
+	return seeds
+}
+
+// FuzzParse drives arbitrary bytes through the full statement pipeline:
+// lexer, parser, planner, and fingerprint. The invariants are total-function
+// ones — no panic on any input, deterministic fingerprints, and every
+// successfully parsed statement plans and formats without blowing up.
+//
+//	make fuzz-short   # 10s smoke run
+//	go test -fuzz FuzzParse ./internal/sqlmini/
+func FuzzParse(f *testing.F) {
+	for _, s := range parseSeeds() {
 		f.Add(s)
 	}
 	model := NewCostModel(DefaultCatalog())

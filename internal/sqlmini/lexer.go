@@ -33,24 +33,55 @@ type Token struct {
 	Pos  int
 }
 
-var keywords = map[string]bool{
-	"SELECT": true, "FROM": true, "WHERE": true, "AND": true, "OR": true,
-	"JOIN": true, "INNER": true, "LEFT": true, "ON": true, "GROUP": true,
-	"BY": true, "ORDER": true, "LIMIT": true, "INSERT": true, "INTO": true,
-	"VALUES": true, "UPDATE": true, "SET": true, "DELETE": true,
-	"CREATE": true, "DROP": true, "TABLE": true, "INDEX": true, "LOAD": true,
-	"CALL": true, "AS": true, "COUNT": true, "SUM": true, "AVG": true,
-	"MIN": true, "MAX": true, "DISTINCT": true, "HAVING": true, "NOT": true,
-	"NULL": true, "BETWEEN": true, "LIKE": true, "IN": true, "ASC": true,
-	"DESC": true, "UNION": true, "ALL": true,
+// keywords maps each keyword to itself, so a keyword token's text is the
+// table's own string however the input spelled it.
+var keywords = func() map[string]string {
+	m := make(map[string]string)
+	for _, kw := range []string{
+		"SELECT", "FROM", "WHERE", "AND", "OR", "JOIN", "INNER", "LEFT", "ON",
+		"GROUP", "BY", "ORDER", "LIMIT", "INSERT", "INTO", "VALUES", "UPDATE",
+		"SET", "DELETE", "CREATE", "DROP", "TABLE", "INDEX", "LOAD", "CALL",
+		"AS", "COUNT", "SUM", "AVG", "MIN", "MAX", "DISTINCT", "HAVING", "NOT",
+		"NULL", "BETWEEN", "LIKE", "IN", "ASC", "DESC", "UNION", "ALL",
+	} {
+		m[kw] = kw
+	}
+	return m
+}()
+
+// maxKeyword is the length of the longest keyword (DISTINCT).
+const maxKeyword = 8
+
+// maxPresize is the most tokens Lex sizes its result for before it has seen
+// them: more than a live statement holds.
+const maxPresize = 256
+
+// keyword returns the canonical upper-case text of word if it is a keyword
+// in any letter case. The case fold goes through a stack buffer and the map
+// lookup on its bytes does not copy them, so it allocates nothing.
+func keyword(word string) (string, bool) {
+	if len(word) > maxKeyword {
+		return "", false
+	}
+	var buf [maxKeyword]byte
+	for i := 0; i < len(word); i++ {
+		buf[i] = upperByte(word[i])
+	}
+	kw, ok := keywords[string(buf[:len(word)])]
+	return kw, ok
 }
 
 // Lex splits input into tokens. It returns an error for unterminated strings
 // or bytes outside the dialect.
 func Lex(input string) ([]Token, error) {
-	var toks []Token
-	i := 0
 	n := len(input)
+	// A token is at least one byte and usually two or more with its
+	// separator: sizing for one per two bytes makes growth rare. The cap
+	// bounds the guess, so a long literal or comment (a few tokens in many
+	// bytes) costs no more than a statement of maxPresize tokens; beyond it
+	// the slice grows with the tokens actually found.
+	toks := make([]Token, 0, min(n/2+2, maxPresize))
+	i := 0
 	for i < n {
 		c := rune(input[i])
 		switch {
@@ -61,15 +92,14 @@ func Lex(input string) ([]Token, error) {
 			for i < n && input[i] != '\n' {
 				i++
 			}
-		case unicode.IsLetter(c) || c == '_':
+		case isIdentStart(input[i]):
 			start := i
-			for i < n && (isIdentByte(input[i])) {
+			for i < n && isIdentByte(input[i]) {
 				i++
 			}
 			word := input[start:i]
-			upper := strings.ToUpper(word)
-			if keywords[upper] {
-				toks = append(toks, Token{TokKeyword, upper, start})
+			if kw, ok := keyword(word); ok {
+				toks = append(toks, Token{TokKeyword, kw, start})
 			} else {
 				toks = append(toks, Token{TokIdent, strings.ToLower(word), start})
 			}
@@ -100,7 +130,7 @@ func Lex(input string) ([]Token, error) {
 					continue
 				}
 			}
-			toks = append(toks, Token{TokSymbol, string(c), i})
+			toks = append(toks, Token{TokSymbol, input[i : i+1], i})
 			i++
 		default:
 			return nil, fmt.Errorf("sqlmini: unexpected byte %q at offset %d", c, i)
@@ -110,7 +140,17 @@ func Lex(input string) ([]Token, error) {
 	return toks, nil
 }
 
+// isIdentStart reports whether b starts an identifier or keyword: an ASCII
+// letter or an underscore. It must not accept a byte isIdentByte rejects, or
+// a scan starting there would never advance. Latin-1 letter bytes (0xAA,
+// 0xB5, 0xC0–0xFF, which unicode.IsLetter accepts as runes) are alien bytes.
+//
+//dbwlm:hotpath
+func isIdentStart(b byte) bool {
+	return b == '_' || b >= 'a' && b <= 'z' || b >= 'A' && b <= 'Z'
+}
+
 //dbwlm:hotpath
 func isIdentByte(b byte) bool {
-	return b == '_' || b >= '0' && b <= '9' || b >= 'a' && b <= 'z' || b >= 'A' && b <= 'Z'
+	return isIdentStart(b) || b >= '0' && b <= '9'
 }

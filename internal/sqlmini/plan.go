@@ -79,61 +79,6 @@ func (p *Plan) Operators() []*Operator {
 	return out
 }
 
-// TotalCPU sums the estimated CPU seconds over all operators.
-func (p *Plan) TotalCPU() float64 {
-	var s float64
-	for _, op := range p.Operators() {
-		s += op.EstCPU
-	}
-	return s
-}
-
-// TotalIO sums the estimated IO megabytes over all operators.
-func (p *Plan) TotalIO() float64 {
-	var s float64
-	for _, op := range p.Operators() {
-		s += op.EstIO
-	}
-	return s
-}
-
-// PeakMem reports the largest working-memory demand across operators; the
-// engine charges this for the query's whole run (a deliberate simplification:
-// pipelined operators hold their state concurrently).
-func (p *Plan) PeakMem() float64 {
-	var m float64
-	var run float64
-	for _, op := range p.Operators() {
-		run += op.EstMem
-		if op.EstMem > m {
-			m = op.EstMem
-		}
-	}
-	// Pipelines hold multiple operator states at once; charge the sum but
-	// never less than the single largest operator.
-	if run > m {
-		m = run
-	}
-	return m
-}
-
-// TotalState reports the total checkpointable state in MB.
-func (p *Plan) TotalState() float64 {
-	var s float64
-	for _, op := range p.Operators() {
-		s += op.StateMB
-	}
-	return s
-}
-
-// EstRows reports the root operator's output cardinality.
-func (p *Plan) EstRows() float64 {
-	if p.Root == nil {
-		return 0
-	}
-	return p.Root.EstRows
-}
-
 // String renders the plan as an indented tree.
 func (p *Plan) String() string {
 	var b strings.Builder

@@ -7,36 +7,67 @@ import (
 	"unsafe"
 )
 
-// PlanCost is the memoized scalar cost summary of a plan — everything the
-// admission layer consumes — so a cache hit never re-walks the operator tree
-// (Plan.Operators allocates; the hit path must not).
+// PlanCost is the scalar cost summary of a plan — everything the admission
+// layer and the workload generators consume — so a cache hit never re-walks
+// the operator tree.
 type PlanCost struct {
-	CPUSeconds float64
-	IOMB       float64
-	MemMB      float64
-	Rows       float64
-	StateMB    float64
-	Type       StatementType
+	CPUSeconds float64 // summed over all operators
+	IOMB       float64 // summed over all operators
+	// MemMB is the working memory the engine charges for the query's whole
+	// run. Pipelined operators hold their state at once (a deliberate
+	// simplification), so it is the sum over all operators, never less than
+	// the largest single one.
+	MemMB   float64
+	Rows    float64 // the root operator's output cardinality
+	StateMB float64 // checkpointable state, summed over all operators
+	Type    StatementType
 }
 
-// CostOf summarizes a plan into its scalar costs.
-func CostOf(p *Plan) PlanCost {
-	return PlanCost{
-		CPUSeconds: p.TotalCPU(),
-		IOMB:       p.TotalIO(),
-		MemMB:      p.PeakMem(),
-		Rows:       p.EstRows(),
-		StateMB:    p.TotalState(),
-		Type:       p.Stmt.Type,
+// costWalk accumulates every PlanCost figure in one post-order walk.
+type costWalk struct {
+	cpu, io, mem, peak, state float64
+}
+
+func (w *costWalk) add(op *Operator) {
+	for _, c := range op.Children {
+		w.add(c)
 	}
+	w.cpu += op.EstCPU
+	w.io += op.EstIO
+	w.mem += op.EstMem
+	if op.EstMem > w.peak {
+		w.peak = op.EstMem
+	}
+	w.state += op.StateMB
 }
 
-// CachedPlan is one interned query shape: the plan built for the first
-// statement instance seen with this fingerprint, plus its memoized costs.
-// Cached plans are shared across callers and must be treated as read-only.
+// CostOf summarizes a plan into its scalar costs. One walk visits the
+// operators in post-order, the order Operators lists them, and each sum adds
+// its terms in that order: every figure is bit for bit what a separate pass
+// per figure over Operators would compute, without building the list.
+func CostOf(p *Plan) PlanCost {
+	c := PlanCost{Type: p.Stmt.Type}
+	if p.Root == nil {
+		return c
+	}
+	var w costWalk
+	w.add(p.Root)
+	c.CPUSeconds, c.IOMB, c.StateMB = w.cpu, w.io, w.state
+	c.MemMB = w.peak
+	if w.mem > c.MemMB {
+		c.MemMB = w.mem
+	}
+	c.Rows = p.Root.EstRows
+	return c
+}
+
+// CachedPlan is the admission record of one query shape: its fingerprint and
+// the costs of the plan built for the first statement instance seen with it.
+// The plan itself is not kept: admission reads only the costs, and a few
+// thousand resident operator trees would be scanned by every GC cycle for
+// nothing. Entries are shared across callers and read-only to them.
 type CachedPlan struct {
 	FP   Fingerprint
-	Plan *Plan
 	Cost PlanCost
 
 	touch atomic.Int64 // shard LRU clock at last hit
@@ -63,7 +94,7 @@ type planShard struct {
 }
 
 // PlanCache interns normalized SQL: repeated query shapes skip lexing,
-// parsing, and plan building entirely, returning the memoized plan and cost
+// parsing, and plan building entirely, returning the shape's memoized cost
 // in a few fingerprint-hash plus slot-probe nanoseconds with zero allocation.
 // Each shard is set-associative: a fingerprint maps to two candidate sets and
 // may occupy any way of either. The read path is lock-free (atomic loads of
@@ -199,7 +230,7 @@ func (c *PlanCache) planMiss(fp Fingerprint, sql string) (entry *CachedPlan, hit
 		// would pin a parse error onto a fingerprint forever.
 		return nil, false, err
 	}
-	e := &CachedPlan{FP: fp, Plan: p, Cost: CostOf(p)}
+	e := &CachedPlan{FP: fp, Cost: CostOf(p)}
 	c.insert(e)
 	return e, false, nil
 }

@@ -1,6 +1,7 @@
 package sqlmini
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -60,6 +61,34 @@ func TestLexTwoCharOperators(t *testing.T) {
 	for i := range want {
 		if ops[i] != want[i] {
 			t.Fatalf("ops = %v, want %v", ops, want)
+		}
+	}
+}
+
+// TestLexLongInputAllocatesByTokens: Lex's up-front token slice follows the
+// tokens, not the bytes. A statement carrying a 1 MiB string literal or
+// comment is a handful of tokens and must allocate like one; sizing the slice
+// from the input's length alone would cost about 16 bytes per input byte.
+func TestLexLongInputAllocatesByTokens(t *testing.T) {
+	filler := strings.Repeat("a", 1<<20)
+	for _, sql := range []string{
+		"SELECT * FROM orders WHERE note = '" + filler + "'",
+		"SELECT * FROM orders -- " + filler,
+	} {
+		var toks []Token
+		var err error
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		const calls = 8
+		for i := 0; i < calls; i++ {
+			toks, err = Lex(sql)
+		}
+		runtime.ReadMemStats(&m1)
+		if err != nil || len(toks) > 10 {
+			t.Fatalf("%d tokens, err %v", len(toks), err)
+		}
+		if perCall := (m1.TotalAlloc - m0.TotalAlloc) / calls; perCall > 64<<10 {
+			t.Fatalf("lexing %d tokens from %d bytes allocates %d bytes", len(toks), len(sql), perCall)
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"io"
 	"net"
 	"testing"
+	"time"
 
 	"dbwlm/internal/admission"
 	"dbwlm/internal/obsv"
@@ -131,6 +132,55 @@ func TestDispatchPredict(t *testing.T) {
 	}
 	if got := r.InEngine(); got != 0 {
 		t.Fatalf("in-engine %d, want 0", got)
+	}
+}
+
+// TestServeFrameNonASCIISQL: a statement holding any byte 0x80–0xFF, sent as
+// OpAdmitSQL through ServeFrame, is a per-op parse error and returns — a
+// Latin-1 letter byte used to pin the dispatch goroutine in an identifier
+// scan that never advanced.
+func TestServeFrameNonASCIISQL(t *testing.T) {
+	r := testRuntime(t)
+	d := &Dispatcher{RT: r, Predict: testPredict(t, r)}
+	var ops []Op
+	for b := 0x80; b <= 0xFF; b++ {
+		ops = append(ops, Op{Code: OpAdmitSQL, Class: 0,
+			SQL: append([]byte("SELECT * FROM orders WHERE x = "), byte(b))})
+	}
+	payload, err := EncodeRequest(nil, ops)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type served struct {
+		out []byte
+		err error
+	}
+	done := make(chan served, 1)
+	go func() {
+		var st FrameState
+		out, err := d.ServeFrame(payload, &st)
+		done <- served{append([]byte(nil), out...), err}
+	}()
+	var got served
+	select {
+	case got = <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("ServeFrame did not return on non-ASCII SQL")
+	}
+	if got.err != nil {
+		t.Fatal(got.err)
+	}
+	var res BatchRes
+	if err := DecodeResponse(got.out, &res); err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range res.Results {
+		if r.Status != StatusParseError {
+			t.Fatalf("byte %#x: status %v, want parse error", 0x80+i, r.Status)
+		}
+	}
+	if len(res.Results) != len(ops) {
+		t.Fatalf("%d results for %d ops", len(res.Results), len(ops))
 	}
 }
 

@@ -85,11 +85,12 @@ func NewEstimateModel(rng *sim.RNG, sigma float64) *EstimateModel {
 // FromPlan converts a plan into (estimates, true spec). The plan totals are
 // the estimate; the truth is the estimate perturbed by unbiased noise.
 func (m *EstimateModel) FromPlan(p *sqlmini.Plan, parallelism float64) (Estimates, engine.QuerySpec) {
+	cost := sqlmini.CostOf(p)
 	est := Estimates{
-		CPUSeconds: p.TotalCPU(),
-		IOMB:       p.TotalIO(),
-		MemMB:      p.PeakMem(),
-		Rows:       p.EstRows(),
+		CPUSeconds: cost.CPUSeconds,
+		IOMB:       cost.IOMB,
+		MemMB:      cost.MemMB,
+		Rows:       cost.Rows,
 	}
 	est.Timerons = TimeronsOf(est.CPUSeconds, est.IOMB)
 	noise := func() float64 { return m.rng.UnbiasedLogNormal(m.Sigma) }
@@ -99,7 +100,7 @@ func (m *EstimateModel) FromPlan(p *sqlmini.Plan, parallelism float64) (Estimate
 		MemMB:       est.MemMB,
 		Parallelism: parallelism,
 		Rows:        int64(est.Rows * noise()),
-		StateMB:     p.TotalState(),
+		StateMB:     cost.StateMB,
 	}
 	return est, spec
 }

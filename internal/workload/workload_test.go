@@ -113,7 +113,7 @@ func TestEstimateModelNoise(t *testing.T) {
 	const n = 500
 	for i := 0; i < n; i++ {
 		est, spec := em.FromPlan(plan, 2)
-		if est.CPUSeconds != plan.TotalCPU() {
+		if est.CPUSeconds != sqlmini.CostOf(plan).CPUSeconds {
 			t.Fatal("estimate should equal plan totals")
 		}
 		ratioSum += spec.CPUWork / est.CPUSeconds
@@ -125,7 +125,7 @@ func TestEstimateModelNoise(t *testing.T) {
 	// Exact estimates with sigma 0.
 	em0 := NewEstimateModel(rng, 0)
 	_, spec := em0.FromPlan(plan, 2)
-	if spec.CPUWork != plan.TotalCPU() {
+	if spec.CPUWork != sqlmini.CostOf(plan).CPUSeconds {
 		t.Fatal("sigma=0 should be exact")
 	}
 }
