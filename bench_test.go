@@ -18,6 +18,7 @@ import (
 	"dbwlm/internal/engine"
 	"dbwlm/internal/execctl"
 	"dbwlm/internal/experiments"
+	"dbwlm/internal/governor"
 	"dbwlm/internal/taxonomy"
 )
 
@@ -165,7 +166,7 @@ func table4Bench(b *testing.B, idx int) {
 		if idx < 0 {
 			row = experiments.RunTable4Profile(nil, sc)
 		} else {
-			row = experiments.RunTable4Profile(experiments.GovernorProfiles()[idx], sc)
+			row = experiments.RunTable4Profile(governor.Profiles()[idx], sc)
 		}
 	}
 	b.ReportMetric(row.Metric("oltp_mean_s"), "oltp_mean_s")
@@ -284,6 +285,16 @@ func BenchmarkAblationThrottleMethods(b *testing.B) {
 	b.ReportMetric(t.Rows[1].Metric("oltp_p99_s"), "interrupt_oltp_p99_s")
 }
 
+// rowNamed returns the table's row called name, or nil.
+func rowNamed(t experiments.ResultTable, name string) *experiments.Row {
+	for i := range t.Rows {
+		if t.Rows[i].Name == name {
+			return &t.Rows[i]
+		}
+	}
+	return nil
+}
+
 // BenchmarkAblationSuspendStrategies compares the suspend-plan strategies
 // under a suspend budget (Ablation A2).
 func BenchmarkAblationSuspendStrategies(b *testing.B) {
@@ -291,8 +302,8 @@ func BenchmarkAblationSuspendStrategies(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		t = experiments.RunSuspendPlanComparison(0.5)
 	}
-	optimal := t.Find("optimal-mixed")
-	allGo := t.Find("all-GoBack")
+	optimal := rowNamed(t, "optimal-mixed")
+	allGo := rowNamed(t, "all-GoBack")
 	if optimal.Metric("total_s") > allGo.Metric("total_s")+1e-9 {
 		b.Fatal("optimal plan worse than all-GoBack")
 	}

@@ -13,6 +13,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -20,22 +21,32 @@ import (
 	"dbwlm/internal/taxonomy"
 )
 
-func main() {
-	only := flag.String("only", "", "run a single experiment (e0, knee, t1, t2, t3, t4, t5, e6, a1, a2, a3, a4, a5)")
-	seed := flag.Uint64("seed", 42, "simulation seed")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout)) }
+
+// run is benchtables with its arguments and output stream: the exit code is
+// 0, 1 when a taxonomy leaf has no implementation, 2 on bad usage.
+func run(args []string, stdout io.Writer) int {
+	fs := flag.NewFlagSet("benchtables", flag.ContinueOnError)
+	only := fs.String("only", "", "run a single experiment (e0, knee, t1, t2, t3, t4, t5, e6, a1, a2, a3, a4, a5)")
+	seed := fs.Uint64("seed", 42, "simulation seed")
+	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return 0
+		}
+		return 2
+	}
 
 	// E0 runs first and serially: it is instant, and its coverage-gap check
 	// must be able to exit(1) before any simulation time is spent.
 	if *only == "" || *only == "e0" {
-		fmt.Println("E0 / Figure 1: taxonomy coverage")
-		fmt.Print(taxonomy.RenderTree())
+		fmt.Fprintln(stdout, "E0 / Figure 1: taxonomy coverage")
+		fmt.Fprint(stdout, taxonomy.RenderTree())
 		if gaps := taxonomy.CoverageGaps(); len(gaps) > 0 {
 			fmt.Fprintf(os.Stderr, "coverage gaps: %v\n", gaps)
-			os.Exit(1)
+			return 1
 		}
-		fmt.Println("all taxonomy leaves implemented: OK")
-		fmt.Println()
+		fmt.Fprintln(stdout, "all taxonomy leaves implemented: OK")
+		fmt.Fprintln(stdout)
 	}
 
 	type section struct {
@@ -97,12 +108,13 @@ func main() {
 	}
 	if len(wanted) == 0 && *only != "e0" {
 		fmt.Fprintf(os.Stderr, "benchtables: unknown -only %q (valid: %s)\n", *only, strings.Join(keys, ", "))
-		os.Exit(2)
+		return 2
 	}
 	rendered := experiments.RunIndexed(len(wanted), func(i int) string {
 		return wanted[i].render()
 	})
 	for _, out := range rendered {
-		fmt.Print(out)
+		fmt.Fprint(stdout, out)
 	}
+	return 0
 }

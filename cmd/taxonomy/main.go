@@ -13,46 +13,58 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"dbwlm/internal/taxonomy"
 )
 
-func main() {
-	tree := flag.Bool("tree", false, "print only the Figure 1 tree")
-	tables := flag.Bool("tables", false, "print only Tables 1-5")
-	registry := flag.Bool("registry", false, "print only the technique registry")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout)) }
+
+// run is taxonomy with its arguments and output stream: the exit code is 0,
+// 1 when a taxonomy leaf has no implementation, 2 on bad usage.
+func run(args []string, stdout io.Writer) int {
+	fs := flag.NewFlagSet("taxonomy", flag.ContinueOnError)
+	tree := fs.Bool("tree", false, "print only the Figure 1 tree")
+	tables := fs.Bool("tables", false, "print only Tables 1-5")
+	registry := fs.Bool("registry", false, "print only the technique registry")
+	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return 0
+		}
+		return 2
+	}
 
 	all := !*tree && !*tables && !*registry
 	if *tree || all {
-		fmt.Println("Figure 1: Taxonomy of Workload Management Techniques for DBMSs")
-		fmt.Println()
-		fmt.Print(taxonomy.RenderTree())
-		fmt.Println()
+		fmt.Fprintln(stdout, "Figure 1: Taxonomy of Workload Management Techniques for DBMSs")
+		fmt.Fprintln(stdout)
+		fmt.Fprint(stdout, taxonomy.RenderTree())
+		fmt.Fprintln(stdout)
 	}
 	if *registry || all {
-		fmt.Println("Implemented techniques by taxonomy class:")
+		fmt.Fprintln(stdout, "Implemented techniques by taxonomy class:")
 		byClass := taxonomy.ByClass()
 		taxonomy.Tree().Walk(func(n *taxonomy.Node, depth int) {
 			ts := byClass[n.Path]
 			if len(ts) == 0 {
 				return
 			}
-			fmt.Printf("\n%s:\n", n.Title)
+			fmt.Fprintf(stdout, "\n%s:\n", n.Title)
 			for _, t := range ts {
-				fmt.Printf("  - %-45s %s\n      source: %s\n", t.Name, t.Impl, t.Source)
+				fmt.Fprintf(stdout, "  - %-45s %s\n      source: %s\n", t.Name, t.Impl, t.Source)
 			}
 		})
-		fmt.Println()
+		fmt.Fprintln(stdout)
 	}
 	if *tables || all {
 		for _, tb := range taxonomy.AllTables() {
-			fmt.Println(tb.Render())
+			fmt.Fprintln(stdout, tb.Render())
 		}
 	}
 	if gaps := taxonomy.CoverageGaps(); len(gaps) > 0 {
 		fmt.Fprintf(os.Stderr, "WARNING: taxonomy leaves without implementations: %v\n", gaps)
-		os.Exit(1)
+		return 1
 	}
+	return 0
 }

@@ -185,14 +185,23 @@ func main() {
 	}
 	log.Printf("wlmd: %d classes, global MPL %d, trace %d events, listening on %s",
 		r.NumClasses(), *globalMPL, *traceCap, *addr)
-	// No write timeout: /admit parks with its request while the op is queued.
-	hs := &http.Server{Addr: *addr, Handler: srv, ReadHeaderTimeout: readHeaderTimeout}
-	log.Fatal(hs.ListenAndServe())
+	log.Fatal(newHTTPServer(*addr, srv, idleTimeout).ListenAndServe())
 }
 
 // readHeaderTimeout bounds how long a client may take to send its request
 // headers, so a stalled connection cannot hold a server goroutine forever.
 const readHeaderTimeout = 10 * time.Second
+
+// idleTimeout bounds how long a keep-alive connection may sit between
+// requests before the server closes it, so a client that stops talking does
+// not keep a goroutine and a socket forever.
+const idleTimeout = 2 * time.Minute
+
+// newHTTPServer is wlmd's HTTP server. It has no write timeout: /admit parks
+// with its request while the op is queued.
+func newHTTPServer(addr string, h http.Handler, idle time.Duration) *http.Server {
+	return &http.Server{Addr: addr, Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idle}
+}
 
 // selfTotals is the selftest outcome ledger across all classes.
 type selfTotals struct {

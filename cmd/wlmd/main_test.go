@@ -1,8 +1,11 @@
 package main
 
 import (
+	"bufio"
 	"encoding/json"
 	"fmt"
+	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -336,5 +339,78 @@ func TestSelfTestTraceLifecycle(t *testing.T) {
 	}
 	if !kinds["enqueue"] || !kinds["admit"] || !kinds["done"] {
 		t.Fatalf("qid %d chain incomplete: %+v", qid, chain.Events)
+	}
+}
+
+// TestHTTPServerIdleTimeout runs wlmd's HTTP server with a short idle
+// timeout: a keep-alive connection that goes quiet is closed by the server,
+// while an /admit parked in the queue for longer than the timeout still gets
+// its answer.
+func TestHTTPServerIdleTimeout(t *testing.T) {
+	const idle = 100 * time.Millisecond
+	r, err := rt.New([]rt.ClassSpec{{Name: "one", MaxMPL: 1}}, rt.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Start()
+	defer r.Stop()
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs := newHTTPServer(l.Addr().String(), rthttp.NewServer(r), idle)
+	go hs.Serve(l)
+	defer hs.Close()
+
+	// One request on a keep-alive connection, then silence.
+	c, err := net.Dial("tcp", l.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	fmt.Fprint(c, "GET /stats HTTP/1.1\r\nHost: wlmd\r\n\r\n")
+	br := bufio.NewReader(c)
+	resp, err := http.ReadResponse(br, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	c.SetReadDeadline(time.Now().Add(50 * idle))
+	if _, err := br.ReadByte(); err != io.EOF {
+		t.Fatalf("idle keep-alive connection: read error %v, want EOF (closed by the server)", err)
+	}
+
+	// An /admit parked behind the blocker for three idle timeouts.
+	blocker := r.Admit(0, 0)
+	verdict := make(chan string, 1)
+	go func() {
+		var ar rthttp.AdmitResponse
+		resp, err := http.PostForm("http://"+l.Addr().String()+"/admit", url.Values{"class": {"one"}})
+		if err != nil {
+			verdict <- err.Error()
+			return
+		}
+		defer resp.Body.Close()
+		if err := json.NewDecoder(resp.Body).Decode(&ar); err != nil {
+			verdict <- err.Error()
+			return
+		}
+		verdict <- ar.Verdict
+	}()
+	for deadline := time.Now().Add(5 * time.Second); r.QueueLen(0) != 1; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("/admit never parked")
+		}
+	}
+	time.Sleep(3 * idle)
+	r.Done(blocker, 0)
+	select {
+	case v := <-verdict:
+		if v != "admitted" {
+			t.Fatalf("parked /admit answered %q, want admitted", v)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("parked /admit never answered")
 	}
 }

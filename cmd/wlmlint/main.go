@@ -1,8 +1,8 @@
 // Command wlmlint runs dbwlm's in-tree static-analysis suite (internal/lint)
 // over the module: allocation and blocking checks over everything reachable
 // from a //dbwlm:hotpath root, typed-atomics-only, determinism linting,
-// guarded-field verification, no nested locking, and the AllocsPerRun
-// coupling check.
+// guarded-field verification, no nested locking, the AllocsPerRun coupling
+// check, and dead-code detection.
 //
 // Usage:
 //

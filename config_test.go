@@ -1,11 +1,13 @@
 package dbwlm
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
 	"dbwlm/internal/engine"
 	"dbwlm/internal/policy"
+	"dbwlm/internal/scheduling"
 	"dbwlm/internal/sim"
 	"dbwlm/internal/workload"
 )
@@ -133,7 +135,20 @@ func TestConfigCostLimitDispatcher(t *testing.T) {
 	if err := LoadConfig(m, strings.NewReader(cfg)); err != nil {
 		t.Fatal(err)
 	}
-	if m.Scheduler.Queue().Name() != "sjf" || m.Scheduler.Dispatcher().Name() != "cost-limit" {
-		t.Fatalf("scheduler wiring: %s / %s", m.Scheduler.Queue().Name(), m.Scheduler.Dispatcher().Name())
+	// While a 900-timeron request holds class a, a 600 and a 500 wait. When
+	// it finishes, SJF offers the 500 first, and the cost limit then holds
+	// the 600 back (500+600 > 1000).
+	var released []float64
+	m.Scheduler.Release = func(it *scheduling.Item) { released = append(released, it.Req.Est.Timerons) }
+	item := func(cost float64) *scheduling.Item {
+		return &scheduling.Item{Req: &workload.Request{Est: workload.Estimates{Timerons: cost}}, Class: "a"}
+	}
+	first := item(900)
+	for _, it := range []*scheduling.Item{first, item(600), item(500)} {
+		m.Scheduler.Enqueue(it, 0)
+	}
+	m.Scheduler.OnFinish(first, 0)
+	if fmt.Sprint(released) != "[900 500]" {
+		t.Fatalf("released %v, want [900 500] (SJF order under a cost limit of 1000)", released)
 	}
 }

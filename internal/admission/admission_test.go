@@ -187,7 +187,7 @@ func TestTreePredictorLearnsToGateMonsters(t *testing.T) {
 		big := mkReq(policy.PriorityLow, float64(500000+i*1000))
 		p.ObserveCompletion(big, 200, 0)
 	}
-	if !p.Trained() {
+	if p.model.Load() == nil {
 		t.Fatal("predictor did not train")
 	}
 	if p.Decide(monster, 0) != Queue {
@@ -211,8 +211,10 @@ func TestKNNPredictorGatesByPredictedSeconds(t *testing.T) {
 		p.ObserveCompletion(mkReq(policy.PriorityLow, 100), 0.5, 0)
 		p.ObserveCompletion(mkReq(policy.PriorityLow, 1e6), 300, 0)
 	}
-	if p.Predict(mkReq(policy.PriorityLow, 1e6)) < 100 {
-		t.Fatalf("knn prediction too low: %v", p.Predict(mkReq(policy.PriorityLow, 1e6)))
+	var f FeatureVec
+	RequestFeaturesInto(mkReq(policy.PriorityLow, 1e6), &f)
+	if s, _ := p.PredictSeconds(&f); s < 100 {
+		t.Fatalf("knn prediction too low: %v", s)
 	}
 	if p.Decide(mkReq(policy.PriorityLow, 1e6), 0) != Queue {
 		t.Fatal("knn did not gate expensive query")

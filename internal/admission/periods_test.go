@@ -80,7 +80,7 @@ func TestOperatingPeriodsForwardsCompletions(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		c.ObserveCompletion(mkReq(policy.PriorityLow, float64(100+i)), 0.1, 0)
 	}
-	if !tree.Trained() {
+	if tree.model.Load() == nil {
 		t.Fatal("completions not forwarded to period controller")
 	}
 }

@@ -296,9 +296,6 @@ func (p *TreePredictor) ObserveCompletion(r *workload.Request, responseSeconds f
 	})
 }
 
-// Trained reports whether the predictor has fit a model yet.
-func (p *TreePredictor) Trained() bool { return p.model.Load() != nil }
-
 // KNNPredictor predicts runtime seconds from the k nearest historical
 // queries in feature space (Ganapathi-style similarity) and gates work whose
 // predicted runtime exceeds MaxSeconds. History is retained stratified by
@@ -367,14 +364,6 @@ func (p *KNNPredictor) Decide(r *workload.Request, _ sim.Time) Decision {
 		return Reject
 	}
 	return Queue
-}
-
-// Predict exposes the model's runtime prediction (0 before training).
-func (p *KNNPredictor) Predict(r *workload.Request) float64 {
-	var f FeatureVec
-	RequestFeaturesInto(r, &f)
-	s, _ := p.PredictSeconds(&f)
-	return s
 }
 
 // PredictSeconds predicts the runtime for an extracted feature vector; ok is

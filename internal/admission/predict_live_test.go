@@ -74,12 +74,8 @@ func TestKNNBackgroundRetrainConcurrent(t *testing.T) {
 	}
 	wg.Wait()
 	waitRetrained(t, p.Retrains, 1)
-	if !p.Trained() {
+	if p.model.Load() == nil {
 		t.Fatal("background trainer never published a model")
-	}
-	m := p.model.Load()
-	if !m.Indexed() {
-		t.Fatal("Indexed predictor published an unindexed model")
 	}
 }
 
@@ -140,7 +136,7 @@ func TestTreeBackgroundRetrainConcurrent(t *testing.T) {
 	}
 	wg.Wait()
 	waitRetrained(t, p.Retrains, 1)
-	if !p.Trained() {
+	if p.model.Load() == nil {
 		t.Fatal("tree never trained")
 	}
 	// With training drained, the learnable relationship must hold.

@@ -128,7 +128,7 @@ func TestLoopCountsAndFlow(t *testing.T) {
 	if l.Cycles() != 5 || l.Actions() != 5 || l.Symptoms() != 5 {
 		t.Fatal("loop counters wrong")
 	}
-	l.Stop()
+	l.stop()
 	s.Run(sim.Time(10 * sim.Second))
 	if observed != 5 {
 		t.Fatal("loop ran after stop")

@@ -159,13 +159,6 @@ func (l *Loop) Start(s *sim.Simulator) {
 	})
 }
 
-// Stop halts the loop.
-func (l *Loop) Stop() {
-	if l.stop != nil {
-		l.stop()
-	}
-}
-
 // RunOnce executes one monitor-analyze-plan-execute cycle.
 func (l *Loop) RunOnce() {
 	l.cycles++

@@ -144,54 +144,6 @@ func orDefault(s, d string) string {
 	return s
 }
 
-// Merge combines two candidates into one (the analyst's refinement step).
-// The merged candidate keeps the weaker (higher) SLG and the lower priority.
-func Merge(a, b CandidateWorkload, name string) CandidateWorkload {
-	out := a
-	out.Name = name
-	out.Count = a.Count + b.Count
-	out.MeanTimerons = (a.MeanTimerons*float64(a.Count) + b.MeanTimerons*float64(b.Count)) / float64(out.Count)
-	if b.P95Seconds > out.P95Seconds {
-		out.P95Seconds = b.P95Seconds
-	}
-	if b.RecommendedPriority < out.RecommendedPriority {
-		out.RecommendedPriority = b.RecommendedPriority
-	}
-	if a.App != b.App {
-		out.App = ""
-	}
-	out.RecommendedSLG = policy.PercentileResponseTime(95,
-		sim.DurationFromSeconds(out.P95Seconds*1.5))
-	return out
-}
-
-// Split divides a candidate along a timeron threshold into a cheap and an
-// expensive sub-candidate, re-analyzing the underlying records.
-func (a *Analyzer) Split(cand CandidateWorkload, log []LogRecord, timerons float64) (cheap, costly CandidateWorkload) {
-	var lo, hi []LogRecord
-	for _, rec := range log {
-		if rec.Req == nil || rec.Req.Origin.App != cand.App || rec.Req.Type != cand.Type ||
-			costBand(rec.Req.Est.Timerons) != cand.CostBand {
-			continue
-		}
-		if rec.Req.Est.Timerons <= timerons {
-			lo = append(lo, rec)
-		} else {
-			hi = append(hi, rec)
-		}
-	}
-	k := groupKey{app: cand.App, typ: cand.Type, costBand: cand.CostBand}
-	if len(lo) > 0 {
-		cheap = a.summarize(k, lo)
-		cheap.Name = cand.Name + "-cheap"
-	}
-	if len(hi) > 0 {
-		costly = a.summarize(k, hi)
-		costly.Name = cand.Name + "-costly"
-	}
-	return cheap, costly
-}
-
 // ToDefinition converts a candidate into a workload definition + service
 // class pair ready to install in a Router.
 func (c CandidateWorkload) ToDefinition() (*WorkloadDef, *ServiceClass) {
@@ -237,6 +189,8 @@ func InstallRecommendations(cands []CandidateWorkload, deflt *ServiceClass) *Rou
 // data-driven grouping alternative for logs whose cost structure does not
 // fall on decade boundaries. Clusters are further keyed by statement type
 // (a READ and a WRITE never share a candidate).
+//
+//dbwlm:nolint deadcode -- registry row "k-means query-log clustering" runs only under tests; ROADMAP item 9c wires it in or deletes it
 func (a *Analyzer) AnalyzeClustered(log []LogRecord, k int, rng *sim.RNG) []CandidateWorkload {
 	minSize := a.MinGroupSize
 	if minSize <= 0 {

@@ -74,44 +74,6 @@ func TestAnalyzerEmptyAndNilSafe(t *testing.T) {
 	}
 }
 
-func TestMergeCandidates(t *testing.T) {
-	a := &Analyzer{MinGroupSize: 5}
-	cands := a.Analyze(sampleLog())
-	m := Merge(cands[0], cands[1], "merged")
-	if m.Count != 60 {
-		t.Fatalf("merged count = %d", m.Count)
-	}
-	if m.RecommendedPriority != policy.PriorityLow {
-		t.Fatal("merge should keep the lower priority")
-	}
-	if m.P95Seconds < cands[1].P95Seconds {
-		t.Fatal("merge should keep the weaker p95")
-	}
-	if m.App != "" {
-		t.Fatal("different apps should merge to wildcard")
-	}
-}
-
-func TestSplitCandidate(t *testing.T) {
-	a := &Analyzer{MinGroupSize: 5}
-	var log []LogRecord
-	for i := 0; i < 10; i++ {
-		log = append(log, logRecord("app", sqlmini.StmtRead, 100, 0.1))
-		log = append(log, logRecord("app", sqlmini.StmtRead, 900, 5))
-	}
-	cands := a.Analyze(log)
-	if len(cands) != 1 {
-		t.Fatalf("candidates = %d", len(cands))
-	}
-	cheap, costly := a.Split(cands[0], log, 500)
-	if cheap.Count != 10 || costly.Count != 10 {
-		t.Fatalf("split counts = %d/%d", cheap.Count, costly.Count)
-	}
-	if cheap.MeanTimerons >= costly.MeanTimerons {
-		t.Fatal("split sides inverted")
-	}
-}
-
 func TestToDefinitionAndInstall(t *testing.T) {
 	a := &Analyzer{MinGroupSize: 5}
 	cands := a.Analyze(sampleLog())

@@ -31,9 +31,6 @@ func TestOriginMatcher(t *testing.T) {
 	if !(OriginMatcher{}).Match(req("a", "b", sqlmini.StmtRead, 1, 1)) {
 		t.Fatal("empty matcher should match everything")
 	}
-	if m.Describe() == "" {
-		t.Fatal("empty description")
-	}
 }
 
 func TestTypeMatcherBounds(t *testing.T) {
@@ -70,9 +67,6 @@ func TestCriteriaAndCombinators(t *testing.T) {
 	}
 	if !or.Match(r1) || !or.Match(r2) || !or.Match(r3) || or.Match(r4) {
 		t.Fatal("Any combinator wrong")
-	}
-	if and.Describe() == "" || or.Describe() == "" || big.Describe() == "" {
-		t.Fatal("empty describes")
 	}
 }
 
@@ -113,7 +107,7 @@ func TestRouterClassification(t *testing.T) {
 	if cls4.Name != "default" {
 		t.Fatal("missing class did not fall back")
 	}
-	if len(router.Defs()) != 3 || router.Class("gold") == nil || router.Default() == nil {
+	if len(router.defs) != 3 || router.Class("gold") == nil || router.Default() == nil {
 		t.Fatal("accessors wrong")
 	}
 }
@@ -130,9 +124,6 @@ func TestServiceClassWeights(t *testing.T) {
 	c.Tiers = []ServiceTier{{"t0", 8}, {"t1", 4}, {"t2", 1}}
 	if c.EffectiveWeight() != 8 {
 		t.Fatal("tiered weight should be top tier")
-	}
-	if c.TierWeight(1) != 4 || c.TierWeight(99) != 1 || c.TierWeight(-1) != 8 {
-		t.Fatal("tier clamping wrong")
 	}
 }
 

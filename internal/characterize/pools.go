@@ -62,16 +62,6 @@ func NewPoolSet(pools ...*ResourcePool) (*PoolSet, error) {
 // Pools returns the pool list.
 func (s *PoolSet) Pools() []*ResourcePool { return s.pools }
 
-// Pool returns the named pool, or nil.
-func (s *PoolSet) Pool(name string) *ResourcePool {
-	for _, p := range s.pools {
-		if p.Name == name {
-			return p
-		}
-	}
-	return nil
-}
-
 // AllocateCPU computes each pool's effective CPU fraction given which pools
 // currently have demand. Pools with demand receive at least MIN, at most
 // MAX; reservation of idle pools is redistributed proportionally ("shared

@@ -7,8 +7,6 @@
 package characterize
 
 import (
-	"fmt"
-
 	"dbwlm/internal/policy"
 	"dbwlm/internal/sqlmini"
 	"dbwlm/internal/workload"
@@ -17,8 +15,6 @@ import (
 // Matcher decides whether a request belongs to a workload definition.
 type Matcher interface {
 	Match(r *workload.Request) bool
-	// Describe renders the matching rule for reports.
-	Describe() string
 }
 
 // OriginMatcher matches on "who" issued the request (DB2 connection
@@ -41,11 +37,6 @@ func (m OriginMatcher) Match(r *workload.Request) bool {
 		return false
 	}
 	return true
-}
-
-// Describe implements Matcher.
-func (m OriginMatcher) Describe() string {
-	return fmt.Sprintf("origin(app=%q user=%q ip=%q)", m.App, m.User, m.ClientIP)
 }
 
 // TypeMatcher matches on "what" the request is (DB2 work classes; Teradata
@@ -90,12 +81,6 @@ func (m TypeMatcher) Match(r *workload.Request) bool {
 	return true
 }
 
-// Describe implements Matcher.
-func (m TypeMatcher) Describe() string {
-	return fmt.Sprintf("type(%v cost=[%g,%g] rows=[%g,%g])",
-		m.Types, m.MinTimerons, m.MaxTimerons, m.MinRows, m.MaxRows)
-}
-
 // CriteriaFunc is a user-written classifier function (SQL Server Resource
 // Governor classification functions, Section 4.1.2.C).
 type CriteriaFunc struct {
@@ -105,9 +90,6 @@ type CriteriaFunc struct {
 
 // Match implements Matcher.
 func (m CriteriaFunc) Match(r *workload.Request) bool { return m.Fn(r) }
-
-// Describe implements Matcher.
-func (m CriteriaFunc) Describe() string { return "criteria(" + m.Name + ")" }
 
 // All matches when every component matches.
 type All []Matcher
@@ -122,18 +104,6 @@ func (m All) Match(r *workload.Request) bool {
 	return true
 }
 
-// Describe implements Matcher.
-func (m All) Describe() string {
-	s := "all("
-	for i, sub := range m {
-		if i > 0 {
-			s += " and "
-		}
-		s += sub.Describe()
-	}
-	return s + ")"
-}
-
 // Any matches when at least one component matches.
 type Any []Matcher
 
@@ -145,18 +115,6 @@ func (m Any) Match(r *workload.Request) bool {
 		}
 	}
 	return false
-}
-
-// Describe implements Matcher.
-func (m Any) Describe() string {
-	s := "any("
-	for i, sub := range m {
-		if i > 0 {
-			s += " or "
-		}
-		s += sub.Describe()
-	}
-	return s + ")"
 }
 
 // ServiceTier is one service subclass within a service class: a weight tier
@@ -195,20 +153,6 @@ func (c *ServiceClass) EffectiveWeight() float64 {
 		return c.Weight
 	}
 	return c.Priority.Weight()
-}
-
-// TierWeight returns the weight of tier i, clamping to the lowest tier.
-func (c *ServiceClass) TierWeight(i int) float64 {
-	if len(c.Tiers) == 0 {
-		return c.EffectiveWeight()
-	}
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(c.Tiers) {
-		i = len(c.Tiers) - 1
-	}
-	return c.Tiers[i].Weight
 }
 
 // WorkloadDef maps matching requests to a service class — the "workload"
@@ -258,9 +202,6 @@ func (r *Router) Class(name string) *ServiceClass { return r.classes[name] }
 
 // Default returns the default service class.
 func (r *Router) Default() *ServiceClass { return r.deflt }
-
-// Defs returns the workload definitions in evaluation order.
-func (r *Router) Defs() []*WorkloadDef { return r.defs }
 
 // Classify assigns a request to the first matching definition, labeling the
 // request with the definition name and (optionally) its priority. The

@@ -290,7 +290,7 @@ func TestLockConflictAndRelease(t *testing.T) {
 	if len(order) != 2 || order[0] != a.ID || order[1] != b.ID {
 		t.Fatalf("completion order = %v", order)
 	}
-	if b.BlockedTime() <= 0 {
+	if b.blockedFor <= 0 {
 		t.Fatal("blocked time not accounted")
 	}
 }
@@ -305,7 +305,7 @@ func TestSharedLocksCoexist(t *testing.T) {
 	if a.State() != StateRunning || b.State() != StateRunning {
 		t.Fatalf("shared readers blocked each other: %v %v", a.State(), b.State())
 	}
-	if a.HeldLocks() != 1 || b.HeldLocks() != 1 {
+	if len(a.held) != 1 || len(b.held) != 1 {
 		t.Fatal("shared locks not both granted")
 	}
 }
@@ -378,8 +378,8 @@ func TestEngineIdlesWhenEmpty(t *testing.T) {
 	s, e := newTestEngine(Config{})
 	e.Submit(QuerySpec{CPUWork: 0.01, Parallelism: 1}, 1, nil)
 	run(s, 5)
-	if s.Pending() != 0 {
-		t.Fatalf("engine left %d events pending after going idle", s.Pending())
+	if s.Step() {
+		t.Fatal("engine left an event scheduled after going idle")
 	}
 	// Submitting again restarts the loop.
 	done := false

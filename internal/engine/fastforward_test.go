@@ -53,7 +53,7 @@ func runFFWorkload(t *testing.T, disableFF bool, seed uint64) ffTrace {
 			tr.finishAt = append(tr.finishAt, s.Now())
 			tr.outcomes = append(tr.outcomes, oc)
 			tr.cpuDone = append(tr.cpuDone, q.CPUDone())
-			tr.ioDone = append(tr.ioDone, q.IODone())
+			tr.ioDone = append(tr.ioDone, q.ioDone)
 			launch()
 		})
 		if rng.Bool(0.2) {

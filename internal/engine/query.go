@@ -188,20 +188,11 @@ func (q *Query) RowsReturned() int64 {
 	return int64(float64(q.Spec.Rows) * q.Progress())
 }
 
-// CPUDone and IODone report completed work, for progress estimators.
+// CPUDone reports completed CPU work, for progress estimators.
 func (q *Query) CPUDone() float64 { return q.cpuDone }
-
-// IODone reports completed IO megabytes.
-func (q *Query) IODone() float64 { return q.ioDone }
 
 // SubmittedAt reports when the query entered the engine.
 func (q *Query) SubmittedAt() sim.Time { return q.submitAt }
 
-// BlockedTime reports cumulative time spent waiting on locks.
-func (q *Query) BlockedTime() sim.Duration { return q.blockedFor }
-
 // Suspends reports how many times the query has been suspended.
 func (q *Query) Suspends() int { return q.suspends }
-
-// HeldLocks reports the number of locks currently held.
-func (q *Query) HeldLocks() int { return len(q.held) }

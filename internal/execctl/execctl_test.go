@@ -41,9 +41,6 @@ func TestAgerDemotesOnElapsed(t *testing.T) {
 	if a.Demotions() != 2 {
 		t.Fatalf("demotions = %d", a.Demotions())
 	}
-	if a.Events.CountKind(metrics.EventThresholdViolation) != 2 {
-		t.Fatal("violations not recorded")
-	}
 }
 
 func TestAgerRowsTrigger(t *testing.T) {
@@ -91,10 +88,10 @@ func TestEconomicReallocatorShiftsWeights(t *testing.T) {
 	}
 	r.Start()
 	s.Run(sim.Time(3 * sim.Second))
-	if r.Rounds() < 2 {
-		t.Fatalf("rounds = %d", r.Rounds())
+	if r.rounds < 2 {
+		t.Fatalf("rounds = %d", r.rounds)
 	}
-	w := r.Weights()
+	w := r.lastWeights
 	if w["gold"] <= w["bronze"] {
 		t.Fatalf("suffering important class should outbid: %v", w)
 	}
@@ -104,7 +101,7 @@ func TestEconomicReallocatorShiftsWeights(t *testing.T) {
 	// Once gold recovers, its bid collapses to the floor and weights converge.
 	att["gold"] = 5.0
 	s.Run(sim.Time(6 * sim.Second))
-	w = r.Weights()
+	w = r.lastWeights
 	ratio := w["gold"] / w["bronze"]
 	// Both at floor bids: ratio equals importance ratio (10), down from the
 	// crisis allocation which was far higher.
@@ -136,9 +133,6 @@ func TestKillerKillsLongRunners(t *testing.T) {
 	}
 	if k.Kills() != 1 {
 		t.Fatal("kill counter wrong")
-	}
-	if k.Events.CountKind(metrics.EventControlAction) != 1 {
-		t.Fatal("kill event not recorded")
 	}
 }
 
@@ -256,8 +250,8 @@ func TestSuspenderCycle(t *testing.T) {
 	if q.State() != engine.StateRunning {
 		t.Fatalf("pressure cleared but state = %v", q.State())
 	}
-	if sp.Suspends() != 1 || sp.Resumes() != 1 {
-		t.Fatalf("suspends=%d resumes=%d", sp.Suspends(), sp.Resumes())
+	if sp.Suspends() != 1 || sp.resumes != 1 {
+		t.Fatalf("suspends=%d resumes=%d", sp.Suspends(), sp.resumes)
 	}
 	s.Run(sim.Time(60 * sim.Second))
 	if q.State() != engine.StateDone {

@@ -57,9 +57,6 @@ func (r *EconomicReallocator) Start() {
 	})
 }
 
-// Weights reports the most recent auction outcome per class.
-func (r *EconomicReallocator) Weights() map[string]float64 { return r.lastWeights }
-
 // WeightFor returns the per-query weight a newly dispatched query of the
 // class should run at, given the class's current population — so arrivals
 // between auctions inherit the auction outcome instead of a default weight.
@@ -77,9 +74,6 @@ func (r *EconomicReallocator) WeightFor(class string, population int) float64 {
 	}
 	return per
 }
-
-// Rounds reports how many auctions have run.
-func (r *EconomicReallocator) Rounds() int64 { return r.rounds }
 
 func (r *EconomicReallocator) reallocate() {
 	r.rounds++

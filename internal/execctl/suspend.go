@@ -181,11 +181,8 @@ func (s *Suspender) Manage(m *Managed) {
 	s.ensureStarted()
 }
 
-// Suspends and Resumes report action counts.
+// Suspends reports how many suspends the controller has issued.
 func (s *Suspender) Suspends() int64 { return s.suspends }
-
-// Resumes reports how many resumes the controller has issued.
-func (s *Suspender) Resumes() int64 { return s.resumes }
 
 func (s *Suspender) ensureStarted() {
 	if s.started {

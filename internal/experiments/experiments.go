@@ -74,13 +74,3 @@ func (t ResultTable) Render() string {
 	}
 	return b.String()
 }
-
-// Find returns the named row, or nil.
-func (t ResultTable) Find(name string) *Row {
-	for i := range t.Rows {
-		if t.Rows[i].Name == name {
-			return &t.Rows[i]
-		}
-	}
-	return nil
-}

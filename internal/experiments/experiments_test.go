@@ -13,6 +13,16 @@ import (
 // bench_test.go and cmd/benchtables; these tests use the default scenarios
 // but are skipped in -short mode.
 
+// Find returns the named row, or nil.
+func (t ResultTable) Find(name string) *Row {
+	for i := range t.Rows {
+		if t.Rows[i].Name == name {
+			return &t.Rows[i]
+		}
+	}
+	return nil
+}
+
 func TestResultTableRenderAndFind(t *testing.T) {
 	tb := ResultTable{Title: "x", Rows: []Row{
 		{Name: "a", Metrics: map[string]float64{"m": 1}, Order: []string{"m"}},

@@ -79,10 +79,6 @@ func RunTable4Profile(p *governor.Profile, sc Table4Scenario) Row {
 	}
 }
 
-// GovernorProfiles re-exports the Table 4 commercial profiles for the
-// benchmark harness.
-func GovernorProfiles() []*governor.Profile { return governor.Profiles() }
-
 // RunTable4 runs the baseline, the paper's three commercial profiles, and
 // the Oracle Database Resource Manager extension profile.
 func RunTable4(sc Table4Scenario) ResultTable {

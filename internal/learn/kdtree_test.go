@@ -42,7 +42,7 @@ func TestKNNIndexedMatchesLinear(t *testing.T) {
 		for _, k := range []int{1, 3, 5, 16} {
 			samples := pinnedDataset(n, 5, uint64(n*31+k))
 			m := TrainKNNIndexed(samples, k)
-			if !m.Indexed() {
+			if m.tree == nil {
 				t.Fatal("index not built")
 			}
 			g := lcg(uint64(n + k))

@@ -155,9 +155,6 @@ type DecisionTree struct {
 	nodes   int
 }
 
-// Nodes reports the number of nodes in the tree.
-func (t *DecisionTree) Nodes() int { return t.nodes }
-
 // TrainDecisionTree grows a tree over the samples.
 func TrainDecisionTree(samples []Sample, classes int, cfg TreeConfig) *DecisionTree {
 	if len(samples) == 0 {
@@ -350,9 +347,6 @@ func (m *KNN) dist(a, b []float64) float64 {
 // safe for concurrent prediction.
 func (m *KNN) BuildIndex() { m.tree = buildKD(m) }
 
-// Indexed reports whether the k-d tree has been built.
-func (m *KNN) Indexed() bool { return m.tree != nil }
-
 // Len reports the number of training samples.
 func (m *KNN) Len() int { return len(m.samples) }
 
@@ -503,30 +497,5 @@ func TrainLinReg(samples []RegSample) *LinReg {
 	return &LinReg{coef: coef}
 }
 
-// Predict evaluates the fitted model.
-func (m *LinReg) Predict(features []float64) float64 {
-	y := m.coef[0]
-	for i, v := range features {
-		if i+1 < len(m.coef) {
-			y += m.coef[i+1] * v
-		}
-	}
-	return y
-}
-
 // Coefficients returns [intercept, w1, ..., wd].
 func (m *LinReg) Coefficients() []float64 { return m.coef }
-
-// Accuracy reports the fraction of samples a classifier labels correctly.
-func Accuracy(c Classifier, samples []Sample) float64 {
-	if len(samples) == 0 {
-		return 0
-	}
-	right := 0
-	for _, s := range samples {
-		if c.Predict(s.Features) == s.Label {
-			right++
-		}
-	}
-	return float64(right) / float64(len(samples))
-}

@@ -163,6 +163,10 @@ func (g *callGraph) addLitNodes(owner *cgNode, body *ast.BlockStmt) {
 	walk(body, owner)
 }
 
+// node is fn's node, nil for functions outside the module. A method of an
+// instantiated generic type resolves to its declared origin.
+func (g *callGraph) node(fn *types.Func) *cgNode { return g.nodes[fn.Origin()] }
+
 func (g *callGraph) sortNodes() {
 	m := g.m
 	sort.Slice(g.all, func(i, j int) bool {
@@ -337,7 +341,7 @@ func (g *callGraph) recordFlow(v *types.Var, src ast.Expr, info *types.Info) {
 }
 
 func (g *callGraph) flowFunc(v *types.Var, fn *types.Func) {
-	if n := g.nodes[fn]; n != nil {
+	if n := g.node(fn); n != nil {
 		g.flows[v] = append(g.flows[v], n)
 	} else {
 		g.extern[v] = true // external function: body invisible
@@ -408,7 +412,7 @@ func (g *callGraph) resolveEdges(n *cgNode) {
 			}
 			if s, ok := info.Selections[x]; ok && s.Kind() == types.MethodVal {
 				if fn, ok := info.Uses[x.Sel].(*types.Func); ok {
-					if tn := g.nodes[fn]; tn != nil {
+					if tn := g.node(fn); tn != nil {
 						n.edges = append(n.edges, cgEdge{to: tn, pos: x.Pos(), desc: "binds method value"})
 					}
 				}
@@ -418,7 +422,7 @@ func (g *callGraph) resolveEdges(n *cgNode) {
 				return true
 			}
 			if fn, ok := info.Uses[x].(*types.Func); ok {
-				if tn := g.nodes[fn]; tn != nil {
+				if tn := g.node(fn); tn != nil {
 					n.edges = append(n.edges, cgEdge{to: tn, pos: x.Pos(), desc: "references"})
 				}
 			}
@@ -452,7 +456,7 @@ func (g *callGraph) resolveCall(n *cgNode, call *ast.CallExpr) {
 			g.resolveInterfaceCall(n, call, fn)
 			return
 		}
-		if tn := g.nodes[fn]; tn != nil {
+		if tn := g.node(fn); tn != nil {
 			n.edges = append(n.edges, cgEdge{to: tn, pos: call.Pos(), desc: "calls"})
 			g.calls[call] = append(g.calls[call], tn)
 		}

@@ -31,9 +31,10 @@ func (m *Module) buildFacts() {
 		}
 	}
 	m.cg = m.buildCallGraph()
-	m.preDiags = map[string]map[*Package][]Diagnostic{"hotpath": {}, "lockorder": {}}
+	m.preDiags = map[string]map[*Package][]Diagnostic{"hotpath": {}, "lockorder": {}, "deadcode": {}}
 	m.runHotPath()
 	m.runLockOrder()
+	m.runDeadCode()
 }
 
 // addPreDiag stores a module-wide analyzer's finding under the package that
@@ -170,10 +171,11 @@ func isConversion(info *types.Info, call *ast.CallExpr) bool {
 
 // isModuleFunc reports whether fn is declared in this module.
 func (m *Module) isModuleFunc(fn *types.Func) bool {
-	p := fn.Pkg()
-	if p == nil {
-		return false
-	}
+	return fn.Pkg() != nil && m.inModule(fn.Pkg())
+}
+
+// inModule reports whether p is one of this module's packages.
+func (m *Module) inModule(p *types.Package) bool {
 	return p.Path() == m.Path || strings.HasPrefix(p.Path(), m.Path+"/")
 }
 

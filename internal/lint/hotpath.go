@@ -47,6 +47,11 @@ import (
 //     from observed value flow, unless the call or the function-typed
 //     declaration it dispatches through carries //dbwlm:dyncall -- <reason>
 //
+// An error built by fmt.Errorf or errors.New as a return operand is the
+// reject path leaving the closure: it is not a finding, and neither is
+// anything its arguments do. Built into a variable first, or built and not
+// returned, it is.
+//
 // A //dbwlm:nolint hotpath on a line waives that line's findings and prunes
 // the call edges leaving it: one reasoned waiver at the boundary where a hot
 // path deliberately enters slow-path code silences the whole subtree, instead
@@ -181,6 +186,7 @@ type hotWalker struct {
 	callFun    map[ast.Node]bool     // expressions in call-Fun position
 	deferLit   map[ast.Node]bool     // FuncLits that are a defer's call
 	directOnly map[*ast.FuncLit]bool // closures bound to a var used only in call position
+	rejectErr  map[ast.Node]bool     // fmt.Errorf/errors.New calls that are return operands
 }
 
 func (w *hotWalker) errf(pos token.Pos, format string, args ...any) {
@@ -198,6 +204,7 @@ func (w *hotWalker) prepass() {
 	w.callFun = make(map[ast.Node]bool)
 	w.deferLit = make(map[ast.Node]bool)
 	w.directOnly = make(map[*ast.FuncLit]bool)
+	w.rejectErr = make(map[ast.Node]bool)
 	ast.Inspect(body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.CallExpr:
@@ -205,6 +212,12 @@ func (w *hotWalker) prepass() {
 		case *ast.DeferStmt:
 			if lit, ok := n.Call.Fun.(*ast.FuncLit); ok {
 				w.deferLit[lit] = true
+			}
+		case *ast.ReturnStmt:
+			for _, r := range n.Results {
+				if call, ok := ast.Unparen(r).(*ast.CallExpr); ok && isErrorCtor(info, call) {
+					w.rejectErr[call] = true
+				}
 			}
 		}
 		return true
@@ -245,6 +258,9 @@ func (w *hotWalker) prepass() {
 // (nested literals are nodes of their own, reached through their creation
 // edge).
 func (w *hotWalker) check(n ast.Node) bool {
+	if w.rejectErr[n] {
+		return false // the reject path leaving: it pays for its error, arguments included
+	}
 	switch n := n.(type) {
 	case *ast.GoStmt:
 		w.errf(n.Pos(), "go statement in hotpath function (allocates a goroutine)")
@@ -454,6 +470,16 @@ func (w *hotWalker) captures(lit *ast.FuncLit) string {
 		return true
 	})
 	return found
+}
+
+// isErrorCtor reports whether call is fmt.Errorf or errors.New.
+func isErrorCtor(info *types.Info, call *ast.CallExpr) bool {
+	fn := calleeOf(info, call)
+	if fn == nil || fn.Pkg() == nil {
+		return false
+	}
+	name := fn.Pkg().Path() + "." + fn.Name()
+	return name == "fmt.Errorf" || name == "errors.New"
 }
 
 func isStringType(t types.Type) bool {

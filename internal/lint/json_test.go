@@ -20,7 +20,7 @@ func TestJSONGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := WriteJSON(&buf, mustRun(t, m, Options{})); err != nil {
+	if err := WriteJSON(&buf, runCorpus(t, m, Options{})); err != nil {
 		t.Fatal(err)
 	}
 	golden := filepath.Join("testdata", "golden.json")

@@ -1,13 +1,13 @@
-// Package lint is dbwlm's in-tree static-analysis suite: six analyzers over
+// Package lint is dbwlm's in-tree static-analysis suite: seven analyzers over
 // go/ast + go/types that machine-check the invariants the runtime's
 // correctness and performance rest on — zero-allocation, non-blocking hot
 // paths (everything reachable from an annotated root over the static call
 // graph), typed atomics only, deterministic iteration in the
 // simulation/reporting packages, mutex-guarded field access, no nested
-// locking, and the coupling between AllocsPerRun tests and the hot paths they
-// guard. The driver (cmd/wlmlint) loads the whole module with full type
-// information using only the standard library, keeping go.mod
-// dependency-free.
+// locking, the coupling between AllocsPerRun tests and the hot paths they
+// guard, and no product code that only tests reach. The driver (cmd/wlmlint)
+// loads the whole module with full type information using only the standard
+// library, keeping go.mod dependency-free.
 //
 // See DESIGN.md §10 for the analyzer catalogue and the //dbwlm: annotation
 // vocabulary.
@@ -59,6 +59,7 @@ var Analyzers = []*Analyzer{
 	GuardedBy,
 	LockOrder,
 	NoEscapeTest,
+	DeadCode,
 }
 
 var analyzerNames = func() map[string]bool {
@@ -290,7 +291,7 @@ func (m *Module) packageMatcher(patterns []string) (func(file string) bool, erro
 		pt := pat{dir: p, all: all}
 		found := false
 		for _, pkg := range m.Pkgs {
-			if matches(pt, strings.TrimPrefix(strings.TrimPrefix(pkg.Dir, m.Dir), "/")) {
+			if matches(pt, m.relDir(pkg)) {
 				found = true
 				break
 			}
@@ -331,6 +332,12 @@ func (m *Module) relFile(name string) string {
 		return rel
 	}
 	return name
+}
+
+// relDir is a package's directory relative to the module root ("" for the
+// root package).
+func (m *Module) relDir(pkg *Package) string {
+	return strings.TrimPrefix(strings.TrimPrefix(pkg.Dir, m.Dir), "/")
 }
 
 func (m *Module) absFile(rel string) string {

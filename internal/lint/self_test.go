@@ -1,6 +1,25 @@
 package lint
 
-import "testing"
+import (
+	"sync"
+	"testing"
+)
+
+var self struct {
+	once sync.Once
+	m    *Module
+	err  error
+}
+
+// loadSelf loads the real module once for every test that inspects it.
+func loadSelf(t *testing.T) *Module {
+	t.Helper()
+	self.once.Do(func() { self.m, self.err = LoadModule(".") })
+	if self.err != nil {
+		t.Fatal(self.err)
+	}
+	return self.m
+}
 
 // TestModuleClean is the self-check the Makefile's lint target relies on:
 // the full suite over the real module — every package, every analyzer,
@@ -10,11 +29,7 @@ func TestModuleClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the whole module")
 	}
-	m, err := LoadModule(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, d := range mustRun(t, m, Options{}) {
+	for _, d := range mustRun(t, loadSelf(t), Options{}) {
 		t.Errorf("%s", d)
 	}
 }

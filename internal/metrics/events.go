@@ -79,25 +79,3 @@ func (r *Recorder) Record(e Event) {
 	}
 	r.events = append(r.events, e)
 }
-
-// Events returns the retained events, oldest first. The slice is shared;
-// callers must not mutate it.
-func (r *Recorder) Events() []Event { return r.events }
-
-// CountKind reports how many events of kind k were ever recorded (including
-// any later dropped from the buffer).
-func (r *Recorder) CountKind(k EventKind) int64 { return r.byKind[k] }
-
-// Dropped reports how many events were evicted from the buffer.
-func (r *Recorder) Dropped() int64 { return r.dropped }
-
-// Filter returns the retained events matching kind k.
-func (r *Recorder) Filter(k EventKind) []Event {
-	var out []Event
-	for _, e := range r.events {
-		if e.Kind == k {
-			out = append(out, e)
-		}
-	}
-	return out
-}

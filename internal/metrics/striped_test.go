@@ -158,11 +158,8 @@ func TestStripedHistogramMergeOnRead(t *testing.T) {
 	if count != want {
 		t.Fatalf("merged count %d, want sum of per-writer counts %d", count, want)
 	}
-	if got := h.Count(); got != want {
-		t.Fatalf("Count() %d, want %d", got, want)
-	}
-	if exact := h.Sum(); math.Abs(sum-exact) > 1e-9*exact {
-		t.Fatalf("Cumulative sum %v disagrees with Sum() %v", sum, exact)
+	if s := h.Snapshot(); s.Count != want || math.Abs(sum-s.Sum) > 1e-9*s.Sum {
+		t.Fatalf("Cumulative (%d, %v) disagrees with Snapshot (%d, %v)", count, sum, s.Count, s.Sum)
 	}
 }
 

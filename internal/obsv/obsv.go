@@ -308,9 +308,6 @@ func NewRecorderShards(capacity, shards int) *Recorder {
 	return r
 }
 
-// Enabled reports whether events are being retained (false for nil).
-func (r *Recorder) Enabled() bool { return r != nil }
-
 // Cap reports the total slot capacity.
 func (r *Recorder) Cap() int {
 	if r == nil {

@@ -62,23 +62,6 @@ func (p Priority) Weight() float64 {
 	}
 }
 
-// Demote returns the next lower priority (saturating at low); used by
-// priority-aging execution control.
-func (p Priority) Demote() Priority {
-	if p <= PriorityLow {
-		return PriorityLow
-	}
-	return p - 1
-}
-
-// Promote returns the next higher priority (saturating at critical).
-func (p Priority) Promote() Priority {
-	if p >= PriorityCritical {
-		return PriorityCritical
-	}
-	return p + 1
-}
-
 // SLOKind distinguishes the performance-objective forms of Section 2.1.
 type SLOKind int
 
@@ -127,12 +110,6 @@ func AvgResponseTime(d sim.Duration) SLO {
 func PercentileResponseTime(pct float64, d sim.Duration) SLO {
 	return SLO{Kind: SLOPercentileResponseTime, Target: d.Seconds(), Percentile: pct}
 }
-
-// MinVelocity targets a minimum mean execution velocity.
-func MinVelocity(v float64) SLO { return SLO{Kind: SLOVelocity, Target: v} }
-
-// MinThroughput targets a minimum completion rate (requests/second).
-func MinThroughput(perSec float64) SLO { return SLO{Kind: SLOThroughputFloor, Target: perSec} }
 
 // String renders the SLO.
 func (s SLO) String() string {

@@ -25,25 +25,13 @@ func TestPriorityOrderAndWeights(t *testing.T) {
 	}
 }
 
-func TestDemotePromoteSaturate(t *testing.T) {
-	if PriorityLow.Demote() != PriorityLow {
-		t.Fatal("demote below low")
-	}
-	if PriorityCritical.Promote() != PriorityCritical {
-		t.Fatal("promote above critical")
-	}
-	if PriorityHigh.Demote() != PriorityMedium || PriorityMedium.Promote() != PriorityHigh {
-		t.Fatal("demote/promote wrong step")
-	}
-}
-
 func TestSLOConstructorsAndStrings(t *testing.T) {
 	slos := []SLO{
 		BestEffort(),
 		AvgResponseTime(500 * sim.Millisecond),
 		PercentileResponseTime(95, 2*sim.Second),
-		MinVelocity(0.7),
-		MinThroughput(100),
+		{Kind: SLOVelocity, Target: 0.7},
+		{Kind: SLOThroughputFloor, Target: 100},
 	}
 	for _, s := range slos {
 		if s.String() == "" || s.String() == "unknown" {
@@ -78,12 +66,12 @@ func TestSLOEvaluate(t *testing.T) {
 		t.Fatalf("pct attainment = %+v", a)
 	}
 	// Velocity floor.
-	a = MinVelocity(0.5).Evaluate(0, 0, 0.25, 0)
+	a = SLO{Kind: SLOVelocity, Target: 0.5}.Evaluate(0, 0, 0.25, 0)
 	if a.Met || a.Ratio != 0.5 {
 		t.Fatalf("velocity attainment = %+v", a)
 	}
 	// Throughput floor.
-	a = MinThroughput(10).Evaluate(0, 0, 0, 20)
+	a = SLO{Kind: SLOThroughputFloor, Target: 10}.Evaluate(0, 0, 0, 20)
 	if !a.Met || a.Ratio != 2 {
 		t.Fatalf("throughput attainment = %+v", a)
 	}
@@ -117,33 +105,9 @@ func TestAttainmentRatioProperty(t *testing.T) {
 	}
 }
 
-func TestThresholdConstructors(t *testing.T) {
-	cases := []struct {
-		th   Threshold
-		kind ThresholdKind
-	}{
-		{ElapsedTimeThreshold(sim.Minute, ActionStop), ThresholdElapsedTime},
-		{EstimatedCostThreshold(1e6, ActionQueue), ThresholdEstimatedCost},
-		{RowsReturnedThreshold(500000, ActionDemote), ThresholdRowsReturned},
-		{ConcurrencyThreshold(20, ActionQueue), ThresholdConcurrency},
-		{CPUTimeThreshold(60, ActionThrottle), ThresholdCPUTime},
-	}
-	for _, c := range cases {
-		if c.th.Kind != c.kind {
-			t.Fatalf("kind = %v, want %v", c.th.Kind, c.kind)
-		}
-		if c.th.String() == "" {
-			t.Fatal("empty threshold string")
-		}
-	}
-	if ElapsedTimeThreshold(sim.Minute, ActionStop).Limit != 60 {
-		t.Fatal("elapsed limit wrong")
-	}
-}
-
 func TestKindAndActionNames(t *testing.T) {
 	for k := ThresholdElapsedTime; k <= ThresholdCPUTime; k++ {
-		if k.String() == "" {
+		if k.String() == "" || (Threshold{Kind: k, Limit: 1}).String() == "" {
 			t.Fatalf("empty kind name %d", int(k))
 		}
 	}

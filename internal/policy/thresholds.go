@@ -1,10 +1,6 @@
 package policy
 
-import (
-	"fmt"
-
-	"dbwlm/internal/sim"
-)
+import "fmt"
 
 // ThresholdKind enumerates the execution thresholds of DB2 WLM (Section
 // 4.1.1.B): elapsed time, estimated cost, rows returned, and concurrency,
@@ -71,29 +67,4 @@ type Threshold struct {
 // String renders the threshold.
 func (t Threshold) String() string {
 	return fmt.Sprintf("%v > %g -> %v", t.Kind, t.Limit, t.Action)
-}
-
-// ElapsedTimeThreshold builds an elapsed-time guard.
-func ElapsedTimeThreshold(d sim.Duration, action ThresholdAction) Threshold {
-	return Threshold{Kind: ThresholdElapsedTime, Limit: d.Seconds(), Action: action}
-}
-
-// EstimatedCostThreshold builds an estimated-cost (timeron) guard.
-func EstimatedCostThreshold(timerons float64, action ThresholdAction) Threshold {
-	return Threshold{Kind: ThresholdEstimatedCost, Limit: timerons, Action: action}
-}
-
-// RowsReturnedThreshold builds a returned-rows guard.
-func RowsReturnedThreshold(rows int64, action ThresholdAction) Threshold {
-	return Threshold{Kind: ThresholdRowsReturned, Limit: float64(rows), Action: action}
-}
-
-// ConcurrencyThreshold builds a concurrent-activities guard (an MPL).
-func ConcurrencyThreshold(n int, action ThresholdAction) Threshold {
-	return Threshold{Kind: ThresholdConcurrency, Limit: float64(n), Action: action}
-}
-
-// CPUTimeThreshold builds a consumed-CPU-seconds guard.
-func CPUTimeThreshold(seconds float64, action ThresholdAction) Threshold {
-	return Threshold{Kind: ThresholdCPUTime, Limit: seconds, Action: action}
 }

@@ -98,6 +98,8 @@ type Tracker struct {
 }
 
 // NewTracker starts sampling the engine's resident queries every interval.
+//
+//dbwlm:nolint deadcode -- registry row "query progress indicators" runs only under tests; ROADMAP item 9c wires it in or deletes it
 func NewTracker(eng *engine.Engine, interval sim.Duration) *Tracker {
 	if interval <= 0 {
 		interval = 250 * sim.Millisecond
@@ -131,6 +133,8 @@ func (t *Tracker) sample() {
 
 // Estimate returns the current estimate for query id; ok is false when the
 // query is unknown (not yet sampled or already gone).
+//
+//dbwlm:nolint deadcode -- registry row "query progress indicators" runs only under tests; ROADMAP item 9c wires it in or deletes it
 func (t *Tracker) Estimate(id int64) (Estimate, bool) {
 	est := t.ests[id]
 	if est == nil {
@@ -140,12 +144,16 @@ func (t *Tracker) Estimate(id int64) (Estimate, bool) {
 }
 
 // Stop halts sampling.
+//
+//dbwlm:nolint deadcode -- registry row "query progress indicators" runs only under tests; ROADMAP item 9c wires it in or deletes it
 func (t *Tracker) Stop() { t.stop() }
 
 // OptimizerEstimate is the threshold-era alternative: remaining time from
 // the optimizer's total-cost estimate and the query's elapsed time, which
 // inherits the optimizer's estimation error. Provided for the A3-style
 // comparisons of indicator quality.
+//
+//dbwlm:nolint deadcode -- registry row "query progress indicators" runs only under tests; ROADMAP item 9c wires it in or deletes it
 func OptimizerEstimate(estTotalSeconds float64, elapsed sim.Duration) float64 {
 	rem := estTotalSeconds - elapsed.Seconds()
 	if rem < 0 {

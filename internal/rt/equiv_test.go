@@ -15,7 +15,6 @@ import (
 	dbwlm "dbwlm"
 	"dbwlm/internal/admission"
 	"dbwlm/internal/engine"
-	"dbwlm/internal/metrics"
 	"dbwlm/internal/policy"
 	"dbwlm/internal/rt"
 	"dbwlm/internal/sim"
@@ -44,21 +43,20 @@ func managerTimeoutTrace(t *testing.T) float64 {
 
 	m.Submit(longQuery(100)) // blocker: holds the only MPL slot
 	m.Submit(longQuery(1))   // victim: queues at t=0
-	s.Run(sim.Time(3 * sim.Second))
+	// The only rejection on this trace is the victim's queue timeout; step
+	// event by event so its instant is exact.
+	at := -1.0
+	for s.Now() < sim.Time(3*sim.Second) && s.Step() {
+		if at < 0 && m.Stats().System.Rejected.Value() > 0 {
+			at = s.Now().Seconds()
+		}
+	}
 
 	if len(dispatched) != 1 || dispatched[0] != 100 {
 		t.Fatalf("manager dispatched %v, want only the blocker", dispatched)
 	}
-	timeouts := 0
-	at := -1.0
-	for _, e := range m.Stats().Events.Filter(metrics.EventControlAction) {
-		if e.What == "queue-timeout" {
-			timeouts++
-			at = e.At.Seconds()
-		}
-	}
-	if timeouts != 1 {
-		t.Fatalf("manager recorded %d queue-timeouts, want 1", timeouts)
+	if n := m.Stats().System.Rejected.Value(); n != 1 {
+		t.Fatalf("manager rejected %d requests, want the one queue timeout", n)
 	}
 	return at
 }

@@ -25,10 +25,10 @@ func TestRecorderLifecycle(t *testing.T) {
 	r.SetRecorder(rec)
 
 	g1 := r.Admit(0, 10) // fast path
-	if !g1.Admitted() || g1.ID() == 0 {
+	if !g1.Admitted() || g1.id == 0 {
 		t.Fatalf("grant %+v", g1)
 	}
-	if g := r.Admit(0, 5000); g.Admitted() || g.ID() == 0 {
+	if g := r.Admit(0, 5000); g.Admitted() || g.id == 0 {
 		t.Fatalf("over-cost grant %+v", g)
 	}
 
@@ -39,8 +39,8 @@ func TestRecorderLifecycle(t *testing.T) {
 	clock += 3_000_000 // 3ms queued
 	r.Done(g1, 0.001)
 	g2 := <-got
-	if !g2.Admitted() || g2.ID() == 0 || g2.ID() == g1.ID() {
-		t.Fatalf("drained grant %+v (g1 id %d)", g2, g1.ID())
+	if !g2.Admitted() || g2.id == 0 || g2.id == g1.id {
+		t.Fatalf("drained grant %+v (g1 id %d)", g2, g1.id)
 	}
 	clock += 2_000_000
 	r.Done(g2, 0.002)
@@ -54,7 +54,7 @@ func TestRecorderLifecycle(t *testing.T) {
 		byKey[key{e.Kind, e.Reason}] = append(byKey[key{e.Kind, e.Reason}], e)
 	}
 	fast := byKey[key{obsv.KindAdmit, obsv.ReasonFastPath}]
-	if len(fast) != 1 || fast[0].QID != g1.ID() || fast[0].Verdict != uint8(Admitted) || fast[0].Value != 10 {
+	if len(fast) != 1 || fast[0].QID != g1.id || fast[0].Verdict != uint8(Admitted) || fast[0].Value != 10 {
 		t.Fatalf("fast-path events %+v", fast)
 	}
 	rejected := byKey[key{obsv.KindAdmit, obsv.ReasonCostLimit}]
@@ -62,11 +62,11 @@ func TestRecorderLifecycle(t *testing.T) {
 		t.Fatalf("cost-limit events %+v", rejected)
 	}
 	enq := byKey[key{obsv.KindEnqueue, obsv.ReasonGateFull}]
-	if len(enq) != 1 || enq[0].QID != g2.ID() {
-		t.Fatalf("enqueue events %+v (g2 id %d)", enq, g2.ID())
+	if len(enq) != 1 || enq[0].QID != g2.id {
+		t.Fatalf("enqueue events %+v (g2 id %d)", enq, g2.id)
 	}
 	drained := byKey[key{obsv.KindAdmit, obsv.ReasonDrained}]
-	if len(drained) != 1 || drained[0].QID != g2.ID() || drained[0].Aux != 0.003 {
+	if len(drained) != 1 || drained[0].QID != g2.id || drained[0].Aux != 0.003 {
 		t.Fatalf("drained events %+v, want 3ms wait", drained)
 	}
 	f := obsv.MatchAll
@@ -75,12 +75,12 @@ func TestRecorderLifecycle(t *testing.T) {
 	if len(dones) != 2 {
 		t.Fatalf("done events %+v", dones)
 	}
-	if dones[0].QID != g1.ID() || dones[0].Value != 0.003 {
+	if dones[0].QID != g1.id || dones[0].Value != 0.003 {
 		t.Fatalf("g1 done %+v, want 3ms elapsed", dones[0])
 	}
 	// One request's whole lifecycle shares its qid.
 	f = obsv.MatchAll
-	f.QID = g2.ID()
+	f.QID = g2.id
 	if got := len(rec.Tail(0, f)); got != 3 { // enqueue, drained admit, done
 		t.Fatalf("g2 lifecycle has %d events, want 3", got)
 	}
@@ -109,7 +109,7 @@ func TestRecorderQueueTimeout(t *testing.T) {
 		t.Fatalf("verdict %v", g2.Verdict())
 	}
 	f := obsv.MatchAll
-	f.QID = g2.ID()
+	f.QID = g2.id
 	f.Kind = obsv.KindAdmit
 	events := rec.Tail(0, f)
 	if len(events) != 1 || events[0].Reason != obsv.ReasonQueueTimeout ||
@@ -138,23 +138,23 @@ func TestTokenCarriesID(t *testing.T) {
 		t.Fatal(err)
 	}
 	off := r.Admit(0, 0)
-	if off.ID() != 0 {
-		t.Fatalf("recorder-off grant has id %d", off.ID())
+	if off.id != 0 {
+		t.Fatalf("recorder-off grant has id %d", off.id)
 	}
 	tok := off.Token()
 	back, err := r.ParseToken(tok)
-	if err != nil || back.ID() != 0 {
+	if err != nil || back.id != 0 {
 		t.Fatalf("legacy token %q: %+v %v", tok, back, err)
 	}
 	r.Done(back, 0)
 
 	r.SetRecorder(obsv.NewRecorder(256))
 	on := r.Admit(0, 0)
-	if on.ID() == 0 {
+	if on.id == 0 {
 		t.Fatal("recorder-on grant has no id")
 	}
 	back, err = r.ParseToken(on.Token())
-	if err != nil || back.ID() != on.ID() {
+	if err != nil || back.id != on.id {
 		t.Fatalf("token %q: %+v %v", on.Token(), back, err)
 	}
 	r.Done(back, 0)

@@ -54,6 +54,3 @@ func (w *waitQueue) pop() {
 		w.head = 0
 	}
 }
-
-// len reports the number of parked waiters. Caller holds mu.
-func (w *waitQueue) len() int { return len(w.q) - w.head }

@@ -107,12 +107,6 @@ type Grant struct {
 	id      int64 // flight-recorder admission ID (0 when the recorder is off)
 }
 
-// ID reports the admission ID correlating this request's flight-recorder
-// events (0 when the recorder is off).
-//
-//dbwlm:hotpath
-func (g Grant) ID() int64 { return g.id }
-
 // Admitted reports whether the request holds a slot.
 //
 //dbwlm:hotpath
@@ -122,11 +116,6 @@ func (g Grant) Admitted() bool { return g.verdict == Admitted }
 //
 //dbwlm:hotpath
 func (g Grant) Verdict() Verdict { return g.verdict }
-
-// Class reports the class the request was admitted (or rejected) under.
-//
-//dbwlm:hotpath
-func (g Grant) Class() ClassID { return g.class }
 
 // classState is one service class: its gate, FIFO queue, and striped stats.
 type classState struct {

@@ -147,13 +147,3 @@ func swapSearch(order []BatchQuery, model InteractionModel) float64 {
 	}
 	return cur
 }
-
-// BatchToItems converts an ordered batch into scheduler items preserving the
-// order (for release through an FCFS queue).
-func BatchToItems(order []BatchQuery, class string, weight float64) []*Item {
-	out := make([]*Item, len(order))
-	for i, q := range order {
-		out[i] = &Item{Req: q.Req, Class: class, Weight: weight, Enqueued: q.Req.Arrive}
-	}
-	return out
-}

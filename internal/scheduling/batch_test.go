@@ -109,14 +109,6 @@ func TestPlanBatchSmall(t *testing.T) {
 	}
 }
 
-func TestBatchToItems(t *testing.T) {
-	order := []BatchQuery{bq(2, 10, "t"), bq(1, 10, "t")}
-	items := BatchToItems(order, "reports", 2)
-	if len(items) != 2 || items[0].Req.ID != 2 || items[0].Class != "reports" || items[0].Weight != 2 {
-		t.Fatalf("items = %+v", items)
-	}
-}
-
 func ids(order []BatchQuery) []int64 {
 	out := make([]int64, len(order))
 	for i, q := range order {

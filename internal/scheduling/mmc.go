@@ -40,6 +40,8 @@ func ErlangC(c int, a float64) float64 {
 // MMCResponseTime predicts the mean response time of an M/M/c queue with
 // arrival rate lambda, per-server service rate mu, and c servers. +Inf when
 // unstable.
+//
+//dbwlm:nolint deadcode -- registry row "analytic queueing models" runs only under tests; ROADMAP item 9c wires it in or deletes it
 func MMCResponseTime(lambda, mu float64, c int) float64 {
 	if mu <= 0 || c <= 0 {
 		return math.Inf(1)
@@ -63,33 +65,4 @@ func PSResponseTime(lambda, s, f float64) float64 {
 	}
 	mu := f / s
 	return MM1ResponseTime(lambda, mu)
-}
-
-// OptimalMPL estimates the throughput-optimal multiprogramming level for a
-// server with the given memory capacity and per-query working set: the
-// largest concurrency that does not overcommit memory (the knee the
-// engine's overcommit penalty creates), bounded below by 1.
-func OptimalMPL(memoryMB, perQueryMB float64, cores float64) int {
-	if perQueryMB <= 0 {
-		perQueryMB = 1
-	}
-	byMem := int(memoryMB / perQueryMB)
-	if byMem < 1 {
-		byMem = 1
-	}
-	// At least enough to keep the cores busy.
-	byCPU := int(cores)
-	if byCPU < 1 {
-		byCPU = 1
-	}
-	if byMem < byCPU {
-		return byMem
-	}
-	// Memory allows more than the cores need; a small multiple of cores
-	// keeps the pipeline full without queueing everything in the engine.
-	opt := 2 * byCPU
-	if opt > byMem {
-		opt = byMem
-	}
-	return opt
 }

@@ -1,11 +1,6 @@
 package scheduling
 
-import (
-	"math"
-	"sort"
-
-	"dbwlm/internal/sim"
-)
+import "math"
 
 // This file implements the utility-function cost-limit planner of Niu et
 // al. [60] ("Workload Adaptation in Autonomic DBMSs"): periodically choose
@@ -132,98 +127,4 @@ func (p *Planner) classUtility(g ClassGoal, l ClassLoad, f float64) float64 {
 	rt := PSResponseTime(l.ArrivalRate, l.MeanServiceSeconds, f)
 	att := g.TargetRT / rt
 	return g.Importance * (Utility(att) + 0.001)
-}
-
-// Fractions exposes the capacity fractions implied by a set of limits (for
-// reports); inverse of Plan's conversion.
-func (p *Planner) Fractions(limits map[string]float64, loads map[string]ClassLoad) map[string]float64 {
-	out := make(map[string]float64, len(limits))
-	for name, lim := range limits {
-		l := loads[name]
-		slack := p.Slack
-		if slack <= 0 {
-			slack = 3
-		}
-		den := p.ServerTimeronsPerSecond * math.Max(l.MeanServiceSeconds, 0.001) * slack
-		if den > 0 {
-			out[name] = lim / den
-		}
-	}
-	return out
-}
-
-// LoadTracker accumulates the per-class statistics the planner needs, over a
-// sliding planning window.
-type LoadTracker struct {
-	window  sim.Duration
-	byClass map[string]*classWindow
-}
-
-type classWindow struct {
-	arrivals []sim.Time
-	services []float64
-	costs    []float64
-}
-
-// NewLoadTracker returns a tracker with the given window (default 30s).
-func NewLoadTracker(window sim.Duration) *LoadTracker {
-	if window <= 0 {
-		window = 30 * sim.Second
-	}
-	return &LoadTracker{window: window, byClass: make(map[string]*classWindow)}
-}
-
-func (t *LoadTracker) cw(class string) *classWindow {
-	w := t.byClass[class]
-	if w == nil {
-		w = &classWindow{}
-		t.byClass[class] = w
-	}
-	return w
-}
-
-// ObserveArrival records an arrival for the class.
-func (t *LoadTracker) ObserveArrival(class string, at sim.Time) {
-	w := t.cw(class)
-	w.arrivals = append(w.arrivals, at)
-}
-
-// ObserveService records a completed request's stand-alone service seconds
-// and estimated cost.
-func (t *LoadTracker) ObserveService(class string, serviceSeconds, timerons float64) {
-	w := t.cw(class)
-	w.services = append(w.services, serviceSeconds)
-	w.costs = append(w.costs, timerons)
-	const cap = 500
-	if len(w.services) > cap {
-		w.services = w.services[len(w.services)-cap:]
-		w.costs = w.costs[len(w.costs)-cap:]
-	}
-}
-
-// Loads summarizes the window ending at now.
-func (t *LoadTracker) Loads(now sim.Time) map[string]ClassLoad {
-	out := make(map[string]ClassLoad, len(t.byClass))
-	cutoff := now.Add(-t.window)
-	for class, w := range t.byClass {
-		// Trim stale arrivals.
-		i := sort.Search(len(w.arrivals), func(i int) bool { return w.arrivals[i] > cutoff })
-		if i > 0 {
-			w.arrivals = append(w.arrivals[:0], w.arrivals[i:]...)
-		}
-		l := ClassLoad{ArrivalRate: float64(len(w.arrivals)) / t.window.Seconds()}
-		if n := len(w.services); n > 0 {
-			var ss, cs float64
-			for _, v := range w.services {
-				ss += v
-			}
-			for _, v := range w.costs {
-				cs += v
-			}
-			l.MeanServiceSeconds = ss / float64(n)
-			l.MeanTimerons = cs / float64(n)
-		}
-		out[class] = l
-	}
-	return out
 }

@@ -31,8 +31,6 @@ type Queue interface {
 	Push(it *Item)
 	// Pop removes and returns the best item, or nil when empty.
 	Pop(now sim.Time) *Item
-	// Peek returns the item Pop would return without removing it.
-	Peek(now sim.Time) *Item
 	Len() int
 }
 
@@ -79,7 +77,7 @@ func (q *FCFS) Pop(_ sim.Time) *Item {
 	return it
 }
 
-// Peek implements Queue.
+// Peek returns the item Pop would return without removing it.
 func (q *FCFS) Peek(_ sim.Time) *Item {
 	if q.q.Len() == 0 {
 		return nil
@@ -148,13 +146,6 @@ func (h *itemHeap) pop() *Item {
 	return top
 }
 
-func (h *itemHeap) peek() *Item {
-	if len(h.items) == 0 {
-		return nil
-	}
-	return h.items[0]
-}
-
 // Priority releases the highest business priority first, FCFS within a
 // level — the classic multi-level wait queue of Section 3.3.
 type Priority struct{ h itemHeap }
@@ -177,9 +168,6 @@ func (q *Priority) Push(it *Item) { q.h.push(it) }
 
 // Pop implements Queue.
 func (q *Priority) Pop(_ sim.Time) *Item { return q.h.pop() }
-
-// Peek implements Queue.
-func (q *Priority) Peek(_ sim.Time) *Item { return q.h.peek() }
 
 // Len implements Queue.
 func (q *Priority) Len() int { return len(q.h.items) }
@@ -206,9 +194,6 @@ func (q *SJF) Push(it *Item) { q.h.push(it) }
 
 // Pop implements Queue.
 func (q *SJF) Pop(_ sim.Time) *Item { return q.h.pop() }
-
-// Peek implements Queue.
-func (q *SJF) Peek(_ sim.Time) *Item { return q.h.peek() }
 
 // Len implements Queue.
 func (q *SJF) Len() int { return len(q.h.items) }
@@ -260,15 +245,6 @@ func (q *Rank) Pop(now sim.Time) *Item {
 	it := q.items[i]
 	q.items = append(q.items[:i], q.items[i+1:]...)
 	return it
-}
-
-// Peek implements Queue.
-func (q *Rank) Peek(now sim.Time) *Item {
-	i := q.best(now)
-	if i < 0 {
-		return nil
-	}
-	return q.items[i]
 }
 
 func (q *Rank) best(now sim.Time) int {

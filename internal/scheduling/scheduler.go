@@ -28,12 +28,6 @@ func NewScheduler(q Queue, d Dispatcher) *Scheduler {
 	return &Scheduler{queue: q, dispatcher: d, MaxSkip: 64}
 }
 
-// Queue returns the underlying wait queue.
-func (s *Scheduler) Queue() Queue { return s.queue }
-
-// Dispatcher returns the underlying dispatcher.
-func (s *Scheduler) Dispatcher() Dispatcher { return s.dispatcher }
-
 // Dispatched reports the total number of released requests.
 func (s *Scheduler) Dispatched() int64 { return s.dispatched }
 

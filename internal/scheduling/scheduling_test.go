@@ -96,21 +96,16 @@ func TestRankQueueAgingPreventsStarvation(t *testing.T) {
 	fresh := item(2, policy.PriorityHigh, 10, sim.Time(10*sim.Second))
 	q.Push(fresh)
 	// Shortly after both arrive: fresh high-priority wins.
-	got := q.Peek(sim.Time(11 * sim.Second))
-	if got.Req.ID != 2 {
+	if got := q.Pop(sim.Time(11 * sim.Second)); got.Req.ID != 2 {
 		t.Fatalf("fresh high-priority should rank first, got %d", got.Req.ID)
-	}
-	if q.Pop(sim.Time(11*sim.Second)).Req.ID != 2 {
-		t.Fatal("pop disagrees with peek")
 	}
 	// Much later, a brand-new high-priority arrival loses to the aged one.
 	late := item(3, policy.PriorityHigh, 10, sim.Time(10000*sim.Second))
 	q.Push(late)
-	got = q.Peek(sim.Time(10000 * sim.Second))
-	if got.Req.ID != 1 {
+	if got := q.Pop(sim.Time(10000 * sim.Second)); got.Req.ID != 1 {
 		t.Fatal("aging failed to protect the starved query from new arrivals")
 	}
-	if q.Len() != 2 {
+	if q.Len() != 1 {
 		t.Fatal("len wrong after pop")
 	}
 }
@@ -135,7 +130,7 @@ func TestMPLDispatcher(t *testing.T) {
 		t.Fatal("over MPL dispatched")
 	}
 	d.OnFinish(it)
-	if !d.CanDispatch(it, 0) || d.Running() != 1 {
+	if !d.CanDispatch(it, 0) || d.running != 1 {
 		t.Fatal("finish did not free a slot")
 	}
 }
@@ -152,7 +147,7 @@ func TestClassMPLDispatcher(t *testing.T) {
 		t.Fatal("unlimited class blocked")
 	}
 	d.OnFinish(bi)
-	if !d.CanDispatch(bi, 0) || d.Running("bi") != 0 {
+	if !d.CanDispatch(bi, 0) || d.running["bi"] != 0 {
 		t.Fatal("class slot not freed")
 	}
 }
@@ -174,8 +169,8 @@ func TestCostLimitDispatcher(t *testing.T) {
 	}
 	d.OnFinish(small)
 	d.OnFinish(small)
-	if d.Used("c") != 0 {
-		t.Fatalf("used = %v after all finished", d.Used("c"))
+	if d.used["c"] != 0 {
+		t.Fatalf("used = %v after all finished", d.used["c"])
 	}
 	d.SetLimit("c", 1000)
 	d.OnDispatch(small)
@@ -259,20 +254,6 @@ func TestPSResponseTime(t *testing.T) {
 	}
 }
 
-func TestOptimalMPL(t *testing.T) {
-	// Memory-bound: 2000MB / 500MB = 4 even with 8 cores.
-	if got := OptimalMPL(2000, 500, 8); got != 4 {
-		t.Fatalf("memory-bound MPL = %d, want 4", got)
-	}
-	// CPU-bound: plenty of memory -> 2x cores.
-	if got := OptimalMPL(100000, 10, 8); got != 16 {
-		t.Fatalf("cpu-bound MPL = %d, want 16", got)
-	}
-	if OptimalMPL(1, 1000, 8) != 1 {
-		t.Fatal("MPL below 1")
-	}
-}
-
 func TestUtilityShape(t *testing.T) {
 	if u := Utility(1); math.Abs(u-0.5) > 1e-9 {
 		t.Fatalf("Utility(1) = %v, want 0.5", u)
@@ -337,28 +318,6 @@ func TestPlannerIgnoresIdleClasses(t *testing.T) {
 	}
 }
 
-func TestLoadTracker(t *testing.T) {
-	lt := NewLoadTracker(10 * sim.Second)
-	for i := 0; i < 50; i++ {
-		lt.ObserveArrival("c", sim.Time(i)*sim.Time(sim.Second)/5)
-	}
-	lt.ObserveService("c", 0.2, 100)
-	lt.ObserveService("c", 0.4, 300)
-	loads := lt.Loads(sim.Time(10 * sim.Second))
-	l := loads["c"]
-	if math.Abs(l.ArrivalRate-5) > 0.5 {
-		t.Fatalf("arrival rate = %v, want ~5", l.ArrivalRate)
-	}
-	if math.Abs(l.MeanServiceSeconds-0.3) > 1e-9 || math.Abs(l.MeanTimerons-200) > 1e-9 {
-		t.Fatalf("service stats = %+v", l)
-	}
-	// Old arrivals age out.
-	loads = lt.Loads(sim.Time(100 * sim.Second))
-	if loads["c"].ArrivalRate != 0 {
-		t.Fatal("stale arrivals not trimmed")
-	}
-}
-
 func TestSlicePlanEquivalence(t *testing.T) {
 	cm := sqlmini.NewCostModel(sqlmini.DefaultCatalog())
 	plan, err := cm.PlanSQL(`SELECT store_id, SUM(amount) FROM sales_fact
@@ -372,7 +331,11 @@ func TestSlicePlanEquivalence(t *testing.T) {
 	if len(slices) < 2 {
 		t.Fatalf("plan not sliced: %d slices", len(slices))
 	}
-	cpu, io := TotalWork(slices)
+	var cpu, io float64
+	for _, s := range slices {
+		cpu += s.Spec.CPUWork
+		io += s.Spec.IOWork
+	}
 	if math.Abs(cpu-total.CPUSeconds) > 1e-9 {
 		t.Fatalf("CPU not conserved: %v vs %v", cpu, total.CPUSeconds)
 	}
@@ -509,4 +472,22 @@ func TestFCFSStableUnderSkipRepush(t *testing.T) {
 	if len(released) != 6 || released[3] != 2 || released[4] != 4 || released[5] != 6 {
 		t.Fatalf("after unblock released = %v", released)
 	}
+}
+
+// Fractions is the capacity fractions a set of limits implies: the inverse
+// of Plan's conversion.
+func (p *Planner) Fractions(limits map[string]float64, loads map[string]ClassLoad) map[string]float64 {
+	out := make(map[string]float64, len(limits))
+	for name, lim := range limits {
+		l := loads[name]
+		slack := p.Slack
+		if slack <= 0 {
+			slack = 3
+		}
+		den := p.ServerTimeronsPerSecond * math.Max(l.MeanServiceSeconds, 0.001) * slack
+		if den > 0 {
+			out[name] = lim / den
+		}
+	}
+	return out
 }

@@ -28,6 +28,8 @@ type Slice struct {
 // at least one operator, so an over-limit single operator becomes its own
 // stage). The concatenation of stage work equals the plan's total work —
 // restructuring changes scheduling, not the result.
+//
+//dbwlm:nolint deadcode -- registry row "plan slicing into sub-plans" runs only under tests; ROADMAP item 9c wires it in or deletes it
 func SlicePlan(plan *sqlmini.Plan, maxTimerons float64) []Slice {
 	ops := plan.Operators()
 	var out []Slice
@@ -64,15 +66,6 @@ func SlicePlan(plan *sqlmini.Plan, maxTimerons float64) []Slice {
 		}
 	}
 	return out
-}
-
-// TotalWork sums the engine work across slices (for equivalence checks).
-func TotalWork(slices []Slice) (cpu, io float64) {
-	for _, s := range slices {
-		cpu += s.Spec.CPUWork
-		io += s.Spec.IOWork
-	}
-	return cpu, io
 }
 
 // RunSliced executes the slices sequentially on the engine, each as its own

@@ -36,8 +36,8 @@ func TestResetMatchesFresh(t *testing.T) {
 
 	for trial, seed := range []uint64{7, 7, 42} {
 		pooled.Reset(seed)
-		if pooled.Now() != 0 || pooled.Pending() != 0 {
-			t.Fatalf("trial %d: Reset left now=%v pending=%d", trial, pooled.Now(), pooled.Pending())
+		if pooled.Now() != 0 || len(pooled.events) != 0 {
+			t.Fatalf("trial %d: Reset left now=%v pending=%d", trial, pooled.Now(), len(pooled.events))
 		}
 		fresh := New(seed)
 		a := runScenario(pooled, trial)

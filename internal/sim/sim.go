@@ -74,9 +74,6 @@ type Event struct {
 	sim      *Simulator
 }
 
-// Time reports when the event is scheduled to fire.
-func (e *Event) Time() Time { return e.at }
-
 // Cancel prevents the event from firing. Canceling an event that has already
 // fired is a no-op.
 func (e *Event) Cancel() {
@@ -88,9 +85,6 @@ func (e *Event) Cancel() {
 		e.sim.noteCanceled()
 	}
 }
-
-// Canceled reports whether Cancel has been called on the event.
-func (e *Event) Canceled() bool { return e.canceled }
 
 // eventHeap is a binary min-heap on (at, seq), written out for *Event rather
 // than driven through container/heap: the simulator's loop is a push and a pop
@@ -219,10 +213,6 @@ func (s *Simulator) Now() Time { return s.now }
 
 // RNG returns the simulator's deterministic random source.
 func (s *Simulator) RNG() *RNG { return s.rng }
-
-// Pending reports the number of events waiting to fire (including canceled
-// events that have not yet been discarded).
-func (s *Simulator) Pending() int { return len(s.events) }
 
 // Schedule arranges for fn to run after delay. A negative delay is treated as
 // zero. The returned Event may be used to cancel the callback.

@@ -46,8 +46,8 @@ func TestCancel(t *testing.T) {
 	if fired {
 		t.Fatal("canceled event fired")
 	}
-	if !e.Canceled() {
-		t.Fatal("Canceled() = false after Cancel")
+	if !e.canceled {
+		t.Fatal("event not marked canceled after Cancel")
 	}
 }
 
@@ -263,18 +263,6 @@ func TestIntnBounds(t *testing.T) {
 	}
 }
 
-func TestPermIsPermutation(t *testing.T) {
-	r := NewRNG(23)
-	p := r.Perm(100)
-	seen := make([]bool, 100)
-	for _, v := range p {
-		if v < 0 || v >= 100 || seen[v] {
-			t.Fatalf("Perm produced invalid permutation")
-		}
-		seen[v] = true
-	}
-}
-
 func TestZipfSkew(t *testing.T) {
 	r := NewRNG(29)
 	z := NewZipfGen(r, 100, 1.0)
@@ -442,8 +430,8 @@ func TestFiringOrderIsTimeThenSchedulingOrder(t *testing.T) {
 				p.canceled = true
 			}
 		}
-		if s.Pending() >= 1500 {
-			t.Fatalf("seed %d: %d events pending after canceling most of 1500; compaction did not run", seed, s.Pending())
+		if len(s.events) >= 1500 {
+			t.Fatalf("seed %d: %d events pending after canceling most of 1500; compaction did not run", seed, len(s.events))
 		}
 		s.RunAll(1 << 20)
 		var want []*planned

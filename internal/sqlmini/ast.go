@@ -34,9 +34,6 @@ func (t StatementType) String() string {
 	}
 }
 
-// IsDML reports whether the statement manipulates data (READ or WRITE).
-func (t StatementType) IsDML() bool { return t == StmtRead || t == StmtWrite }
-
 // CompareOp is a comparison operator in a predicate.
 type CompareOp string
 
@@ -120,50 +117,4 @@ type Statement struct {
 	DDL    *DDLStmt
 	Load   *LoadStmt
 	Call   *CallStmt
-}
-
-// Tables returns every table the statement references, in first-mention order.
-func (s *Statement) Tables() []string {
-	var out []string
-	add := func(t string) {
-		if t == "" {
-			return
-		}
-		for _, x := range out {
-			if x == t {
-				return
-			}
-		}
-		out = append(out, t)
-	}
-	switch s.Type {
-	case StmtRead:
-		add(s.Select.Table)
-		for _, j := range s.Select.Joins {
-			add(j.Table)
-		}
-	case StmtWrite:
-		switch {
-		case s.Insert != nil:
-			add(s.Insert.Table)
-			if s.Insert.Select != nil {
-				add(s.Insert.Select.Table)
-				for _, j := range s.Insert.Select.Joins {
-					add(j.Table)
-				}
-			}
-		case s.Update != nil:
-			add(s.Update.Table)
-		case s.Delete != nil:
-			add(s.Delete.Table)
-		}
-	case StmtDDL:
-		add(s.DDL.Table)
-		if s.DDL.Object == "TABLE" {
-			add(s.DDL.Name)
-		}
-	case StmtLoad:
-		add(s.Load.Table)
-	}
-	return out
 }

@@ -1,10 +1,5 @@
 package sqlmini
 
-import (
-	"fmt"
-	"sort"
-)
-
 // TableStats holds the catalog statistics the cost model uses.
 type TableStats struct {
 	Name     string
@@ -38,25 +33,6 @@ func (c *Catalog) AddTable(name string, rows int64, rowBytes int, indexed bool) 
 
 // Table looks up a table, or returns nil if unknown.
 func (c *Catalog) Table(name string) *TableStats { return c.tables[name] }
-
-// MustTable looks up a table or panics.
-func (c *Catalog) MustTable(name string) *TableStats {
-	t := c.tables[name]
-	if t == nil {
-		panic(fmt.Sprintf("sqlmini: unknown table %q", name))
-	}
-	return t
-}
-
-// Names returns all table names in sorted order.
-func (c *Catalog) Names() []string {
-	out := make([]string, 0, len(c.tables))
-	for n := range c.tables {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
 
 // DefaultCatalog returns a catalog modeled on a small star-schema warehouse
 // plus OLTP tables, sized so that BI queries are orders of magnitude more

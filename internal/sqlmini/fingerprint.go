@@ -27,9 +27,6 @@ type Fingerprint struct {
 	Hi, Lo uint64
 }
 
-// Zero reports whether the fingerprint is the zero value (no statement).
-func (f Fingerprint) Zero() bool { return f.Hi == 0 && f.Lo == 0 }
-
 const (
 	fnvOffset64 = 14695981039346656037
 	fnvPrime64  = 1099511628211

@@ -25,15 +25,6 @@ func Parse(input string) (*Statement, error) {
 	return stmt, nil
 }
 
-// MustParse parses input and panics on error; for tests and fixed workloads.
-func MustParse(input string) *Statement {
-	s, err := Parse(input)
-	if err != nil {
-		panic(err)
-	}
-	return s
-}
-
 type parser struct {
 	toks []Token
 	pos  int

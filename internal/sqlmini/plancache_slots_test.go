@@ -135,7 +135,7 @@ func (r *refCache) insert(fp Fingerprint) (victim Fingerprint) {
 				set[i] = e
 				return Fingerprint{}
 			}
-			if set[i].fp.Zero() {
+			if set[i].fp == (Fingerprint{}) {
 				free[s]++
 			}
 		}
@@ -146,7 +146,7 @@ func (r *refCache) insert(fp Fingerprint) (victim Fingerprint) {
 	}
 	if free[into] > 0 {
 		for i := range sets[into] {
-			if sets[into][i].fp.Zero() {
+			if sets[into][i].fp == (Fingerprint{}) {
 				sets[into][i] = e
 				return Fingerprint{}
 			}
@@ -205,7 +205,7 @@ func TestPlanCacheMatchesReference(t *testing.T) {
 				}
 				if hit {
 					hits++
-				} else if victim := ref.insert(fp); !victim.Zero() {
+				} else if victim := ref.insert(fp); victim != (Fingerprint{}) {
 					evictions++
 					// Probe the slots directly: a Lookup would touch.
 					if slotOf(cache, victim) != nil {
@@ -219,7 +219,7 @@ func TestPlanCacheMatchesReference(t *testing.T) {
 				for w, want := range sets[s] {
 					e := cache.shards[shard].slots[base+uint32(w)].Load()
 					switch {
-					case e == nil && want.fp.Zero():
+					case e == nil && want.fp == (Fingerprint{}):
 					case e == nil || e.FP != want.fp || e.touch.Load() != want.touch:
 						t.Fatalf("cap %d op %d: shard %d slot %d differs from the reference", geo.capacity, op, shard, base+uint32(w))
 					}
@@ -232,7 +232,7 @@ func TestPlanCacheMatchesReference(t *testing.T) {
 		resident := 0
 		for _, set := range ref.sets {
 			for _, e := range set {
-				if !e.fp.Zero() {
+				if e.fp != (Fingerprint{}) {
 					resident++
 				}
 			}

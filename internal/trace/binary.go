@@ -140,15 +140,12 @@ func DecodeHeader(buf []byte) (Header, int, error) {
 //dbwlm:hotpath
 func AppendRow(dst []byte, row *Row) ([]byte, error) {
 	if len(row.Locks) > MaxLocks {
-		//dbwlm:nolint hotpath -- error construction on the reject path
 		return dst, fmt.Errorf("trace: row %d has %d locks, max %d", row.ID, len(row.Locks), MaxLocks)
 	}
 	if len(row.SQL) > MaxSQLLen {
-		//dbwlm:nolint hotpath -- error construction on the reject path
 		return dst, fmt.Errorf("trace: row %d SQL of %d bytes exceeds %d", row.ID, len(row.SQL), MaxSQLLen)
 	}
 	if row.Flags&^uint8(knownFlags) != 0 {
-		//dbwlm:nolint hotpath -- error construction on the reject path
 		return dst, fmt.Errorf("trace: row %d has unknown flag bits 0x%02x", row.ID, row.Flags)
 	}
 	n := rowFixedLen + lockLen*len(row.Locks) + 4 + len(row.SQL)
@@ -209,31 +206,25 @@ func AppendRow(dst []byte, row *Row) ([]byte, error) {
 //dbwlm:hotpath
 func DecodeRow(buf []byte, row *Row) error {
 	if len(buf) < rowFixedLen {
-		//dbwlm:nolint hotpath -- error construction on the reject path
 		return fmt.Errorf("trace: row of %d bytes shorter than fixed part %d", len(buf), rowFixedLen)
 	}
 	flags := buf[offFlags]
 	if flags&^uint8(knownFlags) != 0 {
-		//dbwlm:nolint hotpath -- error construction on the reject path
 		return fmt.Errorf("trace: unknown flag bits 0x%02x", flags)
 	}
 	lockCount := int(le.U16(buf, offLockCount))
 	if lockCount > MaxLocks {
-		//dbwlm:nolint hotpath -- error construction on the reject path
 		return fmt.Errorf("trace: %d locks exceeds %d", lockCount, MaxLocks)
 	}
 	p := rowFixedLen + lockLen*lockCount
 	if len(buf) < p+4 {
-		//dbwlm:nolint hotpath -- error construction on the reject path
 		return fmt.Errorf("trace: row of %d bytes truncates %d locks", len(buf), lockCount)
 	}
 	sqlLen := int(le.U32(buf, p))
 	if sqlLen > MaxSQLLen {
-		//dbwlm:nolint hotpath -- error construction on the reject path
 		return fmt.Errorf("trace: SQL of %d bytes exceeds %d", sqlLen, MaxSQLLen)
 	}
 	if len(buf) != p+4+sqlLen {
-		//dbwlm:nolint hotpath -- error construction on the reject path
 		return fmt.Errorf("trace: row length %d, want %d", len(buf), p+4+sqlLen)
 	}
 	row.ID = int64(le.U64(buf, offID))
@@ -264,7 +255,6 @@ func DecodeRow(buf []byte, row *Row) error {
 	for i := 0; i < lockCount; i++ {
 		x := buf[q+16]
 		if x > 1 {
-			//dbwlm:nolint hotpath -- error construction on the reject path
 			return fmt.Errorf("trace: lock %d exclusive byte 0x%02x not 0 or 1", i, x)
 		}
 		row.Locks[i] = Lock{
@@ -447,12 +437,10 @@ func (r *Reader) Next(row *Row) error {
 	}
 	n := int(le.U32(r.buf, r.pos))
 	if n < rowFixedLen+4 || n > MaxRowLen {
-		//dbwlm:nolint hotpath -- error construction on the reject path
 		return fmt.Errorf("trace: row length prefix %d out of range [%d, %d]", n, rowFixedLen+4, MaxRowLen)
 	}
 	if err := r.ensure(4 + n); err != nil {
 		if err == io.EOF {
-			//dbwlm:nolint hotpath -- error construction on the reject path
 			return fmt.Errorf("trace: truncated row: %w", io.ErrUnexpectedEOF)
 		}
 		return err

@@ -150,22 +150,6 @@ func (rec *Recorder) Header() Header {
 // order: the simulator fires events in time order).
 func (rec *Recorder) Rows() []Row { return rec.rows }
 
-// Source returns the recording as a replayable Source.
-func (rec *Recorder) Source() *SliceSource {
-	return &SliceSource{H: rec.Header(), Rows: rec.rows}
-}
-
-// WriteTo streams the recording through w, which is either *Writer or
-// *JSONLWriter via the RowWriter interface.
-func (rec *Recorder) WriteTo(w RowWriter) error {
-	for i := range rec.rows {
-		if err := w.WriteRow(&rec.rows[i]); err != nil {
-			return err
-		}
-	}
-	return w.Flush()
-}
-
 // RowWriter is the shared surface of the binary and JSONL writers.
 type RowWriter interface {
 	WriteRow(*Row) error

@@ -12,21 +12,6 @@ import (
 // encoding (sniffed by magic byte), and write one (encoding picked by file
 // extension).
 
-// sniffReader wraps a reader, prepending bytes that were consumed to sniff.
-type sniffReader struct {
-	head []byte
-	r    io.Reader
-}
-
-func (s *sniffReader) Read(p []byte) (int, error) {
-	if len(s.head) > 0 {
-		n := copy(p, s.head)
-		s.head = s.head[n:]
-		return n, nil
-	}
-	return s.r.Read(p)
-}
-
 // NewSourceFrom sniffs the first byte of r and returns the matching decoder:
 // the binary magic selects the binary reader, anything else the JSONL
 // reader.

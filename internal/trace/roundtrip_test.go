@@ -1,7 +1,7 @@
 package trace_test
 
 import (
-	"bytes"
+	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -67,7 +67,7 @@ func TestRecordReplayEquivalence(t *testing.T) {
 	}
 
 	// In-memory replay of the recording.
-	memReport, memStats, err := runReplay(rec.Source())
+	memReport, memStats, err := runReplay(&trace.SliceSource{H: rec.Header(), Rows: rec.Rows()})
 	if err != nil {
 		t.Fatalf("replay: %v", err)
 	}
@@ -78,52 +78,28 @@ func TestRecordReplayEquivalence(t *testing.T) {
 		t.Fatalf("in-memory replay engine stats diverged: %+v vs %+v", memStats, directStats)
 	}
 
-	// Serialize through the binary encoding and replay the decoded stream —
-	// the full record-to-disk, replay-from-disk path.
-	var buf bytes.Buffer
-	w, err := trace.NewWriter(&buf, rec.Header())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := rec.WriteTo(w); err != nil {
-		t.Fatal(err)
-	}
-	r, err := trace.NewReader(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	binReport, binStats, err := runReplay(r)
-	if err != nil {
-		t.Fatalf("binary replay: %v", err)
-	}
-	if binReport != directReport {
-		t.Fatalf("binary replay diverged:\ndirect:\n%s\nreplay:\n%s", directReport, binReport)
-	}
-	if !reflect.DeepEqual(binStats, directStats) {
-		t.Fatalf("binary replay engine stats diverged: %+v vs %+v", binStats, directStats)
-	}
-
-	// And through JSONL, proving the interchange encoding is lossless too.
-	var jbuf bytes.Buffer
-	jw, err := trace.NewJSONLWriter(&jbuf, rec.Header())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := rec.WriteTo(jw); err != nil {
-		t.Fatal(err)
-	}
-	jr, err := trace.NewJSONLReader(bytes.NewReader(jbuf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	jsonReport, jsonStats, err := runReplay(jr)
-	if err != nil {
-		t.Fatalf("JSONL replay: %v", err)
-	}
-	if jsonReport != directReport {
-		t.Fatalf("JSONL replay diverged:\ndirect:\n%s\nreplay:\n%s", directReport, jsonReport)
-	}
-	if !reflect.DeepEqual(jsonStats, directStats) {
-		t.Fatalf("JSONL replay engine stats diverged: %+v vs %+v", jsonStats, directStats)
+	// Write the recording to disk and replay it from there, in both
+	// encodings — the wlmsim -record / -replay-trace path.
+	dir := t.TempDir()
+	for _, name := range []string{"rec.trace", "rec.jsonl"} {
+		path := filepath.Join(dir, name)
+		if err := trace.WriteFile(path, rec.Header(), rec.Rows()); err != nil {
+			t.Fatal(err)
+		}
+		src, f, err := trace.OpenFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		report, stats, err := runReplay(src)
+		f.Close()
+		if err != nil {
+			t.Fatalf("%s replay: %v", name, err)
+		}
+		if report != directReport {
+			t.Fatalf("%s replay diverged:\ndirect:\n%s\nreplay:\n%s", name, directReport, report)
+		}
+		if !reflect.DeepEqual(stats, directStats) {
+			t.Fatalf("%s replay engine stats diverged: %+v vs %+v", name, stats, directStats)
+		}
 	}
 }

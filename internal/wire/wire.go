@@ -283,24 +283,20 @@ func grow(buf []byte, n int) []byte {
 //dbwlm:hotpath
 func EncodeRequest(buf []byte, ops []Op) ([]byte, error) {
 	if len(ops) > MaxOps {
-		//dbwlm:nolint hotpath -- error construction on the reject path
 		return buf, fmt.Errorf("wire: %d ops exceeds MaxOps %d", len(ops), MaxOps)
 	}
 	n := headerLen
 	for i := range ops {
 		s := opSize(&ops[i])
 		if s == 0 {
-			//dbwlm:nolint hotpath -- error construction on the reject path
 			return buf, fmt.Errorf("wire: op %d has unknown code %d", i, ops[i].Code)
 		}
 		if len(ops[i].SQL) > MaxSQLLen {
-			//dbwlm:nolint hotpath -- error construction on the reject path
 			return buf, fmt.Errorf("wire: op %d SQL length %d exceeds %d", i, len(ops[i].SQL), MaxSQLLen)
 		}
 		n += s
 	}
 	if n > MaxFrame {
-		//dbwlm:nolint hotpath -- error construction on the reject path
 		return buf, fmt.Errorf("wire: frame size %d exceeds %d", n, MaxFrame)
 	}
 	buf = grow(buf, n)
@@ -357,7 +353,6 @@ func DecodeRequest(frame []byte, req *BatchReq) error {
 	off := headerLen
 	for i := 0; i < count; i++ {
 		if off >= len(frame) {
-			//dbwlm:nolint hotpath -- error construction on the reject path
 			return fmt.Errorf("wire: truncated frame: op %d of %d starts past end", i, count)
 		}
 		op := &req.Ops[i]
@@ -392,7 +387,6 @@ func DecodeRequest(frame []byte, req *BatchReq) error {
 			op.DeadlineNS = int64(le.U64(frame, off+3))
 			n := int(le.U32(frame, off+11))
 			if n > MaxSQLLen {
-				//dbwlm:nolint hotpath -- error construction on the reject path
 				return fmt.Errorf("wire: op %d SQL length %d exceeds %d", i, n, MaxSQLLen)
 			}
 			off += opSQLHead
@@ -411,12 +405,10 @@ func DecodeRequest(frame []byte, req *BatchReq) error {
 			op.FPLo = le.U64(frame, off+19)
 			off += opFPLen
 		default:
-			//dbwlm:nolint hotpath -- error construction on the reject path
 			return fmt.Errorf("wire: op %d has unknown code %d", i, frame[off])
 		}
 	}
 	if off != len(frame) {
-		//dbwlm:nolint hotpath -- error construction on the reject path
 		return fmt.Errorf("wire: %d trailing bytes after %d ops", len(frame)-off, count)
 	}
 	return nil
@@ -428,7 +420,6 @@ func DecodeRequest(frame []byte, req *BatchReq) error {
 //dbwlm:hotpath
 func EncodeResponse(buf []byte, results []Result) ([]byte, error) {
 	if len(results) > MaxOps {
-		//dbwlm:nolint hotpath -- error construction on the reject path
 		return buf, fmt.Errorf("wire: %d results exceeds MaxOps %d", len(results), MaxOps)
 	}
 	n := headerLen
@@ -507,7 +498,6 @@ func DecodeResponse(frame []byte, res *BatchRes) error {
 		case OpDone:
 			// Head only.
 		default:
-			//dbwlm:nolint hotpath -- error construction on the reject path
 			return fmt.Errorf("wire: result %d has unknown code %d", i, uint8(r.Code))
 		}
 		if r.Status == StatusAdmitted {
@@ -522,7 +512,6 @@ func DecodeResponse(frame []byte, res *BatchRes) error {
 		}
 	}
 	if off != len(frame) {
-		//dbwlm:nolint hotpath -- error construction on the reject path
 		return fmt.Errorf("wire: %d trailing bytes after %d results", len(frame)-off, count)
 	}
 	return nil
@@ -545,28 +534,22 @@ type BatchRes struct {
 //dbwlm:hotpath
 func checkHeader(frame []byte, wantKind byte) (int, error) {
 	if len(frame) < headerLen {
-		//dbwlm:nolint hotpath -- error construction on the reject path
 		return 0, fmt.Errorf("wire: frame of %d bytes shorter than header", len(frame))
 	}
 	if frame[0] != Magic {
-		//dbwlm:nolint hotpath -- error construction on the reject path
 		return 0, fmt.Errorf("wire: bad magic 0x%02x", frame[0])
 	}
 	if frame[1] != Version {
-		//dbwlm:nolint hotpath -- error construction on the reject path
 		return 0, fmt.Errorf("wire: unsupported version %d (want %d)", frame[1], Version)
 	}
 	if frame[2] != wantKind {
-		//dbwlm:nolint hotpath -- error construction on the reject path
 		return 0, fmt.Errorf("wire: payload kind %d, want %d", frame[2], wantKind)
 	}
 	count := int(le.U16(frame, 3))
 	if count > MaxOps {
-		//dbwlm:nolint hotpath -- error construction on the reject path
 		return 0, fmt.Errorf("wire: count %d exceeds MaxOps %d", count, MaxOps)
 	}
 	if len(frame) > MaxFrame {
-		//dbwlm:nolint hotpath -- error construction on the reject path
 		return 0, fmt.Errorf("wire: frame size %d exceeds %d", len(frame), MaxFrame)
 	}
 	return count, nil
@@ -574,7 +557,6 @@ func checkHeader(frame []byte, wantKind byte) (int, error) {
 
 //dbwlm:hotpath
 func errTruncated(i, count int) error {
-	//dbwlm:nolint hotpath -- error construction on the reject path
 	return fmt.Errorf("wire: truncated frame: op %d of %d cut short", i, count)
 }
 

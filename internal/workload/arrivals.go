@@ -14,24 +14,6 @@ func ConstantRate(rate float64) RateFunc {
 	return func(sim.Time) float64 { return rate }
 }
 
-// OnOffRate models a bursty (interrupted Poisson) process: rate alternates
-// between on and off levels with the given period and duty cycle.
-func OnOffRate(onRate, offRate float64, period sim.Duration, dutyCycle float64) RateFunc {
-	if period <= 0 {
-		period = sim.Minute
-	}
-	if dutyCycle <= 0 || dutyCycle > 1 {
-		dutyCycle = 0.5
-	}
-	return func(at sim.Time) float64 {
-		into := float64(int64(at)%int64(period)) / float64(period)
-		if into < dutyCycle {
-			return onRate
-		}
-		return offRate
-	}
-}
-
 // DiurnalRate models the day/night demand curve workload managers schedule
 // around (batch windows at night, peaks during business hours): a sinusoid
 // between min and max over dayLength, peaking mid-"day".

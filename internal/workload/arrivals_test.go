@@ -38,6 +38,24 @@ func TestConstantRateMatchesPoisson(t *testing.T) {
 	}
 }
 
+// OnOffRate models a bursty (interrupted Poisson) process: rate alternates
+// between on and off levels with the given period and duty cycle.
+func OnOffRate(onRate, offRate float64, period sim.Duration, dutyCycle float64) RateFunc {
+	if period <= 0 {
+		period = sim.Minute
+	}
+	if dutyCycle <= 0 || dutyCycle > 1 {
+		dutyCycle = 0.5
+	}
+	return func(at sim.Time) float64 {
+		into := float64(int64(at)%int64(period)) / float64(period)
+		if into < dutyCycle {
+			return onRate
+		}
+		return offRate
+	}
+}
+
 func TestOnOffBurstiness(t *testing.T) {
 	// 10s period, 50% duty: 100/s bursts then silence.
 	rate := OnOffRate(100, 0, 10*sim.Second, 0.5)

@@ -1,12 +1,13 @@
 #!/bin/sh
 # lint.sh — the static-analysis gate: gofmt, go vet, and wlmlint.
 #
-# wlmlint (cmd/wlmlint) machine-checks the module's own invariants with six
+# wlmlint (cmd/wlmlint) machine-checks the module's own invariants with seven
 # analyzers: allocation-freedom and non-blocking of everything reachable from
 # a //dbwlm:hotpath root (hotpath), typed atomics only (atomic), no nested
 # locking (lockorder), replay determinism (detlint), mutex guard contracts
-# (guardedby), and the coupling between AllocsPerRun==0 tests and the hot
-# closure (noescape-test). Run via
+# (guardedby), the coupling between AllocsPerRun==0 tests and the hot
+# closure (noescape-test), and reachability of every non-test function from
+# an entry point (deadcode). Run via
 # `make lint` from the repository root; `make verify` runs it before the
 # test suite. Set LINT_JSON=1 to emit findings as the stable JSON array
 # instead of text (for CI annotators); either way the exit code gates.
@@ -42,7 +43,7 @@ fi
 # bracketed letters keep the pattern from matching this file.)
 if git grep -nE 'hot[c]losure|atomic[f]ield|atomic[m]ix' -- \
 	':!CHANGES.md' ':!ROADMAP.md' ':!ISSUE.md'; then
-	echo "lint: reference to a retired wlmlint analyzer name; the analyzers are hotpath, atomic, detlint, guardedby, lockorder, noescape-test" >&2
+	echo "lint: reference to a retired wlmlint analyzer name; the analyzers are hotpath, atomic, detlint, guardedby, lockorder, noescape-test, deadcode" >&2
 	exit 1
 fi
 
