@@ -287,7 +287,6 @@ func (cfg *ConfigFile) Apply(m *Manager) error {
 			killer = execctl.NewKiller(m.Engine(), e.KillAfterSeconds)
 			killer.MaxRows = e.KillOverRows
 			killer.MaxCPUSeconds = e.KillOverCPU
-			killer.Events = m.Stats().Events
 		}
 		agers := make(map[string]*execctl.Ager)
 		if len(e.AgeAfterSeconds) > 0 {
@@ -300,7 +299,6 @@ func (cfg *ConfigFile) Apply(m *Manager) error {
 					weights[i] = tier.Weight
 				}
 				ager := execctl.NewAger(m.Engine(), weights, e.AgeAfterSeconds)
-				ager.Events = m.Stats().Events
 				agers[cc.Name] = ager
 			}
 		}

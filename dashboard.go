@@ -2,7 +2,6 @@ package dbwlm
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"dbwlm/internal/engine"
@@ -30,38 +29,7 @@ type DashboardRow struct {
 // Dashboard snapshots the live state of every known workload plus the
 // engine, rendering the monitor view operators watch.
 func (m *Manager) Dashboard() string {
-	active := make(map[string]int)
-	suspended := make(map[string]int)
-	// Commutative counting; the rendered rows below iterate sorted names.
-	//dbwlm:sorted
-	for _, rr := range m.running {
-		switch rr.Query.State() {
-		case engine.StateSuspended, engine.StateSuspending:
-			suspended[rr.Req.Workload]++
-		default:
-			active[rr.Req.Workload]++
-		}
-	}
-	names := m.stats.Names()
-	sort.Strings(names)
-	var rows []DashboardRow
-	for _, name := range names {
-		ws := m.stats.Workload(name)
-		att := m.Attainment(name)
-		rows = append(rows, DashboardRow{
-			Workload:       name,
-			ActiveSessions: active[name],
-			Suspended:      suspended[name],
-			ArrivalRate:    ws.Throughput.Rate(m.sim.Now()),
-			Completed:      ws.Completed.Value(),
-			MeanResponse:   ws.Response.Mean(),
-			SLGMet:         att.Met,
-			SLGRatio:       att.Ratio,
-			Killed:         ws.Killed.Value(),
-			Resubmits:      ws.Resubmits.Value(),
-		})
-	}
-
+	rows := m.DashboardRows()
 	var b strings.Builder
 	st := m.eng.StatsNow()
 	fmt.Fprintf(&b, "t=%.1fs  engine: %d running / %d blocked / %d suspended, cpu %.0f%%, io %.0f%%, mem %.0f%%, conflict %.2f\n",
@@ -134,13 +102,16 @@ func SLOPanel(reports []slo.Report) string {
 	return b.String()
 }
 
-// DashboardRows returns the structured per-workload monitor rows.
+// DashboardRows returns the structured per-workload monitor rows in
+// workload-name order.
 func (m *Manager) DashboardRows() []DashboardRow {
-	out := make([]DashboardRow, 0, len(m.slos))
-	for _, name := range m.stats.Names() {
+	names := m.stats.Names()
+	out := make([]DashboardRow, len(names))
+	byName := make(map[string]*DashboardRow, len(names))
+	for i, name := range names {
 		ws := m.stats.Workload(name)
 		att := m.Attainment(name)
-		row := DashboardRow{
+		out[i] = DashboardRow{
 			Workload:     name,
 			ArrivalRate:  ws.Throughput.Rate(m.sim.Now()),
 			Completed:    ws.Completed.Value(),
@@ -150,19 +121,20 @@ func (m *Manager) DashboardRows() []DashboardRow {
 			Killed:       ws.Killed.Value(),
 			Resubmits:    ws.Resubmits.Value(),
 		}
-		// Commutative counting into the row's session tallies.
-		//dbwlm:sorted
-		for _, rr := range m.running {
-			if rr.Req.Workload != name {
-				continue
-			}
-			if s := rr.Query.State(); s == engine.StateSuspended || s == engine.StateSuspending {
-				row.Suspended++
-			} else {
-				row.ActiveSessions++
-			}
+		byName[name] = &out[i]
+	}
+	// One pass over the running set; the session tallies are commutative.
+	//dbwlm:sorted
+	for _, rr := range m.running {
+		row := byName[rr.Req.Workload]
+		if row == nil {
+			continue
 		}
-		out = append(out, row)
+		if s := rr.Query.State(); s == engine.StateSuspended || s == engine.StateSuspending {
+			row.Suspended++
+		} else {
+			row.ActiveSessions++
+		}
 	}
 	return out
 }

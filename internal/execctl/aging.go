@@ -12,7 +12,6 @@ import (
 	"slices"
 
 	"dbwlm/internal/engine"
-	"dbwlm/internal/metrics"
 	"dbwlm/internal/obsv"
 	"dbwlm/internal/sim"
 )
@@ -57,8 +56,6 @@ type Ager struct {
 	RowsTrigger int64
 	// CheckEvery is the monitor period (default 500ms).
 	CheckEvery sim.Duration
-	// Events, when non-nil, records threshold violations.
-	Events *metrics.Recorder
 	// Flight, when non-nil, records each demotion in the flight recorder
 	// (KindCtlAction, reason reprioritize, Value = new tier).
 	Flight *obsv.Recorder
@@ -122,28 +119,14 @@ func (a *Ager) sweep() {
 			continue // already at the bottom tier
 		}
 		elapsed := now.Sub(q.SubmittedAt()).Seconds()
-		demote := false
-		what := ""
-		if m.Tier < len(a.DemoteAfterSeconds) && elapsed > a.DemoteAfterSeconds[m.Tier] {
-			demote = true
-			what = "ElapsedTime"
-		}
-		if a.RowsTrigger > 0 && q.RowsReturned() > int64(m.Tier+1)*a.RowsTrigger {
-			demote = true
-			what = "RowsReturned"
-		}
+		demote := m.Tier < len(a.DemoteAfterSeconds) && elapsed > a.DemoteAfterSeconds[m.Tier] ||
+			a.RowsTrigger > 0 && q.RowsReturned() > int64(m.Tier+1)*a.RowsTrigger
 		if !demote {
 			continue
 		}
 		m.Tier++
 		a.demotions++
 		_ = a.Engine.SetWeight(id, a.Weights[m.Tier])
-		if a.Events != nil {
-			a.Events.Record(metrics.Event{
-				Kind: metrics.EventThresholdViolation, At: now, Query: id,
-				What: what, Detail: "priority aging demotion", Value: float64(m.Tier),
-			})
-		}
 		if a.Flight != nil {
 			a.Flight.Record(obsv.Event{At: int64(now) * 1000, QID: id,
 				Kind: obsv.KindCtlAction, Reason: obsv.ReasonReprioritize,

@@ -6,7 +6,6 @@ import (
 	"testing/quick"
 
 	"dbwlm/internal/engine"
-	"dbwlm/internal/metrics"
 	"dbwlm/internal/sim"
 )
 
@@ -18,7 +17,6 @@ func newEng(cfg engine.Config) (*sim.Simulator, *engine.Engine) {
 func TestAgerDemotesOnElapsed(t *testing.T) {
 	s, e := newEng(engine.Config{Cores: 1, IOMBps: 1e9})
 	a := NewAger(e, []float64{16, 4, 1}, []float64{1, 3})
-	a.Events = metrics.NewRecorder(0)
 	q := e.Submit(engine.QuerySpec{CPUWork: 100, Parallelism: 1}, 1, nil)
 	m := &Managed{Query: q, Class: "bi"}
 	a.Manage(m)
@@ -113,7 +111,6 @@ func TestEconomicReallocatorShiftsWeights(t *testing.T) {
 func TestKillerKillsLongRunners(t *testing.T) {
 	s, e := newEng(engine.Config{Cores: 1, IOMBps: 1e9})
 	k := NewKiller(e, 2)
-	k.Events = metrics.NewRecorder(0)
 	var killed []int64
 	var resubmits []bool
 	k.OnKill = func(id int64, resubmit bool) {

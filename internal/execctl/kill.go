@@ -2,7 +2,6 @@ package execctl
 
 import (
 	"dbwlm/internal/engine"
-	"dbwlm/internal/metrics"
 	"dbwlm/internal/obsv"
 	"dbwlm/internal/sim"
 )
@@ -29,8 +28,6 @@ type Killer struct {
 	OnKill func(id int64, resubmit bool)
 	// CheckEvery is the monitor period (default 500ms).
 	CheckEvery sim.Duration
-	// Events, when non-nil, records control actions.
-	Events *metrics.Recorder
 	// Flight, when non-nil, records each kill in the flight recorder
 	// (KindCtlAction, reason kill/kill-resubmit).
 	Flight *obsv.Recorder
@@ -80,17 +77,9 @@ func (k *Killer) sweep() {
 			continue
 		}
 		elapsed := now.Sub(q.SubmittedAt()).Seconds()
-		kill := false
-		what := ""
-		if k.MaxElapsedSeconds > 0 && elapsed > k.MaxElapsedSeconds {
-			kill, what = true, "ElapsedTime"
-		}
-		if k.MaxRows > 0 && q.RowsReturned() > k.MaxRows {
-			kill, what = true, "RowsReturned"
-		}
-		if k.MaxCPUSeconds > 0 && q.CPUDone() > k.MaxCPUSeconds {
-			kill, what = true, "CPUTime"
-		}
+		kill := k.MaxElapsedSeconds > 0 && elapsed > k.MaxElapsedSeconds ||
+			k.MaxRows > 0 && q.RowsReturned() > k.MaxRows ||
+			k.MaxCPUSeconds > 0 && q.CPUDone() > k.MaxCPUSeconds
 		if !kill {
 			continue
 		}
@@ -99,12 +88,6 @@ func (k *Killer) sweep() {
 			continue
 		}
 		k.kills++
-		if k.Events != nil {
-			k.Events.Record(metrics.Event{
-				Kind: metrics.EventControlAction, At: now, Query: id,
-				What: "kill", Detail: what, Value: elapsed,
-			})
-		}
 		if k.Flight != nil {
 			reason := obsv.ReasonKill
 			if k.Resubmit {

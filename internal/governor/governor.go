@@ -125,9 +125,7 @@ func DB2Profile() *Profile {
 			// Execution thresholds: aging within the analytic class, stop
 			// execution for true runaways.
 			ager := execctl.NewAger(m.Engine(), []float64{4, 1, 0.25}, []float64{30, 120})
-			ager.Events = m.Stats().Events
 			killer := execctl.NewKiller(m.Engine(), 600)
-			killer.Events = m.Stats().Events
 			chainDispatch(m, func(rr *dbwlm.Running) {
 				switch rr.Class.Name {
 				case "SYSANALYTIC":
@@ -296,7 +294,6 @@ func TeradataProfile() *Profile {
 			// Exception criteria: CPU time and elapsed-time exceptions kill
 			// the query (exception action).
 			killer := execctl.NewKiller(m.Engine(), 900)
-			killer.Events = m.Stats().Events
 			chainDispatch(m, func(rr *dbwlm.Running) {
 				if rr.Class.Name != "WD-Tactical" {
 					killer.Manage(&execctl.Managed{Query: rr.Query, Class: rr.Class.Name})

@@ -78,10 +78,8 @@ func OracleProfile() *Profile {
 			// Automatic consumer group switching: a reporting query that
 			// runs past the switch threshold is demoted to the batch tier.
 			switcher := execctl.NewAger(m.Engine(), []float64{12, 2}, []float64{30})
-			switcher.Events = m.Stats().Events
 			// MAX_EST_EXEC_TIME-style cancellation for true runaways.
 			killer := execctl.NewKiller(m.Engine(), 1200)
-			killer.Events = m.Stats().Events
 			chainDispatch(m, func(rr *dbwlm.Running) {
 				switch rr.Class.Name {
 				case "REPORTING_GROUP":

@@ -1,9 +1,9 @@
 // Package metrics is the monitoring substrate for the workload manager. It
-// provides the counters, histograms, sliding-window rates, and event monitors
-// that the paper's "monitoring" stage exposes (DB2 table functions and event
-// monitors, SQL Server performance counters, Teradata dashboard metrics), and
-// that the feedback-driven controllers (throughput admission, PI throttling,
-// MAPE loop) consume.
+// provides the counters, histograms and sliding-window rates that the paper's
+// "monitoring" stage exposes (DB2 table functions, SQL Server performance
+// counters, Teradata dashboard metrics), and that the feedback-driven
+// controllers (throughput admission, PI throttling, MAPE loop) consume. The
+// event-monitor half of that stage is the flight recorder in internal/obsv.
 package metrics
 
 import (

@@ -161,38 +161,6 @@ func TestEWMAPanics(t *testing.T) {
 	NewEWMA(0)
 }
 
-func TestRecorderCapAndFilter(t *testing.T) {
-	r := NewRecorder(3)
-	for i := 0; i < 5; i++ {
-		k := EventActivity
-		if i%2 == 1 {
-			k = EventThresholdViolation
-		}
-		r.Record(Event{Kind: k, Query: int64(i)})
-	}
-	if len(r.events) != 3 {
-		t.Fatalf("retained %d events, want 3", len(r.events))
-	}
-	if r.dropped != 2 {
-		t.Fatalf("dropped = %d, want 2", r.dropped)
-	}
-	if r.events[0].Query != 2 {
-		t.Fatalf("oldest retained = %d, want 2", r.events[0].Query)
-	}
-	if r.byKind[EventActivity] != 3 { // counted even once evicted
-		t.Fatalf("activity count = %d, want 3", r.byKind[EventActivity])
-	}
-}
-
-func TestEventKindString(t *testing.T) {
-	kinds := []EventKind{EventActivity, EventThresholdViolation, EventStatistics, EventControlAction, EventKind(99)}
-	for _, k := range kinds {
-		if k.String() == "" {
-			t.Fatalf("empty string for kind %d", int(k))
-		}
-	}
-}
-
 func TestWorkloadStats(t *testing.T) {
 	s := NewWorkloadStats("oltp")
 	s.ObserveArrival(0)

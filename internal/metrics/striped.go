@@ -18,13 +18,14 @@ import (
 // and end of the read. The property test in striped_test.go checks that a
 // sharded merge equals an unsharded reference fed the same values.
 
-// stripeShards picks a shard count for this process: the next power of two at
-// or above 2×GOMAXPROCS, so that randomly-distributed writers rarely collide
-// on a shard even when every P is writing.
-func stripeShards() int {
-	n := 2 * runtime.GOMAXPROCS(0)
-	if n < 2 {
-		n = 2
+// StripeShards normalizes a requested shard count for this package's striped
+// recorders and for internal/rt's striped gates: n rounds up to a power of
+// two, and n <= 0 selects the next power of two at or above 2×GOMAXPROCS, so
+// that randomly-distributed writers rarely collide on a shard even when
+// every P is writing.
+func StripeShards(n int) int {
+	if n <= 0 {
+		n = max(2*runtime.GOMAXPROCS(0), 2)
 	}
 	return 1 << bits.Len(uint(n-1))
 }
@@ -57,7 +58,7 @@ type StripedCounter struct {
 // NewStripedCounter returns a counter with the given shard count (rounded up
 // to a power of two; <= 0 selects a size from GOMAXPROCS).
 func NewStripedCounter(shards int) *StripedCounter {
-	n := normalizeShards(shards)
+	n := StripeShards(shards)
 	return &StripedCounter{shards: make([]counterShard, n), mask: uint32(n - 1)}
 }
 
@@ -188,7 +189,7 @@ type StripedHistogram struct {
 // NewStripedHistogram returns a histogram with the given shard count (rounded
 // up to a power of two; <= 0 selects a size from GOMAXPROCS).
 func NewStripedHistogram(shards int) *StripedHistogram {
-	n := normalizeShards(shards)
+	n := StripeShards(shards)
 	h := &StripedHistogram{shards: make([]histShard, n), mask: uint32(n - 1)}
 	for i := range h.shards {
 		h.shards[i].minBits.Store(math.Float64bits(math.Inf(1)))
@@ -272,6 +273,18 @@ func (m *merged) percentile(p float64) float64 {
 		}
 	}
 	return m.max
+}
+
+// Count merges the shards' record counts: MergeBuckets' count without the
+// bucket walk, for readers that need only how many values were recorded.
+//
+//dbwlm:hotpath
+func (h *StripedHistogram) Count() int64 {
+	var n int64
+	for i := range h.shards {
+		n += h.shards[i].count.Load()
+	}
+	return n
 }
 
 // Cumulative walks the merged bucket array for exposition: f is called once
@@ -377,11 +390,4 @@ func (h *StripedHistogram) Snapshot() Snapshot {
 		P99:   m.percentile(99),
 		Sum:   m.sum,
 	}
-}
-
-func normalizeShards(n int) int {
-	if n <= 0 {
-		return stripeShards()
-	}
-	return 1 << bits.Len(uint(n-1))
 }

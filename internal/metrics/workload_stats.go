@@ -83,11 +83,10 @@ func (s *WorkloadStats) OverallThroughput() float64 {
 func (s *WorkloadStats) MeanVelocity() float64 { return s.Velocity.Mean() }
 
 // Registry holds WorkloadStats for every known workload plus a system-wide
-// aggregate, and the monitor event recorder.
+// aggregate.
 type Registry struct {
 	workloads map[string]*WorkloadStats
 	System    *WorkloadStats
-	Events    *Recorder
 }
 
 // NewRegistry returns an empty registry.
@@ -95,7 +94,6 @@ func NewRegistry() *Registry {
 	return &Registry{
 		workloads: make(map[string]*WorkloadStats),
 		System:    NewWorkloadStats("system"),
-		Events:    NewRecorder(0),
 	}
 }
 

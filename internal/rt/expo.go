@@ -46,7 +46,7 @@ func (r *Runtime) WritePrometheus(p *obsv.PromWriter) {
 	}
 	p.Counter("dbwlm_done_total", "Admitted requests released via Done.")
 	for _, cs := range r.classes {
-		p.Val(float64(cs.completed.Value()), "class", cs.spec.Name)
+		p.Val(float64(cs.latency.Count()), "class", cs.spec.Name)
 	}
 	p.Histogram("dbwlm_latency_seconds", "Service time between grant and release.")
 	for _, cs := range r.classes {

@@ -63,7 +63,7 @@ type PredictGate struct {
 // largest admissible predicted bucket (BucketMonster admits everything the
 // cost limits allow, i.e. disables the bucket gate).
 func NewPredictGate(r *Runtime, cache *sqlmini.PlanCache, knn *admission.KNNPredictor, maxBucket admission.RuntimeBucket) *PredictGate {
-	shards := defaultShards()
+	shards := metrics.StripeShards(0)
 	g := &PredictGate{
 		rt:        r,
 		cache:     cache,

@@ -2,9 +2,9 @@ package rt
 
 import (
 	"fmt"
-	"runtime"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"dbwlm/internal/admission"
@@ -123,14 +123,16 @@ type classState struct {
 	gate  *gate
 	queue waitQueue
 
-	admitted  *metrics.StripedCounter
-	queued    *metrics.StripedCounter
-	rejected  *metrics.StripedCounter
-	timeouts  *metrics.StripedCounter
-	completed *metrics.StripedCounter
-	latency   *metrics.StripedHistogram // seconds admitted -> done
-	wait      *metrics.StripedHistogram // seconds queued before admission
-	velocity  *metrics.StripedHistogram // ideal/actual for completed work
+	admitted *metrics.StripedCounter
+	queued   *metrics.StripedCounter
+	rejected *metrics.StripedCounter
+	timeouts *metrics.StripedCounter
+	// latency is the one record of a completion: seconds admitted -> done,
+	// its merged count the done total. An attached SLO engine judges
+	// deadlines against it (SetSLO).
+	latency  *metrics.StripedHistogram
+	wait     *metrics.StripedHistogram // seconds queued before admission
+	velocity *metrics.StripedHistogram // ideal/actual for completed work
 }
 
 // Runtime is the live admission runtime. All exported methods are safe for
@@ -143,7 +145,7 @@ type Runtime struct {
 	now        func() int64
 	retryEvery time.Duration
 
-	lowPriorityGate atomicBool
+	lowPriorityGate atomic.Bool
 
 	// Externally fed load indicators (the live analogue of engine gauges the
 	// runtime cannot observe itself); admission.View exposes them.
@@ -178,26 +180,20 @@ func (r *Runtime) Recorder() *obsv.Recorder { return r.rec }
 // traffic — the runtime reads the pointer without synchronization at Done.
 // The engine's class indexes must match this runtime's class table (build it
 // from specs in the same order), and it should share the runtime clock so
-// windows and deadlines agree.
-func (r *Runtime) SetSLO(e *slo.Engine) { r.slo = e }
+// windows and deadlines agree. Attaching binds every class the engine tracks
+// to the runtime's latency histogram, so Done records a completion once and
+// the engine only judges it; one consequence is that an Observe on an
+// attached engine records a completion of that class into the runtime's
+// stats too.
+func (r *Runtime) SetSLO(e *slo.Engine) {
+	for i := 0; i < min(e.Classes(), len(r.classes)); i++ {
+		e.Bind(i, r.classes[i].latency)
+	}
+	r.slo = e
+}
 
 // SLO reports the attached SLO engine (nil when disabled).
 func (r *Runtime) SLO() *slo.Engine { return r.slo }
-
-// atomicBool avoids importing sync/atomic here just for one flag.
-type atomicBool struct{ v metrics.AtomicGauge }
-
-//dbwlm:hotpath
-func (b *atomicBool) Store(on bool) {
-	if on {
-		b.v.Set(1)
-	} else {
-		b.v.Set(0)
-	}
-}
-
-//dbwlm:hotpath
-func (b *atomicBool) Load() bool { return b.v.Value() != 0 }
 
 // New builds a runtime over the given class table. The table is fixed for
 // the runtime's lifetime; limits reload via ApplyPolicy.
@@ -205,12 +201,7 @@ func New(specs []ClassSpec, opts Options) (*Runtime, error) {
 	if len(specs) == 0 {
 		return nil, fmt.Errorf("rt: no classes")
 	}
-	shards := opts.Shards
-	if shards <= 0 {
-		shards = defaultShards()
-	} else {
-		shards = ceilPow2(shards)
-	}
+	shards := metrics.StripeShards(opts.Shards)
 	r := &Runtime{
 		byName:     make(map[string]ClassID, len(specs)),
 		retryEvery: opts.RetryEvery,
@@ -231,16 +222,15 @@ func New(specs []ClassSpec, opts Options) (*Runtime, error) {
 			return nil, fmt.Errorf("rt: duplicate class %q", spec.Name)
 		}
 		cs := &classState{
-			spec:      spec,
-			gate:      newGate(shards, limitsOf(spec)),
-			admitted:  metrics.NewStripedCounter(shards),
-			queued:    metrics.NewStripedCounter(shards),
-			rejected:  metrics.NewStripedCounter(shards),
-			timeouts:  metrics.NewStripedCounter(shards),
-			completed: metrics.NewStripedCounter(shards),
-			latency:   metrics.NewStripedHistogram(shards),
-			wait:      metrics.NewStripedHistogram(shards),
-			velocity:  metrics.NewStripedHistogram(shards),
+			spec:     spec,
+			gate:     newGate(shards, limitsOf(spec)),
+			admitted: metrics.NewStripedCounter(shards),
+			queued:   metrics.NewStripedCounter(shards),
+			rejected: metrics.NewStripedCounter(shards),
+			timeouts: metrics.NewStripedCounter(shards),
+			latency:  metrics.NewStripedHistogram(shards),
+			wait:     metrics.NewStripedHistogram(shards),
+			velocity: metrics.NewStripedHistogram(shards),
 		}
 		r.byName[spec.Name] = ClassID(len(r.classes))
 		r.classes = append(r.classes, cs)
@@ -416,11 +406,7 @@ func (r *Runtime) Done(g Grant, idealSeconds float64) {
 		}
 		cs.velocity.Record(v)
 	}
-	cs.completed.Inc()
-	missed := false
-	if r.slo != nil {
-		missed = r.slo.Observe(int32(g.class), elapsed)
-	}
+	missed := r.slo.Missed(int32(g.class), elapsed)
 	if r.rec != nil {
 		reason := obsv.ReasonNone
 		if missed {
@@ -584,7 +570,7 @@ func (r *Runtime) StatsNow() engine.Stats {
 	resident := int(r.global.occupancy())
 	var completed int64
 	for _, cs := range r.classes {
-		completed += cs.completed.Value()
+		completed += cs.latency.Count()
 	}
 	return engine.Stats{
 		Running:        resident,
@@ -690,6 +676,7 @@ type ClassStats struct {
 //dbwlm:hotpath
 func (r *Runtime) StatsOf(id ClassID) ClassStats {
 	cs := r.classes[id]
+	latency := cs.latency.Snapshot()
 	return ClassStats{
 		Class:    cs.spec.Name,
 		Priority: cs.spec.Priority.String(),
@@ -699,8 +686,8 @@ func (r *Runtime) StatsOf(id ClassID) ClassStats {
 		Queued:   cs.queued.Value(),
 		Rejected: cs.rejected.Value(),
 		Timeouts: cs.timeouts.Value(),
-		Done:     cs.completed.Value(),
-		Latency:  cs.latency.Snapshot(),
+		Done:     latency.Count,
+		Latency:  latency,
 		Wait:     cs.wait.Snapshot(),
 		Velocity: cs.velocity.Snapshot(),
 	}
@@ -796,20 +783,4 @@ func (r *Runtime) ParseToken(tok string) (Grant, error) {
 		return Grant{}, fmt.Errorf("rt: token %q names no gate slot", tok)
 	}
 	return g, nil
-}
-
-func defaultShards() int {
-	n := 2 * runtime.GOMAXPROCS(0)
-	if n < 2 {
-		n = 2
-	}
-	return ceilPow2(n)
-}
-
-func ceilPow2(n int) int {
-	p := 1
-	for p < n {
-		p <<= 1
-	}
-	return p
 }

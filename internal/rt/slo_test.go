@@ -1,6 +1,11 @@
 package rt
 
 import (
+	"bytes"
+	"fmt"
+	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -23,7 +28,7 @@ func newSLORuntime(t testing.TB, clock *int64) *Runtime {
 	eng, err := slo.New([]slo.Spec{
 		{Class: "oltp", Target: 0.001, FastWindow: time.Second, SlowWindow: 4 * time.Second},
 		{Class: "batch"},
-	}, slo.Options{Now: r.NowNanos, HistShards: 1})
+	}, slo.Options{Now: r.NowNanos})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,6 +79,101 @@ func TestSLODeadlineMissAccounting(t *testing.T) {
 	}
 	if reports[1].Missed != 0 {
 		t.Fatalf("batch slo missed = %d, want 0", reports[1].Missed)
+	}
+}
+
+// TestSLOOneRecord: with the engine attached, the runtime's latency
+// histogram is the only record of a completion. The done count, the engine's
+// total and both exposition counters read its merged count — including a
+// completion recorded by an Observe on the attached engine.
+func TestSLOOneRecord(t *testing.T) {
+	clock := int64(0)
+	r := newSLORuntime(t, &clock)
+	const n = 40
+	for i := 0; i < n; i++ {
+		g := r.Admit(0, 10)
+		clock += 100_000
+		r.Done(g, 0)
+	}
+	r.SLO().Observe(0, 0.0001)
+	const want = n + 1
+	if got := r.StatsOf(0).Done; got != want {
+		t.Fatalf("StatsOf.Done = %d, want %d", got, want)
+	}
+	if got := r.StatsNow().Completed; got != want {
+		t.Fatalf("StatsNow.Completed = %d, want %d", got, want)
+	}
+	if got := r.SLO().Evaluate()[0].Total; got != want {
+		t.Fatalf("slo total = %d, want %d", got, want)
+	}
+	var buf bytes.Buffer
+	r.WritePrometheus(obsv.NewPromWriter(&buf))
+	for _, family := range []string{"dbwlm_done_total", "dbwlm_slo_observed_total"} {
+		if sample := fmt.Sprintf("%s{class=\"oltp\"} %d\n", family, want); !strings.Contains(buf.String(), sample) {
+			t.Fatalf("metrics page lacks %q", sample)
+		}
+	}
+}
+
+// TestSLOMissedNeverExceedsTotal: Done records a completion before the
+// engine counts its miss, and an evaluation loads the miss counter before it
+// merges the histogram, so no report — cumulative or windowed — shows more
+// misses than completions while Done runs concurrently. Every completion of
+// the "slow" class misses, which makes the bound tight there.
+func TestSLOMissedNeverExceedsTotal(t *testing.T) {
+	r, err := New([]ClassSpec{
+		{Name: "slow", MaxMPL: 1 << 16},
+		{Name: "mixed", MaxMPL: 1 << 16},
+	}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := slo.New([]slo.Spec{
+		{Class: "slow", Target: 0.001, FastWindow: 4 * time.Millisecond, SlowWindow: 16 * time.Millisecond},
+		{Class: "mixed", Target: 0.001, FastWindow: 4 * time.Millisecond, SlowWindow: 16 * time.Millisecond},
+	}, slo.Options{Now: r.NowNanos})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.SetSLO(eng)
+
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(class ClassID) {
+			defer wg.Done()
+			for i := 0; !stop.Load(); i++ {
+				g := r.Admit(class, 1)
+				if class == 0 || i%2 == 0 {
+					// Backdate the grant: 5ms of service time, no sleep.
+					c, s, gs, start, id, _ := g.Parts()
+					g, _ = r.GrantFromParts(c, s, gs, start-5_000_000, id)
+				}
+				r.Done(g, 0)
+			}
+		}(ClassID(w % 2))
+	}
+	var bad string
+	for end := time.Now().Add(200 * time.Millisecond); bad == "" && time.Now().Before(end); {
+		for _, rp := range eng.Evaluate() {
+			if rp.Missed > rp.Total {
+				bad = fmt.Sprintf("%s cumulative: %d missed of %d", rp.Class, rp.Missed, rp.Total)
+			}
+			for _, w := range rp.Windows {
+				if w.Missed > w.Total {
+					bad = fmt.Sprintf("%s %s window: %d missed of %d", rp.Class, w.Name, w.Missed, w.Total)
+				}
+			}
+		}
+	}
+	stop.Store(true)
+	wg.Wait()
+	if bad != "" {
+		t.Fatal(bad)
+	}
+	if rp := eng.Evaluate()[0]; rp.Total == 0 || rp.Missed != rp.Total {
+		t.Fatalf("slow class %d missed of %d, want every completion missed", rp.Missed, rp.Total)
 	}
 }
 

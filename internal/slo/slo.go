@@ -16,16 +16,20 @@
 // # Windowed time series without locks on the record path
 //
 // The write path is the same discipline as the rest of the monitoring
-// substrate (internal/metrics): Observe records into a striped histogram and
-// two striped counters — a handful of atomic RMWs on padded shards, zero
-// allocations, no locks, no time arithmetic. Writers never touch the window
-// structure at all.
+// substrate (internal/metrics): a completion is one record into the class's
+// striped latency histogram, whose merged count is the completion total, and
+// a deadline miss is one increment of a striped miss counter — a handful of
+// atomic RMWs on padded shards, zero allocations, no locks, no time
+// arithmetic. Writers never touch the window structure at all. The live
+// runtime binds each class to its own latency histogram (Bind), records
+// there once per completion, and asks the engine only to judge (Missed);
+// Observe is record-then-judge on one call, for a standalone engine.
 //
 // Windowing happens entirely on the cold read path. Time is divided into
 // fixed epochs; every evaluation first calls advance, which closes any
 // epochs that ended before now by snapshotting the *cumulative* merged state
-// (bucket array, count, sum, miss and total counters) into a fixed ring of
-// cells, one snapshot per closed epoch. A windowed view over the last W
+// (miss counter, bucket array and count) into a fixed ring of cells, one
+// snapshot per closed epoch. A windowed view over the last W
 // nanoseconds is then a subtraction: current cumulative state minus the
 // snapshot at the newest epoch that closed before now-W. Because cumulative
 // state is monotone, the diff is exact over the covered span — no
@@ -147,9 +151,6 @@ type Options struct {
 	// Epoch overrides the derived epoch duration (the window-quantization
 	// grain). 0 derives min(fast windows)/4, clamped to >= 1ms.
 	Epoch time.Duration
-	// HistShards overrides the striped shard count per class (0 =
-	// GOMAXPROCS-derived). Golden tests pin 1 for byte-stable merges.
-	HistShards int
 }
 
 // cell is one epoch's cumulative snapshot: everything ever recorded to the
@@ -157,9 +158,7 @@ type Options struct {
 type cell struct {
 	epoch   int64
 	count   int64
-	sum     float64
 	missed  int64
-	total   int64
 	buckets [metrics.StripedBuckets]int64
 }
 
@@ -179,9 +178,10 @@ type track struct {
 	fastNS int64
 	slowNS int64
 
+	// hist is the class's completion record (its merged count is the
+	// completion total); Bind swaps in a caller's histogram.
 	hist   *metrics.StripedHistogram
 	missed *metrics.StripedCounter
-	total  *metrics.StripedCounter
 	ring   []cell
 }
 
@@ -236,9 +236,8 @@ func New(specs []Spec, opts Options) (*Engine, error) {
 		t.burnThresh = s.BurnThreshold
 		t.fastNS = s.FastWindow.Nanoseconds()
 		t.slowNS = s.SlowWindow.Nanoseconds()
-		t.hist = metrics.NewStripedHistogram(opts.HistShards)
-		t.missed = metrics.NewStripedCounter(opts.HistShards)
-		t.total = metrics.NewStripedCounter(opts.HistShards)
+		t.hist = metrics.NewStripedHistogram(0)
+		t.missed = metrics.NewStripedCounter(0)
 		if minFast == 0 || s.FastWindow < minFast {
 			minFast = s.FastWindow
 		}
@@ -296,22 +295,45 @@ func (e *Engine) EpochNS() int64 {
 	return e.epochNS
 }
 
-// Observe records one completed request: seconds of service time for class.
-// Reports whether the request missed its class deadline. Safe on a nil
-// receiver and for out-of-range classes (records nothing, reports false).
-// Lock-free and allocation-free: one histogram record, one or two counter
-// increments, one atomic gauge load.
+// Bind makes h the record of class's completions in place of the track's
+// own histogram: the caller records each completion into h and judges it
+// with Missed. Call before the class records anything, as the runtime does
+// when the engine is attached.
+func (e *Engine) Bind(class int, h *metrics.StripedHistogram) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	e.tracks[class].hist = h
+}
+
+// Observe records one completed request — seconds of service time for
+// class — and judges it (Missed). Reports whether the request missed its
+// class deadline. Safe on a nil receiver and for out-of-range classes
+// (records nothing, reports false). Lock-free and allocation-free: one
+// histogram record, one atomic gauge load, one counter increment on a miss.
 //
 //dbwlm:hotpath
 func (e *Engine) Observe(class int32, seconds float64) bool {
 	if e == nil || class < 0 || int(class) >= len(e.tracks) {
 		return false
 	}
+	e.tracks[class].hist.Record(seconds)
+	return e.Missed(class, seconds)
+}
+
+// Missed judges one completion the caller has already recorded into the
+// class's histogram: it reports whether seconds exceeded the class deadline
+// and, if so, counts the miss. The record must come first — evaluations load
+// the miss counter before merging the histogram, which keeps Missed <= Total
+// in every cumulative report. Safe on a nil receiver and for out-of-range
+// classes (reports false). Lock-free and allocation-free.
+//
+//dbwlm:hotpath
+func (e *Engine) Missed(class int32, seconds float64) bool {
+	if e == nil || class < 0 || int(class) >= len(e.tracks) {
+		return false
+	}
 	t := &e.tracks[class]
-	t.hist.Record(seconds)
-	t.total.Inc()
-	target := t.target.Value()
-	if target > 0 && seconds > target {
+	if target := t.target.Value(); target > 0 && seconds > target {
 		t.missed.Inc()
 		return true
 	}
@@ -430,10 +452,7 @@ func (e *Engine) advance(now int64) {
 	}
 	for i := range e.tracks {
 		t := &e.tracks[i]
-		var c cell
-		c.count, c.sum = t.hist.MergeBuckets(&c.buckets)
-		c.missed = t.missed.Value()
-		c.total = t.total.Value()
+		c := snapshot(t)
 		for ep := first; ep < cur; ep++ {
 			cc := &t.ring[ep%e.ringN]
 			*cc = c
@@ -470,46 +489,50 @@ func (e *Engine) baseline(t *track, cutoff int64) *cell {
 	return c
 }
 
+// snapshot reads t's cumulative state. The miss counter is loaded before
+// the histogram merge: a completion's bucket is published before its miss is
+// counted (Missed), so every miss loaded here has its record in the merge and
+// Missed <= Total holds however writers race the read.
+func snapshot(t *track) cell {
+	c := cell{missed: t.missed.Value()}
+	c.count, _ = t.hist.MergeBuckets(&c.buckets)
+	return c
+}
+
 // evalTrack fills rp with t's evaluation at now. Caller holds e.mu and has
 // already advanced to now.
 //
 //dbwlm:locked mu
 func (e *Engine) evalTrack(t *track, now int64, rp *Report) {
-	var cur cell
-	cur.count, cur.sum = t.hist.MergeBuckets(&cur.buckets)
-	cur.missed = t.missed.Value()
-	cur.total = t.total.Value()
+	cur := snapshot(t)
 	*rp = Report{
 		Class:         t.class,
 		TargetSeconds: t.target.Value(),
 		MissBudget:    t.missBudget,
 		Percentile:    t.percentile,
 		BurnThreshold: t.burnThresh,
-		Total:         cur.total,
+		Total:         cur.count,
 		Missed:        cur.missed,
 	}
 	names := [2]string{"fast", "slow"}
 	spans := [2]int64{t.fastNS, t.slowNS}
 	for wi := 0; wi < 2; wi++ {
-		base := e.baseline(t, now-spans[wi])
 		w := &rp.Windows[wi]
 		w.Name = names[wi]
 		w.Seconds = float64(spans[wi]) / 1e9
-		var bcount int64
-		if base != nil {
-			w.Total = cur.total - base.total
-			w.Missed = cur.missed - base.missed
-			bcount = cur.count - base.count
+		w.Total, w.Missed = cur.count, cur.missed
+		e.diff = cur.buckets
+		if base := e.baseline(t, now-spans[wi]); base != nil {
+			w.Total -= base.count
+			// A completion recorded before the baseline's merge but judged
+			// after its miss load carries its miss into the window without
+			// its record; the clamp keeps windowed Missed <= Total too.
+			w.Missed = min(w.Missed-base.missed, w.Total)
 			for i := range e.diff {
-				e.diff[i] = cur.buckets[i] - base.buckets[i]
+				e.diff[i] -= base.buckets[i]
 			}
-		} else {
-			w.Total = cur.total
-			w.Missed = cur.missed
-			bcount = cur.count
-			e.diff = cur.buckets
 		}
-		w.Latency = metrics.BucketPercentile(&e.diff, bcount, t.percentile)
+		w.Latency = metrics.BucketPercentile(&e.diff, w.Total, t.percentile)
 		if w.Total > 0 {
 			w.MissRate = float64(w.Missed) / float64(w.Total)
 		}
@@ -518,8 +541,8 @@ func (e *Engine) evalTrack(t *track, now int64, rp *Report) {
 		}
 	}
 	rp.BudgetRemaining = 1
-	if rp.TargetSeconds > 0 && t.missBudget > 0 && cur.total > 0 {
-		rp.BudgetRemaining = 1 - float64(cur.missed)/float64(cur.total)/t.missBudget
+	if rp.TargetSeconds > 0 && t.missBudget > 0 && cur.count > 0 {
+		rp.BudgetRemaining = 1 - float64(cur.missed)/float64(cur.count)/t.missBudget
 		if rp.BudgetRemaining < 0 {
 			rp.BudgetRemaining = 0
 		}

@@ -185,7 +185,7 @@ func TestRingVsReference(t *testing.T) {
 			var now int64
 			eng, err := New(cfg.specs, Options{
 				Now:   func() int64 { return now },
-				Epoch: cfg.epoch, HistShards: 1,
+				Epoch: cfg.epoch,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -274,7 +274,7 @@ func TestBurnRateAndBudget(t *testing.T) {
 	e, err := New([]Spec{{
 		Class: "oltp", Target: 0.1, MissBudget: 0.01, BurnThreshold: 4,
 		FastWindow: time.Second, SlowWindow: 4 * time.Second,
-	}}, Options{Now: func() int64 { return now }, Epoch: 250 * time.Millisecond, HistShards: 1})
+	}}, Options{Now: func() int64 { return now }, Epoch: 250 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,7 +330,7 @@ func TestBurnRateAndBudget(t *testing.T) {
 
 func TestBestEffortNeverMisses(t *testing.T) {
 	var now int64
-	e, err := New([]Spec{{Class: "adhoc"}}, Options{Now: func() int64 { return now }, HistShards: 1})
+	e, err := New([]Spec{{Class: "adhoc"}}, Options{Now: func() int64 { return now }})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -348,7 +348,7 @@ func TestBestEffortNeverMisses(t *testing.T) {
 
 func TestSetObjectiveReload(t *testing.T) {
 	var now int64
-	e, err := New([]Spec{{Class: "oltp", Target: 1}}, Options{Now: func() int64 { return now }, HistShards: 1})
+	e, err := New([]Spec{{Class: "oltp", Target: 1}}, Options{Now: func() int64 { return now }})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -462,7 +462,7 @@ func TestBurningWithBudgetLeft(t *testing.T) {
 	e, err := New([]Spec{{
 		Class: "oltp", Target: 0.1, MissBudget: 0.01, BurnThreshold: 4,
 		FastWindow: time.Second, SlowWindow: 4 * time.Second,
-	}}, Options{Now: func() int64 { return now }, Epoch: 250 * time.Millisecond, HistShards: 1})
+	}}, Options{Now: func() int64 { return now }, Epoch: 250 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}

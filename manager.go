@@ -134,10 +134,6 @@ func (m *Manager) admit(req *workload.Request, class *characterize.ServiceClass)
 	case admission.Reject:
 		m.stats.Workload(req.Workload).Rejected.Inc()
 		m.stats.System.Rejected.Inc()
-		m.stats.Events.Record(metrics.Event{
-			Kind: metrics.EventControlAction, At: m.sim.Now(), Query: req.ID,
-			Workload: req.Workload, What: "reject", Value: req.Est.Timerons,
-		})
 	case admission.Queue:
 		m.admissionQueue.Push(req)
 		m.armRetry()
@@ -169,11 +165,6 @@ func (m *Manager) armRetry() {
 			if m.MaxQueueDelay > 0 && m.sim.Now().Sub(req.Arrive) > m.MaxQueueDelay {
 				m.stats.Workload(req.Workload).Rejected.Inc()
 				m.stats.System.Rejected.Inc()
-				m.stats.Events.Record(metrics.Event{
-					Kind: metrics.EventControlAction, At: m.sim.Now(), Query: req.ID,
-					Workload: req.Workload, What: "queue-timeout",
-					Value: m.sim.Now().Sub(req.Arrive).Seconds(),
-				})
 				continue
 			}
 			class := m.classFor(req)
