@@ -39,7 +39,8 @@ bench:
 	$(GO) run ./cmd/wlmbench
 
 # fuzz-short smoke-fuzzes the SQL pipeline (lexer/parser/planner/fingerprint),
-# the lexer against its reference implementation, the wire-frame decoder,
+# the lexer and the fingerprint against their reference implementations, the
+# wire-frame decoder,
 # both trace encodings, the bounded k-means kernel against its brute-force
 # reference, the selection-built k-d tree against the sort-built one, and
 # table-backed k-NN prediction against the linear scan — enough to shake out
@@ -48,6 +49,7 @@ bench:
 fuzz-short:
 	$(GO) test -fuzz FuzzParse -fuzztime 10s -run '^$$' ./internal/sqlmini/
 	$(GO) test -fuzz FuzzLexMatchesReference -fuzztime 10s -run '^$$' ./internal/sqlmini/
+	$(GO) test -fuzz FuzzFingerprintMatchesReference -fuzztime 10s -run '^$$' ./internal/sqlmini/
 	$(GO) test -fuzz FuzzDecode -fuzztime 10s -run '^$$' ./internal/wire/
 	$(GO) test -fuzz '^FuzzTraceDecode$$' -fuzztime 10s -run '^$$' ./internal/trace/
 	$(GO) test -fuzz '^FuzzTraceJSONL$$' -fuzztime 10s -run '^$$' ./internal/trace/

@@ -1,7 +1,5 @@
 package sqlmini
 
-import "unicode"
-
 // This file computes query fingerprints: a 128-bit hash of a statement's
 // normalized token stream with literals stripped, so every instance of a
 // repeated query shape ("SELECT ... WHERE id = ?") maps to one fingerprint
@@ -13,10 +11,9 @@ import "unicode"
 // — are hashed verbatim, and VALUES row counts are captured structurally by
 // their parenthesis/comma symbols.
 //
-// The scanner mirrors Lex byte for byte (same whitespace, comment, identifier,
-// number, string, and symbol rules) but never materializes tokens: it streams
-// normalized bytes into two independent FNV-1a accumulators. No allocation,
-// no branches on input length — wire-speed for the admit path.
+// It hashes the tokens of scan, the tokenizer the parser reads too, without
+// materializing them: normalized bytes stream into two independent FNV-1a
+// accumulators. No allocation — wire-speed for the admit path.
 
 // Fingerprint identifies a normalized statement shape. Two lanes of
 // independent 64-bit FNV-1a make accidental collision probability ~2^-128;
@@ -62,7 +59,7 @@ const (
 )
 
 // upperByte uppercases ASCII letters (keywords hash case-insensitively, as
-// Lex uppercases them).
+// the parser reads them).
 //
 //dbwlm:hotpath
 func upperByte(b byte) byte {
@@ -72,108 +69,84 @@ func upperByte(b byte) byte {
 	return b
 }
 
+// isWord reports whether word is the upper-case keyword kw in any letter
+// case.
+func isWord(word, kw string) bool {
+	if len(word) != len(kw) {
+		return false
+	}
+	for j := 0; j < len(kw); j++ {
+		if upperByte(word[j]) != kw[j] {
+			return false
+		}
+	}
+	return true
+}
+
 // FingerprintSQL hashes the normalized token stream of one statement. It
-// performs no allocation and never fails: input the lexer would reject
-// (unterminated strings, alien bytes) hashes the raw remainder instead, which
-// keeps the function total — such statements will miss the plan cache and
-// surface their lex error from the parser on the miss path.
+// performs no allocation and never fails: input the parser would reject
+// hashes raw instead — an unterminated string the whole input, an alien byte
+// the input from that byte on — which keeps the function total. Such
+// statements miss the plan cache and surface their lex error from the parser
+// on the miss path.
 //
 // Normalization rules (see DESIGN.md, "Prediction at wire speed"):
-//   - whitespace and -- comments are insignificant
-//   - identifiers hash lowercased, keywords uppercased (matching Lex)
+//   - whitespace and -- comments are insignificant; a separator byte
+//     follows each token
+//   - words hash upper-cased, keyword or not
 //   - number and string literals hash as one placeholder byte each, except a
-//     number immediately following LIMIT or inside a LOAD statement (those
-//     change the plan's cost, not just its bindings)
-//   - symbols hash verbatim
+//     number after LIMIT or inside a LOAD statement (those change the plan's
+//     cost, not just its bindings), which hashes verbatim
+//   - symbols hash verbatim, a separator after each byte (so <= hashes as the
+//     symbols < and =)
 //
 //dbwlm:hotpath
 func FingerprintSQL(input string) Fingerprint {
 	s := fpState{h1: fnvOffset64, h2: fnvOffsetAlt}
-	i, n := 0, len(input)
-	// literalNumbers: hash the next number verbatim. Set after the LIMIT
-	// keyword; latched on for LOAD statements.
-	nextNumberVerbatim := false
-	loadStmt := false
-	firstToken := true
-	for i < n {
-		c := rune(input[i])
-		switch {
-		case unicode.IsSpace(c):
-			i++
-			continue
-		case c == '-' && i+1 < n && input[i+1] == '-':
-			for i < n && input[i] != '\n' {
-				i++
+	// nextNumberVerbatim: hash the next number verbatim. Set by the LIMIT
+	// keyword; loadStmt latches it on for LOAD statements.
+	nextNumberVerbatim, loadStmt := false, false
+	i := 0
+	for first := true; ; first = false {
+		kind, start, end := scan(input, i)
+		tok := input[start:end]
+		i = end
+		switch kind {
+		case TokEOF:
+			return Fingerprint{Hi: s.h1, Lo: s.h2}
+		case TokIdent:
+			for j := 0; j < len(tok); j++ {
+				s.writeByte(upperByte(tok[j]))
 			}
-			continue
-		case isIdentStart(input[i]):
-			start := i
-			for i < n && isIdentByte(input[i]) {
-				i++
-			}
-			word := input[start:i]
-			// Uppercase while hashing; keyword-ness only matters for the two
-			// verbatim-number triggers. Identifiers hash lowercased by Lex's
-			// rules, but hashing both cases through upperByte keeps the scan
-			// allocation-free and stays consistent: a case-folded word maps to
-			// the same bytes whether Lex would call it keyword or identifier.
-			for j := 0; j < len(word); j++ {
-				s.writeByte(upperByte(word[j]))
-			}
-			upperIs := func(kw string) bool {
-				if len(word) != len(kw) {
-					return false
-				}
-				for j := 0; j < len(kw); j++ {
-					if upperByte(word[j]) != kw[j] {
-						return false
-					}
-				}
-				return true
-			}
-			if upperIs("LIMIT") {
+			if isWord(tok, "LIMIT") {
 				nextNumberVerbatim = true
 			}
-			if firstToken && upperIs("LOAD") {
+			if first && isWord(tok, "LOAD") {
 				loadStmt = true
 			}
-		case unicode.IsDigit(c):
-			start := i
-			for i < n && (unicode.IsDigit(rune(input[i])) || input[i] == '.') {
-				i++
-			}
+		case TokNumber:
 			if nextNumberVerbatim || loadStmt {
-				s.writeString(input[start:i])
+				s.writeString(tok)
 				nextNumberVerbatim = false
 			} else {
 				s.writeByte(fpNumber)
 			}
-		case c == '\'':
-			i++
-			for i < n && input[i] != '\'' {
-				i++
-			}
-			if i >= n {
-				// Unterminated string: hash the tail raw and finish.
-				s.writeString(input)
-				return Fingerprint{Hi: s.h1, Lo: s.h2}
-			}
-			i++
+		case TokString:
 			s.writeByte(fpStringLit)
-		case c == '(' || c == ')' || c == ',' || c == '*' || c == '=' || c == '<' ||
-			c == '>' || c == '.' || c == ';' || c == '+' || c == '-' || c == '/' ||
-			c == '%' || c == '!':
-			// Two-character operators hash as their two bytes anyway.
-			s.writeByte(input[i])
-			i++
-		default:
-			// Byte outside the dialect: hash the raw input so the result is
-			// still deterministic (the parser will reject it on the miss path).
-			s.writeString(input[i:])
+		case TokSymbol:
+			// Byte by byte: <= hashes as the symbols < and =.
+			for j := 0; j < len(tok); j++ {
+				s.writeByte(tok[j])
+				s.writeByte(fpSep)
+			}
+			continue
+		case tokUnterminated:
+			s.writeString(input)
+			return Fingerprint{Hi: s.h1, Lo: s.h2}
+		default: // tokAlien
+			s.writeString(tok)
 			return Fingerprint{Hi: s.h1, Lo: s.h2}
 		}
 		s.writeByte(fpSep)
-		firstToken = false
 	}
-	return Fingerprint{Hi: s.h1, Lo: s.h2}
 }

@@ -68,7 +68,7 @@ func FuzzParse(f *testing.F) {
 			t.Fatalf("negative plan cost %+v for %q", cost, sql)
 		}
 		// A statement that parses must fingerprint identically to itself with
-		// normalized whitespace (the lexer and the fingerprint scanner agree).
+		// surrounding whitespace (white space between tokens is insignificant).
 		if fp2 := FingerprintSQL(" " + sql + " "); fp2 != fp {
 			t.Fatalf("whitespace changed fingerprint of %q", sql)
 		}

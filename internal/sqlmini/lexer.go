@@ -24,6 +24,10 @@ const (
 	TokNumber
 	TokString
 	TokSymbol
+	// scan's kinds for input the dialect rejects, spanning the offending
+	// byte (the alien byte, or an unterminated string's quote) to the end.
+	tokUnterminated
+	tokAlien
 )
 
 // Token is one lexical token with its position for error reporting.
@@ -52,10 +56,6 @@ var keywords = func() map[string]string {
 // maxKeyword is the length of the longest keyword (DISTINCT).
 const maxKeyword = 8
 
-// maxPresize is the most tokens Lex sizes its result for before it has seen
-// them: more than a live statement holds.
-const maxPresize = 256
-
 // keyword returns the canonical upper-case text of word if it is a keyword
 // in any letter case. The case fold goes through a stack buffer and the map
 // lookup on its bytes does not copy them, so it allocates nothing.
@@ -71,86 +71,91 @@ func keyword(word string) (string, bool) {
 	return kw, ok
 }
 
-// Lex splits input into tokens. It returns an error for unterminated strings
-// or bytes outside the dialect.
-func Lex(input string) ([]Token, error) {
+// scan is the dialect's one tokenizer: it skips white space and -- comments
+// from input[i] on and returns the kind and byte span of the next token — a
+// word (TokIdent, keyword or not), a number, a string (the span includes its
+// quotes), a symbol (<= >= <> != are one), TokEOF at the end of the input, or
+// one of the two error kinds. The fingerprint hashes these tokens and the
+// parser reads them through nextToken, so the two cannot disagree on a
+// token boundary.
+//
+//dbwlm:hotpath
+func scan(input string, i int) (kind TokenKind, start, end int) {
 	n := len(input)
-	// A token is at least one byte and usually two or more with its
-	// separator: sizing for one per two bytes makes growth rare. The cap
-	// bounds the guess, so a long literal or comment (a few tokens in many
-	// bytes) costs no more than a statement of maxPresize tokens; beyond it
-	// the slice grows with the tokens actually found.
-	toks := make([]Token, 0, min(n/2+2, maxPresize))
-	i := 0
 	for i < n {
-		c := rune(input[i])
+		c := input[i]
 		switch {
-		case unicode.IsSpace(c):
-			i++
-		case c == '-' && i+1 < n && input[i+1] == '-':
-			// Line comment.
-			for i < n && input[i] != '\n' {
-				i++
-			}
-		case isIdentStart(input[i]):
-			start := i
+		case isIdentStart(c):
+			start = i
 			for i < n && isIdentByte(input[i]) {
 				i++
 			}
-			word := input[start:i]
-			if kw, ok := keyword(word); ok {
-				toks = append(toks, Token{TokKeyword, kw, start})
-			} else {
-				toks = append(toks, Token{TokIdent, strings.ToLower(word), start})
-			}
-		case unicode.IsDigit(c):
-			start := i
-			for i < n && (unicode.IsDigit(rune(input[i])) || input[i] == '.') {
+			return TokIdent, start, i
+		case unicode.IsSpace(rune(c)):
+			i++
+		case c == '-' && i+1 < n && input[i+1] == '-':
+			for i < n && input[i] != '\n' {
 				i++
 			}
-			toks = append(toks, Token{TokNumber, input[start:i], start})
+		case c >= '0' && c <= '9':
+			start = i
+			for i < n && (input[i] >= '0' && input[i] <= '9' || input[i] == '.') {
+				i++
+			}
+			return TokNumber, start, i
 		case c == '\'':
-			start := i
-			i++
-			for i < n && input[i] != '\'' {
-				i++
+			start = i
+			for i++; i < n && input[i] != '\''; i++ {
 			}
-			if i >= n {
-				return nil, fmt.Errorf("sqlmini: unterminated string at offset %d", start)
+			if i == n {
+				return tokUnterminated, start, n
 			}
-			i++
-			toks = append(toks, Token{TokString, input[start+1 : i-1], start})
-		case strings.ContainsRune("(),*=<>.;+-/%!", c):
-			// Two-character operators.
-			if i+1 < n {
-				two := input[i : i+2]
-				if two == "<=" || two == ">=" || two == "<>" || two == "!=" {
-					toks = append(toks, Token{TokSymbol, two, i})
-					i += 2
-					continue
-				}
+			return TokString, start, i + 1
+		case c == '(' || c == ')' || c == ',' || c == '*' || c == '=' || c == '<' ||
+			c == '>' || c == '.' || c == ';' || c == '+' || c == '-' || c == '/' ||
+			c == '%' || c == '!':
+			if i+1 < n && (input[i+1] == '=' && (c == '<' || c == '>' || c == '!') || c == '<' && input[i+1] == '>') {
+				return TokSymbol, i, i + 2
 			}
-			toks = append(toks, Token{TokSymbol, input[i : i+1], i})
-			i++
+			return TokSymbol, i, i + 1
 		default:
-			return nil, fmt.Errorf("sqlmini: unexpected byte %q at offset %d", c, i)
+			return tokAlien, i, n
 		}
 	}
-	toks = append(toks, Token{TokEOF, "", n})
-	return toks, nil
+	return TokEOF, n, n
+}
+
+// nextToken returns the token at or after input[i] as the parser reads it,
+// and the offset just past it. A word is a keyword, with the keyword table's
+// upper-case text, or an identifier, lower-cased; a string's text drops its
+// quotes. Input the dialect rejects comes back as an EOF token and the error.
+func nextToken(input string, i int) (Token, int, error) {
+	kind, start, end := scan(input, i)
+	text := input[start:end]
+	switch kind {
+	case TokIdent:
+		if kw, ok := keyword(text); ok {
+			return Token{TokKeyword, kw, start}, end, nil
+		}
+		text = strings.ToLower(text)
+	case TokString:
+		text = text[1 : len(text)-1]
+	case tokUnterminated:
+		return Token{Pos: start}, end, fmt.Errorf("sqlmini: unterminated string at offset %d", start)
+	case tokAlien:
+		return Token{Pos: start}, end, fmt.Errorf("sqlmini: unexpected byte %q at offset %d", rune(input[start]), start)
+	}
+	return Token{kind, text, start}, end, nil
 }
 
 // isIdentStart reports whether b starts an identifier or keyword: an ASCII
 // letter or an underscore. It must not accept a byte isIdentByte rejects, or
 // a scan starting there would never advance. Latin-1 letter bytes (0xAA,
 // 0xB5, 0xC0–0xFF, which unicode.IsLetter accepts as runes) are alien bytes.
-//
-//dbwlm:hotpath
 func isIdentStart(b byte) bool {
 	return b == '_' || b >= 'a' && b <= 'z' || b >= 'A' && b <= 'Z'
 }
 
-//dbwlm:hotpath
 func isIdentByte(b byte) bool {
 	return isIdentStart(b) || b >= '0' && b <= '9'
 }

@@ -6,37 +6,46 @@ import (
 	"strings"
 )
 
-// Parse parses one SQL statement in the mini dialect.
+// Parse parses one SQL statement in the mini dialect. A lex error anywhere in
+// the input outranks a syntax error: Parse reports the first one.
 func Parse(input string) (*Statement, error) {
-	toks, err := Lex(input)
-	if err != nil {
-		return nil, err
-	}
-	p := &parser{toks: toks, raw: input}
+	p := &parser{raw: input}
+	p.tok, p.end, p.err = nextToken(input, 0)
 	stmt, err := p.parseStatement()
+	if err == nil {
+		// Allow one trailing semicolon.
+		p.accept(TokSymbol, ";")
+		if !p.at(TokEOF, "") {
+			err = fmt.Errorf("sqlmini: trailing input at %q", p.peek().Text)
+		}
+	}
+	// Scan what the parser left unread for a lex error.
+	for p.next().Kind != TokEOF {
+	}
+	if p.err != nil {
+		err = p.err
+	}
 	if err != nil {
 		return nil, err
-	}
-	// Allow one trailing semicolon.
-	p.accept(TokSymbol, ";")
-	if !p.at(TokEOF, "") {
-		return nil, fmt.Errorf("sqlmini: trailing input at %q", p.peek().Text)
 	}
 	return stmt, nil
 }
 
+// parser reads the input one token at a time: tok is the only token it
+// holds, and next scans the one after it.
 type parser struct {
-	toks []Token
-	pos  int
-	raw  string
+	raw string
+	tok Token
+	end int   // the offset just past tok
+	err error // the lex error that ended the tokens early, if any
 }
 
-func (p *parser) peek() Token { return p.toks[p.pos] }
+func (p *parser) peek() Token { return p.tok }
 
 func (p *parser) next() Token {
-	t := p.toks[p.pos]
+	t := p.tok
 	if t.Kind != TokEOF {
-		p.pos++
+		p.tok, p.end, p.err = nextToken(p.raw, p.end)
 	}
 	return t
 }

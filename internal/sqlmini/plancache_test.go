@@ -2,6 +2,7 @@ package sqlmini
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 )
@@ -245,9 +246,10 @@ func BenchmarkPlanUncached(b *testing.B) {
 }
 
 // TestPlanMissAllocBudget caps what a miss allocates on the live path: a
-// full cache, so the insert evicts. Lexing without a token-slice regrowth or
-// an upper-cased copy per word, and costing without four operator lists, keep
-// it at half the 36 allocations the plan-keeping miss made.
+// full cache, so the insert evicts. Parsing from the scanner without a token
+// list or an upper-cased copy per word, and costing without four operator
+// lists, keep it under half the 36 allocations the plan-keeping miss made and
+// under 2 KiB.
 func TestPlanMissAllocBudget(t *testing.T) {
 	cache := NewPlanCache(NewCostModel(DefaultCatalog()), 256, 1)
 	stmts := genStatements(t, 2048, 9)
@@ -260,15 +262,32 @@ func TestPlanMissAllocBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	i := 256
-	avg := testing.AllocsPerRun(1000, func() {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const runs = 1000
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for i := 256; i < 256+runs; i++ {
 		_, hit, err := cache.PlanInfoBytes(texts[i%len(texts)])
 		if err != nil || hit {
 			t.Fatalf("statement %d: hit %v, err %v", i, hit, err)
 		}
-		i++
-	})
-	if avg > 18 {
-		t.Fatalf("a plan-cache miss allocates %v times, budget 18", avg)
+	}
+	runtime.ReadMemStats(&m1)
+	allocs := float64(m1.Mallocs-m0.Mallocs) / runs
+	bytes := float64(m1.TotalAlloc-m0.TotalAlloc) / runs
+	t.Logf("a miss allocates %.1f times, %.0f bytes", allocs, bytes)
+	if allocs > 18 {
+		t.Fatalf("a plan-cache miss allocates %v times, budget 18", allocs)
+	}
+	if bytes > 2<<10 {
+		t.Fatalf("a plan-cache miss allocates %.0f bytes, budget 2 KiB", bytes)
+	}
+}
+
+// BenchmarkFingerprintSQL prices the fingerprint alone, over the corpus.
+func BenchmarkFingerprintSQL(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		_ = FingerprintSQL(cacheCorpus[i%len(cacheCorpus)])
 	}
 }

@@ -11,8 +11,9 @@ import (
 )
 
 // The reference implementations the production code replaced: one walk per
-// cost figure over Operators, and the lexer that upper-cased every word to
-// look it up. Tests pin the replacements against them bit for bit.
+// cost figure over Operators, the lexer that upper-cased every word to look
+// it up, and the fingerprint's own byte scanner. Tests pin the replacements
+// against them bit for bit.
 
 // TotalCPU sums the estimated CPU seconds over all operators.
 func (p *Plan) TotalCPU() float64 {
@@ -155,8 +156,26 @@ func lexReference(input string) ([]Token, error) {
 	return toks, nil
 }
 
-// sameLex fails unless Lex and the reference agree on sql: identical tokens,
-// or identical error text.
+// Lex collects nextToken's tokens up to EOF: the token list the parser reads
+// one at a time.
+func Lex(input string) ([]Token, error) {
+	var toks []Token
+	for i := 0; ; {
+		t, end, err := nextToken(input, i)
+		if err != nil {
+			return nil, err
+		}
+		toks = append(toks, t)
+		if t.Kind == TokEOF {
+			return toks, nil
+		}
+		i = end
+	}
+}
+
+// sameLex fails unless Lex and the reference agree on sql — identical
+// tokens, or identical error text — and, where the reference rejects sql,
+// Parse reports the reference's error.
 func sameLex(t *testing.T, sql string) {
 	t.Helper()
 	got, gotErr := Lex(sql)
@@ -167,10 +186,15 @@ func sameLex(t *testing.T, sql string) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("Lex(%q) =\n%v\nreference\n%v", sql, got, want)
 	}
+	if wantErr != nil {
+		if _, err := Parse(sql); fmt.Sprint(err) != wantErr.Error() {
+			t.Fatalf("Parse(%q) error %v, reference lex error %v", sql, err, wantErr)
+		}
+	}
 }
 
 // FuzzLexMatchesReference: on any input, Lex returns the reference lexer's
-// tokens (kind, text, position) and errors.
+// tokens (kind, text, position) and errors, and Parse its errors.
 //
 //	make fuzz-short
 //	go test -fuzz FuzzLexMatchesReference ./internal/sqlmini/
@@ -183,7 +207,131 @@ func FuzzLexMatchesReference(f *testing.F) {
 	}
 	f.Add("sElEcT DiStInCt x FrOm t wHeRe y bEtWeEn 1 AnD 2")
 	f.Add("distinctly selected betweenness _x __ a_b_c9 DISTINCT9")
+	// A complete statement, then a lex error the parser never reaches.
+	f.Add(`SELECT a FROM t"`)
+	f.Add("SELECT FROM 'x")
 	f.Fuzz(func(t *testing.T, sql string) { sameLex(t, sql) })
+}
+
+// fingerprintReference is FingerprintSQL as it scanned the input itself,
+// mirroring the lexer's byte classes.
+func fingerprintReference(input string) Fingerprint {
+	s := fpState{h1: fnvOffset64, h2: fnvOffsetAlt}
+	i, n := 0, len(input)
+	// literalNumbers: hash the next number verbatim. Set after the LIMIT
+	// keyword; latched on for LOAD statements.
+	nextNumberVerbatim := false
+	loadStmt := false
+	firstToken := true
+	for i < n {
+		c := rune(input[i])
+		switch {
+		case unicode.IsSpace(c):
+			i++
+			continue
+		case c == '-' && i+1 < n && input[i+1] == '-':
+			for i < n && input[i] != '\n' {
+				i++
+			}
+			continue
+		case isIdentStart(input[i]):
+			start := i
+			for i < n && isIdentByte(input[i]) {
+				i++
+			}
+			word := input[start:i]
+			// Uppercase while hashing; keyword-ness only matters for the two
+			// verbatim-number triggers. Identifiers hash lowercased by Lex's
+			// rules, but hashing both cases through upperByte keeps the scan
+			// allocation-free and stays consistent: a case-folded word maps to
+			// the same bytes whether Lex would call it keyword or identifier.
+			for j := 0; j < len(word); j++ {
+				s.writeByte(upperByte(word[j]))
+			}
+			upperIs := func(kw string) bool {
+				if len(word) != len(kw) {
+					return false
+				}
+				for j := 0; j < len(kw); j++ {
+					if upperByte(word[j]) != kw[j] {
+						return false
+					}
+				}
+				return true
+			}
+			if upperIs("LIMIT") {
+				nextNumberVerbatim = true
+			}
+			if firstToken && upperIs("LOAD") {
+				loadStmt = true
+			}
+		case unicode.IsDigit(c):
+			start := i
+			for i < n && (unicode.IsDigit(rune(input[i])) || input[i] == '.') {
+				i++
+			}
+			if nextNumberVerbatim || loadStmt {
+				s.writeString(input[start:i])
+				nextNumberVerbatim = false
+			} else {
+				s.writeByte(fpNumber)
+			}
+		case c == '\'':
+			i++
+			for i < n && input[i] != '\'' {
+				i++
+			}
+			if i >= n {
+				// Unterminated string: hash the whole input raw and finish.
+				s.writeString(input)
+				return Fingerprint{Hi: s.h1, Lo: s.h2}
+			}
+			i++
+			s.writeByte(fpStringLit)
+		case c == '(' || c == ')' || c == ',' || c == '*' || c == '=' || c == '<' ||
+			c == '>' || c == '.' || c == ';' || c == '+' || c == '-' || c == '/' ||
+			c == '%' || c == '!':
+			// Two-character operators hash as their two bytes anyway.
+			s.writeByte(input[i])
+			i++
+		default:
+			// Byte outside the dialect: hash the raw input so the result is
+			// still deterministic (the parser will reject it on the miss path).
+			s.writeString(input[i:])
+			return Fingerprint{Hi: s.h1, Lo: s.h2}
+		}
+		s.writeByte(fpSep)
+		firstToken = false
+	}
+	return Fingerprint{Hi: s.h1, Lo: s.h2}
+}
+
+// FuzzFingerprintMatchesReference: on any input, FingerprintSQL equals the
+// fingerprint of its own byte scanner.
+//
+//	make fuzz-short
+//	go test -fuzz FuzzFingerprintMatchesReference ./internal/sqlmini/
+func FuzzFingerprintMatchesReference(f *testing.F) {
+	for _, s := range parseSeeds() {
+		f.Add(s)
+	}
+	for _, s := range mixedStatements(f, 500, 7) {
+		f.Add(s)
+	}
+	for b := 0; b <= 0xFF; b++ {
+		f.Add("SELECT a FROM t WHERE x " + string([]byte{byte(b)}) + " 1")
+	}
+	f.Add("SELECT a FROM t WHERE a <= 1 AND b >= 2 AND c <> 3 AND d != 4 AND e<=f")
+	f.Add("SELECT a FROM t LIMIT 10 LIMIT 'x' 20.5")
+	f.Add("LOAD INTO t 100 200 'x' 3")
+	f.Add("load into t 7")
+	f.Add("SELECT a FROM t WHERE s = 'open")
+	f.Add(`SELECT a FROM t"`)
+	f.Fuzz(func(t *testing.T, sql string) {
+		if got, want := FingerprintSQL(sql), fingerprintReference(sql); got != want {
+			t.Fatalf("FingerprintSQL(%q) = %x, reference %x", sql, got, want)
+		}
+	})
 }
 
 // mixedStatements returns n statements over the default catalog mixing the

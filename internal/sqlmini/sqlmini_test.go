@@ -44,11 +44,13 @@ func TestLexBasics(t *testing.T) {
 }
 
 func TestLexErrors(t *testing.T) {
-	if _, err := Lex("SELECT 'unterminated"); err == nil {
-		t.Fatal("unterminated string not rejected")
-	}
-	if _, err := Lex("SELECT @"); err == nil {
-		t.Fatal("bad byte not rejected")
+	for _, sql := range []string{"SELECT 'unterminated", "SELECT @"} {
+		if _, err := Lex(sql); err == nil {
+			t.Fatalf("Lex accepted %q", sql)
+		}
+		if _, err := Parse(sql); err == nil {
+			t.Fatalf("Parse accepted %q", sql)
+		}
 	}
 }
 
@@ -74,30 +76,29 @@ func TestLexTwoCharOperators(t *testing.T) {
 	}
 }
 
-// TestLexLongInputAllocatesByTokens: Lex's up-front token slice follows the
-// tokens, not the bytes. A statement carrying a 1 MiB string literal or
-// comment is a handful of tokens and must allocate like one; sizing the slice
-// from the input's length alone would cost about 16 bytes per input byte.
+// TestLexLongInputAllocatesByTokens: parsing allocates by tokens, not by
+// bytes. A statement off the wire carrying a 1 MiB string literal or comment
+// is a handful of tokens and must allocate like one; a token list sized from
+// the input's length alone would cost about 16 bytes per input byte.
 func TestLexLongInputAllocatesByTokens(t *testing.T) {
 	filler := strings.Repeat("a", 1<<20)
 	for _, sql := range []string{
 		"SELECT * FROM orders WHERE note = '" + filler + "'",
 		"SELECT * FROM orders -- " + filler,
 	} {
-		var toks []Token
 		var err error
 		var m0, m1 runtime.MemStats
 		runtime.ReadMemStats(&m0)
 		const calls = 8
 		for i := 0; i < calls; i++ {
-			toks, err = Lex(sql)
+			_, err = Parse(sql)
 		}
 		runtime.ReadMemStats(&m1)
-		if err != nil || len(toks) > 10 {
-			t.Fatalf("%d tokens, err %v", len(toks), err)
+		if err != nil {
+			t.Fatal(err)
 		}
 		if perCall := (m1.TotalAlloc - m0.TotalAlloc) / calls; perCall > 64<<10 {
-			t.Fatalf("lexing %d tokens from %d bytes allocates %d bytes", len(toks), len(sql), perCall)
+			t.Fatalf("parsing %d bytes allocates %d bytes", len(sql), perCall)
 		}
 	}
 }
