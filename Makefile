@@ -40,17 +40,19 @@ bench:
 
 # fuzz-short smoke-fuzzes the SQL pipeline (lexer/parser/planner/fingerprint),
 # the lexer and the fingerprint against their reference implementations, the
-# wire-frame decoder,
+# wire-frame decoder, the buffered frame reader against the two-read reference
+# under random read chunking,
 # both trace encodings, the bounded k-means kernel against its brute-force
 # reference, the selection-built k-d tree against the sort-built one, and
 # table-backed k-NN prediction against the linear scan — enough to shake out
-# panics and bit mismatches without stalling CI. The trace patterns are
-# anchored because the package has two targets.
+# panics and bit mismatches without stalling CI. The wire and trace patterns
+# are anchored because those packages have two targets.
 fuzz-short:
 	$(GO) test -fuzz FuzzParse -fuzztime 10s -run '^$$' ./internal/sqlmini/
 	$(GO) test -fuzz FuzzLexMatchesReference -fuzztime 10s -run '^$$' ./internal/sqlmini/
 	$(GO) test -fuzz FuzzFingerprintMatchesReference -fuzztime 10s -run '^$$' ./internal/sqlmini/
-	$(GO) test -fuzz FuzzDecode -fuzztime 10s -run '^$$' ./internal/wire/
+	$(GO) test -fuzz '^FuzzDecode$$' -fuzztime 10s -run '^$$' ./internal/wire/
+	$(GO) test -fuzz '^FuzzFrameConnChunking$$' -fuzztime 10s -run '^$$' ./internal/wire/
 	$(GO) test -fuzz '^FuzzTraceDecode$$' -fuzztime 10s -run '^$$' ./internal/trace/
 	$(GO) test -fuzz '^FuzzTraceJSONL$$' -fuzztime 10s -run '^$$' ./internal/trace/
 	$(GO) test -fuzz FuzzKMeansFlatMatchesReference -fuzztime 10s -run '^$$' ./internal/learn/

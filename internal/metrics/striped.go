@@ -30,15 +30,18 @@ func StripeShards(n int) int {
 	return 1 << bits.Len(uint(n-1))
 }
 
-// StripeIdx selects a shard for one write, for this package's striped
-// recorders and for internal/rt's striped gates and qid allocator. Go does
-// not expose the current P, so the next-best allocation-free selector is the
-// runtime's per-thread fast random state (math/rand/v2's global functions):
-// writers spread uniformly across shards, which bounds the expected collision
-// rate at writers/shards per instant.
+// StripeIdx draws a stripe: the shard selector for one decision's writes,
+// for this package's striped recorders and for internal/rt's striped gates
+// and qid allocator. Go does not expose the current P, so the next-best
+// allocation-free selector is the runtime's per-thread fast random state
+// (math/rand/v2's global functions): writers spread uniformly across shards,
+// which bounds the expected collision rate at writers/shards per instant. A
+// caller that writes several striped structures for one decision draws once
+// and hands the stripe to their At forms (IncAt, RecordAt), which mask it by
+// their own shard counts.
 //
 //dbwlm:hotpath
-func StripeIdx(mask uint32) uint32 { return rand.Uint32() & mask }
+func StripeIdx() uint32 { return rand.Uint32() }
 
 // counterShard is one padded counter cell. The padding keeps two shards from
 // sharing a cache line (64B line; 128B guards against adjacent-line
@@ -65,7 +68,12 @@ func NewStripedCounter(shards int) *StripedCounter {
 // Inc adds one.
 //
 //dbwlm:hotpath
-func (c *StripedCounter) Inc() { c.shards[StripeIdx(c.mask)].v.Add(1) }
+func (c *StripedCounter) Inc() { c.IncAt(StripeIdx()) }
+
+// IncAt adds one on the shard stripe selects (masked by the shard count).
+//
+//dbwlm:hotpath
+func (c *StripedCounter) IncAt(stripe uint32) { c.shards[stripe&c.mask].v.Add(1) }
 
 // Value merges the shards.
 //
@@ -202,7 +210,13 @@ func NewStripedHistogram(shards int) *StripedHistogram {
 // values to the last bucket — same policy as Histogram.Record.
 //
 //dbwlm:hotpath
-func (h *StripedHistogram) Record(v float64) {
+func (h *StripedHistogram) Record(v float64) { h.RecordAt(StripeIdx(), v) }
+
+// RecordAt is Record on the shard stripe selects (masked by the shard
+// count).
+//
+//dbwlm:hotpath
+func (h *StripedHistogram) RecordAt(stripe uint32, v float64) {
 	if math.IsNaN(v) || v < 0 {
 		v = 0
 	}
@@ -210,7 +224,7 @@ func (h *StripedHistogram) Record(v float64) {
 	if v > maxValue {
 		v = maxValue
 	}
-	h.shards[StripeIdx(h.mask)].record(v)
+	h.shards[stripe&h.mask].record(v)
 }
 
 // merged is the shard-merged state of a striped histogram at read time.

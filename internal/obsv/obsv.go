@@ -27,10 +27,11 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"math/rand/v2"
 	"runtime"
 	"sort"
 	"sync/atomic"
+
+	"dbwlm/internal/metrics"
 )
 
 // Kind classifies a flight-recorder event.
@@ -318,14 +319,21 @@ func (r *Recorder) Cap() int {
 
 // Record stores one event. Safe on a nil receiver (drops the event); never
 // blocks, never allocates — a cursor fetch-add and seven atomic word stores
-// on a shard chosen from the per-thread fast random state.
+// on a shard chosen by a fresh stripe (metrics.StripeIdx).
 //
 //dbwlm:hotpath
-func (r *Recorder) Record(e Event) {
+func (r *Recorder) Record(e Event) { r.RecordAt(metrics.StripeIdx(), e) }
+
+// RecordAt is Record on the writer stripe the caller already drew (masked by
+// the shard count) — the live runtime draws one stripe per decision and
+// shares it with its gates and counters.
+//
+//dbwlm:hotpath
+func (r *Recorder) RecordAt(stripe uint32, e Event) {
 	if r == nil {
 		return
 	}
-	sh := &r.shards[rand.Uint32()&r.smask]
+	sh := &r.shards[stripe&r.smask]
 	pos := sh.cursor.Add(1) - 1
 	s := &sh.slots[pos&r.lmask]
 	s.pub.Store(0)

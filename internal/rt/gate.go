@@ -11,11 +11,7 @@
 // internal/admission consume the live runtime unchanged.
 package rt
 
-import (
-	"sync/atomic"
-
-	"dbwlm/internal/metrics"
-)
+import "sync/atomic"
 
 // gateLimits is one immutable limit block; policy reloads swap the pointer.
 type gateLimits struct {
@@ -64,13 +60,13 @@ func shardCap(limit int64, shards, i int) int64 {
 }
 
 // tryEnter takes one admission slot, returning the shard it was taken from,
-// or -1 when every shard is at its cap (the gate is full). With no MPL limit
-// the home shard is incremented unconditionally.
+// or -1 when every shard is at its cap (the gate is full). The home shard is
+// the decision's stripe; with no MPL limit it is incremented unconditionally.
 //
 //dbwlm:hotpath
-func (g *gate) tryEnter() int32 {
+func (g *gate) tryEnter(stripe uint32) int32 {
 	lim := g.limits.Load()
-	home := int(metrics.StripeIdx(g.mask))
+	home := int(stripe & g.mask)
 	if lim.maxMPL <= 0 {
 		g.shards[home].n.Add(1)
 		return int32(home)

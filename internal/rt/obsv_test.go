@@ -190,6 +190,66 @@ func TestRecorderOnAdmitAllocBound(t *testing.T) {
 	}
 }
 
+// TestDoneReadsClockOnce: a release takes one clock reading for its latency
+// sample, its SLO check and its done event. With a clock that advances on
+// every reading, the done event's time less the admit event's time is
+// exactly the service seconds it carries.
+func TestDoneReadsClockOnce(t *testing.T) {
+	clock := int64(0)
+	r, err := New([]ClassSpec{{Name: "oltp", Priority: policy.PriorityHigh}},
+		Options{Now: func() int64 { clock += 1_000_003; return clock }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := obsv.NewRecorder(1024)
+	r.SetRecorder(rec)
+	for i := 0; i < 16; i++ {
+		r.Done(r.Admit(0, 10), 0.0005)
+	}
+	admitAt := map[int64]int64{}
+	dones := 0
+	for _, e := range rec.Tail(0, obsv.MatchAll) {
+		switch e.Kind {
+		case obsv.KindAdmit:
+			admitAt[e.QID] = e.At
+		case obsv.KindDone:
+			dones++
+			start, ok := admitAt[e.QID]
+			if !ok {
+				t.Fatalf("done event %+v has no admit event", e)
+			}
+			if want := float64(e.At-start) / 1e9; e.Value != want {
+				t.Fatalf("done qid %d: value %v, want (At - start)/1e9 = %v", e.QID, e.Value, want)
+			}
+		}
+	}
+	if dones != 16 {
+		t.Fatalf("%d done events, want 16", dones)
+	}
+}
+
+// TestAdmitOneStripe: a decision draws one stripe and every striped
+// structure it writes takes its shard from it, so on an open gate an
+// admitted grant's class and global gate shards equal its QID's shard bits.
+func TestAdmitOneStripe(t *testing.T) {
+	r, err := New([]ClassSpec{{Name: "oltp", Priority: policy.PriorityHigh}},
+		Options{Shards: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.SetRecorder(obsv.NewRecorder(1024))
+	for i := 0; i < 200; i++ {
+		g := r.Admit(0, 10)
+		if !g.Admitted() {
+			t.Fatalf("open gate rejected: %+v", g)
+		}
+		if bits := int32(g.id & 7); g.shard != bits || g.gshard != bits {
+			t.Fatalf("grant %+v: shards %d/%d, QID shard bits %d", g, g.shard, g.gshard, bits)
+		}
+		r.Done(g, 0)
+	}
+}
+
 // BenchmarkLiveAdmitRecorded prices the flight recorder on the plain admit
 // hot path; compare against BenchmarkLiveAdmit for the enabled overhead
 // (obsv.record_ns in cmd/wlmbench is the in-harness price).

@@ -140,7 +140,7 @@ func (g *PredictGate) admitPlanned(class ClassID, e *sqlmini.CachedPlan, hit, wa
 			g.rt.classes[class].rejected.Inc()
 			var qid int64
 			if rec := g.rt.rec; rec != nil {
-				qid = g.rt.qids.next()
+				qid = g.rt.qids.next(metrics.StripeIdx())
 				rec.Record(obsv.Event{At: g.rt.now(), QID: qid, FP: e.FP.Lo,
 					Kind: obsv.KindAdmit, Reason: obsv.ReasonPredictedBucket,
 					Verdict: uint8(RejectedPredicted), Class: int32(class),

@@ -1,10 +1,6 @@
 package rt
 
-import (
-	"sync/atomic"
-
-	"dbwlm/internal/metrics"
-)
+import "sync/atomic"
 
 // qidAlloc hands out flight-recorder admission IDs. It used to be a single
 // shared atomic counter — one cache line written by every admit on every
@@ -14,8 +10,8 @@ import (
 // and nonzero, not dense or globally ordered, so the allocator stripes
 // instead: each padded shard owns an independent counter and the ID packs
 // (counter << shardBits) | shardIndex. An allocation touches exactly one
-// shard-private cache line, chosen from the per-thread fast random state like
-// every other stripe in the runtime.
+// shard-private cache line: the decision's stripe (Runtime.admitWith), the
+// same one its gates and counters take.
 type qidAlloc struct {
 	shards []qidShard
 	mask   uint32
@@ -38,11 +34,11 @@ func (a *qidAlloc) init(shards int) {
 	}
 }
 
-// next returns a unique nonzero admission ID. Lock-free, allocation-free,
-// and free of shared writes across shards.
+// next returns a unique nonzero admission ID from the shard stripe selects.
+// Lock-free, allocation-free, and free of shared writes across shards.
 //
 //dbwlm:hotpath
-func (a *qidAlloc) next() int64 {
-	i := metrics.StripeIdx(a.mask)
+func (a *qidAlloc) next(stripe uint32) int64 {
+	i := stripe & a.mask
 	return a.shards[i].n.Add(1)<<a.bits | int64(i)
 }

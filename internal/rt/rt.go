@@ -309,14 +309,17 @@ func (r *Runtime) AdmitNoWait(class ClassID, costTimerons float64) Grant {
 func (r *Runtime) admitWith(class ClassID, costTimerons float64, fp uint64, predicted float64, wait bool) Grant {
 	cs := r.classes[class]
 	lim := cs.gate.limits.Load()
+	// One stripe per decision: the qid allocator, both gates, the class
+	// counter and the recorder each mask it by their own shard count.
+	stripe := metrics.StripeIdx()
 	var qid int64
 	if r.rec != nil {
-		qid = r.qids.next()
+		qid = r.qids.next(stripe)
 	}
 	if lim.maxCost > 0 && costTimerons > lim.maxCost {
-		cs.rejected.Inc()
+		cs.rejected.IncAt(stripe)
 		if r.rec != nil {
-			r.rec.Record(obsv.Event{At: r.now(), QID: qid, FP: fp,
+			r.rec.RecordAt(stripe, obsv.Event{At: r.now(), QID: qid, FP: fp,
 				Kind: obsv.KindAdmit, Reason: obsv.ReasonCostLimit,
 				Verdict: uint8(RejectedCost), Class: int32(class),
 				Value: costTimerons, Aux: predicted})
@@ -327,12 +330,12 @@ func (r *Runtime) admitWith(class ClassID, costTimerons float64, fp uint64, pred
 	// FIFO within class: once waiters exist, new arrivals park behind them
 	// instead of barging past on the fast path.
 	if !gated && cs.gate.waiters.Load() == 0 {
-		if gs := r.global.tryEnter(); gs >= 0 {
-			if s := cs.gate.tryEnter(); s >= 0 {
-				cs.admitted.Inc()
+		if gs := r.global.tryEnter(stripe); gs >= 0 {
+			if s := cs.gate.tryEnter(stripe); s >= 0 {
+				cs.admitted.IncAt(stripe)
 				start := r.now()
 				if r.rec != nil {
-					r.rec.Record(obsv.Event{At: start, QID: qid, FP: fp,
+					r.rec.RecordAt(stripe, obsv.Event{At: start, QID: qid, FP: fp,
 						Kind: obsv.KindAdmit, Reason: obsv.ReasonFastPath,
 						Verdict: uint8(Admitted), Class: int32(class),
 						Value: costTimerons, Aux: predicted})
@@ -343,9 +346,9 @@ func (r *Runtime) admitWith(class ClassID, costTimerons float64, fp uint64, pred
 		}
 	}
 	if !wait {
-		cs.timeouts.Inc()
+		cs.timeouts.IncAt(stripe)
 		if r.rec != nil {
-			r.rec.Record(obsv.Event{At: r.now(), QID: qid, FP: fp,
+			r.rec.RecordAt(stripe, obsv.Event{At: r.now(), QID: qid, FP: fp,
 				Kind: obsv.KindAdmit, Reason: obsv.ReasonQueueTimeout,
 				Verdict: uint8(RejectedTimeout), Class: int32(class),
 				Value: costTimerons, Aux: 0})
@@ -397,14 +400,19 @@ func (r *Runtime) Done(g Grant, idealSeconds float64) {
 		return
 	}
 	cs := r.classes[g.class]
-	elapsed := float64(r.now()-g.start) / 1e9
-	cs.latency.Record(elapsed)
+	// One clock reading and one stripe per release: the latency sample, the
+	// SLO check and the done event share now; the histograms and the
+	// recorder share stripe.
+	now := r.now()
+	stripe := metrics.StripeIdx()
+	elapsed := float64(now-g.start) / 1e9
+	cs.latency.RecordAt(stripe, elapsed)
 	if idealSeconds > 0 && elapsed > 0 {
 		v := idealSeconds / elapsed
 		if v > 1 {
 			v = 1
 		}
-		cs.velocity.Record(v)
+		cs.velocity.RecordAt(stripe, v)
 	}
 	missed := r.slo.Missed(int32(g.class), elapsed)
 	if r.rec != nil {
@@ -412,7 +420,7 @@ func (r *Runtime) Done(g Grant, idealSeconds float64) {
 		if missed {
 			reason = obsv.ReasonDeadlineMiss
 		}
-		r.rec.Record(obsv.Event{At: r.now(), QID: g.id,
+		r.rec.RecordAt(stripe, obsv.Event{At: now, QID: g.id,
 			Kind: obsv.KindDone, Reason: reason, Verdict: obsv.NoVerdict,
 			Class: int32(g.class), Value: elapsed, Aux: idealSeconds})
 	}
@@ -476,21 +484,22 @@ func (r *Runtime) drain(cs *classState, class ClassID, enforceTimeout bool) {
 			w.ch <- Grant{verdict: RejectedCost, class: class, id: w.qid}
 			continue
 		}
-		gs := r.global.tryEnter()
+		stripe := metrics.StripeIdx()
+		gs := r.global.tryEnter(stripe)
 		if gs < 0 {
 			return
 		}
-		s := cs.gate.tryEnter()
+		s := cs.gate.tryEnter(stripe)
 		if s < 0 {
 			r.global.leave(gs)
 			return
 		}
 		cs.queue.pop()
 		cs.gate.waiters.Add(-1)
-		cs.admitted.Inc()
-		cs.wait.Record(float64(now-w.enqueuedAt) / 1e9)
+		cs.admitted.IncAt(stripe)
+		cs.wait.RecordAt(stripe, float64(now-w.enqueuedAt)/1e9)
 		if r.rec != nil {
-			r.rec.Record(obsv.Event{At: now, QID: w.qid, FP: w.fp,
+			r.rec.RecordAt(stripe, obsv.Event{At: now, QID: w.qid, FP: w.fp,
 				Kind: obsv.KindAdmit, Reason: obsv.ReasonDrained,
 				Verdict: uint8(Admitted), Class: int32(class),
 				Value: w.cost, Aux: float64(now-w.enqueuedAt) / 1e9})

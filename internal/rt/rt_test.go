@@ -28,7 +28,7 @@ func TestGateExactLimit(t *testing.T) {
 			g := newGate(shards, gateLimits{maxMPL: limit})
 			var taken []int32
 			for {
-				s := g.tryEnter()
+				s := g.tryEnter(uint32(len(taken)) * 2654435761) // home shards vary
 				if s < 0 {
 					break
 				}

@@ -12,22 +12,45 @@ import (
 	"dbwlm/internal/obsv"
 )
 
+// ErrFrame marks a framing violation on a FrameConn's stream: a length
+// prefix out of range, or a frame cut off by a hangup mid-header or
+// mid-body. ReadFrame wraps it (test with errors.Is); a clean hangup between
+// frames is io.EOF and a transport failure (reset, closed socket) is neither.
+var ErrFrame = errors.New("wire: framing violation")
+
 // FrameConn frames payloads over a byte stream: every frame is a little-endian
 // u32 payload length followed by exactly that many payload bytes. Both ends of
 // the wire protocol use it — the server's connection loop and the clients
-// (cmd/wlmload, internal/bench) — so the framing rules live in one place. A
-// FrameConn owns reusable scratch (read buffer, writev vector), so the steady
-// state of a persistent connection reads and writes frames without
-// allocating. Not safe for concurrent use; pipelining clients run one writer
-// and one reader goroutine over two FrameConns sharing the socket (reads and
-// writes never touch the same scratch).
+// (cmd/wlmload, internal/bench) — so the framing rules live in one place.
+//
+// Reads go through a buffer the FrameConn owns: one read takes whatever the
+// stream has ready, up to the buffer's size, so a burst of pipelined frames
+// costs one read, not two per frame. The buffer is allocated on the first
+// ReadFrame at readBufSize and grows to the largest frame seen (at most
+// MaxFrame plus its prefix); together with the writev vector it is reused, so
+// the steady state of a persistent connection reads and writes frames without
+// allocating.
+//
+// Not safe for concurrent use, with one exception: one goroutine may read
+// while another writes, since reads and writes share no state. The buffer may
+// hold bytes of frames not yet returned, so only one FrameConn may read a
+// given stream; a pipelining client with a separate writer goroutine gives
+// the writer its own FrameConn or shares this one, never a second reader.
 type FrameConn struct {
-	rw   io.ReadWriter
-	rhdr [4]byte
-	whdr [4]byte
-	rbuf []byte
-	vec  [2][]byte
+	rw io.ReadWriter
+	// rbuf[rpos:rend] is read from the stream but not yet returned.
+	rbuf       []byte
+	rpos, rend int
+	rerr       error // the last read's error, returned once the buffered bytes run out
+	reads      int64 // reads made on the stream
+	whdr       [4]byte
+	vec        [2][]byte
 }
+
+// readBufSize is a FrameConn's initial read buffer: a 256-op frame of admit
+// and done ops is at most 12 KiB, so a pipeline several frames deep fits in
+// one read.
+const readBufSize = 64 << 10
 
 // NewFrameConn wraps a stream. rw is typically a net.Conn; when it is, writes
 // use a single writev for prefix plus payload.
@@ -36,25 +59,67 @@ func NewFrameConn(rw io.ReadWriter) *FrameConn {
 }
 
 // ReadFrame reads one frame and returns its payload. The slice aliases the
-// FrameConn's scratch and is valid until the next ReadFrame. io.EOF between
-// frames reports a clean hangup; any mid-frame truncation or length violation
-// reports a protocol error.
+// FrameConn's read buffer and is valid until the next ReadFrame. io.EOF
+// between frames reports a clean hangup. A length prefix out of range is
+// rejected before any of the body is awaited; it and a hangup mid-frame
+// report an error wrapping ErrFrame. Any other read error is returned
+// wrapped, without ErrFrame.
 func (f *FrameConn) ReadFrame() ([]byte, error) {
-	if _, err := io.ReadFull(f.rw, f.rhdr[:]); err != nil {
+	if err := f.fill(4); err != nil {
 		if err == io.EOF {
-			return nil, io.EOF
+			if f.rend == f.rpos {
+				return nil, io.EOF
+			}
+			return nil, fmt.Errorf("%w: frame header: %w", ErrFrame, io.ErrUnexpectedEOF)
 		}
 		return nil, fmt.Errorf("wire: frame header: %w", err)
 	}
-	n := le.U32(f.rhdr[:], 0)
+	n := le.U32(f.rbuf[f.rpos:], 0)
 	if n == 0 || n > MaxFrame {
-		return nil, fmt.Errorf("wire: frame length %d out of range (1..%d)", n, MaxFrame)
+		return nil, fmt.Errorf("%w: frame length %d out of range (1..%d)", ErrFrame, n, MaxFrame)
 	}
-	f.rbuf = grow(f.rbuf, int(n))
-	if _, err := io.ReadFull(f.rw, f.rbuf); err != nil {
+	size := 4 + int(n)
+	if err := f.fill(size); err != nil {
+		if err == io.EOF {
+			return nil, fmt.Errorf("%w: frame body: %w", ErrFrame, io.ErrUnexpectedEOF)
+		}
 		return nil, fmt.Errorf("wire: frame body: %w", err)
 	}
-	return f.rbuf, nil
+	payload := f.rbuf[f.rpos+4 : f.rpos+size]
+	f.rpos += size
+	return payload, nil
+}
+
+// fill reads until at least n bytes are buffered past rpos, moving the
+// unread bytes to the front of the buffer (or into a larger one) when n does
+// not fit behind them. A read error is kept until the buffered bytes run out,
+// so a frame that arrived with the error is still returned.
+func (f *FrameConn) fill(n int) error {
+	if f.rend-f.rpos >= n {
+		return nil
+	}
+	if f.rpos == f.rend {
+		f.rpos, f.rend = 0, 0
+	}
+	if len(f.rbuf)-f.rpos < n {
+		buf := f.rbuf
+		if len(buf) < n {
+			buf = make([]byte, max(n, readBufSize))
+		}
+		f.rend = copy(buf, f.rbuf[f.rpos:f.rend])
+		f.rpos, f.rbuf = 0, buf
+	}
+	for f.rend-f.rpos < n {
+		if err := f.rerr; err != nil {
+			f.rerr = nil
+			return err
+		}
+		m, err := f.rw.Read(f.rbuf[f.rend:])
+		f.reads++
+		f.rend += m
+		f.rerr = err
+	}
+	return nil
 }
 
 // WriteFrame writes payload as one frame. On a net.Conn the prefix and the
@@ -92,6 +157,7 @@ type Server struct {
 
 	accepted atomic.Int64
 	frames   atomic.Int64
+	reads    atomic.Int64
 	protoErr atomic.Int64
 }
 
@@ -106,6 +172,9 @@ type ServerStats struct {
 	Accepted int64 `json:"accepted"`
 	// Frames counts request frames successfully dispatched.
 	Frames int64 `json:"frames"`
+	// Reads counts socket reads of request bytes; with Frames it gives the
+	// reads per frame.
+	Reads int64 `json:"reads"`
 	// ProtoErrors counts connections dropped for protocol violations.
 	ProtoErrors int64 `json:"proto_errors"`
 }
@@ -115,6 +184,7 @@ func (s *Server) Stats() ServerStats {
 	return ServerStats{
 		Accepted:    s.accepted.Load(),
 		Frames:      s.frames.Load(),
+		Reads:       s.reads.Load(),
 		ProtoErrors: s.protoErr.Load(),
 	}
 }
@@ -127,6 +197,8 @@ func (s *Server) WritePrometheus(p *obsv.PromWriter) {
 	p.Val(float64(st.Accepted))
 	p.Counter("dbwlm_wire_frames_total", "Wire-protocol request frames dispatched.")
 	p.Val(float64(st.Frames))
+	p.Counter("dbwlm_wire_reads_total", "Wire-protocol socket reads of request bytes.")
+	p.Val(float64(st.Reads))
 	p.Counter("dbwlm_wire_protocol_errors_total", "Wire-protocol connections dropped for protocol violations.")
 	p.Val(float64(st.ProtoErrors))
 }
@@ -192,16 +264,22 @@ func (s *Server) untrack(c net.Conn) {
 	s.mu.Unlock()
 }
 
-// serveConn runs one connection's frame loop until hangup or protocol error.
+// serveConn runs one connection's frame loop until hangup, transport error
+// or protocol error. Only a protocol error — a framing violation or an
+// undecodable frame — counts in ProtoErrors: a peer that hangs up or resets,
+// and a connection Close tears down, are not the peer breaking the protocol.
 func (s *Server) serveConn(c net.Conn) {
 	defer s.untrack(c)
 	defer c.Close()
 	fc := NewFrameConn(c)
 	var st FrameState
+	var reads int64
 	for {
 		payload, err := fc.ReadFrame()
+		s.reads.Add(fc.reads - reads)
+		reads = fc.reads
 		if err != nil {
-			if err != io.EOF {
+			if errors.Is(err, ErrFrame) {
 				s.protoErr.Add(1)
 			}
 			return
