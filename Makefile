@@ -44,7 +44,8 @@ bench:
 # under random read chunking,
 # both trace encodings, the bounded k-means kernel against its brute-force
 # reference, the selection-built k-d tree against the sort-built one, and
-# table-backed k-NN prediction against the linear scan — enough to shake out
+# table-backed k-NN prediction against the linear scan, and the shard-owned
+# flight recorder against the seqlock reference ring — enough to shake out
 # panics and bit mismatches without stalling CI. The wire and trace patterns
 # are anchored because those packages have two targets.
 fuzz-short:
@@ -58,6 +59,7 @@ fuzz-short:
 	$(GO) test -fuzz FuzzKMeansFlatMatchesReference -fuzztime 10s -run '^$$' ./internal/learn/
 	$(GO) test -fuzz FuzzKDBuildMatchesReference -fuzztime 10s -run '^$$' ./internal/learn/
 	$(GO) test -fuzz FuzzKNNMemoMatchesLinear -fuzztime 10s -run '^$$' ./internal/learn/
+	$(GO) test -fuzz FuzzRecorderMatchesReference -fuzztime 10s -run '^$$' ./internal/obsv/
 
 # loc prints non-test Go lines per package and in total. The benchmark
 # (internal/bench, cmd/wlmbench) and the lint fixture corpus are not product

@@ -1,9 +1,9 @@
 // Package obsv is the observability substrate of the live runtime: a
-// fixed-size, lock-free flight recorder for per-query lifecycle events and a
+// fixed-size flight recorder for per-query lifecycle events and a
 // hand-rolled Prometheus text-format writer over the striped recorders of
 // internal/metrics. It is the Monitor stage of the paper's Section 5.3
 // autonomic (MAPE) workload manager made inspectable: every admission
-// decision carries the reason the gate fired, every MAPE iteration records
+// decision carries the reason the deciding gate fired, every MAPE iteration records
 // what it observed and which action it chose, and the whole trail drains
 // through GET /trace and `wlmd -trace-dump` for post-mortems.
 //
@@ -11,21 +11,21 @@
 //
 //   - Disabled (nil *Recorder), every hook is a single pointer-nil branch —
 //     zero allocations, zero atomics, no measurable cost.
-//   - Enabled, a Record is a per-shard atomic cursor fetch-add plus a fixed
-//     number of atomic word stores into a preallocated slot — no locks, no
-//     allocation, no unbounded growth. When the ring wraps, the oldest
-//     events are overwritten (and counted), never blocking a writer.
+//   - Enabled, a Record claims one ring shard with a compare-and-swap,
+//     stores the event into the shard's next slot with a plain copy, and
+//     releases the shard with one atomic store — no allocation, no unbounded
+//     growth. A writer that finds its shard held probes the next one, so it
+//     never parks; it is delayed only while every shard is held. When the
+//     ring wraps, the oldest events are overwritten (and counted).
 //
-// Slots are published seqlock-style: a writer zeroes the slot's publish tag,
-// stores the event words, then stores the tag last; a drain copies the words
-// between two tag reads and discards the copy if the tag moved. Every slot
-// field is an atomic word, so concurrent record/drain is exact under the race
-// detector, not just in practice.
+// A shard's busy word is its ownership: whoever swapped it from 0 to 1 owns
+// the shard's cursor and slots until it stores 0 again. Drains and counters
+// take each shard the same way, briefly, so a drain never sees a half-written
+// event and concurrent record/drain is exact under the race detector.
 package obsv
 
 import (
 	"fmt"
-	"math"
 	"math/bits"
 	"runtime"
 	"sort"
@@ -172,11 +172,11 @@ const NoVerdict uint8 = 0xFF
 // class.
 const NoClass int32 = -1
 
-// Event is one flight-recorder record: plain data sized to a cache line, so
-// recording never allocates and draining copies by value.
+// Event is one flight-recorder record: 56 bytes of plain data, so recording
+// never allocates and both recording and draining copy it by value.
 type Event struct {
-	// Seq is the shard-local publish tag (position+1 in the shard's event
-	// stream); it orders events within a shard and detects torn reads.
+	// Seq is the event's position+1 in its shard's event stream; it orders
+	// events within a shard.
 	Seq uint64
 	// At is the event time in nanoseconds on the recording component's
 	// clock (the runtime's monotonic clock for lifecycle events).
@@ -233,38 +233,23 @@ func (e Event) Format(className func(int32) string) string {
 		e.Value, e.Aux)
 }
 
-// slot is one ring cell. Every field is an atomic word: writers publish with
-// plain atomic stores, drains copy between two pub reads, and the race
-// detector sees only atomic access.
-type slot struct {
-	pub  atomic.Uint64 // 0 while being written, else shard position+1
-	at   atomic.Int64
-	qid  atomic.Int64
-	fp   atomic.Uint64
-	meta atomic.Uint64 // kind | reason<<8 | verdict<<16 | class<<32
-	val  atomic.Uint64 // Value float bits
-	aux  atomic.Uint64 // Aux float bits
-}
-
-//dbwlm:hotpath
-func packMeta(e *Event) uint64 {
-	return uint64(e.Kind) | uint64(e.Reason)<<8 | uint64(e.Verdict)<<16 |
-		uint64(uint32(e.Class))<<32
-}
-
-func unpackMeta(m uint64, e *Event) {
-	e.Kind = Kind(m & 0xFF)
-	e.Reason = Reason(m >> 8 & 0xFF)
-	e.Verdict = uint8(m >> 16 & 0xFF)
-	e.Class = int32(uint32(m >> 32))
-}
-
-// ringShard is one writer stripe: a private cursor on its own cache line and
-// a fixed slot array. Writers claim positions with a fetch-add and wrap.
+// ringShard is one writer stripe. busy is the shard's ownership word: a
+// writer or reader that swaps it from 0 to 1 owns cursor, held and slots
+// until it stores 0, and no one touches them otherwise. The padding keeps
+// neighbouring shards' busy words off each other's cache lines.
 type ringShard struct {
-	cursor atomic.Uint64
-	_      [120]byte
-	slots  []slot
+	busy   atomic.Uint32
+	cursor uint64 // events ever recorded into this shard
+	held   uint64 // probes that found a shard held and then won this one
+	slots  []Event
+	_      [80]byte
+}
+
+// hold takes the shard off the hot path, yielding while someone else has it.
+func (sh *ringShard) hold() {
+	for !sh.busy.CompareAndSwap(0, 1) {
+		runtime.Gosched()
+	}
 }
 
 // Recorder is the flight recorder: a sharded ring of fixed total capacity.
@@ -304,7 +289,7 @@ func NewRecorderShards(capacity, shards int) *Recorder {
 	r := &Recorder{shards: make([]ringShard, nsh), smask: uint32(nsh - 1),
 		lmask: uint64(per - 1)}
 	for i := range r.shards {
-		r.shards[i].slots = make([]slot, per)
+		r.shards[i].slots = make([]Event, per)
 	}
 	return r
 }
@@ -318,15 +303,16 @@ func (r *Recorder) Cap() int {
 }
 
 // Record stores one event. Safe on a nil receiver (drops the event); never
-// blocks, never allocates — a cursor fetch-add and seven atomic word stores
-// on a shard chosen by a fresh stripe (metrics.StripeIdx).
+// allocates — one compare-and-swap to claim a shard chosen by a fresh stripe
+// (metrics.StripeIdx), one copy into its next slot, one store to release.
 //
 //dbwlm:hotpath
 func (r *Recorder) Record(e Event) { r.RecordAt(metrics.StripeIdx(), e) }
 
 // RecordAt is Record on the writer stripe the caller already drew (masked by
 // the shard count) — the live runtime draws one stripe per decision and
-// shares it with its gates and counters.
+// shares it with its gates and counters. If that shard is held, the event
+// goes to the next free one.
 //
 //dbwlm:hotpath
 func (r *Recorder) RecordAt(stripe uint32, e Event) {
@@ -334,51 +320,74 @@ func (r *Recorder) RecordAt(stripe uint32, e Event) {
 		return
 	}
 	sh := &r.shards[stripe&r.smask]
-	pos := sh.cursor.Add(1) - 1
-	s := &sh.slots[pos&r.lmask]
-	s.pub.Store(0)
-	s.at.Store(e.At)
-	s.qid.Store(e.QID)
-	s.fp.Store(e.FP)
-	s.meta.Store(packMeta(&e))
-	s.val.Store(math.Float64bits(e.Value))
-	s.aux.Store(math.Float64bits(e.Aux))
-	s.pub.Store(pos + 1)
+	if !sh.busy.CompareAndSwap(0, 1) {
+		sh = r.probe(stripe)
+	}
+	pos := sh.cursor
+	sh.cursor = pos + 1
+	e.Seq = pos + 1
+	sh.slots[pos&r.lmask] = e
+	sh.busy.Store(0)
+}
+
+// probe claims the first free shard after stripe's, which was found held,
+// and charges every held shard it met to the one it wins. It spins without
+// parking, so it waits only while every shard is held.
+func (r *Recorder) probe(stripe uint32) *ringShard {
+	held := uint64(1)
+	for i := stripe + 1; ; i++ {
+		sh := &r.shards[i&r.smask]
+		if sh.busy.Load() == 0 && sh.busy.CompareAndSwap(0, 1) {
+			sh.held += held
+			return sh
+		}
+		held++
+	}
+}
+
+// sum adds f over every shard, holding each while f reads it.
+func (r *Recorder) sum(f func(sh *ringShard) uint64) uint64 {
+	if r == nil {
+		return 0
+	}
+	var total uint64
+	for i := range r.shards {
+		sh := &r.shards[i]
+		sh.hold()
+		total += f(sh)
+		sh.busy.Store(0)
+	}
+	return total
 }
 
 // Recorded reports the total number of events ever recorded, including any
 // since overwritten.
 func (r *Recorder) Recorded() uint64 {
-	if r == nil {
-		return 0
-	}
-	var sum uint64
-	for i := range r.shards {
-		sum += r.shards[i].cursor.Load()
-	}
-	return sum
+	return r.sum(func(sh *ringShard) uint64 { return sh.cursor })
 }
 
 // Overwritten reports how many events the ring has discarded to stay fixed
 // size.
 func (r *Recorder) Overwritten() uint64 {
-	if r == nil {
-		return 0
-	}
-	var sum uint64
-	size := r.lmask + 1
-	for i := range r.shards {
-		if c := r.shards[i].cursor.Load(); c > size {
-			sum += c - size
+	return r.sum(func(sh *ringShard) uint64 {
+		if size := uint64(len(sh.slots)); sh.cursor > size {
+			return sh.cursor - size
 		}
-	}
-	return sum
+		return 0
+	})
+}
+
+// ShardBusy reports how many times a writer found a shard held and probed
+// the next — the recorder's contention, zero while writers never collide.
+func (r *Recorder) ShardBusy() uint64 {
+	return r.sum(func(sh *ringShard) uint64 { return sh.held })
 }
 
 // Filter selects events on drain. Start from MatchAll and override fields —
 // the Class and Verdict sentinels for "any" are -1, not the zero value,
 // because class 0 and verdict 0 are real values. A literal zero-value
-// Filter{} is normalized to MatchAll by Tail.
+// Filter{} is normalized to MatchAll by Tail; a filter copied from MatchAll
+// never is, so MatchAll with Class 0 and Verdict 0 selects exactly those.
 type Filter struct {
 	Kind    Kind  // KindAny matches all
 	Class   int32 // NoClass/-1 matches all; set exact class ID otherwise
@@ -387,10 +396,12 @@ type Filter struct {
 	// MinAt drops events older than this timestamp (same clock as
 	// Event.At); 0 matches all. The /trace?since= time-range filter.
 	MinAt int64
+	// fromMatchAll tells a filter copied from MatchAll from the zero value.
+	fromMatchAll bool
 }
 
 // MatchAll is the drain-everything filter.
-var MatchAll = Filter{Class: NoClass, Verdict: -1}
+var MatchAll = Filter{Class: NoClass, Verdict: -1, fromMatchAll: true}
 
 func (f *Filter) match(e *Event) bool {
 	if f.Kind != KindAny && e.Kind != f.Kind {
@@ -412,46 +423,26 @@ func (f *Filter) match(e *Event) bool {
 }
 
 // Tail drains the newest matching events, oldest first, at most n of them
-// (n <= 0 keeps every retained match). Draining is wait-free with respect to
-// writers: a slot whose publish tag moves mid-copy is skipped, so a drain
-// under full write load returns a consistent — if slightly stale — view.
+// (n <= 0 keeps every retained match). It holds one shard at a time while it
+// copies that shard's matches, so writers meanwhile record into the others.
 func (r *Recorder) Tail(n int, f Filter) []Event {
 	if r == nil {
 		return nil
 	}
-	if f.Class == 0 && f.Verdict == 0 && f.Kind == KindAny && f.QID == 0 && f.MinAt == 0 {
-		// A literal zero-value Filter means "everything"; normalize the
-		// class/verdict sentinels so class 0 / verdict 0 are not singled out.
+	if f == (Filter{}) {
 		f = MatchAll
 	}
 	var out []Event
-	var e Event
 	for i := range r.shards {
 		sh := &r.shards[i]
-		limit := sh.cursor.Load()
-		if limit > r.lmask+1 {
-			limit = r.lmask + 1
-		}
-		for j := uint64(0); j < limit; j++ {
-			s := &sh.slots[j]
-			p1 := s.pub.Load()
-			if p1 == 0 {
-				continue
-			}
-			e.At = s.at.Load()
-			e.QID = s.qid.Load()
-			e.FP = s.fp.Load()
-			unpackMeta(s.meta.Load(), &e)
-			e.Value = math.Float64frombits(s.val.Load())
-			e.Aux = math.Float64frombits(s.aux.Load())
-			if s.pub.Load() != p1 {
-				continue // overwritten mid-copy
-			}
-			e.Seq = p1
-			if f.match(&e) {
-				out = append(out, e)
+		sh.hold()
+		retained := sh.slots[:min(sh.cursor, uint64(len(sh.slots)))]
+		for j := range retained {
+			if f.match(&retained[j]) {
+				out = append(out, retained[j])
 			}
 		}
+		sh.busy.Store(0)
 	}
 	sort.Slice(out, func(a, b int) bool {
 		if out[a].At != out[b].At {

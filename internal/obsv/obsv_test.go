@@ -80,6 +80,42 @@ func TestTailFilters(t *testing.T) {
 	}
 }
 
+// TestTailClassZeroAdmitted: class 0 with verdict 0 (admitted) is a real
+// selection, not the zero-value Filter{} that means "everything".
+func TestTailClassZeroAdmitted(t *testing.T) {
+	r := NewRecorder(1024)
+	r.Record(Event{At: 1, QID: 1, Kind: KindAdmit, Verdict: 0, Class: 0})
+	r.Record(Event{At: 2, QID: 1, Kind: KindDone, Verdict: NoVerdict, Class: 0})
+	r.Record(Event{At: 3, QID: 2, Kind: KindAdmit, Verdict: 2, Class: 1})
+	f := MatchAll
+	f.Class = 0
+	f.Verdict = 0
+	got := r.Tail(0, f)
+	if len(got) != 1 || got[0].QID != 1 || got[0].Kind != KindAdmit {
+		t.Fatalf("class-0 admitted filter drained %+v, want the one class-0 admit", got)
+	}
+}
+
+// TestRecordProbesHeldShard: a write whose shard is held lands in the next
+// shard, is counted once in ShardBusy, and leaves the held shard untouched.
+func TestRecordProbesHeldShard(t *testing.T) {
+	r := NewRecorderShards(256, 4)
+	r.shards[1].busy.Store(1)
+	r.RecordAt(1, Event{At: 7, QID: 7, Kind: KindAdmit})
+	r.shards[1].busy.Store(0)
+	if r.shards[1].cursor != 0 || r.shards[2].cursor != 1 || r.shards[2].slots[0].QID != 7 {
+		t.Fatalf("cursors %d/%d: the event did not move to the next shard",
+			r.shards[1].cursor, r.shards[2].cursor)
+	}
+	if r.ShardBusy() != 1 || r.Recorded() != 1 {
+		t.Fatalf("shard busy %d recorded %d, want 1 and 1", r.ShardBusy(), r.Recorded())
+	}
+	r.RecordAt(1, Event{At: 8, QID: 8, Kind: KindAdmit})
+	if r.ShardBusy() != 1 || r.shards[1].cursor != 1 {
+		t.Fatal("an uncontended write probed or missed its own shard")
+	}
+}
+
 func TestRingOverwrites(t *testing.T) {
 	r := NewRecorder(64) // rounds up to shards*64, still far below 10k
 	const n = 10000
@@ -136,52 +172,154 @@ func TestEventFormat(t *testing.T) {
 	}
 }
 
-// TestConcurrentRecordDrain hammers the ring from many writers while a
-// reader drains continuously — the seqlock publish protocol must yield only
-// fully-published events (run under -race in the `make race` target).
+// TestConcurrentRecordDrain hammers the ring from many writers while Tail
+// and Recorded drain continuously: every write must be counted exactly once
+// and no drained event may mix two writes (run under -race in `make race`).
+// The second case puts 64 writers on two shards, so writers constantly find
+// their shard held and probe.
 func TestConcurrentRecordDrain(t *testing.T) {
-	r := NewRecorder(4096)
-	const writers, per = 8, 5000
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	wg.Add(1)
-	go func() { // continuous drain under write load
-		defer wg.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
+	for _, c := range []struct {
+		name         string
+		r            *Recorder
+		writers, per int
+	}{
+		{"default-shards", NewRecorder(4096), 8, 5000},
+		{"64-writers-2-shards", NewRecorderShards(1024, 2), 64, 500},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			r, total := c.r, uint64(c.writers*c.per)
+			var drains, writers sync.WaitGroup
+			stop := make(chan struct{})
+			drain := func(f func()) {
+				drains.Add(1)
+				go func() {
+					defer drains.Done()
+					for {
+						select {
+						case <-stop:
+							return
+						default:
+							f()
+						}
+					}
+				}()
 			}
-			for _, e := range r.Tail(0, MatchAll) {
-				// A torn read would surface as a mismatched At/QID pair.
-				if e.QID != e.At {
-					t.Errorf("torn event: at=%d qid=%d", e.At, e.QID)
-					return
+			drain(func() {
+				for _, e := range r.Tail(0, MatchAll) {
+					if e.QID != e.At {
+						t.Errorf("torn event: at=%d qid=%d", e.At, e.QID)
+					}
+				}
+			})
+			drain(func() {
+				if n := r.Recorded(); n > total {
+					t.Errorf("recorded %d of at most %d", n, total)
+				}
+			})
+			for w := 0; w < c.writers; w++ {
+				writers.Add(1)
+				go func(w int) {
+					defer writers.Done()
+					for i := 0; i < c.per; i++ {
+						v := int64(w*c.per + i + 1)
+						r.RecordAt(uint32(w), Event{At: v, QID: v, Kind: KindAdmit, Verdict: NoVerdict, Class: NoClass})
+					}
+				}(w)
+			}
+			writers.Wait()
+			close(stop)
+			drains.Wait()
+			if r.Recorded() != total {
+				t.Fatalf("recorded %d, want %d", r.Recorded(), total)
+			}
+			retained := r.Tail(0, MatchAll)
+			if uint64(len(retained)) != r.Recorded()-r.Overwritten() {
+				t.Fatalf("retained %d, want recorded %d - overwritten %d",
+					len(retained), r.Recorded(), r.Overwritten())
+			}
+			for _, e := range retained {
+				if e.QID != e.At || e.QID < 1 || e.QID > int64(total) {
+					t.Fatalf("corrupt retained event %+v", e)
+				}
+			}
+		})
+	}
+}
+
+// FuzzRecorderMatchesReference records one random event sequence, replayed
+// rounds times, into the shard-owned ring and the seqlock reference at the
+// same capacity and shard count, and requires the same Recorded,
+// Overwritten and Tail answers for random filters and lengths. Each 6-byte
+// chunk of events is one record (stripe, kind/reason, class, verdict, qid,
+// time step); each 6-byte chunk of queries is one Tail (kind, class,
+// verdict, qid, since, n).
+func FuzzRecorderMatchesReference(f *testing.F) {
+	f.Add(uint16(0), uint8(2), uint8(1), []byte{0, 1, 1, 0, 1, 1, 1, 3, 2, 3, 2, 0}, []byte{0, 0, 0, 0, 0, 0})
+	f.Add(uint16(100), uint8(4), uint8(40), []byte{3, 0x21, 0, 0, 1, 1, 5, 0x13, 1, 1, 2, 0, 6, 0x42, 3, 2, 0, 2},
+		[]byte{1, 1, 1, 0, 0, 3, 0, 0, 0, 1, 9, 0, 2, 2, 3, 0, 0, 1})
+	f.Add(uint16(300), uint8(1), uint8(255), []byte{9, 0x11, 2, 3, 4, 1, 8, 0x71, 0, 0, 0, 0},
+		[]byte{1, 2, 1, 2, 0x80, 0, 0, 0, 0, 0, 0, 200})
+	f.Fuzz(func(t *testing.T, capacity uint16, shards, rounds uint8, events, queries []byte) {
+		if len(events) > 6*64 || len(queries) > 6*16 {
+			return
+		}
+		r := NewRecorderShards(int(capacity), int(shards))
+		ref := newRefRecorder(int(capacity), int(shards))
+		at := int64(0)
+		for round := 0; round <= int(rounds); round++ {
+			for b := events; len(b) >= 6; b = b[6:] {
+				at += int64(b[5] % 4) // repeated times exercise the drain's tie-break
+				e := Event{
+					At:      at,
+					QID:     int64(b[4] % 8),
+					FP:      uint64(b[0]) << 32,
+					Kind:    Kind(b[1] % uint8(numKinds)),
+					Reason:  Reason(b[1] >> 4),
+					Verdict: []uint8{0, 1, 2, NoVerdict}[b[3]%4],
+					Class:   int32(b[2]%4) - 1,
+					Value:   float64(b[4]),
+					Aux:     float64(round),
+				}
+				stripe := uint32(b[0]) * 0x9E3779B9
+				r.RecordAt(stripe, e)
+				ref.RecordAt(stripe, e)
+			}
+			if r.Recorded() != ref.Recorded() || r.Overwritten() != ref.Overwritten() {
+				t.Fatalf("round %d: recorded/overwritten %d/%d, reference %d/%d", round,
+					r.Recorded(), r.Overwritten(), ref.Recorded(), ref.Overwritten())
+			}
+		}
+		type query struct {
+			n int
+			f Filter
+		}
+		tails := []query{{0, Filter{}}, {0, MatchAll}, {5, MatchAll}}
+		for q := queries; len(q) >= 6; q = q[6:] {
+			f := MatchAll
+			if q[0]&0x80 != 0 {
+				f = Filter{} // literal filters: class 0 and verdict 0 unless set
+			}
+			f.Kind = Kind(q[0] % uint8(numKinds))
+			if q[1] != 0 {
+				f.Class = int32(q[1]%4) - 1
+			}
+			if q[2] != 0 {
+				f.Verdict = int16(q[2]%4) - 1
+			}
+			f.QID = int64(q[3] % 8)
+			f.MinAt = int64(q[4]) * at / 256
+			tails = append(tails, query{int(q[5]) - 1, f})
+		}
+		for _, c := range tails {
+			got, want := r.Tail(c.n, c.f), ref.Tail(c.n, c.f)
+			if len(got) != len(want) {
+				t.Fatalf("Tail(%d, %+v): %d events, reference %d", c.n, c.f, len(got), len(want))
+			}
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("Tail(%d, %+v)[%d] = %+v, reference %+v", c.n, c.f, i, got[i], want[i])
 				}
 			}
 		}
-	}()
-	var writersWg sync.WaitGroup
-	for w := 0; w < writers; w++ {
-		writersWg.Add(1)
-		go func(w int) {
-			defer writersWg.Done()
-			for i := 0; i < per; i++ {
-				v := int64(w*per + i + 1)
-				r.Record(Event{At: v, QID: v, Kind: KindAdmit, Verdict: NoVerdict, Class: NoClass})
-			}
-		}(w)
-	}
-	writersWg.Wait()
-	close(stop)
-	wg.Wait()
-	if r.Recorded() != writers*per {
-		t.Fatalf("recorded %d, want %d", r.Recorded(), writers*per)
-	}
-	for _, e := range r.Tail(0, MatchAll) {
-		if e.QID != e.At || e.QID < 1 || e.QID > writers*per {
-			t.Fatalf("corrupt retained event %+v", e)
-		}
-	}
+	})
 }

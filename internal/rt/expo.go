@@ -66,6 +66,8 @@ func (r *Runtime) WritePrometheus(p *obsv.PromWriter) {
 		p.Val(float64(rec.Recorded()))
 		p.Counter("dbwlm_trace_overwritten_total", "Flight-recorder events overwritten by ring wrap.")
 		p.Val(float64(rec.Overwritten()))
+		p.Counter("dbwlm_trace_shard_busy_total", "Flight-recorder shard probes that found the shard held.")
+		p.Val(float64(rec.ShardBusy()))
 		p.Gauge("dbwlm_trace_capacity", "Flight-recorder slot capacity.")
 		p.Val(float64(rec.Cap()))
 	}

@@ -153,9 +153,9 @@ func TestPredictGateCountsMemoHits(t *testing.T) {
 }
 
 // TestPredictAdmitZeroAllocHit pins the tentpole's hot path: cache hit +
-// trained model + open gate admits with zero allocations, and stays inside
-// the recorder's one-alloc budget once a flight recorder is attached — for a
-// trained shape (a model-table hit) and an unseen one (a k-NN search) alike.
+// trained model + open gate admits with zero allocations, with or without a
+// flight recorder attached — for a trained shape (a model-table hit) and an
+// unseen one (a k-NN search) alike.
 func TestPredictAdmitZeroAllocHit(t *testing.T) {
 	g := newPredictGate(t, admission.BucketMonster)
 	train(g)
@@ -182,8 +182,8 @@ func TestPredictAdmitZeroAllocHit(t *testing.T) {
 		t.Fatalf("predict-admit hot path allocates %v allocs/op, want 0", avg)
 	}
 	g.rt.SetRecorder(obsv.NewRecorder(4096))
-	if avg := testing.AllocsPerRun(1000, cycle); avg > 1 {
-		t.Fatalf("recorder-on predict-admit allocates %v allocs/op, want <= 1", avg)
+	if avg := testing.AllocsPerRun(1000, cycle); avg != 0 {
+		t.Fatalf("recorder-on predict-admit allocates %v allocs/op, want 0", avg)
 	}
 }
 

@@ -345,6 +345,10 @@ func TestTraceEndpointFilters(t *testing.T) {
 		e.Verdict != "admitted" || e.QID == 0 {
 		t.Fatalf("admit event %+v", e)
 	}
+	// Class 0 with verdict 0 is a real selection, not "everything".
+	if got := get("?class=interactive&verdict=admitted"); len(got.Events) != 1 || got.Events[0].QID != e.QID {
+		t.Fatalf("interactive admitted events %+v, want the one admit", got.Events)
+	}
 	rejected := get("?class=reporting")
 	if len(rejected.Events) != 1 || rejected.Events[0].Verdict != "rejected-cost" {
 		t.Fatalf("reporting events %+v", rejected.Events)
