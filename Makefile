@@ -42,8 +42,10 @@ bench:
 # the lexer and the fingerprint against their reference implementations, the
 # wire-frame decoder, the buffered frame reader against the two-read reference
 # under random read chunking,
-# both trace encodings, the bounded k-means kernel against its brute-force
-# reference, the selection-built k-d tree against the sort-built one, and
+# both trace encodings, the k-means kernel (pruned seeding that supplies the
+# first Lloyd pass, Yinyang group bounds, incremental separations) against
+# its brute-force reference, the selection-built k-d tree against the
+# sort-built one, and
 # table-backed k-NN prediction against the linear scan, and the shard-owned
 # flight recorder against the seqlock reference ring — enough to shake out
 # panics and bit mismatches without stalling CI. The wire and trace patterns

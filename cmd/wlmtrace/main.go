@@ -211,6 +211,12 @@ func cmdCompress(args []string) error {
 	if fs.NArg() != 2 {
 		return errors.New("compress: want IN OUT")
 	}
+	if !(*ratio >= 1) {
+		return fmt.Errorf("compress: -ratio must be at least 1, got %v", *ratio)
+	}
+	if *strata < 1 {
+		return fmt.Errorf("compress: -strata must be at least 1, got %d", *strata)
+	}
 	src, closer, err := trace.OpenFile(fs.Arg(0))
 	if err != nil {
 		return err
@@ -229,8 +235,12 @@ func cmdCompress(args []string) error {
 	if err := trace.WriteFile(fs.Arg(1), h, comp); err != nil {
 		return err
 	}
+	achieved := 1.0 // an empty trace compresses to an empty one
+	if len(comp) > 0 {
+		achieved = float64(len(rows)) / float64(len(comp))
+	}
 	fmt.Printf("compressed %d rows to %d representatives (ratio %.1f, replay scale %.6f)\n",
-		len(rows), len(comp), float64(len(rows))/float64(len(comp)), trace.RateScale(comp))
+		len(rows), len(comp), achieved, trace.RateScale(comp))
 	effWorkers := *workers
 	if procs := runtime.GOMAXPROCS(0); effWorkers <= 0 || effWorkers > procs {
 		effWorkers = procs

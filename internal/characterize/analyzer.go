@@ -5,7 +5,6 @@ import (
 	"math"
 	"sort"
 
-	"dbwlm/internal/learn"
 	"dbwlm/internal/policy"
 	"dbwlm/internal/sim"
 	"dbwlm/internal/sqlmini"
@@ -182,77 +181,4 @@ func InstallRecommendations(cands []CandidateWorkload, deflt *ServiceClass) *Rou
 		r.AddDef(def)
 	}
 	return r
-}
-
-// AnalyzeClustered discovers candidate workloads by k-means clustering over
-// (log-cost, log-response-time) instead of discrete cost bands — the
-// data-driven grouping alternative for logs whose cost structure does not
-// fall on decade boundaries. Clusters are further keyed by statement type
-// (a READ and a WRITE never share a candidate).
-//
-//dbwlm:nolint deadcode -- registry row "k-means query-log clustering" runs only under tests; ROADMAP item 9c wires it in or deletes it
-func (a *Analyzer) AnalyzeClustered(log []LogRecord, k int, rng *sim.RNG) []CandidateWorkload {
-	minSize := a.MinGroupSize
-	if minSize <= 0 {
-		minSize = 5
-	}
-	const dims = 2
-	var recs []LogRecord
-	var points []float64 // row-major, dims per record
-	for _, rec := range log {
-		if rec.Req == nil {
-			continue
-		}
-		recs = append(recs, rec)
-		points = append(points,
-			math.Log1p(rec.Req.Est.Timerons),
-			math.Log1p(rec.ResponseSeconds))
-	}
-	if len(recs) == 0 {
-		return nil
-	}
-	res := learn.KMeansFlat(learn.NormalizeFlat(points, len(recs), dims), len(recs), dims, k, 50, rng)
-
-	type ckey struct {
-		cluster int
-		typ     sqlmini.StatementType
-	}
-	groups := make(map[ckey][]LogRecord)
-	for i, rec := range recs {
-		groups[ckey{res.Assignments[i], rec.Req.Type}] = append(
-			groups[ckey{res.Assignments[i], rec.Req.Type}], rec)
-	}
-	var out []CandidateWorkload
-	for key, grp := range groups {
-		if len(grp) < minSize {
-			continue
-		}
-		// Summarize with the banded summarizer keyed on the dominant app.
-		apps := map[string]int{}
-		var costSum float64
-		for _, rec := range grp {
-			apps[rec.Req.Origin.App]++
-			costSum += rec.Req.Est.Timerons
-		}
-		app, appN := "", 0
-		for name, n := range apps {
-			if n > appN {
-				app, appN = name, n
-			}
-		}
-		if appN*2 < len(grp) {
-			app = "" // no dominant app: wildcard
-		}
-		gk := groupKey{app: app, typ: key.typ, costBand: costBand(costSum / float64(len(grp)))}
-		cand := a.summarize(gk, grp)
-		cand.Name = fmt.Sprintf("cluster%d-%v", key.cluster, key.typ)
-		out = append(out, cand)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Count != out[j].Count {
-			return out[i].Count > out[j].Count
-		}
-		return out[i].Name < out[j].Name
-	})
-	return out
 }

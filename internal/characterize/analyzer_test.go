@@ -131,38 +131,3 @@ func TestAnalyzerFromGeneratedLog(t *testing.T) {
 		}
 	}
 }
-
-func TestAnalyzeClustered(t *testing.T) {
-	a := &Analyzer{MinGroupSize: 5}
-	rng := sim.NewRNG(3)
-	// Two clear groups in (cost, rt) space plus type separation.
-	var log []LogRecord
-	for i := 0; i < 30; i++ {
-		log = append(log, logRecord("pos", sqlmini.StmtWrite, 20+float64(i%5), 0.02))
-		log = append(log, logRecord("dash", sqlmini.StmtRead, 140000+float64(i*50), 25))
-	}
-	cands := a.AnalyzeClustered(log, 2, rng)
-	if len(cands) != 2 {
-		t.Fatalf("clustered candidates = %d, want 2: %+v", len(cands), cands)
-	}
-	// Dominant apps survive.
-	apps := map[string]bool{}
-	for _, c := range cands {
-		apps[c.App] = true
-		if c.Count != 30 {
-			t.Fatalf("candidate count = %d", c.Count)
-		}
-	}
-	if !apps["pos"] || !apps["dash"] {
-		t.Fatalf("apps = %v", apps)
-	}
-	// Deterministic for a seed.
-	again := a.AnalyzeClustered(log, 2, sim.NewRNG(3))
-	if len(again) != len(cands) || again[0].Name != cands[0].Name {
-		t.Fatal("clustering nondeterministic for fixed seed")
-	}
-	// Empty log.
-	if got := a.AnalyzeClustered(nil, 2, rng); got != nil {
-		t.Fatal("empty log")
-	}
-}

@@ -4,6 +4,7 @@ import (
 	"math"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 
 	"dbwlm/internal/sim"
@@ -298,34 +299,114 @@ func TestKMeansFlatMatchesReference(t *testing.T) {
 }
 
 // TestLloydBoundsLeaveTiesToTheScan hands the pruning state the tightest
-// bounds that are still true — ub and lb both equal to the real distance —
-// for a point exactly equidistant from two centroids. Equal bounds prove
-// nothing, so the pass must fall through to the exact scan and apply the
-// lowest-index rule, whichever of the two the point was assigned to.
+// bounds that are still true — ub and every group bound equal to the real
+// distance — for a point exactly equidistant from two or more centroids, in
+// one group or spread over several. Equal bounds prove nothing, so the pass
+// must fall through to the exact scan and apply the lowest-index rule,
+// whichever tied centroid the point was assigned to and whichever group it
+// sits in. Each case runs twice: with the rounding margin, and with the
+// margin zeroed, where the distances (all exact in floating point) meet the
+// bounds exactly and only the strictness of every prune's comparison keeps
+// the tie from being settled early.
 func TestLloydBoundsLeaveTiesToTheScan(t *testing.T) {
 	for _, tc := range []struct {
 		name        string
 		cents       []float64
+		groups      []int32
 		from, want  int
 		wantChanged bool
 	}{
-		{"held-by-the-higher-index", []float64{-1, 0, 1, 0}, 1, 0, true},
-		{"held-by-the-lower-index", []float64{-1, 0, 1, 0}, 0, 0, false},
-		{"three-way", []float64{9, 9, 0, 1, 1, 0, 0, -1}, 3, 1, true},
+		{"held-by-the-higher-index", []float64{-1, 0, 1, 0}, []int32{0, 0}, 1, 0, true},
+		{"held-by-the-lower-index", []float64{-1, 0, 1, 0}, []int32{0, 0}, 0, 0, false},
+		{"three-way", []float64{9, 9, 0, 1, 1, 0, 0, -1}, []int32{0, 0, 0, 0}, 3, 1, true},
+		{"across-groups-held-by-the-higher-index", []float64{-1, 0, 1, 0}, []int32{0, 1}, 1, 0, true},
+		{"across-groups-held-by-the-lower-index", []float64{-1, 0, 1, 0}, []int32{0, 1}, 0, 0, false},
+		{"three-way-across-groups", []float64{9, 9, 0, 1, 1, 0, 0, -1}, []int32{1, 2, 0, 1}, 3, 1, true},
+		{"lower-index-in-a-later-group", []float64{1, 0, 9, 9, -1, 0}, []int32{1, 0, 0}, 2, 0, true},
+	} {
+		for _, exact := range []bool{false, true} {
+			name := tc.name
+			if exact {
+				name += "-no-margin"
+			}
+			t.Run(name, func(t *testing.T) {
+				const dims = 2
+				k := len(tc.cents) / dims
+				s := newFlatKMeans([]float64{0, 0}, 1, dims, k)
+				if exact {
+					s.slack = 0
+				}
+				copy(s.cents, tc.cents)
+				for j := 1; j < k; j++ {
+					s.measure(j)
+				}
+				s.useGroups(tc.groups, int(slices.Max(tc.groups))+1)
+				s.assign[0], s.ub[0] = tc.from, 1
+				for g := range s.lb {
+					s.lb[g] = 1
+				}
+				s.refresh()
+				changed, evals := s.assignRange(0, 1)
+				if s.assign[0] != tc.want || changed != tc.wantChanged {
+					t.Fatalf("assigned %d (changed=%v), want %d (changed=%v)", s.assign[0], changed, tc.want, tc.wantChanged)
+				}
+				tied := 0
+				for c := 0; c < k; c++ {
+					if sqDistFlat(s.cent(c), []float64{0, 0}) == 1 {
+						tied++
+					}
+				}
+				if evals < tied {
+					t.Fatalf("%d exact distances for %d tied centroids: not all were scanned", evals, tied)
+				}
+			})
+		}
+	}
+}
+
+// TestSeedingIsFirstPass pins what lets the kernel skip the first Lloyd pass:
+// the centre seeding leaves each point with is the brute-force first pass's
+// — the lowest-index strict argmin over every seeded centre — on lattice
+// ties, on duplicate-heavy blobs, and when k exceeds the distinct points so
+// that seeding falls into its zero-total duplicate-centre branch.
+func TestSeedingIsFirstPass(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		pts     [][]float64
+		k       int
+		wantDup bool // the zero-total branch must run
+	}{
+		{"lattice-ties", latticePoints(600, 2, 5, 1), 12, false},
+		{"lattice-ties-5d", latticePoints(1200, 5, 2, 2), 40, false},
+		{"duplicates", genPoints(900, 4, 6, 3, 2, false), 60, false},
+		{"zero-total-duplicates", latticePoints(200, 2, 2, 4), 10, true},
+		{"identical-points", [][]float64{{2, 4}, {2, 4}, {2, 4}, {2, 4}}, 3, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			const dims = 2
-			data := []float64{0, 0}
-			assign := []int{tc.from}
-			b := newLloydBounds(data, 1, dims, len(tc.cents)/dims, tc.cents, assign)
-			b.ub[0], b.lb[0] = 1, 1
-			b.prepare()
-			changed, evals := b.assignRange(0, 1)
-			if assign[0] != tc.want || changed != tc.wantChanged {
-				t.Fatalf("assigned %d (changed=%v), want %d (changed=%v)", assign[0], changed, tc.want, tc.wantChanged)
+			n, dims := len(tc.pts), len(tc.pts[0])
+			s := newFlatKMeans(packRows(tc.pts, dims), n, dims, tc.k)
+			s.seed(sim.NewRNG(17))
+			for i := 0; i < n; i++ {
+				best, bestD := 0, math.Inf(1)
+				for c := 0; c < tc.k; c++ {
+					if d := sqDist(tc.pts[i], s.cent(c)); d < bestD {
+						best, bestD = c, d
+					}
+				}
+				if s.assign[i] != best {
+					t.Fatalf("point %d: seeding kept centre %d, the first pass picks %d", i, s.assign[i], best)
+				}
 			}
-			if evals < 3 {
-				t.Fatalf("%d exact distances: the tied centroids were not both scanned", evals)
+			dup := false
+			for c := 1; c < tc.k && !dup; c++ {
+				for e := 0; e < c; e++ {
+					if reflect.DeepEqual(s.cent(c), s.cent(e)) {
+						dup = true
+					}
+				}
+			}
+			if tc.wantDup && !dup {
+				t.Fatal("no duplicate centre: the zero-total branch did not run")
 			}
 		})
 	}
@@ -450,10 +531,11 @@ func TestNormalizeFlatMatchesReference(t *testing.T) {
 
 // BenchmarkKMeansFlat clusters one group of the compressor's shape (2560
 // points, k = n/16, the 5 admission features, default iteration cap). Beside
-// the time it reports the Lloyd loop's work as counts that repeat exactly for
-// a seed: dist_evals/op is what the bounded assignment evaluated (separation
-// matrix and centroid moves included), exhaustive_evals/op what scanning every
-// centroid for every point would have over the same passes.
+// the time it reports the run's work as counts that repeat exactly for a
+// seed: dist_evals/op is every sqDistFlat call the kernel made (seeding,
+// centre grouping, separations, assignment, centre moves, inertia),
+// exhaustive_evals/op what incremental seeding and scanning every centroid
+// for every point on every pass would have cost over the same passes.
 func BenchmarkKMeansFlat(b *testing.B) {
 	const n, dims, k = 2560, 5, 160
 	data := NormalizeFlat(packRows(genPoints(n, dims, 9, 501, 0, false), dims), n, dims)
@@ -463,6 +545,6 @@ func BenchmarkKMeansFlat(b *testing.B) {
 		_, work = kmeansFlat(data, n, dims, k, 0, sim.NewRNG(501))
 	}
 	b.ReportMetric(float64(work.distEvals), "dist_evals/op")
-	b.ReportMetric(float64(work.passes*n*k), "exhaustive_evals/op")
+	b.ReportMetric(float64((work.passes+1)*n*k), "exhaustive_evals/op")
 	b.ReportMetric(float64(work.passes), "passes/op")
 }

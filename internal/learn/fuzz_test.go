@@ -27,6 +27,12 @@ func FuzzKMeansFlatMatchesReference(f *testing.F) {
 	// while the distances themselves do not. Found by the fuzzer against a
 	// kernel that took sqrt(+Inf) for a lower bound.
 	f.Add(uint64(5), uint16(81), uint16(9), uint8(0), int16(153), uint8(4), uint8(16), uint8(50))
+	// k ≥ 100 with every other point a duplicate: many groups of centres,
+	// and centres landing on duplicated rows.
+	f.Add(uint64(11), uint16(480), uint16(150), uint8(4), int16(0), uint8(2), uint8(0), uint8(25))
+	// k = 120 on a lattice of 8 distinct points: seeding spends most of its
+	// landings in the zero-total duplicate-centre branch.
+	f.Add(uint64(12), uint16(300), uint16(119), uint8(2), int16(0), uint8(0), uint8(2), uint8(25))
 	f.Fuzz(func(t *testing.T, seed uint64, n, k uint16, dims uint8, scaleExp int16, dupEvery, lattice, iters uint8) {
 		nn := int(n)%600 + 1
 		kk := int(k)%(nn+4) + 1 // reaches past n: the clamp is part of the contract

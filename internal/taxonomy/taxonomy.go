@@ -132,7 +132,7 @@ func Registry() []Technique {
 		{"user-written classifier functions", ClassCharacterizationStatic, "MS SQL Server Resource Governor [50]", "characterize.CriteriaFunc"},
 		{"service classes, tiers and resource pools", ClassCharacterizationStatic, "DB2 service classes; SQL Server pools [50]", "characterize.ServiceClass, characterize.PoolSet"},
 		{"workload analyzer over query logs", ClassCharacterizationStatic, "Teradata Workload Analyzer [71]", "characterize.Analyzer"},
-		{"k-means query-log clustering", ClassCharacterizationStatic, "Tran et al. Oracle Workload Intelligence [73]", "characterize.Analyzer.AnalyzeClustered, learn.KMeansFlat"},
+		{"k-means query-log clustering", ClassCharacterizationStatic, "Tran et al. Oracle Workload Intelligence [73]", "trace.Compress, learn.KMeansFlat"},
 		{"ML workload-type classification", ClassCharacterizationDynamic, "Elnaffar et al. [19]; Tran et al. [73]", "characterize.DynamicClassifier"},
 		// Admission.
 		{"query-cost threshold", ClassAdmissionThreshold, "Query Governor Cost Limit [51]; DB2 [30]; Teradata filters [72]", "admission.CostThreshold"},

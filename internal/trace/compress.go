@@ -43,7 +43,8 @@ import (
 type CompressConfig struct {
 	// Ratio is the target compression ratio (original rows per
 	// representative). Every (class, stratum) group is reduced by this
-	// factor, never below one representative. Default 16.
+	// factor, never below one representative. Zero means the default, 16;
+	// 1 keeps every row, and anything below 1 acts as 1.
 	Ratio float64
 	// Strata is the number of equal time slices clustering is confined to;
 	// it fixes the resolution at which the compressed trace preserves the
@@ -73,8 +74,11 @@ type compressJob struct {
 // buffers.
 func Compress(h Header, rows []Row, cfg CompressConfig) []Row {
 	ratio := cfg.Ratio
-	if ratio <= 1 {
+	if ratio == 0 {
 		ratio = 16
+	}
+	if !(ratio >= 1) {
+		ratio = 1
 	}
 	strata := cfg.Strata
 	if strata <= 0 {

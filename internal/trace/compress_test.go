@@ -65,6 +65,29 @@ func TestCompressParallelMatchesSequential(t *testing.T) {
 	}
 }
 
+// TestCompressRatioOneKeepsEveryRow pins the ratio's edges: only the zero
+// value takes the default of 16, ratio 1 keeps every row with weight 1, and a
+// ratio below 1 acts as 1 instead of falling back to the default.
+func TestCompressRatioOneKeepsEveryRow(t *testing.T) {
+	h, rows := Synth(5, 3200)
+	for _, ratio := range []float64{1, 0.5} {
+		comp := Compress(h, rows, CompressConfig{Ratio: ratio, Seed: 1})
+		if len(comp) != len(rows) {
+			t.Fatalf("ratio %v kept %d of %d rows", ratio, len(comp), len(rows))
+		}
+		for i := range comp {
+			if comp[i].ID != rows[i].ID || comp[i].Weight != 1 {
+				t.Fatalf("ratio %v: row %d is ID %d weight %v, want ID %d weight 1",
+					ratio, i, comp[i].ID, comp[i].Weight, rows[i].ID)
+			}
+		}
+	}
+	def := encodeAll(t, Compress(h, rows, CompressConfig{Seed: 1}))
+	if !bytes.Equal(def, encodeAll(t, Compress(h, rows, CompressConfig{Ratio: 16, Seed: 1}))) {
+		t.Fatal("ratio 0 is not the default ratio 16")
+	}
+}
+
 func TestCompressShape(t *testing.T) {
 	h, rows := Synth(3, 6000)
 	cfg := CompressConfig{Ratio: 16, Strata: 6, Seed: 1}
