@@ -46,8 +46,10 @@ bench:
 # first Lloyd pass, Yinyang group bounds, incremental separations) against
 # its brute-force reference, the selection-built k-d tree against the
 # sort-built one, and
-# table-backed k-NN prediction against the linear scan, and the shard-owned
-# flight recorder against the seqlock reference ring — enough to shake out
+# table-backed k-NN prediction against the linear scan, the shard-owned
+# flight recorder against the seqlock reference ring, and the striped
+# histogram's bucket table and shard-owned shards against the logarithm and
+# the per-field-atomic reference — enough to shake out
 # panics and bit mismatches without stalling CI. The wire and trace patterns
 # are anchored because those packages have two targets.
 fuzz-short:
@@ -62,6 +64,8 @@ fuzz-short:
 	$(GO) test -fuzz FuzzKDBuildMatchesReference -fuzztime 10s -run '^$$' ./internal/learn/
 	$(GO) test -fuzz FuzzKNNMemoMatchesLinear -fuzztime 10s -run '^$$' ./internal/learn/
 	$(GO) test -fuzz FuzzRecorderMatchesReference -fuzztime 10s -run '^$$' ./internal/obsv/
+	$(GO) test -fuzz FuzzStripedBucketIndexMatchesFormula -fuzztime 10s -run '^$$' ./internal/metrics/
+	$(GO) test -fuzz FuzzStripedHistogramMatchesReference -fuzztime 10s -run '^$$' ./internal/metrics/
 
 # loc prints non-test Go lines per package and in total. The benchmark
 # (internal/bench, cmd/wlmbench) and the lint fixture corpus are not product

@@ -71,7 +71,7 @@ type LabeledWindow struct {
 // TrainDynamicClassifier learns a classifier from labeled windows. algorithm
 // is "bayes" (default) or "tree".
 //
-//dbwlm:nolint deadcode -- registry row "ML workload-type classification" runs only under tests; ROADMAP item 9c wires it in or deletes it
+//dbwlm:nolint deadcode -- registry row "ML workload-type classification" runs only under tests; the ROADMAP item "Every registry row runs in a binary, or is deleted" wires it in or deletes it
 func TrainDynamicClassifier(windows []LabeledWindow, algorithm string) *DynamicClassifier {
 	samples := make([]learn.Sample, 0, len(windows))
 	for _, w := range windows {
@@ -91,7 +91,7 @@ func TrainDynamicClassifier(windows []LabeledWindow, algorithm string) *DynamicC
 
 // Classify labels a window of recent requests.
 //
-//dbwlm:nolint deadcode -- registry row "ML workload-type classification" runs only under tests; ROADMAP item 9c wires it in or deletes it
+//dbwlm:nolint deadcode -- registry row "ML workload-type classification" runs only under tests; the ROADMAP item "Every registry row runs in a binary, or is deleted" wires it in or deletes it
 func (c *DynamicClassifier) Classify(reqs []*workload.Request) WorkloadType {
 	return WorkloadType(c.model.Predict(SnapshotFeatures(reqs)))
 }

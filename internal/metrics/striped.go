@@ -9,14 +9,17 @@ import (
 )
 
 // This file is the concurrent half of the monitoring substrate: striped
-// counters and histograms whose write path is a single atomic RMW on a
-// cache-line-padded shard, so statistics collection never serializes the
-// admit/release hot path of the live runtime (internal/rt). Reads merge the
-// shards. The merge is not a point-in-time snapshot across shards — each
+// counters and histograms whose write path touches one cache-line-padded
+// shard — a counter with one atomic add, a histogram with one ownership
+// compare-and-swap and a release store — so statistics collection never
+// serializes the admit/release hot path of the live runtime (internal/rt).
+// Reads merge the shards. The merge is not a point-in-time snapshot across shards — each
 // shard's contribution is exact at the instant it is read, and all counters
 // are monotone, so a merged value is bounded by the true value at the start
 // and end of the read. The property test in striped_test.go checks that a
-// sharded merge equals an unsharded reference fed the same values.
+// sharded merge equals an unsharded reference fed the same values, and
+// reference_test.go holds the histogram to the per-field-atomic shard and the
+// logarithm it replaced.
 
 // StripeShards normalizes a requested shard count for this package's striped
 // recorders and for internal/rt's striped gates: n rounds up to a power of
@@ -106,89 +109,146 @@ func (g *AtomicGauge) Value() float64 { return math.Float64frombits(g.bits.Load(
 // Striped-histogram bucket layout: logarithmic buckets with a fixed growth
 // factor, coarser than the sequential Histogram (12% relative error instead
 // of 5%) so the whole bucket array fits in ~1KB per shard and can be a fixed
-// array updated with plain atomic adds.
+// array updated in place.
 const (
 	stripedBase    = 1e-6
 	stripedGrowth  = 1.25
 	stripedBuckets = 128
+	// stripedCellShift keeps a float64's exponent and its top three mantissa
+	// bits: a cell of the index table spans a ratio of at most 1 + 1/8, less
+	// than one bucket's 1.25, so it holds at most one bucket boundary.
+	stripedCellShift = 52 - 3
 )
+
+// stripedLayout is the bucket layout, built once from the defining formula
+// (stripedLogIndex) so that the record path never takes a logarithm.
+var stripedLayout = buildStripedLayout()
+
+type stripedTable struct {
+	// lower[i] is the smallest float64 the formula puts in bucket i or above
+	// (lower[0] is unused: bucket 0 is everything at or below stripedBase).
+	lower [stripedBuckets]float64
+	// upper[i] is bucket i's reported upper bound, stripedBase·growth^i.
+	upper [stripedBuckets]float64
+	// cell[k] is the formula's bucket for the smallest value above
+	// stripedBase whose bits>>stripedCellShift are cellBase+k; the table
+	// ends at the cell of lower[stripedBuckets-1].
+	cell     []uint8
+	cellBase uint64
+}
 
 var stripedLogG = math.Log(stripedGrowth)
 
-//dbwlm:hotpath
-func stripedBucketIndex(v float64) int {
+// stripedLogIndex is the bucket formula: ⌊ln(v/base)/ln(growth)⌋ + 1, 0 at or
+// below base, clamped to the last bucket. It is defined for the values
+// clampSample returns.
+func stripedLogIndex(v float64) int {
 	if v <= stripedBase {
 		return 0
 	}
-	i := int(math.Log(v/stripedBase)/stripedLogG) + 1
-	if i >= stripedBuckets {
+	return min(int(math.Log(v/stripedBase)/stripedLogG)+1, stripedBuckets-1)
+}
+
+// buildStripedLayout finds each bucket's lower boundary by bisection over
+// float64 bit patterns (positive floats order as their bits), then tabulates
+// each cell's first bucket.
+func buildStripedLayout() stripedTable {
+	var t stripedTable
+	baseBits, topBits := math.Float64bits(stripedBase), math.Float64bits(maxSample)
+	for i := 1; i < stripedBuckets; i++ {
+		lo, hi := baseBits, topBits // formula(lo) < i <= formula(hi)
+		for hi-lo > 1 {
+			mid := lo + (hi-lo)/2
+			if stripedLogIndex(math.Float64frombits(mid)) >= i {
+				hi = mid
+			} else {
+				lo = mid
+			}
+		}
+		t.lower[i] = math.Float64frombits(hi)
+	}
+	t.upper[0] = stripedBase
+	for i := 1; i < stripedBuckets; i++ {
+		t.upper[i] = stripedBase * math.Pow(stripedGrowth, float64(i))
+	}
+	t.cellBase = baseBits >> stripedCellShift
+	last := math.Float64bits(t.lower[stripedBuckets-1]) >> stripedCellShift
+	t.cell = make([]uint8, last-t.cellBase+1)
+	for k := range t.cell {
+		first := max((t.cellBase+uint64(k))<<stripedCellShift, baseBits+1)
+		t.cell[k] = uint8(stripedLogIndex(math.Float64frombits(first)))
+	}
+	return t
+}
+
+// maxSample is the largest value a striped histogram records; larger ones
+// are clamped to it.
+const maxSample = 1e18
+
+// clampSample applies the striped histograms' input policy — the same as
+// Histogram.Record's: negative and NaN values become zero, values above
+// maxSample become maxSample.
+//
+//dbwlm:hotpath
+func clampSample(v float64) float64 {
+	if math.IsNaN(v) || v < 0 {
+		return 0
+	}
+	return min(v, maxSample)
+}
+
+// stripedBucketIndex is stripedLogIndex for a clamped sample, read from the
+// layout: the value's exponent and top mantissa bits pick its cell, and one
+// compare against the next boundary settles the bucket.
+//
+//dbwlm:hotpath
+func stripedBucketIndex(v float64) int {
+	t := &stripedLayout
+	if v <= stripedBase {
+		return 0
+	}
+	if v >= t.lower[stripedBuckets-1] {
 		return stripedBuckets - 1
+	}
+	i := int(t.cell[math.Float64bits(v)>>stripedCellShift-t.cellBase])
+	if v >= t.lower[i+1] {
+		i++
 	}
 	return i
 }
 
 //dbwlm:hotpath
-func stripedBucketUpper(i int) float64 {
-	if i == 0 {
-		return stripedBase
-	}
-	return stripedBase * math.Pow(stripedGrowth, float64(i))
-}
+func stripedBucketUpper(i int) float64 { return stripedLayout.upper[i] }
 
-// histShard is one shard of a StripedHistogram. Each field is updated with an
-// atomic RMW; sum/min/max use CAS loops on the float bit patterns. Shards are
-// large (≫ one cache line), so only bucket arrays of adjacent shards can
-// share a boundary line — negligible next to the padding cost of padding
-// every bucket.
+// histShard is one shard of a StripedHistogram. busy is the shard's
+// ownership word, as in the flight recorder (internal/obsv): a writer or
+// reader that swaps it from 0 to 1 owns every other field until it stores 0,
+// and no one touches them otherwise. So a record is one compare-and-swap,
+// plain stores and one release store, and a reader sees each shard whole:
+// its count is exactly the sum of its buckets. The trailing padding keeps a
+// shard's busy word off the cache line of the previous shard's last buckets.
 type histShard struct {
-	buckets [stripedBuckets]atomic.Int64
-	count   atomic.Int64
-	sumBits atomic.Uint64
-	minBits atomic.Uint64 // +Inf until first record
-	maxBits atomic.Uint64 // -Inf until first record
-	_       [64]byte
+	busy     atomic.Uint32
+	count    int64
+	sum      float64
+	min, max float64 // ±Inf until first record
+	buckets  [stripedBuckets]int64
+	_        [88]byte
 }
 
-// record publishes v's sum/min/max contribution before its bucket and its
-// bucket before its count (Go atomics are sequentially consistent), so a
-// reader that loads count, then buckets, then sum/min/max sees the full
-// contribution of every record it counted: count > 0 implies a bucket is
-// set, and a counted bucket implies sum, min and max already include it.
+// hold claims s for a reader. It spins rather than yields: a writer holds a
+// shard only for its few stores, and a spinning goroutine is still preempted
+// if the writer was descheduled mid-record.
 //
 //dbwlm:hotpath
-func (s *histShard) record(v float64) {
-	for {
-		old := s.sumBits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + v)
-		if s.sumBits.CompareAndSwap(old, next) {
-			break
-		}
+func (s *histShard) hold() {
+	for s.busy.Load() != 0 || !s.busy.CompareAndSwap(0, 1) {
 	}
-	for {
-		old := s.minBits.Load()
-		if v >= math.Float64frombits(old) {
-			break
-		}
-		if s.minBits.CompareAndSwap(old, math.Float64bits(v)) {
-			break
-		}
-	}
-	for {
-		old := s.maxBits.Load()
-		if v <= math.Float64frombits(old) {
-			break
-		}
-		if s.maxBits.CompareAndSwap(old, math.Float64bits(v)) {
-			break
-		}
-	}
-	s.buckets[stripedBucketIndex(v)].Add(1)
-	s.count.Add(1)
 }
 
 // StripedHistogram records a distribution of nonnegative values (seconds,
-// velocities) from many goroutines at once: the write path touches one shard,
-// the read path merges all shards into a Snapshot.
+// velocities) from many goroutines at once: the write path owns one shard
+// for a moment, the read path merges all shards into a Snapshot.
 type StripedHistogram struct {
 	shards []histShard
 	mask   uint32
@@ -200,8 +260,8 @@ func NewStripedHistogram(shards int) *StripedHistogram {
 	n := StripeShards(shards)
 	h := &StripedHistogram{shards: make([]histShard, n), mask: uint32(n - 1)}
 	for i := range h.shards {
-		h.shards[i].minBits.Store(math.Float64bits(math.Inf(1)))
-		h.shards[i].maxBits.Store(math.Float64bits(math.Inf(-1)))
+		h.shards[i].min = math.Inf(1)
+		h.shards[i].max = math.Inf(-1)
 	}
 	return h
 }
@@ -213,28 +273,41 @@ func NewStripedHistogram(shards int) *StripedHistogram {
 func (h *StripedHistogram) Record(v float64) { h.RecordAt(StripeIdx(), v) }
 
 // RecordAt is Record on the shard stripe selects (masked by the shard
-// count).
+// count). If that shard is held, the value goes to the next free one.
 //
 //dbwlm:hotpath
 func (h *StripedHistogram) RecordAt(stripe uint32, v float64) {
-	if math.IsNaN(v) || v < 0 {
-		v = 0
+	v = clampSample(v)
+	s := &h.shards[stripe&h.mask]
+	if !s.busy.CompareAndSwap(0, 1) {
+		s = h.probe(stripe)
 	}
-	const maxValue = 1e18
-	if v > maxValue {
-		v = maxValue
+	s.sum += v
+	if v < s.min {
+		s.min = v
 	}
-	h.shards[stripe&h.mask].record(v)
+	if v > s.max {
+		s.max = v
+	}
+	s.buckets[stripedBucketIndex(v)]++
+	s.count++
+	s.busy.Store(0)
+}
+
+// probe claims the first free shard after stripe's, which was found held.
+// It spins without parking, so it waits only while every shard is held.
+//
+//dbwlm:hotpath
+func (h *StripedHistogram) probe(stripe uint32) *histShard {
+	for i := stripe + 1; ; i++ {
+		s := &h.shards[i&h.mask]
+		if s.busy.Load() == 0 && s.busy.CompareAndSwap(0, 1) {
+			return s
+		}
+	}
 }
 
 // merged is the shard-merged state of a striped histogram at read time.
-// Invariant of every merged view (merge, MergeBuckets, and everything built
-// on them): Σ buckets == count. A shard's count is not read from its counter
-// but derived from the bucket values the merge actually loaded, so a Record
-// landing mid-walk can never leave the +Inf bucket and the count from
-// different instants. sum/min/max are loaded after the buckets, so they
-// cover every counted record (histShard.record publishes them first) and
-// may run ahead of count by records still in flight.
 type merged struct {
 	buckets  [stripedBuckets]int64
 	count    int64
@@ -242,20 +315,31 @@ type merged struct {
 	min, max float64
 }
 
+// merge adds up the shards, holding each while it reads it. Each shard's
+// contribution is exact at the instant it is read and every shard only
+// grows, so the result is bounded by the true state at the start and end of
+// the call, and Σ buckets == count holds exactly.
+//
 //dbwlm:hotpath
 func (h *StripedHistogram) merge() merged {
 	m := merged{min: math.Inf(1), max: math.Inf(-1)}
-	m.count, m.sum = h.MergeBuckets(&m.buckets)
 	for i := range h.shards {
 		s := &h.shards[i]
-		// An idle shard still holds its ±Inf sentinels, which lose every
-		// comparison.
-		if v := math.Float64frombits(s.minBits.Load()); v < m.min {
-			m.min = v
+		s.hold()
+		if s.count > 0 {
+			for b, n := range s.buckets {
+				m.buckets[b] += n
+			}
+			m.count += s.count
+			m.sum += s.sum
+			if s.min < m.min {
+				m.min = s.min
+			}
+			if s.max > m.max {
+				m.max = s.max
+			}
 		}
-		if v := math.Float64frombits(s.maxBits.Load()); v > m.max {
-			m.max = v
-		}
+		s.busy.Store(0)
 	}
 	return m
 }
@@ -296,7 +380,10 @@ func (m *merged) percentile(p float64) float64 {
 func (h *StripedHistogram) Count() int64 {
 	var n int64
 	for i := range h.shards {
-		n += h.shards[i].count.Load()
+		s := &h.shards[i]
+		s.hold()
+		n += s.count
+		s.busy.Store(0)
 	}
 	return n
 }
@@ -329,31 +416,16 @@ const StripedBuckets = stripedBuckets
 
 // MergeBuckets merges the shards' bucket arrays into dst (overwriting it)
 // and reports the merged count and sum. Like every merged read, each shard's
-// contribution is exact at the instant it is read and all counters are
-// monotone, so the result is bounded by the true state at the start and end
-// of the call; count is derived from the loaded buckets, so Σ dst == count
-// holds exactly and two calls can be diffed bucket-against-count.
+// contribution is exact at the instant it is read and every shard only
+// grows, so the result is bounded by the true state at the start and end of
+// the call; Σ dst == count holds exactly, so two calls can be diffed
+// bucket-against-count.
 //
 //dbwlm:hotpath
 func (h *StripedHistogram) MergeBuckets(dst *[StripedBuckets]int64) (count int64, sum float64) {
-	*dst = [StripedBuckets]int64{}
-	for i := range h.shards {
-		s := &h.shards[i]
-		if s.count.Load() == 0 {
-			// Idle shard: nothing recorded, so its buckets and sum are at
-			// their zero state and the bucket walk can be skipped — most
-			// shards of most histograms in a Snapshot are empty. A Record
-			// racing the load is deferred to the next merge.
-			continue
-		}
-		for b := range s.buckets {
-			n := s.buckets[b].Load()
-			dst[b] += n
-			count += n
-		}
-		sum += math.Float64frombits(s.sumBits.Load())
-	}
-	return count, sum
+	m := h.merge()
+	*dst = m.buckets
+	return m.count, m.sum
 }
 
 // BucketPercentile reports the p-th percentile upper bound over a raw bucket

@@ -100,12 +100,13 @@ func TestStripedHistogramConcurrent(t *testing.T) {
 	}
 }
 
-// TestStripedHistogramMergeOnRead reads the merged view (Cumulative, Sum,
-// Count — the /metrics exposition path) continuously while writers are still
-// recording: each mid-flight merge must be internally consistent (cumulative
-// counts monotone, terminal equal to the merged count), and the final merge
-// must equal the sum of the per-writer counts exactly. Runs under -race in
-// the `make race` target.
+// TestStripedHistogramMergeOnRead reads every merged view (Cumulative,
+// MergeBuckets, Count, Snapshot — the /metrics exposition path and the SLO
+// windows) continuously while writers are still recording: each mid-flight
+// read must be internally consistent (cumulative counts monotone, terminal
+// and Σ buckets equal to the merged count), no read may count fewer records
+// than the read before it, and the final merge must equal the sum of the
+// per-writer counts exactly. Runs under -race in the `make race` target.
 func TestStripedHistogramMergeOnRead(t *testing.T) {
 	h := NewStripedHistogram(0)
 	const writers, per = 16, 2000
@@ -115,6 +116,14 @@ func TestStripedHistogramMergeOnRead(t *testing.T) {
 	readers.Add(1)
 	go func() {
 		defer readers.Done()
+		var prev int64
+		seen := func(view string, n int64) {
+			if n < prev {
+				t.Errorf("%s counted %d records after a read counted %d", view, n, prev)
+			}
+			prev = n
+		}
+		var buckets [StripedBuckets]int64
 		for {
 			select {
 			case <-stop:
@@ -128,12 +137,24 @@ func TestStripedHistogramMergeOnRead(t *testing.T) {
 				}
 				last = cum
 			})
-			if last > count {
-				t.Errorf("last bucket %d exceeds merged count %d", last, count)
+			if last != count {
+				t.Errorf("last bucket %d differs from merged count %d", last, count)
 			}
 			if count > 0 && sum <= 0 {
 				t.Errorf("merged count %d with sum %v", count, sum)
 			}
+			seen("Cumulative", count)
+			count, _ = h.MergeBuckets(&buckets)
+			var total int64
+			for _, n := range buckets {
+				total += n
+			}
+			if total != count {
+				t.Errorf("MergeBuckets: Σ buckets %d, count %d", total, count)
+			}
+			seen("MergeBuckets", count)
+			seen("Count", h.Count())
+			seen("Snapshot", h.Snapshot().Count)
 		}
 	}()
 	perWriter := make([]int64, writers)
@@ -155,12 +176,31 @@ func TestStripedHistogramMergeOnRead(t *testing.T) {
 		want += n
 	}
 	count, sum := h.Cumulative(func(float64, int64) {})
-	if count != want {
-		t.Fatalf("merged count %d, want sum of per-writer counts %d", count, want)
+	if count != want || h.Count() != want {
+		t.Fatalf("merged count %d, Count %d, want sum of per-writer counts %d", count, h.Count(), want)
 	}
 	if s := h.Snapshot(); s.Count != want || math.Abs(sum-s.Sum) > 1e-9*s.Sum {
 		t.Fatalf("Cumulative (%d, %v) disagrees with Snapshot (%d, %v)", count, sum, s.Count, s.Sum)
 	}
+}
+
+// BenchmarkStripedRecordAt prices one latency sample at live service times
+// (100–300 µs, the table path); the admit+done benchmarks of internal/rt
+// record sub-microsecond elapsed times, which all land in bucket 0.
+func BenchmarkStripedRecordAt(b *testing.B) {
+	h := NewStripedHistogram(0)
+	var vals [256]float64
+	for i := range vals {
+		vals[i] = 100e-6 + 200e-6*float64(i)/float64(len(vals))
+	}
+	b.ReportAllocs()
+	b.RunParallel(func(pb *testing.PB) {
+		i := 0
+		for pb.Next() {
+			h.RecordAt(StripeIdx(), vals[i&255])
+			i++
+		}
+	})
 }
 
 // TestStripedHistogramClamping mirrors Histogram.Record's input policy.

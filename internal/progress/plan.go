@@ -19,7 +19,7 @@ type PlanProgress struct {
 
 // NewPlanProgress prepares per-operator cost positions for a plan.
 //
-//dbwlm:nolint deadcode -- registry row "query progress indicators" runs only under tests; ROADMAP item 9c wires it in or deletes it
+//dbwlm:nolint deadcode -- registry row "query progress indicators" runs only under tests; the ROADMAP item "Every registry row runs in a binary, or is deleted" wires it in or deletes it
 func NewPlanProgress(plan *sqlmini.Plan) *PlanProgress {
 	ops := plan.Operators()
 	p := &PlanProgress{plan: plan, ops: ops, cumCPU: make([]float64, len(ops))}
@@ -34,7 +34,7 @@ func NewPlanProgress(plan *sqlmini.Plan) *PlanProgress {
 
 // Operators returns the plan's operators in execution (post-) order.
 //
-//dbwlm:nolint deadcode -- registry row "query progress indicators" runs only under tests; ROADMAP item 9c wires it in or deletes it
+//dbwlm:nolint deadcode -- registry row "query progress indicators" runs only under tests; the ROADMAP item "Every registry row runs in a binary, or is deleted" wires it in or deletes it
 func (p *PlanProgress) Operators() []*sqlmini.Operator { return p.ops }
 
 // OperatorFractions reports each operator's completion fraction at overall
@@ -92,7 +92,7 @@ func (p *PlanProgress) CurrentOperator(f float64) int {
 
 // RemainingCPUSeconds reports the estimated CPU work left at progress f.
 //
-//dbwlm:nolint deadcode -- registry row "query progress indicators" runs only under tests; ROADMAP item 9c wires it in or deletes it
+//dbwlm:nolint deadcode -- registry row "query progress indicators" runs only under tests; the ROADMAP item "Every registry row runs in a binary, or is deleted" wires it in or deletes it
 func (p *PlanProgress) RemainingCPUSeconds(f float64) float64 {
 	if f < 0 {
 		f = 0
@@ -107,7 +107,7 @@ func (p *PlanProgress) RemainingCPUSeconds(f float64) float64 {
 // speed (progress fraction per second, from an Estimator): cost-based
 // remaining work over measured speed — the hybrid GSLPI formulation.
 //
-//dbwlm:nolint deadcode -- registry row "query progress indicators" runs only under tests; ROADMAP item 9c wires it in or deletes it
+//dbwlm:nolint deadcode -- registry row "query progress indicators" runs only under tests; the ROADMAP item "Every registry row runs in a binary, or is deleted" wires it in or deletes it
 func (p *PlanProgress) RemainingWallSeconds(f, progressPerSecond float64) float64 {
 	if progressPerSecond <= 0 {
 		return -1 // unknown
@@ -120,7 +120,7 @@ func (p *PlanProgress) RemainingWallSeconds(f, progressPerSecond float64) float6
 
 // Describe renders a live per-operator progress view.
 //
-//dbwlm:nolint deadcode -- registry row "query progress indicators" runs only under tests; ROADMAP item 9c wires it in or deletes it
+//dbwlm:nolint deadcode -- registry row "query progress indicators" runs only under tests; the ROADMAP item "Every registry row runs in a binary, or is deleted" wires it in or deletes it
 func (p *PlanProgress) Describe(f float64) string {
 	fr := p.OperatorFractions(f)
 	cur := p.CurrentOperator(f)

@@ -99,7 +99,7 @@ type Tracker struct {
 
 // NewTracker starts sampling the engine's resident queries every interval.
 //
-//dbwlm:nolint deadcode -- registry row "query progress indicators" runs only under tests; ROADMAP item 9c wires it in or deletes it
+//dbwlm:nolint deadcode -- registry row "query progress indicators" runs only under tests; the ROADMAP item "Every registry row runs in a binary, or is deleted" wires it in or deletes it
 func NewTracker(eng *engine.Engine, interval sim.Duration) *Tracker {
 	if interval <= 0 {
 		interval = 250 * sim.Millisecond
@@ -134,7 +134,7 @@ func (t *Tracker) sample() {
 // Estimate returns the current estimate for query id; ok is false when the
 // query is unknown (not yet sampled or already gone).
 //
-//dbwlm:nolint deadcode -- registry row "query progress indicators" runs only under tests; ROADMAP item 9c wires it in or deletes it
+//dbwlm:nolint deadcode -- registry row "query progress indicators" runs only under tests; the ROADMAP item "Every registry row runs in a binary, or is deleted" wires it in or deletes it
 func (t *Tracker) Estimate(id int64) (Estimate, bool) {
 	est := t.ests[id]
 	if est == nil {
@@ -145,7 +145,7 @@ func (t *Tracker) Estimate(id int64) (Estimate, bool) {
 
 // Stop halts sampling.
 //
-//dbwlm:nolint deadcode -- registry row "query progress indicators" runs only under tests; ROADMAP item 9c wires it in or deletes it
+//dbwlm:nolint deadcode -- registry row "query progress indicators" runs only under tests; the ROADMAP item "Every registry row runs in a binary, or is deleted" wires it in or deletes it
 func (t *Tracker) Stop() { t.stop() }
 
 // OptimizerEstimate is the threshold-era alternative: remaining time from
@@ -153,7 +153,7 @@ func (t *Tracker) Stop() { t.stop() }
 // inherits the optimizer's estimation error. Provided for the A3-style
 // comparisons of indicator quality.
 //
-//dbwlm:nolint deadcode -- registry row "query progress indicators" runs only under tests; ROADMAP item 9c wires it in or deletes it
+//dbwlm:nolint deadcode -- registry row "query progress indicators" runs only under tests; the ROADMAP item "Every registry row runs in a binary, or is deleted" wires it in or deletes it
 func OptimizerEstimate(estTotalSeconds float64, elapsed sim.Duration) float64 {
 	rem := estTotalSeconds - elapsed.Seconds()
 	if rem < 0 {

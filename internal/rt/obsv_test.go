@@ -1,6 +1,7 @@
 package rt
 
 import (
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -14,10 +15,11 @@ import (
 // the flight recorder holds the full story: every decision carries its
 // reason, and one request's events share a qid.
 func TestRecorderLifecycle(t *testing.T) {
-	clock := int64(0)
+	// The waiter goroutine reads the clock too (its drain after parking).
+	var clock atomic.Int64
 	r, err := New([]ClassSpec{
 		{Name: "oltp", Priority: policy.PriorityHigh, MaxMPL: 1, MaxCostTimerons: 1000},
-	}, Options{Now: func() int64 { return clock }})
+	}, Options{Now: clock.Load})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,13 +38,13 @@ func TestRecorderLifecycle(t *testing.T) {
 	got := make(chan Grant)
 	go func() { got <- r.Admit(0, 20) }()
 	waitForWaiters(t, r, 1)
-	clock += 3_000_000 // 3ms queued
+	clock.Add(3_000_000) // 3ms queued
 	r.Done(g1, 0.001)
 	g2 := <-got
 	if !g2.Admitted() || g2.id == 0 || g2.id == g1.id {
 		t.Fatalf("drained grant %+v (g1 id %d)", g2, g1.id)
 	}
-	clock += 2_000_000
+	clock.Add(2_000_000)
 	r.Done(g2, 0.002)
 
 	type key struct {
@@ -89,10 +91,11 @@ func TestRecorderLifecycle(t *testing.T) {
 // TestRecorderQueueTimeout: a waiter expiring at a retry point records the
 // rejected-timeout decision with the time it waited.
 func TestRecorderQueueTimeout(t *testing.T) {
-	clock := int64(0)
+	// The waiter goroutine reads the clock too (its drain after parking).
+	var clock atomic.Int64
 	r, err := New([]ClassSpec{
 		{Name: "batch", MaxMPL: 1, MaxQueueDelay: 10 * time.Millisecond},
-	}, Options{Now: func() int64 { return clock }})
+	}, Options{Now: clock.Load})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,11 +105,14 @@ func TestRecorderQueueTimeout(t *testing.T) {
 	got := make(chan Grant)
 	go func() { got <- r.Admit(0, 0) }()
 	waitForWaiters(t, r, 1)
-	clock += 11_000_000 // past MaxQueueDelay
+	clock.Add(11_000_000) // past MaxQueueDelay
 	r.RetryNow()
 	g2 := <-got
 	if g2.Verdict() != RejectedTimeout {
 		t.Fatalf("verdict %v", g2.Verdict())
+	}
+	if n := r.waiting.Load(); n != 0 {
+		t.Fatalf("global waiter count %d after the timeout", n)
 	}
 	f := obsv.MatchAll
 	f.QID = g2.id
@@ -122,7 +128,7 @@ func TestRecorderQueueTimeout(t *testing.T) {
 func waitForWaiters(t *testing.T, r *Runtime, n int64) {
 	t.Helper()
 	deadline := time.Now().Add(2 * time.Second)
-	for r.classes[0].gate.waiters.Load() < n {
+	for r.QueueLen(0) < n {
 		if time.Now().After(deadline) {
 			t.Fatal("waiter never parked")
 		}

@@ -2,6 +2,7 @@ package rt
 
 import (
 	"fmt"
+	"sort"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -141,6 +142,13 @@ type Runtime struct {
 	classes []*classState
 	byName  map[string]ClassID
 	global  *gate
+	// byPriority lists the classes highest priority first (class ID breaks
+	// ties): the order a release drains them in.
+	byPriority []ClassID
+	// waiting counts parked requests across every class; it moves together
+	// with each class gate's waiters, so Done reads one word to learn that
+	// nobody waits.
+	waiting atomic.Int64
 
 	now        func() int64
 	retryEvery time.Duration
@@ -236,6 +244,12 @@ func New(specs []ClassSpec, opts Options) (*Runtime, error) {
 		r.classes = append(r.classes, cs)
 	}
 	r.global = newGate(shards, gateLimits{maxMPL: int64(opts.GlobalMaxMPL)})
+	for id := range r.classes {
+		r.byPriority = append(r.byPriority, ClassID(id))
+	}
+	sort.SliceStable(r.byPriority, func(i, j int) bool {
+		return r.classes[r.byPriority[i]].spec.Priority > r.classes[r.byPriority[j]].spec.Priority
+	})
 	r.qids.init(shards)
 	return r, nil
 }
@@ -360,7 +374,11 @@ func (r *Runtime) admitWith(class ClassID, costTimerons float64, fp uint64, pred
 }
 
 // await parks the request in its class queue until a retry cycle or a
-// release hands it a verdict.
+// release hands it a verdict. It parks through its class's drain, which
+// re-checks the gates in the same critical section: every holder may have
+// released between the failed fast path and the push, each seeing nobody
+// waiting, and the re-check is what seats the waiter then instead of at the
+// next retry tick.
 func (r *Runtime) await(cs *classState, class ClassID, cost float64, qid int64, fp uint64, predicted float64, gated bool) Grant {
 	w := waiterPool.Get().(*waiter)
 	w.enqueuedAt = r.now()
@@ -377,11 +395,8 @@ func (r *Runtime) await(cs *classState, class ClassID, cost float64, qid int64, 
 			Kind: obsv.KindEnqueue, Reason: reason, Verdict: obsv.NoVerdict,
 			Class: int32(class), Value: cost, Aux: predicted})
 	}
-	cs.queue.mu.Lock()
-	cs.queue.push(w)
-	cs.gate.waiters.Add(1)
-	cs.queue.mu.Unlock()
 	cs.queued.Inc()
+	r.drain(cs, class, false, w)
 	g := <-w.ch
 	waiterPool.Put(w)
 	return g
@@ -390,7 +405,9 @@ func (r *Runtime) await(cs *classState, class ClassID, cost float64, qid int64, 
 // Done releases an admitted Grant: the service latency is recorded (plus
 // execution velocity when the caller knows the request's ideal stand-alone
 // seconds; pass 0 when unknown), the slot returns to the gate, and parked
-// waiters are drained if any. Calling Done on a non-admitted Grant is a
+// waiters are drained if any: every class that has them, highest priority
+// first, since the freed global slot may be the one a waiter of another
+// class is parked on. Calling Done on a non-admitted Grant is a
 // no-op; calling it twice on the same Grant corrupts the gate — the runtime
 // is a cooperative gate, not a hostile-client guard.
 //
@@ -426,9 +443,18 @@ func (r *Runtime) Done(g Grant, idealSeconds float64) {
 	}
 	cs.gate.leave(g.shard)
 	r.global.leave(g.gshard)
-	if cs.gate.waiters.Load() > 0 {
+	if r.waiting.Load() > 0 {
 		//dbwlm:nolint hotpath -- waiters parked means the uncontended fast path is already gone; drain takes the queue mutex by design
-		r.drain(cs, g.class, false)
+		r.drainWaiting()
+	}
+}
+
+// drainWaiting drains every class that has waiters, highest priority first.
+func (r *Runtime) drainWaiting() {
+	for _, id := range r.byPriority {
+		if cs := r.classes[id]; cs.gate.waiters.Load() > 0 {
+			r.drain(cs, id, false, nil)
+		}
 	}
 }
 
@@ -437,8 +463,10 @@ func (r *Runtime) Done(g Grant, idealSeconds float64) {
 // the queue-timeout when its retry timer fires, with "waited strictly longer
 // than MaxQueueDelay" semantics), admissible waiters take slots in FIFO
 // order, and at most retryBatch waiters are decided per call so a gate
-// momentarily opening cannot trigger a mass re-admission storm.
-func (r *Runtime) drain(cs *classState, class ClassID, enforceTimeout bool) {
+// momentarily opening cannot trigger a mass re-admission storm. A non-nil
+// park joins the tail first, under the same lock, so a request parks and
+// re-checks its gates in one critical section.
+func (r *Runtime) drain(cs *classState, class ClassID, enforceTimeout bool, park *waiter) {
 	lim := cs.gate.limits.Load()
 	batch := int(lim.retryBatch)
 	if batch <= 0 {
@@ -448,6 +476,11 @@ func (r *Runtime) drain(cs *classState, class ClassID, enforceTimeout bool) {
 	gated := r.lowPriorityGate.Load() && cs.spec.Priority < gatePriorityBelow
 	cs.queue.mu.Lock()
 	defer cs.queue.mu.Unlock()
+	if park != nil {
+		cs.queue.push(park)
+		cs.gate.waiters.Add(1)
+		r.waiting.Add(1)
+	}
 	for processed := 0; processed < batch; processed++ {
 		w := cs.queue.peek()
 		if w == nil {
@@ -456,6 +489,7 @@ func (r *Runtime) drain(cs *classState, class ClassID, enforceTimeout bool) {
 		if enforceTimeout && lim.maxQueueDelay > 0 && now-w.enqueuedAt > lim.maxQueueDelay {
 			cs.queue.pop()
 			cs.gate.waiters.Add(-1)
+			r.waiting.Add(-1)
 			cs.timeouts.Inc()
 			if r.rec != nil {
 				r.rec.Record(obsv.Event{At: now, QID: w.qid, FP: w.fp,
@@ -474,6 +508,7 @@ func (r *Runtime) drain(cs *classState, class ClassID, enforceTimeout bool) {
 			// re-runs the full decision, as Manager.admit does.
 			cs.queue.pop()
 			cs.gate.waiters.Add(-1)
+			r.waiting.Add(-1)
 			cs.rejected.Inc()
 			if r.rec != nil {
 				r.rec.Record(obsv.Event{At: now, QID: w.qid, FP: w.fp,
@@ -496,6 +531,7 @@ func (r *Runtime) drain(cs *classState, class ClassID, enforceTimeout bool) {
 		}
 		cs.queue.pop()
 		cs.gate.waiters.Add(-1)
+		r.waiting.Add(-1)
 		cs.admitted.IncAt(stripe)
 		cs.wait.RecordAt(stripe, float64(now-w.enqueuedAt)/1e9)
 		if r.rec != nil {
@@ -513,7 +549,7 @@ func (r *Runtime) drain(cs *classState, class ClassID, enforceTimeout bool) {
 // the background loop call it; it is safe to call concurrently.
 func (r *Runtime) RetryNow() {
 	for id, cs := range r.classes {
-		r.drain(cs, ClassID(id), true)
+		r.drain(cs, ClassID(id), true, nil)
 	}
 }
 
@@ -723,8 +759,14 @@ func (r *Runtime) SnapshotInto(buf []ClassStats) []ClassStats {
 	return buf
 }
 
-// QueueLen reports the number of waiters parked in one class queue.
-func (r *Runtime) QueueLen(id ClassID) int64 { return r.classes[id].gate.waiters.Load() }
+// QueueLen reports the number of waiters parked in one class queue. It takes
+// the queue lock, so every waiter it counts has also made its re-check.
+func (r *Runtime) QueueLen(id ClassID) int64 {
+	cs := r.classes[id]
+	cs.queue.mu.Lock()
+	defer cs.queue.mu.Unlock()
+	return cs.gate.waiters.Load()
+}
 
 // Token serializes an admitted Grant for transport to an external client
 // (the wlmd /admit response); ParseToken reverses it at /done. When the

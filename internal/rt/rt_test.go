@@ -165,6 +165,101 @@ func TestFIFOWithinClass(t *testing.T) {
 	}
 }
 
+// TestGlobalReleaseWakesOtherClass: a waiter parked on the global gate is
+// seated by the release of another class's holder, not at the next retry
+// tick. Class a has no limit of its own; b holds the one global slot.
+func TestGlobalReleaseWakesOtherClass(t *testing.T) {
+	r := testRuntime(t, []ClassSpec{{Name: "a"}, {Name: "b"}},
+		Options{GlobalMaxMPL: 1, RetryEvery: time.Hour})
+	r.Start()
+	defer r.Stop()
+	holder := r.Admit(1, 0)
+	if !holder.Admitted() {
+		t.Fatal("holder not admitted")
+	}
+	admitted := make(chan Grant, 1)
+	go func() { admitted <- r.Admit(0, 0) }()
+	for r.QueueLen(0) != 1 {
+		time.Sleep(50 * time.Microsecond)
+	}
+	r.Done(holder, 0)
+	select {
+	case g := <-admitted:
+		if !g.Admitted() {
+			t.Fatalf("waiter verdict %v, want admitted", g.Verdict())
+		}
+		if n := r.InEngine(); n != 1 {
+			t.Fatalf("InEngine() = %d after the waiter was seated, want 1", n)
+		}
+		r.Done(g, 0)
+	case <-time.After(2 * time.Second):
+		t.Fatalf("waiter still parked 2s after the global slot freed (InEngine() = %d)", r.InEngine())
+	}
+	if n := r.waiting.Load(); n != 0 {
+		t.Fatalf("global waiter count %d after the queue emptied", n)
+	}
+}
+
+// TestGlobalReleaseDrainsByPriority: when the one global slot frees and two
+// classes have waiters parked on it, the higher-priority class is seated
+// first, whatever the class IDs' order.
+func TestGlobalReleaseDrainsByPriority(t *testing.T) {
+	r := testRuntime(t, []ClassSpec{
+		{Name: "lo", Priority: policy.PriorityLow},
+		{Name: "hi", Priority: policy.PriorityHigh},
+		{Name: "holder"},
+	}, Options{GlobalMaxMPL: 1, RetryEvery: time.Hour})
+	r.Start()
+	defer r.Stop()
+	holder := r.Admit(2, 0)
+	if !holder.Admitted() {
+		t.Fatal("holder not admitted")
+	}
+	grants := make(chan Grant, 2)
+	for id := ClassID(0); id < 2; id++ {
+		go func() { grants <- r.Admit(id, 0) }()
+		for r.QueueLen(id) != 1 {
+			time.Sleep(50 * time.Microsecond)
+		}
+	}
+	for _, want := range []ClassID{1, 0} {
+		r.Done(holder, 0)
+		select {
+		case holder = <-grants:
+			if !holder.Admitted() || holder.class != want {
+				t.Fatalf("seated %+v, want class %d admitted", holder, want)
+			}
+		case <-time.After(2 * time.Second):
+			t.Fatalf("no waiter seated 2s after the global slot freed; want class %d", want)
+		}
+	}
+	r.Done(holder, 0)
+}
+
+// TestParkAfterLastReleaseIsSeated: a request whose fast path failed while
+// a holder existed, and whose holder released before it parked — seeing
+// nobody waiting, so draining nothing — is seated by its own re-check after
+// parking, not at the next retry tick.
+func TestParkAfterLastReleaseIsSeated(t *testing.T) {
+	r := testRuntime(t, []ClassSpec{{Name: "c", MaxMPL: 1}}, Options{RetryEvery: time.Hour})
+	r.Start()
+	defer r.Stop()
+	admitted := make(chan Grant, 1)
+	go func() { admitted <- r.await(r.classes[0], 0, 0, 0, 0, 0, false) }()
+	select {
+	case g := <-admitted:
+		if !g.Admitted() {
+			t.Fatalf("verdict %v, want admitted", g.Verdict())
+		}
+		r.Done(g, 0)
+	case <-time.After(2 * time.Second):
+		t.Fatalf("request parked 2s at an empty gate (queue %d)", r.QueueLen(0))
+	}
+	if n := r.waiting.Load(); n != 0 {
+		t.Fatalf("global waiter count %d after the queue emptied", n)
+	}
+}
+
 // TestCostThresholdRejects: per-class cost limits reject on the fast path
 // and re-evaluate queued work after a policy tightens.
 func TestCostThresholdRejects(t *testing.T) {
@@ -181,6 +276,33 @@ func TestCostThresholdRejects(t *testing.T) {
 	if st.Rejected != 1 || st.Admitted != 1 {
 		t.Fatalf("stats %+v", st)
 	}
+
+	// A parked request is re-judged against the tightened limit at the next
+	// retry cycle, and leaves both waiter counts.
+	if err := r.ApplyPolicy(&policy.RuntimePolicy{Classes: []policy.RuntimeClassLimit{
+		{Class: "c", MaxMPL: 1, MaxCostTimerons: 500},
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	hold := r.Admit(0, 0)
+	parked := make(chan Grant)
+	go func() { parked <- r.Admit(0, 400) }()
+	for r.QueueLen(0) != 1 {
+		time.Sleep(50 * time.Microsecond)
+	}
+	if err := r.ApplyPolicy(&policy.RuntimePolicy{Classes: []policy.RuntimeClassLimit{
+		{Class: "c", MaxMPL: 1, MaxCostTimerons: 300},
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	r.RetryNow()
+	if g := <-parked; g.Verdict() != RejectedCost {
+		t.Fatalf("parked over-cost verdict = %v", g.Verdict())
+	}
+	if q, n := r.QueueLen(0), r.waiting.Load(); q != 0 || n != 0 {
+		t.Fatalf("queue %d, global waiter count %d after the rejection", q, n)
+	}
+	r.Done(hold, 0)
 }
 
 // TestPolicyReload: ApplyPolicy swaps limits atomically; the fast path sees

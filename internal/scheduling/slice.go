@@ -29,7 +29,7 @@ type Slice struct {
 // stage). The concatenation of stage work equals the plan's total work —
 // restructuring changes scheduling, not the result.
 //
-//dbwlm:nolint deadcode -- registry row "plan slicing into sub-plans" runs only under tests; ROADMAP item 9c wires it in or deletes it
+//dbwlm:nolint deadcode -- registry row "plan slicing into sub-plans" runs only under tests; the ROADMAP item "Every registry row runs in a binary, or is deleted" wires it in or deletes it
 func SlicePlan(plan *sqlmini.Plan, maxTimerons float64) []Slice {
 	ops := plan.Operators()
 	var out []Slice

@@ -1,7 +1,8 @@
 // Package slo measures per-class service-level-objective attainment for the
 // live runtime: the continuous, cheap, deterministic observability layer
 // between the flight recorder / Prometheus exposition and any SLO-driven
-// planner (ROADMAP item 4, WiSeDB-style capacity planning).
+// planner (the ROADMAP item "Plan-ahead advisor", WiSeDB-style capacity
+// planning).
 //
 // The paper's taxonomy states workload-management goals as performance
 // objectives per service class; this package makes those objectives
