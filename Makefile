@@ -17,7 +17,8 @@ race:
 		./internal/rthttp/... ./internal/metrics/... ./internal/wire/... \
 		./cmd/wlmload/... ./internal/trace/... ./internal/learn/... \
 		./internal/slo/... ./internal/engine/... ./internal/scheduling/... \
-		./internal/workload/... ./internal/sim/... ./internal/fifo/... .
+		./internal/workload/... ./internal/sim/... ./internal/fifo/... \
+		./internal/execctl/... ./internal/governor/... .
 
 # lint is the static-analysis gate: gofmt, go vet, and wlmlint — the suite
 # that machine-checks allocation-freedom and non-blocking of everything
@@ -47,9 +48,10 @@ bench:
 # its brute-force reference, the selection-built k-d tree against the
 # sort-built one, and
 # table-backed k-NN prediction against the linear scan, the shard-owned
-# flight recorder against the seqlock reference ring, and the striped
+# flight recorder against the seqlock reference ring, the striped
 # histogram's bucket table and shard-owned shards against the logarithm and
-# the per-field-atomic reference — enough to shake out
+# the per-field-atomic reference, and the sequential histogram's bucket
+# table against the logarithm — enough to shake out
 # panics and bit mismatches without stalling CI. The wire and trace patterns
 # are anchored because those packages have two targets.
 fuzz-short:
@@ -66,6 +68,7 @@ fuzz-short:
 	$(GO) test -fuzz FuzzRecorderMatchesReference -fuzztime 10s -run '^$$' ./internal/obsv/
 	$(GO) test -fuzz FuzzStripedBucketIndexMatchesFormula -fuzztime 10s -run '^$$' ./internal/metrics/
 	$(GO) test -fuzz FuzzStripedHistogramMatchesReference -fuzztime 10s -run '^$$' ./internal/metrics/
+	$(GO) test -fuzz FuzzHistogramBucketIndexMatchesFormula -fuzztime 10s -run '^$$' ./internal/metrics/
 
 # loc prints non-test Go lines per package and in total. The benchmark
 # (internal/bench, cmd/wlmbench) and the lint fixture corpus are not product

@@ -32,7 +32,7 @@ func main() {
 	m1.OnFinish = func(rr *dbwlm.Running, oc engine.Outcome) {
 		if oc == engine.OutcomeCompleted {
 			log = append(log, characterize.LogRecord{
-				Req:             rr.Req,
+				Req:             rr.Req.Clone(), // the manager reuses rr.Req
 				ResponseSeconds: m1.Now().Sub(rr.Req.Arrive).Seconds(),
 			})
 		}

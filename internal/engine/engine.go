@@ -127,14 +127,11 @@ type Engine struct {
 	killed    int64
 	deadlocks int64
 
-	// freeQ recycles Query objects across Reset cycles: a pooled engine
-	// replaying one trace after another (trace.ReplayMany) reuses the
-	// previous run's Query structs instead of allocating one per Submit.
-	// retired parks terminal queries evicted from the live slice until the
-	// next Reset moves them onto freeQ — they cannot go straight to freeQ
-	// because outstanding *Query handles stay readable until Reset.
-	freeQ   []*Query
-	retired []*Query
+	// freeQ recycles Query objects for Submit: a terminal query goes onto it
+	// when alive() compacts it out of the live slice (its onFinish has
+	// returned by then, which ends every handle's validity), and Reset puts
+	// the whole live slice there. At most maxFreeQ are kept.
+	freeQ []*Query
 	// freeFire recycles the records that carry onFinish callbacks to their
 	// zero-delay events, so a completion allocates no closure.
 	freeFire []*finishFire
@@ -170,33 +167,21 @@ func New(s *sim.Simulator, cfg Config) *Engine {
 // Reset returns the engine to the state of a fresh New over the same
 // simulator with a new configuration, retaining every internal buffer: the
 // query map's buckets, the live slice, the lock table, the per-quantum
-// scratch, and — through a free list — the Query objects themselves, so a
+// scratch, and — through the free list — the Query objects themselves, so a
 // pooled engine reused across many runs (trace.ReplayMany) allocates almost
 // nothing after its first. Resident queries are discarded without firing
-// their onFinish callbacks and every outstanding *Query handle is
-// invalidated (its object may be recycled by a later Submit). Callers must
-// Reset the shared simulator first so no stale engine event can fire. A
-// reset engine's next run is bit-for-bit identical to a run on a freshly
-// constructed one, which TestResetMatchesFresh pins.
+// their onFinish callbacks, so every outstanding *Query handle ends here
+// (its object may be recycled by the next Submit). Callers must Reset the
+// shared simulator first so no stale engine event can fire. A reset engine's
+// next run is bit-for-bit identical to a run on a freshly constructed one,
+// which TestResetMatchesFresh pins.
 func (e *Engine) Reset(cfg Config) {
 	e.cfg = cfg.withDefaults()
-	recycle := func(q *Query) {
-		if len(e.freeQ) < 4096 { // bound the pool; beyond it the GC takes over
-			held := q.held[:0]
-			*q = Query{held: held}
-			e.freeQ = append(e.freeQ, q)
-		}
-	}
 	for i, q := range e.live {
-		recycle(q)
+		e.recycle(q)
 		e.live[i] = nil
 	}
 	e.live = e.live[:0]
-	for i, q := range e.retired {
-		recycle(q)
-		e.retired[i] = nil
-	}
-	e.retired = e.retired[:0]
 	clear(e.queries)
 	e.locks.reset()
 	e.nextID = 0
@@ -228,7 +213,10 @@ func (e *Engine) IdealSeconds(spec QuerySpec) float64 {
 
 // Submit dispatches a query for immediate execution. onFinish fires when the
 // query completes, is killed, or dies in a deadlock. The returned Query is
-// the engine-side handle used by execution controls.
+// the engine-side handle used by execution controls; it is valid until
+// onFinish has returned (with a nil onFinish, until the query leaves the
+// engine), after which the engine reuses the object for a later Submit.
+// Code that outlives that point keeps the ID and calls Get.
 func (e *Engine) Submit(spec QuerySpec, weight float64, onFinish func(*Query, Outcome)) *Query {
 	if weight <= 0 {
 		weight = 1
@@ -269,10 +257,13 @@ func (e *Engine) alive() []*Query {
 	if len(e.live) > 2*len(e.queries)+16 {
 		kept := e.live[:0]
 		for _, q := range e.live {
-			if !q.state.Terminal() {
+			// A terminal query whose onFinish has not fired yet (it was
+			// finished by an event at this instant) keeps its handle valid
+			// until that callback returns; the next compaction takes it.
+			if !q.state.Terminal() || q.onFinish != nil {
 				kept = append(kept, q)
-			} else if len(e.retired) < 4096 { // park for recycling at Reset
-				e.retired = append(e.retired, q)
+			} else {
+				e.recycle(q)
 			}
 		}
 		for i := len(kept); i < len(e.live); i++ {
@@ -288,6 +279,17 @@ func (e *Engine) alive() []*Query {
 	}
 	e.scratchAlive = out
 	return out
+}
+
+// maxFreeQ bounds the free list; beyond it the GC takes terminal queries.
+const maxFreeQ = 4096
+
+// recycle puts q on the free list, keeping its held-keys buffer.
+func (e *Engine) recycle(q *Query) {
+	if len(e.freeQ) < maxFreeQ {
+		*q = Query{held: q.held[:0]}
+		e.freeQ = append(e.freeQ, q)
+	}
 }
 
 // Get returns the engine-side handle for id, or nil if the query has left
@@ -372,8 +374,10 @@ func (e *Engine) Suspend(id int64, strategy SuspendStrategy) error {
 			return nil
 		}
 		q.state = StateSuspending
+		id := q.ID
 		e.sim.Schedule(dump, func() {
-			if q.state == StateSuspending {
+			// By ID: a query killed mid-dump may be recycled by now.
+			if q := e.queries[id]; q != nil && q.state == StateSuspending {
 				e.park(q)
 			}
 		})
@@ -481,6 +485,7 @@ func (f *finishFire) fire() {
 	f.cb, f.q = nil, nil
 	f.e.freeFire = append(f.e.freeFire, f)
 	cb(q, oc)
+	q.onFinish = nil // the handle has ended: compaction may recycle q
 }
 
 func (e *Engine) wake(q *Query) {

@@ -11,6 +11,12 @@
 // IO bandwidth are divided among runnable queries in proportion to their
 // priority weights.
 //
+// A *Query handle is valid until the query's onFinish callback has returned
+// (with no callback, until the query leaves the engine). After that the
+// engine recycles the object for a later Submit, so code that outlives that
+// point — an execution controller's periodic sweep, say — keeps the query's
+// ID and calls Engine.Get, which reports nil once the query has left.
+//
 //dbwlm:deterministic
 package engine
 

@@ -19,7 +19,7 @@ func resetScenario(s *sim.Simulator, e *Engine, seed uint64) []string {
 			log = append(log, fmt.Sprintf("q%d %v at %d held=%d", tag, oc, int64(q.finishAt), len(q.held)))
 		})
 	}
-	var handles []*Query
+	var ids []int64
 	for i := 0; i < 24; i++ {
 		spec := QuerySpec{
 			CPUWork:     0.5 + rng.Float64()*4,
@@ -34,14 +34,14 @@ func resetScenario(s *sim.Simulator, e *Engine, seed uint64) []string {
 				{Key: (i + 2) % 5, Exclusive: true, AtProgress: 0.5},
 			}
 		}
-		handles = append(handles, submit(i, spec))
+		ids = append(ids, submit(i, spec).ID)
 		s.Run(s.Now().Add(sim.Duration(rng.Intn(300)) * sim.Millisecond))
 	}
 	s.Run(s.Now().Add(2 * sim.Second))
-	if q := handles[1]; !q.State().Terminal() {
+	if q := e.Get(ids[1]); q != nil {
 		e.Kill(q.ID)
 	}
-	if q := handles[4]; q.State() == StateRunning {
+	if q := e.Get(ids[4]); q != nil && q.State() == StateRunning {
 		e.Suspend(q.ID, SuspendDumpState)
 	}
 	s.Run(s.Now().Add(60 * sim.Second))

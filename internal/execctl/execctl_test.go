@@ -394,3 +394,38 @@ func TestKillerMaxCPUSeconds(t *testing.T) {
 		t.Fatal("light query killed despite low CPU consumption")
 	}
 }
+
+// TestControllersIgnoreRecycledQuery pins that a controller's registration
+// ends with its query: a Killer and an Ager that managed a query which then
+// finished must not act on the long-running query the engine recycles its
+// object into. Both key their sweeps by query ID, not by the object.
+func TestControllersIgnoreRecycledQuery(t *testing.T) {
+	s, e := newEng(engine.Config{Cores: 4, IOMBps: 1e9})
+	k := NewKiller(e, 2)
+	a := NewAger(e, []float64{8, 1}, []float64{1})
+	// The keeper keeps the quantum loop running, so a tick compacts the
+	// finished queries onto the free list before the newcomer arrives.
+	e.Submit(engine.QuerySpec{CPUWork: 1e9}, 1, nil)
+	var victim *engine.Query
+	for i := 0; i < 24; i++ {
+		victim = e.Submit(engine.QuerySpec{CPUWork: 0.01, Parallelism: 1}, 1, nil)
+	}
+	k.Manage(&Managed{Query: victim})
+	a.Manage(&Managed{Query: victim})
+	oldID := victim.ID
+	s.Run(sim.Time(300 * sim.Millisecond))
+	if e.Get(oldID) != nil {
+		t.Fatal("the managed query has not finished")
+	}
+	newcomer := e.Submit(engine.QuerySpec{CPUWork: 1e9, Parallelism: 1}, 3, nil)
+	if newcomer != victim {
+		t.Fatal("the engine did not recycle the managed query's object")
+	}
+	s.Run(sim.Time(10 * sim.Second))
+	if k.Kills() != 0 || e.Get(newcomer.ID) != newcomer {
+		t.Fatalf("killer acted on the recycled object: %d kills", k.Kills())
+	}
+	if a.Demotions() != 0 || newcomer.Weight != 3 {
+		t.Fatalf("ager acted on the recycled object: %d demotions, weight %v", a.Demotions(), newcomer.Weight)
+	}
+}

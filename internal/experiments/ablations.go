@@ -57,9 +57,11 @@ func runThrottleMethodPoint(method execctl.ThrottleMethod, seed uint64) Row {
 			Priority: policy.PriorityLow, SLO: policy.BestEffort(),
 			Draw: func(i int, now sim.Time) *workload.Request {
 				spec := engine.QuerySpec{CPUWork: 120, IOWork: 2500, MemMB: 600, Parallelism: 4}
-				return &workload.Request{ID: seq.Next(), Workload: "large", True: spec, Arrive: now,
+				r := workload.NewRequest()
+				*r = workload.Request{ID: seq.Next(), Workload: "large", True: spec, Arrive: now,
 					Est: workload.Estimates{CPUSeconds: spec.CPUWork, IOMB: spec.IOWork,
 						Timerons: workload.TimeronsOf(spec.CPUWork, spec.IOWork)}}
+				return r
 			}},
 	}
 	m.RunWorkload(gens, 300*sim.Second, 300*sim.Second)
@@ -188,10 +190,12 @@ func runSchedulerBatch(name string, q scheduling.Queue, seed uint64) Row {
 				cpu, io = 40+rng.Float64()*20, 800+rng.Float64()*400
 			}
 			spec := engine.QuerySpec{CPUWork: cpu, IOWork: io, MemMB: 64, Parallelism: 2}
-			return &workload.Request{ID: seq.Next(), Workload: "batch", Priority: pri,
+			r := workload.NewRequest()
+			*r = workload.Request{ID: seq.Next(), Workload: "batch", Priority: pri,
 				SLO: policy.BestEffort(), True: spec, Arrive: now,
 				Est: workload.Estimates{CPUSeconds: cpu, IOMB: io,
 					Timerons: workload.TimeronsOf(cpu, io)}}
+			return r
 		},
 	}
 	// BatchGen would overwrite priorities with its own; draw sets them, so

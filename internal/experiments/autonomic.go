@@ -124,11 +124,13 @@ func RunAutonomicMAPE(variant string, seed uint64) Row {
 				spec = engine.QuerySpec{CPUWork: 100 + rng.Float64()*60,
 					IOWork: 1800 + rng.Float64()*800, MemMB: 1600, Parallelism: 4, StateMB: 250}
 			}
-			return &workload.Request{ID: seq.Next(), Workload: "analytics",
+			r := workload.NewRequest()
+			*r = workload.Request{ID: seq.Next(), Workload: "analytics",
 				Priority: policy.PriorityLow, SLO: policy.BestEffort(),
 				True: spec, Arrive: now,
 				Est: workload.Estimates{CPUSeconds: spec.CPUWork, IOMB: spec.IOWork,
 					Timerons: workload.TimeronsOf(spec.CPUWork, spec.IOWork)}}
+			return r
 		}},
 	}
 	m.RunWorkload(gens, 240*sim.Second, 120*sim.Second)

@@ -147,23 +147,25 @@ func RunTable2TxnVariant(v Table2Variant, sc Table2Scenario) Row {
 	zipf := sim.NewZipfGen(rng.Fork(1), 40, 1.0)
 	seq := &workload.Sequence{}
 	payments := &funcGen{name: "oltp", rate: 150, start: func(now sim.Time) *workload.Request {
+		r := workload.NewRequest()
 		spec := engine.QuerySpec{
 			CPUWork:     0.02 + rng.Float64()*0.03,
 			IOWork:      0.4 + rng.Float64()*0.6,
 			MemMB:       2,
 			Parallelism: 1,
 			Rows:        1,
-			Locks: []engine.LockReq{
-				{Key: zipf.Next(), Exclusive: true, AtProgress: 0},
-				{Key: zipf.Next(), Exclusive: true, AtProgress: 0.5},
-			},
+			Locks: append(r.True.Locks,
+				engine.LockReq{Key: zipf.Next(), Exclusive: true, AtProgress: 0},
+				engine.LockReq{Key: zipf.Next(), Exclusive: true, AtProgress: 0.5},
+			),
 		}
-		return &workload.Request{ID: seq.Next(), Workload: "oltp",
+		*r = workload.Request{ID: seq.Next(), Workload: "oltp",
 			Priority: policy.PriorityHigh,
 			SLO:      policy.AvgResponseTime(300 * sim.Millisecond),
 			True:     spec, Arrive: now,
 			Est: workload.Estimates{CPUSeconds: spec.CPUWork, IOMB: spec.IOWork,
 				Timerons: workload.TimeronsOf(spec.CPUWork, spec.IOWork)}}
+		return r
 	}}
 	m.RunWorkload([]workload.Generator{payments}, sc.Horizon, sc.Drain)
 	return table2Row(v, m)

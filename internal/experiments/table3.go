@@ -185,7 +185,8 @@ func RunTable3Variant(v Table3Variant, sc Table3Scenario) Row {
 				Rows:        5_000_000,
 				StateMB:     250,
 			}
-			return &workload.Request{
+			r := workload.NewRequest()
+			*r = workload.Request{
 				ID:   int64(1_000_000 + i),
 				SQL:  "SELECT * FROM sales_fact WHERE amount > 0",
 				True: spec,
@@ -196,6 +197,7 @@ func RunTable3Variant(v Table3Variant, sc Table3Scenario) Row {
 				},
 				Arrive: now,
 			}
+			return r
 		},
 	}
 	m.RunWorkload([]workload.Generator{oltp, monsters}, sc.Horizon, 60*sim.Second)

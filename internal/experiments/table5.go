@@ -41,7 +41,8 @@ func (g *mediumQueryGen) Start(s *sim.Simulator, horizon sim.Time, submit worklo
 			cpu := 2 + rng.Float64()*4
 			io := 100 + rng.Float64()*200
 			spec := engine.QuerySpec{CPUWork: cpu, IOWork: io, MemMB: 64, Parallelism: 2}
-			submit(&workload.Request{
+			r := workload.NewRequest()
+			*r = workload.Request{
 				ID:       g.seq.Next(),
 				Workload: g.name,
 				Priority: g.priority,
@@ -50,7 +51,8 @@ func (g *mediumQueryGen) Start(s *sim.Simulator, horizon sim.Time, submit worklo
 				True:     spec,
 				Est: workload.Estimates{CPUSeconds: cpu, IOMB: io, MemMB: 64,
 					Timerons: workload.TimeronsOf(cpu, io)},
-			})
+			}
+			submit(r)
 			next()
 		})
 	}
@@ -273,10 +275,12 @@ func RunPowleyThrottling(controller string, method execctl.ThrottleMethod, seed 
 					CPUWork: 150 + rng.Float64()*50, IOWork: 2500 + rng.Float64()*500,
 					MemMB: 600, Parallelism: 4, StateMB: 200,
 				}
-				return &workload.Request{ID: seq.Next(), Workload: "large", True: spec,
+				r := workload.NewRequest()
+				*r = workload.Request{ID: seq.Next(), Workload: "large", True: spec,
 					Est: workload.Estimates{CPUSeconds: spec.CPUWork, IOMB: spec.IOWork,
 						Timerons: workload.TimeronsOf(spec.CPUWork, spec.IOWork)},
 					Arrive: now}
+				return r
 			}},
 	}
 	m.RunWorkload(gens, 240*sim.Second, 120*sim.Second)
@@ -456,7 +460,11 @@ func RunKrompassFuzzy(variant string, seed uint64) Row {
 		var parked []*dbwlm.Running
 		m.OnFinish = func(rr *dbwlm.Running, oc engine.Outcome) {
 			if oc == engine.OutcomeKilled && cancels[rr.Req.ID] > 0 {
-				parked = append(parked, rr)
+				// The Manager reuses rr and its request once this hook
+				// returns: park a copy for the later Resubmit.
+				kept := &dbwlm.Running{Class: rr.Class}
+				kept.Req = rr.Req.Clone()
+				parked = append(parked, kept)
 			}
 		}
 		s.Every(5*sim.Second, func() bool {
@@ -488,10 +496,12 @@ func RunKrompassFuzzy(variant string, seed uint64) Row {
 				spec = engine.QuerySpec{CPUWork: 4 + rng.Float64()*6,
 					IOWork: 150 + rng.Float64()*150, MemMB: 128, Parallelism: 2}
 			}
-			return &workload.Request{ID: seq.Next(), Workload: "bi", Priority: pri,
+			r := workload.NewRequest()
+			*r = workload.Request{ID: seq.Next(), Workload: "bi", Priority: pri,
 				SLO: policy.BestEffort(), True: spec, Arrive: now,
 				Est: workload.Estimates{CPUSeconds: spec.CPUWork / 4, IOMB: spec.IOWork / 4,
 					Timerons: workload.TimeronsOf(spec.CPUWork/4, spec.IOWork/4)}}
+			return r
 		}},
 	}
 	m.RunWorkload(gens, 120*sim.Second, 60*sim.Second)

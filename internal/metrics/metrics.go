@@ -43,51 +43,36 @@ type Histogram struct {
 	sum     float64
 	min     float64
 	max     float64
-	// growth is the per-bucket growth factor; bucket i covers
-	// [base*growth^i, base*growth^(i+1)).
-	base   float64
-	growth float64
-	logG   float64
 }
+
+// The sequential histogram's buckets grow by 5% from 1µ-scale (1e-6): bucket
+// i ≥ 1 covers (histBase·histGrowth^(i-1), histBase·histGrowth^i].
+const (
+	histBase   = 1e-6
+	histGrowth = 1.05
+)
+
+// histLayout has a bucket for every value up to maxSample: the formula puts
+// maxSample in bucket ⌊ln(maxSample/base)/ln(growth)⌋ + 1, the last. Five
+// mantissa bits make a table cell span a ratio of at most 1 + 1/32, less
+// than one bucket's 1.05.
+var histLayout = newBucketLayout(histBase, histGrowth,
+	int(math.Log(maxSample/histBase)/math.Log(histGrowth))+2, 5)
 
 // NewHistogram returns a histogram with ~5% relative error per bucket,
 // covering values from 1µ-scale (1e-6) upward.
 func NewHistogram() *Histogram {
-	g := 1.05
 	return &Histogram{
-		base:   1e-6,
-		growth: g,
-		logG:   math.Log(g),
-		min:    math.Inf(1),
-		max:    math.Inf(-1),
+		min: math.Inf(1),
+		max: math.Inf(-1),
 	}
-}
-
-func (h *Histogram) bucketIndex(v float64) int {
-	if v <= h.base {
-		return 0
-	}
-	return int(math.Log(v/h.base)/h.logG) + 1
-}
-
-func (h *Histogram) bucketUpper(i int) float64 {
-	if i == 0 {
-		return h.base
-	}
-	return h.base * math.Pow(h.growth, float64(i))
 }
 
 // Record adds a value to the histogram. Negative values are clamped to zero;
 // NaN and infinities are clamped to the representable range.
 func (h *Histogram) Record(v float64) {
-	if math.IsNaN(v) || v < 0 {
-		v = 0
-	}
-	const maxValue = 1e18
-	if v > maxValue {
-		v = maxValue
-	}
-	i := h.bucketIndex(v)
+	v = clampSample(v)
+	i := histLayout.index(v)
 	for len(h.buckets) <= i {
 		h.buckets = append(h.buckets, 0)
 	}
@@ -135,7 +120,7 @@ func (h *Histogram) Percentile(p float64) float64 {
 	for i, n := range h.buckets {
 		seen += n
 		if seen >= rank {
-			u := h.bucketUpper(i)
+			u := histLayout.upper[i]
 			if u > h.max {
 				u = h.max
 			}

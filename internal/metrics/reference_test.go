@@ -31,6 +31,26 @@ func refBucketUpper(i int) float64 {
 	return stripedBase * math.Pow(stripedGrowth, float64(i))
 }
 
+// refHistLogG, refHistBucketIndex and refHistBucketUpper are the sequential
+// Histogram's bucket layout as it computed it before the table: a logarithm
+// per record and a power per reported bound.
+// FuzzHistogramBucketIndexMatchesFormula holds the table to them.
+var refHistLogG = math.Log(1.05)
+
+func refHistBucketIndex(v float64) int {
+	if v <= 1e-6 {
+		return 0
+	}
+	return int(math.Log(v/1e-6)/refHistLogG) + 1
+}
+
+func refHistBucketUpper(i int) float64 {
+	if i == 0 {
+		return 1e-6
+	}
+	return 1e-6 * math.Pow(1.05, float64(i))
+}
+
 // refHistogram is the striped histogram the shard-owned one replaced, kept as
 // the reference FuzzStripedHistogramMatchesReference holds it to: every
 // field of a shard is its own atomic, sum/min/max are CAS loops on the float
@@ -215,11 +235,41 @@ func FuzzStripedBucketIndexMatchesFormula(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, v float64) {
 		v = clampSample(v)
-		if got, want := stripedBucketIndex(v), refBucketIndex(v); got != want {
+		if got, want := stripedLayout.index(v), refBucketIndex(v); got != want {
 			t.Fatalf("bucket(%v [%#x]) = %d, formula %d", v, math.Float64bits(v), got, want)
 		}
 		i := refBucketIndex(v)
-		if got, want := stripedBucketUpper(i), refBucketUpper(i); math.Float64bits(got) != math.Float64bits(want) {
+		if got, want := stripedLayout.upper[i], refBucketUpper(i); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("upper(%d) = %v, formula %v", i, got, want)
+		}
+	})
+}
+
+// FuzzHistogramBucketIndexMatchesFormula: the sequential Histogram's
+// table-driven bucket index equals the logarithm formula on every value
+// Record can pass it, and its upper bounds equal the power formula. The
+// seeds are every bucket boundary and its two neighbouring floats, zero, the
+// base, subnormals and the clamp at maxSample, so the seed corpus alone
+// checks that no table cell hides a boundary.
+func FuzzHistogramBucketIndexMatchesFormula(f *testing.F) {
+	for _, v := range []float64{0, math.Copysign(0, -1), 5e-324, 2.2250738585072009e-308,
+		2.2250738585072014e-308, 1e-6, math.Nextafter(1e-6, 0), math.Nextafter(1e-6, 1),
+		1e-3, 1, 1e9, maxSample, math.Nextafter(maxSample, 0), math.Inf(1), math.NaN(), -1} {
+		f.Add(v)
+	}
+	for i := 1; i < len(histLayout.lower); i++ {
+		b := histLayout.lower[i]
+		f.Add(b)
+		f.Add(math.Nextafter(b, 0))
+		f.Add(math.Nextafter(b, math.Inf(1)))
+	}
+	f.Fuzz(func(t *testing.T, v float64) {
+		v = clampSample(v)
+		i := refHistBucketIndex(v)
+		if got := histLayout.index(v); got != i {
+			t.Fatalf("bucket(%v [%#x]) = %d, formula %d", v, math.Float64bits(v), got, i)
+		}
+		if got, want := histLayout.upper[i], refHistBucketUpper(i); math.Float64bits(got) != math.Float64bits(want) {
 			t.Fatalf("upper(%d) = %v, formula %v", i, got, want)
 		}
 	})

@@ -114,80 +114,19 @@ const (
 	stripedBase    = 1e-6
 	stripedGrowth  = 1.25
 	stripedBuckets = 128
-	// stripedCellShift keeps a float64's exponent and its top three mantissa
-	// bits: a cell of the index table spans a ratio of at most 1 + 1/8, less
-	// than one bucket's 1.25, so it holds at most one bucket boundary.
-	stripedCellShift = 52 - 3
 )
 
-// stripedLayout is the bucket layout, built once from the defining formula
-// (stripedLogIndex) so that the record path never takes a logarithm.
-var stripedLayout = buildStripedLayout()
+// stripedLayout is the striped histograms' bucket layout. Three mantissa
+// bits make a table cell span a ratio of at most 1 + 1/8, less than one
+// bucket's 1.25, so a cell holds at most one bucket boundary.
+var stripedLayout = newBucketLayout(stripedBase, stripedGrowth, stripedBuckets, 3)
 
-type stripedTable struct {
-	// lower[i] is the smallest float64 the formula puts in bucket i or above
-	// (lower[0] is unused: bucket 0 is everything at or below stripedBase).
-	lower [stripedBuckets]float64
-	// upper[i] is bucket i's reported upper bound, stripedBase·growth^i.
-	upper [stripedBuckets]float64
-	// cell[k] is the formula's bucket for the smallest value above
-	// stripedBase whose bits>>stripedCellShift are cellBase+k; the table
-	// ends at the cell of lower[stripedBuckets-1].
-	cell     []uint8
-	cellBase uint64
-}
-
-var stripedLogG = math.Log(stripedGrowth)
-
-// stripedLogIndex is the bucket formula: ⌊ln(v/base)/ln(growth)⌋ + 1, 0 at or
-// below base, clamped to the last bucket. It is defined for the values
-// clampSample returns.
-func stripedLogIndex(v float64) int {
-	if v <= stripedBase {
-		return 0
-	}
-	return min(int(math.Log(v/stripedBase)/stripedLogG)+1, stripedBuckets-1)
-}
-
-// buildStripedLayout finds each bucket's lower boundary by bisection over
-// float64 bit patterns (positive floats order as their bits), then tabulates
-// each cell's first bucket.
-func buildStripedLayout() stripedTable {
-	var t stripedTable
-	baseBits, topBits := math.Float64bits(stripedBase), math.Float64bits(maxSample)
-	for i := 1; i < stripedBuckets; i++ {
-		lo, hi := baseBits, topBits // formula(lo) < i <= formula(hi)
-		for hi-lo > 1 {
-			mid := lo + (hi-lo)/2
-			if stripedLogIndex(math.Float64frombits(mid)) >= i {
-				hi = mid
-			} else {
-				lo = mid
-			}
-		}
-		t.lower[i] = math.Float64frombits(hi)
-	}
-	t.upper[0] = stripedBase
-	for i := 1; i < stripedBuckets; i++ {
-		t.upper[i] = stripedBase * math.Pow(stripedGrowth, float64(i))
-	}
-	t.cellBase = baseBits >> stripedCellShift
-	last := math.Float64bits(t.lower[stripedBuckets-1]) >> stripedCellShift
-	t.cell = make([]uint8, last-t.cellBase+1)
-	for k := range t.cell {
-		first := max((t.cellBase+uint64(k))<<stripedCellShift, baseBits+1)
-		t.cell[k] = uint8(stripedLogIndex(math.Float64frombits(first)))
-	}
-	return t
-}
-
-// maxSample is the largest value a striped histogram records; larger ones
-// are clamped to it.
+// maxSample is the largest value a histogram records; larger ones are
+// clamped to it.
 const maxSample = 1e18
 
-// clampSample applies the striped histograms' input policy — the same as
-// Histogram.Record's: negative and NaN values become zero, values above
-// maxSample become maxSample.
+// clampSample applies both histograms' input policy: negative and NaN values
+// become zero, values above maxSample become maxSample.
 //
 //dbwlm:hotpath
 func clampSample(v float64) float64 {
@@ -196,29 +135,6 @@ func clampSample(v float64) float64 {
 	}
 	return min(v, maxSample)
 }
-
-// stripedBucketIndex is stripedLogIndex for a clamped sample, read from the
-// layout: the value's exponent and top mantissa bits pick its cell, and one
-// compare against the next boundary settles the bucket.
-//
-//dbwlm:hotpath
-func stripedBucketIndex(v float64) int {
-	t := &stripedLayout
-	if v <= stripedBase {
-		return 0
-	}
-	if v >= t.lower[stripedBuckets-1] {
-		return stripedBuckets - 1
-	}
-	i := int(t.cell[math.Float64bits(v)>>stripedCellShift-t.cellBase])
-	if v >= t.lower[i+1] {
-		i++
-	}
-	return i
-}
-
-//dbwlm:hotpath
-func stripedBucketUpper(i int) float64 { return stripedLayout.upper[i] }
 
 // histShard is one shard of a StripedHistogram. busy is the shard's
 // ownership word, as in the flight recorder (internal/obsv): a writer or
@@ -289,7 +205,7 @@ func (h *StripedHistogram) RecordAt(stripe uint32, v float64) {
 	if v > s.max {
 		s.max = v
 	}
-	s.buckets[stripedBucketIndex(v)]++
+	s.buckets[stripedLayout.index(v)]++
 	s.count++
 	s.busy.Store(0)
 }
@@ -360,7 +276,7 @@ func (m *merged) percentile(p float64) float64 {
 	for i, n := range m.buckets {
 		seen += n
 		if seen >= rank {
-			u := stripedBucketUpper(i)
+			u := stripedLayout.upper[i]
 			if u > m.max {
 				u = m.max
 			}
@@ -404,7 +320,7 @@ func (h *StripedHistogram) Cumulative(f func(upperBound float64, cumulative int6
 		}
 		cum += n
 		//dbwlm:dyncall -- caller-supplied yield: exposition callers (the prom scrape path) run off the hot path; hot callers are audited at their own roots
-		f(stripedBucketUpper(i), cum)
+		f(stripedLayout.upper[i], cum)
 	}
 	return m.count, m.sum
 }
@@ -451,10 +367,10 @@ func BucketPercentile(b *[StripedBuckets]int64, count int64, p float64) float64 
 	for i, n := range b {
 		seen += n
 		if seen >= rank {
-			return stripedBucketUpper(i)
+			return stripedLayout.upper[i]
 		}
 	}
-	return stripedBucketUpper(StripedBuckets - 1)
+	return stripedLayout.upper[StripedBuckets-1]
 }
 
 // Snapshot merges the shards into a reporting summary.

@@ -22,6 +22,10 @@ type Item struct {
 	Class string
 	// Weight is the resource weight the request will run with.
 	Weight float64
+	// Owner is the enqueuer's record that embeds the item (the workload
+	// manager's Running), so Release can get back to it without a lookup.
+	// The scheduler never reads it.
+	Owner any
 }
 
 // Queue orders waiting requests. Pop may consider the current time (rank

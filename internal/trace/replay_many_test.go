@@ -90,10 +90,14 @@ func TestReplayManyError(t *testing.T) {
 	}
 }
 
-// TestReplayManyPooledAllocs pins what the pool is for: a warm ReplayMany
-// allocates at most 0.7x of what the same jobs cost as independent Replay
-// calls, each of which builds its sim/engine pair afresh. Single worker and a
-// parked GC, so the Mallocs deltas see only replay work.
+// TestReplayManyPooledAllocs pins both kinds of reuse a replay relies on,
+// with a single worker and a parked GC, so the Mallocs deltas see only
+// replay work. Across jobs, a warm ReplayMany allocates at most 0.9x of what
+// the same jobs cost as independent Replay calls, each of which builds its
+// sim/engine pair afresh (11 283 vs 13 410 mallocs over 16 jobs of 501 rows).
+// Within a run, the engine recycles each finished query, so even a fresh
+// Replay makes at most two allocations per row (1.67; 2.6 when the engine
+// allocated a Query per row).
 func TestReplayManyPooledAllocs(t *testing.T) {
 	// Under the race detector sync.Pool drops a quarter of its Puts on
 	// purpose, so pooled-allocation ratios mean nothing there.
@@ -141,8 +145,12 @@ func TestReplayManyPooledAllocs(t *testing.T) {
 			}
 		}
 	})
-	if frac := float64(pooled) / float64(fresh); frac > 0.7 {
-		t.Fatalf("pooled replays allocate %.2fx of fresh (%d vs %d mallocs over %d jobs), want <= 0.70x",
+	if frac := float64(pooled) / float64(fresh); frac > 0.9 {
+		t.Fatalf("pooled replays allocate %.2fx of fresh (%d vs %d mallocs over %d jobs), want <= 0.90x",
 			frac, pooled, fresh, len(jobs))
+	}
+	if perRow := float64(fresh) / float64(len(jobs)*len(comp)); perRow > 2 {
+		t.Fatalf("fresh replays allocate %.2f times per row (%d mallocs over %d jobs of %d rows), want <= 2",
+			perRow, fresh, len(jobs), len(comp))
 	}
 }

@@ -92,6 +92,8 @@ func (g *OLTPGen) Start(s *sim.Simulator, horizon sim.Time, submit SubmitFunc) {
 }
 
 func (g *OLTPGen) makeRequest(now sim.Time) *Request {
+	r := NewRequest()
+	locks := r.True.Locks
 	kind := g.rng.Intn(3)
 	// The literals are drawn before the spec's, in statement order: the RNG
 	// stream, and so every table, depends on it.
@@ -108,7 +110,7 @@ func (g *OLTPGen) makeRequest(now sim.Time) *Request {
 			IOWork:  0.2 + g.rng.Float64()*0.3,
 			MemMB:   2,
 			Rows:    1,
-			Locks:   []engine.LockReq{{Key: g.zipf.Next(), Exclusive: false, AtProgress: 0}},
+			Locks:   append(locks, engine.LockReq{Key: g.zipf.Next(), Exclusive: false, AtProgress: 0}),
 		}
 	case 1: // payment update
 		typ = sqlmini.StmtWrite
@@ -121,10 +123,10 @@ func (g *OLTPGen) makeRequest(now sim.Time) *Request {
 			IOWork:  0.4 + g.rng.Float64()*0.6,
 			MemMB:   4,
 			Rows:    1,
-			Locks: []engine.LockReq{
-				{Key: g.zipf.Next(), Exclusive: true, AtProgress: 0},
-				{Key: g.zipf.Next(), Exclusive: true, AtProgress: 0.5},
-			},
+			Locks: append(locks,
+				engine.LockReq{Key: g.zipf.Next(), Exclusive: true, AtProgress: 0},
+				engine.LockReq{Key: g.zipf.Next(), Exclusive: true, AtProgress: 0.5},
+			),
 		}
 	default: // order insert
 		typ = sqlmini.StmtWrite
@@ -140,7 +142,7 @@ func (g *OLTPGen) makeRequest(now sim.Time) *Request {
 			IOWork:  0.4 + g.rng.Float64()*0.8,
 			MemMB:   4,
 			Rows:    1,
-			Locks:   []engine.LockReq{{Key: g.zipf.Next(), Exclusive: true, AtProgress: 0}},
+			Locks:   append(locks, engine.LockReq{Key: g.zipf.Next(), Exclusive: true, AtProgress: 0}),
 		}
 	}
 	g.sqlBuf = sql
@@ -151,7 +153,7 @@ func (g *OLTPGen) makeRequest(now sim.Time) *Request {
 		est = Estimates{CPUSeconds: spec.CPUWork, IOMB: spec.IOWork, MemMB: spec.MemMB,
 			Rows: float64(spec.Rows), Timerons: TimeronsOf(spec.CPUWork, spec.IOWork)}
 	}
-	return &Request{
+	*r = Request{
 		ID:       g.Seq.Next(),
 		SQL:      string(sql),
 		Type:     typ,
@@ -163,6 +165,7 @@ func (g *OLTPGen) makeRequest(now sim.Time) *Request {
 		Est:      est,
 		True:     spec,
 	}
+	return r
 }
 
 // BITemplate is one analytical query shape with its plan-derived costs.
@@ -237,7 +240,8 @@ func (g *BIGen) MakeRequest(now sim.Time) *Request {
 	if origin.App == "" {
 		origin = Origin{App: "bi-dashboard", User: "analyst", ClientIP: "10.0.2.20"}
 	}
-	return &Request{
+	r := NewRequest()
+	*r = Request{
 		ID:       g.Seq.Next(),
 		SQL:      tpl.SQL,
 		Type:     plan.Stmt.Type,
@@ -249,6 +253,7 @@ func (g *BIGen) MakeRequest(now sim.Time) *Request {
 		Est:      est,
 		True:     spec,
 	}
+	return r
 }
 
 // BatchGen submits a burst of requests at a fixed time — the
@@ -323,7 +328,8 @@ func (g *UtilityGen) makeUtility(now sim.Time) *Request {
 		sql = "CALL backup(full)"
 		spec = engine.QuerySpec{CPUWork: 10, IOWork: 4000, MemMB: 128, Parallelism: 1, StateMB: 16}
 	}
-	return &Request{
+	r := NewRequest()
+	*r = Request{
 		ID:       g.Seq.Next(),
 		SQL:      sql,
 		Type:     sqlmini.StmtCall,
@@ -336,6 +342,7 @@ func (g *UtilityGen) makeUtility(now sim.Time) *Request {
 			Timerons: TimeronsOf(spec.CPUWork, spec.IOWork)},
 		True: spec,
 	}
+	return r
 }
 
 // AdHocGen generates occasional unpredictable queries, including rare
@@ -411,7 +418,8 @@ func (g *AdHocGen) makeRequest(now sim.Time) *Request {
 		est = Estimates{CPUSeconds: spec.CPUWork, IOMB: spec.IOWork, MemMB: spec.MemMB, Rows: float64(spec.Rows)}
 	}
 	est.Timerons = TimeronsOf(est.CPUSeconds, est.IOMB)
-	return &Request{
+	r := NewRequest()
+	*r = Request{
 		ID:       g.Seq.Next(),
 		SQL:      sql,
 		Type:     sqlmini.StmtRead,
@@ -423,6 +431,7 @@ func (g *AdHocGen) makeRequest(now sim.Time) *Request {
 		Est:      est,
 		True:     spec,
 	}
+	return r
 }
 
 // hashLabel derives a stable RNG fork label from a string.

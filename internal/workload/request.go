@@ -7,6 +7,8 @@ package workload
 
 import (
 	"fmt"
+	"slices"
+	"sync"
 
 	"dbwlm/internal/engine"
 	"dbwlm/internal/policy"
@@ -43,6 +45,11 @@ func TimeronsOf(cpuSeconds, ioMB float64) float64 {
 }
 
 // Request is one unit of work flowing through the workload manager.
+//
+// Generators draw requests from NewRequest's pool. A request handed to the
+// workload manager (dbwlm.Manager.Submit) belongs to it: the manager returns
+// it to the pool once its run is over, so code that needs a request after
+// that keeps a Clone.
 type Request struct {
 	ID   int64
 	SQL  string
@@ -59,6 +66,34 @@ type Request struct {
 
 	// Resubmit counts kill-and-resubmit cycles.
 	Resubmit int
+}
+
+// requestPool recycles requests from their owner (FreeRequest) to the
+// generators (NewRequest).
+var requestPool = sync.Pool{New: func() any { return new(Request) }}
+
+// NewRequest returns a zero request for a generator to fill in. Its
+// True.Locks is empty but may keep the lock array of a request freed before:
+// a generator appends its locks to it rather than allocating its own.
+func NewRequest() *Request { return requestPool.Get().(*Request) }
+
+// FreeRequest returns r to NewRequest's pool, keeping its lock array. Only
+// r's owner calls it, once nothing will read r again; in this repository
+// that is the workload manager. r's lock array must be its own, shared with
+// no other request or spec.
+func FreeRequest(r *Request) {
+	locks := r.True.Locks[:0]
+	*r = Request{}
+	r.True.Locks = locks
+	requestPool.Put(r)
+}
+
+// Clone returns a copy of r that shares no lock array with r: what an
+// observer keeps of a request past the point its owner frees it.
+func (r *Request) Clone() *Request {
+	c := *r
+	c.True.Locks = slices.Clone(r.True.Locks)
+	return &c
 }
 
 // String renders a short identification of the request.

@@ -16,12 +16,20 @@ import (
 	"dbwlm/internal/workload"
 )
 
-// Running is the manager-side handle for a dispatched request: the request,
-// its engine query, and its classification.
+// Running is the manager-side record of a request from its dispatch (or its
+// entry into the wait queue) on: its scheduling.Item — the request, its
+// enqueue instant, service-class name and weight — its engine query, and its
+// classification. The record embeds the item so the two are one allocation;
+// Class here is the service class itself, the item's Class its name.
+//
+// The record and its request belong to the Manager. Hooks may read them
+// until OnFinish has returned; after that the Manager reuses the record, and
+// the request too unless it was re-queued (Resubmit), for later requests. A
+// hook that needs the request later keeps rr.Req.Clone(), and one that needs
+// the query keeps its ID.
 type Running struct {
-	Req   *workload.Request
+	scheduling.Item
 	Query *engine.Query
-	Item  *scheduling.Item
 	Class *characterize.ServiceClass
 	// DispatchedAt is when the request entered the engine (last attempt).
 	DispatchedAt sim.Time
@@ -42,9 +50,12 @@ type Manager struct {
 	Scheduler *scheduling.Scheduler
 	// OnDispatch, when set, is invoked as each request enters the engine —
 	// the hook execution controllers (ager, killer, throttler, suspender,
-	// fuzzy controller) use to take ownership of a query.
+	// fuzzy controller) use to take over a query. The record stays valid
+	// until OnFinish returns (see Running); controllers key by query ID.
 	OnDispatch func(*Running)
-	// OnFinish, when set, observes every terminal outcome.
+	// OnFinish, when set, observes every terminal outcome. The record is
+	// recycled when it returns, and so is its request unless the request
+	// was re-queued with Resubmit.
 	OnFinish func(*Running, engine.Outcome)
 	// AdmissionRetry is the delay before re-evaluating queued admissions
 	// (default 500ms).
@@ -77,6 +88,9 @@ type Manager struct {
 	// onEngineFinish is m.finished bound once, so a release hands the engine
 	// the same func value every time instead of a closure of its own.
 	onEngineFinish func(*engine.Query, engine.Outcome)
+	// freeRun holds records whose run ended, for dispatchOrSchedule to
+	// reuse.
+	freeRun []*Running
 }
 
 // New builds a manager over a fresh engine on the simulator.
@@ -106,6 +120,10 @@ func (m *Manager) Stats() *metrics.Registry { return m.stats }
 func (m *Manager) Now() sim.Time { return m.sim.Now() }
 
 // Submit runs a request through identification, admission, and scheduling.
+// The request belongs to the Manager from here on: it is returned to
+// workload.NewRequest's pool when admission rejects it, when it times out in
+// the admission queue, or after OnFinish has returned for its run, so the
+// caller must not read it again (see Running).
 func (m *Manager) Submit(req *workload.Request) {
 	var class *characterize.ServiceClass
 	if m.Router != nil {
@@ -134,6 +152,7 @@ func (m *Manager) admit(req *workload.Request, class *characterize.ServiceClass)
 	case admission.Reject:
 		m.stats.Workload(req.Workload).Rejected.Inc()
 		m.stats.System.Rejected.Inc()
+		workload.FreeRequest(req)
 	case admission.Queue:
 		m.admissionQueue.Push(req)
 		m.armRetry()
@@ -165,6 +184,7 @@ func (m *Manager) armRetry() {
 			if m.MaxQueueDelay > 0 && m.sim.Now().Sub(req.Arrive) > m.MaxQueueDelay {
 				m.stats.Workload(req.Workload).Rejected.Inc()
 				m.stats.System.Rejected.Inc()
+				workload.FreeRequest(req)
 				continue
 			}
 			class := m.classFor(req)
@@ -189,22 +209,34 @@ func (m *Manager) classFor(req *workload.Request) *characterize.ServiceClass {
 
 func (m *Manager) dispatchOrSchedule(req *workload.Request, class *characterize.ServiceClass) {
 	m.classOf[req.Workload] = class.Name
-	it := &scheduling.Item{
+	var rr *Running
+	if n := len(m.freeRun); n > 0 {
+		rr = m.freeRun[n-1]
+		m.freeRun[n-1] = nil
+		m.freeRun = m.freeRun[:n-1]
+	} else {
+		rr = &Running{}
+	}
+	rr.Item = scheduling.Item{
 		Req:      req,
 		Enqueued: m.sim.Now(),
 		Class:    class.Name,
 		Weight:   class.EffectiveWeight(),
+		Owner:    rr,
 	}
 	if m.Scheduler == nil {
-		m.release(it, class)
+		rr.Class = class
+		m.release(rr)
 		return
 	}
 	if m.Scheduler.Release == nil {
-		m.Scheduler.Release = func(rel *scheduling.Item) {
-			m.release(rel, m.classByName(rel.Class))
+		m.Scheduler.Release = func(it *scheduling.Item) {
+			rr := it.Owner.(*Running)
+			rr.Class = m.classByName(it.Class)
+			m.release(rr)
 		}
 	}
-	m.Scheduler.Enqueue(it, m.sim.Now())
+	m.Scheduler.Enqueue(&rr.Item, m.sim.Now())
 }
 
 func (m *Manager) classByName(name string) *characterize.ServiceClass {
@@ -217,11 +249,11 @@ func (m *Manager) classByName(name string) *characterize.ServiceClass {
 	return &characterize.ServiceClass{Name: name, Priority: policy.PriorityMedium}
 }
 
-// release sends an item into the engine.
-func (m *Manager) release(it *scheduling.Item, class *characterize.ServiceClass) {
-	req := it.Req
-	q := m.eng.Submit(req.True, it.Weight, m.onEngineFinish)
-	rr := &Running{Req: req, Query: q, Item: it, Class: class, DispatchedAt: m.sim.Now()}
+// release sends a record's request into the engine.
+func (m *Manager) release(rr *Running) {
+	q := m.eng.Submit(rr.Req.True, rr.Weight, m.onEngineFinish)
+	rr.Query = q
+	rr.DispatchedAt = m.sim.Now()
 	m.running[q.ID] = rr
 	if m.OnDispatch != nil {
 		m.OnDispatch(rr)
@@ -234,9 +266,11 @@ func (m *Manager) finished(q *engine.Query, oc engine.Outcome) {
 		return
 	}
 	delete(m.running, q.ID)
+	req := rr.Req
+	attempts := req.Resubmit
 	now := m.sim.Now()
 	if m.Scheduler != nil {
-		m.Scheduler.OnFinish(rr.Item, now)
+		m.Scheduler.OnFinish(&rr.Item, now)
 	}
 	ws := m.stats.Workload(rr.Req.Workload)
 	switch oc {
@@ -272,11 +306,20 @@ func (m *Manager) finished(q *engine.Query, oc engine.Outcome) {
 	if m.OnFinish != nil {
 		m.OnFinish(rr, oc)
 	}
+	// A re-queued request (Resubmit counted the attempt) lives on in a new
+	// record; otherwise its run is over.
+	if req.Resubmit == attempts {
+		workload.FreeRequest(req)
+	}
+	*rr = Running{}
+	m.freeRun = append(m.freeRun, rr)
 }
 
 // Resubmit queues a killed request for another execution attempt
 // (kill-and-resubmit, Krompass et al.). It reports false when the request
-// has exhausted its resubmission budget.
+// has exhausted its resubmission budget. rr is a record OnFinish is handling,
+// or, to resubmit later, a record holding a clone of that request and its
+// class (the Manager reuses rr once OnFinish returns).
 func (m *Manager) Resubmit(rr *Running) bool {
 	max := m.MaxResubmits
 	if max <= 0 {

@@ -211,16 +211,18 @@ func TestManagerVelocityBounds(t *testing.T) {
 
 // TestManagedOLTPAllocBudget bounds what one managed transaction allocates
 // end to end — generator, admission, FCFS queue behind an MPL dispatcher,
-// engine, lock table, completion statistics. What is left is the
-// transaction's own (DESIGN.md section 6): its Request, lock list and SQL
-// text, its Item, Running and engine Query — six — plus, with no Router set,
-// the two stand-in ServiceClass values Submit and release make. The commit
-// before the generators stopped parsing their own SQL measured 32.4 here and
-// this one 8.0; the budget is under half the former and far enough above the
-// latter to trip on a closure or a map per transaction coming back, not on
-// noise.
+// engine, lock table, completion statistics. Its Request and lock list, its
+// Running record (with the Item inside) and its engine Query are reused from
+// transactions that finished before it (DESIGN.md section 6); what is left
+// is its SQL text plus, with no Router set, the two stand-in ServiceClass
+// values Submit and release make. The commit before the generators stopped
+// parsing their own SQL measured 32.4 here, the one before the reuse 8.0,
+// and this one 3.1 (3.6 under the race detector, whose sync.Pool drops a
+// quarter of its Puts). The budget trips on the request pool being lost or a
+// closure or map per transaction coming back, not on noise; the lifetime
+// tests pin each reused object on its own.
 func TestManagedOLTPAllocBudget(t *testing.T) {
-	const budget = 12.0
+	const budget = 5.0
 	s := sim.New(1)
 	m := New(s, engine.Config{Cores: 8, MemoryMB: 4096, IOMBps: 800})
 	m.Scheduler = scheduling.NewScheduler(scheduling.NewFCFS(), &scheduling.MPL{Max: 16})
