@@ -7,27 +7,21 @@
 //
 //	wlmd -addr :8628                    # serve
 //	wlmd -trace 16384 -pprof            # serve with flight recorder + pprof
-//	wlmd -selftest -workers 64          # closed-loop in-process load generator
-//	wlmd -selftest -trace-dump          # ... and print the decision trace
 package main
 
 import (
 	"flag"
-	"fmt"
 	"log"
 	"net"
 	"net/http"
 	"os"
-	"sync"
 	"time"
 
-	"dbwlm"
 	"dbwlm/internal/admission"
 	"dbwlm/internal/obsv"
 	"dbwlm/internal/policy"
 	"dbwlm/internal/rt"
 	"dbwlm/internal/rthttp"
-	"dbwlm/internal/sim"
 	"dbwlm/internal/slo"
 	"dbwlm/internal/sqlmini"
 )
@@ -62,18 +56,13 @@ func main() {
 		wireAddr   = flag.String("wire-addr", "", "binary wire-protocol TCP listen address (empty = off)")
 		policyPath = flag.String("policy", "", "JSON runtime policy applied at startup")
 		globalMPL  = flag.Int("global-mpl", 48, "global concurrent-admission cap (0 = unlimited)")
-		selftest   = flag.Bool("selftest", false, "run the closed-loop load generator and exit (non-zero on zero admits)")
-		workers    = flag.Int("workers", 64, "selftest: concurrent closed-loop workers")
-		perWorker  = flag.Int("per-worker", 200, "selftest: requests per worker")
-		seed       = flag.Uint64("seed", 1, "selftest: RNG seed")
 
 		sloOn   = flag.Bool("slo", false, "enable the SLO engine: deadline accounting at Done, GET /slo, dbwlm_slo_* metrics, burn-rate MAPE symptoms")
 		sloFast = flag.Duration("slo-fast", time.Minute, "slo: fast burn-rate evaluation window")
 		sloSlow = flag.Duration("slo-slow", 10*time.Minute, "slo: slow burn-rate evaluation window")
 
-		traceCap  = flag.Int("trace", 0, "flight-recorder capacity in events (0 = off; served at /trace)")
-		traceDump = flag.Int("trace-dump", 0, "selftest: print the last N flight-recorder events after the run (implies -trace)")
-		pprofOn   = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
+		traceCap = flag.Int("trace", 0, "flight-recorder capacity in events (0 = off; served at /trace)")
+		pprofOn  = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
 
 		predict    = flag.Bool("predict", false, "enable prediction-based admission: /admit accepts raw SQL via the sql= form field")
 		maxBucket  = flag.String("predict-max-bucket", "monster", "predict: largest admissible predicted runtime bucket (short|medium|long|monster)")
@@ -110,28 +99,8 @@ func main() {
 		}
 	}
 
-	if *traceDump > 0 && *traceCap == 0 {
-		*traceCap = 16384
-	}
 	if *traceCap > 0 {
 		r.SetRecorder(obsv.NewRecorder(*traceCap))
-	}
-
-	if *selftest {
-		out, totals := runSelfTest(r, *workers, *perWorker, *seed)
-		fmt.Print(out)
-		if eng := r.SLO(); eng != nil {
-			fmt.Print("slo:\n" + dbwlm.SLOPanel(eng.Evaluate()))
-		}
-		if *traceDump > 0 {
-			fmt.Print(dbwlm.TraceTail(r.Recorder(), *traceDump,
-				func(id int32) string { return r.ClassName(rt.ClassID(id)) }))
-		}
-		fmt.Println(totals.line())
-		if totals.admits == 0 {
-			os.Exit(1)
-		}
-		return
 	}
 
 	srv := rthttp.NewServer(r)
@@ -201,66 +170,4 @@ const idleTimeout = 2 * time.Minute
 // with its request while the op is queued.
 func newHTTPServer(addr string, h http.Handler, idle time.Duration) *http.Server {
 	return &http.Server{Addr: addr, Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idle}
-}
-
-// selfTotals is the selftest outcome ledger across all classes.
-type selfTotals struct {
-	admits, rejects, timeouts int64
-}
-
-func (t selfTotals) line() string {
-	return fmt.Sprintf("selftest: %d admits, %d rejects, %d timeouts", t.admits, t.rejects, t.timeouts)
-}
-
-// runSelfTest drives the runtime with a closed-loop in-process generator:
-// workers spread across the class table admit, hold their slot for a
-// lognormal service time, and release — the live analogue of the simulated
-// experiments. It returns a per-class summary table plus the outcome totals
-// (main exits non-zero when nothing was admitted).
-func runSelfTest(r *rt.Runtime, workers, perWorker int, seed uint64) (string, selfTotals) {
-	r.Start()
-	defer r.Stop()
-	if r.Recorder() != nil {
-		// With a recorder attached, drive one overload and one recovery MAPE
-		// cycle before the workers start so the trace shows the autonomic
-		// loop acting — and the gate ends open, so no waiter can hang on it.
-		loop := rt.NewMAPELoop(r)
-		r.SetLoad(1.5, 0, 0.9)
-		loop.RunOnce() // overload symptom -> throttle action: gate closes
-		r.SetLoad(0.2, 0, 0.2)
-		loop.RunOnce() // underload symptom -> resume action: gate reopens
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			rng := sim.NewRNG(seed + uint64(w))
-			class := rt.ClassID(w % r.NumClasses())
-			for i := 0; i < perWorker; i++ {
-				cost := 1000 * rng.LogNormal(0, 1)
-				g := r.Admit(class, cost)
-				if !g.Admitted() {
-					continue // rejected: closed loop issues the next request
-				}
-				service := time.Duration(rng.LogNormal(0, 0.5) * float64(100*time.Microsecond))
-				time.Sleep(service)
-				r.Done(g, service.Seconds())
-			}
-		}(w)
-	}
-	wg.Wait()
-
-	out := fmt.Sprintf("%-12s %9s %9s %9s %9s %9s %12s\n",
-		"class", "admitted", "queued", "rejected", "timeouts", "done", "p95 lat ms")
-	var totals selfTotals
-	for _, st := range r.Snapshot() {
-		out += fmt.Sprintf("%-12s %9d %9d %9d %9d %9d %12.3f\n",
-			st.Class, st.Admitted, st.Queued, st.Rejected, st.Timeouts, st.Done,
-			1000*st.Latency.P95)
-		totals.admits += st.Admitted
-		totals.rejects += st.Rejected
-		totals.timeouts += st.Timeouts
-	}
-	return out, totals
 }

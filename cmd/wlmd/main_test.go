@@ -18,6 +18,7 @@ import (
 	"dbwlm/internal/policy"
 	"dbwlm/internal/rt"
 	"dbwlm/internal/rthttp"
+	"dbwlm/internal/sim"
 )
 
 func testServer(t *testing.T, specs []rt.ClassSpec, opts rt.Options) (*rt.Runtime, *httptest.Server) {
@@ -209,68 +210,57 @@ func TestConcurrentHTTPAdmits(t *testing.T) {
 	}
 }
 
-func TestSelfTest(t *testing.T) {
-	r, err := rt.New(defaultClasses(), rt.Options{GlobalMaxMPL: 24, RetryEvery: time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
+// closedLoop drives the runtime like a closed-loop client population. It
+// first runs one overload and one recovery MAPE cycle, so a trace shows the
+// autonomic loop acting and the gate ends open (no waiter can hang on it).
+// Then workers spread across the class table admit, hold their slot for a
+// lognormal service time, and release. It returns the number of admissions.
+func closedLoop(r *rt.Runtime, workers, perWorker int, seed uint64) (admits int64) {
+	r.Start()
+	defer r.Stop()
+	loop := rt.NewMAPELoop(r)
+	r.SetLoad(1.5, 0, 0.9)
+	loop.RunOnce() // overload symptom -> throttle action: gate closes
+	r.SetLoad(0.2, 0, 0.2)
+	loop.RunOnce() // underload symptom -> resume action: gate reopens
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			rng := sim.NewRNG(seed + uint64(w))
+			class := rt.ClassID(w % r.NumClasses())
+			for i := 0; i < perWorker; i++ {
+				g := r.Admit(class, 1000*rng.LogNormal(0, 1))
+				if g.Verdict() != rt.Admitted {
+					continue // rejected: the closed loop issues the next request
+				}
+				service := time.Duration(rng.LogNormal(0, 0.5) * float64(100*time.Microsecond))
+				time.Sleep(service)
+				r.Done(g, service.Seconds())
+			}
+		}(w)
 	}
-	out, totals := runSelfTest(r, 12, 20, 1)
-	for _, class := range []string{"interactive", "reporting", "batch"} {
-		if !strings.Contains(out, class) {
-			t.Fatalf("summary missing %q:\n%s", class, out)
-		}
-	}
-	if r.InEngine() != 0 {
-		t.Fatalf("in-engine %d after selftest", r.InEngine())
-	}
-	var total int64
+	wg.Wait()
 	for _, st := range r.Snapshot() {
-		total += st.Done + st.Rejected + st.Timeouts
+		admits += st.Admitted
 	}
-	if total != 12*20 {
-		t.Fatalf("accounted %d outcomes, want %d", total, 12*20)
-	}
-	if totals.admits == 0 {
-		t.Fatalf("selftest totals %+v: expected admits", totals)
-	}
-	if !strings.Contains(totals.line(), "admits") {
-		t.Fatalf("summary line %q", totals.line())
-	}
+	return admits
 }
 
-// TestSelfTestZeroAdmits forces every request through an impossible cost cap:
-// the totals that make main exit non-zero must report zero admits.
-func TestSelfTestZeroAdmits(t *testing.T) {
-	specs := []rt.ClassSpec{
-		{Name: "capped", Priority: policy.PriorityHigh, MaxMPL: 4, MaxCostTimerons: 0.001},
-	}
-	r, err := rt.New(specs, rt.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, totals := runSelfTest(r, 4, 10, 1)
-	if totals.admits != 0 {
-		t.Fatalf("admits %d through a 0.001-timeron cap", totals.admits)
-	}
-	if totals.rejects != 4*10 {
-		t.Fatalf("rejects %d, want %d", totals.rejects, 4*10)
-	}
-}
-
-// TestSelfTestTraceLifecycle is the end-to-end acceptance drive: a selftest
-// run with the flight recorder attached must leave a trace that shows the
-// complete decision lifecycle — admit with a reason, a queue entry, a drained
-// grant, a completion, and the MAPE loop acting — all drainable over
-// GET /trace with filters.
+// TestSelfTestTraceLifecycle is the end-to-end acceptance drive: a
+// closed-loop run with the flight recorder attached must leave a trace that
+// shows the complete decision lifecycle — admit with a reason, a queue
+// entry, a drained grant, a completion, and the MAPE loop acting — all
+// drainable over GET /trace with filters.
 func TestSelfTestTraceLifecycle(t *testing.T) {
 	r, err := rt.New(defaultClasses(), rt.Options{GlobalMaxMPL: 8, RetryEvery: time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
 	r.SetRecorder(obsv.NewRecorder(1 << 15))
-	out, totals := runSelfTest(r, 24, 40, 1)
-	if totals.admits == 0 {
-		t.Fatalf("no admits:\n%s", out)
+	if closedLoop(r, 24, 40, 1) == 0 {
+		t.Fatalf("no admits: %+v", r.Snapshot())
 	}
 
 	srv := httptest.NewServer(rthttp.NewServer(r))

@@ -1,13 +1,16 @@
 // Analyzer: the Teradata Workload Analyzer flow (Section 4.1.3.A) — mine a
 // query log into candidate workload definitions with recommended priorities
 // and service-level goals, install the recommendations, and re-run the same
-// workload under them. Zero-to-WLM from a DBQL-style log.
+// workload under them. Zero-to-WLM from a DBQL-style log. Along the way a
+// decision-tree classifier labels the log's windows by workload type
+// (dynamic characterization, Section 3.1).
 //
 //	go run ./examples/analyzer
 package main
 
 import (
 	"fmt"
+	"slices"
 
 	"dbwlm"
 	"dbwlm/internal/characterize"
@@ -20,6 +23,16 @@ func scenario(rng *sim.RNG) []workload.Generator {
 	return workload.Consolidated(rng, workload.ScenarioConfig{
 		OLTPRate: 40, BIRate: 0.05, AdHocRate: 0.15, MonsterProb: 0.4,
 	})
+}
+
+// issued collects the requests the scenario's generator i issues over a
+// horizon, with nothing run.
+func issued(i int, seed uint64, horizon sim.Duration) []*workload.Request {
+	s := sim.New(seed)
+	var reqs []*workload.Request
+	scenario(s.RNG().Fork(1))[i].Start(s, sim.Time(horizon), func(r *workload.Request) { reqs = append(reqs, r) })
+	s.RunAll(1 << 22)
+	return reqs
 }
 
 func main() {
@@ -39,6 +52,29 @@ func main() {
 	}
 	m1.RunWorkload(scenario(s1.RNG().Fork(1)), 120*sim.Second, 60*sim.Second)
 	fmt.Printf("phase 1: unmanaged run logged %d completed queries\n\n", len(log))
+
+	// Dynamic characterization: learn pure-OLTP, pure-BI and mixed windows
+	// from the scenario's own generators, then label the log window by window.
+	var train []characterize.LabeledWindow
+	for seed := uint64(100); seed < 108; seed++ {
+		oltp, bi := issued(0, seed, 5*sim.Second), issued(1, seed, 1200*sim.Second)
+		half := slices.Clip(oltp[:len(oltp)/2])
+		train = append(train,
+			characterize.LabeledWindow{Requests: oltp, Label: characterize.TypeOLTP},
+			characterize.LabeledWindow{Requests: bi, Label: characterize.TypeOLAP},
+			characterize.LabeledWindow{Requests: append(half, bi...), Label: characterize.TypeMixed})
+	}
+	classifier := characterize.TrainDynamicClassifier(train)
+	const window = 250
+	var labels []characterize.WorkloadType
+	for i := 0; i+window <= len(log); i += window {
+		reqs := make([]*workload.Request, window)
+		for j := range reqs {
+			reqs[j] = log[i+j].Req
+		}
+		labels = append(labels, classifier.Classify(reqs))
+	}
+	fmt.Printf("dynamic characterization, %d-query windows of the log: %v\n\n", window, labels)
 
 	// Phase 2: analyze the log into candidate workloads.
 	analyzer := &characterize.Analyzer{MinGroupSize: 10}

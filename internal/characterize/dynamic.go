@@ -57,9 +57,10 @@ func SnapshotFeatures(reqs []*workload.Request) []float64 {
 }
 
 // DynamicClassifier identifies the type of workload present on the server
-// from windows of arriving requests (Section 3.1, dynamic characterization).
+// from windows of arriving requests (Section 3.1, dynamic characterization),
+// with a decision tree over snapshot features as Elnaffar et al. [19] do.
 type DynamicClassifier struct {
-	model learn.Classifier
+	model *learn.DecisionTree
 }
 
 // LabeledWindow is one training window: requests plus the ground-truth type.
@@ -68,11 +69,8 @@ type LabeledWindow struct {
 	Label    WorkloadType
 }
 
-// TrainDynamicClassifier learns a classifier from labeled windows. algorithm
-// is "bayes" (default) or "tree".
-//
-//dbwlm:nolint deadcode -- registry row "ML workload-type classification" runs only under tests; the ROADMAP item "Every registry row runs in a binary, or is deleted" wires it in or deletes it
-func TrainDynamicClassifier(windows []LabeledWindow, algorithm string) *DynamicClassifier {
+// TrainDynamicClassifier learns a classifier from labeled windows.
+func TrainDynamicClassifier(windows []LabeledWindow) *DynamicClassifier {
 	samples := make([]learn.Sample, 0, len(windows))
 	for _, w := range windows {
 		samples = append(samples, learn.Sample{
@@ -80,18 +78,10 @@ func TrainDynamicClassifier(windows []LabeledWindow, algorithm string) *DynamicC
 			Label:    int(w.Label),
 		})
 	}
-	var model learn.Classifier
-	if algorithm == "tree" {
-		model = learn.TrainDecisionTree(samples, numWorkloadTypes, learn.TreeConfig{MaxDepth: 6})
-	} else {
-		model = learn.TrainNaiveBayes(samples, numWorkloadTypes)
-	}
-	return &DynamicClassifier{model: model}
+	return &DynamicClassifier{model: learn.TrainDecisionTree(samples, numWorkloadTypes, learn.TreeConfig{MaxDepth: 6})}
 }
 
 // Classify labels a window of recent requests.
-//
-//dbwlm:nolint deadcode -- registry row "ML workload-type classification" runs only under tests; the ROADMAP item "Every registry row runs in a binary, or is deleted" wires it in or deletes it
 func (c *DynamicClassifier) Classify(reqs []*workload.Request) WorkloadType {
 	return WorkloadType(c.model.Predict(SnapshotFeatures(reqs)))
 }

@@ -3,7 +3,6 @@ package engine
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"dbwlm/internal/sim"
 )
@@ -295,16 +294,6 @@ func (e *Engine) recycle(q *Query) {
 // Get returns the engine-side handle for id, or nil if the query has left
 // the engine.
 func (e *Engine) Get(id int64) *Query { return e.queries[id] }
-
-// Running returns all non-terminal queries, sorted by ID for determinism.
-func (e *Engine) Running() []*Query {
-	out := make([]*Query, 0, len(e.queries))
-	for _, q := range e.queries {
-		out = append(out, q)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
-}
 
 // InEngine reports the number of resident (non-terminal) queries.
 func (e *Engine) InEngine() int { return len(e.queries) }

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"math"
+	"sort"
 	"testing"
 
 	"dbwlm/internal/sim"
@@ -10,6 +11,16 @@ import (
 func newTestEngine(cfg Config) (*sim.Simulator, *Engine) {
 	s := sim.New(1)
 	return s, New(s, cfg)
+}
+
+// Running returns all non-terminal queries, sorted by ID for determinism.
+func (e *Engine) Running() []*Query {
+	out := make([]*Query, 0, len(e.queries))
+	for _, q := range e.queries {
+		out = append(out, q)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+	return out
 }
 
 // run advances the simulation up to the horizon (seconds of virtual time).

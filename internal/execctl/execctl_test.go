@@ -256,6 +256,20 @@ func TestSuspenderCycle(t *testing.T) {
 	}
 }
 
+// TestSuspenderWithoutProgressIndicatorSuspendsAll holds the Suspender to
+// suspending every running managed query under pressure, however close to
+// done it is: victim choice reads no progress indicator.
+func TestSuspenderWithoutProgressIndicatorSuspendsAll(t *testing.T) {
+	s, e := newEng(engine.Config{Cores: 4, IOMBps: 1000})
+	sp := NewSuspender(e, func() bool { return true }, engine.SuspendGoBack)
+	q := e.Submit(engine.QuerySpec{CPUWork: 5, Parallelism: 1}, 1, nil)
+	sp.Manage(&Managed{Query: q})
+	s.Run(sim.Time(sim.Second))
+	if q.State() != engine.StateSuspended {
+		t.Fatalf("state = %v, want suspended", q.State())
+	}
+}
+
 func TestPIControllerConverges(t *testing.T) {
 	// Plant: perfRatio = 0.5 + 0.5*throttle (linear, as Parekh assumes).
 	c := &PIController{Target: 0.9}

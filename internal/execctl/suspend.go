@@ -154,14 +154,6 @@ type Suspender struct {
 	// MaxConcurrentResume limits how many suspended queries resume per
 	// sweep once pressure clears (default 1, avoids a resume stampede).
 	MaxConcurrentResume int
-	// Remaining, when set, estimates a query's remaining seconds (a query
-	// progress indicator, Section 3.4). Queries predicted to finish within
-	// SkipIfRemainingUnder seconds are left to complete instead of being
-	// suspended — killing a nearly-done query frees almost nothing.
-	Remaining func(id int64) (seconds float64, ok bool)
-	// SkipIfRemainingUnder is the near-completion grace in seconds
-	// (0 disables the progress check).
-	SkipIfRemainingUnder float64
 
 	managed  map[int64]*Managed
 	sweepIDs []int64
@@ -215,11 +207,6 @@ func (s *Suspender) sweep() {
 		}
 		switch {
 		case pressure && q.State() == engine.StateRunning:
-			if s.SkipIfRemainingUnder > 0 && s.Remaining != nil {
-				if rem, ok := s.Remaining(id); ok && rem < s.SkipIfRemainingUnder {
-					continue // nearly done: let it finish
-				}
-			}
 			if err := s.Engine.Suspend(id, s.Strategy); err == nil {
 				s.suspends++
 			}

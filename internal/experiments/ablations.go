@@ -272,12 +272,12 @@ func runRestructurePoint(variant string, seed uint64) Row {
 			monsterDone = s.Now().Seconds()
 		})
 	case "sliced":
-		slices := make([]scheduling.Slice, 6)
+		slices := make([]engine.QuerySpec, 6)
 		for i := range slices {
-			slices[i] = scheduling.Slice{Spec: engine.QuerySpec{
+			slices[i] = engine.QuerySpec{
 				CPUWork: monster.CPUWork / 6, IOWork: monster.IOWork / 6,
 				MemMB: monster.MemMB / 6, StateMB: monster.StateMB / 6,
-			}}
+			}
 		}
 		scheduling.RunSliced(e, slices, 1, monster.Parallelism, func(engine.Outcome) {
 			monsterDone = s.Now().Seconds()

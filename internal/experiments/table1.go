@@ -3,7 +3,6 @@ package experiments
 import (
 	"dbwlm"
 	"dbwlm/internal/admission"
-	"dbwlm/internal/engine"
 	"dbwlm/internal/execctl"
 	"dbwlm/internal/policy"
 	"dbwlm/internal/scheduling"
@@ -51,9 +50,6 @@ func RunTable1(seed uint64) ResultTable {
 	m.RunWorkload(gens, 120*sim.Second, 120*sim.Second)
 
 	sys := m.Stats().System
-	waiting := m.Scheduler.Waiting()
-	_ = waiting
-	var _ engine.Outcome
 	return ResultTable{
 		Title: "Table 1: the three control points in one instrumented run",
 		Rows: []Row{

@@ -1,14 +1,13 @@
 // Package learn provides the small, dependency-free machine-learning
-// algorithms the paper's learned techniques rely on: Gaussian naive Bayes and
-// decision trees for dynamic workload classification (Elnaffar et al. [19],
-// Section 3.1), decision-tree runtime-range prediction (Gupta et al. PQR
-// [23], Section 3.2), k-nearest-neighbour plan-similarity prediction
-// (Ganapathi et al. [21]), and least-squares linear regression for black-box
-// controller models (Powley et al. [65][66]).
+// algorithms the paper's learned techniques rely on: decision trees for
+// dynamic workload classification (Elnaffar et al. [19], Section 3.1) and
+// runtime-range prediction (Gupta et al. PQR [23], Section 3.2),
+// k-nearest-neighbour plan-similarity prediction (Ganapathi et al. [21]),
+// k-means query-log clustering, and least-squares linear regression for
+// black-box controller models (Powley et al. [65][66]).
 package learn
 
 import (
-	"fmt"
 	"math"
 	"sort"
 )
@@ -23,101 +22,6 @@ type Sample struct {
 type RegSample struct {
 	Features []float64
 	Value    float64
-}
-
-// Classifier predicts a class label from features.
-type Classifier interface {
-	Predict(features []float64) int
-}
-
-// ---------- Gaussian naive Bayes ----------
-
-// NaiveBayes is a Gaussian naive Bayes classifier.
-type NaiveBayes struct {
-	classes int
-	dims    int
-	prior   []float64
-	mean    [][]float64
-	vari    [][]float64
-}
-
-// TrainNaiveBayes fits class-conditional Gaussians to the samples. It panics
-// on empty input or inconsistent feature dimensions.
-func TrainNaiveBayes(samples []Sample, classes int) *NaiveBayes {
-	if len(samples) == 0 {
-		panic("learn: TrainNaiveBayes with no samples")
-	}
-	dims := len(samples[0].Features)
-	nb := &NaiveBayes{
-		classes: classes,
-		dims:    dims,
-		prior:   make([]float64, classes),
-		mean:    make2d(classes, dims),
-		vari:    make2d(classes, dims),
-	}
-	counts := make([]float64, classes)
-	for _, s := range samples {
-		if len(s.Features) != dims {
-			panic("learn: inconsistent feature dimensions")
-		}
-		if s.Label < 0 || s.Label >= classes {
-			panic(fmt.Sprintf("learn: label %d out of range", s.Label))
-		}
-		counts[s.Label]++
-		for d, v := range s.Features {
-			nb.mean[s.Label][d] += v
-		}
-	}
-	for c := 0; c < classes; c++ {
-		nb.prior[c] = (counts[c] + 1) / (float64(len(samples)) + float64(classes))
-		if counts[c] > 0 {
-			for d := 0; d < dims; d++ {
-				nb.mean[c][d] /= counts[c]
-			}
-		}
-	}
-	for _, s := range samples {
-		for d, v := range s.Features {
-			diff := v - nb.mean[s.Label][d]
-			nb.vari[s.Label][d] += diff * diff
-		}
-	}
-	for c := 0; c < classes; c++ {
-		for d := 0; d < dims; d++ {
-			if counts[c] > 1 {
-				nb.vari[c][d] /= counts[c]
-			}
-			if nb.vari[c][d] < 1e-9 {
-				nb.vari[c][d] = 1e-9 // variance floor
-			}
-		}
-	}
-	return nb
-}
-
-// Predict returns the most probable class for features.
-func (nb *NaiveBayes) Predict(features []float64) int {
-	best, bestLL := 0, math.Inf(-1)
-	for c := 0; c < nb.classes; c++ {
-		ll := math.Log(nb.prior[c])
-		for d := 0; d < nb.dims && d < len(features); d++ {
-			v := features[d]
-			m, s2 := nb.mean[c][d], nb.vari[c][d]
-			ll += -0.5*math.Log(2*math.Pi*s2) - (v-m)*(v-m)/(2*s2)
-		}
-		if ll > bestLL {
-			best, bestLL = c, ll
-		}
-	}
-	return best
-}
-
-func make2d(r, c int) [][]float64 {
-	out := make([][]float64, r)
-	for i := range out {
-		out[i] = make([]float64, c)
-	}
-	return out
 }
 
 // ---------- Decision tree (CART, entropy) ----------
@@ -499,3 +403,11 @@ func TrainLinReg(samples []RegSample) *LinReg {
 
 // Coefficients returns [intercept, w1, ..., wd].
 func (m *LinReg) Coefficients() []float64 { return m.coef }
+
+func make2d(r, c int) [][]float64 {
+	out := make([][]float64, r)
+	for i := range out {
+		out[i] = make([]float64, c)
+	}
+	return out
+}

@@ -7,8 +7,8 @@ import (
 	"dbwlm/internal/sim"
 )
 
-// Accuracy reports the fraction of samples a classifier labels correctly.
-func Accuracy(c Classifier, samples []Sample) float64 {
+// Accuracy reports the fraction of samples a tree labels correctly.
+func Accuracy(c *DecisionTree, samples []Sample) float64 {
 	right := 0
 	for _, s := range samples {
 		if c.Predict(s.Features) == s.Label {
@@ -20,48 +20,6 @@ func Accuracy(c Classifier, samples []Sample) float64 {
 
 // Nodes reports the number of nodes in the tree.
 func (t *DecisionTree) Nodes() int { return t.nodes }
-
-// twoBlobs generates two well-separated Gaussian clusters.
-func twoBlobs(rng *sim.RNG, n int) []Sample {
-	var out []Sample
-	for i := 0; i < n; i++ {
-		label := i % 2
-		cx := float64(label) * 10
-		out = append(out, Sample{
-			Features: []float64{cx + rng.NormFloat64(), cx + rng.NormFloat64()},
-			Label:    label,
-		})
-	}
-	return out
-}
-
-func TestNaiveBayesSeparableBlobs(t *testing.T) {
-	rng := sim.NewRNG(1)
-	train := twoBlobs(rng, 200)
-	test := twoBlobs(rng, 100)
-	nb := TrainNaiveBayes(train, 2)
-	if acc := Accuracy(nb, test); acc < 0.95 {
-		t.Fatalf("naive Bayes accuracy = %v, want >= 0.95", acc)
-	}
-}
-
-func TestNaiveBayesPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("empty training set accepted")
-		}
-	}()
-	TrainNaiveBayes(nil, 2)
-}
-
-func TestNaiveBayesBadLabel(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("out-of-range label accepted")
-		}
-	}()
-	TrainNaiveBayes([]Sample{{Features: []float64{1}, Label: 5}}, 2)
-}
 
 func TestDecisionTreeRectangle(t *testing.T) {
 	// Axis-aligned conjunction (x > 0.5 AND y > 0.5): requires two splits —

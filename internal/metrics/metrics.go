@@ -183,31 +183,3 @@ func (w *RateWindow) Rate(now sim.Time) float64 {
 	w.trim(now)
 	return float64(w.times.Len()) / w.window.Seconds()
 }
-
-// EWMA is an exponentially weighted moving average over irregular samples.
-type EWMA struct {
-	alpha float64
-	v     float64
-	init  bool
-}
-
-// NewEWMA returns an EWMA with smoothing factor alpha in (0, 1].
-func NewEWMA(alpha float64) *EWMA {
-	if alpha <= 0 || alpha > 1 {
-		panic("metrics: NewEWMA alpha out of (0,1]")
-	}
-	return &EWMA{alpha: alpha}
-}
-
-// Observe folds a sample into the average.
-func (e *EWMA) Observe(v float64) {
-	if !e.init {
-		e.v = v
-		e.init = true
-		return
-	}
-	e.v = e.alpha*v + (1-e.alpha)*e.v
-}
-
-// Value reports the current average (0 before any sample).
-func (e *EWMA) Value() float64 { return e.v }

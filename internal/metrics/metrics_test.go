@@ -137,30 +137,6 @@ func TestRateWindowCount(t *testing.T) {
 	}
 }
 
-func TestEWMA(t *testing.T) {
-	e := NewEWMA(0.5)
-	if e.init {
-		t.Fatal("EWMA initialized before first sample")
-	}
-	e.Observe(10)
-	if e.Value() != 10 {
-		t.Fatalf("first sample should set value, got %v", e.Value())
-	}
-	e.Observe(0)
-	if e.Value() != 5 {
-		t.Fatalf("EWMA = %v, want 5", e.Value())
-	}
-}
-
-func TestEWMAPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("NewEWMA(0) did not panic")
-		}
-	}()
-	NewEWMA(0)
-}
-
 func TestWorkloadStats(t *testing.T) {
 	s := NewWorkloadStats("oltp")
 	s.ObserveArrival(0)

@@ -5,7 +5,7 @@
 // autonomic (MAPE) workload manager made inspectable: every admission
 // decision carries the reason the deciding gate fired, every MAPE iteration records
 // what it observed and which action it chose, and the whole trail drains
-// through GET /trace and `wlmd -trace-dump` for post-mortems.
+// through GET /trace for post-mortems.
 //
 // The recorder is built to sit on the admission hot path:
 //

@@ -22,7 +22,7 @@ import (
 // and the planner sheds low-priority work for it. With a flight
 // recorder attached, every iteration's snapshot, symptoms, and actions land
 // in the trace: the MAPE loop thinking out loud. Drive it with RunOnce
-// (tests, selftest) or StartMAPELoop.
+// (tests) or StartMAPELoop (wlmd).
 func NewMAPELoop(r *Runtime) *autonomic.Loop {
 	// Evaluation scratch reused across cycles (the loop runs RunOnce on one
 	// goroutine).

@@ -108,11 +108,6 @@ type Grant struct {
 	id      int64 // flight-recorder admission ID (0 when the recorder is off)
 }
 
-// Admitted reports whether the request holds a slot.
-//
-//dbwlm:hotpath
-func (g Grant) Admitted() bool { return g.verdict == Admitted }
-
 // Verdict reports the admission outcome.
 //
 //dbwlm:hotpath

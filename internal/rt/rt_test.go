@@ -11,6 +11,9 @@ import (
 	"dbwlm/internal/workload"
 )
 
+// Admitted reports whether the request holds a slot.
+func (g Grant) Admitted() bool { return g.verdict == Admitted }
+
 func testRuntime(t *testing.T, specs []ClassSpec, opts Options) *Runtime {
 	t.Helper()
 	r, err := New(specs, opts)

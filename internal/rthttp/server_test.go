@@ -195,7 +195,7 @@ func TestMetricsGolden(t *testing.T) {
 	clock += 5_000_000    // 5ms of service
 	r.Done(g1, 0.004)     // velocity 0.8
 
-	if g := r.Admit(1, 60000); g.Admitted() { // reporting, over the cost cap
+	if g := r.Admit(1, 60000); g.Verdict() == rt.Admitted { // reporting, over the cost cap
 		t.Fatal("over-cost admit")
 	}
 

@@ -200,7 +200,7 @@ func (d *FeedbackMPL) adjust() {
 
 // ObserveResponse feeds a completed request's response time.
 //
-//dbwlm:nolint deadcode -- registry row "feedback MPL control" runs only under tests; the ROADMAP item "Every registry row runs in a binary, or is deleted" wires it in or deletes it
+//dbwlm:nolint deadcode -- registry row "feedback MPL control" runs only under tests; the ROADMAP item "One feedback-MPL controller, on both clocks, with a model-based first guess" wires it in
 func (d *FeedbackMPL) ObserveResponse(seconds float64) {
 	d.respSum += seconds
 	d.respN++

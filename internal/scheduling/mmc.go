@@ -41,7 +41,7 @@ func ErlangC(c int, a float64) float64 {
 // arrival rate lambda, per-server service rate mu, and c servers. +Inf when
 // unstable.
 //
-//dbwlm:nolint deadcode -- registry row "analytic queueing models" runs only under tests; the ROADMAP item "Every registry row runs in a binary, or is deleted" wires it in or deletes it
+//dbwlm:nolint deadcode -- registry row "analytic queueing models" runs only under tests; the ROADMAP item "One feedback-MPL controller, on both clocks, with a model-based first guess" wires it in
 func MMCResponseTime(lambda, mu float64, c int) float64 {
 	if mu <= 0 || c <= 0 {
 		return math.Inf(1)

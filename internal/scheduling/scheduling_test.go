@@ -8,7 +8,6 @@ import (
 	"dbwlm/internal/engine"
 	"dbwlm/internal/policy"
 	"dbwlm/internal/sim"
-	"dbwlm/internal/sqlmini"
 	"dbwlm/internal/workload"
 )
 
@@ -318,55 +317,10 @@ func TestPlannerIgnoresIdleClasses(t *testing.T) {
 	}
 }
 
-func TestSlicePlanEquivalence(t *testing.T) {
-	cm := sqlmini.NewCostModel(sqlmini.DefaultCatalog())
-	plan, err := cm.PlanSQL(`SELECT store_id, SUM(amount) FROM sales_fact
-		JOIN store_dim ON sales_fact.store_id = store_dim.id
-		GROUP BY store_id ORDER BY store_id`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	total := sqlmini.CostOf(plan)
-	slices := SlicePlan(plan, workload.TimeronsOf(total.CPUSeconds, total.IOMB)/4)
-	if len(slices) < 2 {
-		t.Fatalf("plan not sliced: %d slices", len(slices))
-	}
-	var cpu, io float64
-	for _, s := range slices {
-		cpu += s.Spec.CPUWork
-		io += s.Spec.IOWork
-	}
-	if math.Abs(cpu-total.CPUSeconds) > 1e-9 {
-		t.Fatalf("CPU not conserved: %v vs %v", cpu, total.CPUSeconds)
-	}
-	if io < total.IOMB {
-		t.Fatalf("IO should include handoff overhead: %v < %v", io, total.IOMB)
-	}
-	// Each slice smaller than the whole.
-	for _, s := range slices {
-		if s.Spec.CPUWork >= total.CPUSeconds {
-			t.Fatal("slice as large as the plan")
-		}
-	}
-}
-
-func TestSlicePlanSingleSliceWhenCheap(t *testing.T) {
-	cm := sqlmini.NewCostModel(sqlmini.DefaultCatalog())
-	plan, _ := cm.PlanSQL("SELECT balance FROM accounts WHERE id = 1")
-	slices := SlicePlan(plan, 1e12)
-	if len(slices) != 1 {
-		t.Fatalf("cheap plan sliced into %d", len(slices))
-	}
-}
-
 func TestRunSlicedCompletesInOrder(t *testing.T) {
 	s := sim.New(1)
 	e := engine.New(s, engine.Config{Cores: 4, IOMBps: 1000})
-	slices := []Slice{
-		{Spec: engine.QuerySpec{CPUWork: 0.5}},
-		{Spec: engine.QuerySpec{CPUWork: 0.5}},
-		{Spec: engine.QuerySpec{CPUWork: 0.5}},
-	}
+	slices := []engine.QuerySpec{{CPUWork: 0.5}, {CPUWork: 0.5}, {CPUWork: 0.5}}
 	var done engine.Outcome = -1
 	RunSliced(e, slices, 1, 1, func(oc engine.Outcome) { done = oc })
 	s.Run(sim.Time(30 * sim.Second))
@@ -383,18 +337,13 @@ func TestRunSlicedCompletesInOrder(t *testing.T) {
 func TestRunSlicedStopsOnKill(t *testing.T) {
 	s := sim.New(1)
 	e := engine.New(s, engine.Config{Cores: 1, IOMBps: 1000})
-	slices := []Slice{
-		{Spec: engine.QuerySpec{CPUWork: 5}},
-		{Spec: engine.QuerySpec{CPUWork: 5}},
-	}
+	slices := []engine.QuerySpec{{CPUWork: 5}, {CPUWork: 5}}
 	var done engine.Outcome = -1
 	RunSliced(e, slices, 1, 1, func(oc engine.Outcome) { done = oc })
 	s.Run(sim.Time(sim.Second))
-	// Kill the in-flight slice.
-	for _, q := range e.Running() {
-		if err := e.Kill(q.ID); err != nil {
-			t.Fatal(err)
-		}
+	// Kill the in-flight slice: the first, and the engine's first query.
+	if err := e.Kill(1); err != nil {
+		t.Fatal(err)
 	}
 	s.Run(sim.Time(20 * sim.Second))
 	if done != engine.OutcomeKilled {

@@ -61,24 +61,6 @@ type Plan struct {
 	Stmt *Statement
 }
 
-// Operators returns every operator in the plan in post-order (children before
-// parents), which is also a valid execution order for the sliced sub-plans of
-// the query-restructuring scheduler.
-func (p *Plan) Operators() []*Operator {
-	var out []*Operator
-	var walk func(op *Operator)
-	walk = func(op *Operator) {
-		for _, c := range op.Children {
-			walk(c)
-		}
-		out = append(out, op)
-	}
-	if p.Root != nil {
-		walk(p.Root)
-	}
-	return out
-}
-
 // String renders the plan as an indented tree.
 func (p *Plan) String() string {
 	var b strings.Builder

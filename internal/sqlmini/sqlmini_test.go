@@ -15,6 +15,23 @@ func MustParse(input string) *Statement {
 	return s
 }
 
+// Operators returns every operator in the plan in post-order (children
+// before parents).
+func (p *Plan) Operators() []*Operator {
+	var out []*Operator
+	var walk func(op *Operator)
+	walk = func(op *Operator) {
+		for _, c := range op.Children {
+			walk(c)
+		}
+		out = append(out, op)
+	}
+	if p.Root != nil {
+		walk(p.Root)
+	}
+	return out
+}
+
 func TestLexBasics(t *testing.T) {
 	toks, err := Lex("SELECT a, b FROM t WHERE x = 10 AND name = 'bob' -- comment")
 	if err != nil {

@@ -150,7 +150,7 @@ func Registry() []Technique {
 		{"utility-function cost-limit planning", ClassSchedulingQueue, "Niu et al. [60]", "scheduling.Planner, scheduling.CostLimit"},
 		{"analytic queueing models", ClassSchedulingQueue, "Kleinrock [35]; Lazowska et al. [40]", "scheduling.MMCResponseTime, scheduling.PSResponseTime"},
 		{"feedback MPL control", ClassSchedulingQueue, "Schroeder et al. [69]", "scheduling.FeedbackMPL"},
-		{"plan slicing into sub-plans", ClassSchedulingRestructure, "Bruno et al. [6]; Meng et al. [54]", "scheduling.SlicePlan, scheduling.RunSliced"},
+		{"plan slicing into sub-plans", ClassSchedulingRestructure, "Bruno et al. [6]; Meng et al. [54]", "scheduling.RunSliced"},
 		// Execution control.
 		{"priority aging via service tiers", ClassExecutionReprioritize, "DB2 WLM [9][30]", "execctl.Ager"},
 		{"economic policy-driven resource reallocation", ClassExecutionReprioritize, "Boughton et al. [4]; Zhang et al. [78]", "execctl.EconomicReallocator"},
@@ -162,7 +162,6 @@ func Registry() []Technique {
 		{"suspend-and-resume with checkpoints", ClassExecutionSuspendResume, "Chandramouli et al. [10]; Chaudhuri et al. [12]", "engine.Engine.Suspend, execctl.Suspender"},
 		{"optimal suspend-plan selection", ClassExecutionSuspendResume, "Chandramouli et al. [10]", "execctl.OptimalSuspendPlan"},
 		// Supporting techniques discussed with the taxonomy.
-		{"query progress indicators", ClassExecution, "Chaudhuri et al. [11]; Luo et al. [45]; Li et al. [43]", "progress.Tracker"},
 		{"fuzzy-logic execution control", ClassExecution, "Krompass et al. [39]", "autonomic.FuzzyController"},
 		{"MAPE autonomic loop with utility planning", ClassExecution, "Section 5.3; Kephart & Das [34]", "autonomic.Loop, autonomic.PlanBest"},
 	}

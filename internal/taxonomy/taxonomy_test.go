@@ -126,10 +126,8 @@ func TestWalkDepths(t *testing.T) {
 // pkg.Name, or pkg.Type.Method.
 var implToken = regexp.MustCompile(`\b([a-z][a-z0-9]*)\.([A-Z]\w*)(?:\.([A-Z]\w*))?`)
 
-// moduleDecls parses every non-test Go file of the module and returns, per
-// package name, its top-level declarations: "Name" for each func, type, var
-// and const, "Type.Method" for each method.
-func moduleDecls(t *testing.T) map[string]map[string]bool {
+// moduleFiles parses every non-test Go file of the module, comments kept.
+func moduleFiles(t *testing.T) []*ast.File {
 	t.Helper()
 	root, err := filepath.Abs(".")
 	if err != nil {
@@ -145,7 +143,7 @@ func moduleDecls(t *testing.T) map[string]map[string]bool {
 		}
 		root = parent
 	}
-	decls := map[string]map[string]bool{}
+	var files []*ast.File
 	fset := token.NewFileSet()
 	err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
@@ -161,10 +159,47 @@ func moduleDecls(t *testing.T) map[string]map[string]bool {
 		if !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
 			return nil
 		}
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution|parser.ParseComments)
 		if err != nil {
 			return err
 		}
+		files = append(files, f)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return files
+}
+
+// funcKey names a function "Name" and a method "Type.Method".
+func funcKey(decl *ast.FuncDecl) string {
+	if decl.Recv == nil {
+		return decl.Name.Name
+	}
+	recv := decl.Recv.List[0].Type
+	if star, ok := recv.(*ast.StarExpr); ok {
+		recv = star.X
+	}
+	switch r := recv.(type) {
+	case *ast.IndexExpr:
+		recv = r.X
+	case *ast.IndexListExpr:
+		recv = r.X
+	}
+	if id, ok := recv.(*ast.Ident); ok {
+		return id.Name + "." + decl.Name.Name
+	}
+	return ""
+}
+
+// moduleDecls returns, per package name, the top-level declarations of the
+// module's non-test files: "Name" for each func, type, var and const,
+// "Type.Method" for each method.
+func moduleDecls(t *testing.T) map[string]map[string]bool {
+	t.Helper()
+	decls := map[string]map[string]bool{}
+	for _, f := range moduleFiles(t) {
 		pkg := decls[f.Name.Name]
 		if pkg == nil {
 			pkg = map[string]bool{}
@@ -173,22 +208,8 @@ func moduleDecls(t *testing.T) map[string]map[string]bool {
 		for _, decl := range f.Decls {
 			switch decl := decl.(type) {
 			case *ast.FuncDecl:
-				if decl.Recv == nil {
-					pkg[decl.Name.Name] = true
-					continue
-				}
-				recv := decl.Recv.List[0].Type
-				if star, ok := recv.(*ast.StarExpr); ok {
-					recv = star.X
-				}
-				switch r := recv.(type) {
-				case *ast.IndexExpr:
-					recv = r.X
-				case *ast.IndexListExpr:
-					recv = r.X
-				}
-				if id, ok := recv.(*ast.Ident); ok {
-					pkg[id.Name+"."+decl.Name.Name] = true
+				if key := funcKey(decl); key != "" {
+					pkg[key] = true
 				}
 			case *ast.GenDecl:
 				for _, spec := range decl.Specs {
@@ -203,10 +224,6 @@ func moduleDecls(t *testing.T) map[string]map[string]bool {
 				}
 			}
 		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 	return decls
 }
@@ -241,6 +258,78 @@ func TestImplNamesResolve(t *testing.T) {
 			for _, cell := range row {
 				check(tb.Title, cell, false)
 			}
+		}
+	}
+}
+
+// deadcodeWaived lists the registry declarations a deadcode waiver still
+// keeps: only tests run them. The ROADMAP item "One
+// feedback-MPL controller, on both clocks, with a model-based first guess"
+// wires both into a binary.
+var deadcodeWaived = map[string]bool{
+	"scheduling.FeedbackMPL.ObserveResponse": true,
+	"scheduling.MMCResponseTime":             true,
+}
+
+// waivesDeadcode reports whether a doc comment carries a //dbwlm:nolint
+// naming the deadcode analyzer.
+func waivesDeadcode(doc *ast.CommentGroup) bool {
+	if doc == nil {
+		return false
+	}
+	for _, c := range doc.List {
+		rest, ok := strings.CutPrefix(c.Text, "//dbwlm:nolint ")
+		if !ok {
+			continue
+		}
+		names, _, _ := strings.Cut(rest, "--")
+		for _, n := range strings.Split(names, ",") {
+			if strings.TrimSpace(n) == "deadcode" {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// TestRegistryRowsRunInABinary holds every registry row to running in a
+// binary. The deadcode lint finds each function no binary reaches unless a
+// deadcode waiver keeps it, so a row runs in a binary when
+// neither a declaration its Impl names nor a method of a type it names
+// carries such a waiver. deadcodeWaived lists the exceptions; one that no
+// longer carries a waiver must leave the list.
+func TestRegistryRowsRunInABinary(t *testing.T) {
+	named := map[string]string{} // pkg.Name or pkg.Type.Method -> row name
+	for _, tech := range Registry() {
+		for _, m := range implToken.FindAllStringSubmatch(tech.Impl, -1) {
+			key := m[1] + "." + m[2]
+			if m[3] != "" {
+				key += "." + m[3]
+			}
+			named[key] = tech.Name
+		}
+	}
+	waived := map[string]bool{}
+	for _, f := range moduleFiles(t) {
+		for _, decl := range f.Decls {
+			fn, ok := decl.(*ast.FuncDecl)
+			if !ok || !waivesDeadcode(fn.Doc) {
+				continue
+			}
+			key := f.Name.Name + "." + funcKey(fn)
+			waived[key] = true
+			row, ok := named[key]
+			if !ok && fn.Recv != nil {
+				row, ok = named[key[:strings.LastIndexByte(key, '.')]]
+			}
+			if ok && !deadcodeWaived[key] {
+				t.Errorf("registry row %q: %s carries a deadcode waiver; call it from a binary or delete the row", row, key)
+			}
+		}
+	}
+	for key := range deadcodeWaived {
+		if !waived[key] {
+			t.Errorf("%s carries no deadcode waiver any more; drop it from deadcodeWaived", key)
 		}
 	}
 }

@@ -10,7 +10,7 @@ import (
 
 // Conversions between trace rows and the live workload.Request model, plus
 // the Recorder that captures any running workload (synthetic generators, a
-// selftest, a replayed trace) into rows.
+// simulated run, a replayed trace) into rows.
 
 // RowFromRequest flattens a request into a trace row for class index class.
 // SQL is copied; the fingerprint is computed from it when present so a

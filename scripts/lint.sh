@@ -37,6 +37,17 @@ if git grep -nE 'BENCH_[a-z]+\.json|scripts/bench_|bench_[a-z]+\.sh|BENCH_SMP' -
 	exit 1
 fi
 
+# wlmd's in-process load generator (its self-test and trace-dump flags) and
+# the query-progress package were deleted: wlmsim -record, wlmd -wire-addr
+# and wlmload -trace replace the one, and no binary ran the other. No doc,
+# script or test may point at them again. (The bracketed letters keep the
+# pattern from matching this file.)
+if git grep -nE -- '-[s]elftest|-[t]race-dump|internal/[p]rogress' -- \
+	':!CHANGES.md' ':!ROADMAP.md' ':!ISSUE.md'; then
+	echo "lint: reference to wlmd's deleted self-test flags or the deleted progress package; drive wlmd with wlmload -trace" >&2
+	exit 1
+fi
+
 # The analyzer names wlmlint retired (their rules live on, stronger, under
 # hotpath, atomic and lockorder) must not come back in a waiver, a -run list
 # or a doc: an unknown name in a //dbwlm:nolint voids the waiver. (The
