@@ -39,11 +39,11 @@ fi
 
 # wlmd's in-process load generator (its self-test and trace-dump flags) and
 # the query-progress package were deleted: wlmsim -record, wlmd -wire-addr
-# and wlmload -trace replace the one, and no binary ran the other. No doc,
-# script or test may point at them again. (The bracketed letters keep the
-# pattern from matching this file.)
+# and wlmload -trace replace the one, and no binary ran the other. No code,
+# script, test or how-to-run doc may point at them again. (The bracketed
+# letters keep the pattern from matching this file.)
 if git grep -nE -- '-[s]elftest|-[t]race-dump|internal/[p]rogress' -- \
-	':!CHANGES.md' ':!ROADMAP.md' ':!ISSUE.md'; then
+	'*.go' '*.sh' Makefile README.md DESIGN.md EXPERIMENTS.md '*/*.md'; then
 	echo "lint: reference to wlmd's deleted self-test flags or the deleted progress package; drive wlmd with wlmload -trace" >&2
 	exit 1
 fi
