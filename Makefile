@@ -50,9 +50,11 @@ bench:
 # table-backed k-NN prediction against the linear scan, the shard-owned
 # flight recorder against the seqlock reference ring, the striped
 # histogram's bucket table and shard-owned shards against the logarithm and
-# the per-field-atomic reference, and the sequential histogram's bucket
-# table against the logarithm — enough to shake out
-# panics and bit mismatches without stalling CI. The wire and trace patterns
+# the per-field-atomic reference, the sequential histogram's bucket
+# table against the logarithm, the engine's deadlock sweep against the
+# map-keyed reference on random wait-for graphs, and the Priority and SJF
+# heaps against the closure-ordered reference under forced ties — enough to
+# shake out panics and bit mismatches without stalling CI. The wire and trace patterns
 # are anchored because those packages have two targets.
 fuzz-short:
 	$(GO) test -fuzz FuzzParse -fuzztime 10s -run '^$$' ./internal/sqlmini/
@@ -69,6 +71,8 @@ fuzz-short:
 	$(GO) test -fuzz FuzzStripedBucketIndexMatchesFormula -fuzztime 10s -run '^$$' ./internal/metrics/
 	$(GO) test -fuzz FuzzStripedHistogramMatchesReference -fuzztime 10s -run '^$$' ./internal/metrics/
 	$(GO) test -fuzz FuzzHistogramBucketIndexMatchesFormula -fuzztime 10s -run '^$$' ./internal/metrics/
+	$(GO) test -fuzz FuzzDetectDeadlockMatchesReference -fuzztime 10s -run '^$$' ./internal/engine/
+	$(GO) test -fuzz FuzzItemHeapMatchesReference -fuzztime 10s -run '^$$' ./internal/scheduling/
 
 # loc prints non-test Go lines per package and in total. The benchmark
 # (internal/bench, cmd/wlmbench) and the lint fixture corpus are not product

@@ -102,7 +102,7 @@ func TestConfigExecutionControlsActive(t *testing.T) {
 		t.Fatal(err)
 	}
 	req := &workload.Request{
-		ID: 1, SQL: "SELECT a FROM t",
+		ID: 1, SQL: []byte("SELECT a FROM t"),
 		Type: 0, // StmtRead
 		True: engine.QuerySpec{CPUWork: 100, Parallelism: 1},
 	}

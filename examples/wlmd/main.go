@@ -41,7 +41,14 @@ func main() {
 
 	fmt.Println("== admit/done round trip ==")
 	tok := admit(srv, "interactive", 100)
-	fmt.Printf("interactive admitted, token %q, in-engine now %d\n", tok, r.InEngine())
+	// The token's stripe and admission instant differ from run to run.
+	g, err := r.ParseToken(tok)
+	if err != nil {
+		log.Fatal(err)
+	}
+	class, _, _, _, id, _ := g.Parts()
+	fmt.Printf("interactive admitted, grant for class %q (id %d: no flight recorder), in-engine now %d\n",
+		r.ClassName(class), id, r.InEngine())
 	done(srv, tok)
 
 	fmt.Println("\n== queueing at the batch gate ==")

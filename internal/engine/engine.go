@@ -95,13 +95,14 @@ type Engine struct {
 	cfg Config
 	sim *sim.Simulator
 
-	queries map[int64]*Query
 	// live holds queries in submission (= ascending-ID) order; terminal
 	// entries are skipped during iteration and compacted lazily, avoiding
-	// both a per-quantum sort and per-quantum map lookups.
-	live   []*Query
-	locks  *lockTable
-	nextID int64
+	// a per-quantum sort. Get finds a query in it by binary search.
+	live []*Query
+	// resident counts the non-terminal queries in live.
+	resident int
+	locks    *lockTable
+	nextID   int64
 
 	ticking     bool
 	quantumN    int
@@ -119,7 +120,7 @@ type Engine struct {
 	scratchCPU      []float64
 	scratchIO       []float64
 	scratchSlots    []allocSlot
-	scratchBlocked  map[int64]int
+	scratchBlocked  []*Query
 	scratchFF       []ffRec
 
 	completed int64
@@ -153,11 +154,9 @@ type Engine struct {
 // New returns an engine over the simulator with the given configuration.
 func New(s *sim.Simulator, cfg Config) *Engine {
 	e := &Engine{
-		cfg:            cfg.withDefaults(),
-		sim:            s,
-		queries:        make(map[int64]*Query),
-		locks:          newLockTable(),
-		scratchBlocked: make(map[int64]int),
+		cfg:   cfg.withDefaults(),
+		sim:   s,
+		locks: newLockTable(),
 	}
 	e.tickFn = e.tick
 	return e
@@ -165,7 +164,7 @@ func New(s *sim.Simulator, cfg Config) *Engine {
 
 // Reset returns the engine to the state of a fresh New over the same
 // simulator with a new configuration, retaining every internal buffer: the
-// query map's buckets, the live slice, the lock table, the per-quantum
+// live slice, the lock table, the per-quantum
 // scratch, and — through the free list — the Query objects themselves, so a
 // pooled engine reused across many runs (trace.ReplayMany) allocates almost
 // nothing after its first. Resident queries are discarded without firing
@@ -181,7 +180,7 @@ func (e *Engine) Reset(cfg Config) {
 		e.live[i] = nil
 	}
 	e.live = e.live[:0]
-	clear(e.queries)
+	e.resident = 0
 	e.locks.reset()
 	e.nextID = 0
 	e.ticking = false
@@ -243,7 +242,7 @@ func (e *Engine) Submit(spec QuerySpec, weight float64, onFinish func(*Query, Ou
 		held:       held,
 		onFinish:   onFinish,
 	}
-	e.queries[q.ID] = q
+	e.resident++
 	e.live = append(e.live, q)
 	e.ensureTicking()
 	return q
@@ -253,7 +252,7 @@ func (e *Engine) Submit(spec QuerySpec, weight float64, onFinish func(*Query, Ou
 // compacting the live slice when it accumulates too many terminal entries.
 // The returned slice is scratch storage valid until the next call.
 func (e *Engine) alive() []*Query {
-	if len(e.live) > 2*len(e.queries)+16 {
+	if len(e.live) > 2*e.resident+16 {
 		kept := e.live[:0]
 		for _, q := range e.live {
 			// A terminal query whose onFinish has not fired yet (it was
@@ -293,15 +292,20 @@ func (e *Engine) recycle(q *Query) {
 
 // Get returns the engine-side handle for id, or nil if the query has left
 // the engine.
-func (e *Engine) Get(id int64) *Query { return e.queries[id] }
+func (e *Engine) Get(id int64) *Query {
+	if i := searchID(e.live, id); i < len(e.live) && e.live[i].ID == id && !e.live[i].state.Terminal() {
+		return e.live[i]
+	}
+	return nil
+}
 
 // InEngine reports the number of resident (non-terminal) queries.
-func (e *Engine) InEngine() int { return len(e.queries) }
+func (e *Engine) InEngine() int { return e.resident }
 
 // SetWeight changes a query's priority weight (reprioritization /
 // resource reallocation effector).
 func (e *Engine) SetWeight(id int64, w float64) error {
-	q := e.queries[id]
+	q := e.Get(id)
 	if q == nil {
 		return fmt.Errorf("engine: no such query %d", id)
 	}
@@ -314,7 +318,7 @@ func (e *Engine) SetWeight(id int64, w float64) error {
 
 // SetThrottle sets a query's sleep fraction in [0, 1) (throttling effector).
 func (e *Engine) SetThrottle(id int64, frac float64) error {
-	q := e.queries[id]
+	q := e.Get(id)
 	if q == nil {
 		return fmt.Errorf("engine: no such query %d", id)
 	}
@@ -328,7 +332,7 @@ func (e *Engine) SetThrottle(id int64, frac float64) error {
 // Kill terminates a running query, releasing its resources immediately
 // (query-cancellation effector).
 func (e *Engine) Kill(id int64) error {
-	q := e.queries[id]
+	q := e.Get(id)
 	if q == nil {
 		return fmt.Errorf("engine: no such query %d", id)
 	}
@@ -343,7 +347,7 @@ func (e *Engine) Kill(id int64) error {
 // is an error (locks would be held indefinitely; suspend targets analytical
 // queries, as in the paper).
 func (e *Engine) Suspend(id int64, strategy SuspendStrategy) error {
-	q := e.queries[id]
+	q := e.Get(id)
 	if q == nil {
 		return fmt.Errorf("engine: no such query %d", id)
 	}
@@ -366,7 +370,7 @@ func (e *Engine) Suspend(id int64, strategy SuspendStrategy) error {
 		id := q.ID
 		e.sim.Schedule(dump, func() {
 			// By ID: a query killed mid-dump may be recycled by now.
-			if q := e.queries[id]; q != nil && q.state == StateSuspending {
+			if q := e.Get(id); q != nil && q.state == StateSuspending {
 				e.park(q)
 			}
 		})
@@ -403,7 +407,7 @@ func (e *Engine) park(q *Query) {
 // state is read back first (StateMB of extra IO charged to the query); with
 // GoBack the work since the last checkpoint is simply re-executed.
 func (e *Engine) Resume(id int64) error {
-	q := e.queries[id]
+	q := e.Get(id)
 	if q == nil {
 		return fmt.Errorf("engine: no such query %d", id)
 	}
@@ -432,7 +436,7 @@ func (e *Engine) finish(q *Query, st State, oc Outcome) {
 	for _, w := range e.locks.releaseAll(q) {
 		e.wake(w)
 	}
-	delete(e.queries, q.ID)
+	e.resident--
 	switch oc {
 	case OutcomeCompleted:
 		e.completed++
@@ -496,7 +500,7 @@ func (e *Engine) ensureTicking() {
 // tick advances every resident query by one quantum, then fast-forwards
 // across any run of provably identical quanta (see fastForward).
 func (e *Engine) tick() {
-	if len(e.queries) == 0 {
+	if e.resident == 0 {
 		e.ticking = false
 		return
 	}
@@ -514,9 +518,9 @@ func (e *Engine) tick() {
 	}
 
 	// Phase 2: memory pressure over resident (running + blocked +
-	// suspending) queries. Iterating the live slice (ascending-ID order)
-	// rather than the query map keeps the floating-point sum order — and
-	// therefore the slowdown — deterministic.
+	// suspending) queries. Iterating the live slice in ascending-ID order
+	// keeps the floating-point sum order — and therefore the slowdown —
+	// deterministic.
 	var memDemand float64
 	for _, q := range alive {
 		if q.state == StateRunning || q.state == StateBlocked || q.state == StateSuspending {
@@ -604,7 +608,7 @@ func (e *Engine) tick() {
 		}
 	}
 
-	if len(e.queries) == 0 {
+	if e.resident == 0 {
 		e.ticking = false
 		return
 	}
@@ -838,31 +842,23 @@ func holds(q *Query, key int) bool {
 func (e *Engine) resolveDeadlocks() int {
 	kills := 0
 	for {
-		blocked := e.scratchBlocked
-		clear(blocked)
+		// The live slice is in ascending-ID order, as detectDeadlock needs.
+		blocked := e.scratchBlocked[:0]
 		for _, q := range e.live {
 			if q.state == StateBlocked {
-				blocked[q.ID] = q.waitingKey
+				blocked = append(blocked, q)
 			}
 		}
-		if len(blocked) == 0 {
+		var victim *Query
+		if len(blocked) > 0 {
+			victim = e.locks.detectDeadlock(blocked)
+		}
+		clear(blocked) // drop the *Query references
+		e.scratchBlocked = blocked[:0]
+		if victim == nil {
 			return kills
 		}
-		cycle := e.locks.detectDeadlock(blocked)
-		if len(cycle) == 0 {
-			return kills
-		}
-		victim := cycle[0]
-		for _, id := range cycle {
-			if id > victim {
-				victim = id
-			}
-		}
-		q := e.queries[victim]
-		if q == nil {
-			return kills
-		}
-		e.finish(q, StateDeadlocked, OutcomeDeadlocked)
+		e.finish(victim, StateDeadlocked, OutcomeDeadlocked)
 		kills++
 	}
 }
@@ -974,7 +970,9 @@ func resizeZero(buf *[]float64, n int) []float64 {
 	return s
 }
 
-// Stats snapshots current engine load.
+// StatsNow snapshots current engine load in one walk of the live slice. A
+// terminal query holds no locks, so the conflict ratio's lock counts are
+// summed over the resident queries in the same walk.
 func (e *Engine) StatsNow() Stats {
 	st := Stats{
 		Completed: e.completed,
@@ -982,11 +980,16 @@ func (e *Engine) StatsNow() Stats {
 		Deadlocks: e.deadlocks,
 	}
 	var memDemand float64
+	var held, heldActive int
 	for _, q := range e.live {
 		if q.state.Terminal() {
 			continue
 		}
 		st.InEngine++
+		held += len(q.held)
+		if q.state != StateBlocked {
+			heldActive += len(q.held)
+		}
 		switch q.state {
 		case StateRunning, StateSuspending:
 			st.Running++
@@ -1002,6 +1005,6 @@ func (e *Engine) StatsNow() Stats {
 	st.MemPressure = memDemand / e.cfg.MemoryMB
 	st.CPUUtilization = e.lastCPUUsed / e.cfg.Cores
 	st.IOUtilization = e.lastIOUsed / e.cfg.IOMBps
-	st.ConflictRatio = conflictRatio(e.queries)
+	st.ConflictRatio = lockRatio(held, heldActive)
 	return st
 }

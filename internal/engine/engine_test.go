@@ -2,7 +2,6 @@ package engine
 
 import (
 	"math"
-	"sort"
 	"testing"
 
 	"dbwlm/internal/sim"
@@ -15,11 +14,12 @@ func newTestEngine(cfg Config) (*sim.Simulator, *Engine) {
 
 // Running returns all non-terminal queries, sorted by ID for determinism.
 func (e *Engine) Running() []*Query {
-	out := make([]*Query, 0, len(e.queries))
-	for _, q := range e.queries {
-		out = append(out, q)
+	out := make([]*Query, 0, e.resident)
+	for _, q := range e.live {
+		if !q.state.Terminal() {
+			out = append(out, q)
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
 }
 

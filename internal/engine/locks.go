@@ -1,12 +1,10 @@
 package engine
 
-import "slices"
-
 // lockTable implements strict two-phase locking over an integer key space
 // with shared/exclusive modes, FIFO waiter queues, and wait-for-graph
-// deadlock detection. It also computes the conflict ratio of Moenkeberg &
-// Weikum [56]: locks held by all transactions ÷ locks held by non-blocked
-// transactions — the admission metric of Table 2's third row.
+// deadlock detection. The conflict ratio of Moenkeberg & Weikum [56] — the
+// admission metric of Table 2's third row — is lockRatio over the lock counts
+// Engine.StatsNow sums from the queries' held lists.
 //
 // A key has an entry exactly while it is held or waited for. Entries are
 // recycled through a free list with their slices' capacity, so once the table
@@ -18,13 +16,12 @@ type lockTable struct {
 	// woken is the scratch releaseAll returns its result in.
 	woken []*Query
 
-	// Scratch buffers reused across detectDeadlock sweeps, so periodic
-	// deadlock detection does not allocate in steady state.
-	dIDs   []int64
-	dArena []int64          // concatenated per-waiter holder lists
-	dSpan  map[int64][2]int // waiter ID -> [start, end) into dArena
-	dColor map[int64]int8
-	dStack []int64
+	// Scratch reused across detectDeadlock sweeps, kept by position in the
+	// sweep's blocked slice: a warm sweep allocates nothing.
+	dArena []int      // each waiter's key holders as positions (-1: not blocked)
+	dStart []int      // waiter i's edges are dArena[dStart[i]:dStart[i+1]]
+	dColor []int8     // white, gray (on dStack) or black
+	dStack []dfsFrame // the DFS path, root first
 }
 
 // lockEntry is the state of one held or awaited key.
@@ -232,98 +229,106 @@ func (lt *lockTable) promoteWaiters(key int, e *lockEntry) {
 	e.waiters = ws[:rest]
 }
 
-// detectDeadlock finds one cycle in the wait-for graph and returns the IDs on
-// it (empty when none). blocked maps query ID -> the key it waits for. The
-// adjacency structure and DFS state live in scratch buffers on the lock
-// table, so repeated sweeps are allocation-free once warm.
-func (lt *lockTable) detectDeadlock(blocked map[int64]int) []int64 {
-	if lt.dSpan == nil {
-		lt.dSpan = make(map[int64][2]int, len(blocked))
-		lt.dColor = make(map[int64]int8, len(blocked))
-	}
-	// Build edges: waiter -> each holder of the awaited key (ascending, for a
-	// deterministic visit order), flattened into one arena.
-	ids := lt.dIDs[:0]
-	arena := lt.dArena[:0]
-	clear(lt.dSpan)
-	clear(lt.dColor)
-	// Order laundered below: ids is sorted before the DFS and each id's
-	// arena span is a copy of an ascending holder list.
-	//dbwlm:sorted
-	for id, key := range blocked {
-		start := len(arena)
-		if e := lt.keys[key]; e != nil {
-			arena = append(arena, e.holders...)
-		}
-		lt.dSpan[id] = [2]int{start, len(arena)}
-		ids = append(ids, id)
-	}
-	slices.Sort(ids)
-	lt.dIDs = ids
-	lt.dArena = arena
+// dfsFrame is a waiter on detectDeadlock's DFS path and its next edge.
+type dfsFrame struct{ pos, edge int }
 
-	const (
-		white = 0
-		gray  = 1
-		black = 2
-	)
-	color := lt.dColor
+// detectDeadlock finds one cycle in the wait-for graph and returns its
+// youngest member, or nil when there is none. blocked is every blocked query
+// in ascending ID order. The DFS starts from each waiter in that order and
+// follows each waiter's edges to the holders of the key it awaits, in
+// ascending ID order; the first edge back onto the path closes the cycle.
+func (lt *lockTable) detectDeadlock(blocked []*Query) *Query {
+	arena, start := lt.dArena[:0], lt.dStart[:0]
+	for _, q := range blocked {
+		start = append(start, len(arena))
+		if e := lt.keys[q.waitingKey]; e != nil {
+			for _, id := range e.holders {
+				arena = append(arena, blockedPos(blocked, id))
+			}
+		}
+	}
+	start = append(start, len(arena))
+	color := lt.dColor[:0]
+	for range blocked {
+		color = append(color, white)
+	}
 	stack := lt.dStack[:0]
-	defer func() { lt.dStack = stack[:0] }()
-	var cycle []int64
-	var dfs func(id int64) bool
-	dfs = func(id int64) bool {
-		color[id] = gray
-		stack = append(stack, id)
-		span := lt.dSpan[id]
-		for _, next := range arena[span[0]:span[1]] {
+	lt.dArena, lt.dStart, lt.dColor = arena, start, color
+
+	for root := range blocked {
+		if color[root] != white {
+			continue
+		}
+		color[root] = gray
+		stack = append(stack, dfsFrame{pos: root, edge: start[root]})
+		for len(stack) > 0 {
+			top := &stack[len(stack)-1]
+			if top.edge == start[top.pos+1] {
+				color[top.pos] = black
+				stack = stack[:len(stack)-1]
+				continue
+			}
+			next := arena[top.edge]
+			top.edge++
+			if next < 0 {
+				continue // the holder runs: no edge out of it
+			}
 			switch color[next] {
 			case gray:
-				// Found a cycle: emit the stack suffix from next.
-				for i := len(stack) - 1; i >= 0; i-- {
-					cycle = append(cycle, stack[i])
-					if stack[i] == next {
-						break
-					}
+				// The path from next to the top is the cycle; positions
+				// ascend with IDs, so the youngest has the largest.
+				victim := next
+				for i := len(stack) - 1; stack[i].pos != next; i-- {
+					victim = max(victim, stack[i].pos)
 				}
-				return true
+				lt.dStack = stack[:0]
+				return blocked[victim]
 			case white:
-				if _, isBlocked := blocked[next]; isBlocked {
-					if dfs(next) {
-						return true
-					}
-				}
-			}
-		}
-		color[id] = black
-		stack = stack[:len(stack)-1]
-		return false
-	}
-	for _, id := range ids {
-		if color[id] == white {
-			if dfs(id) {
-				return cycle
+				color[next] = gray
+				stack = append(stack, dfsFrame{pos: next, edge: start[next]})
 			}
 		}
 	}
+	lt.dStack = stack[:0]
 	return nil
 }
 
-// conflictRatio computes total locks held by all queries ÷ locks held by
-// active (non-blocked) queries. A ratio near 1 means little contention; the
-// Moenkeberg & Weikum admission controller suspends new transactions when it
-// exceeds a critical threshold (~1.3).
-func conflictRatio(queries map[int64]*Query) float64 {
-	var total, active int
-	// Commutative sums over all queries.
-	//dbwlm:sorted
-	for _, q := range queries {
-		n := len(q.held)
-		total += n
-		if q.state != StateBlocked {
-			active += n
+// DFS colours of detectDeadlock.
+const (
+	white int8 = iota
+	gray
+	black
+)
+
+// blockedPos returns the position of id in blocked (ascending IDs), or -1.
+func blockedPos(blocked []*Query, id int64) int {
+	if i := searchID(blocked, id); i < len(blocked) && blocked[i].ID == id {
+		return i
+	}
+	return -1
+}
+
+// searchID returns the index of the first query in qs (ascending IDs) whose
+// ID is at least id.
+func searchID(qs []*Query, id int64) int {
+	lo, hi := 0, len(qs)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if qs[mid].ID < id {
+			lo = mid + 1
+		} else {
+			hi = mid
 		}
 	}
+	return lo
+}
+
+// lockRatio is the conflict ratio of Moenkeberg & Weikum [56] from its two
+// lock counts: total locks held by all queries ÷ locks held by active
+// (non-blocked) queries. A ratio near 1 means little contention; the
+// admission controller suspends new transactions when it exceeds a critical
+// threshold (~1.3).
+func lockRatio(total, active int) float64 {
 	if active == 0 {
 		if total == 0 {
 			return 1

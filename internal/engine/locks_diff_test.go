@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"cmp"
 	"slices"
 	"testing"
 
@@ -38,7 +39,7 @@ func queryIDs(qs []*Query) []int64 {
 // nothing until it is woken or killed; IDs only grow), and holds every
 // observable to the reference after every step: the grant or denial, the woken
 // list in order, each query's held list, the conflict ratio, the deadlock
-// cycle, and the per-key holders, mode and waiter order.
+// victim, and the per-key holders, mode and waiter order.
 func TestLockTableMatchesReference(t *testing.T) {
 	const (
 		scripts = 250
@@ -126,26 +127,34 @@ func TestLockTableMatchesReference(t *testing.T) {
 // compareLockTables reports 1 when the step's state holds a deadlock cycle.
 func compareLockTables(t *testing.T, seed uint64, step int, got *lockTable, ref *refLockTable, live []lockTwin) (cycles int) {
 	t.Helper()
-	gotQs, refQs := map[int64]*Query{}, map[int64]*Query{}
-	blocked := map[int64]int{}
+	refQs := map[int64]*Query{}
+	blockedRef := map[int64]int{}
+	var blocked []*Query
+	var held, heldActive int
 	for _, tw := range live {
 		if !slices.Equal(tw.got.held, tw.ref.held) {
 			t.Fatalf("seed %d step %d: query %d holds %v, reference %v", seed, step, tw.got.ID, tw.got.held, tw.ref.held)
 		}
-		gotQs[tw.got.ID], refQs[tw.ref.ID] = tw.got, tw.ref
+		refQs[tw.ref.ID] = tw.ref
+		held += len(tw.got.held)
 		if tw.got.state == StateBlocked {
-			blocked[tw.got.ID] = tw.got.waitingKey
+			blockedRef[tw.got.ID] = tw.got.waitingKey
+			blocked = append(blocked, tw.got)
+		} else {
+			heldActive += len(tw.got.held)
 		}
 	}
-	if g, r := conflictRatio(gotQs), conflictRatio(refQs); g != r {
+	if g, r := lockRatio(held, heldActive), conflictRatio(refQs); g != r {
 		t.Fatalf("seed %d step %d: conflict ratio %v, reference %v", seed, step, g, r)
 	}
-	cycle, refCycle := got.detectDeadlock(blocked), ref.detectDeadlock(blocked)
-	if !slices.Equal(cycle, refCycle) {
-		t.Fatalf("seed %d step %d: deadlock cycle %v, reference %v", seed, step, cycle, refCycle)
-	}
-	if len(cycle) > 0 {
+	slices.SortFunc(blocked, func(a, b *Query) int { return cmp.Compare(a.ID, b.ID) })
+	var victim int64
+	if v := got.detectDeadlock(blocked); v != nil {
+		victim = v.ID
 		cycles = 1
+	}
+	if refCycle := ref.detectDeadlock(blockedRef); victim != youngest(refCycle) {
+		t.Fatalf("seed %d step %d: deadlock victim %d, reference cycle %v", seed, step, victim, refCycle)
 	}
 	if len(got.keys) > len(ref.holders)+len(ref.waiters) {
 		t.Fatalf("seed %d step %d: %d entries for %d held and %d awaited keys", seed, step, len(got.keys), len(ref.holders), len(ref.waiters))
@@ -214,4 +223,82 @@ func TestLockCycleZeroAlloc(t *testing.T) {
 	if len(lt.keys) != 0 || len(lt.free) != 2 {
 		t.Fatalf("after the cycle: %d live entries, %d free, want 0 and 2", len(lt.keys), len(lt.free))
 	}
+}
+
+// FuzzDetectDeadlockMatchesReference builds an arbitrary wait-for graph — up
+// to 16 queries with sparse ascending IDs, each holding any subset of up to 8
+// keys and perhaps waiting on one (on a key it holds itself, too) — in both
+// tables, then kills victims the way Engine.resolveDeadlocks does until no
+// cycle is left. The sweep must pick the reference cycle's youngest member
+// every time, so it found the same cycle first.
+func FuzzDetectDeadlockMatchesReference(f *testing.F) {
+	f.Add([]byte{1, 1, 1, 3, 0, 2, 2, 1})                         // two queries, each waits on the other's key
+	f.Add([]byte{3, 2, 1, 5, 2, 3, 2, 1, 1, 4, 1, 1, 2, 0, 7, 2}) // a chain and a cycle
+	f.Add([]byte{0, 0, 1, 1})                                     // one query waits on its own key
+	f.Fuzz(func(t *testing.T, data []byte) {
+		next := func() int {
+			if len(data) == 0 {
+				return 0
+			}
+			b := data[0]
+			data = data[1:]
+			return int(b)
+		}
+		n, keys := 1+next()%16, 1+next()%8
+		got, ref := newLockTable(), newRefLockTable()
+		qs := make([]*Query, n)
+		id := int64(0)
+		for i := range qs {
+			id += 1 + int64(next()%3)
+			q := mkQuery(id)
+			for key, mask := 0, next(); key < keys; key++ {
+				if mask&(1<<key) != 0 {
+					e := got.entry(key)
+					e.holders = append(e.holders, id)
+					if ref.holders[key] == nil {
+						ref.holders[key] = map[int64]bool{}
+					}
+					ref.holders[key][id] = true
+				}
+			}
+			if w := next(); w&1 != 0 {
+				q.state, q.waitingKey = StateBlocked, (w>>1)%keys
+			}
+			qs[i] = q
+		}
+		for {
+			var blocked []*Query
+			blockedRef := map[int64]int{}
+			for _, q := range qs {
+				if q.state == StateBlocked {
+					blocked = append(blocked, q)
+					blockedRef[q.ID] = q.waitingKey
+				}
+			}
+			var victim *Query
+			if len(blocked) > 0 {
+				victim = got.detectDeadlock(blocked)
+			}
+			refCycle := ref.detectDeadlock(blockedRef)
+			if victim == nil {
+				if len(refCycle) != 0 {
+					t.Fatalf("no deadlock found, reference cycle %v", refCycle)
+				}
+				return
+			}
+			if want := youngest(refCycle); victim.ID != want {
+				t.Fatalf("victim %d, reference cycle %v", victim.ID, refCycle)
+			}
+			// The kill ends the victim's waits and holds in both graphs.
+			victim.state = StateDeadlocked
+			for key := 0; key < keys; key++ {
+				if e := got.keys[key]; e != nil {
+					if i, held := e.find(victim.ID); held {
+						e.holders = slices.Delete(e.holders, i, i+1)
+					}
+				}
+				delete(ref.holders[key], victim.ID)
+			}
+		}
+	})
 }

@@ -239,3 +239,38 @@ func (lt *refLockTable) detectDeadlock(blocked map[int64]int) []int64 {
 	}
 	return nil
 }
+
+// conflictRatio is the map walk Engine.StatsNow made before it summed the
+// lock counts in its walk of the live slice, kept verbatim as the reference:
+// total locks held by all queries ÷ locks held by active (non-blocked)
+// queries.
+func conflictRatio(queries map[int64]*Query) float64 {
+	var total, active int
+	// Commutative sums over all queries.
+	//dbwlm:sorted
+	for _, q := range queries {
+		n := len(q.held)
+		total += n
+		if q.state != StateBlocked {
+			active += n
+		}
+	}
+	if active == 0 {
+		if total == 0 {
+			return 1
+		}
+		// All lock holders blocked: maximal contention.
+		return float64(total) + 1
+	}
+	return float64(total) / float64(active)
+}
+
+// youngest returns the largest ID on a reference cycle, the victim the
+// engine kills, or 0 for no cycle.
+func youngest(cycle []int64) int64 {
+	var v int64
+	for _, id := range cycle {
+		v = max(v, id)
+	}
+	return v
+}

@@ -90,9 +90,10 @@ func TestDetectDeadlockSimpleCycle(t *testing.T) {
 	lt.tryAcquire(b, 2, true)
 	lt.tryAcquire(a, 2, true) // a waits for b
 	lt.tryAcquire(b, 1, true) // b waits for a
-	cycle := lt.detectDeadlock(map[int64]int{a.ID: 2, b.ID: 1})
-	if len(cycle) != 2 {
-		t.Fatalf("cycle = %v, want both queries", cycle)
+	a.state, a.waitingKey = StateBlocked, 2
+	b.state, b.waitingKey = StateBlocked, 1
+	if victim := lt.detectDeadlock([]*Query{a, b}); victim != b {
+		t.Fatalf("victim = %v, want the youngest query on the cycle", victim)
 	}
 }
 
@@ -103,30 +104,24 @@ func TestDetectNoDeadlockChain(t *testing.T) {
 	lt.tryAcquire(b, 2, true)
 	lt.tryAcquire(c, 1, true) // c waits for a
 	lt.tryAcquire(c, 2, true) // (still waiting on 1; hypothetical)
-	cycle := lt.detectDeadlock(map[int64]int{c.ID: 1})
-	if len(cycle) != 0 {
-		t.Fatalf("false deadlock: %v", cycle)
+	c.state, c.waitingKey = StateBlocked, 1
+	if victim := lt.detectDeadlock([]*Query{c}); victim != nil {
+		t.Fatalf("false deadlock: victim %d", victim.ID)
 	}
 	_ = b
 }
 
 func TestConflictRatioDefinition(t *testing.T) {
-	a, b := mkQuery(1), mkQuery(2)
-	a.held = []int{1, 2}
-	b.held = []int{3}
-	b.state = StateBlocked
-	qs := map[int64]*Query{1: a, 2: b}
 	// total = 3, active = 2 -> 1.5
-	if got := conflictRatio(qs); got != 1.5 {
+	if got := lockRatio(3, 2); got != 1.5 {
 		t.Fatalf("conflict ratio = %v, want 1.5", got)
 	}
 	// No locks at all -> 1.
-	if got := conflictRatio(map[int64]*Query{}); got != 1 {
+	if got := lockRatio(0, 0); got != 1 {
 		t.Fatalf("empty ratio = %v, want 1", got)
 	}
 	// All holders blocked -> maximal.
-	a.state = StateBlocked
-	if got := conflictRatio(qs); got <= 3 {
+	if got := lockRatio(3, 0); got <= 3 {
 		t.Fatalf("all-blocked ratio = %v, want > total", got)
 	}
 }

@@ -32,6 +32,9 @@ type Table2Scenario struct {
 	Horizon sim.Duration // default 60s
 	Drain   sim.Duration // default 60s
 	Seed    uint64
+	// OnQuantum, when set, observes every quantum of a transaction run
+	// (which then runs without fast-forward, bit for bit the same).
+	OnQuantum func(*engine.Engine)
 }
 
 func (c Table2Scenario) withDefaults() Table2Scenario {
@@ -139,6 +142,7 @@ func RunTable2TxnVariant(v Table2Variant, sc Table2Scenario) Row {
 	m.AdmissionRetry = 100 * sim.Millisecond
 	m.RetryBatch = 8
 	m.Admission = buildController(v, &managerHandle{eng: m.Engine()}, nil, true)
+	m.Engine().OnQuantum = sc.OnQuantum
 
 	// Payment-heavy transactions: two exclusive locks each over a small
 	// skewed key space, modest memory footprints — the data-contention

@@ -188,7 +188,7 @@ func RunTable3Variant(v Table3Variant, sc Table3Scenario) Row {
 			r := workload.NewRequest()
 			*r = workload.Request{
 				ID:   int64(1_000_000 + i),
-				SQL:  "SELECT * FROM sales_fact WHERE amount > 0",
+				SQL:  append(r.SQL, "SELECT * FROM sales_fact WHERE amount > 0"...),
 				True: spec,
 				Est: workload.Estimates{ // badly underestimated
 					CPUSeconds: spec.CPUWork / 8, IOMB: spec.IOWork / 8,

@@ -10,34 +10,61 @@ import (
 	"testing"
 )
 
-// TestDeadCodeNeverLive holds deadcode to the linker: build two real binaries
+// TestDeadCodeNeverLive holds deadcode to the linker: build real binaries
 // with inlining off, so every function a binary can run keeps a symbol, and
 // no function the analyzer finds unreachable from the real entry points — no
 // waiver roots, no exempt directories — may be among them. CHA over-
 // approximates, so the analyzer may miss dead code; it must never call live
 // code dead. A binary's closure may hold no dead function at all (cmd/wlmd's
 // holds none), so each binary proves the symbol mapping on a live library
-// function it links, and the run as a whole must check at least one dead one.
+// function it links, and the fixture binary testdata/deadbin, whose closure
+// holds two dead functions, proves the negative side checks something.
 func TestDeadCodeNeverLive(t *testing.T) {
 	if testing.Short() {
-		t.Skip("builds two binaries and type-checks the whole module")
+		t.Skip("builds three binaries and type-checks the whole module")
 	}
-	m := loadSelf(t)
+	neverLive(t, loadSelf(t), "wlmd", "benchtables")
+	fix, err := Load(filepath.Join("testdata", "deadbin"), "deadbin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if checked := neverLive(t, fix, "."); checked < 2 {
+		t.Errorf("the fixture binary's closure has %d unreachable functions checked, want main.stray and lib.Dead", checked)
+	}
+}
+
+// neverLive builds each command of m (a directory under cmd/, or "." for
+// the module root) and checks no function the analyzer calls unreachable is
+// linked into it. It returns how many unreachable functions the commands'
+// closures hold.
+func neverLive(t *testing.T, m *Module, cmds ...string) (checked int) {
+	t.Helper()
 	bin := t.TempDir()
-	build := exec.Command("go", "build", "-gcflags=all=-l", "-o", bin+string(os.PathSeparator), "./cmd/wlmd", "./cmd/benchtables")
+	args := []string{"build", "-gcflags=all=-l", "-o", bin + string(os.PathSeparator)}
+	for _, cmd := range cmds {
+		if cmd == "." {
+			args = append(args, ".")
+		} else {
+			args = append(args, "./cmd/"+cmd)
+		}
+	}
+	build := exec.Command("go", args...)
 	build.Dir = m.Dir
 	if out, err := build.CombinedOutput(); err != nil {
-		t.Fatalf("go build: %v\n%s", err, out)
+		t.Fatalf("go build in %s: %v\n%s", m.Dir, err, out)
 	}
 	dead := m.unreachable(false)
 	isDead := make(map[*cgNode]bool, len(dead))
 	for _, n := range dead {
 		isDead[n] = true
 	}
-	checked := 0
-	for _, cmd := range []string{"wlmd", "benchtables"} {
-		linked := textSymbols(t, filepath.Join(bin, cmd))
-		deps := m.moduleDeps(m.byPath[m.Path+"/cmd/"+cmd])
+	for _, cmd := range cmds {
+		path, name := m.Path+"/cmd/"+cmd, cmd
+		if cmd == "." {
+			path, name = m.Path, filepath.Base(m.Path)
+		}
+		linked := textSymbols(t, filepath.Join(bin, name))
+		deps := m.moduleDeps(m.byPath[path])
 		live := 0
 		for _, n := range m.cg.all {
 			if n.fn == nil || !deps[n.pkg] {
@@ -50,17 +77,15 @@ func TestDeadCodeNeverLive(t *testing.T) {
 			case isDead[n]:
 				checked++
 				if linked[sym] {
-					t.Errorf("cmd/%s links %s, which deadcode calls unreachable", cmd, sym)
+					t.Errorf("%s links %s, which deadcode calls unreachable", path, sym)
 				}
 			}
 		}
 		if live == 0 {
-			t.Errorf("cmd/%s: %d linked symbols, none matches a live library function: the symbol mapping is broken", cmd, len(linked))
+			t.Errorf("%s: %d linked symbols, none matches a live library function: the symbol mapping is broken", path, len(linked))
 		}
 	}
-	if checked == 0 {
-		t.Error("no binary's closure holds an unreachable function: the check checked nothing")
-	}
+	return checked
 }
 
 // textSymbols lists a binary's text symbols with type arguments stripped

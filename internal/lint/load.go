@@ -264,11 +264,13 @@ func (m *Module) checkAll(order []*Package) error {
 			finish(p, m.checkOne(p, imp, sizes))
 		}()
 	}
+	mu.Lock() // no worker may count a dependency down while this loop reads
 	for _, p := range order {
 		if waiting[p] == 0 {
 			schedule(p)
 		}
 	}
+	mu.Unlock()
 	wg.Wait()
 
 	// Report the first failure in topological order — the root cause, not a

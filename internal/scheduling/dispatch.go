@@ -51,17 +51,46 @@ func (d *MPL) OnDispatch(*Item) { d.running++ }
 // OnFinish implements Dispatcher.
 func (d *MPL) OnFinish(*Item) { d.running-- }
 
-// ClassMPL enforces a per-class concurrency limit (Teradata workload
-// throttles; DB2 concurrent-activity thresholds). Classes missing from
-// Limits are unlimited.
-type ClassMPL struct {
-	Limits  map[string]int
-	running map[string]int
+// classBudget is one class's limit and running total.
+type classBudget struct {
+	name        string
+	limit, used float64
+	limited     bool
 }
+
+// classBudgets keeps per-class budgets, in no particular order, found by
+// comparing names in a scan: a run names a handful of classes, so the scan
+// beats hashing a name on every decision. A class gets a slot, unlimited,
+// when it is first named.
+type classBudgets []classBudget
+
+func (b *classBudgets) get(class string) *classBudget {
+	for i := range *b {
+		if (*b)[i].name == class {
+			return &(*b)[i]
+		}
+	}
+	*b = append(*b, classBudget{name: class})
+	return &(*b)[len(*b)-1]
+}
+
+func (b *classBudgets) setLimit(class string, limit float64) {
+	c := b.get(class)
+	c.limit, c.limited = limit, true
+}
+
+// ClassMPL enforces a per-class concurrency limit (Teradata workload
+// throttles; DB2 concurrent-activity thresholds). Classes missing from the
+// limits are unlimited.
+type ClassMPL struct{ classes classBudgets }
 
 // NewClassMPL returns a per-class MPL dispatcher.
 func NewClassMPL(limits map[string]int) *ClassMPL {
-	return &ClassMPL{Limits: limits, running: make(map[string]int)}
+	d := &ClassMPL{}
+	for class, limit := range limits {
+		d.classes.setLimit(class, float64(limit))
+	}
+	return d
 }
 
 // Name implements Dispatcher.
@@ -69,33 +98,31 @@ func (d *ClassMPL) Name() string { return "class-mpl" }
 
 // CanDispatch implements Dispatcher.
 func (d *ClassMPL) CanDispatch(it *Item, _ sim.Time) bool {
-	limit, ok := d.Limits[it.Class]
-	if !ok {
-		return true
-	}
-	return d.running[it.Class] < limit
+	c := d.classes.get(it.Class)
+	return !c.limited || c.used < c.limit
 }
 
 // OnDispatch implements Dispatcher.
-func (d *ClassMPL) OnDispatch(it *Item) { d.running[it.Class]++ }
+func (d *ClassMPL) OnDispatch(it *Item) { d.classes.get(it.Class).used++ }
 
 // OnFinish implements Dispatcher.
-func (d *ClassMPL) OnFinish(it *Item) { d.running[it.Class]-- }
+func (d *ClassMPL) OnFinish(it *Item) { d.classes.get(it.Class).used-- }
 
 // CostLimit releases requests while the total estimated cost (timerons) of
 // running requests in the item's class stays under the class's cost limit —
 // the release rule of Niu et al.'s query scheduler [60]: "the total costs of
 // executing requests should not exceed the system's acceptable cost limits".
-type CostLimit struct {
-	// Limits maps class -> max total running timerons. Classes missing are
-	// unlimited.
-	Limits map[string]float64
-	used   map[string]float64
-}
+// Classes missing from the limits (max total running timerons) are
+// unlimited.
+type CostLimit struct{ classes classBudgets }
 
 // NewCostLimit returns a cost-limit dispatcher.
 func NewCostLimit(limits map[string]float64) *CostLimit {
-	return &CostLimit{Limits: limits, used: make(map[string]float64)}
+	d := &CostLimit{}
+	for class, limit := range limits {
+		d.classes.setLimit(class, limit)
+	}
+	return d
 }
 
 // Name implements Dispatcher.
@@ -105,30 +132,24 @@ func (d *CostLimit) Name() string { return "cost-limit" }
 // cost may always run one request (so a single over-limit query is not
 // starved forever).
 func (d *CostLimit) CanDispatch(it *Item, _ sim.Time) bool {
-	limit, ok := d.Limits[it.Class]
-	if !ok {
-		return true
-	}
-	used := d.used[it.Class]
-	if used == 0 {
-		return true // never starve an empty class
-	}
-	return used+it.Req.Est.Timerons <= limit
+	c := d.classes.get(it.Class)
+	return !c.limited || c.used == 0 || c.used+it.Req.Est.Timerons <= c.limit
 }
 
 // OnDispatch implements Dispatcher.
-func (d *CostLimit) OnDispatch(it *Item) { d.used[it.Class] += it.Req.Est.Timerons }
+func (d *CostLimit) OnDispatch(it *Item) { d.classes.get(it.Class).used += it.Req.Est.Timerons }
 
 // OnFinish implements Dispatcher.
 func (d *CostLimit) OnFinish(it *Item) {
-	d.used[it.Class] -= it.Req.Est.Timerons
-	if d.used[it.Class] < 1e-9 {
-		d.used[it.Class] = 0
+	c := d.classes.get(it.Class)
+	c.used -= it.Req.Est.Timerons
+	if c.used < 1e-9 {
+		c.used = 0
 	}
 }
 
 // SetLimit updates a class's cost limit (the planner's effector).
-func (d *CostLimit) SetLimit(class string, limit float64) { d.Limits[class] = limit }
+func (d *CostLimit) SetLimit(class string, limit float64) { d.classes.setLimit(class, limit) }
 
 // FeedbackMPL adapts a global MPL to hold mean response time near a target
 // while keeping the engine utilized — external scheduling in the spirit of

@@ -98,11 +98,24 @@ func (q *FCFS) Len() int { return q.q.Len() }
 // container/heap does — the same comparisons, so the same layout after every
 // push and pop — because before need not be a total order: items that tie
 // (one priority, one enqueue instant) must keep popping in the order they
-// always have. It moves the sifted item once instead of swapping it down, and
-// calls before directly instead of through heap.Interface.
+// always have. It moves the sifted item once instead of swapping it down.
 type itemHeap struct {
-	items  []*Item
-	before func(a, b *Item) bool
+	items []*Item
+	// cheapest orders by estimated cost (SJF) rather than by priority.
+	cheapest bool
+}
+
+// before reports whether a pops ahead of b: the higher priority (the
+// cheaper estimate, for SJF) first, then the earlier enqueue.
+func (h *itemHeap) before(a, b *Item) bool {
+	if h.cheapest {
+		if a.Req.Est.Timerons != b.Req.Est.Timerons {
+			return a.Req.Est.Timerons < b.Req.Est.Timerons
+		}
+	} else if a.Req.Priority != b.Req.Priority {
+		return a.Req.Priority > b.Req.Priority
+	}
+	return a.Enqueued < b.Enqueued
 }
 
 func (h *itemHeap) push(it *Item) {
@@ -155,14 +168,7 @@ func (h *itemHeap) pop() *Item {
 type Priority struct{ h itemHeap }
 
 // NewPriority returns an empty priority queue.
-func NewPriority() *Priority {
-	return &Priority{h: itemHeap{before: func(a, b *Item) bool {
-		if a.Req.Priority != b.Req.Priority {
-			return a.Req.Priority > b.Req.Priority // higher priority first
-		}
-		return a.Enqueued < b.Enqueued // FCFS within a priority
-	}}}
-}
+func NewPriority() *Priority { return &Priority{} }
 
 // Name implements Queue.
 func (q *Priority) Name() string { return "priority" }
@@ -181,14 +187,7 @@ func (q *Priority) Len() int { return len(q.h.items) }
 type SJF struct{ h itemHeap }
 
 // NewSJF returns an empty shortest-job-first queue.
-func NewSJF() *SJF {
-	return &SJF{h: itemHeap{before: func(a, b *Item) bool {
-		if a.Req.Est.Timerons != b.Req.Est.Timerons {
-			return a.Req.Est.Timerons < b.Req.Est.Timerons
-		}
-		return a.Enqueued < b.Enqueued
-	}}}
-}
+func NewSJF() *SJF { return &SJF{h: itemHeap{cheapest: true}} }
 
 // Name implements Queue.
 func (q *SJF) Name() string { return "sjf" }

@@ -137,21 +137,39 @@ func (h *refItemHeap) Pop() any {
 	return it
 }
 
+// refPriorityBefore and refSJFBefore are the closures Priority and SJF
+// ordered their heaps with before itemHeap compared in a method of its own.
+var (
+	refPriorityBefore = func(a, b *Item) bool {
+		if a.Req.Priority != b.Req.Priority {
+			return a.Req.Priority > b.Req.Priority // higher priority first
+		}
+		return a.Enqueued < b.Enqueued // FCFS within a priority
+	}
+	refSJFBefore = func(a, b *Item) bool {
+		if a.Req.Est.Timerons != b.Req.Est.Timerons {
+			return a.Req.Est.Timerons < b.Req.Est.Timerons
+		}
+		return a.Enqueued < b.Enqueued
+	}
+)
+
+// refBefore returns the reference order of a Priority or SJF queue.
+func refBefore(q Queue) func(a, b *Item) bool {
+	if _, ok := q.(*SJF); ok {
+		return refSJFBefore
+	}
+	return refPriorityBefore
+}
+
 // TestItemHeapMatchesContainerHeap holds Priority and SJF to container/heap's
 // pop order under random pushes and pops of items that mostly tie: four
 // priorities, four costs and eight enqueue instants over hundreds of items.
 func TestItemHeapMatchesContainerHeap(t *testing.T) {
 	for _, q := range []Queue{NewPriority(), NewSJF()} {
-		var before func(a, b *Item) bool
-		switch q := q.(type) {
-		case *Priority:
-			before = q.h.before
-		case *SJF:
-			before = q.h.before
-		}
 		for seed := uint64(1); seed <= 50; seed++ {
 			rng := sim.NewRNG(seed)
-			ref := &refItemHeap{before: before}
+			ref := &refItemHeap{before: refBefore(q)}
 			for step, id := 0, int64(0); step < 600; step++ {
 				if rng.Bool(0.55) {
 					id++
@@ -175,4 +193,92 @@ func TestItemHeapMatchesContainerHeap(t *testing.T) {
 			}
 		}
 	}
+}
+
+// closureItemHeap is itemHeap as it was when it called its order through a
+// closure, kept verbatim as FuzzItemHeapMatchesReference's reference.
+type closureItemHeap struct {
+	items  []*Item
+	before func(a, b *Item) bool
+}
+
+func (h *closureItemHeap) push(it *Item) {
+	h.items = append(h.items, it)
+	i := len(h.items) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !h.before(it, h.items[parent]) {
+			break
+		}
+		h.items[i] = h.items[parent]
+		i = parent
+	}
+	h.items[i] = it
+}
+
+func (h *closureItemHeap) pop() *Item {
+	if len(h.items) == 0 {
+		return nil
+	}
+	n := len(h.items) - 1
+	top, last := h.items[0], h.items[n]
+	h.items[n] = nil
+	h.items = h.items[:n]
+	if n == 0 {
+		return top
+	}
+	i := 0
+	for {
+		child := 2*i + 1
+		if child >= n {
+			break
+		}
+		if r := child + 1; r < n && h.before(h.items[r], h.items[child]) {
+			child = r
+		}
+		if !h.before(h.items[child], last) {
+			break
+		}
+		h.items[i] = h.items[child]
+		i = child
+	}
+	h.items[i] = last
+	return top
+}
+
+// FuzzItemHeapMatchesReference drives Priority and SJF and the closure heap
+// with the same pushes and pops. Each push draws its priority, cost and
+// enqueue instant from four, four and eight values, so most items tie. After
+// every operation the popped item and the whole heap array must be the
+// reference's: equal layout, not just equal order.
+func FuzzItemHeapMatchesReference(f *testing.F) {
+	f.Add([]byte{1, 3, 5, 7, 9, 11, 0, 0, 13, 15, 0})
+	f.Add([]byte{0x21, 0x21, 0x21, 0x41, 0x41, 0, 0x61, 0x01, 0, 0, 0})
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		for _, kind := range []string{"priority", "sjf"} {
+			var h *itemHeap
+			switch kind {
+			case "priority":
+				h = &NewPriority().h
+			default:
+				h = &NewSJF().h
+			}
+			ref := &closureItemHeap{before: refPriorityBefore}
+			if h.cheapest {
+				ref.before = refSJFBefore
+			}
+			for i, op := range ops {
+				if op&1 != 0 {
+					it := item(int64(i+1), policy.Priority(op>>1&3), float64(op>>3&3), sim.Time(op>>5))
+					h.push(it)
+					ref.push(it)
+				} else if got, want := h.pop(), ref.pop(); got != want {
+					t.Fatalf("%s op %d: popped %v, reference %v", kind, i, got, want)
+				}
+				if !slices.Equal(h.items, ref.items) {
+					t.Fatalf("%s op %d: heap layout differs from the reference", kind, i)
+				}
+			}
+		}
+	})
 }

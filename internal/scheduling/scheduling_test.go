@@ -146,7 +146,7 @@ func TestClassMPLDispatcher(t *testing.T) {
 		t.Fatal("unlimited class blocked")
 	}
 	d.OnFinish(bi)
-	if !d.CanDispatch(bi, 0) || d.running["bi"] != 0 {
+	if !d.CanDispatch(bi, 0) || d.classes.get("bi").used != 0 {
 		t.Fatal("class slot not freed")
 	}
 }
@@ -168,8 +168,8 @@ func TestCostLimitDispatcher(t *testing.T) {
 	}
 	d.OnFinish(small)
 	d.OnFinish(small)
-	if d.used["c"] != 0 {
-		t.Fatalf("used = %v after all finished", d.used["c"])
+	if used := d.classes.get("c").used; used != 0 {
+		t.Fatalf("used = %v after all finished", used)
 	}
 	d.SetLimit("c", 1000)
 	d.OnDispatch(small)
@@ -416,7 +416,7 @@ func TestFCFSStableUnderSkipRepush(t *testing.T) {
 		}
 	}
 	// The blocked ones remain in arrival order.
-	d.Limits["bi"] = 10
+	d.classes.setLimit("bi", 10)
 	s.TryDispatch(sim.Time(100))
 	if len(released) != 6 || released[3] != 2 || released[4] != 4 || released[5] != 6 {
 		t.Fatalf("after unblock released = %v", released)

@@ -350,7 +350,14 @@ func (s *Simulator) Every(interval Duration, fn func() bool) (stop func()) {
 			stopped = true
 			return
 		}
-		pending = s.Schedule(interval, tick)
+		if pending.canceled { // fn called stop
+			pending = s.Schedule(interval, tick)
+			return
+		}
+		// Step is done with the event that fired: reuse it.
+		pending.at, pending.seq = s.now.Add(max(interval, 0)), s.seq
+		s.seq++
+		s.events.push(pending)
 	}
 	pending = s.Schedule(interval, tick)
 	return func() {

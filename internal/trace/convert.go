@@ -1,6 +1,8 @@
 package trace
 
 import (
+	"slices"
+
 	"dbwlm/internal/engine"
 	"dbwlm/internal/policy"
 	"dbwlm/internal/sim"
@@ -41,9 +43,9 @@ func RowFromRequest(r *workload.Request, class uint16) Row {
 	if r.Type == sqlmini.StmtRead {
 		row.Flags |= FlagRead
 	}
-	if r.SQL != "" {
-		row.SQL = []byte(r.SQL)
-		fp := sqlmini.FingerprintSQL(r.SQL)
+	if len(r.SQL) > 0 {
+		row.SQL = slices.Clone(r.SQL)
+		fp := sqlmini.FingerprintSQL(string(r.SQL))
 		row.FPHi, row.FPLo = fp.Hi, fp.Lo
 	}
 	if len(r.True.Locks) > 0 {
@@ -86,8 +88,8 @@ func (row *Row) Request(h *Header) *workload.Request {
 		req.Type = sqlmini.StmtWrite
 	}
 	if len(row.SQL) > 0 {
-		req.SQL = string(row.SQL)
-		if stmt, err := sqlmini.Parse(req.SQL); err == nil {
+		req.SQL = slices.Clone(row.SQL)
+		if stmt, err := sqlmini.Parse(string(req.SQL)); err == nil {
 			req.Type = stmt.Type
 		}
 	}

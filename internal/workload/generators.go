@@ -68,7 +68,6 @@ type OLTPGen struct {
 	Est          *EstimateModel
 	rng          *sim.RNG
 	zipf         *sim.ZipfGen
-	sqlBuf       []byte // statement text is rendered here, then copied out once
 }
 
 // Name implements Generator.
@@ -93,11 +92,10 @@ func (g *OLTPGen) Start(s *sim.Simulator, horizon sim.Time, submit SubmitFunc) {
 
 func (g *OLTPGen) makeRequest(now sim.Time) *Request {
 	r := NewRequest()
-	locks := r.True.Locks
+	sql, locks := r.SQL, r.True.Locks
 	kind := g.rng.Intn(3)
 	// The literals are drawn before the spec's, in statement order: the RNG
 	// stream, and so every table, depends on it.
-	sql := g.sqlBuf[:0]
 	var typ sqlmini.StatementType
 	var spec engine.QuerySpec
 	switch kind {
@@ -145,7 +143,6 @@ func (g *OLTPGen) makeRequest(now sim.Time) *Request {
 			Locks:   append(locks, engine.LockReq{Key: g.zipf.Next(), Exclusive: true, AtProgress: 0}),
 		}
 	}
-	g.sqlBuf = sql
 	var est Estimates
 	if g.Est != nil {
 		est = g.Est.FromSpec(spec)
@@ -155,7 +152,7 @@ func (g *OLTPGen) makeRequest(now sim.Time) *Request {
 	}
 	*r = Request{
 		ID:       g.Seq.Next(),
-		SQL:      string(sql),
+		SQL:      sql,
 		Type:     typ,
 		Origin:   Origin{App: "pos-terminal", User: "cashier", ClientIP: "10.0.1.15"},
 		Workload: g.WorkloadName,
@@ -243,7 +240,7 @@ func (g *BIGen) MakeRequest(now sim.Time) *Request {
 	r := NewRequest()
 	*r = Request{
 		ID:       g.Seq.Next(),
-		SQL:      tpl.SQL,
+		SQL:      append(r.SQL, tpl.SQL...),
 		Type:     plan.Stmt.Type,
 		Origin:   origin,
 		Workload: g.WorkloadName,
@@ -331,7 +328,7 @@ func (g *UtilityGen) makeUtility(now sim.Time) *Request {
 	r := NewRequest()
 	*r = Request{
 		ID:       g.Seq.Next(),
-		SQL:      sql,
+		SQL:      append(r.SQL, sql...),
 		Type:     sqlmini.StmtCall,
 		Origin:   Origin{App: "dba-tools", User: "dba", ClientIP: "10.0.0.2"},
 		Workload: g.WorkloadName,
@@ -361,7 +358,6 @@ type AdHocGen struct {
 	UnderestimateFactor float64
 	Seq                 *Sequence
 	rng                 *sim.RNG
-	sqlBuf              []byte
 }
 
 // Name implements Generator.
@@ -384,11 +380,12 @@ func (g *AdHocGen) makeRequest(now sim.Time) *Request {
 	if under == 0 {
 		under = 8
 	}
-	var sql string
+	r := NewRequest()
+	sql := r.SQL
 	var spec engine.QuerySpec
 	var est Estimates
 	if g.rng.Bool(monsterProb) {
-		sql = "SELECT * FROM sales_fact WHERE amount > 0"
+		sql = append(sql, "SELECT * FROM sales_fact WHERE amount > 0"...)
 		spec = engine.QuerySpec{
 			CPUWork:     60 + g.rng.Float64()*40,
 			IOWork:      1500 + g.rng.Float64()*1000,
@@ -404,9 +401,8 @@ func (g *AdHocGen) makeRequest(now sim.Time) *Request {
 			Rows:       float64(spec.Rows) / under,
 		}
 	} else {
-		g.sqlBuf = append(g.sqlBuf[:0], "SELECT COUNT(*) FROM orders WHERE total > "...)
-		g.sqlBuf = strconv.AppendInt(g.sqlBuf, int64(g.rng.Intn(1000)), 10)
-		sql = string(g.sqlBuf)
+		sql = append(sql, "SELECT COUNT(*) FROM orders WHERE total > "...)
+		sql = strconv.AppendInt(sql, int64(g.rng.Intn(1000)), 10)
 		spec = engine.QuerySpec{
 			CPUWork:     0.5 + g.rng.Float64()*2,
 			IOWork:      50 + g.rng.Float64()*200,
@@ -418,7 +414,6 @@ func (g *AdHocGen) makeRequest(now sim.Time) *Request {
 		est = Estimates{CPUSeconds: spec.CPUWork, IOMB: spec.IOWork, MemMB: spec.MemMB, Rows: float64(spec.Rows)}
 	}
 	est.Timerons = TimeronsOf(est.CPUSeconds, est.IOMB)
-	r := NewRequest()
 	*r = Request{
 		ID:       g.Seq.Next(),
 		SQL:      sql,

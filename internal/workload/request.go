@@ -51,8 +51,10 @@ func TimeronsOf(cpuSeconds, ioMB float64) float64 {
 // it to the pool once its run is over, so code that needs a request after
 // that keeps a Clone.
 type Request struct {
-	ID   int64
-	SQL  string
+	ID int64
+	// SQL is the statement text. The request owns the array: FreeRequest
+	// keeps it for the next request, and Clone copies it.
+	SQL  []byte
 	Type sqlmini.StatementType
 
 	Origin   Origin
@@ -72,26 +74,28 @@ type Request struct {
 // generators (NewRequest).
 var requestPool = sync.Pool{New: func() any { return new(Request) }}
 
-// NewRequest returns a zero request for a generator to fill in. Its
-// True.Locks is empty but may keep the lock array of a request freed before:
-// a generator appends its locks to it rather than allocating its own.
+// NewRequest returns a zero request for a generator to fill in. Its SQL and
+// True.Locks are empty but may keep the arrays of a request freed before: a
+// generator appends its text and locks to them rather than allocating its
+// own.
 func NewRequest() *Request { return requestPool.Get().(*Request) }
 
-// FreeRequest returns r to NewRequest's pool, keeping its lock array. Only
-// r's owner calls it, once nothing will read r again; in this repository
-// that is the workload manager. r's lock array must be its own, shared with
-// no other request or spec.
+// FreeRequest returns r to NewRequest's pool, keeping its SQL and lock
+// arrays. Only r's owner calls it, once nothing will read r again; in this
+// repository that is the workload manager. r's arrays must be its own,
+// shared with no other request or spec.
 func FreeRequest(r *Request) {
-	locks := r.True.Locks[:0]
+	sql, locks := r.SQL[:0], r.True.Locks[:0]
 	*r = Request{}
-	r.True.Locks = locks
+	r.SQL, r.True.Locks = sql, locks
 	requestPool.Put(r)
 }
 
-// Clone returns a copy of r that shares no lock array with r: what an
+// Clone returns a copy of r that shares no SQL or lock array with r: what an
 // observer keeps of a request past the point its owner frees it.
 func (r *Request) Clone() *Request {
 	c := *r
+	c.SQL = slices.Clone(r.SQL)
 	c.True.Locks = slices.Clone(r.True.Locks)
 	return &c
 }

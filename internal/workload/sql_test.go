@@ -35,7 +35,7 @@ func TestGeneratedSQLParses(t *testing.T) {
 			if got++; got > n {
 				return
 			}
-			stmt, err := sqlmini.Parse(r.SQL)
+			stmt, err := sqlmini.Parse(string(r.SQL))
 			if err != nil {
 				t.Fatalf("%s request %d: %q does not parse: %v", g.Name(), r.ID, r.SQL, err)
 			}
@@ -85,7 +85,7 @@ func TestOLTPSQLMatchesSprintf(t *testing.T) {
 	twin := sim.NewRNG(99)
 	for i := 0; i < 10000; i++ {
 		want := sprintfOLTPSQL(twin)
-		if got := g.makeRequest(0).SQL; got != want {
+		if got := string(g.makeRequest(0).SQL); got != want {
 			t.Fatalf("draw %d: rendered %q, Sprintf renders %q", i, got, want)
 		}
 	}

@@ -33,7 +33,7 @@ func TestOLTPGenProducesRequests(t *testing.T) {
 		if r.True.CPUWork <= 0 {
 			t.Fatal("no CPU work")
 		}
-		if r.SQL == "" {
+		if len(r.SQL) == 0 {
 			t.Fatal("no statement text")
 		}
 		if r.Est.Timerons <= 0 {
@@ -140,7 +140,7 @@ func TestBatchGen(t *testing.T) {
 		Priority:     policy.PriorityLow,
 		SLO:          policy.PercentileResponseTime(90, 10*sim.Minute),
 		Draw: func(i int, now sim.Time) *Request {
-			return &Request{ID: seq.Next(), SQL: "SELECT id FROM orders", Arrive: now}
+			return &Request{ID: seq.Next(), SQL: []byte("SELECT id FROM orders"), Arrive: now}
 		},
 	}
 	var got []*Request

@@ -33,6 +33,17 @@ type Running struct {
 	Class *characterize.ServiceClass
 	// DispatchedAt is when the request entered the engine (last attempt).
 	DispatchedAt sim.Time
+	wl           *workloadRec
+}
+
+// workloadRec is what the Manager keeps per workload name, resolved on
+// Submit (and on each admission retry) and carried on Running from there.
+type workloadRec struct {
+	name     string
+	stats    *metrics.WorkloadStats
+	class    string // the service class it last ran under, once classSet
+	classSet bool
+	sloSeen  bool // its first request's SLO is noted
 }
 
 // Manager is the workload management system: it identifies arriving requests
@@ -84,10 +95,15 @@ type Manager struct {
 	retryArmed     bool
 	running        map[int64]*Running // by engine query ID
 	slos           map[string]policy.SLO
-	classOf        map[string]string // workload name -> class name
-	// onEngineFinish is m.finished bound once, so a release hands the engine
-	// the same func value every time instead of a closure of its own.
+	workloads      map[string]*workloadRec
+	// standIns are the classes requests share with no Router, one per name
+	// and priority: nothing writes through Running.Class.
+	standIns []*characterize.ServiceClass
+	// onEngineFinish and retryFn are m.finished and m.retry bound once, so
+	// a release or a retry hands the simulator the same func value every
+	// time instead of a closure of its own.
 	onEngineFinish func(*engine.Query, engine.Outcome)
+	retryFn        func()
 	// freeRun holds records whose run ended, for dispatchOrSchedule to
 	// reuse.
 	freeRun []*Running
@@ -96,14 +112,15 @@ type Manager struct {
 // New builds a manager over a fresh engine on the simulator.
 func New(s *sim.Simulator, engCfg engine.Config) *Manager {
 	m := &Manager{
-		sim:     s,
-		eng:     engine.New(s, engCfg),
-		stats:   metrics.NewRegistry(),
-		running: make(map[int64]*Running),
-		slos:    make(map[string]policy.SLO),
-		classOf: make(map[string]string),
+		sim:       s,
+		eng:       engine.New(s, engCfg),
+		stats:     metrics.NewRegistry(),
+		running:   make(map[int64]*Running),
+		slos:      make(map[string]policy.SLO),
+		workloads: make(map[string]*workloadRec),
 	}
 	m.onEngineFinish = m.finished
+	m.retryFn = m.retry
 	return m
 }
 
@@ -129,35 +146,55 @@ func (m *Manager) Submit(req *workload.Request) {
 	if m.Router != nil {
 		_, class = m.Router.Classify(req)
 	} else {
-		class = &characterize.ServiceClass{Name: "default", Priority: req.Priority}
+		class = m.standIn("default", req.Priority)
 	}
-	m.noteWorkload(req)
-	m.stats.Workload(req.Workload).ObserveArrival(req.Arrive)
-	m.stats.System.ObserveArrival(req.Arrive)
-	m.admit(req, class)
-}
-
-func (m *Manager) noteWorkload(req *workload.Request) {
-	if _, ok := m.slos[req.Workload]; !ok {
+	wl := m.workloadOf(req.Workload)
+	if !wl.sloSeen {
+		wl.sloSeen = true
 		m.slos[req.Workload] = req.SLO
 	}
+	wl.stats.ObserveArrival(req.Arrive)
+	m.stats.System.ObserveArrival(req.Arrive)
+	m.admit(req, wl, class)
 }
 
-func (m *Manager) admit(req *workload.Request, class *characterize.ServiceClass) {
+// workloadOf returns the named workload's record, making it if need be.
+func (m *Manager) workloadOf(name string) *workloadRec {
+	wl := m.workloads[name]
+	if wl == nil {
+		wl = &workloadRec{name: name, stats: m.stats.Workload(name)}
+		m.workloads[name] = wl
+	}
+	return wl
+}
+
+// standIn returns the stand-in class with the name and priority.
+func (m *Manager) standIn(name string, p policy.Priority) *characterize.ServiceClass {
+	for _, c := range m.standIns {
+		if c.Name == name && c.Priority == p {
+			return c
+		}
+	}
+	c := &characterize.ServiceClass{Name: name, Priority: p}
+	m.standIns = append(m.standIns, c)
+	return c
+}
+
+func (m *Manager) admit(req *workload.Request, wl *workloadRec, class *characterize.ServiceClass) {
 	ctrl := m.Admission
 	if ctrl == nil {
 		ctrl = admission.AdmitAll{}
 	}
 	switch ctrl.Decide(req, m.sim.Now()) {
 	case admission.Reject:
-		m.stats.Workload(req.Workload).Rejected.Inc()
+		wl.stats.Rejected.Inc()
 		m.stats.System.Rejected.Inc()
 		workload.FreeRequest(req)
 	case admission.Queue:
 		m.admissionQueue.Push(req)
 		m.armRetry()
 	case admission.Admit:
-		m.dispatchOrSchedule(req, class)
+		m.dispatchOrSchedule(req, wl, class)
 	}
 }
 
@@ -170,45 +207,54 @@ func (m *Manager) armRetry() {
 	if retry <= 0 {
 		retry = 500 * sim.Millisecond
 	}
-	m.sim.Schedule(retry, func() {
-		m.retryArmed = false
-		// The batch is counted before the loop: admit may queue a request
-		// again, behind everything already waiting.
-		batch := m.admissionQueue.Len()
-		if m.RetryBatch > 0 && batch > m.RetryBatch {
-			batch = m.RetryBatch
-		}
-		for ; batch > 0; batch-- {
-			req := m.admissionQueue.Items()[0]
-			m.admissionQueue.Drop(1)
-			if m.MaxQueueDelay > 0 && m.sim.Now().Sub(req.Arrive) > m.MaxQueueDelay {
-				m.stats.Workload(req.Workload).Rejected.Inc()
-				m.stats.System.Rejected.Inc()
-				workload.FreeRequest(req)
-				continue
-			}
-			class := m.classFor(req)
-			m.admit(req, class)
-		}
-		m.armRetry()
-	})
+	m.sim.ScheduleDetached(retry, m.retryFn)
 }
 
-func (m *Manager) classFor(req *workload.Request) *characterize.ServiceClass {
-	if m.Router == nil {
-		return &characterize.ServiceClass{Name: "default", Priority: req.Priority}
+// retry re-evaluates the deferred requests at the queue's head.
+func (m *Manager) retry() {
+	m.retryArmed = false
+	// The batch is counted before the loop: admit may queue a request
+	// again, behind everything already waiting.
+	batch := m.admissionQueue.Len()
+	if m.RetryBatch > 0 && batch > m.RetryBatch {
+		batch = m.RetryBatch
 	}
-	if name, ok := m.classOf[req.Workload]; ok {
-		if c := m.Router.Class(name); c != nil {
-			return c
+	for ; batch > 0; batch-- {
+		req := m.admissionQueue.Items()[0]
+		m.admissionQueue.Drop(1)
+		wl := m.workloadOf(req.Workload)
+		if m.MaxQueueDelay > 0 && m.sim.Now().Sub(req.Arrive) > m.MaxQueueDelay {
+			wl.stats.Rejected.Inc()
+			m.stats.System.Rejected.Inc()
+			workload.FreeRequest(req)
+			continue
+		}
+		class, wl := m.classFor(req, wl)
+		m.admit(req, wl, class)
+	}
+	m.armRetry()
+}
+
+// classFor returns the service class a deferred request is re-admitted
+// into, and its workload record, which classifying it again may rename.
+func (m *Manager) classFor(req *workload.Request, wl *workloadRec) (*characterize.ServiceClass, *workloadRec) {
+	if m.Router == nil {
+		return m.standIn("default", req.Priority), wl
+	}
+	if wl.classSet {
+		if c := m.Router.Class(wl.class); c != nil {
+			return c, wl
 		}
 	}
 	_, class := m.Router.Classify(req)
-	return class
+	if req.Workload != wl.name {
+		wl = m.workloadOf(req.Workload)
+	}
+	return class, wl
 }
 
-func (m *Manager) dispatchOrSchedule(req *workload.Request, class *characterize.ServiceClass) {
-	m.classOf[req.Workload] = class.Name
+func (m *Manager) dispatchOrSchedule(req *workload.Request, wl *workloadRec, class *characterize.ServiceClass) {
+	wl.class, wl.classSet = class.Name, true
 	var rr *Running
 	if n := len(m.freeRun); n > 0 {
 		rr = m.freeRun[n-1]
@@ -224,6 +270,7 @@ func (m *Manager) dispatchOrSchedule(req *workload.Request, class *characterize.
 		Weight:   class.EffectiveWeight(),
 		Owner:    rr,
 	}
+	rr.wl = wl
 	if m.Scheduler == nil {
 		rr.Class = class
 		m.release(rr)
@@ -246,7 +293,7 @@ func (m *Manager) classByName(name string) *characterize.ServiceClass {
 		}
 		return m.Router.Default()
 	}
-	return &characterize.ServiceClass{Name: name, Priority: policy.PriorityMedium}
+	return m.standIn(name, policy.PriorityMedium)
 }
 
 // release sends a record's request into the engine.
@@ -272,7 +319,7 @@ func (m *Manager) finished(q *engine.Query, oc engine.Outcome) {
 	if m.Scheduler != nil {
 		m.Scheduler.OnFinish(&rr.Item, now)
 	}
-	ws := m.stats.Workload(rr.Req.Workload)
+	ws := rr.wl.stats
 	switch oc {
 	case engine.OutcomeCompleted:
 		response := now.Sub(rr.Req.Arrive)
@@ -329,9 +376,13 @@ func (m *Manager) Resubmit(rr *Running) bool {
 		return false
 	}
 	rr.Req.Resubmit++
-	m.stats.Workload(rr.Req.Workload).Resubmits.Inc()
+	wl := rr.wl
+	if wl == nil || wl.name != rr.Req.Workload { // a record the caller built
+		wl = m.workloadOf(rr.Req.Workload)
+	}
+	wl.stats.Resubmits.Inc()
 	m.stats.System.Resubmits.Inc()
-	m.dispatchOrSchedule(rr.Req, rr.Class)
+	m.dispatchOrSchedule(rr.Req, wl, rr.Class)
 	return true
 }
 

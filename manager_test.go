@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"dbwlm/internal/admission"
@@ -211,18 +212,24 @@ func TestManagerVelocityBounds(t *testing.T) {
 
 // TestManagedOLTPAllocBudget bounds what one managed transaction allocates
 // end to end — generator, admission, FCFS queue behind an MPL dispatcher,
-// engine, lock table, completion statistics. Its Request and lock list, its
-// Running record (with the Item inside) and its engine Query are reused from
-// transactions that finished before it (DESIGN.md section 6); what is left
-// is its SQL text plus, with no Router set, the two stand-in ServiceClass
-// values Submit and release make. The commit before the generators stopped
-// parsing their own SQL measured 32.4 here, the one before the reuse 8.0,
-// and this one 3.1 (3.6 under the race detector, whose sync.Pool drops a
-// quarter of its Puts). The budget trips on the request pool being lost or a
-// closure or map per transaction coming back, not on noise; the lifetime
-// tests pin each reused object on its own.
+// engine, lock table, completion statistics. Its Request with its SQL and
+// lock arrays, its Running record (with the Item inside) and its engine Query
+// are reused from transactions that finished before it, and with no Router
+// it runs under a stand-in ServiceClass the Manager keeps (DESIGN.md section
+// 6). The commit before the generators stopped parsing their own SQL
+// measured 32.4 here, the one before the reuse 8.0, the one before the
+// request owned its SQL text 3.1, and this one 0.1: what is left is the
+// growth of pools and queues and the sync.Pool's losses to the collector. The
+// budget trips on one allocation per transaction coming back — a SQL string,
+// a stand-in, a closure, a map entry — not on noise; the lifetime tests pin
+// each reused object on its own. Under the race detector, whose sync.Pool
+// drops a quarter of its Puts, each dropped request costs its three arrays
+// again (1.1 measured), and the budget is 2.
 func TestManagedOLTPAllocBudget(t *testing.T) {
-	const budget = 5.0
+	budget := 1.0
+	if poolDropsPuts() {
+		budget = 2
+	}
 	s := sim.New(1)
 	m := New(s, engine.Config{Cores: 8, MemoryMB: 4096, IOMBps: 800})
 	m.Scheduler = scheduling.NewScheduler(scheduling.NewFCFS(), &scheduling.MPL{Max: 16})
@@ -239,6 +246,20 @@ func TestManagedOLTPAllocBudget(t *testing.T) {
 	if perTxn > budget {
 		t.Fatalf("%.1f allocations per completed transaction, budget %.0f", perTxn, budget)
 	}
+}
+
+// poolDropsPuts reports whether this build's sync.Pool drops Puts at random,
+// as it does under the race detector: a Get straight after a Put on the same
+// goroutine otherwise returns what was put.
+func poolDropsPuts() bool {
+	var p sync.Pool
+	for i := 0; i < 64; i++ {
+		p.Put(new(int))
+		if p.Get() == nil {
+			return true
+		}
+	}
+	return false
 }
 
 // deferTwice queues every request on its first two decisions and admits it
