@@ -52,8 +52,10 @@ bench:
 # histogram's bucket table and shard-owned shards against the logarithm and
 # the per-field-atomic reference, the sequential histogram's bucket
 # table against the logarithm, the engine's deadlock sweep against the
-# map-keyed reference on random wait-for graphs, and the Priority and SJF
-# heaps against the closure-ordered reference under forced ties — enough to
+# map-keyed reference on random wait-for graphs, the Priority and SJF
+# heaps against the closure-ordered reference under forced ties, and the
+# execution controllers' ID-ordered lists against the map-and-sort
+# references under random manage, kill, sweep and finish steps — enough to
 # shake out panics and bit mismatches without stalling CI. The wire and trace patterns
 # are anchored because those packages have two targets.
 fuzz-short:
@@ -73,6 +75,7 @@ fuzz-short:
 	$(GO) test -fuzz FuzzHistogramBucketIndexMatchesFormula -fuzztime 10s -run '^$$' ./internal/metrics/
 	$(GO) test -fuzz FuzzDetectDeadlockMatchesReference -fuzztime 10s -run '^$$' ./internal/engine/
 	$(GO) test -fuzz FuzzItemHeapMatchesReference -fuzztime 10s -run '^$$' ./internal/scheduling/
+	$(GO) test -fuzz FuzzManagedListMatchesMap -fuzztime 10s -run '^$$' ./internal/execctl/
 
 # loc prints non-test Go lines per package and in total. The benchmark
 # (internal/bench, cmd/wlmbench) and the lint fixture corpus are not product

@@ -312,10 +312,10 @@ func (cfg *ConfigFile) Apply(m *Manager) error {
 				return // the top class is never killed or aged
 			}
 			if killer != nil {
-				killer.Manage(&execctl.Managed{Query: rr.Query, Class: rr.Class.Name})
+				killer.Manage(rr.Query.ID)
 			}
 			if ager := agers[rr.Class.Name]; ager != nil {
-				ager.Manage(&execctl.Managed{Query: rr.Query, Class: rr.Class.Name})
+				ager.Manage(rr.Query.ID)
 			}
 		}
 	}

@@ -123,14 +123,17 @@ func (m *Manager) DashboardRows() []DashboardRow {
 		}
 		byName[name] = &out[i]
 	}
-	// One pass over the running set; the session tallies are commutative.
-	//dbwlm:sorted
-	for _, rr := range m.running {
+	// One pass over the in-flight set.
+	for _, q := range m.eng.Live() {
+		rr := RunningOf(q)
+		if rr == nil {
+			continue
+		}
 		row := byName[rr.Req.Workload]
 		if row == nil {
 			continue
 		}
-		if s := rr.Query.State(); s == engine.StateSuspended || s == engine.StateSuspending {
+		if s := q.State(); s == engine.StateSuspended || s == engine.StateSuspending {
 			row.Suspended++
 		} else {
 			row.ActiveSessions++

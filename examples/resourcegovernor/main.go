@@ -13,6 +13,7 @@ import (
 	"dbwlm"
 	"dbwlm/internal/characterize"
 	"dbwlm/internal/engine"
+	"dbwlm/internal/governor"
 	"dbwlm/internal/policy"
 	"dbwlm/internal/scheduling"
 	"dbwlm/internal/sim"
@@ -59,21 +60,9 @@ func main() {
 
 	// The reallocation loop: compute each pool's effective share from demand
 	// and spread it over the pool's running queries.
+	shares := governor.NewPoolShares(m, pools)
 	s.Every(250*sim.Millisecond, func() bool {
-		demand := map[string]bool{}
-		for _, rr := range m.RunningAll() {
-			demand[rr.Class.Name] = true
-		}
-		for pool, share := range pools.AllocateCPU(demand) {
-			ids := m.QueriesOfClass(pool)
-			if len(ids) == 0 || share <= 0 {
-				continue
-			}
-			per := 100 * share / float64(len(ids))
-			for _, id := range ids {
-				_ = m.Engine().SetWeight(id, per)
-			}
-		}
+		shares.Step()
 		return true
 	})
 

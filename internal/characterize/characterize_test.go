@@ -157,12 +157,13 @@ func TestPoolAllocation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	const oltp, bi = 0, 1
 	// Everyone demanding: oltp >= 0.5, bi in [0.2, 0.4], total <= 1.
-	alloc := ps.AllocateCPU(map[string]bool{"oltp": true, "bi": true, "default": true})
-	if alloc["oltp"] < 0.5 {
+	alloc := ps.AllocateCPU([]bool{true, true, true}, nil)
+	if alloc[oltp] < 0.5 {
 		t.Fatalf("oltp below MIN: %v", alloc)
 	}
-	if alloc["bi"] < 0.2 || alloc["bi"] > 0.4+1e-9 {
+	if alloc[bi] < 0.2 || alloc[bi] > 0.4+1e-9 {
 		t.Fatalf("bi outside [MIN,MAX]: %v", alloc)
 	}
 	var total float64
@@ -172,26 +173,82 @@ func TestPoolAllocation(t *testing.T) {
 	if total > 1+1e-9 {
 		t.Fatalf("allocation exceeds capacity: %v", alloc)
 	}
-	// Idle pools release their reservation: bi alone can reach its MAX.
-	alloc = ps.AllocateCPU(map[string]bool{"bi": true})
-	if math.Abs(alloc["bi"]-0.4) > 1e-9 {
-		t.Fatalf("solo bi should hit MAX 0.4: %v", alloc)
+	// Idle pools release their reservation: bi alone can reach its MAX. The
+	// call writes over the previous result's array.
+	again := ps.AllocateCPU([]bool{false, true, false}, alloc)
+	if &again[0] != &alloc[0] {
+		t.Fatal("shares array not reused")
 	}
-	if alloc["oltp"] != 0 {
+	if math.Abs(again[bi]-0.4) > 1e-9 {
+		t.Fatalf("solo bi should hit MAX 0.4: %v", again)
+	}
+	if again[oltp] != 0 {
 		t.Fatal("idle pool allocated")
 	}
 	// No demand at all.
-	alloc = ps.AllocateCPU(nil)
-	for n, v := range alloc {
+	for i, v := range ps.AllocateCPU(nil, nil) {
 		if v != 0 {
-			t.Fatalf("idle allocation %s=%v", n, v)
+			t.Fatalf("idle allocation %d=%v", i, v)
 		}
 	}
 }
 
+// refAllocateCPU is AllocateCPU as it was when it took demand and returned
+// shares in maps keyed by pool name.
+func refAllocateCPU(s *PoolSet, demand map[string]bool) map[string]float64 {
+	out := make(map[string]float64, len(s.pools))
+	var demanding []*ResourcePool
+	var reservedIdle float64
+	for _, p := range s.pools {
+		if demand[p.Name] {
+			demanding = append(demanding, p)
+			out[p.Name] = p.MinCPU
+		} else {
+			out[p.Name] = 0
+			reservedIdle += p.MinCPU
+		}
+	}
+	if len(demanding) == 0 {
+		return out
+	}
+	var reservedAll float64
+	for _, p := range s.pools {
+		reservedAll += p.MinCPU
+	}
+	free := (1 - reservedAll) + reservedIdle
+	remaining := free
+	open := append([]*ResourcePool(nil), demanding...)
+	for remaining > 1e-12 && len(open) > 0 {
+		share := remaining / float64(len(open))
+		var next []*ResourcePool
+		progressed := false
+		for _, p := range open {
+			room := p.MaxCPU - out[p.Name]
+			if room <= share {
+				out[p.Name] += room
+				remaining -= room
+				progressed = true
+			} else {
+				next = append(next, p)
+			}
+		}
+		if !progressed {
+			for _, p := range next {
+				out[p.Name] += share
+				remaining -= share
+			}
+			break
+		}
+		open = next
+	}
+	return out
+}
+
 func TestPoolAllocationInvariantProperty(t *testing.T) {
 	// Property: for random valid pool sets and demand patterns, allocations
-	// respect MIN (when demanding), MAX, and sum <= 1.
+	// respect MIN (when demanding), MAX, and sum <= 1, and are bit for bit
+	// the map-keyed reference's.
+	var shares []float64
 	f := func(mins [3]uint8, maxs [3]uint8, demand [3]bool) bool {
 		pools := make([]*ResourcePool, 3)
 		var sumMin float64
@@ -214,11 +271,15 @@ func TestPoolAllocationInvariantProperty(t *testing.T) {
 				d[pools[i].Name] = true
 			}
 		}
-		alloc := ps.AllocateCPU(d)
+		shares = ps.AllocateCPU(demand[:], shares)
+		ref := refAllocateCPU(ps, d)
 		var total float64
-		for _, p := range pools {
-			a := alloc[p.Name]
-			if d[p.Name] && a < p.MinCPU-1e-9 {
+		for i, p := range pools {
+			a := shares[i]
+			if math.Float64bits(a) != math.Float64bits(ref[p.Name]) {
+				return false
+			}
+			if demand[i] && a < p.MinCPU-1e-9 {
 				return false
 			}
 			if a > p.MaxCPU+1e-9 {

@@ -63,25 +63,29 @@ func NewPoolSet(pools ...*ResourcePool) (*PoolSet, error) {
 func (s *PoolSet) Pools() []*ResourcePool { return s.pools }
 
 // AllocateCPU computes each pool's effective CPU fraction given which pools
-// currently have demand. Pools with demand receive at least MIN, at most
-// MAX; reservation of idle pools is redistributed proportionally ("shared
-// portion"). The result sums to at most 1, and exactly 1 when some demanding
-// pool is below its MAX.
-func (s *PoolSet) AllocateCPU(demand map[string]bool) map[string]float64 {
-	out := make(map[string]float64, len(s.pools))
-	var demanding []*ResourcePool
+// currently have demand, both by position in Pools: demand[i] tells whether
+// pool i has demand (a missing entry means no), and the result, written
+// over shares' array when it is large enough, holds pool i's fraction at i.
+// Pools with demand receive at least MIN, at most MAX; reservation of idle
+// pools is redistributed proportionally ("shared portion"). The result sums
+// to at most 1, and exactly 1 when some demanding pool is below its MAX.
+func (s *PoolSet) AllocateCPU(demand []bool, shares []float64) []float64 {
+	shares = shares[:0]
+	// open lists the demanding pools below their MAX, in position order.
+	var openBuf [16]int
+	open := openBuf[:0]
 	var reservedIdle float64
-	for _, p := range s.pools {
-		if demand[p.Name] {
-			demanding = append(demanding, p)
-			out[p.Name] = p.MinCPU
+	for i, p := range s.pools {
+		if i < len(demand) && demand[i] {
+			open = append(open, i)
+			shares = append(shares, p.MinCPU)
 		} else {
-			out[p.Name] = 0
+			shares = append(shares, 0)
 			reservedIdle += p.MinCPU
 		}
 	}
-	if len(demanding) == 0 {
-		return out
+	if len(open) == 0 {
+		return shares
 	}
 	// Free capacity = idle reservations + unreserved share.
 	var reservedAll float64
@@ -92,29 +96,28 @@ func (s *PoolSet) AllocateCPU(demand map[string]bool) map[string]float64 {
 	// Water-fill the free capacity equally among demanding pools, honoring
 	// MAX caps.
 	remaining := free
-	open := append([]*ResourcePool(nil), demanding...)
 	for remaining > 1e-12 && len(open) > 0 {
 		share := remaining / float64(len(open))
-		var next []*ResourcePool
+		next := open[:0]
 		progressed := false
-		for _, p := range open {
-			room := p.MaxCPU - out[p.Name]
+		for _, i := range open {
+			room := s.pools[i].MaxCPU - shares[i]
 			if room <= share {
-				out[p.Name] += room
+				shares[i] += room
 				remaining -= room
 				progressed = true
 			} else {
-				next = append(next, p)
+				next = append(next, i)
 			}
 		}
 		if !progressed {
-			for _, p := range next {
-				out[p.Name] += share
+			for _, i := range next {
+				shares[i] += share
 				remaining -= share
 			}
 			break
 		}
 		open = next
 	}
-	return out
+	return shares
 }

@@ -299,6 +299,11 @@ func (e *Engine) Get(id int64) *Query {
 	return nil
 }
 
+// Live returns the engine's queries in ascending ID order: the resident
+// ones and the terminal ones not yet compacted away, which include every
+// query whose onFinish has not returned. Callers must not modify or keep it.
+func (e *Engine) Live() []*Query { return e.live }
+
 // InEngine reports the number of resident (non-terminal) queries.
 func (e *Engine) InEngine() int { return e.resident }
 

@@ -138,6 +138,10 @@ type Query struct {
 	// Throttle is the self-imposed sleep fraction in [0, 1): the fraction
 	// of each quantum the query spends sleeping (Parekh/Powley throttling).
 	Throttle float64
+	// Owner is the submitter's record of the query, for code that walks
+	// Live to get back to it (as scheduling.Item.Owner is for a wait
+	// queue). The engine never reads it; recycling the object clears it.
+	Owner any
 
 	state State
 

@@ -6,39 +6,20 @@
 // step, and black-box throttling controllers (Parekh et al. [64], Powley et
 // al. [65][66]) and query suspend-and-resume with optimal suspend-plan
 // selection (Chandramouli et al. [10]).
+//
+// The Ager, Killer, Suspender and Throttler take over queries by engine
+// query ID (Manage) and keep them in one list in ascending ID order with
+// their per-query state. Each sweep looks every query up again with
+// Engine.Get, acts on the queries in ID order, and drops the ones that have
+// left the engine, so no controller holds a *engine.Query across events and
+// no run depends on map order.
 package execctl
 
 import (
-	"slices"
-
 	"dbwlm/internal/engine"
 	"dbwlm/internal/obsv"
 	"dbwlm/internal/sim"
 )
-
-// Managed couples an engine query with the workload-manager context the
-// controllers act on.
-type Managed struct {
-	Query *engine.Query
-	Class string
-	// Tier is the current priority-aging tier (0 = top).
-	Tier int
-	// IdealSeconds is the query's stand-alone runtime (velocity basis).
-	IdealSeconds float64
-}
-
-// managedIDs returns the controller's managed query IDs in ascending order.
-// Controller sweeps must not iterate the managed map directly: sweep actions
-// (kill, suspend, resume, throttle) are order-sensitive, so a map-order walk
-// would make runs nondeterministic.
-func managedIDs(m map[int64]*Managed, scratch []int64) []int64 {
-	ids := scratch[:0]
-	for id := range m {
-		ids = append(ids, id)
-	}
-	slices.Sort(ids)
-	return ids
-}
 
 // Ager implements priority aging (Table 3, row 1; DB2 service subclasses):
 // when a managed query's elapsed time or returned rows exceed the trigger
@@ -60,10 +41,8 @@ type Ager struct {
 	// (KindCtlAction, reason reprioritize, Value = new tier).
 	Flight *obsv.Recorder
 
-	managed   map[int64]*Managed
-	sweepIDs  []int64
+	managed   managed
 	demotions int64
-	started   bool
 }
 
 // NewAger returns an aging controller over the engine.
@@ -72,66 +51,42 @@ func NewAger(e *engine.Engine, weights []float64, demoteAfter []float64) *Ager {
 		Engine:             e,
 		Weights:            weights,
 		DemoteAfterSeconds: demoteAfter,
-		managed:            make(map[int64]*Managed),
 	}
 }
 
-// Manage registers a query with the ager at tier 0 and applies the top-tier
-// weight.
-func (a *Ager) Manage(m *Managed) {
-	a.managed[m.Query.ID] = m
-	m.Tier = 0
+// Manage registers the query with the given ID at tier 0 and applies the
+// top-tier weight; a query registered again starts over at tier 0.
+func (a *Ager) Manage(id int64) {
+	a.managed.add(id, a, a.Engine, a.CheckEvery, 500*sim.Millisecond).tier = 0
 	if len(a.Weights) > 0 {
-		_ = a.Engine.SetWeight(m.Query.ID, a.Weights[0])
+		_ = a.Engine.SetWeight(id, a.Weights[0])
 	}
-	a.ensureStarted()
 }
 
 // Demotions reports how many tier demotions have occurred.
 func (a *Ager) Demotions() int64 { return a.demotions }
 
-func (a *Ager) ensureStarted() {
-	if a.started {
-		return
-	}
-	a.started = true
-	every := a.CheckEvery
-	if every <= 0 {
-		every = 500 * sim.Millisecond
-	}
-	a.Engine.Sim().Every(every, func() bool {
-		a.sweep()
-		return true
-	})
-}
-
 func (a *Ager) sweep() {
 	now := a.Engine.Now()
-	a.sweepIDs = managedIDs(a.managed, a.sweepIDs)
-	for _, id := range a.sweepIDs {
-		m := a.managed[id]
-		q := a.Engine.Get(id)
-		if q == nil || q.State().Terminal() {
-			delete(a.managed, id)
-			continue
-		}
-		if m.Tier >= len(a.Weights)-1 {
-			continue // already at the bottom tier
+	a.managed.each(a.Engine, func(q *engine.Query, m *managedQuery) bool {
+		if m.tier >= len(a.Weights)-1 {
+			return true // already at the bottom tier
 		}
 		elapsed := now.Sub(q.SubmittedAt()).Seconds()
-		demote := m.Tier < len(a.DemoteAfterSeconds) && elapsed > a.DemoteAfterSeconds[m.Tier] ||
-			a.RowsTrigger > 0 && q.RowsReturned() > int64(m.Tier+1)*a.RowsTrigger
+		demote := m.tier < len(a.DemoteAfterSeconds) && elapsed > a.DemoteAfterSeconds[m.tier] ||
+			a.RowsTrigger > 0 && q.RowsReturned() > int64(m.tier+1)*a.RowsTrigger
 		if !demote {
-			continue
+			return true
 		}
-		m.Tier++
+		m.tier++
 		a.demotions++
-		_ = a.Engine.SetWeight(id, a.Weights[m.Tier])
+		_ = a.Engine.SetWeight(q.ID, a.Weights[m.tier])
 		if a.Flight != nil {
-			a.Flight.Record(obsv.Event{At: int64(now) * 1000, QID: id,
+			a.Flight.Record(obsv.Event{At: int64(now) * 1000, QID: q.ID,
 				Kind: obsv.KindCtlAction, Reason: obsv.ReasonReprioritize,
 				Verdict: obsv.NoVerdict, Class: obsv.NoClass,
-				Value: float64(m.Tier), Aux: a.Weights[m.Tier]})
+				Value: float64(m.tier), Aux: a.Weights[m.tier]})
 		}
-	}
+		return true
+	})
 }

@@ -18,22 +18,22 @@ func TestAgerDemotesOnElapsed(t *testing.T) {
 	s, e := newEng(engine.Config{Cores: 1, IOMBps: 1e9})
 	a := NewAger(e, []float64{16, 4, 1}, []float64{1, 3})
 	q := e.Submit(engine.QuerySpec{CPUWork: 100, Parallelism: 1}, 1, nil)
-	m := &Managed{Query: q, Class: "bi"}
-	a.Manage(m)
+	a.Manage(q.ID)
+	m := &a.managed.queries[0]
 	if q.Weight != 16 {
 		t.Fatalf("initial weight = %v, want top tier 16", q.Weight)
 	}
 	s.Run(sim.Time(2 * sim.Second))
-	if m.Tier != 1 || q.Weight != 4 {
-		t.Fatalf("after 2s: tier=%d weight=%v, want tier 1 weight 4", m.Tier, q.Weight)
+	if m.tier != 1 || q.Weight != 4 {
+		t.Fatalf("after 2s: tier=%d weight=%v, want tier 1 weight 4", m.tier, q.Weight)
 	}
 	s.Run(sim.Time(4 * sim.Second))
-	if m.Tier != 2 || q.Weight != 1 {
-		t.Fatalf("after 4s: tier=%d weight=%v, want tier 2 weight 1", m.Tier, q.Weight)
+	if m.tier != 2 || q.Weight != 1 {
+		t.Fatalf("after 4s: tier=%d weight=%v, want tier 2 weight 1", m.tier, q.Weight)
 	}
 	// No demotion past the bottom tier.
 	s.Run(sim.Time(10 * sim.Second))
-	if m.Tier != 2 {
+	if m.tier != 2 {
 		t.Fatal("demoted past bottom tier")
 	}
 	if a.Demotions() != 2 {
@@ -46,7 +46,7 @@ func TestAgerRowsTrigger(t *testing.T) {
 	a := NewAger(e, []float64{8, 1}, nil)
 	a.RowsTrigger = 100
 	q := e.Submit(engine.QuerySpec{CPUWork: 10, Rows: 10000, Parallelism: 1}, 1, nil)
-	a.Manage(&Managed{Query: q})
+	a.Manage(q.ID)
 	s.Run(sim.Time(2 * sim.Second)) // ~20% done -> 2000 rows > 100
 	if q.Weight != 1 {
 		t.Fatalf("rows trigger did not demote: weight=%v", q.Weight)
@@ -57,9 +57,9 @@ func TestAgerForgetsFinishedQueries(t *testing.T) {
 	s, e := newEng(engine.Config{Cores: 1, IOMBps: 1e9})
 	a := NewAger(e, []float64{8, 1}, []float64{100})
 	q := e.Submit(engine.QuerySpec{CPUWork: 0.1, Parallelism: 1}, 1, nil)
-	a.Manage(&Managed{Query: q})
+	a.Manage(q.ID)
 	s.Run(sim.Time(5 * sim.Second))
-	if len(a.managed) != 0 {
+	if len(a.managed.queries) != 0 {
 		t.Fatal("finished query still managed")
 	}
 }
@@ -89,8 +89,9 @@ func TestEconomicReallocatorShiftsWeights(t *testing.T) {
 	if r.rounds < 2 {
 		t.Fatalf("rounds = %d", r.rounds)
 	}
-	w := r.lastWeights
-	if w["gold"] <= w["bronze"] {
+	const goldPos, bronzePos = 0, 1 // positions in Classes
+	w := r.weights
+	if w[goldPos] <= w[bronzePos] {
 		t.Fatalf("suffering important class should outbid: %v", w)
 	}
 	if gold.Weight <= bronze.Weight {
@@ -99,8 +100,8 @@ func TestEconomicReallocatorShiftsWeights(t *testing.T) {
 	// Once gold recovers, its bid collapses to the floor and weights converge.
 	att["gold"] = 5.0
 	s.Run(sim.Time(6 * sim.Second))
-	w = r.lastWeights
-	ratio := w["gold"] / w["bronze"]
+	w = r.weights
+	ratio := w[goldPos] / w[bronzePos]
 	// Both at floor bids: ratio equals importance ratio (10), down from the
 	// crisis allocation which was far higher.
 	if ratio > 15 {
@@ -119,8 +120,8 @@ func TestKillerKillsLongRunners(t *testing.T) {
 	}
 	long := e.Submit(engine.QuerySpec{CPUWork: 100, Parallelism: 1}, 1, nil)
 	short := e.Submit(engine.QuerySpec{CPUWork: 0.5, Parallelism: 1}, 1, nil)
-	k.Manage(&Managed{Query: long})
-	k.Manage(&Managed{Query: short})
+	k.Manage(long.ID)
+	k.Manage(short.ID)
 	s.Run(sim.Time(10 * sim.Second))
 	if len(killed) != 1 || killed[0] != long.ID {
 		t.Fatalf("killed = %v, want only the long query %d", killed, long.ID)
@@ -138,7 +139,7 @@ func TestKillerMaxRows(t *testing.T) {
 	k := NewKiller(e, 0)
 	k.MaxRows = 1000
 	q := e.Submit(engine.QuerySpec{CPUWork: 10, Rows: 1_000_000, Parallelism: 1}, 1, nil)
-	k.Manage(&Managed{Query: q})
+	k.Manage(q.ID)
 	s.Run(sim.Time(5 * sim.Second))
 	if q.State() != engine.StateKilled {
 		t.Fatalf("row-limit kill did not fire: %v", q.State())
@@ -229,7 +230,7 @@ func TestSuspenderCycle(t *testing.T) {
 	pressure := false
 	sp := NewSuspender(e, func() bool { return pressure }, engine.SuspendGoBack)
 	q := e.Submit(engine.QuerySpec{CPUWork: 20, MemMB: 500, Parallelism: 1}, 1, nil)
-	sp.Manage(&Managed{Query: q})
+	sp.Manage(q.ID)
 	s.Run(sim.Time(2 * sim.Second))
 	if q.State() != engine.StateRunning {
 		t.Fatal("no pressure but not running")
@@ -263,7 +264,7 @@ func TestSuspenderWithoutProgressIndicatorSuspendsAll(t *testing.T) {
 	s, e := newEng(engine.Config{Cores: 4, IOMBps: 1000})
 	sp := NewSuspender(e, func() bool { return true }, engine.SuspendGoBack)
 	q := e.Submit(engine.QuerySpec{CPUWork: 5, Parallelism: 1}, 1, nil)
-	sp.Manage(&Managed{Query: q})
+	sp.Manage(q.ID)
 	s.Run(sim.Time(sim.Second))
 	if q.State() != engine.StateSuspended {
 		t.Fatalf("state = %v, want suspended", q.State())
@@ -350,7 +351,7 @@ func TestThrottlerConstantProtectsProduction(t *testing.T) {
 		return rate / 2.0 // per 1s control period at 2 cores
 	}
 	th := NewThrottler(e, perf, &PIController{Target: 0.9}, MethodConstant)
-	th.Manage(&Managed{Query: monster})
+	th.Manage(monster.ID)
 	s.Run(sim.Time(60 * sim.Second))
 	if th.Amount() < 0.5 {
 		t.Fatalf("throttle amount = %v, expected substantial throttling", th.Amount())
@@ -371,7 +372,7 @@ func TestThrottlerInterruptPausesAndReleases(t *testing.T) {
 	th := NewThrottler(e, func() float64 { return 1 }, fixed, MethodInterrupt)
 	th.InterruptWindow = 4 * sim.Second
 	th.Period = sim.Second
-	th.Manage(&Managed{Query: q})
+	th.Manage(q.ID)
 	s.Run(sim.Time(20 * sim.Second))
 	// With 50% interrupt throttling the query should have made roughly half
 	// progress: pauses of 2s alternate with free runs.
@@ -398,8 +399,8 @@ func TestKillerMaxCPUSeconds(t *testing.T) {
 	k.MaxCPUSeconds = 2
 	hog := e.Submit(engine.QuerySpec{CPUWork: 100, Parallelism: 4}, 1, nil)
 	light := e.Submit(engine.QuerySpec{CPUWork: 1, IOWork: 100, Parallelism: 1}, 1, nil)
-	k.Manage(&Managed{Query: hog})
-	k.Manage(&Managed{Query: light})
+	k.Manage(hog.ID)
+	k.Manage(light.ID)
 	s.Run(sim.Time(5 * sim.Second))
 	if hog.State() != engine.StateKilled {
 		t.Fatalf("CPU hog not killed: %v (cpu=%v)", hog.State(), hog.CPUDone())
@@ -424,8 +425,8 @@ func TestControllersIgnoreRecycledQuery(t *testing.T) {
 	for i := 0; i < 24; i++ {
 		victim = e.Submit(engine.QuerySpec{CPUWork: 0.01, Parallelism: 1}, 1, nil)
 	}
-	k.Manage(&Managed{Query: victim})
-	a.Manage(&Managed{Query: victim})
+	k.Manage(victim.ID)
+	a.Manage(victim.ID)
 	oldID := victim.ID
 	s.Run(sim.Time(300 * sim.Millisecond))
 	if e.Get(oldID) != nil {

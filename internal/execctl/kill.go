@@ -32,60 +32,36 @@ type Killer struct {
 	// (KindCtlAction, reason kill/kill-resubmit).
 	Flight *obsv.Recorder
 
-	managed  map[int64]*Managed
-	sweepIDs []int64
-	kills    int64
-	started  bool
+	managed managed
+	kills   int64
 }
 
 // NewKiller returns a cancellation controller.
 func NewKiller(e *engine.Engine, maxElapsedSeconds float64) *Killer {
-	return &Killer{Engine: e, MaxElapsedSeconds: maxElapsedSeconds, managed: make(map[int64]*Managed)}
+	return &Killer{Engine: e, MaxElapsedSeconds: maxElapsedSeconds}
 }
 
-// Manage registers a query for cancellation monitoring.
-func (k *Killer) Manage(m *Managed) {
-	k.managed[m.Query.ID] = m
-	k.ensureStarted()
+// Manage registers the query with the given ID for cancellation monitoring.
+func (k *Killer) Manage(id int64) {
+	k.managed.add(id, k, k.Engine, k.CheckEvery, 500*sim.Millisecond)
 }
 
 // Kills reports the number of cancellations performed.
 func (k *Killer) Kills() int64 { return k.kills }
 
-func (k *Killer) ensureStarted() {
-	if k.started {
-		return
-	}
-	k.started = true
-	every := k.CheckEvery
-	if every <= 0 {
-		every = 500 * sim.Millisecond
-	}
-	k.Engine.Sim().Every(every, func() bool {
-		k.sweep()
-		return true
-	})
-}
-
 func (k *Killer) sweep() {
 	now := k.Engine.Now()
-	k.sweepIDs = managedIDs(k.managed, k.sweepIDs)
-	for _, id := range k.sweepIDs {
-		q := k.Engine.Get(id)
-		if q == nil || q.State().Terminal() {
-			delete(k.managed, id)
-			continue
-		}
+	k.managed.each(k.Engine, func(q *engine.Query, _ *managedQuery) bool {
 		elapsed := now.Sub(q.SubmittedAt()).Seconds()
 		kill := k.MaxElapsedSeconds > 0 && elapsed > k.MaxElapsedSeconds ||
 			k.MaxRows > 0 && q.RowsReturned() > k.MaxRows ||
 			k.MaxCPUSeconds > 0 && q.CPUDone() > k.MaxCPUSeconds
 		if !kill {
-			continue
+			return true
 		}
-		delete(k.managed, id)
+		id := q.ID
 		if err := k.Engine.Kill(id); err != nil {
-			continue
+			return false
 		}
 		k.kills++
 		if k.Flight != nil {
@@ -100,5 +76,6 @@ func (k *Killer) sweep() {
 		if k.OnKill != nil {
 			k.OnKill(id, k.Resubmit)
 		}
-	}
+		return false
+	})
 }

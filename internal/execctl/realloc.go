@@ -2,7 +2,6 @@ package execctl
 
 import (
 	"math"
-	"sort"
 
 	"dbwlm/internal/engine"
 	"dbwlm/internal/scheduling"
@@ -23,7 +22,9 @@ type ClassImportance struct {
 // resources for classes in trouble — importance policy enforced by an
 // economic model rather than fixed priorities.
 type EconomicReallocator struct {
-	Engine  *engine.Engine
+	Engine *engine.Engine
+	// Classes are the bidding classes; their query sets are disjoint. The
+	// list is fixed once Start has run.
 	Classes []ClassImportance
 	// Attainment reports a class's current SLO attainment ratio (>= 1 met).
 	Attainment func(class string) float64
@@ -35,9 +36,12 @@ type EconomicReallocator struct {
 	// (default 100).
 	TotalWeight float64
 
-	lastWeights map[string]float64
-	rounds      int64
-	started     bool
+	// bids and weights are the last auction's bids and class weights, by
+	// position in Classes.
+	bids    []float64
+	weights []float64
+	rounds  int64
+	started bool
 }
 
 // Start begins the auction loop.
@@ -50,7 +54,8 @@ func (r *EconomicReallocator) Start() {
 	if period <= 0 {
 		period = sim.Second
 	}
-	r.lastWeights = make(map[string]float64)
+	r.bids = make([]float64, len(r.Classes))
+	r.weights = make([]float64, len(r.Classes))
 	r.Engine.Sim().Every(period, func() bool {
 		r.reallocate()
 		return true
@@ -61,7 +66,13 @@ func (r *EconomicReallocator) Start() {
 // class should run at, given the class's current population — so arrivals
 // between auctions inherit the auction outcome instead of a default weight.
 func (r *EconomicReallocator) WeightFor(class string, population int) float64 {
-	w := r.lastWeights[class]
+	var w float64
+	for i, c := range r.Classes {
+		if c.Name == class && i < len(r.weights) {
+			w = r.weights[i]
+			break
+		}
+	}
 	if w <= 0 {
 		return 1
 	}
@@ -83,30 +94,25 @@ func (r *EconomicReallocator) reallocate() {
 	}
 	// Bids: importance × (1 − utility(attainment)), floored so that a class
 	// meeting its goal retains a trickle.
-	bids := make(map[string]float64, len(r.Classes))
 	var sum float64
-	for _, c := range r.Classes {
+	for i, c := range r.Classes {
 		att := r.Attainment(c.Name)
 		bid := c.Importance * (1 - scheduling.Utility(att))
 		if bid < 0.02*c.Importance {
 			bid = 0.02 * c.Importance
 		}
-		bids[c.Name] = bid
+		r.bids[i] = bid
 		sum += bid
 	}
 	if sum <= 0 {
 		return
 	}
-	// Deterministic application order.
-	names := make([]string, 0, len(bids))
-	for n := range bids {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		w := total * bids[name] / sum
-		r.lastWeights[name] = w
-		ids := r.QueriesOf(name)
+	// The classes' query sets are disjoint, so applying the weights in
+	// Classes order sets what any other order would.
+	for i, c := range r.Classes {
+		w := total * r.bids[i] / sum
+		r.weights[i] = w
+		ids := r.QueriesOf(c.Name)
 		if len(ids) == 0 {
 			continue
 		}

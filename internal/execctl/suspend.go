@@ -155,41 +155,23 @@ type Suspender struct {
 	// sweep once pressure clears (default 1, avoids a resume stampede).
 	MaxConcurrentResume int
 
-	managed  map[int64]*Managed
-	sweepIDs []int64
+	managed  managed
 	suspends int64
 	resumes  int64
-	started  bool
 }
 
 // NewSuspender returns a suspend-and-resume controller.
 func NewSuspender(e *engine.Engine, pressure func() bool, strategy engine.SuspendStrategy) *Suspender {
-	return &Suspender{Engine: e, Pressure: pressure, Strategy: strategy, managed: make(map[int64]*Managed)}
+	return &Suspender{Engine: e, Pressure: pressure, Strategy: strategy}
 }
 
-// Manage registers a query as suspendable.
-func (s *Suspender) Manage(m *Managed) {
-	s.managed[m.Query.ID] = m
-	s.ensureStarted()
+// Manage registers the query with the given ID as suspendable.
+func (s *Suspender) Manage(id int64) {
+	s.managed.add(id, s, s.Engine, s.CheckEvery, 250*sim.Millisecond)
 }
 
 // Suspends reports how many suspends the controller has issued.
 func (s *Suspender) Suspends() int64 { return s.suspends }
-
-func (s *Suspender) ensureStarted() {
-	if s.started {
-		return
-	}
-	s.started = true
-	every := s.CheckEvery
-	if every <= 0 {
-		every = 250 * sim.Millisecond
-	}
-	s.Engine.Sim().Every(every, func() bool {
-		s.sweep()
-		return true
-	})
-}
 
 func (s *Suspender) sweep() {
 	pressure := s.Pressure()
@@ -198,23 +180,18 @@ func (s *Suspender) sweep() {
 	if maxResume <= 0 {
 		maxResume = 1
 	}
-	s.sweepIDs = managedIDs(s.managed, s.sweepIDs)
-	for _, id := range s.sweepIDs {
-		q := s.Engine.Get(id)
-		if q == nil || q.State().Terminal() {
-			delete(s.managed, id)
-			continue
-		}
+	s.managed.each(s.Engine, func(q *engine.Query, _ *managedQuery) bool {
 		switch {
 		case pressure && q.State() == engine.StateRunning:
-			if err := s.Engine.Suspend(id, s.Strategy); err == nil {
+			if err := s.Engine.Suspend(q.ID, s.Strategy); err == nil {
 				s.suspends++
 			}
 		case !pressure && q.State() == engine.StateSuspended && resumed < maxResume:
-			if err := s.Engine.Resume(id); err == nil {
+			if err := s.Engine.Resume(q.ID); err == nil {
 				s.resumes++
 				resumed++
 			}
 		}
-	}
+		return true
+	})
 }

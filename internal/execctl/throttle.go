@@ -221,49 +221,26 @@ type Throttler struct {
 	// (KindCtlAction, reason throttle, Value = new sleep fraction).
 	Flight *obsv.Recorder
 
-	managed  map[int64]*Managed
-	sweepIDs []int64
-	amount   float64
-	started  bool
-	// nextPauseAt tracks when each query's next interrupt pause may begin
-	// (one pause per window, so pause and free-run alternate).
-	nextPauseAt map[int64]sim.Time
+	managed managed
+	amount  float64
 }
 
 // NewThrottler builds the loop; call Manage for each query to throttle.
 func NewThrottler(e *engine.Engine, perf func() float64, ctrl AmountController, method ThrottleMethod) *Throttler {
 	return &Throttler{
 		Engine: e, PerfRatio: perf, Controller: ctrl, Method: method,
-		managed:     make(map[int64]*Managed),
-		nextPauseAt: make(map[int64]sim.Time),
 	}
 }
 
-// Manage registers a query for throttling.
-func (t *Throttler) Manage(m *Managed) {
-	t.managed[m.Query.ID] = m
-	t.ensureStarted()
+// Manage registers the query with the given ID for throttling.
+func (t *Throttler) Manage(id int64) {
+	t.managed.add(id, t, t.Engine, t.Period, sim.Second)
 }
 
 // Amount reports the current sleep fraction.
 func (t *Throttler) Amount() float64 { return t.amount }
 
-func (t *Throttler) ensureStarted() {
-	if t.started {
-		return
-	}
-	t.started = true
-	period := t.Period
-	if period <= 0 {
-		period = sim.Second
-	}
-	t.Engine.Sim().Every(period, func() bool {
-		t.step()
-		return true
-	})
-}
-
-func (t *Throttler) step() {
+func (t *Throttler) sweep() {
 	prev := t.amount
 	t.amount = t.Controller.Update(t.PerfRatio())
 	now := t.Engine.Now()
@@ -277,37 +254,31 @@ func (t *Throttler) step() {
 	if window <= 0 {
 		window = 10 * sim.Second
 	}
-	t.sweepIDs = managedIDs(t.managed, t.sweepIDs)
-	for _, id := range t.sweepIDs {
-		q := t.Engine.Get(id)
-		if q == nil || q.State().Terminal() {
-			delete(t.managed, id)
-			delete(t.nextPauseAt, id)
-			continue
-		}
+	t.managed.each(t.Engine, func(q *engine.Query, m *managedQuery) bool {
+		id := q.ID
 		switch t.Method {
 		case MethodConstant:
 			_ = t.Engine.SetThrottle(id, t.amount)
 		case MethodInterrupt:
-			if now < t.nextPauseAt[id] {
-				continue // current pause/run cycle still in progress
+			if now < m.nextPause {
+				return true // current pause/run cycle still in progress
 			}
 			if t.amount <= 0.01 {
 				_ = t.Engine.SetThrottle(id, 0)
-				continue
+				return true
 			}
 			// One contiguous pause of amount × window, then a free run for
 			// the rest of the window — pause and run alternate so the duty
 			// cycle equals the amount.
 			pause := sim.Duration(float64(window) * t.amount)
-			t.nextPauseAt[id] = now.Add(window)
+			m.nextPause = now.Add(window)
 			_ = t.Engine.SetThrottle(id, 0.95)
-			id := id
 			t.Engine.Sim().Schedule(pause, func() {
 				if q := t.Engine.Get(id); q != nil && !q.State().Terminal() {
 					_ = t.Engine.SetThrottle(id, 0)
 				}
 			})
 		}
-	}
+		return true
+	})
 }

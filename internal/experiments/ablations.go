@@ -42,7 +42,7 @@ func runThrottleMethodPoint(method execctl.ThrottleMethod, seed uint64) Row {
 			// The large query is aggressive (high resource weight): without
 			// throttling it would dominate the IO bandwidth.
 			_ = m.Engine().SetWeight(rr.Query.ID, 20)
-			th.Manage(&execctl.Managed{Query: rr.Query, Class: "large"})
+			th.Manage(rr.Query.ID)
 		}
 	}
 	m.OnFinish = func(rr *dbwlm.Running, oc engine.Outcome) {

@@ -29,7 +29,7 @@ func RunAutonomicMAPE(variant string, seed uint64) Row {
 		killer := execctl.NewKiller(m.Engine(), 500)
 		m.OnDispatch = func(rr *dbwlm.Running) {
 			if rr.Req.Workload == "analytics" {
-				killer.Manage(&execctl.Managed{Query: rr.Query, Class: "analytics"})
+				killer.Manage(rr.Query.ID)
 			}
 		}
 	case "autonomic-mape":

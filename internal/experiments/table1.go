@@ -35,9 +35,8 @@ func RunTable1(seed uint64) ResultTable {
 	killer.MaxRows = 1_000_000 // the DB2 "rows returned" stop-execution threshold
 	m.OnDispatch = func(rr *dbwlm.Running) {
 		if rr.Req.Workload != "oltp" {
-			mg := &execctl.Managed{Query: rr.Query, Class: rr.Req.Workload}
-			ager.Manage(mg)
-			killer.Manage(&execctl.Managed{Query: rr.Query, Class: rr.Req.Workload})
+			ager.Manage(rr.Query.ID)
+			killer.Manage(rr.Query.ID)
 		}
 	}
 

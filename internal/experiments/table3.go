@@ -143,21 +143,26 @@ func RunTable3Variant(v Table3Variant, sc Table3Scenario) Row {
 			// Under reallocation, arrivals between auctions inherit the
 			// auction outcome.
 			if realloc != nil {
-				pop := len(realloc.QueriesOf("oltp"))
+				pop := 0
+				for _, q := range m.Engine().Live() {
+					if r := dbwlm.RunningOf(q); r != nil && r.Req.Workload != "monster" {
+						pop++
+					}
+				}
 				_ = m.Engine().SetWeight(rr.Query.ID, realloc.WeightFor("oltp", pop))
 			}
 			return
 		}
-		mg := &execctl.Managed{Query: rr.Query, Class: "monster"}
+		id := rr.Query.ID
 		switch {
 		case ager != nil:
-			ager.Manage(mg)
+			ager.Manage(id)
 		case killer != nil:
-			killer.Manage(mg)
+			killer.Manage(id)
 		case suspender != nil:
-			suspender.Manage(mg)
+			suspender.Manage(id)
 		case throttler != nil:
-			throttler.Manage(mg)
+			throttler.Manage(id)
 		}
 	}
 

@@ -170,7 +170,7 @@ func RunParekhThrottling(variant string, seed uint64) Row {
 		if rr.Req.Workload == "utility" {
 			_ = m.Engine().SetWeight(rr.Query.ID, utilityWeight)
 			if throttler != nil {
-				throttler.Manage(&execctl.Managed{Query: rr.Query, Class: "utility"})
+				throttler.Manage(rr.Query.ID)
 			}
 		}
 	}
@@ -254,7 +254,7 @@ func RunPowleyThrottling(controller string, method execctl.ThrottleMethod, seed 
 	m.OnDispatch = func(rr *dbwlm.Running) {
 		if rr.Req.Workload == "large" {
 			_ = m.Engine().SetWeight(rr.Query.ID, 10)
-			throttler.Manage(&execctl.Managed{Query: rr.Query, Class: "large"})
+			throttler.Manage(rr.Query.ID)
 		}
 	}
 	m.OnFinish = func(rr *dbwlm.Running, oc engine.Outcome) {

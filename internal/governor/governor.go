@@ -129,10 +129,10 @@ func DB2Profile() *Profile {
 			chainDispatch(m, func(rr *dbwlm.Running) {
 				switch rr.Class.Name {
 				case "SYSANALYTIC":
-					ager.Manage(&execctl.Managed{Query: rr.Query, Class: rr.Class.Name})
-					killer.Manage(&execctl.Managed{Query: rr.Query, Class: rr.Class.Name})
+					ager.Manage(rr.Query.ID)
+					killer.Manage(rr.Query.ID)
 				case "SYSLOW", "default":
-					killer.Manage(&execctl.Managed{Query: rr.Query, Class: rr.Class.Name})
+					killer.Manage(rr.Query.ID)
 				}
 			})
 		},
@@ -206,32 +206,60 @@ func SQLServerProfile() *Profile {
 			// Pool-based dynamic reallocation: every 250ms recompute each
 			// pool's effective share from which pools have demand and spread
 			// the pool's weight across its running queries.
+			shares := NewPoolShares(m, pools)
 			m.Sim().Every(250*sim.Millisecond, func() bool {
-				demand := map[string]bool{}
-				for _, rr := range m.RunningAll() {
-					demand[rr.Class.Name] = true
-				}
-				alloc := pools.AllocateCPU(demand)
-				// Walk pools in declared order, not map order: SetWeight
-				// calls land on the engine in a stable sequence, keeping
-				// whole runs reproducible.
-				for _, p := range pools.Pools() {
-					pool, share := p.Name, alloc[p.Name]
-					ids := m.QueriesOfClass(pool)
-					if len(ids) == 0 || share <= 0 {
-						continue
-					}
-					per := 100 * share / float64(len(ids))
-					if per < 0.01 {
-						per = 0.01
-					}
-					for _, id := range ids {
-						_ = m.Engine().SetWeight(id, per)
-					}
-				}
+				shares.Step()
 				return true
 			})
 		},
+	}
+}
+
+// PoolShares enforces Resource Governor pool shares on a manager's running
+// queries: a pool is the service class of the same name, and each Step
+// spreads the CPU share AllocateCPU gives the pools with queries in flight
+// evenly over those queries as engine weights (at least 0.01), pools in
+// declared order and queries by ascending ID. Once warm it allocates nothing.
+type PoolShares struct {
+	m      *dbwlm.Manager
+	pools  *characterize.PoolSet
+	demand []bool
+	shares []float64
+	ids    [][]int64 // each pool's in-flight query IDs, during a Step
+}
+
+// NewPoolShares returns the enforcement step for the pools over m.
+func NewPoolShares(m *dbwlm.Manager, pools *characterize.PoolSet) *PoolShares {
+	n := len(pools.Pools())
+	return &PoolShares{m: m, pools: pools, demand: make([]bool, n), ids: make([][]int64, n)}
+}
+
+// Step sets the weights from the pools' current demand.
+func (p *PoolShares) Step() {
+	for i := range p.ids {
+		p.ids[i] = p.ids[i][:0]
+	}
+	for _, q := range p.m.Engine().Live() {
+		if rr := dbwlm.RunningOf(q); rr != nil {
+			for i, pool := range p.pools.Pools() {
+				if pool.Name == rr.Class.Name {
+					p.ids[i] = append(p.ids[i], q.ID)
+				}
+			}
+		}
+	}
+	for i, ids := range p.ids {
+		p.demand[i] = len(ids) > 0
+	}
+	p.shares = p.pools.AllocateCPU(p.demand, p.shares)
+	for i, ids := range p.ids {
+		if len(ids) == 0 || p.shares[i] <= 0 {
+			continue
+		}
+		per := max(0.01, 100*p.shares[i]/float64(len(ids)))
+		for _, id := range ids {
+			_ = p.m.Engine().SetWeight(id, per)
+		}
 	}
 }
 
@@ -296,7 +324,7 @@ func TeradataProfile() *Profile {
 			killer := execctl.NewKiller(m.Engine(), 900)
 			chainDispatch(m, func(rr *dbwlm.Running) {
 				if rr.Class.Name != "WD-Tactical" {
-					killer.Manage(&execctl.Managed{Query: rr.Query, Class: rr.Class.Name})
+					killer.Manage(rr.Query.ID)
 				}
 			})
 		},

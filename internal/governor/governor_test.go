@@ -132,3 +132,85 @@ func TestOracleProfileProtectsInteractive(t *testing.T) {
 		t.Fatal("reporting group did no work")
 	}
 }
+
+// TestPoolSharesMatchesMapLoop runs the SQL Server profile and, every
+// 700 ms of virtual time, holds one PoolShares step over the same pools to
+// the loop it replaced — a demand map from RunningAll, shares by pool name,
+// and one QueriesOfClass list per pool — comparing the weight each in-flight
+// query ends with, bit for bit. Once warm the step allocates nothing.
+func TestPoolSharesMatchesMapLoop(t *testing.T) {
+	s := sim.New(3)
+	m := dbwlm.New(s, engine.Config{Cores: 8, MemoryMB: 4096, IOMBps: 800})
+	SQLServerProfile().Attach(m)
+	pools, err := characterize.NewPoolSet(
+		&characterize.ResourcePool{Name: "oltp_pool", MinCPU: 0.5, MaxCPU: 1, MaxMem: 1},
+		&characterize.ResourcePool{Name: "bi_pool", MinCPU: 0.2, MaxCPU: 0.45, MaxMem: 1},
+		&characterize.ResourcePool{Name: "default", MinCPU: 0, MaxCPU: 0.3, MaxMem: 1},
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	step := NewPoolShares(m, pools)
+	checks, weighted := 0, 0
+	allocs := -1.0
+	s.Every(700*sim.Millisecond, func() bool {
+		demand := map[string]bool{}
+		for _, rr := range m.RunningAll() {
+			demand[rr.Class.Name] = true
+		}
+		d := make([]bool, len(pools.Pools()))
+		for i, p := range pools.Pools() {
+			d[i] = demand[p.Name]
+		}
+		alloc := pools.AllocateCPU(d, nil)
+		want := map[int64]float64{}
+		for i, p := range pools.Pools() {
+			var ids []int64
+			for _, rr := range m.RunningAll() {
+				if rr.Class.Name == p.Name {
+					ids = append(ids, rr.Query.ID)
+				}
+			}
+			if len(ids) == 0 || alloc[i] <= 0 {
+				continue
+			}
+			per := 100 * alloc[i] / float64(len(ids))
+			if per < 0.01 {
+				per = 0.01
+			}
+			for _, id := range ids {
+				want[id] = per
+			}
+		}
+		before := map[int64]float64{}
+		for _, q := range m.Engine().Live() {
+			before[q.ID] = q.Weight
+		}
+		step.Step()
+		for _, q := range m.Engine().Live() {
+			w, ok := want[q.ID]
+			if !ok || q.State().Terminal() {
+				w = before[q.ID]
+			} else {
+				weighted++
+			}
+			if q.Weight != w {
+				t.Fatalf("at %v query %d has weight %v, the map loop gives %v", s.Now(), q.ID, q.Weight, w)
+			}
+		}
+		checks++
+		if allocs < 0 && len(want) >= 8 {
+			allocs = testing.AllocsPerRun(20, step.Step)
+		}
+		return true
+	})
+	m.RunWorkload(workload.Consolidated(s.RNG().Fork(1), workload.ScenarioConfig{
+		OLTPRate: 40, BIRate: 0.08, AdHocRate: 0.25, MonsterProb: 0.5,
+	}), 60*sim.Second, 30*sim.Second)
+	if checks < 100 || weighted == 0 || allocs < 0 {
+		t.Fatalf("%d checks, %d weights set, allocations measured: %v; the run exercised too little", checks, weighted, allocs >= 0)
+	}
+	if allocs != 0 {
+		t.Fatalf("a warm step with queries in flight allocates %v times", allocs)
+	}
+}

@@ -83,10 +83,10 @@ func OracleProfile() *Profile {
 			chainDispatch(m, func(rr *dbwlm.Running) {
 				switch rr.Class.Name {
 				case "REPORTING_GROUP":
-					switcher.Manage(&execctl.Managed{Query: rr.Query, Class: rr.Class.Name})
-					killer.Manage(&execctl.Managed{Query: rr.Query, Class: rr.Class.Name})
+					switcher.Manage(rr.Query.ID)
+					killer.Manage(rr.Query.ID)
 				case "BATCH_GROUP", "OTHER_GROUPS":
-					killer.Manage(&execctl.Managed{Query: rr.Query, Class: rr.Class.Name})
+					killer.Manage(rr.Query.ID)
 				}
 			})
 		},

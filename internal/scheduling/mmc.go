@@ -2,9 +2,6 @@ package scheduling
 
 import "math"
 
-// log1p is a thin wrapper so queues.go stays readable.
-func log1p(v float64) float64 { return math.Log1p(v) }
-
 // This file contains the analytic queueing models the schedulers consult to
 // keep the system in a "normal state" (Section 3.3: queuing network models
 // [35][40] applied to predict MPLs and response times).

@@ -9,6 +9,8 @@
 package scheduling
 
 import (
+	"math"
+
 	"dbwlm/internal/fifo"
 	"dbwlm/internal/sim"
 	"dbwlm/internal/workload"
@@ -209,14 +211,13 @@ func (q *SJF) Len() int { return len(q.h.items) }
 // time, so large queries cannot starve.
 type Rank struct {
 	items []*Item
-	// AgingWeight converts seconds of waiting into rank (default 0.02/s).
-	AgingWeight float64
-	// CostWeight penalizes estimated cost (default 1).
-	CostWeight float64
 }
 
+// rankAgingPerSecond converts seconds of waiting into rank.
+const rankAgingPerSecond = 0.02
+
 // NewRank returns an empty rank queue.
-func NewRank() *Rank { return &Rank{AgingWeight: 0.02, CostWeight: 1} }
+func NewRank() *Rank { return &Rank{} }
 
 // Name implements Queue.
 func (q *Rank) Name() string { return "rank" }
@@ -229,14 +230,7 @@ func (q *Rank) rank(it *Item, now sim.Time) float64 {
 	wait := now.Sub(it.Enqueued).Seconds()
 	// Priority weight divided by log-scaled cost, plus aging.
 	cost := 1 + it.Req.Est.Timerons
-	return it.Req.Priority.Weight()/(q.CostWeight*logish(cost)) + q.AgingWeight*wait
-}
-
-func logish(v float64) float64 {
-	// ln(1+v) without importing math in the hot path twice; small helper.
-	x := v
-	// Use a cheap approximation guard: delegate to math.Log1p via init-free path.
-	return log1p(x)
+	return it.Req.Priority.Weight()/math.Log1p(cost) + rankAgingPerSecond*wait
 }
 
 // Pop implements Queue (O(n) scan — queue sizes are modest).

@@ -12,10 +12,10 @@ type Scheduler struct {
 	dispatcher Dispatcher
 	// Release actually submits the request (set by the workload manager).
 	Release func(it *Item)
-	// MaxSkip bounds how many non-dispatchable items are skipped over when
+	// maxSkip bounds how many non-dispatchable items are skipped over when
 	// the dispatcher budgets per class (avoids head-of-line blocking across
-	// classes); 0 means no skipping.
-	MaxSkip int
+	// classes); 0 means no skipping. NewScheduler sets 64.
+	maxSkip int
 
 	dispatched int64
 	// skipped is popDispatchable's scratch: the items it popped, found
@@ -25,7 +25,7 @@ type Scheduler struct {
 
 // NewScheduler builds a scheduler over the queue and dispatcher.
 func NewScheduler(q Queue, d Dispatcher) *Scheduler {
-	return &Scheduler{queue: q, dispatcher: d, MaxSkip: 64}
+	return &Scheduler{queue: q, dispatcher: d, maxSkip: 64}
 }
 
 // Dispatched reports the total number of released requests.
@@ -38,7 +38,7 @@ func (s *Scheduler) Enqueue(it *Item, now sim.Time) {
 }
 
 // TryDispatch releases as many queued items as the dispatcher allows,
-// skipping over per-class-blocked items up to MaxSkip deep.
+// skipping over per-class-blocked items up to 64 deep.
 func (s *Scheduler) TryDispatch(now sim.Time) {
 	for {
 		it := s.popDispatchable(now)
@@ -54,7 +54,7 @@ func (s *Scheduler) TryDispatch(now sim.Time) {
 }
 
 // popDispatchable pops the first item the dispatcher accepts, looking at
-// most MaxSkip items past the head; the items it passed over go back on the
+// most maxSkip items past the head; the items it passed over go back on the
 // queue in the order they were popped. It adds no allocation of its own to
 // what the queue and the dispatcher — the scheduler's policy plug-ins — cost.
 //
@@ -62,7 +62,7 @@ func (s *Scheduler) TryDispatch(now sim.Time) {
 func (s *Scheduler) popDispatchable(now sim.Time) *Item {
 	var found *Item
 	skipped := s.skipped[:0]
-	for tries := 0; tries <= s.MaxSkip; tries++ {
+	for tries := 0; tries <= s.maxSkip; tries++ {
 		//dbwlm:nolint hotpath -- plug-in boundary: a queue's pop is its own cost (a heap sift, a rank scan)
 		it := s.queue.Pop(now)
 		if it == nil {
@@ -73,7 +73,7 @@ func (s *Scheduler) popDispatchable(now sim.Time) *Item {
 			found = it
 			break
 		}
-		//dbwlm:nolint hotpath -- scheduler-owned scratch; growth stops at MaxSkip+1 entries
+		//dbwlm:nolint hotpath -- scheduler-owned scratch; growth stops at maxSkip+1 entries
 		skipped = append(skipped, it)
 	}
 	for i, it := range skipped {

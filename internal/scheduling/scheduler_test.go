@@ -30,7 +30,7 @@ func refPopDispatchable(s *Scheduler, now sim.Time) *Item {
 			s.queue.Push(it)
 		}
 	}()
-	for tries := 0; tries <= s.MaxSkip; tries++ {
+	for tries := 0; tries <= s.maxSkip; tries++ {
 		it := s.queue.Pop(now)
 		if it == nil {
 			return nil
@@ -62,7 +62,7 @@ func TestPopDispatchableRepushOrder(t *testing.T) {
 		build := func() (*Scheduler, *pushLog) {
 			q := &pushLog{}
 			s := NewScheduler(q, NewClassMPL(map[string]int{"bi": 0}))
-			s.MaxSkip = tc.maxSkip
+			s.maxSkip = tc.maxSkip
 			for i, class := range classes {
 				q.FCFS.Push(&Item{Req: &workload.Request{ID: int64(i + 1)}, Class: class, Enqueued: sim.Time(i)})
 			}

@@ -1,9 +1,7 @@
 package dbwlm
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
 
 	"dbwlm/internal/admission"
 	"dbwlm/internal/characterize"
@@ -26,7 +24,8 @@ import (
 // until OnFinish has returned; after that the Manager reuses the record, and
 // the request too unless it was re-queued (Resubmit), for later requests. A
 // hook that needs the request later keeps rr.Req.Clone(), and one that needs
-// the query keeps its ID.
+// the query keeps its ID. While the query is in flight the record is its
+// Owner, so the engine's Live list is the in-flight set (RunningAll).
 type Running struct {
 	scheduling.Item
 	Query *engine.Query
@@ -93,7 +92,6 @@ type Manager struct {
 	// lasts.
 	admissionQueue fifo.Queue[*workload.Request]
 	retryArmed     bool
-	running        map[int64]*Running // by engine query ID
 	slos           map[string]policy.SLO
 	workloads      map[string]*workloadRec
 	// standIns are the classes requests share with no Router, one per name
@@ -115,7 +113,6 @@ func New(s *sim.Simulator, engCfg engine.Config) *Manager {
 		sim:       s,
 		eng:       engine.New(s, engCfg),
 		stats:     metrics.NewRegistry(),
-		running:   make(map[int64]*Running),
 		slos:      make(map[string]policy.SLO),
 		workloads: make(map[string]*workloadRec),
 	}
@@ -301,18 +298,24 @@ func (m *Manager) release(rr *Running) {
 	q := m.eng.Submit(rr.Req.True, rr.Weight, m.onEngineFinish)
 	rr.Query = q
 	rr.DispatchedAt = m.sim.Now()
-	m.running[q.ID] = rr
+	q.Owner = rr
+	if observeRunning != nil {
+		observeRunning(m, rr, true)
+	}
 	if m.OnDispatch != nil {
 		m.OnDispatch(rr)
 	}
 }
 
 func (m *Manager) finished(q *engine.Query, oc engine.Outcome) {
-	rr := m.running[q.ID]
+	rr := RunningOf(q)
 	if rr == nil {
 		return
 	}
-	delete(m.running, q.ID)
+	q.Owner = nil
+	if observeRunning != nil {
+		observeRunning(m, rr, false)
+	}
 	req := rr.Req
 	attempts := req.Resubmit
 	now := m.sim.Now()
@@ -386,30 +389,44 @@ func (m *Manager) Resubmit(rr *Running) bool {
 	return true
 }
 
-// RunningAll returns all in-flight handles in ascending engine query ID
-// order. The order matters: controllers (execution control, MAPE planning)
-// iterate this list and act on queries in sequence, so a map-order walk
-// would make control decisions — and therefore whole runs — nondeterministic.
+// observeRunning, when non-nil, sees each record join the in-flight set
+// (before OnDispatch) and leave it (as its finish starts). Tests set it to
+// hold the set to a reference through whole experiment runs.
+var observeRunning func(m *Manager, rr *Running, joined bool)
+
+// RunningOf returns the record of an engine query the Manager dispatched, or
+// nil when the query is not in flight under a Manager (its finish has
+// started, or another caller submitted it).
+func RunningOf(q *engine.Query) *Running {
+	rr, _ := q.Owner.(*Running)
+	return rr
+}
+
+// RunningAll returns the in-flight records in ascending engine query ID
+// order — the engine's Live order, so no sort is needed. The order matters:
+// controllers (execution control, MAPE planning) iterate this list and act
+// on queries in sequence, so a map-order walk would make control decisions —
+// and therefore whole runs — nondeterministic. A query that turned terminal
+// but whose finish has not started yet still counts.
 func (m *Manager) RunningAll() []*Running {
-	out := make([]*Running, 0, len(m.running))
-	for _, rr := range m.running {
-		out = append(out, rr)
+	var out []*Running
+	for _, q := range m.eng.Live() {
+		if rr := RunningOf(q); rr != nil {
+			out = append(out, rr)
+		}
 	}
-	slices.SortFunc(out, func(a, b *Running) int { return cmp.Compare(a.Query.ID, b.Query.ID) })
 	return out
 }
 
-// QueriesOfClass lists engine query IDs currently attributed to a service
-// class — the reallocator's view. Sorted ascending for deterministic
-// control decisions.
+// QueriesOfClass lists the engine query IDs in flight under a service class
+// — the reallocator's view — in ascending order, as RunningAll.
 func (m *Manager) QueriesOfClass(class string) []int64 {
-	out := make([]int64, 0, len(m.running))
-	for id, rr := range m.running {
-		if rr.Class != nil && rr.Class.Name == class {
-			out = append(out, id)
+	var out []int64
+	for _, q := range m.eng.Live() {
+		if rr := RunningOf(q); rr != nil && rr.Class != nil && rr.Class.Name == class {
+			out = append(out, q.ID)
 		}
 	}
-	slices.Sort(out)
 	return out
 }
 

@@ -133,7 +133,7 @@ func TestManagerKillResubmitFlow(t *testing.T) {
 	resubmitted := 0
 	m.OnDispatch = func(rr *Running) {
 		if rr.Req.Workload == "big" {
-			killer.Manage(&execctl.Managed{Query: rr.Query, Class: rr.Class.Name})
+			killer.Manage(rr.Query.ID)
 		}
 	}
 	m.OnFinish = func(rr *Running, oc engine.Outcome) {
