@@ -7,36 +7,22 @@ import (
 	"dbwlm/internal/sim"
 )
 
+// The packaged loop's settings, the values E6 of the experiment suite runs
+// with.
 const (
 	// victimPriorityBelow: only requests below this priority are candidate
 	// targets for the MAPE loop's control actions.
 	victimPriorityBelow = policy.PriorityHigh
 	// throttleAmount is applied by its throttle actions.
 	throttleAmount = 0.85
+	// autonomicPeriod is the time between MAPE cycles.
+	autonomicPeriod = 2 * sim.Second
+	// resumeEvery is how often suspended work is re-checked for resumption
+	// once the system is healthy.
+	resumeEvery = 4 * sim.Second
+	// suspendStrategy is how suspend actions park a query.
+	suspendStrategy = engine.SuspendDumpState
 )
-
-// AutonomicOptions configures the packaged Section 5.3 MAPE loop.
-type AutonomicOptions struct {
-	// Period between MAPE cycles (default 2s).
-	Period sim.Duration
-	// SuspendStrategy for suspend actions (default DumpState).
-	SuspendStrategy engine.SuspendStrategy
-	// ResumeEvery controls how often suspended work is re-checked for
-	// resumption once the system is healthy (default 5s).
-	ResumeEvery sim.Duration
-	// DisallowKill removes the kill action from the planner's menu.
-	DisallowKill bool
-}
-
-func (o AutonomicOptions) withDefaults() AutonomicOptions {
-	if o.Period <= 0 {
-		o.Period = 2 * sim.Second
-	}
-	if o.ResumeEvery <= 0 {
-		o.ResumeEvery = 5 * sim.Second
-	}
-	return o
-}
 
 // AutonomicManager is the assembled autonomic workload manager of the
 // paper's Section 5.3 vision: a MAPE feedback loop that monitors per-
@@ -47,24 +33,23 @@ func (o AutonomicOptions) withDefaults() AutonomicOptions {
 type AutonomicManager struct {
 	Loop *autonomic.Loop
 	m    *Manager
-	opts AutonomicOptions
 
 	actions map[autonomic.ActionKind]int64
 }
 
 // EnableAutonomic attaches and starts the packaged MAPE loop on a manager.
-func EnableAutonomic(m *Manager, opts AutonomicOptions) *AutonomicManager {
-	opts = opts.withDefaults()
-	am := &AutonomicManager{m: m, opts: opts, actions: make(map[autonomic.ActionKind]int64)}
+// Every kind of action is on the planner's menu, kill included.
+func EnableAutonomic(m *Manager) *AutonomicManager {
+	am := &AutonomicManager{m: m, actions: make(map[autonomic.ActionKind]int64)}
 	am.Loop = &autonomic.Loop{
-		Period:  opts.Period,
+		Period:  autonomicPeriod,
 		Monitor: am.monitor,
 		Analyze: autonomic.AnalyzeAttainments,
 		Plan:    am.plan,
 		Execute: am.execute,
 	}
 	am.Loop.Start(m.Sim())
-	m.Sim().Every(opts.ResumeEvery, func() bool {
+	m.Sim().Every(resumeEvery, func() bool {
 		am.maybeResume()
 		return true
 	})
@@ -121,17 +106,15 @@ func (am *AutonomicManager) plan(obs autonomic.Observation, symptoms []autonomic
 					Kind: autonomic.ActionSuspend, Query: rr.Query.ID,
 				},
 				FreedWeight:    1,
-				LatencySeconds: suspendLatency(am.opts.SuspendStrategy, rr.Req.True, am.m.Engine().Config().IOMBps),
+				LatencySeconds: suspendLatency(rr.Req.True, am.m.Engine().Config().IOMBps),
 			},
-		}
-		if !am.opts.DisallowKill {
-			cands = append(cands, autonomic.Candidate{
+			{
 				Action: autonomic.PlannedAction{
 					Kind: autonomic.ActionKill, Query: rr.Query.ID,
 				},
 				FreedWeight: 1,
 				WorkLost:    prog * ideal,
-			})
+			},
 		}
 		if best := autonomic.PlanBest(severity, cands); best != nil {
 			out = append(out, best.Action)
@@ -140,8 +123,10 @@ func (am *AutonomicManager) plan(obs autonomic.Observation, symptoms []autonomic
 	return out
 }
 
-func suspendLatency(strategy engine.SuspendStrategy, spec engine.QuerySpec, ioMBps float64) float64 {
-	if strategy == engine.SuspendGoBack || ioMBps <= 0 {
+// suspendLatency is the time a DumpState suspend takes to write the query's
+// state out.
+func suspendLatency(spec engine.QuerySpec, ioMBps float64) float64 {
+	if ioMBps <= 0 {
 		return 0
 	}
 	return spec.StateMB / ioMBps
@@ -154,7 +139,7 @@ func (am *AutonomicManager) execute(actions []autonomic.PlannedAction) {
 		case autonomic.ActionThrottle:
 			err = am.m.Engine().SetThrottle(a.Query, a.Amount)
 		case autonomic.ActionSuspend:
-			err = am.m.Engine().Suspend(a.Query, am.opts.SuspendStrategy)
+			err = am.m.Engine().Suspend(a.Query, suspendStrategy)
 		case autonomic.ActionKill:
 			err = am.m.Engine().Kill(a.Query)
 		case autonomic.ActionReprioritize:

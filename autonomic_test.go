@@ -3,7 +3,6 @@ package dbwlm
 import (
 	"testing"
 
-	"dbwlm/internal/autonomic"
 	"dbwlm/internal/engine"
 	"dbwlm/internal/policy"
 	"dbwlm/internal/sim"
@@ -13,7 +12,7 @@ import (
 func TestEnableAutonomicProtectsOLTP(t *testing.T) {
 	s := sim.New(1)
 	m := New(s, engine.Config{Cores: 8, MemoryMB: 4096, IOMBps: 800})
-	am := EnableAutonomic(m, AutonomicOptions{})
+	am := EnableAutonomic(m)
 
 	gens := []workload.Generator{
 		oltpGen(60),
@@ -47,37 +46,10 @@ func TestEnableAutonomicProtectsOLTP(t *testing.T) {
 	}
 }
 
-func TestEnableAutonomicDisallowKill(t *testing.T) {
-	s := sim.New(2)
-	m := New(s, engine.Config{Cores: 8, MemoryMB: 4096, IOMBps: 800})
-	am := EnableAutonomic(m, AutonomicOptions{DisallowKill: true})
-	gens := []workload.Generator{
-		oltpGen(60),
-		&workload.BatchGen{
-			WorkloadName: "monsters", At: sim.Time(5 * sim.Second), Count: 4,
-			Priority: policy.PriorityLow, SLO: policy.BestEffort(),
-			Draw: func(i int, now sim.Time) *workload.Request {
-				return &workload.Request{
-					ID: int64(100 + i), Workload: "monsters",
-					True:   engine.QuerySpec{CPUWork: 60, IOWork: 1500, MemMB: 1700, Parallelism: 4},
-					Arrive: now,
-				}
-			},
-		},
-	}
-	m.RunWorkload(gens, 60*sim.Second, 30*sim.Second)
-	if am.Actions()[autonomic.ActionKill] != 0 {
-		t.Fatal("kill executed despite DisallowKill")
-	}
-	if m.Stats().Workload("monsters").Killed.Value() != 0 {
-		t.Fatal("monsters killed despite DisallowKill")
-	}
-}
-
 func TestAutonomicResumesWhenHealthy(t *testing.T) {
 	s := sim.New(3)
 	m := New(s, engine.Config{Cores: 8, MemoryMB: 4096, IOMBps: 800})
-	am := EnableAutonomic(m, AutonomicOptions{DisallowKill: true, ResumeEvery: 2 * sim.Second})
+	am := EnableAutonomic(m)
 	// One short monster burst; after OLTP recovers, suspended monsters must
 	// be resumed and eventually complete.
 	gens := []workload.Generator{

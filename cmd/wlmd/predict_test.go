@@ -23,7 +23,7 @@ func predictServer(t *testing.T, maxBucket admission.RuntimeBucket) (*rt.Runtime
 		t.Fatal(err)
 	}
 	cache := sqlmini.NewPlanCache(sqlmini.NewCostModel(sqlmini.DefaultCatalog()), 0, 0)
-	knn := &admission.KNNPredictor{MaxSeconds: 10, MinTraining: 4, K: 3, Indexed: true}
+	knn := &admission.KNNPredictor{MaxSeconds: 10, MinTraining: 4, Indexed: true}
 	gate := rt.NewPredictGate(r, cache, knn, maxBucket)
 	s := rthttp.NewServer(r)
 	s.EnablePredict(gate)

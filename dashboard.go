@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"dbwlm/internal/engine"
-	"dbwlm/internal/obsv"
 	"dbwlm/internal/slo"
 )
 
@@ -51,26 +50,6 @@ func (m *Manager) Dashboard() string {
 		fmt.Fprintf(&b, "%-14s %7d %6d %8.2f %9d %10.4f %6s %7d %7d\n",
 			r.Workload, r.ActiveSessions, r.Suspended, r.ArrivalRate,
 			r.Completed, r.MeanResponse, slg, r.Killed, r.Resubmits)
-	}
-	return b.String()
-}
-
-// TraceTail renders the last n events of a flight recorder as a text block
-// for the operator console — the dashboard's drill-down from aggregate rows
-// to individual decisions. Controllers share the recorder by setting their
-// Flight field; class IDs are rendered through className (nil prints the raw
-// ID).
-func TraceTail(rec *obsv.Recorder, n int, className func(int32) string) string {
-	if rec == nil {
-		return "trace: recorder disabled\n"
-	}
-	events := rec.Tail(n, obsv.MatchAll)
-	var b strings.Builder
-	fmt.Fprintf(&b, "trace: %d recorded, %d overwritten, showing %d\n",
-		rec.Recorded(), rec.Overwritten(), len(events))
-	for i := range events {
-		b.WriteString(events[i].Format(className))
-		b.WriteByte('\n')
 	}
 	return b.String()
 }

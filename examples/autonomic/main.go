@@ -21,7 +21,7 @@ import (
 func main() {
 	s := sim.New(9)
 	m := dbwlm.New(s, engine.Config{Cores: 8, MemoryMB: 4096, IOMBps: 800})
-	am := dbwlm.EnableAutonomic(m, dbwlm.AutonomicOptions{})
+	am := dbwlm.EnableAutonomic(m)
 
 	gens := []workload.Generator{
 		&workload.OLTPGen{WorkloadName: "oltp", Rate: 80,

@@ -149,18 +149,21 @@ func (c *ConflictRatio) Decide(_ *workload.Request, _ sim.Time) Decision {
 	return Admit
 }
 
+// The Indicators' thresholds.
+const (
+	// maxMemPressure gates when memory demand/capacity exceeds it.
+	maxMemPressure = 1.0
+	// maxBlockedFraction gates when blocked/in-engine exceeds it.
+	maxBlockedFraction = 0.4
+	// maxConflictRatio gates on lock contention.
+	maxConflictRatio = 1.5
+)
+
 // Indicators gates low-priority work while any monitored engine metric
 // exceeds its threshold (Zhang et al. [79][80]): a set of congestion
 // indicators rather than a single parameter.
 type Indicators struct {
 	Engine View
-	// MaxMemPressure gates when demand/capacity exceeds this (default 1.0).
-	MaxMemPressure float64
-	// MaxBlockedFraction gates when blocked/in-engine exceeds this
-	// (default 0.4).
-	MaxBlockedFraction float64
-	// MaxConflictRatio gates on lock contention (default 1.5).
-	MaxConflictRatio float64
 	// GatePriorityBelow: only requests with priority strictly below this
 	// are delayed (default PriorityHigh — low and medium wait).
 	GatePriorityBelow policy.Priority
@@ -176,30 +179,18 @@ func (c *Indicators) Congested() bool { return c.Excess(c.Engine.StatsNow()) > 0
 // indicator's own units (pressure, blocked fraction, conflict ratio); 0 means
 // no threshold fired.
 func (c *Indicators) Excess(st engine.Stats) float64 {
-	maxMem := c.MaxMemPressure
-	if maxMem <= 0 {
-		maxMem = 1.0
-	}
-	maxBlocked := c.MaxBlockedFraction
-	if maxBlocked <= 0 {
-		maxBlocked = 0.4
-	}
-	maxCR := c.MaxConflictRatio
-	if maxCR <= 0 {
-		maxCR = 1.5
-	}
 	// Plain comparisons, not the max builtin: a NaN indicator must read as
 	// "not over", never poison the others.
 	worst := 0.0
-	if d := st.MemPressure - maxMem; d > worst {
+	if d := st.MemPressure - maxMemPressure; d > worst {
 		worst = d
 	}
 	if st.InEngine > 0 {
-		if d := float64(st.Blocked)/float64(st.InEngine) - maxBlocked; d > worst {
+		if d := float64(st.Blocked)/float64(st.InEngine) - maxBlockedFraction; d > worst {
 			worst = d
 		}
 	}
-	if d := st.ConflictRatio - maxCR; d > worst {
+	if d := st.ConflictRatio - maxConflictRatio; d > worst {
 		worst = d
 	}
 	return worst

@@ -6,6 +6,12 @@ import (
 	"dbwlm/internal/workload"
 )
 
+// The ThroughputFeedback measurement window and the least MPL it tries.
+const (
+	feedbackInterval = 2 * sim.Second
+	feedbackMinMPL   = 1
+)
+
 // ThroughputFeedback is the adaptive load controller of Heiss & Wagner [26]
 // ("Adaptive Load Control in Transaction Processing Systems"): it measures
 // transaction throughput over fixed intervals and hill-climbs the admission
@@ -13,12 +19,10 @@ import (
 // MPL in the same direction; if it fell, reverse.
 type ThroughputFeedback struct {
 	Engine *engine.Engine
-	// Interval is the measurement window (default 2s).
-	Interval sim.Duration
 	// InitialMPL is the starting admission limit (default 8).
 	InitialMPL int
-	// MinMPL/MaxMPL bound the search (defaults 1 and 256).
-	MinMPL, MaxMPL int
+	// MaxMPL bounds the search from above (default 256).
+	MaxMPL int
 	// Step is the MPL adjustment per interval (default 2).
 	Step int
 
@@ -35,14 +39,8 @@ func (c *ThroughputFeedback) Start() {
 		return
 	}
 	c.started = true
-	if c.Interval <= 0 {
-		c.Interval = 2 * sim.Second
-	}
 	if c.InitialMPL <= 0 {
 		c.InitialMPL = 8
-	}
-	if c.MinMPL <= 0 {
-		c.MinMPL = 1
 	}
 	if c.MaxMPL <= 0 {
 		c.MaxMPL = 256
@@ -52,14 +50,14 @@ func (c *ThroughputFeedback) Start() {
 	}
 	c.mpl = c.InitialMPL
 	c.dir = +1
-	c.Engine.Sim().Every(c.Interval, func() bool {
+	c.Engine.Sim().Every(feedbackInterval, func() bool {
 		c.adjust()
 		return true
 	})
 }
 
 func (c *ThroughputFeedback) adjust() {
-	thr := float64(c.count) / c.Interval.Seconds()
+	thr := float64(c.count) / feedbackInterval.Seconds()
 	c.count = 0
 	// If throughput decreased, reverse direction (we overshot the knee).
 	if thr < c.lastThr {
@@ -67,8 +65,8 @@ func (c *ThroughputFeedback) adjust() {
 	}
 	c.lastThr = thr
 	c.mpl += c.dir * c.Step
-	if c.mpl < c.MinMPL {
-		c.mpl = c.MinMPL
+	if c.mpl < feedbackMinMPL {
+		c.mpl = feedbackMinMPL
 		c.dir = +1
 	}
 	if c.mpl > c.MaxMPL {

@@ -73,7 +73,7 @@ func TestOperatingPeriodsDefaultNil(t *testing.T) {
 }
 
 func TestOperatingPeriodsForwardsCompletions(t *testing.T) {
-	tree := &TreePredictor{MinTraining: 1, RetrainEvery: 1}
+	tree := &TreePredictor{MinTraining: 1}
 	c := &OperatingPeriods{
 		Periods: []Period{{FromHour: 0, ToHour: 24, Controller: tree}},
 	}

@@ -116,6 +116,16 @@ func RequestFeatures(r *workload.Request) []float64 {
 // 1 % of one core in fits.
 const refitInterval = 10 * time.Millisecond
 
+// The synchronous refit cadences: a predictor refits every this many
+// observations once it holds enough history.
+const (
+	treeRetrainEvery = 50
+	knnRetrainEvery  = 25
+)
+
+// knnK is the number of neighbours a k-NN prediction averages.
+const knnK = 5
+
 // refitPace is the refit schedule both online predictors share, so that
 // Background means one thing. A refit is due once the predictor holds enough
 // history and either has never refit or has seen `every` observations since
@@ -214,7 +224,7 @@ func (r *refitPace) LastFit() (age, took time.Duration) {
 }
 
 // TreePredictor predicts runtime ranges with a decision tree (Gupta PQR).
-// It accumulates observations online and retrains every RetrainEvery
+// It accumulates observations online and retrains every treeRetrainEvery
 // completions. The model lives behind an atomic pointer — the decision path
 // is lock-free and never observes a torn tree — and with Background set the
 // retrain itself runs on a goroutine and swaps the pointer when done
@@ -222,12 +232,8 @@ func (r *refitPace) LastFit() (age, took time.Duration) {
 // never blocks on training.
 type TreePredictor struct {
 	// MaxBucket is the largest admissible predicted bucket; work predicted
-	// beyond it is queued (or rejected with Reject=true).
+	// beyond it is queued.
 	MaxBucket RuntimeBucket
-	// Reject rejects over-limit work instead of queueing.
-	Reject bool
-	// RetrainEvery controls retraining cadence (default 50).
-	RetrainEvery int
 	// MinTraining is the number of observations required before the
 	// predictor starts gating (default 30); before that it admits all.
 	MinTraining int
@@ -254,12 +260,8 @@ func (p *TreePredictor) Decide(r *workload.Request, _ sim.Time) Decision {
 	}
 	var f FeatureVec
 	RequestFeaturesInto(r, &f)
-	b := RuntimeBucket(t.Predict(f[:]))
-	if b <= p.MaxBucket {
+	if RuntimeBucket(t.Predict(f[:])) <= p.MaxBucket {
 		return Admit
-	}
-	if p.Reject {
-		return Reject
 	}
 	return Queue
 }
@@ -277,11 +279,7 @@ func (p *TreePredictor) ObserveCompletion(r *workload.Request, responseSeconds f
 	if min <= 0 {
 		min = 30
 	}
-	every := p.RetrainEvery
-	if every <= 0 {
-		every = 50
-	}
-	if !p.observed(p.Background, len(p.history) >= min, every) {
+	if !p.observed(p.Background, len(p.history) >= min, treeRetrainEvery) {
 		p.mu.Unlock()
 		return
 	}
@@ -310,9 +308,9 @@ func (p *TreePredictor) ObserveCompletion(r *workload.Request, responseSeconds f
 // model — including its k-d tree index when Indexed is set — swaps in
 // atomically.
 type KNNPredictor struct {
+	// MaxSeconds is the longest admissible predicted runtime; work predicted
+	// beyond it is queued.
 	MaxSeconds float64
-	K          int // default 5
-	Reject     bool
 	// MinTraining before gating begins (default 30).
 	MinTraining int
 	// MaxHistory bounds memory (default 2000, split evenly across runtime
@@ -359,9 +357,6 @@ func (p *KNNPredictor) Decide(r *workload.Request, _ sim.Time) Decision {
 	RequestFeaturesInto(r, &f)
 	if m.PredictValue(f[:]) <= p.MaxSeconds {
 		return Admit
-	}
-	if p.Reject {
-		return Reject
 	}
 	return Queue
 }
@@ -424,12 +419,8 @@ func (p *KNNPredictor) Observe(f *FeatureVec, responseSeconds float64) {
 	if min <= 0 {
 		min = 30
 	}
-	k := p.K
-	if k <= 0 {
-		k = 5
-	}
 	n := p.historySize()
-	if !p.observed(p.Background, n >= min, 25) {
+	if !p.observed(p.Background, n >= min, knnRetrainEvery) {
 		p.mu.Unlock()
 		return
 	}
@@ -449,7 +440,7 @@ func (p *KNNPredictor) Observe(f *FeatureVec, responseSeconds float64) {
 	p.mu.Unlock()
 
 	p.run(p.Background, func() {
-		m := learn.TrainKNN(all, k)
+		m := learn.TrainKNN(all, knnK)
 		if p.Indexed {
 			m.BuildIndex()
 			m.BuildMemo()

@@ -118,7 +118,7 @@ func TestKNNHistoryTrimWithBackgroundRetrain(t *testing.T) {
 // TestTreeBackgroundRetrainConcurrent is the decision-tree analogue: Decide
 // runs lock-free against the swapped pointer while completions retrain.
 func TestTreeBackgroundRetrainConcurrent(t *testing.T) {
-	p := &TreePredictor{MaxBucket: BucketMedium, MinTraining: 10, RetrainEvery: 20, Background: true}
+	p := &TreePredictor{MaxBucket: BucketMedium, MinTraining: 10, Background: true}
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		wg.Add(1)

@@ -33,7 +33,7 @@ func TestKNNMemoFollowsEveryModel(t *testing.T) {
 	var single FeatureVec
 	FeaturesFrom(7777, 3, 16, 2, false, &single)
 	for _, indexed := range []bool{true, false} {
-		p := &KNNPredictor{MaxSeconds: 10, K: 3, MinTraining: 14, MaxHistory: 4 * 60, Indexed: indexed}
+		p := &KNNPredictor{MaxSeconds: 10, MinTraining: 14, MaxHistory: 4 * 60, Indexed: indexed}
 		models, hits := 0, 0
 		for i := 0; i < 3000; i++ {
 			if i == 1500 {
@@ -80,7 +80,7 @@ func TestKNNMemoFollowsEveryModel(t *testing.T) {
 // one model's table with another's window here. Run under -race (make race).
 func TestKNNMemoConcurrentRefits(t *testing.T) {
 	shapes := memoShapes()
-	p := &KNNPredictor{MaxSeconds: 10, K: 3, MinTraining: 10, MaxHistory: 4 * 60, Background: true, Indexed: true}
+	p := &KNNPredictor{MaxSeconds: 10, MinTraining: 10, MaxHistory: 4 * 60, Background: true, Indexed: true}
 	var stop atomic.Bool
 	var wg sync.WaitGroup
 	wg.Add(1)

@@ -87,7 +87,7 @@ func TestKNNBackgroundRefitsPacedByClock(t *testing.T) {
 // helper on the decision-tree predictor.
 func TestTreeBackgroundRefitsPacedByClock(t *testing.T) {
 	clock := newFakeClock()
-	p := &TreePredictor{MaxBucket: BucketMedium, RetrainEvery: 20, Background: true}
+	p := &TreePredictor{MaxBucket: BucketMedium, Background: true}
 	p.now = clock.now
 	observe := func(n int) {
 		for i := 0; i < n; i++ {
@@ -103,7 +103,7 @@ func TestTreeBackgroundRefitsPacedByClock(t *testing.T) {
 		t.Fatalf("frozen clock published %d trees, want 1", got)
 	}
 	clock.advance(refitInterval)
-	observe(10)
+	observe(treeRetrainEvery / 2)
 	waitRetrained(t, p.Retrains, 2)
 	observe(2000)
 	waitIdle(t, &p.refitPace)

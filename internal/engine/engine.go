@@ -139,16 +139,8 @@ type Engine struct {
 	// OnQuantum, when non-nil, is invoked at the end of every quantum with
 	// the engine; controllers that need per-quantum observation (PI
 	// throttling, indicator collection) hook here. Setting it disables tick
-	// elision unless OnQuantumCoarse is also set.
+	// elision, which pins the engine to quantum-by-quantum execution.
 	OnQuantum func(*Engine)
-	// OnQuantumCoarse declares that the OnQuantum hook tolerates coarse
-	// observation: it samples aggregate state rather than integrating a
-	// per-quantum signal, so during a fast-forward gap it is invoked only
-	// at the full quantum that ends the gap, not at every elided quantum.
-	// Hooks that accumulate per-quantum terms (PI controllers, indicator
-	// integrators) must leave it false, which pins the engine to
-	// quantum-by-quantum execution.
-	OnQuantumCoarse bool
 }
 
 // New returns an engine over the simulator with the given configuration.
@@ -188,7 +180,6 @@ func (e *Engine) Reset(cfg Config) {
 	e.lastCPUUsed, e.lastIOUsed = 0, 0
 	e.completed, e.killed, e.deadlocks = 0, 0, 0
 	e.OnQuantum = nil
-	e.OnQuantumCoarse = false
 }
 
 // Sim returns the engine's simulator.
@@ -624,8 +615,7 @@ func (e *Engine) tick() {
 	// the exact same per-query increments until the next "interesting"
 	// point. Apply those increments here and skip the intermediate ticks.
 	gap := sim.Duration(0)
-	if finished == 0 && !e.cfg.disableFastForward &&
-		(e.OnQuantum == nil || e.OnQuantumCoarse) {
+	if finished == 0 && !e.cfg.disableFastForward && e.OnQuantum == nil {
 		gap = e.fastForward(runnable, cpuShares, ioShares, eff, alive, blockedN)
 	}
 	e.sim.ScheduleDetached(e.cfg.Quantum+gap, e.tickFn)

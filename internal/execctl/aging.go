@@ -17,13 +17,15 @@ package execctl
 
 import (
 	"dbwlm/internal/engine"
-	"dbwlm/internal/obsv"
 	"dbwlm/internal/sim"
 )
 
+// ageCheckEvery is the Ager's monitor period.
+const ageCheckEvery = 500 * sim.Millisecond
+
 // Ager implements priority aging (Table 3, row 1; DB2 service subclasses):
-// when a managed query's elapsed time or returned rows exceed the trigger
-// for its current tier, the query is remapped to the next lower tier and its
+// when a managed query's elapsed time exceeds the trigger for its current
+// tier, the query is remapped to the next lower tier and its
 // resource-access weight reduced.
 type Ager struct {
 	Engine *engine.Engine
@@ -32,14 +34,6 @@ type Ager struct {
 	// DemoteAfterSeconds[i] is the elapsed-time trigger from tier i to
 	// tier i+1 (cumulative since submission).
 	DemoteAfterSeconds []float64
-	// RowsTrigger demotes one tier each time rows returned cross
-	// (tier+1) × RowsTrigger (0 disables).
-	RowsTrigger int64
-	// CheckEvery is the monitor period (default 500ms).
-	CheckEvery sim.Duration
-	// Flight, when non-nil, records each demotion in the flight recorder
-	// (KindCtlAction, reason reprioritize, Value = new tier).
-	Flight *obsv.Recorder
 
 	managed   managed
 	demotions int64
@@ -57,7 +51,7 @@ func NewAger(e *engine.Engine, weights []float64, demoteAfter []float64) *Ager {
 // Manage registers the query with the given ID at tier 0 and applies the
 // top-tier weight; a query registered again starts over at tier 0.
 func (a *Ager) Manage(id int64) {
-	a.managed.add(id, a, a.Engine, a.CheckEvery, 500*sim.Millisecond).tier = 0
+	a.managed.add(id, a, a.Engine, ageCheckEvery).tier = 0
 	if len(a.Weights) > 0 {
 		_ = a.Engine.SetWeight(id, a.Weights[0])
 	}
@@ -73,20 +67,12 @@ func (a *Ager) sweep() {
 			return true // already at the bottom tier
 		}
 		elapsed := now.Sub(q.SubmittedAt()).Seconds()
-		demote := m.tier < len(a.DemoteAfterSeconds) && elapsed > a.DemoteAfterSeconds[m.tier] ||
-			a.RowsTrigger > 0 && q.RowsReturned() > int64(m.tier+1)*a.RowsTrigger
-		if !demote {
+		if !(m.tier < len(a.DemoteAfterSeconds) && elapsed > a.DemoteAfterSeconds[m.tier]) {
 			return true
 		}
 		m.tier++
 		a.demotions++
 		_ = a.Engine.SetWeight(q.ID, a.Weights[m.tier])
-		if a.Flight != nil {
-			a.Flight.Record(obsv.Event{At: int64(now) * 1000, QID: q.ID,
-				Kind: obsv.KindCtlAction, Reason: obsv.ReasonReprioritize,
-				Verdict: obsv.NoVerdict, Class: obsv.NoClass,
-				Value: float64(m.tier), Aux: a.Weights[m.tier]})
-		}
 		return true
 	})
 }

@@ -2,15 +2,17 @@ package execctl
 
 import (
 	"dbwlm/internal/engine"
-	"dbwlm/internal/obsv"
 	"dbwlm/internal/sim"
 )
 
+// killCheckEvery is the Killer's monitor period.
+const killCheckEvery = 500 * sim.Millisecond
+
 // Killer implements query cancellation (Table 3, row 3): a managed query
 // whose elapsed time or consumed work exceeds its limit is killed, releasing
-// its resources immediately. With Resubmit set the kill is reported so the
-// workload manager can queue the request again (the "kill-and-resubmit"
-// action of Krompass et al. [39]).
+// its resources immediately. The workload manager sees the kill as the
+// query's outcome and may queue the request again (the "kill-and-resubmit"
+// action of Krompass et al. [39], dbwlm.Manager.Resubmit).
 type Killer struct {
 	Engine *engine.Engine
 	// MaxElapsedSeconds kills queries running longer than this (0 disables).
@@ -21,16 +23,6 @@ type Killer struct {
 	// (0 disables) — the CPU-time exception criterion of Teradata ASM and
 	// SQL Server's CPU Threshold Exceeded event.
 	MaxCPUSeconds float64
-	// Resubmit requests the manager to re-queue killed work.
-	Resubmit bool
-	// OnKill fires for every kill with the query ID and whether resubmission
-	// was requested.
-	OnKill func(id int64, resubmit bool)
-	// CheckEvery is the monitor period (default 500ms).
-	CheckEvery sim.Duration
-	// Flight, when non-nil, records each kill in the flight recorder
-	// (KindCtlAction, reason kill/kill-resubmit).
-	Flight *obsv.Recorder
 
 	managed managed
 	kills   int64
@@ -43,7 +35,7 @@ func NewKiller(e *engine.Engine, maxElapsedSeconds float64) *Killer {
 
 // Manage registers the query with the given ID for cancellation monitoring.
 func (k *Killer) Manage(id int64) {
-	k.managed.add(id, k, k.Engine, k.CheckEvery, 500*sim.Millisecond)
+	k.managed.add(id, k, k.Engine, killCheckEvery)
 }
 
 // Kills reports the number of cancellations performed.
@@ -59,22 +51,8 @@ func (k *Killer) sweep() {
 		if !kill {
 			return true
 		}
-		id := q.ID
-		if err := k.Engine.Kill(id); err != nil {
-			return false
-		}
-		k.kills++
-		if k.Flight != nil {
-			reason := obsv.ReasonKill
-			if k.Resubmit {
-				reason = obsv.ReasonKillResubmit
-			}
-			k.Flight.Record(obsv.Event{At: int64(now) * 1000, QID: id,
-				Kind: obsv.KindCtlAction, Reason: reason,
-				Verdict: obsv.NoVerdict, Class: obsv.NoClass, Value: elapsed})
-		}
-		if k.OnKill != nil {
-			k.OnKill(id, k.Resubmit)
+		if k.Engine.Kill(q.ID) == nil {
+			k.kills++
 		}
 		return false
 	})

@@ -30,13 +30,10 @@ type sweeper interface{ sweep() }
 
 // add registers a query and returns its entry (a query added again keeps
 // its entry). The first call starts c's sweep on e's simulator, every
-// period, or every def when period is unset.
-func (l *managed) add(id int64, c sweeper, e *engine.Engine, period, def sim.Duration) *managedQuery {
+// period.
+func (l *managed) add(id int64, c sweeper, e *engine.Engine, period sim.Duration) *managedQuery {
 	if !l.armed {
 		l.armed = true
-		if period <= 0 {
-			period = def
-		}
 		e.Sim().Every(period, func() bool {
 			c.sweep()
 			return true

@@ -1,15 +1,12 @@
 package execctl
 
 import (
-	"cmp"
 	"fmt"
 	"math"
-	"reflect"
 	"slices"
 	"testing"
 
 	"dbwlm/internal/engine"
-	"dbwlm/internal/obsv"
 	"dbwlm/internal/sim"
 )
 
@@ -36,9 +33,6 @@ type refAger struct {
 	Engine             *engine.Engine
 	Weights            []float64
 	DemoteAfterSeconds []float64
-	RowsTrigger        int64
-	CheckEvery         sim.Duration
-	Flight             *obsv.Recorder
 
 	managed   map[int64]*refManaged
 	sweepIDs  []int64
@@ -60,11 +54,7 @@ func (a *refAger) ensureStarted() {
 		return
 	}
 	a.started = true
-	every := a.CheckEvery
-	if every <= 0 {
-		every = 500 * sim.Millisecond
-	}
-	a.Engine.Sim().Every(every, func() bool {
+	a.Engine.Sim().Every(ageCheckEvery, func() bool {
 		a.sweep()
 		return true
 	})
@@ -84,20 +74,13 @@ func (a *refAger) sweep() {
 			continue
 		}
 		elapsed := now.Sub(q.SubmittedAt()).Seconds()
-		demote := m.Tier < len(a.DemoteAfterSeconds) && elapsed > a.DemoteAfterSeconds[m.Tier] ||
-			a.RowsTrigger > 0 && q.RowsReturned() > int64(m.Tier+1)*a.RowsTrigger
+		demote := m.Tier < len(a.DemoteAfterSeconds) && elapsed > a.DemoteAfterSeconds[m.Tier]
 		if !demote {
 			continue
 		}
 		m.Tier++
 		a.demotions++
 		_ = a.Engine.SetWeight(id, a.Weights[m.Tier])
-		if a.Flight != nil {
-			a.Flight.Record(obsv.Event{At: int64(now) * 1000, QID: id,
-				Kind: obsv.KindCtlAction, Reason: obsv.ReasonReprioritize,
-				Verdict: obsv.NoVerdict, Class: obsv.NoClass,
-				Value: float64(m.Tier), Aux: a.Weights[m.Tier]})
-		}
 	}
 }
 
@@ -106,10 +89,6 @@ type refKiller struct {
 	MaxElapsedSeconds float64
 	MaxRows           int64
 	MaxCPUSeconds     float64
-	Resubmit          bool
-	OnKill            func(id int64, resubmit bool)
-	CheckEvery        sim.Duration
-	Flight            *obsv.Recorder
 
 	managed  map[int64]*refManaged
 	sweepIDs []int64
@@ -127,11 +106,7 @@ func (k *refKiller) ensureStarted() {
 		return
 	}
 	k.started = true
-	every := k.CheckEvery
-	if every <= 0 {
-		every = 500 * sim.Millisecond
-	}
-	k.Engine.Sim().Every(every, func() bool {
+	k.Engine.Sim().Every(killCheckEvery, func() bool {
 		k.sweep()
 		return true
 	})
@@ -158,27 +133,13 @@ func (k *refKiller) sweep() {
 			continue
 		}
 		k.kills++
-		if k.Flight != nil {
-			reason := obsv.ReasonKill
-			if k.Resubmit {
-				reason = obsv.ReasonKillResubmit
-			}
-			k.Flight.Record(obsv.Event{At: int64(now) * 1000, QID: id,
-				Kind: obsv.KindCtlAction, Reason: reason,
-				Verdict: obsv.NoVerdict, Class: obsv.NoClass, Value: elapsed})
-		}
-		if k.OnKill != nil {
-			k.OnKill(id, k.Resubmit)
-		}
 	}
 }
 
 type refSuspender struct {
-	Engine              *engine.Engine
-	Pressure            func() bool
-	Strategy            engine.SuspendStrategy
-	CheckEvery          sim.Duration
-	MaxConcurrentResume int
+	Engine   *engine.Engine
+	Pressure func() bool
+	Strategy engine.SuspendStrategy
 
 	managed  map[int64]*refManaged
 	sweepIDs []int64
@@ -197,11 +158,7 @@ func (s *refSuspender) ensureStarted() {
 		return
 	}
 	s.started = true
-	every := s.CheckEvery
-	if every <= 0 {
-		every = 250 * sim.Millisecond
-	}
-	s.Engine.Sim().Every(every, func() bool {
+	s.Engine.Sim().Every(suspendCheckEvery, func() bool {
 		s.sweep()
 		return true
 	})
@@ -210,10 +167,6 @@ func (s *refSuspender) ensureStarted() {
 func (s *refSuspender) sweep() {
 	pressure := s.Pressure()
 	resumed := 0
-	maxResume := s.MaxConcurrentResume
-	if maxResume <= 0 {
-		maxResume = 1
-	}
 	s.sweepIDs = refManagedIDs(s.managed, s.sweepIDs)
 	for _, id := range s.sweepIDs {
 		q := s.Engine.Get(id)
@@ -226,7 +179,7 @@ func (s *refSuspender) sweep() {
 			if err := s.Engine.Suspend(id, s.Strategy); err == nil {
 				s.suspends++
 			}
-		case !pressure && q.State() == engine.StateSuspended && resumed < maxResume:
+		case !pressure && q.State() == engine.StateSuspended && resumed < maxResumePerSweep:
 			if err := s.Engine.Resume(id); err == nil {
 				s.resumes++
 				resumed++
@@ -236,13 +189,10 @@ func (s *refSuspender) sweep() {
 }
 
 type refThrottler struct {
-	Engine          *engine.Engine
-	PerfRatio       func() float64
-	Controller      AmountController
-	Method          ThrottleMethod
-	Period          sim.Duration
-	InterruptWindow sim.Duration
-	Flight          *obsv.Recorder
+	Engine     *engine.Engine
+	PerfRatio  func() float64
+	Controller AmountController
+	Method     ThrottleMethod
 
 	managed     map[int64]*refManaged
 	sweepIDs    []int64
@@ -261,30 +211,15 @@ func (t *refThrottler) ensureStarted() {
 		return
 	}
 	t.started = true
-	period := t.Period
-	if period <= 0 {
-		period = sim.Second
-	}
-	t.Engine.Sim().Every(period, func() bool {
+	t.Engine.Sim().Every(throttlePeriod, func() bool {
 		t.step()
 		return true
 	})
 }
 
 func (t *refThrottler) step() {
-	prev := t.amount
 	t.amount = t.Controller.Update(t.PerfRatio())
 	now := t.Engine.Now()
-	if t.Flight != nil && t.amount != prev {
-		t.Flight.Record(obsv.Event{At: int64(now) * 1000,
-			Kind: obsv.KindCtlAction, Reason: obsv.ReasonThrottle,
-			Verdict: obsv.NoVerdict, Class: obsv.NoClass, Value: t.amount,
-			Aux: prev})
-	}
-	window := t.InterruptWindow
-	if window <= 0 {
-		window = 10 * sim.Second
-	}
 	t.sweepIDs = refManagedIDs(t.managed, t.sweepIDs)
 	for _, id := range t.sweepIDs {
 		q := t.Engine.Get(id)
@@ -304,8 +239,8 @@ func (t *refThrottler) step() {
 				_ = t.Engine.SetThrottle(id, 0)
 				continue
 			}
-			pause := sim.Duration(float64(window) * t.amount)
-			t.nextPauseAt[id] = now.Add(window)
+			pause := sim.Duration(float64(interruptWindow) * t.amount)
+			t.nextPauseAt[id] = now.Add(interruptWindow)
 			_ = t.Engine.SetThrottle(id, 0.95)
 			id := id
 			t.Engine.Sim().Schedule(pause, func() {
@@ -329,8 +264,6 @@ func (c varController) Update(float64) float64 { return *c.amount }
 type ctlWorld struct {
 	sim      *sim.Simulator
 	eng      *engine.Engine
-	flight   *obsv.Recorder
-	killed   []int64
 	pressure bool
 	amount   float64
 
@@ -342,22 +275,20 @@ type ctlWorld struct {
 }
 
 func newCtlWorld(reference bool, method ThrottleMethod) *ctlWorld {
-	w := &ctlWorld{sim: sim.New(1), flight: obsv.NewRecorderShards(1<<12, 1)}
+	w := &ctlWorld{sim: sim.New(1)}
 	w.eng = engine.New(w.sim, engine.Config{Cores: 2, IOMBps: 400, MemoryMB: 2048})
-	onKill := func(id int64, _ bool) { w.killed = append(w.killed, id) }
 	pressure := func() bool { return w.pressure }
 	ctrl := varController{amount: &w.amount}
 	weights, demote := []float64{8, 4, 1}, []float64{0.6, 1.8}
 	if reference {
-		a := &refAger{Engine: w.eng, Weights: weights, DemoteAfterSeconds: demote, RowsTrigger: 40_000,
-			Flight: w.flight, managed: map[int64]*refManaged{}}
-		k := &refKiller{Engine: w.eng, MaxElapsedSeconds: 4, MaxRows: 150_000, OnKill: onKill,
-			Flight: w.flight, managed: map[int64]*refManaged{}}
+		a := &refAger{Engine: w.eng, Weights: weights, DemoteAfterSeconds: demote,
+			managed: map[int64]*refManaged{}}
+		k := &refKiller{Engine: w.eng, MaxElapsedSeconds: 4, MaxRows: 150_000,
+			managed: map[int64]*refManaged{}}
 		s := &refSuspender{Engine: w.eng, Pressure: pressure, Strategy: engine.SuspendDumpState,
-			MaxConcurrentResume: 2, managed: map[int64]*refManaged{}}
+			managed: map[int64]*refManaged{}}
 		t := &refThrottler{Engine: w.eng, PerfRatio: func() float64 { return 1 }, Controller: ctrl,
-			Method: method, InterruptWindow: 2 * sim.Second, Flight: w.flight,
-			managed: map[int64]*refManaged{}, nextPauseAt: map[int64]sim.Time{}}
+			Method: method, managed: map[int64]*refManaged{}, nextPauseAt: map[int64]sim.Time{}}
 		w.manage = [4]func(int64){
 			func(id int64) { a.Manage(&refManaged{Query: w.handle(id)}) },
 			func(id int64) { k.Manage(&refManaged{Query: w.handle(id)}) },
@@ -384,13 +315,10 @@ func newCtlWorld(reference bool, method ThrottleMethod) *ctlWorld {
 		return w
 	}
 	a := NewAger(w.eng, weights, demote)
-	a.RowsTrigger, a.Flight = 40_000, w.flight
 	k := NewKiller(w.eng, 4)
-	k.MaxRows, k.OnKill, k.Flight = 150_000, onKill, w.flight
+	k.MaxRows = 150_000
 	s := NewSuspender(w.eng, pressure, engine.SuspendDumpState)
-	s.MaxConcurrentResume = 2
 	t := NewThrottler(w.eng, func() float64 { return 1 }, ctrl, method)
-	t.InterruptWindow, t.Flight = 2*sim.Second, w.flight
 	w.manage = [4]func(int64){a.Manage, k.Manage, s.Manage, t.Manage}
 	w.sweep = [4]func(){a.sweep, k.sweep, s.sweep, t.sweep}
 	w.lists = func() string {
@@ -423,10 +351,9 @@ func (w *ctlWorld) handle(id int64) *engine.Query {
 }
 
 // snapshot renders everything a controller action can change: each
-// submitted query's presence, state, weight, throttle and progress, and the
-// kill log.
+// submitted query's presence, state, weight, throttle and progress.
 func (w *ctlWorld) snapshot(submitted int64) string {
-	b := []byte(fmt.Sprintf("t=%d killed=%v\n", w.sim.Now(), w.killed))
+	b := []byte(fmt.Sprintf("t=%d\n", w.sim.Now()))
 	for id := int64(1); id <= submitted; id++ {
 		q := w.eng.Get(id)
 		if q == nil {
@@ -439,38 +366,12 @@ func (w *ctlWorld) snapshot(submitted int64) string {
 	return string(b)
 }
 
-// flightEvents returns the recorder's events without their per-shard
-// sequence numbers, in a shard-independent order (the writer picks a shard
-// at random; the kill log pins the order of the kills).
-func flightEvents(r *obsv.Recorder) []obsv.Event {
-	evs := r.Tail(r.Cap(), obsv.MatchAll)
-	for i := range evs {
-		evs[i].Seq = 0
-	}
-	slices.SortFunc(evs, func(a, b obsv.Event) int {
-		if c := cmp.Compare(a.At, b.At); c != 0 {
-			return c
-		}
-		if c := cmp.Compare(a.QID, b.QID); c != 0 {
-			return c
-		}
-		if c := cmp.Compare(a.Reason, b.Reason); c != 0 {
-			return c
-		}
-		if c := cmp.Compare(a.Value, b.Value); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.Aux, b.Aux)
-	})
-	return evs
-}
-
 // FuzzManagedListMatchesMap drives two engines through the same random
 // steps — submit, manage (often a query managed before), kill from outside,
 // advance virtual time, flip the suspension pressure or the throttle amount,
 // sweep one controller out of turn — one with the four controllers keeping
 // their queries in ID-ordered lists, one with the map-keyed references. The
-// engines and flight recorders must match after every step, and so must
+// engines must match after every step, and so must
 // each controller's managed IDs, aging tiers and next-pause instants.
 func FuzzManagedListMatchesMap(f *testing.F) {
 	f.Add([]byte{0, 3, 0, 9, 1, 0, 1, 1, 1, 1, 1, 2, 1, 3, 3, 5, 3, 7, 4, 1, 3, 7, 2, 0, 3, 7})
@@ -531,9 +432,6 @@ func FuzzManagedListMatchesMap(f *testing.F) {
 			}
 			if got, want := list.lists(), ref.lists(); got != want {
 				t.Fatalf("step %d (op %d arg %d): managed lists differ\nlists: %s\nmaps:  %s", i/2, op, x, got, want)
-			}
-			if got, want := flightEvents(list.flight), flightEvents(ref.flight); !reflect.DeepEqual(got, want) {
-				t.Fatalf("step %d: flight recorders differ\nlists: %v\nmaps:  %v", i/2, got, want)
 			}
 		}
 	})

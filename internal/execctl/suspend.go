@@ -137,6 +137,13 @@ func allGoBack(n int, goRes []float64) SuspendPlan {
 	return p
 }
 
+// suspendCheckEvery is the Suspender's monitor period.
+const suspendCheckEvery = 250 * sim.Millisecond
+
+// maxResumePerSweep is how many suspended queries the Suspender resumes per
+// sweep once pressure clears: one, which avoids a resume stampede.
+const maxResumePerSweep = 1
+
 // Suspender suspends managed (low-priority, analytical) queries while a
 // pressure condition holds and resumes them when it clears — the
 // suspend-and-resume execution control of Table 3, row 4 ("quickly suspend
@@ -149,11 +156,6 @@ type Suspender struct {
 	Pressure func() bool
 	// Strategy selects the engine-level suspend strategy.
 	Strategy engine.SuspendStrategy
-	// CheckEvery is the monitor period (default 250ms).
-	CheckEvery sim.Duration
-	// MaxConcurrentResume limits how many suspended queries resume per
-	// sweep once pressure clears (default 1, avoids a resume stampede).
-	MaxConcurrentResume int
 
 	managed  managed
 	suspends int64
@@ -167,7 +169,7 @@ func NewSuspender(e *engine.Engine, pressure func() bool, strategy engine.Suspen
 
 // Manage registers the query with the given ID as suspendable.
 func (s *Suspender) Manage(id int64) {
-	s.managed.add(id, s, s.Engine, s.CheckEvery, 250*sim.Millisecond)
+	s.managed.add(id, s, s.Engine, suspendCheckEvery)
 }
 
 // Suspends reports how many suspends the controller has issued.
@@ -176,17 +178,13 @@ func (s *Suspender) Suspends() int64 { return s.suspends }
 func (s *Suspender) sweep() {
 	pressure := s.Pressure()
 	resumed := 0
-	maxResume := s.MaxConcurrentResume
-	if maxResume <= 0 {
-		maxResume = 1
-	}
 	s.managed.each(s.Engine, func(q *engine.Query, _ *managedQuery) bool {
 		switch {
 		case pressure && q.State() == engine.StateRunning:
 			if err := s.Engine.Suspend(q.ID, s.Strategy); err == nil {
 				s.suspends++
 			}
-		case !pressure && q.State() == engine.StateSuspended && resumed < maxResume:
+		case !pressure && q.State() == engine.StateSuspended && resumed < maxResumePerSweep:
 			if err := s.Engine.Resume(q.ID); err == nil {
 				s.resumes++
 				resumed++

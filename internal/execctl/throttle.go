@@ -5,8 +5,28 @@ import (
 
 	"dbwlm/internal/engine"
 	"dbwlm/internal/learn"
-	"dbwlm/internal/obsv"
 	"dbwlm/internal/sim"
+)
+
+// The controllers' gains and steps.
+const (
+	// piKp and piKi are the PIController's proportional and integral gains.
+	piKp, piKi = 0.5, 0.3
+	// stepInitial is the StepController's first adjustment; the step
+	// halves on every direction change down to stepMin.
+	stepInitial, stepMin = 0.2, 0.01
+	// blackBoxMinSamples is the number of observations before the
+	// BlackBoxController's model engages.
+	blackBoxMinSamples = 4
+)
+
+// The Throttler's control interval and interrupt horizon.
+const (
+	// throttlePeriod is the Throttler's control interval.
+	throttlePeriod = sim.Second
+	// interruptWindow is the horizon over which an interrupt pause is
+	// sized: pause length = amount × window.
+	interruptWindow = 8 * sim.Second
 )
 
 // AmountController computes the amount of throttling (a sleep fraction in
@@ -33,8 +53,6 @@ type PIController struct {
 	// Target is the minimum acceptable perfRatio (for example 0.95: the
 	// production class must keep 95% of baseline performance).
 	Target float64
-	// Kp and Ki are the proportional and integral gains (defaults 0.5, 0.3).
-	Kp, Ki float64
 
 	integral float64
 	output   float64
@@ -45,13 +63,6 @@ func (c *PIController) Name() string { return "pi" }
 
 // Update implements AmountController.
 func (c *PIController) Update(perfRatio float64) float64 {
-	kp, ki := c.Kp, c.Ki
-	if kp == 0 {
-		kp = 0.5
-	}
-	if ki == 0 {
-		ki = 0.3
-	}
 	// Positive error = production below target = throttle more.
 	err := c.Target - perfRatio
 	c.integral += err
@@ -62,7 +73,7 @@ func (c *PIController) Update(perfRatio float64) float64 {
 	if c.integral < -3 {
 		c.integral = -3
 	}
-	c.output = kp*err + ki*c.integral
+	c.output = piKp*err + piKi*c.integral
 	if c.output < 0 {
 		c.output = 0
 	}
@@ -78,10 +89,6 @@ func (c *PIController) Update(perfRatio float64) float64 {
 type StepController struct {
 	// Target as in PIController.
 	Target float64
-	// InitialStep is the first adjustment (default 0.2).
-	InitialStep float64
-	// MinStep bounds the decay (default 0.01).
-	MinStep float64
 
 	step    float64
 	lastDir int
@@ -94,14 +101,7 @@ func (c *StepController) Name() string { return "step" }
 // Update implements AmountController.
 func (c *StepController) Update(perfRatio float64) float64 {
 	if c.step == 0 {
-		c.step = c.InitialStep
-		if c.step == 0 {
-			c.step = 0.2
-		}
-	}
-	minStep := c.MinStep
-	if minStep == 0 {
-		minStep = 0.01
+		c.step = stepInitial
 	}
 	dir := -1
 	if perfRatio < c.Target {
@@ -109,8 +109,8 @@ func (c *StepController) Update(perfRatio float64) float64 {
 	}
 	if c.lastDir != 0 && dir != c.lastDir {
 		c.step /= 2
-		if c.step < minStep {
-			c.step = minStep
+		if c.step < stepMin {
+			c.step = stepMin
 		}
 	}
 	c.lastDir = dir
@@ -130,8 +130,6 @@ func (c *StepController) Update(perfRatio float64) float64 {
 // Until enough observations exist it behaves like a step controller.
 type BlackBoxController struct {
 	Target float64
-	// MinSamples before the model engages (default 4).
-	MinSamples int
 
 	warmup  StepController
 	samples []learn.RegSample
@@ -148,11 +146,7 @@ func (c *BlackBoxController) Update(perfRatio float64) float64 {
 	if len(c.samples) > maxSamples {
 		c.samples = c.samples[1:]
 	}
-	min := c.MinSamples
-	if min <= 0 {
-		min = 4
-	}
-	if len(c.samples) < min {
+	if len(c.samples) < blackBoxMinSamples {
 		c.warmup.Target = c.Target
 		c.output = c.warmup.Update(perfRatio)
 		return c.output
@@ -212,14 +206,6 @@ type Throttler struct {
 	Controller AmountController
 	// Method selects constant or interrupt throttling.
 	Method ThrottleMethod
-	// Period is the control interval (default 1s).
-	Period sim.Duration
-	// InterruptWindow is the horizon over which an interrupt pause is sized
-	// (default 10s): pause length = amount × window.
-	InterruptWindow sim.Duration
-	// Flight, when non-nil, records throttle-amount changes
-	// (KindCtlAction, reason throttle, Value = new sleep fraction).
-	Flight *obsv.Recorder
 
 	managed managed
 	amount  float64
@@ -234,26 +220,15 @@ func NewThrottler(e *engine.Engine, perf func() float64, ctrl AmountController, 
 
 // Manage registers the query with the given ID for throttling.
 func (t *Throttler) Manage(id int64) {
-	t.managed.add(id, t, t.Engine, t.Period, sim.Second)
+	t.managed.add(id, t, t.Engine, throttlePeriod)
 }
 
 // Amount reports the current sleep fraction.
 func (t *Throttler) Amount() float64 { return t.amount }
 
 func (t *Throttler) sweep() {
-	prev := t.amount
 	t.amount = t.Controller.Update(t.PerfRatio())
 	now := t.Engine.Now()
-	if t.Flight != nil && t.amount != prev {
-		t.Flight.Record(obsv.Event{At: int64(now) * 1000,
-			Kind: obsv.KindCtlAction, Reason: obsv.ReasonThrottle,
-			Verdict: obsv.NoVerdict, Class: obsv.NoClass, Value: t.amount,
-			Aux: prev})
-	}
-	window := t.InterruptWindow
-	if window <= 0 {
-		window = 10 * sim.Second
-	}
 	t.managed.each(t.Engine, func(q *engine.Query, m *managedQuery) bool {
 		id := q.ID
 		switch t.Method {
@@ -270,8 +245,8 @@ func (t *Throttler) sweep() {
 			// One contiguous pause of amount × window, then a free run for
 			// the rest of the window — pause and run alternate so the duty
 			// cycle equals the amount.
-			pause := sim.Duration(float64(window) * t.amount)
-			m.nextPause = now.Add(window)
+			pause := sim.Duration(float64(interruptWindow) * t.amount)
+			m.nextPause = now.Add(interruptWindow)
 			_ = t.Engine.SetThrottle(id, 0.95)
 			t.Engine.Sim().Schedule(pause, func() {
 				if q := t.Engine.Get(id); q != nil && !q.State().Terminal() {

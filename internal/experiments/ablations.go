@@ -35,7 +35,6 @@ func runThrottleMethodPoint(method execctl.ThrottleMethod, seed uint64) Row {
 	m.Router = UniformRouter()
 	seq := &workload.Sequence{}
 	th := execctl.NewThrottler(m.Engine(), func() float64 { return 0 }, fixedAmount{0.6}, method)
-	th.InterruptWindow = 8 * sim.Second
 	var largeDone float64
 	m.OnDispatch = func(rr *dbwlm.Running) {
 		if rr.Req.Workload == "large" {

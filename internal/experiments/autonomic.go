@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"dbwlm"
-	"dbwlm/internal/autonomic"
 	"dbwlm/internal/engine"
 	"dbwlm/internal/execctl"
 	"dbwlm/internal/policy"
@@ -16,99 +15,32 @@ import (
 // whose mix shifts mid-run (the scenario the paper's open problems describe:
 // static thresholds are tuned for one mix and miss after the shift).
 func RunAutonomicMAPE(variant string, seed uint64) Row {
+	return runAutonomicScenario(variant, seed, func(m *dbwlm.Manager) {
+		switch variant {
+		case "static-threshold":
+			// Tuned for the first phase: a kill threshold long enough that the
+			// early, moderate analytics finish. After the shift to monsters the
+			// threshold is far too lenient.
+			killer := execctl.NewKiller(m.Engine(), 500)
+			m.OnDispatch = func(rr *dbwlm.Running) {
+				if rr.Req.Workload == "analytics" {
+					killer.Manage(rr.Query.ID)
+				}
+			}
+		case "autonomic-mape":
+			dbwlm.EnableAutonomic(m)
+		}
+	})
+}
+
+// runAutonomicScenario runs E6's shifting workload on a fresh manager after
+// control has armed the variant's execution control.
+func runAutonomicScenario(variant string, seed uint64, control func(*dbwlm.Manager)) Row {
 	s, m := NewManager(seed)
 	m.Router = UniformRouter()
 	seq := &workload.Sequence{}
 	rng := s.RNG().Fork(1234)
-
-	switch variant {
-	case "static-threshold":
-		// Tuned for the first phase: a kill threshold long enough that the
-		// early, moderate analytics finish. After the shift to monsters the
-		// threshold is far too lenient.
-		killer := execctl.NewKiller(m.Engine(), 500)
-		m.OnDispatch = func(rr *dbwlm.Running) {
-			if rr.Req.Workload == "analytics" {
-				killer.Manage(rr.Query.ID)
-			}
-		}
-	case "autonomic-mape":
-		loop := &autonomic.Loop{
-			Period: 2 * sim.Second,
-			Monitor: func() autonomic.Observation {
-				return autonomic.Observation{
-					At:          m.Now(),
-					Engine:      m.Engine().StatsNow(),
-					Attainments: m.Attainments(),
-				}
-			},
-			Analyze: autonomic.AnalyzeAttainments,
-			Plan: func(obs autonomic.Observation, symptoms []autonomic.Symptom) []autonomic.PlannedAction {
-				// Build candidates from the running low-priority queries.
-				var severity float64
-				for _, sy := range symptoms {
-					if sy.Severity > severity {
-						severity = sy.Severity
-					}
-				}
-				var out []autonomic.PlannedAction
-				for _, rr := range m.RunningAll() {
-					if rr.Req.Workload != "analytics" || rr.Query.State() != engine.StateRunning {
-						continue
-					}
-					prog := rr.Query.Progress()
-					ideal := m.Engine().IdealSeconds(rr.Req.True)
-					cands := []autonomic.Candidate{
-						{
-							Action:      autonomic.PlannedAction{Kind: autonomic.ActionThrottle, Query: rr.Query.ID, Amount: 0.85},
-							FreedWeight: 0.85, WorkLost: 0, LatencySeconds: 0.1,
-						},
-						{
-							Action:      autonomic.PlannedAction{Kind: autonomic.ActionSuspend, Query: rr.Query.ID},
-							FreedWeight: 1.0, WorkLost: 0,
-							LatencySeconds: rr.Req.True.StateMB / 800,
-						},
-						{
-							Action:      autonomic.PlannedAction{Kind: autonomic.ActionKill, Query: rr.Query.ID},
-							FreedWeight: 1.0, WorkLost: prog * ideal, LatencySeconds: 0,
-						},
-					}
-					if best := autonomic.PlanBest(severity, cands); best != nil {
-						out = append(out, best.Action)
-					}
-				}
-				return out
-			},
-			Execute: func(actions []autonomic.PlannedAction) {
-				for _, a := range actions {
-					switch a.Kind {
-					case autonomic.ActionThrottle:
-						_ = m.Engine().SetThrottle(a.Query, a.Amount)
-					case autonomic.ActionSuspend:
-						_ = m.Engine().Suspend(a.Query, engine.SuspendDumpState)
-					case autonomic.ActionKill:
-						_ = m.Engine().Kill(a.Query)
-					case autonomic.ActionReprioritize:
-						_ = m.Engine().SetWeight(a.Query, a.Amount)
-					}
-				}
-			},
-		}
-		loop.Start(s)
-		// Resume suspended analytics when the system is healthy again.
-		s.Every(4*sim.Second, func() bool {
-			if !m.Attainment("oltp").Met {
-				return true
-			}
-			for _, rr := range m.RunningAll() {
-				if rr.Query.State() == engine.StateSuspended {
-					_ = m.Engine().Resume(rr.Query.ID)
-					break // one at a time
-				}
-			}
-			return true
-		})
-	}
+	control(m)
 
 	// Phase 1 (0-120s): moderate analytics. Phase 2 (120-240s): monster mix.
 	gens := []workload.Generator{

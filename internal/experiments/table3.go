@@ -34,26 +34,21 @@ func Table3Variants() []Table3Variant {
 // scans with large working sets) — the execution-control motivation of
 // Section 2.3.
 type Table3Scenario struct {
-	OLTPRate  float64      // default 60/s
-	Monsters  int          // default 4
-	MonsterAt sim.Time     // default 20s
-	Horizon   sim.Duration // default 240s
-	Seed      uint64
+	Seed uint64 // default 11
 }
 
+// The Table 3 scenario's shape.
+const (
+	// t3OLTPRate is the OLTP stream's arrivals per second.
+	t3OLTPRate = 60
+	// t3Monsters problematic queries arrive together at t3MonsterAt.
+	t3Monsters  = 6
+	t3MonsterAt = sim.Time(20 * sim.Second)
+	// t3Horizon is how long arrivals run; a 60 s drain follows.
+	t3Horizon = 120 * sim.Second
+)
+
 func (c Table3Scenario) withDefaults() Table3Scenario {
-	if c.OLTPRate == 0 {
-		c.OLTPRate = 60
-	}
-	if c.Monsters == 0 {
-		c.Monsters = 6
-	}
-	if c.MonsterAt == 0 {
-		c.MonsterAt = sim.Time(20 * sim.Second)
-	}
-	if c.Horizon == 0 {
-		c.Horizon = 120 * sim.Second
-	}
 	if c.Seed == 0 {
 		c.Seed = 11
 	}
@@ -85,7 +80,6 @@ func RunTable3Variant(v Table3Variant, sc Table3Scenario) Row {
 			// the monsters create) or the OLTP class is missing its goal.
 			return m.Engine().StatsNow().MemPressure > 1.05 || !m.Attainment("oltp").Met
 		}, engine.SuspendDumpState)
-		suspender.MaxConcurrentResume = 1
 	case T3Throttle:
 		var lastDone float64
 		var lastAt sim.Time
@@ -101,7 +95,7 @@ func RunTable3Variant(v Table3Variant, sc Table3Scenario) Row {
 				rate = (done - lastDone) / dt
 			}
 			lastDone, lastAt = done, now
-			return rate / sc.OLTPRate
+			return rate / t3OLTPRate
 		}
 		throttler = execctl.NewThrottler(m.Engine(), perf, &execctl.PIController{Target: 0.95}, execctl.MethodConstant)
 	case T3Realloc:
@@ -169,7 +163,7 @@ func RunTable3Variant(v Table3Variant, sc Table3Scenario) Row {
 	// Workload: OLTP stream plus a monster burst.
 	oltp := &workload.OLTPGen{
 		WorkloadName: "oltp",
-		Rate:         sc.OLTPRate,
+		Rate:         t3OLTPRate,
 		Priority:     policy.PriorityHigh,
 		SLO:          policy.AvgResponseTime(300 * sim.Millisecond),
 		Seq:          &workload.Sequence{},
@@ -177,8 +171,8 @@ func RunTable3Variant(v Table3Variant, sc Table3Scenario) Row {
 	rng := s.RNG().Fork(99)
 	monsters := &workload.BatchGen{
 		WorkloadName: "monster",
-		At:           sc.MonsterAt,
-		Count:        sc.Monsters,
+		At:           t3MonsterAt,
+		Count:        t3Monsters,
 		Priority:     policy.PriorityLow,
 		SLO:          policy.BestEffort(),
 		Draw: func(i int, now sim.Time) *workload.Request {
@@ -205,7 +199,7 @@ func RunTable3Variant(v Table3Variant, sc Table3Scenario) Row {
 			return r
 		},
 	}
-	m.RunWorkload([]workload.Generator{oltp, monsters}, sc.Horizon, 60*sim.Second)
+	m.RunWorkload([]workload.Generator{oltp, monsters}, t3Horizon, 60*sim.Second)
 
 	ows := m.Stats().Workload("oltp")
 	mws := m.Stats().Workload("monster")

@@ -250,7 +250,6 @@ func RunPowleyThrottling(controller string, method execctl.ThrottleMethod, seed 
 	}
 	sig := newPerfSignal(400, 160)
 	throttler := execctl.NewThrottler(m.Engine(), sig.ratio, ctrl, method)
-	throttler.InterruptWindow = 8 * sim.Second
 	m.OnDispatch = func(rr *dbwlm.Running) {
 		if rr.Req.Workload == "large" {
 			_ = m.Engine().SetWeight(rr.Query.ID, 10)

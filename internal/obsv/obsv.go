@@ -201,38 +201,6 @@ type Event struct {
 	Aux   float64
 }
 
-// Format renders the event as one human-readable trace line. className
-// resolves class IDs (nil renders the numeric ID).
-func (e Event) Format(className func(int32) string) string {
-	class := ""
-	if e.Class != NoClass {
-		if className != nil {
-			class = " class=" + className(e.Class)
-		} else {
-			class = fmt.Sprintf(" class=%d", e.Class)
-		}
-	}
-	verdict := ""
-	if e.Verdict != NoVerdict {
-		verdict = fmt.Sprintf(" verdict=%d", e.Verdict)
-	}
-	qid := ""
-	if e.QID != 0 {
-		qid = fmt.Sprintf(" qid=%d", e.QID)
-	}
-	fp := ""
-	if e.FP != 0 {
-		fp = fmt.Sprintf(" fp=%016x", e.FP)
-	}
-	reason := ""
-	if e.Reason != ReasonNone {
-		reason = " reason=" + e.Reason.String()
-	}
-	return fmt.Sprintf("%12.6fs %-12s%s%s%s%s%s value=%g aux=%g",
-		float64(e.At)/1e9, e.Kind.String(), reason, class, verdict, qid, fp,
-		e.Value, e.Aux)
-}
-
 // ringShard is one writer stripe. busy is the shard's ownership word: a
 // writer or reader that swaps it from 0 to 1 owns cursor, held and slots
 // until it stores 0, and no one touches them otherwise. The padding keeps

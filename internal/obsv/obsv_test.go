@@ -1,7 +1,6 @@
 package obsv
 
 import (
-	"strings"
 	"sync"
 	"testing"
 )
@@ -157,18 +156,6 @@ func TestKindAndReasonNames(t *testing.T) {
 			t.Fatalf("reasons %d and %d share the name %q", prev, r, name)
 		}
 		seen[name] = r
-	}
-}
-
-func TestEventFormat(t *testing.T) {
-	e := Event{At: 1_500_000_000, QID: 42, FP: 0xABC, Kind: KindAdmit,
-		Reason: ReasonFastPath, Verdict: 0, Class: 1, Value: 2, Aux: 3}
-	line := e.Format(func(id int32) string { return "reporting" })
-	for _, want := range []string{"admit", "reason=fast-path", "class=reporting",
-		"qid=42", "fp=0000000000000abc", "value=2", "aux=3", "1.500000s"} {
-		if !strings.Contains(line, want) {
-			t.Fatalf("formatted line %q missing %q", line, want)
-		}
 	}
 }
 

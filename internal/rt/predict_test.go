@@ -26,7 +26,7 @@ func newPredictGate(t testing.TB, maxBucket admission.RuntimeBucket) *PredictGat
 		t.Fatal(err)
 	}
 	cache := sqlmini.NewPlanCache(sqlmini.NewCostModel(sqlmini.DefaultCatalog()), 0, 0)
-	knn := &admission.KNNPredictor{MaxSeconds: 10, MinTraining: 4, K: 3, Indexed: true}
+	knn := &admission.KNNPredictor{MaxSeconds: 10, MinTraining: 4, Indexed: true}
 	return NewPredictGate(r, cache, knn, maxBucket)
 }
 

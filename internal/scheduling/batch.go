@@ -26,44 +26,37 @@ type BatchQuery struct {
 	Tables []string
 }
 
+// The InteractionModel's weights.
+const (
+	// sharedScanBonus is scored per table two adjacent queries share.
+	sharedScanBonus = 1.0
+	// overcommitPenalty is charged per MB of combined overflow when two
+	// adjacent queries exceed memory.
+	overcommitPenalty = 0.01
+)
+
 // InteractionModel scores pairwise interactions for a batch on a server
 // with the given memory capacity.
 type InteractionModel struct {
 	// MemoryMB is the server's working memory.
 	MemoryMB float64
-	// SharedScanBonus per shared table between adjacent queries (default 1).
-	SharedScanBonus float64
-	// OvercommitPenalty per MB of combined overflow when two adjacent
-	// queries exceed memory (default 0.01).
-	OvercommitPenalty float64
-}
-
-func (m InteractionModel) withDefaults() InteractionModel {
-	if m.SharedScanBonus == 0 {
-		m.SharedScanBonus = 1
-	}
-	if m.OvercommitPenalty == 0 {
-		m.OvercommitPenalty = 0.01
-	}
-	return m
 }
 
 // Score rates the adjacency of two queries: shared tables give a bonus
 // (buffer reuse), combined memory overflow gives a penalty (thrash).
 func (m InteractionModel) Score(a, b BatchQuery) float64 {
-	m = m.withDefaults()
 	var s float64
 	for _, ta := range a.Tables {
 		for _, tb := range b.Tables {
 			if ta == tb {
-				s += m.SharedScanBonus
+				s += sharedScanBonus
 			}
 		}
 	}
 	if m.MemoryMB > 0 {
 		combined := a.Req.Est.MemMB + b.Req.Est.MemMB
 		if combined > m.MemoryMB {
-			s -= m.OvercommitPenalty * (combined - m.MemoryMB)
+			s -= overcommitPenalty * (combined - m.MemoryMB)
 		}
 	}
 	return s
@@ -90,7 +83,6 @@ func PlanBatch(queries []BatchQuery, model InteractionModel) []BatchQuery {
 	if n <= 2 {
 		return append([]BatchQuery(nil), queries...)
 	}
-	model = model.withDefaults()
 
 	// Greedy seed: start from the cheapest query, always append the
 	// best-interacting remaining query (ties by estimated cost, then ID).

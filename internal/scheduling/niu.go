@@ -43,35 +43,35 @@ func Utility(attainment float64) float64 {
 	return 1 / (1 + math.Exp(-x))
 }
 
+// The Planner's hill-climb step and cost-limit slack.
+const (
+	// planGranularity is the capacity increment of the hill climb: 5% of
+	// the server.
+	planGranularity = 0.05
+	// planSlack scales the cost limits above the bare in-flight demand so
+	// a class can keep its pipeline full (mean residence exceeds mean
+	// service under queueing).
+	planSlack = 3
+)
+
 // Planner computes per-class capacity fractions and cost limits.
 type Planner struct {
 	Goals []ClassGoal
-	// Granularity is the capacity increment used by the hill climb
-	// (default 0.05 = 5% of the server).
-	Granularity float64
 	// ServerTimeronsPerSecond converts capacity fractions into running
 	// cost limits.
 	ServerTimeronsPerSecond float64
-	// Slack scales the cost limits above the bare in-flight demand so the
-	// class can keep its pipeline full (mean residence exceeds mean service
-	// under queueing; default 3).
-	Slack float64
 }
 
 // Plan allocates capacity fractions to classes to maximize total
-// importance-weighted utility, greedily in Granularity increments, and
+// importance-weighted utility, greedily in planGranularity increments, and
 // converts them into per-class running-cost limits:
 //
-//	limit_c = fraction_c × ServerTimeronsPerSecond × meanServiceSeconds_c
+//	limit_c = fraction_c × ServerTimeronsPerSecond × meanServiceSeconds_c × planSlack
 //
 // (a class may keep limit/meanCost requests in flight at once).
 func (p *Planner) Plan(loads map[string]ClassLoad) map[string]float64 {
-	gran := p.Granularity
-	if gran <= 0 {
-		gran = 0.05
-	}
 	frac := make(map[string]float64, len(p.Goals))
-	steps := int(math.Round(1 / gran))
+	steps := int(math.Round(1 / planGranularity))
 	// Greedy marginal-utility allocation.
 	for s := 0; s < steps; s++ {
 		bestGain := 0.0
@@ -82,7 +82,7 @@ func (p *Planner) Plan(loads map[string]ClassLoad) map[string]float64 {
 				continue
 			}
 			cur := p.classUtility(g, l, frac[g.Name])
-			next := p.classUtility(g, l, frac[g.Name]+gran)
+			next := p.classUtility(g, l, frac[g.Name]+planGranularity)
 			gain := next - cur
 			if gain > bestGain+1e-12 {
 				bestGain = gain
@@ -92,7 +92,7 @@ func (p *Planner) Plan(loads map[string]ClassLoad) map[string]float64 {
 		if bestClass == "" {
 			break // no class benefits from more capacity
 		}
-		frac[bestClass] += gran
+		frac[bestClass] += planGranularity
 	}
 	// Convert to cost limits.
 	limits := make(map[string]float64, len(frac))
@@ -101,13 +101,9 @@ func (p *Planner) Plan(loads map[string]ClassLoad) map[string]float64 {
 		f := frac[g.Name]
 		if f <= 0 {
 			// Minimum trickle so no class is fully starved.
-			f = gran / 2
+			f = planGranularity / 2
 		}
-		slack := p.Slack
-		if slack <= 0 {
-			slack = 3
-		}
-		limits[g.Name] = f * p.ServerTimeronsPerSecond * math.Max(l.MeanServiceSeconds, 0.001) * slack
+		limits[g.Name] = f * p.ServerTimeronsPerSecond * math.Max(l.MeanServiceSeconds, 0.001) * planSlack
 	}
 	return limits
 }

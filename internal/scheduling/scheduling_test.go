@@ -429,11 +429,7 @@ func (p *Planner) Fractions(limits map[string]float64, loads map[string]ClassLoa
 	out := make(map[string]float64, len(limits))
 	for name, lim := range limits {
 		l := loads[name]
-		slack := p.Slack
-		if slack <= 0 {
-			slack = 3
-		}
-		den := p.ServerTimeronsPerSecond * math.Max(l.MeanServiceSeconds, 0.001) * slack
+		den := p.ServerTimeronsPerSecond * math.Max(l.MeanServiceSeconds, 0.001) * planSlack
 		if den > 0 {
 			out[name] = lim / den
 		}

@@ -155,7 +155,7 @@ func Registry() []Technique {
 		{"priority aging via service tiers", ClassExecutionReprioritize, "DB2 WLM [9][30]", "execctl.Ager"},
 		{"economic policy-driven resource reallocation", ClassExecutionReprioritize, "Boughton et al. [4]; Zhang et al. [78]", "execctl.EconomicReallocator"},
 		{"query kill", ClassExecutionCancel, "DB2 / SQL Server / Teradata [30][50][72]", "execctl.Killer"},
-		{"kill-and-resubmit", ClassExecutionCancel, "Krompass et al. [39]", "execctl.Killer (Resubmit), dbwlm.Manager.Resubmit"},
+		{"kill-and-resubmit", ClassExecutionCancel, "Krompass et al. [39]", "dbwlm.Manager.Resubmit"},
 		{"PI-controller utility throttling", ClassExecutionThrottle, "Parekh et al. [64]", "execctl.PIController, execctl.Throttler"},
 		{"step and black-box query throttling", ClassExecutionThrottle, "Powley et al. [65][66]", "execctl.StepController, execctl.BlackBoxController"},
 		{"constant and interrupt throttle methods", ClassExecutionThrottle, "Powley et al. [65]", "execctl.MethodConstant, execctl.MethodInterrupt"},

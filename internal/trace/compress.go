@@ -48,8 +48,8 @@ type CompressConfig struct {
 	Ratio float64
 	// Strata is the number of equal time slices clustering is confined to;
 	// it fixes the resolution at which the compressed trace preserves the
-	// arrival-rate curve. Default 6 (matching the replay divergence
-	// windows' default). Coarser strata mean larger groups, which gives
+	// arrival-rate curve. Default 6 (matching the replay's rate
+	// windows, rateWindows). Coarser strata mean larger groups, which gives
 	// k-means room to separate heavy rows from typical ones even in small
 	// classes; finer strata pin the rate curve tighter but collapse small
 	// classes to one representative per slice.

@@ -23,8 +23,6 @@ import (
 type Gen struct {
 	// Src supplies the rows. The generator reads it once; it is not rewound.
 	Src Source
-	// GenName names the generator (Name method); default "trace".
-	GenName string
 	// TimeScale multiplies arrival offsets: 0.5 replays twice as fast as
 	// recorded, 2 twice as slow. 0 (or 1) replays in recorded time.
 	TimeScale float64
@@ -36,12 +34,7 @@ type Gen struct {
 func NewGen(src Source) *Gen { return &Gen{Src: src} }
 
 // Name implements workload.Generator.
-func (g *Gen) Name() string {
-	if g.GenName != "" {
-		return g.GenName
-	}
-	return "trace"
-}
+func (g *Gen) Name() string { return "trace" }
 
 // Err reports the first row-decode error hit during replay (replay stops at
 // it); nil after a clean run.

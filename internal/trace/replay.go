@@ -57,12 +57,12 @@ type ReplayConfig struct {
 	// same arrival *rate* as the original while finishing in a fraction of
 	// the virtual (and wall) time.
 	TimeScale float64
-	// Windows is the number of equal time slices the arrival-rate curve is
-	// split into. Default 6, matching the compressor's default strata so a
-	// stratified compression's weight conservation shows up as near-zero
-	// rate divergence.
-	Windows int
 }
+
+// rateWindows is the number of equal time slices a replay's arrival-rate
+// curve is split into: 6, the compressor's default strata, so a stratified
+// compression's weight conservation shows up as near-zero rate divergence.
+const rateWindows = 6
 
 // ClassStats is one class's replay measurement. All counts are weighted: a
 // compressed row with Weight 37 contributes 37 to every bucket it lands in,
@@ -152,16 +152,12 @@ func replayWith(src Source, cfg ReplayConfig, s *sim.Simulator, eng *engine.Engi
 	if scale <= 0 {
 		scale = 1
 	}
-	windows := cfg.Windows
-	if windows <= 0 {
-		windows = 6
-	}
 	durUS := int64(float64(h.DurationUS) * scale)
 	st := &ReplayStats{DurationUS: durUS}
 	classAt := func(idx uint16) *ClassStats {
 		for int(idx) >= len(st.Classes) {
 			c := ClassStats{Class: h.ClassName(uint16(len(st.Classes)))}
-			c.Windows = make([]float64, windows)
+			c.Windows = make([]float64, rateWindows)
 			st.Classes = append(st.Classes, c)
 		}
 		return &st.Classes[idx]
@@ -202,9 +198,9 @@ func replayWith(src Source, cfg ReplayConfig, s *sim.Simulator, eng *engine.Engi
 		c.Arrivals += w
 		wi := 0
 		if durUS > 0 {
-			wi = int(int64(at) * int64(windows) / durUS)
-			if wi >= windows {
-				wi = windows - 1
+			wi = int(int64(at) * int64(rateWindows) / durUS)
+			if wi >= rateWindows {
+				wi = rateWindows - 1
 			}
 			if wi < 0 {
 				wi = 0

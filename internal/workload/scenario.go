@@ -17,15 +17,20 @@ type ScenarioConfig struct {
 	AdHocRate float64
 	// MonsterProb is the chance an ad-hoc arrival is a monster (default 0.15).
 	MonsterProb float64
-	// ReportBatchAt schedules the report batch (0 disables).
+	// ReportBatchAt schedules the report batch of reportBatchSize queries
+	// (0 disables).
 	ReportBatchAt sim.Time
-	// ReportBatchSize is the number of report queries (default 15).
-	ReportBatchSize int
 	// UtilityTimes schedules on-line utilities (empty disables).
 	UtilityTimes []sim.Time
-	// EstimateSigma is optimizer-estimate error (default 0.3).
-	EstimateSigma float64
 }
+
+const (
+	// reportBatchSize is the number of report queries in the batch.
+	reportBatchSize = 15
+	// estimateSigma is the optimizer-estimate error of the scenario's
+	// OLTP and BI estimates.
+	estimateSigma = 0.3
+)
 
 func (c ScenarioConfig) withDefaults() ScenarioConfig {
 	if c.OLTPRate == 0 {
@@ -40,12 +45,6 @@ func (c ScenarioConfig) withDefaults() ScenarioConfig {
 	if c.MonsterProb == 0 {
 		c.MonsterProb = 0.15
 	}
-	if c.ReportBatchSize == 0 {
-		c.ReportBatchSize = 15
-	}
-	if c.EstimateSigma == 0 {
-		c.EstimateSigma = 0.3
-	}
 	return c
 }
 
@@ -56,7 +55,7 @@ func (c ScenarioConfig) withDefaults() ScenarioConfig {
 func Consolidated(rng *sim.RNG, cfg ScenarioConfig) []Generator {
 	cfg = cfg.withDefaults()
 	seq := &Sequence{}
-	em := NewEstimateModel(rng.Fork(0xE57), cfg.EstimateSigma)
+	em := NewEstimateModel(rng.Fork(0xE57), estimateSigma)
 	gens := []Generator{
 		&OLTPGen{
 			WorkloadName: "oltp",
@@ -91,7 +90,7 @@ func Consolidated(rng *sim.RNG, cfg ScenarioConfig) []Generator {
 		gens = append(gens, &BatchGen{
 			WorkloadName: "reports",
 			At:           cfg.ReportBatchAt,
-			Count:        cfg.ReportBatchSize,
+			Count:        reportBatchSize,
 			Priority:     policy.PriorityLow,
 			SLO:          policy.PercentileResponseTime(90, 20*sim.Minute),
 			Draw: func(i int, now sim.Time) *Request {

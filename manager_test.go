@@ -125,11 +125,6 @@ func TestManagerKillResubmitFlow(t *testing.T) {
 	m := New(s, engine.Config{Cores: 2, IOMBps: 400})
 	m.MaxResubmits = 2
 	killer := execctl.NewKiller(m.Engine(), 1.0) // kill anything over 1s
-	killer.Resubmit = true
-	killer.OnKill = func(id int64, resubmit bool) {
-		// The manager handle is still present during the engine callback;
-		// resubmission happens through OnFinish below.
-	}
 	resubmitted := 0
 	m.OnDispatch = func(rr *Running) {
 		if rr.Req.Workload == "big" {
