@@ -43,7 +43,7 @@ bench:
 # the lexer and the fingerprint against their reference implementations, the
 # wire-frame decoder, the buffered frame reader against the two-read reference
 # under random read chunking,
-# both trace encodings, the k-means kernel (pruned seeding that supplies the
+# the binary trace decoder (the one trace encoding), the k-means kernel (pruned seeding that supplies the
 # first Lloyd pass, Yinyang group bounds, incremental separations) against
 # its brute-force reference, the selection-built k-d tree against the
 # sort-built one, and
@@ -65,7 +65,6 @@ fuzz-short:
 	$(GO) test -fuzz '^FuzzDecode$$' -fuzztime 10s -run '^$$' ./internal/wire/
 	$(GO) test -fuzz '^FuzzFrameConnChunking$$' -fuzztime 10s -run '^$$' ./internal/wire/
 	$(GO) test -fuzz '^FuzzTraceDecode$$' -fuzztime 10s -run '^$$' ./internal/trace/
-	$(GO) test -fuzz '^FuzzTraceJSONL$$' -fuzztime 10s -run '^$$' ./internal/trace/
 	$(GO) test -fuzz FuzzKMeansFlatMatchesReference -fuzztime 10s -run '^$$' ./internal/learn/
 	$(GO) test -fuzz FuzzKDBuildMatchesReference -fuzztime 10s -run '^$$' ./internal/learn/
 	$(GO) test -fuzz FuzzKNNMemoMatchesLinear -fuzztime 10s -run '^$$' ./internal/learn/

@@ -10,10 +10,10 @@
 //	       [-cores 8] [-mem 4096] [-io 800]
 //	       [-record out.trace] [-replay-trace in.trace]
 //
-// -record and -replay-trace use the versioned internal/trace format (binary,
-// or JSONL with a .jsonl/.json extension; sniffed by magic byte on replay);
-// recording is transparent (bit-identical engine results with or without it)
-// and a recorded trace replays bit-identically.
+// -record and -replay-trace use the versioned binary internal/trace format,
+// whatever the file's extension; recording is transparent (bit-identical
+// engine results with or without it) and a recorded trace replays
+// bit-identically.
 package main
 
 import (
@@ -47,8 +47,8 @@ func run(args []string, stdout io.Writer) int {
 	cores := fs.Float64("cores", 8, "server CPU cores")
 	memMB := fs.Float64("mem", 4096, "server memory (MB)")
 	ioMBps := fs.Float64("io", 800, "server IO bandwidth (MB/s)")
-	recordPath := fs.String("record", "", "record the run to a versioned trace file (binary, or JSONL with a .jsonl/.json extension)")
-	replayTracePath := fs.String("replay-trace", "", "replay a versioned trace file instead of generating")
+	recordPath := fs.String("record", "", "record the run to a versioned binary trace file")
+	replayTracePath := fs.String("replay-trace", "", "replay a versioned binary trace file instead of generating")
 	configPath := fs.String("config", "", "apply a JSON WLM configuration (overrides -profile)")
 	if err := fs.Parse(args); err != nil {
 		if err == flag.ErrHelp {

@@ -21,24 +21,21 @@ func report(t *testing.T, out string) string {
 
 // TestRecordReplayIdentical holds wlmsim to its doc comment: a recorded
 // trace replays bit-identically, so the replay prints the recording run's
-// report, in both encodings.
+// report.
 func TestRecordReplayIdentical(t *testing.T) {
-	dir := t.TempDir()
-	for _, name := range []string{"run.trace", "run.jsonl"} {
-		path := filepath.Join(dir, name)
-		var rec, rep strings.Builder
-		if code := run([]string{"-horizon", "10", "-drain", "10", "-record", path}, &rec); code != 0 {
-			t.Fatalf("%s: record exited %d:\n%s", name, code, rec.String())
-		}
-		if !strings.Contains(rec.String(), "recorded ") {
-			t.Fatalf("%s: record run wrote no trace:\n%s", name, rec.String())
-		}
-		if code := run([]string{"-horizon", "10", "-drain", "10", "-replay-trace", path}, &rep); code != 0 {
-			t.Fatalf("%s: replay exited %d:\n%s", name, code, rep.String())
-		}
-		if got, want := report(t, rep.String()), report(t, rec.String()); got != want {
-			t.Fatalf("%s: replay report differs from the recording's:\nrecorded:\n%s\nreplayed:\n%s", name, want, got)
-		}
+	path := filepath.Join(t.TempDir(), "run.trace")
+	var rec, rep strings.Builder
+	if code := run([]string{"-horizon", "10", "-drain", "10", "-record", path}, &rec); code != 0 {
+		t.Fatalf("record exited %d:\n%s", code, rec.String())
+	}
+	if !strings.Contains(rec.String(), "recorded ") {
+		t.Fatalf("record run wrote no trace:\n%s", rec.String())
+	}
+	if code := run([]string{"-horizon", "10", "-drain", "10", "-replay-trace", path}, &rep); code != 0 {
+		t.Fatalf("replay exited %d:\n%s", code, rep.String())
+	}
+	if got, want := report(t, rep.String()), report(t, rec.String()); got != want {
+		t.Fatalf("replay report differs from the recording's:\nrecorded:\n%s\nreplayed:\n%s", want, got)
 	}
 }
 

@@ -1,18 +1,13 @@
-// Command wlmtrace inspects, converts, compresses, and replays workload
-// traces in the versioned internal/trace format.
+// Command wlmtrace inspects, synthesizes, compresses, and replays workload
+// traces in the versioned binary internal/trace format.
 //
 // Usage:
 //
 //	wlmtrace info FILE
-//	wlmtrace convert IN OUT
 //	wlmtrace synth [-rows N] [-seed S] OUT
 //	wlmtrace compress [-ratio 16] [-strata 6] [-seed 0] [-workers 0] IN OUT
 //	wlmtrace replay [-cores 8] [-mem 16384] [-io 800] [-seed 42] [-scale 0] FILE
 //	wlmtrace divergence [-bound 0.3] FULL COMPRESSED
-//
-// Encodings are sniffed on read (binary magic vs JSONL) and picked by
-// extension on write (.jsonl/.json → JSONL, anything else → binary), so
-// convert is just a read of IN and a write of OUT.
 //
 // replay drives the trace straight into a fresh deterministic sim/engine
 // pair and reports per-class arrivals, completions, and response times;
@@ -45,8 +40,6 @@ func main() {
 	switch os.Args[1] {
 	case "info":
 		err = cmdInfo(os.Args[2:])
-	case "convert":
-		err = cmdConvert(os.Args[2:])
 	case "synth":
 		err = cmdSynth(os.Args[2:])
 	case "compress":
@@ -65,7 +58,7 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: wlmtrace info|convert|synth|compress|replay|divergence [flags] [args]")
+	fmt.Fprintln(os.Stderr, "usage: wlmtrace info|synth|compress|replay|divergence [flags] [args]")
 	os.Exit(2)
 }
 
@@ -135,53 +128,6 @@ func cmdInfo(args []string) error {
 		}
 		fmt.Printf("  %-14s %8d rows  weight %10.0f\n", h.ClassName(uint16(idx)), ci.rows, ci.weight)
 	}
-	return nil
-}
-
-func cmdConvert(args []string) error {
-	fs := flag.NewFlagSet("convert", flag.ExitOnError)
-	fs.Parse(args)
-	if fs.NArg() != 2 {
-		return errors.New("convert: want IN OUT")
-	}
-	src, closer, err := trace.OpenFile(fs.Arg(0))
-	if err != nil {
-		return err
-	}
-	defer closer.Close()
-	out, err := os.Create(fs.Arg(1))
-	if err != nil {
-		return err
-	}
-	w, err := trace.NewWriterFor(out, fs.Arg(1), src.Header())
-	if err != nil {
-		out.Close()
-		return err
-	}
-	var row trace.Row
-	var n int64
-	for {
-		if err := src.Next(&row); err != nil {
-			if errors.Is(err, io.EOF) {
-				break
-			}
-			out.Close()
-			return err
-		}
-		if err := w.WriteRow(&row); err != nil {
-			out.Close()
-			return err
-		}
-		n++
-	}
-	if err := w.Flush(); err != nil {
-		out.Close()
-		return err
-	}
-	if err := out.Close(); err != nil {
-		return err
-	}
-	fmt.Printf("converted %d rows: %s -> %s\n", n, fs.Arg(0), fs.Arg(1))
 	return nil
 }
 

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"bytes"
 	"os"
 	"path/filepath"
 	"strings"
@@ -25,13 +24,11 @@ func readRows(t *testing.T, path string) []trace.Row {
 }
 
 // TestPipeline runs the subcommands end to end on a few hundred rows:
-// synth, info, a binary -> JSONL -> binary round trip that must give back
-// the same bytes, compress, and divergence with and without its gate.
+// synth, info, compress, replay of the compressed trace, and divergence with
+// and without its gate.
 func TestPipeline(t *testing.T) {
 	dir := t.TempDir()
 	full := filepath.Join(dir, "full.trace")
-	jsonl := filepath.Join(dir, "full.jsonl")
-	back := filepath.Join(dir, "back.trace")
 	comp := filepath.Join(dir, "comp.trace")
 	for _, step := range []struct {
 		name string
@@ -40,9 +37,8 @@ func TestPipeline(t *testing.T) {
 	}{
 		{"synth", cmdSynth, []string{"-rows", "400", full}},
 		{"info", cmdInfo, []string{full}},
-		{"convert to JSONL", cmdConvert, []string{full, jsonl}},
-		{"convert to binary", cmdConvert, []string{jsonl, back}},
 		{"compress", cmdCompress, []string{"-ratio", "4", full, comp}},
+		{"replay", cmdReplay, []string{comp}},
 		{"divergence", cmdDivergence, []string{"-bound", "0", full, comp}},
 	} {
 		if err := step.run(step.args); err != nil {
@@ -50,24 +46,13 @@ func TestPipeline(t *testing.T) {
 		}
 	}
 
-	a, err := os.ReadFile(full)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := os.ReadFile(back)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a, b) {
-		t.Fatalf("binary -> JSONL -> binary changed the trace (%d -> %d bytes)", len(a), len(b))
-	}
 	if n := len(readRows(t, full)); n != 400 {
 		t.Fatalf("synth wrote %d rows, want 400", n)
 	}
 	if n := len(readRows(t, comp)); n == 0 || n >= 400 {
 		t.Fatalf("compress kept %d of 400 rows", n)
 	}
-	err = cmdDivergence([]string{"-bound", "1e-9", full, comp})
+	err := cmdDivergence([]string{"-bound", "1e-9", full, comp})
 	if err == nil || !strings.Contains(err.Error(), "exceeds bound") {
 		t.Fatalf("divergence gate at 1e-9: got %v, want an exceeds-bound error", err)
 	}

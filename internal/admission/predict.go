@@ -126,11 +126,11 @@ const (
 // knnK is the number of neighbours a k-NN prediction averages.
 const knnK = 5
 
-// refitPace is the refit schedule both online predictors share, so that
-// Background means one thing. A refit is due once the predictor holds enough
-// history and either has never refit or has seen `every` observations since
-// the last refit began. The synchronous (simulated) path is paced by that
-// count alone and stays deterministic; a background refit additionally waits
+// refitPace is the refit schedule both online predictors share. A refit is
+// due once the predictor holds enough history and either has never refit or
+// has seen `every` observations since the last refit began. The synchronous
+// path (the simulator, and the decision tree always) is paced by that count
+// alone and stays deterministic; a background k-NN refit additionally waits
 // until refitInterval has passed since the previous one began, and at most
 // one is in flight. The clock is read once per `every` observations, not once
 // per observation, so a model is never staler than refitInterval plus `every`
@@ -226,10 +226,8 @@ func (r *refitPace) LastFit() (age, took time.Duration) {
 // TreePredictor predicts runtime ranges with a decision tree (Gupta PQR).
 // It accumulates observations online and retrains every treeRetrainEvery
 // completions. The model lives behind an atomic pointer — the decision path
-// is lock-free and never observes a torn tree — and with Background set the
-// retrain itself runs on a goroutine and swaps the pointer when done
-// (mirroring the limits-block reload pattern of internal/rt), so a decision
-// never blocks on training.
+// is lock-free and never observes a torn tree. Retraining is synchronous and
+// count-paced, so a simulated run stays deterministic.
 type TreePredictor struct {
 	// MaxBucket is the largest admissible predicted bucket; work predicted
 	// beyond it is queued.
@@ -237,10 +235,6 @@ type TreePredictor struct {
 	// MinTraining is the number of observations required before the
 	// predictor starts gating (default 30); before that it admits all.
 	MinTraining int
-	// Background moves retraining onto a goroutine and paces it by time as
-	// well as by count (see refitPace). The simulated path keeps the default
-	// (synchronous, count-paced, deterministic); the live runtime sets it.
-	Background bool
 
 	mu      sync.Mutex // guards history and the pace's counters
 	history []learn.Sample
@@ -267,8 +261,7 @@ func (p *TreePredictor) Decide(r *workload.Request, _ sim.Time) Decision {
 }
 
 // ObserveCompletion implements CompletionObserver: record the actual runtime
-// and periodically retrain (inline, or in the background when Background is
-// set).
+// and retrain every treeRetrainEvery observations.
 func (p *TreePredictor) ObserveCompletion(r *workload.Request, responseSeconds float64, _ sim.Time) {
 	p.mu.Lock()
 	p.history = append(p.history, learn.Sample{
@@ -279,7 +272,7 @@ func (p *TreePredictor) ObserveCompletion(r *workload.Request, responseSeconds f
 	if min <= 0 {
 		min = 30
 	}
-	if !p.observed(p.Background, len(p.history) >= min, treeRetrainEvery) {
+	if !p.observed(false, len(p.history) >= min, treeRetrainEvery) {
 		p.mu.Unlock()
 		return
 	}
@@ -289,7 +282,7 @@ func (p *TreePredictor) ObserveCompletion(r *workload.Request, responseSeconds f
 	copy(snap, p.history)
 	p.mu.Unlock()
 
-	p.run(p.Background, func() {
+	p.run(false, func() {
 		p.model.Store(learn.TrainDecisionTree(snap, numBuckets, learn.TreeConfig{MaxDepth: 8, MinLeafSize: 3}))
 	})
 }

@@ -114,40 +114,3 @@ func TestKNNHistoryTrimWithBackgroundRetrain(t *testing.T) {
 		t.Fatalf("model trained on %d samples, want <= 40", m.Len())
 	}
 }
-
-// TestTreeBackgroundRetrainConcurrent is the decision-tree analogue: Decide
-// runs lock-free against the swapped pointer while completions retrain.
-func TestTreeBackgroundRetrainConcurrent(t *testing.T) {
-	p := &TreePredictor{MaxBucket: BucketMedium, MinTraining: 10, Background: true}
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < 100; i++ {
-				cheap := mkReq(0, float64(100+i))
-				p.ObserveCompletion(cheap, 0.2, 0)
-				big := mkReq(0, float64(500000+i*1000))
-				p.ObserveCompletion(big, 200, 0)
-				p.Decide(cheap, 0)
-				p.Decide(big, 0)
-			}
-		}(w)
-	}
-	wg.Wait()
-	waitRetrained(t, p.Retrains, 1)
-	if p.model.Load() == nil {
-		t.Fatal("tree never trained")
-	}
-	// With training drained, the learnable relationship must hold.
-	deadline := time.Now().Add(5 * time.Second)
-	for p.retraining.Load() {
-		if time.Now().After(deadline) {
-			t.Fatal("retraining flag stuck")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	if p.Decide(mkReq(0, 1e6), 0) != Queue {
-		t.Fatal("trained tree should gate monsters")
-	}
-}

@@ -83,35 +83,6 @@ func TestKNNBackgroundRefitsPacedByClock(t *testing.T) {
 	}
 }
 
-// TestTreeBackgroundRefitsPacedByClock is the same rule through the same
-// helper on the decision-tree predictor.
-func TestTreeBackgroundRefitsPacedByClock(t *testing.T) {
-	clock := newFakeClock()
-	p := &TreePredictor{MaxBucket: BucketMedium, Background: true}
-	p.now = clock.now
-	observe := func(n int) {
-		for i := 0; i < n; i++ {
-			p.ObserveCompletion(mkReq(0, float64(100+i)), 0.2, 0)
-			p.ObserveCompletion(mkReq(0, float64(500000+i*1000)), 200, 0)
-		}
-	}
-	observe(50)
-	waitRetrained(t, p.Retrains, 1)
-	observe(2000)
-	waitIdle(t, &p.refitPace)
-	if got := p.Retrains(); got != 1 {
-		t.Fatalf("frozen clock published %d trees, want 1", got)
-	}
-	clock.advance(refitInterval)
-	observe(treeRetrainEvery / 2)
-	waitRetrained(t, p.Retrains, 2)
-	observe(2000)
-	waitIdle(t, &p.refitPace)
-	if got := p.Retrains(); got != 2 {
-		t.Fatalf("one interval admitted %d refits, want exactly 1 more", got-1)
-	}
-}
-
 // TestSyncRefitsStayCountPaced pins the simulated path: with Background unset
 // the clock plays no part, and a fixed observation sequence refits exactly as
 // often — and predicts exactly what — it did before pacing existed (numbers

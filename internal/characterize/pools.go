@@ -11,8 +11,6 @@ type ResourcePool struct {
 	MaxCPU float64 // cap in [MinCPU, 1]
 	MinMem float64
 	MaxMem float64
-	// Internal marks the engine's own pool, which may pressure others.
-	Internal bool
 }
 
 // Validate checks a single pool's bounds.

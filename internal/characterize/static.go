@@ -126,8 +126,7 @@ type ServiceTier struct {
 }
 
 // ServiceClass is the execution environment a workload runs in: resource
-// access weight, optional subclass tiers for aging, execution thresholds,
-// and a concurrency limit.
+// access weight, optional subclass tiers for aging, and a concurrency limit.
 type ServiceClass struct {
 	Name     string
 	Priority policy.Priority
@@ -136,8 +135,6 @@ type ServiceClass struct {
 	// Tiers are aging levels, highest first; empty means the class weight
 	// is the only level.
 	Tiers []ServiceTier
-	// Thresholds guard execution within this class.
-	Thresholds []policy.Threshold
 	// MaxConcurrency is the class MPL (0 = unlimited).
 	MaxConcurrency int
 	// SLO carried by the class (workloads may override).

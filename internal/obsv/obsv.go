@@ -37,8 +37,8 @@ import (
 // Kind classifies a flight-recorder event.
 type Kind uint8
 
-// Event kinds: the query lifecycle (admit decision, queue enter, release),
-// the MAPE loop's three visible stages, and execution-control actions.
+// Event kinds: the query lifecycle (admit decision, queue enter, release)
+// and the MAPE loop's three visible stages.
 const (
 	// KindAny matches every kind in a Filter.
 	KindAny Kind = iota
@@ -59,16 +59,13 @@ const (
 	// KindMAPEAction is one planned action the executor imposed
 	// (Reason = action, Value = amount).
 	KindMAPEAction
-	// KindCtlAction is an execution-control effector firing (throttle,
-	// kill, reprioritize, suspend) outside the MAPE loop.
-	KindCtlAction
 
 	numKinds
 )
 
 var kindNames = [numKinds]string{
 	"any", "admit", "enqueue", "done",
-	"mape-monitor", "mape-symptom", "mape-action", "ctl-action",
+	"mape-monitor", "mape-symptom", "mape-action",
 }
 
 // String names the kind.
@@ -124,8 +121,7 @@ const (
 	ReasonOverload
 	ReasonUnderload
 
-	// Control-action reasons mirror the planner's ActionKind vocabulary
-	// plus the threshold effectors of internal/execctl.
+	// Control-action reasons mirror the planner's ActionKind vocabulary.
 	ReasonThrottle
 	ReasonSuspend
 	ReasonKill

@@ -143,8 +143,10 @@ func TestKindAndReasonNames(t *testing.T) {
 			t.Fatalf("kind %d round-trip through %q failed", k, k.String())
 		}
 	}
-	if _, ok := KindFromName("nope"); ok {
-		t.Fatal("unknown kind resolved")
+	for _, name := range []string{"nope", "ctl-action"} {
+		if _, ok := KindFromName(name); ok {
+			t.Fatalf("unknown kind %q resolved", name)
+		}
 	}
 	seen := map[string]Reason{}
 	for r := Reason(1); r < numReasons; r++ {

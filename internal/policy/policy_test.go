@@ -104,16 +104,3 @@ func TestAttainmentRatioProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestKindAndActionNames(t *testing.T) {
-	for k := ThresholdElapsedTime; k <= ThresholdCPUTime; k++ {
-		if k.String() == "" || (Threshold{Kind: k, Limit: 1}).String() == "" {
-			t.Fatalf("empty kind name %d", int(k))
-		}
-	}
-	for a := ActionCollect; a <= ActionSuspend; a++ {
-		if a.String() == "" {
-			t.Fatalf("empty action name %d", int(a))
-		}
-	}
-}

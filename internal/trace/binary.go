@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"errors"
 	"fmt"
 	"io"
 
@@ -92,6 +93,11 @@ func AppendHeader(dst []byte, h Header) ([]byte, error) {
 	return dst, nil
 }
 
+// badMagic is the error for input that does not start like a binary trace.
+func badMagic(b byte) error {
+	return fmt.Errorf("trace: bad magic 0x%02x (want 0x%02x): not a binary trace", b, Magic)
+}
+
 // DecodeHeader decodes a binary header from the front of buf, returning the
 // header and the number of bytes it occupied. Class names are copied out of
 // buf. Errors are hard: bad magic, wrong version, or a truncated class table
@@ -102,7 +108,7 @@ func DecodeHeader(buf []byte) (Header, int, error) {
 		return h, 0, fmt.Errorf("trace: header needs %d bytes, have %d", headerFixedLen, len(buf))
 	}
 	if buf[0] != Magic {
-		return h, 0, fmt.Errorf("trace: bad magic 0x%02x (want 0x%02x)", buf[0], Magic)
+		return h, 0, badMagic(buf[0])
 	}
 	if buf[1] != Version {
 		return h, 0, fmt.Errorf("trace: unsupported version %d (want %d)", buf[1], Version)
@@ -388,6 +394,12 @@ func (r *Reader) Header() Header { return r.h }
 // readHeader fills enough of the buffer to decode the header.
 func (r *Reader) readHeader() error {
 	if err := r.ensure(headerFixedLen); err != nil {
+		switch {
+		case err == io.EOF:
+			return errors.New("trace: empty input")
+		case err == io.ErrUnexpectedEOF && r.buf[r.pos] != Magic:
+			return badMagic(r.buf[r.pos]) // a short non-trace file, say one line of text
+		}
 		return fmt.Errorf("trace: reading header: %w", err)
 	}
 	need := headerFixedLen

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"io"
 	"math"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -279,81 +281,44 @@ func TestStreamLargeTrace(t *testing.T) {
 	}
 }
 
-func TestJSONLRoundTrip(t *testing.T) {
-	h := Header{Version: Version, DurationUS: 2_000_000, Classes: []string{"oltp", "bi", "adhoc"}}
-	rows := sampleRows()
-	rows = rows[:2] // row 3 carries non-finite floats JSON cannot encode
-	rows = append(rows, Row{ID: 4, ArriveUS: 2_000_000, Weight: 1, Class: 0})
-
-	var buf bytes.Buffer
-	w, err := NewJSONLWriter(&buf, h)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range rows {
-		if err := w.WriteRow(&rows[i]); err != nil {
-			t.Fatalf("WriteRow %d: %v", i, err)
-		}
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-
-	r, err := NewJSONLReader(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(r.Header(), h) {
-		t.Fatalf("header mismatch: %+v", r.Header())
-	}
-	got, err := ReadAll(r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(rows) {
-		t.Fatalf("got %d rows, want %d", len(got), len(rows))
-	}
-	for i := range rows {
-		a, _ := AppendRow(nil, &rows[i])
-		b, _ := AppendRow(nil, &got[i])
-		if !bytes.Equal(a, b) {
-			t.Fatalf("row %d differs after JSONL round trip", i)
-		}
-	}
-
-	// Non-finite floats must be rejected by the JSONL writer, not silently
-	// mangled.
-	inf := Row{ID: 9, Weight: math.Inf(1)}
-	if err := w.WriteRow(&inf); err == nil {
-		t.Fatal("JSONL writer accepted +Inf")
-	}
-}
-
-func TestSniffSource(t *testing.T) {
+// TestOpenFileRejectsNonTrace pins that a trace file is only ever the binary
+// encoding: a binary file opens as the streaming Reader, while a JSON-lines
+// file, a text file and an empty file each fail with a trace: error instead
+// of being decoded some other way.
+func TestOpenFileRejectsNonTrace(t *testing.T) {
+	dir := t.TempDir()
 	h := Header{Version: Version, DurationUS: 1000, Classes: []string{"a"}}
-	rows := []Row{{ID: 1, ArriveUS: 10, Weight: 1}}
-
-	bin := writeStream(t, h, rows)
-	src, err := NewSourceFrom(bytes.NewReader(bin))
+	bin := filepath.Join(dir, "ok.trace")
+	if err := WriteFile(bin, h, []Row{{ID: 1, ArriveUS: 10, Weight: 1}}); err != nil {
+		t.Fatal(err)
+	}
+	src, f, err := OpenFile(bin)
 	if err != nil {
 		t.Fatal(err)
 	}
+	f.Close()
 	if _, ok := src.(*Reader); !ok {
-		t.Fatalf("binary input sniffed as %T", src)
+		t.Fatalf("binary trace opened as %T", src)
 	}
 
-	var jbuf bytes.Buffer
-	jw, err := NewJSONLWriter(&jbuf, h)
-	if err != nil {
-		t.Fatal(err)
-	}
-	jw.WriteRow(&rows[0])
-	jw.Flush()
-	src, err = NewSourceFrom(bytes.NewReader(jbuf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := src.(*JSONLReader); !ok {
-		t.Fatalf("JSONL input sniffed as %T", src)
+	const notTrace = "trace: bad magic 0x7b (want 0xd8): not a binary trace"
+	for _, c := range []struct{ name, data, want string }{
+		{"run.jsonl", `{"format":"dbwlm-trace","version":1,"duration_us":10,"classes":["a"]}` + "\n" + `{"id":1,"arrive_us":3}` + "\n", notTrace},
+		{"line.jsonl", "{}\n", notTrace},
+		{"notes.txt", "id,arrive_us,class\n1,3,a\n", "trace: bad magic 0x69 (want 0xd8): not a binary trace"},
+		{"empty.trace", "", "trace: empty input"},
+	} {
+		path := filepath.Join(dir, c.name)
+		if err := os.WriteFile(path, []byte(c.data), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		src, f, err := OpenFile(path)
+		if err == nil {
+			f.Close()
+			t.Fatalf("%s opened as a %T", c.name, src)
+		}
+		if err.Error() != c.want {
+			t.Fatalf("%s: error %q, want %q", c.name, err, c.want)
+		}
 	}
 }

@@ -151,9 +151,3 @@ func (rec *Recorder) Header() Header {
 // Rows returns the recorded rows, in submission order (which is arrival
 // order: the simulator fires events in time order).
 func (rec *Recorder) Rows() []Row { return rec.rows }
-
-// RowWriter is the shared surface of the binary and JSONL writers.
-type RowWriter interface {
-	WriteRow(*Row) error
-	Flush() error
-}

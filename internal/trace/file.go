@@ -1,34 +1,13 @@
 package trace
 
 import (
-	"bufio"
-	"fmt"
 	"io"
 	"os"
-	"strings"
 )
 
-// File-level helpers shared by the CLI tools: open a trace of either
-// encoding (sniffed by magic byte), and write one (encoding picked by file
-// extension).
-
-// NewSourceFrom sniffs the first byte of r and returns the matching decoder:
-// the binary magic selects the binary reader, anything else the JSONL
-// reader.
-func NewSourceFrom(r io.Reader) (Source, error) {
-	br := bufio.NewReaderSize(r, 1<<16)
-	first, err := br.Peek(1)
-	if err != nil {
-		if err == io.EOF {
-			return nil, fmt.Errorf("trace: empty input")
-		}
-		return nil, err
-	}
-	if first[0] == Magic {
-		return NewReader(br)
-	}
-	return NewJSONLReader(br)
-}
+// File-level helpers shared by the CLI tools. A trace file is always the
+// binary encoding; anything else (an empty file, text, JSON lines) fails to
+// open with a trace: error rather than being guessed at.
 
 // OpenFile opens path and returns a streaming Source for it. The caller
 // closes the returned closer when done.
@@ -37,35 +16,21 @@ func OpenFile(path string) (Source, io.Closer, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	src, err := NewSourceFrom(f)
+	r, err := NewReader(f)
 	if err != nil {
 		f.Close()
 		return nil, nil, err
 	}
-	return src, f, nil
+	return r, f, nil
 }
 
-// JSONLPath reports whether path names a JSONL trace by extension (.jsonl or
-// .json); anything else is written as binary.
-func JSONLPath(path string) bool {
-	return strings.HasSuffix(path, ".jsonl") || strings.HasSuffix(path, ".json")
-}
-
-// NewWriterFor returns a RowWriter for w in the encoding implied by path.
-func NewWriterFor(w io.Writer, path string, h Header) (RowWriter, error) {
-	if JSONLPath(path) {
-		return NewJSONLWriter(w, h)
-	}
-	return NewWriter(w, h)
-}
-
-// WriteFile writes a whole trace to path, encoding picked by extension.
+// WriteFile writes a whole trace to path.
 func WriteFile(path string, h Header, rows []Row) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	w, err := NewWriterFor(f, path, h)
+	w, err := NewWriter(f, h)
 	if err != nil {
 		f.Close()
 		return err

@@ -55,64 +55,3 @@ func FuzzTraceDecode(f *testing.F) {
 		}
 	})
 }
-
-// FuzzTraceJSONL fuzzes the JSONL decoder. Invariants: total function, and
-// decode-encode-decode is a fixed point (the first decode normalizes; the
-// round trip must preserve it exactly, compared via canonical binary bytes).
-func FuzzTraceJSONL(f *testing.F) {
-	h := Header{Version: Version, DurationUS: 5_000_000, Classes: []string{"oltp", "bi"}}
-	var buf bytes.Buffer
-	if w, err := NewJSONLWriter(&buf, h); err == nil {
-		rows := sampleRows()
-		for i := range rows[:2] {
-			w.WriteRow(&rows[i])
-		}
-		w.Flush()
-	}
-	f.Add(buf.String())
-	f.Add(`{"format":"dbwlm-trace","version":1,"duration_us":10,"classes":["a"]}` + "\n" + `{"id":1,"arrive_us":3}`)
-	f.Add(`{"format":"dbwlm-trace","version":1}` + "\n" + `null`)
-	f.Add("")
-	f.Fuzz(func(t *testing.T, data string) {
-		r, err := NewJSONLReader(bytes.NewReader([]byte(data)))
-		if err != nil {
-			return
-		}
-		first, err := ReadAll(r)
-		if err != nil {
-			return
-		}
-		// Re-encode and decode again; rows must survive unchanged.
-		var out bytes.Buffer
-		w, err := NewJSONLWriter(&out, r.Header())
-		if err != nil {
-			t.Fatalf("decoded header does not re-encode: %v", err)
-		}
-		for i := range first {
-			if err := w.WriteRow(&first[i]); err != nil {
-				t.Fatalf("decoded row %d does not re-encode: %v", i, err)
-			}
-		}
-		if err := w.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		r2, err := NewJSONLReader(bytes.NewReader(out.Bytes()))
-		if err != nil {
-			t.Fatalf("re-encoded trace does not decode: %v", err)
-		}
-		second, err := ReadAll(r2)
-		if err != nil {
-			t.Fatalf("re-encoded rows do not decode: %v", err)
-		}
-		if len(first) != len(second) {
-			t.Fatalf("row count changed across round trip: %d vs %d", len(first), len(second))
-		}
-		for i := range first {
-			a, errA := AppendRow(nil, &first[i])
-			b, errB := AppendRow(nil, &second[i])
-			if (errA == nil) != (errB == nil) || !bytes.Equal(a, b) {
-				t.Fatalf("row %d changed across JSONL round trip", i)
-			}
-		}
-	})
-}

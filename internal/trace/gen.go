@@ -23,9 +23,6 @@ import (
 type Gen struct {
 	// Src supplies the rows. The generator reads it once; it is not rewound.
 	Src Source
-	// TimeScale multiplies arrival offsets: 0.5 replays twice as fast as
-	// recorded, 2 twice as slow. 0 (or 1) replays in recorded time.
-	TimeScale float64
 
 	err error
 }
@@ -43,7 +40,6 @@ func (g *Gen) Err() error { return g.err }
 // Start implements workload.Generator.
 func (g *Gen) Start(s *sim.Simulator, horizon sim.Time, submit workload.SubmitFunc) {
 	h := g.Src.Header()
-	scale := g.TimeScale
 	var row Row
 	var pending *workload.Request
 	var at sim.Time
@@ -54,11 +50,7 @@ func (g *Gen) Start(s *sim.Simulator, horizon sim.Time, submit workload.SubmitFu
 			}
 			return false
 		}
-		if scale > 0 && scale != 1 {
-			at = sim.Time(float64(row.ArriveUS) * scale)
-		} else {
-			at = sim.Time(row.ArriveUS)
-		}
+		at = sim.Time(row.ArriveUS)
 		if at > horizon {
 			return false
 		}

@@ -52,7 +52,8 @@ type ReplayConfig struct {
 	Engine engine.Config
 	// Seed seeds the simulator RNG.
 	Seed uint64
-	// TimeScale multiplies arrival offsets, exactly as in Gen. A compressed
+	// TimeScale multiplies arrival offsets: 0.5 replays twice as fast as
+	// recorded, 2 twice as slow, 0 (or 1) in recorded time. A compressed
 	// trace replayed at TimeScale = rows/totalWeight offers the engine the
 	// same arrival *rate* as the original while finishing in a fraction of
 	// the virtual (and wall) time.

@@ -78,28 +78,25 @@ func TestRecordReplayEquivalence(t *testing.T) {
 		t.Fatalf("in-memory replay engine stats diverged: %+v vs %+v", memStats, directStats)
 	}
 
-	// Write the recording to disk and replay it from there, in both
-	// encodings — the wlmsim -record / -replay-trace path.
-	dir := t.TempDir()
-	for _, name := range []string{"rec.trace", "rec.jsonl"} {
-		path := filepath.Join(dir, name)
-		if err := trace.WriteFile(path, rec.Header(), rec.Rows()); err != nil {
-			t.Fatal(err)
-		}
-		src, f, err := trace.OpenFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		report, stats, err := runReplay(src)
-		f.Close()
-		if err != nil {
-			t.Fatalf("%s replay: %v", name, err)
-		}
-		if report != directReport {
-			t.Fatalf("%s replay diverged:\ndirect:\n%s\nreplay:\n%s", name, directReport, report)
-		}
-		if !reflect.DeepEqual(stats, directStats) {
-			t.Fatalf("%s replay engine stats diverged: %+v vs %+v", name, stats, directStats)
-		}
+	// Write the recording to disk and replay it from there — the wlmsim
+	// -record / -replay-trace path.
+	path := filepath.Join(t.TempDir(), "rec.trace")
+	if err := trace.WriteFile(path, rec.Header(), rec.Rows()); err != nil {
+		t.Fatal(err)
+	}
+	src, f, err := trace.OpenFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	report, stats, err := runReplay(src)
+	f.Close()
+	if err != nil {
+		t.Fatalf("file replay: %v", err)
+	}
+	if report != directReport {
+		t.Fatalf("file replay diverged:\ndirect:\n%s\nreplay:\n%s", directReport, report)
+	}
+	if !reflect.DeepEqual(stats, directStats) {
+		t.Fatalf("file replay engine stats diverged: %+v vs %+v", stats, directStats)
 	}
 }

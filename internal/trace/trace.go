@@ -1,9 +1,9 @@
 // Package trace defines the versioned workload-trace format and the tools
 // that make recorded traffic a first-class workload source: a streaming
-// binary reader/writer with zero-alloc row decode, a JSONL twin for
-// interchange, a replay generator that feeds traces into the deterministic
-// sim/engine substrate, and a divergence-bounded workload compressor in the
-// style of Deep et al., "Comprehensive and Efficient Workload Compression".
+// binary reader/writer with zero-alloc row decode, a replay generator that
+// feeds traces into the deterministic sim/engine substrate, and a
+// divergence-bounded workload compressor in the style of Deep et al.,
+// "Comprehensive and Efficient Workload Compression".
 //
 // A trace is a header (format version, recorded duration, class-name table)
 // followed by rows sorted by arrival offset. Each row carries everything the
@@ -12,13 +12,11 @@
 // estimates, SLA — plus the true engine work so replays can execute, and a
 // weight so a compressed trace can stand in for many original rows.
 //
-// Two encodings share the Row model: a length-prefixed binary format in the
-// internal/wire codec style (the fast path: multi-million-row traces decode
-// at >1M rows/sec with zero allocations per row) and line-oriented JSON (the
-// interchange path: greppable, diffable, trivially produced by external
-// systems). Both are strict — a malformed row is an error, never a guess —
-// and canonical: re-encoding a decoded row reproduces the input bytes
-// (binary) or an equivalent row (JSONL), properties the fuzz targets pin.
+// There is one encoding: a length-prefixed binary format in the
+// internal/wire codec style (multi-million-row traces decode at >1M
+// rows/sec with zero allocations per row). It is strict — a malformed row
+// is an error, never a guess — and canonical: re-encoding a decoded row
+// reproduces the input bytes, a property the fuzz target pins.
 package trace
 
 import (
@@ -27,7 +25,7 @@ import (
 	"io"
 )
 
-// Version is the current trace format version, carried by both encodings.
+// Version is the current trace format version, carried in the header.
 const Version = 1
 
 // Row flag bits.

@@ -19,10 +19,9 @@ import (
 // Origin identifies "who" issued a request (Section 2.2): the connection
 // attributes DB2 workloads and Teradata classification criteria match on.
 type Origin struct {
-	App       string
-	User      string
-	ClientIP  string
-	SessionID int64
+	App      string
+	User     string
+	ClientIP string
 }
 
 // Estimates are the optimizer's predictions for a request — the only

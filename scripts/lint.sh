@@ -48,6 +48,18 @@ if git grep -nE -- '-[s]elftest|-[t]race-dump|internal/[p]rogress' -- \
 	exit 1
 fi
 
+# A trace file has one encoding, the binary one: the JSON-lines twin, the
+# extension-picked writer and the convert subcommand of wlmtrace were
+# deleted. No code, script, test or how-to-run doc may point at them again;
+# internal/bench's .spans.jsonl files are span dumps, not traces. (The
+# bracketed letters keep the pattern from matching this file.)
+if git grep -nE 'New[J]SONLReader|New[J]SONLWriter|JSONL[P]ath|NewWriter[F]or|wlmtrace [c]onvert' -- \
+	'*.go' '*.sh' Makefile README.md DESIGN.md EXPERIMENTS.md '*/*.md' \
+	':!CHANGES.md' ':!ROADMAP.md' ':!ISSUE.md' ':!internal/bench/'; then
+	echo "lint: reference to the deleted JSONL trace encoding or the convert subcommand of wlmtrace; traces are binary, written by trace.WriteFile" >&2
+	exit 1
+fi
+
 # The analyzer names wlmlint retired (their rules live on, stronger, under
 # hotpath, atomic and lockorder) must not come back in a waiver, a -run list
 # or a doc: an unknown name in a //dbwlm:nolint voids the waiver. (The
