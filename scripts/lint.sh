@@ -55,7 +55,7 @@ fi
 # bracketed letters keep the pattern from matching this file.)
 if git grep -nE 'New[J]SONLReader|New[J]SONLWriter|JSONL[P]ath|NewWriter[F]or|wlmtrace [c]onvert' -- \
 	'*.go' '*.sh' Makefile README.md DESIGN.md EXPERIMENTS.md '*/*.md' \
-	':!CHANGES.md' ':!ROADMAP.md' ':!ISSUE.md' ':!internal/bench/'; then
+	':!CHANGES.md' ':!ROADMAP.md' ':!internal/bench/'; then
 	echo "lint: reference to the deleted JSONL trace encoding or the convert subcommand of wlmtrace; traces are binary, written by trace.WriteFile" >&2
 	exit 1
 fi
