@@ -122,7 +122,7 @@ func TestChainFirstNonAdmitWins(t *testing.T) {
 func TestThroughputFeedbackHillClimbs(t *testing.T) {
 	s := sim.New(1)
 	e := engine.New(s, engine.Config{})
-	c := &ThroughputFeedback{Engine: e, InitialMPL: 4, Step: 2, MaxMPL: 64}
+	c := &ThroughputFeedback{Engine: e}
 	c.Start()
 	// Feed rising throughput: MPL should keep climbing.
 	for i := 0; i < 5; i++ {
@@ -132,7 +132,7 @@ func TestThroughputFeedbackHillClimbs(t *testing.T) {
 		s.Run(s.Now().Add(feedbackInterval))
 	}
 	up := c.MPL()
-	if up <= 4 {
+	if up <= feedbackInitialMPL {
 		t.Fatalf("MPL did not climb under rising throughput: %d", up)
 	}
 	// Now collapse throughput: direction must reverse and MPL drop.
@@ -147,11 +147,13 @@ func TestThroughputFeedbackHillClimbs(t *testing.T) {
 func TestThroughputFeedbackDecide(t *testing.T) {
 	s := sim.New(1)
 	e := engine.New(s, engine.Config{})
-	c := &ThroughputFeedback{Engine: e, InitialMPL: 1}
-	if c.Decide(mkReq(policy.PriorityLow, 1), 0) != Admit {
-		t.Fatal("should admit under MPL")
+	c := &ThroughputFeedback{Engine: e}
+	for i := 0; i < feedbackInitialMPL; i++ {
+		if c.Decide(mkReq(policy.PriorityLow, 1), 0) != Admit {
+			t.Fatalf("should admit under MPL (%d in engine)", i)
+		}
+		e.Submit(engine.QuerySpec{CPUWork: 100}, 1, nil)
 	}
-	e.Submit(engine.QuerySpec{CPUWork: 100}, 1, nil)
 	if c.Decide(mkReq(policy.PriorityLow, 1), 0) != Queue {
 		t.Fatal("should queue at MPL")
 	}
@@ -231,7 +233,7 @@ func TestKNNHistoryBound(t *testing.T) {
 }
 
 func TestChainForwardsCompletions(t *testing.T) {
-	tf := &ThroughputFeedback{Engine: nil, InitialMPL: 4}
+	tf := &ThroughputFeedback{}
 	c := &Chain{Controllers: []Controller{tf}}
 	c.ObserveCompletion(mkReq(policy.PriorityLow, 1), 1, 0)
 	if tf.count != 1 {

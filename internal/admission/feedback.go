@@ -6,10 +6,14 @@ import (
 	"dbwlm/internal/workload"
 )
 
-// The ThroughputFeedback measurement window and the least MPL it tries.
+// The ThroughputFeedback measurement window, its starting admission limit,
+// the bounds of its search and its step per window.
 const (
-	feedbackInterval = 2 * sim.Second
-	feedbackMinMPL   = 1
+	feedbackInterval   = 2 * sim.Second
+	feedbackInitialMPL = 12
+	feedbackMinMPL     = 1
+	feedbackMaxMPL     = 64
+	feedbackStep       = 2
 )
 
 // ThroughputFeedback is the adaptive load controller of Heiss & Wagner [26]
@@ -19,12 +23,6 @@ const (
 // MPL in the same direction; if it fell, reverse.
 type ThroughputFeedback struct {
 	Engine *engine.Engine
-	// InitialMPL is the starting admission limit (default 8).
-	InitialMPL int
-	// MaxMPL bounds the search from above (default 256).
-	MaxMPL int
-	// Step is the MPL adjustment per interval (default 2).
-	Step int
 
 	mpl     int
 	dir     int // +1 or -1
@@ -39,16 +37,7 @@ func (c *ThroughputFeedback) Start() {
 		return
 	}
 	c.started = true
-	if c.InitialMPL <= 0 {
-		c.InitialMPL = 8
-	}
-	if c.MaxMPL <= 0 {
-		c.MaxMPL = 256
-	}
-	if c.Step <= 0 {
-		c.Step = 2
-	}
-	c.mpl = c.InitialMPL
+	c.mpl = feedbackInitialMPL
 	c.dir = +1
 	c.Engine.Sim().Every(feedbackInterval, func() bool {
 		c.adjust()
@@ -64,24 +53,19 @@ func (c *ThroughputFeedback) adjust() {
 		c.dir = -c.dir
 	}
 	c.lastThr = thr
-	c.mpl += c.dir * c.Step
+	c.mpl += c.dir * feedbackStep
 	if c.mpl < feedbackMinMPL {
 		c.mpl = feedbackMinMPL
 		c.dir = +1
 	}
-	if c.mpl > c.MaxMPL {
-		c.mpl = c.MaxMPL
+	if c.mpl > feedbackMaxMPL {
+		c.mpl = feedbackMaxMPL
 		c.dir = -1
 	}
 }
 
 // MPL reports the current dynamic admission limit.
-func (c *ThroughputFeedback) MPL() int {
-	if c.mpl == 0 {
-		return c.InitialMPL
-	}
-	return c.mpl
-}
+func (c *ThroughputFeedback) MPL() int { return c.mpl }
 
 // Name implements Controller.
 func (c *ThroughputFeedback) Name() string { return "throughput-feedback" }

@@ -254,21 +254,21 @@ func TestSuspenderWithoutProgressIndicatorSuspendsAll(t *testing.T) {
 
 func TestPIControllerConverges(t *testing.T) {
 	// Plant: perfRatio = 0.5 + 0.5*throttle (linear, as Parekh assumes).
-	c := &PIController{Target: 0.9}
+	c := &PIController{}
 	u := 0.0
 	for i := 0; i < 100; i++ {
 		perf := 0.5 + 0.5*u
 		u = c.Update(perf)
 	}
 	finalPerf := 0.5 + 0.5*u
-	if math.Abs(finalPerf-0.9) > 0.05 {
-		t.Fatalf("PI converged to perf %v, want ~0.9 (u=%v)", finalPerf, u)
+	if math.Abs(finalPerf-throttleTarget) > 0.05 {
+		t.Fatalf("PI converged to perf %v, want ~%v (u=%v)", finalPerf, throttleTarget, u)
 	}
 }
 
 func TestPIControllerBacksOff(t *testing.T) {
-	c := &PIController{Target: 0.5}
-	// Production perf far above target: throttle must go to zero.
+	c := &PIController{}
+	// Production perf above target: throttle must go to zero.
 	u := 0.5
 	for i := 0; i < 50; i++ {
 		u = c.Update(1.0)
@@ -279,12 +279,12 @@ func TestPIControllerBacksOff(t *testing.T) {
 }
 
 func TestStepControllerDiminishes(t *testing.T) {
-	c := &StepController{Target: 0.9}
+	c := &StepController{}
 	u1 := c.Update(0.5) // violated: up 0.2
 	if math.Abs(u1-0.2) > 1e-9 {
 		t.Fatalf("first step = %v", u1)
 	}
-	u2 := c.Update(0.95) // met: direction change, step halves to 0.1, down
+	u2 := c.Update(1.0) // met: direction change, step halves to 0.1, down
 	if math.Abs(u2-0.1) > 1e-9 {
 		t.Fatalf("second step = %v, want 0.1", u2)
 	}
@@ -302,22 +302,22 @@ func TestStepControllerDiminishes(t *testing.T) {
 }
 
 func TestBlackBoxJumpsToModelSolution(t *testing.T) {
-	// Plant: perf = 0.6 + 0.4*u → target 0.9 needs u = 0.75.
-	c := &BlackBoxController{Target: 0.9}
+	// Plant: perf = 0.6 + 0.4*u → target 0.95 needs u = 0.875.
+	c := &BlackBoxController{}
 	u := 0.0
 	for i := 0; i < 30; i++ {
 		perf := 0.6 + 0.4*u
 		u = c.Update(perf)
 	}
-	if math.Abs(u-0.75) > 0.05 {
-		t.Fatalf("black-box settled at u=%v, want ~0.75", u)
+	if want := (throttleTarget - 0.6) / 0.4; math.Abs(u-want) > 0.05 {
+		t.Fatalf("black-box settled at u=%v, want ~%v", u, want)
 	}
 }
 
 func TestThrottlerConstantProtectsProduction(t *testing.T) {
 	// Production OLTP stream shares a 2-core box with a monster query.
 	// Unthrottled, production gets ~half the CPU; the throttler must give
-	// it back ~90%.
+	// it back ~95%.
 	s, e := newEng(engine.Config{Cores: 2, IOMBps: 1e9})
 	monster := e.Submit(engine.QuerySpec{CPUWork: 1e6, Parallelism: 2}, 1, nil)
 	prod := e.Submit(engine.QuerySpec{CPUWork: 1e6, Parallelism: 2}, 1, nil)
@@ -331,13 +331,13 @@ func TestThrottlerConstantProtectsProduction(t *testing.T) {
 		lastProd = cur
 		return rate / 2.0 // per 1s control period at 2 cores
 	}
-	th := NewThrottler(e, perf, &PIController{Target: 0.9}, MethodConstant)
+	th := NewThrottler(e, perf, &PIController{}, MethodConstant)
 	th.Manage(monster.ID)
 	s.Run(sim.Time(60 * sim.Second))
 	if th.Amount() < 0.5 {
 		t.Fatalf("throttle amount = %v, expected substantial throttling", th.Amount())
 	}
-	// Production rate at the end should be near 90% of 2 cores.
+	// Production rate at the end should be near 95% of 2 cores.
 	before := prod.CPUDone()
 	s.Run(sim.Time(70 * sim.Second))
 	rate := (prod.CPUDone() - before) / 10

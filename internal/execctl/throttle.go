@@ -18,6 +18,9 @@ const (
 	// blackBoxMinSamples is the number of observations before the
 	// BlackBoxController's model engages.
 	blackBoxMinSamples = 4
+	// throttleTarget is every controller's minimum acceptable perfRatio:
+	// the production class must keep 95% of its baseline performance.
+	throttleTarget = 0.95
 )
 
 // The Throttler's control interval and interrupt horizon.
@@ -50,10 +53,6 @@ type AmountController interface {
 // throttle amount and production performance, which the engine's
 // proportional-share model satisfies.
 type PIController struct {
-	// Target is the minimum acceptable perfRatio (for example 0.95: the
-	// production class must keep 95% of baseline performance).
-	Target float64
-
 	integral float64
 	output   float64
 }
@@ -64,7 +63,7 @@ func (c *PIController) Name() string { return "pi" }
 // Update implements AmountController.
 func (c *PIController) Update(perfRatio float64) float64 {
 	// Positive error = production below target = throttle more.
-	err := c.Target - perfRatio
+	err := throttleTarget - perfRatio
 	c.integral += err
 	// Anti-windup: clamp the integral so output can recover.
 	if c.integral > 3 {
@@ -87,9 +86,6 @@ func (c *PIController) Update(perfRatio float64) float64 {
 // function that raises the throttle while the goal is violated and lowers it
 // when met, halving the step on every direction change.
 type StepController struct {
-	// Target as in PIController.
-	Target float64
-
 	step    float64
 	lastDir int
 	output  float64
@@ -104,7 +100,7 @@ func (c *StepController) Update(perfRatio float64) float64 {
 		c.step = stepInitial
 	}
 	dir := -1
-	if perfRatio < c.Target {
+	if perfRatio < throttleTarget {
 		dir = +1 // violated: throttle more
 	}
 	if c.lastDir != 0 && dir != c.lastDir {
@@ -129,8 +125,6 @@ func (c *StepController) Update(perfRatio float64) float64 {
 // pairs and jumps straight to the throttle predicted to achieve the target.
 // Until enough observations exist it behaves like a step controller.
 type BlackBoxController struct {
-	Target float64
-
 	warmup  StepController
 	samples []learn.RegSample
 	output  float64
@@ -147,7 +141,6 @@ func (c *BlackBoxController) Update(perfRatio float64) float64 {
 		c.samples = c.samples[1:]
 	}
 	if len(c.samples) < blackBoxMinSamples {
-		c.warmup.Target = c.Target
 		c.output = c.warmup.Update(perfRatio)
 		return c.output
 	}
@@ -160,7 +153,7 @@ func (c *BlackBoxController) Update(perfRatio float64) float64 {
 		return c.output
 	}
 	// Solve target = a + b·u for u.
-	u := (c.Target - a) / b
+	u := (throttleTarget - a) / b
 	if math.IsNaN(u) || math.IsInf(u, 0) {
 		return c.output
 	}

@@ -67,7 +67,7 @@ func buildController(v Table2Variant, m *managerHandle, history []historicalRun,
 	case T2ConflictRatio:
 		return &admission.ConflictRatio{Engine: m.eng, Critical: 1.3}
 	case T2ThroughputFeedback:
-		tf := &admission.ThroughputFeedback{Engine: m.eng, InitialMPL: 12, MaxMPL: 64, Step: 2}
+		tf := &admission.ThroughputFeedback{Engine: m.eng}
 		tf.Start()
 		return tf
 	case T2Indicators:

@@ -97,7 +97,7 @@ func RunTable3Variant(v Table3Variant, sc Table3Scenario) Row {
 			lastDone, lastAt = done, now
 			return rate / t3OLTPRate
 		}
-		throttler = execctl.NewThrottler(m.Engine(), perf, &execctl.PIController{Target: 0.95}, execctl.MethodConstant)
+		throttler = execctl.NewThrottler(m.Engine(), perf, &execctl.PIController{}, execctl.MethodConstant)
 	case T3Realloc:
 		realloc = &execctl.EconomicReallocator{
 			Engine: m.Engine(),

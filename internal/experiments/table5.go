@@ -164,7 +164,7 @@ func RunParekhThrottling(variant string, seed uint64) Row {
 	var throttler *execctl.Throttler
 	if variant == "pi-throttling" {
 		throttler = execctl.NewThrottler(m.Engine(), sig.ratio,
-			&execctl.PIController{Target: 0.95}, execctl.MethodConstant)
+			&execctl.PIController{}, execctl.MethodConstant)
 	}
 	m.OnDispatch = func(rr *dbwlm.Running) {
 		if rr.Req.Workload == "utility" {
@@ -244,9 +244,9 @@ func RunPowleyThrottling(controller string, method execctl.ThrottleMethod, seed 
 	var ctrl execctl.AmountController
 	switch controller {
 	case "step":
-		ctrl = &execctl.StepController{Target: 0.95}
+		ctrl = &execctl.StepController{}
 	case "black-box":
-		ctrl = &execctl.BlackBoxController{Target: 0.95}
+		ctrl = &execctl.BlackBoxController{}
 	}
 	sig := newPerfSignal(400, 160)
 	throttler := execctl.NewThrottler(m.Engine(), sig.ratio, ctrl, method)

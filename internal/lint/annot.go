@@ -21,6 +21,7 @@ import (
 //	                                     required (the injected-clock pattern)
 //	//dbwlm:nolint <names> -- <reason>   suppress named analyzers on this or
 //	                                     the next line; the reason is required
+//	                                     and deadcode may not be named
 //
 // Misplaced or malformed directives are themselves diagnostics ("directive"
 // findings) that cannot be suppressed — a silently ignored annotation is
@@ -151,7 +152,8 @@ func dirHome(verb string) string {
 
 // parseNolint parses "<names> -- <reason>". Names are comma-separated
 // analyzer names; the reason after " -- " is mandatory — every suppression
-// must justify itself in place.
+// must justify itself in place. deadcode takes no waiver: code no binary
+// runs is deleted or called, not kept.
 func parseNolint(line int, rest string) (suppression, string) {
 	names, reason, ok := strings.Cut(rest, "--")
 	reason = strings.TrimSpace(reason)
@@ -167,6 +169,9 @@ func parseNolint(line int, rest string) (suppression, string) {
 		}
 		if !analyzerNames[n] {
 			return suppression{}, "//dbwlm:nolint names unknown analyzer " + n
+		}
+		if n == "deadcode" {
+			return suppression{}, "//dbwlm:nolint cannot name deadcode: delete the code or call it from a binary"
 		}
 		s.analyzers[n] = true
 	}

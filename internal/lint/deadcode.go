@@ -15,10 +15,10 @@ import (
 // internal/, which other modules may import; methods whose name and signature
 // match a method of error or of a standard-library interface, which the
 // standard library calls through interfaces CHA cannot see (the linker keeps
-// them by the same test); and declarations carrying //dbwlm:nolint deadcode,
-// which keep everything they call. //dbwlm:hotpath states a performance
-// contract, not an entry point. Tests add no edges, so a function only tests
-// call is a finding: delete it, or move it into the test that uses it.
+// them by the same test). //dbwlm:hotpath states a performance contract, not
+// an entry point. Tests add no edges, so a function only tests call is a
+// finding: delete it, or move it into the test that uses it. No waiver keeps
+// one: a //dbwlm:nolint naming deadcode is a directive error (annot.go).
 var DeadCode = &Analyzer{
 	Name: "deadcode",
 	Doc:  "every non-test function is reachable from a main, an exported library API, or a std-interface method",
@@ -34,7 +34,7 @@ var deadcodeExempt = []string{"internal/bench", "cmd/wlmbench"}
 
 // runDeadCode reports the unreachable declarations at fact-build time.
 func (m *Module) runDeadCode() {
-	for _, n := range m.unreachable(true) {
+	for _, n := range m.unreachable() {
 		dir := m.relDir(n.pkg)
 		if !slices.ContainsFunc(deadcodeExempt, func(e string) bool { return dir == e || strings.HasPrefix(dir, e+"/") }) {
 			m.addPreDiag("deadcode", n.pkg, m.diag("deadcode", n.fn.Pos(),
@@ -44,9 +44,8 @@ func (m *Module) runDeadCode() {
 }
 
 // unreachable lists, in source order, the declared functions no entry point
-// reaches. Only with waivers does a //dbwlm:nolint deadcode make its
-// declaration an entry point.
-func (m *Module) unreachable(waivers bool) []*cgNode {
+// reaches.
+func (m *Module) unreachable() []*cgNode {
 	g, std := m.cg, m.stdMethods()
 	reached := make(map[*cgNode]bool)
 	var stack []*cgNode
@@ -54,15 +53,6 @@ func (m *Module) unreachable(waivers bool) []*cgNode {
 		if n != nil && !reached[n] {
 			reached[n] = true
 			stack = append(stack, n)
-		}
-	}
-	walk := func() {
-		for len(stack) > 0 {
-			n := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			for _, e := range n.edges {
-				visit(e.to)
-			}
 		}
 	}
 	for _, n := range g.all {
@@ -86,16 +76,12 @@ func (m *Module) unreachable(waivers bool) []*cgNode {
 			}
 		}
 	}
-	walk()
-	if waivers {
-		// Consulted only where a finding would fire, so a waiver on live code
-		// is reported unused.
-		for _, n := range g.all {
-			if n.fn != nil && !reached[n] && m.waived("deadcode", n.fn.Pos()) {
-				visit(n)
-			}
+	for len(stack) > 0 {
+		n := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, e := range n.edges {
+			visit(e.to)
 		}
-		walk()
 	}
 	var dead []*cgNode
 	for _, n := range g.all {

@@ -13,7 +13,7 @@ import (
 // TestDeadCodeNeverLive holds deadcode to the linker: build real binaries
 // with inlining off, so every function a binary can run keeps a symbol, and
 // no function the analyzer finds unreachable from the real entry points — no
-// waiver roots, no exempt directories — may be among them. CHA over-
+// exempt directories — may be among them. CHA over-
 // approximates, so the analyzer may miss dead code; it must never call live
 // code dead. A binary's closure may hold no dead function at all (cmd/wlmd's
 // holds none), so each binary proves the symbol mapping on a live library
@@ -53,7 +53,7 @@ func neverLive(t *testing.T, m *Module, cmds ...string) (checked int) {
 	if out, err := build.CombinedOutput(); err != nil {
 		t.Fatalf("go build in %s: %v\n%s", m.Dir, err, out)
 	}
-	dead := m.unreachable(false)
+	dead := m.unreachable()
 	isDead := make(map[*cgNode]bool, len(dead))
 	for _, n := range dead {
 		isDead[n] = true

@@ -202,6 +202,30 @@ func TestFixturePackageFilter(t *testing.T) {
 	}
 }
 
+// TestFixturePackageFilterKeepsDirectives: a package filter narrows what is
+// reported, not what is checked, so a filtered full-suite run (make lint
+// passes ./...) reports the package's directive findings exactly as the
+// unfiltered run does.
+func TestFixturePackageFilterKeepsDirectives(t *testing.T) {
+	m, err := Load(filepath.Join("testdata", "src"), "fix")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []string
+	for _, d := range mustRun(t, m, Options{}) {
+		if strings.HasPrefix(d.File, "directives/") {
+			want = append(want, d.String())
+		}
+	}
+	var got []string
+	for _, d := range mustRun(t, m, Options{Packages: []string{"./directives"}}) {
+		got = append(got, d.String())
+	}
+	if len(want) == 0 || strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Errorf("filtered run reported\n%s\nwant\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+}
+
 // TestRunRejectsEmptyFilters: a -run name that is not an analyzer, or a
 // package pattern matching no package, selects nothing — that is an error
 // naming the valid choices, never a clean run.

@@ -98,8 +98,9 @@ type Options struct {
 
 // Run executes the configured analyzers over the module and returns the
 // surviving findings: suppressed diagnostics are dropped (their suppressions
-// marked used), and — when the full suite runs unfiltered — unused
-// suppressions and malformed directives are reported as "directive" findings.
+// marked used), and — when the full suite runs, whatever the package filter —
+// unused suppressions and malformed directives are reported as "directive"
+// findings.
 // A filter that can select nothing — an analyzer name not in Analyzers, a
 // package pattern matching no loaded package — is an error, not a clean run.
 func Run(m *Module, opts Options) ([]Diagnostic, error) {
@@ -180,8 +181,9 @@ func Run(m *Module, opts Options) ([]Diagnostic, error) {
 	}
 	diags = kept
 
-	full := len(opts.Analyzers) == 0 && len(opts.Packages) == 0
-	if full {
+	// Directive hygiene needs every analyzer to have had its chance to use a
+	// suppression; a package filter narrows only what is reported (below).
+	if len(opts.Analyzers) == 0 {
 		diags = append(diags, m.dirDiags...)
 		for _, pkg := range m.Pkgs {
 			for _, f := range pkg.Files {
@@ -232,7 +234,10 @@ func Run(m *Module, opts Options) ([]Diagnostic, error) {
 		if a.Col != b.Col {
 			return a.Col < b.Col
 		}
-		return a.Analyzer < b.Analyzer
+		if a.Analyzer != b.Analyzer {
+			return a.Analyzer < b.Analyzer
+		}
+		return a.Message < b.Message
 	})
 	return diags, nil
 }

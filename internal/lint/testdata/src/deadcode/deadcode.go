@@ -36,18 +36,14 @@ func testOnly() int { return 3 } // want `deadcode.testOnly is reached from no e
 //dbwlm:hotpath
 func hot() int { return 5 } // want `deadcode.hot is reached from no entry point`
 
-// waived is an entry point by its waiver, and so keeps waivedCallee.
+// waived has no caller; deadcode takes no waiver, so the directive is an
+// error and the finding stands.
 //
-//dbwlm:nolint deadcode -- fixture: a waived declaration is an entry point
-func waived() int { return waivedCallee() }
-
-// waivedCallee is live through waived.
-func waivedCallee() int { return 6 }
-
-// Live is API already; its waiver suppresses nothing.
-//
-//dbwlm:nolint deadcode -- fixture: a waiver on live code is reported unused
-func Live() {} // want[-1] `unused //dbwlm:nolint suppression`
+//dbwlm:nolint deadcode -- fixture: a deadcode waiver is rejected
+func waived() int { // want `deadcode.waived is reached from no entry point`
+	// want[-2] `cannot name deadcode: delete the code or call it from a binary`
+	return 6
+}
 
 // celsius.String is called by fmt through fmt.Stringer, which CHA cannot
 // see: a method sharing a standard-library interface method's name and

@@ -31,8 +31,11 @@ type gateShard struct {
 
 // gate is a lock-free striped admission gate. The MPL limit is split across
 // the shards (shardCap); an admit CASes its home shard and probes the others
-// before declaring the gate full, so the gate admits exactly maxMPL
-// concurrent holders while uncontended admits touch a single cache line.
+// before declaring the gate full, while uncontended admits touch a single
+// cache line. The per-shard caps guarantee at most maxMPL concurrent
+// holders, not exactly maxMPL: the probe reads one shard at a time, so while
+// holders leave shards it has passed and enter ones it has not reached, it
+// can report the gate full below the limit.
 type gate struct {
 	shards  []gateShard
 	mask    uint32

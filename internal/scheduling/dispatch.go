@@ -1,9 +1,6 @@
 package scheduling
 
-import (
-	"dbwlm/internal/engine"
-	"dbwlm/internal/sim"
-)
+import "dbwlm/internal/sim"
 
 // Dispatcher decides whether the next queued item may be released to the
 // engine — the load-control half of queue management (Section 3.3).
@@ -150,104 +147,3 @@ func (d *CostLimit) OnFinish(it *Item) {
 
 // SetLimit updates a class's cost limit (the planner's effector).
 func (d *CostLimit) SetLimit(class string, limit float64) { d.classes.setLimit(class, limit) }
-
-// FeedbackMPL adapts a global MPL to hold mean response time near a target
-// while keeping the engine utilized — external scheduling in the spirit of
-// Schroeder et al. [69]: the lowest MPL that does not hurt throughput.
-type FeedbackMPL struct {
-	Engine *engine.Engine
-	// TargetRT is the response-time goal in seconds.
-	TargetRT float64
-	// Interval is the adjustment period (default 2s).
-	Interval sim.Duration
-	// Min/Max bound the MPL (defaults 1 / 128).
-	Min, Max int
-
-	mpl     int
-	running int
-	respSum float64
-	respN   int
-	started bool
-}
-
-// Start begins the adjustment loop.
-func (d *FeedbackMPL) Start() {
-	if d.started {
-		return
-	}
-	d.started = true
-	if d.Interval <= 0 {
-		d.Interval = 2 * sim.Second
-	}
-	if d.Min <= 0 {
-		d.Min = 1
-	}
-	if d.Max <= 0 {
-		d.Max = 128
-	}
-	if d.mpl == 0 {
-		d.mpl = 8
-	}
-	d.Engine.Sim().Every(d.Interval, func() bool {
-		d.adjust()
-		return true
-	})
-}
-
-func (d *FeedbackMPL) adjust() {
-	if d.respN == 0 {
-		return
-	}
-	meanRT := d.respSum / float64(d.respN)
-	d.respSum, d.respN = 0, 0
-	util := d.Engine.StatsNow().CPUUtilization
-	switch {
-	case meanRT > d.TargetRT:
-		// Too slow: shed concurrency (multiplicative decrease).
-		d.mpl = int(float64(d.mpl) * 0.75)
-	case util > 0.9:
-		// Meeting the target at high utilization: hold steady.
-	default:
-		// Headroom: admit more (additive increase).
-		d.mpl += 2
-	}
-	if d.mpl < d.Min {
-		d.mpl = d.Min
-	}
-	if d.mpl > d.Max {
-		d.mpl = d.Max
-	}
-}
-
-// ObserveResponse feeds a completed request's response time.
-//
-//dbwlm:nolint deadcode -- registry row "feedback MPL control" runs only under tests; the ROADMAP item "One feedback-MPL controller, on both clocks, with a model-based first guess" wires it in
-func (d *FeedbackMPL) ObserveResponse(seconds float64) {
-	d.respSum += seconds
-	d.respN++
-}
-
-// MPL reports the current level.
-func (d *FeedbackMPL) MPL() int {
-	if d.mpl == 0 {
-		return 8
-	}
-	return d.mpl
-}
-
-// Name implements Dispatcher.
-func (d *FeedbackMPL) Name() string { return "feedback-mpl" }
-
-// CanDispatch implements Dispatcher.
-func (d *FeedbackMPL) CanDispatch(_ *Item, _ sim.Time) bool {
-	if !d.started {
-		d.Start()
-	}
-	return d.running < d.MPL()
-}
-
-// OnDispatch implements Dispatcher.
-func (d *FeedbackMPL) OnDispatch(*Item) { d.running++ }
-
-// OnFinish implements Dispatcher.
-func (d *FeedbackMPL) OnFinish(*Item) { d.running-- }

@@ -68,7 +68,7 @@ func (s *Scheduler) popDispatchable(now sim.Time) *Item {
 		if it == nil {
 			break
 		}
-		//dbwlm:nolint hotpath -- plug-in boundary: a dispatcher's test is its own cost (FeedbackMPL arms its sampling loop on first use)
+		//dbwlm:nolint hotpath -- plug-in boundary: a dispatcher's test is its own cost (a per-class budget list grows on a class's first sight)
 		if s.dispatcher.CanDispatch(it, now) {
 			found = it
 			break

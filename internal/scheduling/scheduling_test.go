@@ -214,34 +214,6 @@ func TestMM1(t *testing.T) {
 	}
 }
 
-func TestErlangCKnownValues(t *testing.T) {
-	// c=1: Erlang C equals rho.
-	if got := ErlangC(1, 0.5); math.Abs(got-0.5) > 1e-9 {
-		t.Fatalf("ErlangC(1, 0.5) = %v, want 0.5", got)
-	}
-	// Classic: c=2, a=1 -> P(wait) = 1/3.
-	if got := ErlangC(2, 1); math.Abs(got-1.0/3) > 1e-9 {
-		t.Fatalf("ErlangC(2, 1) = %v, want 1/3", got)
-	}
-	if ErlangC(2, 5) != 1 {
-		t.Fatal("overloaded ErlangC should be 1")
-	}
-}
-
-func TestMMCReducesToMM1(t *testing.T) {
-	a := MMCResponseTime(5, 10, 1)
-	b := MM1ResponseTime(5, 10)
-	if math.Abs(a-b) > 1e-9 {
-		t.Fatalf("MMC(c=1) = %v, MM1 = %v", a, b)
-	}
-	// More servers shrink response time.
-	one := MMCResponseTime(8, 10, 1)
-	two := MMCResponseTime(8, 10, 2)
-	if !(two < one) {
-		t.Fatalf("two servers (%v) not faster than one (%v)", two, one)
-	}
-}
-
 func TestPSResponseTime(t *testing.T) {
 	// Full capacity: identical to M/M/1 with mu = 1/s.
 	if got := PSResponseTime(5, 0.1, 1); math.Abs(got-MM1ResponseTime(5, 10)) > 1e-9 {
@@ -351,32 +323,6 @@ func TestRunSlicedStopsOnKill(t *testing.T) {
 	}
 	if e.InEngine() != 0 {
 		t.Fatal("later slices still submitted after kill")
-	}
-}
-
-func TestFeedbackMPLBacksOffWhenSlow(t *testing.T) {
-	s := sim.New(1)
-	e := engine.New(s, engine.Config{})
-	d := &FeedbackMPL{Engine: e, TargetRT: 1, Interval: sim.Second}
-	d.Start()
-	start := d.MPL()
-	// Feed slow responses for several intervals.
-	for i := 0; i < 5; i++ {
-		d.ObserveResponse(10)
-		d.ObserveResponse(12)
-		s.Run(s.Now().Add(sim.Duration(1100) * sim.Millisecond))
-	}
-	if d.MPL() >= start {
-		t.Fatalf("MPL did not back off: %d -> %d", start, d.MPL())
-	}
-	// Fast responses with idle CPU: MPL grows again.
-	low := d.MPL()
-	for i := 0; i < 5; i++ {
-		d.ObserveResponse(0.1)
-		s.Run(s.Now().Add(sim.Duration(1100) * sim.Millisecond))
-	}
-	if d.MPL() <= low {
-		t.Fatalf("MPL did not recover: %d -> %d", low, d.MPL())
 	}
 }
 

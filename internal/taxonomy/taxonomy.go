@@ -148,8 +148,10 @@ func Registry() []Technique {
 		{"rank-function scheduling with aging", ClassSchedulingQueue, "Gupta et al. [24]", "scheduling.Rank"},
 		{"interaction-aware batch ordering", ClassSchedulingQueue, "Ahmad et al. [2]", "scheduling.PlanBatch"},
 		{"utility-function cost-limit planning", ClassSchedulingQueue, "Niu et al. [60]", "scheduling.Planner, scheduling.CostLimit"},
-		{"analytic queueing models", ClassSchedulingQueue, "Kleinrock [35]; Lazowska et al. [40]", "scheduling.MMCResponseTime, scheduling.PSResponseTime"},
-		{"feedback MPL control", ClassSchedulingQueue, "Schroeder et al. [69]", "scheduling.FeedbackMPL"},
+		{"analytic queueing models", ClassSchedulingQueue, "Kleinrock [35]; Lazowska et al. [40]", "scheduling.MM1ResponseTime, scheduling.PSResponseTime"},
+		// Schroeder et al.'s feedback-moved MPL is Heiss & Wagner's idea filed
+		// under scheduling; one controller serves both rows.
+		{"feedback MPL control", ClassSchedulingQueue, "Schroeder et al. [69]", "admission.ThroughputFeedback"},
 		{"plan slicing into sub-plans", ClassSchedulingRestructure, "Bruno et al. [6]; Meng et al. [54]", "scheduling.RunSliced"},
 		// Execution control.
 		{"priority aging via service tiers", ClassExecutionReprioritize, "DB2 WLM [9][30]", "execctl.Ager"},

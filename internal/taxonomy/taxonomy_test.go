@@ -261,75 +261,3 @@ func TestImplNamesResolve(t *testing.T) {
 		}
 	}
 }
-
-// deadcodeWaived lists the registry declarations a deadcode waiver still
-// keeps: only tests run them. The ROADMAP item "One
-// feedback-MPL controller, on both clocks, with a model-based first guess"
-// wires both into a binary.
-var deadcodeWaived = map[string]bool{
-	"scheduling.FeedbackMPL.ObserveResponse": true,
-	"scheduling.MMCResponseTime":             true,
-}
-
-// waivesDeadcode reports whether a doc comment carries a //dbwlm:nolint
-// naming the deadcode analyzer.
-func waivesDeadcode(doc *ast.CommentGroup) bool {
-	if doc == nil {
-		return false
-	}
-	for _, c := range doc.List {
-		rest, ok := strings.CutPrefix(c.Text, "//dbwlm:nolint ")
-		if !ok {
-			continue
-		}
-		names, _, _ := strings.Cut(rest, "--")
-		for _, n := range strings.Split(names, ",") {
-			if strings.TrimSpace(n) == "deadcode" {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// TestRegistryRowsRunInABinary holds every registry row to running in a
-// binary. The deadcode lint finds each function no binary reaches unless a
-// deadcode waiver keeps it, so a row runs in a binary when
-// neither a declaration its Impl names nor a method of a type it names
-// carries such a waiver. deadcodeWaived lists the exceptions; one that no
-// longer carries a waiver must leave the list.
-func TestRegistryRowsRunInABinary(t *testing.T) {
-	named := map[string]string{} // pkg.Name or pkg.Type.Method -> row name
-	for _, tech := range Registry() {
-		for _, m := range implToken.FindAllStringSubmatch(tech.Impl, -1) {
-			key := m[1] + "." + m[2]
-			if m[3] != "" {
-				key += "." + m[3]
-			}
-			named[key] = tech.Name
-		}
-	}
-	waived := map[string]bool{}
-	for _, f := range moduleFiles(t) {
-		for _, decl := range f.Decls {
-			fn, ok := decl.(*ast.FuncDecl)
-			if !ok || !waivesDeadcode(fn.Doc) {
-				continue
-			}
-			key := f.Name.Name + "." + funcKey(fn)
-			waived[key] = true
-			row, ok := named[key]
-			if !ok && fn.Recv != nil {
-				row, ok = named[key[:strings.LastIndexByte(key, '.')]]
-			}
-			if ok && !deadcodeWaived[key] {
-				t.Errorf("registry row %q: %s carries a deadcode waiver; call it from a binary or delete the row", row, key)
-			}
-		}
-	}
-	for key := range deadcodeWaived {
-		if !waived[key] {
-			t.Errorf("%s carries no deadcode waiver any more; drop it from deadcodeWaived", key)
-		}
-	}
-}
