@@ -50,14 +50,14 @@ type config struct {
 
 // grantRec is one outstanding admission a later done op releases.
 type grantRec struct {
-	class, shard, gshard uint16
-	start, qid           int64
-	fpHi, fpLo           uint64
+	class      uint16
+	start, qid int64
+	fpHi, fpLo uint64
 }
 
 func (g grantRec) doneOp() wire.Op {
-	return wire.Op{Code: wire.OpDone, Class: g.class, Shard: g.shard,
-		GShard: g.gshard, Start: g.start, QID: g.qid, FPHi: g.fpHi, FPLo: g.fpLo}
+	return wire.Op{Code: wire.OpDone, Class: g.class, Start: g.start,
+		QID: g.qid, FPHi: g.fpHi, FPLo: g.fpLo}
 }
 
 // latSample is one timed round trip and the number of decisions it carried;
@@ -94,8 +94,8 @@ func (c *connResult) harvest(results []wire.Result, grants *[]grantRec) {
 		switch {
 		case r.Status == wire.StatusAdmitted:
 			c.admitted++
-			*grants = append(*grants, grantRec{class: r.Class, shard: r.Shard,
-				gshard: r.GShard, start: r.Start, qid: r.QID, fpHi: r.FPHi, fpLo: r.FPLo})
+			*grants = append(*grants, grantRec{class: r.Class, start: r.Start,
+				qid: r.QID, fpHi: r.FPHi, fpLo: r.FPLo})
 		case r.Status == wire.StatusReleased:
 			c.released++
 		case r.Status.Rejected():

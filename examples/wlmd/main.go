@@ -41,12 +41,12 @@ func main() {
 
 	fmt.Println("== admit/done round trip ==")
 	tok := admit(srv, "interactive", 100)
-	// The token's stripe and admission instant differ from run to run.
+	// The token's admission instant differs from run to run.
 	g, err := r.ParseToken(tok)
 	if err != nil {
 		log.Fatal(err)
 	}
-	class, _, _, _, id, _ := g.Parts()
+	class, _, id, _ := g.Parts()
 	fmt.Printf("interactive admitted, grant for class %q (id %d: no flight recorder), in-engine now %d\n",
 		r.ClassName(class), id, r.InEngine())
 	done(srv, tok)

@@ -78,7 +78,6 @@ func (k ActionKind) String() string {
 type PlannedAction struct {
 	Kind   ActionKind
 	Query  int64
-	Class  string
 	Amount float64 // throttle fraction or new weight, by kind
 }
 
@@ -98,7 +97,8 @@ type Loop struct {
 	// loud in the flight recorder.
 	Flight *obsv.Recorder
 	// ClassID resolves a class name to the recorder's class-ID space (nil
-	// records obsv.NoClass for class-scoped symptoms and actions).
+	// records obsv.NoClass for class-scoped symptoms; actions always carry
+	// obsv.NoClass).
 	ClassID func(string) int32
 
 	cycles   int64
@@ -107,7 +107,7 @@ type Loop struct {
 	stop     func()
 }
 
-// flightClass maps a symptom/action class name through ClassID.
+// flightClass maps a symptom's class name through ClassID.
 func (l *Loop) flightClass(name string) int32 {
 	if name == "" || l.ClassID == nil {
 		return obsv.NoClass
@@ -186,7 +186,7 @@ func (l *Loop) RunOnce() {
 	for i := range actions {
 		l.Flight.Record(obsv.Event{At: at, Kind: obsv.KindMAPEAction,
 			Reason: actionReason(actions[i].Kind), Verdict: obsv.NoVerdict,
-			Class: l.flightClass(actions[i].Class), QID: actions[i].Query,
+			Class: obsv.NoClass, QID: actions[i].Query,
 			Value: actions[i].Amount})
 	}
 	if len(actions) > 0 {

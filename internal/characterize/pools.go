@@ -2,27 +2,26 @@ package characterize
 
 import "fmt"
 
-// ResourcePool is a SQL Server Resource Governor-style pool: a MIN share
-// that is guaranteed (non-overlapping across pools) and a MAX cap, as
-// fractions of the server (Section 4.1.2.A).
+// ResourcePool is a SQL Server Resource Governor-style pool: a MIN CPU share
+// that is guaranteed (non-overlapping across pools) and MAX caps on CPU and
+// memory, as fractions of the server (Section 4.1.2.A).
 type ResourcePool struct {
 	Name   string
 	MinCPU float64 // guaranteed fraction in [0, 1]
 	MaxCPU float64 // cap in [MinCPU, 1]
-	MinMem float64
-	MaxMem float64
+	MaxMem float64 // memory cap in [0, 1]
 }
 
 // Validate checks a single pool's bounds.
 func (p *ResourcePool) Validate() error {
-	if p.MinCPU < 0 || p.MinCPU > 1 || p.MinMem < 0 || p.MinMem > 1 {
+	if p.MinCPU < 0 || p.MinCPU > 1 {
 		return fmt.Errorf("pool %q: MIN out of [0,1]", p.Name)
 	}
 	if p.MaxCPU < p.MinCPU || p.MaxCPU > 1 {
 		return fmt.Errorf("pool %q: MaxCPU %v out of [MinCPU, 1]", p.Name, p.MaxCPU)
 	}
-	if p.MaxMem < p.MinMem || p.MaxMem > 1 {
-		return fmt.Errorf("pool %q: MaxMem %v out of [MinMem, 1]", p.Name, p.MaxMem)
+	if p.MaxMem < 0 || p.MaxMem > 1 {
+		return fmt.Errorf("pool %q: MaxMem %v out of [0, 1]", p.Name, p.MaxMem)
 	}
 	return nil
 }
@@ -35,7 +34,7 @@ type PoolSet struct {
 // NewPoolSet validates that each pool is well-formed and the MIN reservations
 // sum to at most 100%.
 func NewPoolSet(pools ...*ResourcePool) (*PoolSet, error) {
-	var sumMinCPU, sumMinMem float64
+	var sumMinCPU float64
 	seen := map[string]bool{}
 	for _, p := range pools {
 		if err := p.Validate(); err != nil {
@@ -46,13 +45,9 @@ func NewPoolSet(pools ...*ResourcePool) (*PoolSet, error) {
 		}
 		seen[p.Name] = true
 		sumMinCPU += p.MinCPU
-		sumMinMem += p.MinMem
 	}
 	if sumMinCPU > 1+1e-9 {
 		return nil, fmt.Errorf("sum of CPU MIN reservations %.2f exceeds 100%%", sumMinCPU)
-	}
-	if sumMinMem > 1+1e-9 {
-		return nil, fmt.Errorf("sum of memory MIN reservations %.2f exceeds 100%%", sumMinMem)
 	}
 	return &PoolSet{pools: pools}, nil
 }

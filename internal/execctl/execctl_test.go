@@ -70,7 +70,6 @@ func TestEconomicReallocatorShiftsWeights(t *testing.T) {
 			}
 			return []int64{bronze.ID}
 		},
-		Period: sim.Second,
 	}
 	r.Start()
 	s.Run(sim.Time(3 * sim.Second))

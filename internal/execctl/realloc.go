@@ -30,11 +30,6 @@ type EconomicReallocator struct {
 	Attainment func(class string) float64
 	// QueriesOf lists the engine queries currently attributed to a class.
 	QueriesOf func(class string) []int64
-	// Period is the reallocation interval (default 1s).
-	Period sim.Duration
-	// TotalWeight is the weight budget distributed across classes
-	// (default 100).
-	TotalWeight float64
 
 	// bids and weights are the last auction's bids and class weights, by
 	// position in Classes.
@@ -44,19 +39,22 @@ type EconomicReallocator struct {
 	started bool
 }
 
+const (
+	// reallocPeriod is the auction interval.
+	reallocPeriod = sim.Second
+	// reallocWeight is the weight budget distributed across classes.
+	reallocWeight = 100.0
+)
+
 // Start begins the auction loop.
 func (r *EconomicReallocator) Start() {
 	if r.started {
 		return
 	}
 	r.started = true
-	period := r.Period
-	if period <= 0 {
-		period = sim.Second
-	}
 	r.bids = make([]float64, len(r.Classes))
 	r.weights = make([]float64, len(r.Classes))
-	r.Engine.Sim().Every(period, func() bool {
+	r.Engine.Sim().Every(reallocPeriod, func() bool {
 		r.reallocate()
 		return true
 	})
@@ -88,10 +86,6 @@ func (r *EconomicReallocator) WeightFor(class string, population int) float64 {
 
 func (r *EconomicReallocator) reallocate() {
 	r.rounds++
-	total := r.TotalWeight
-	if total <= 0 {
-		total = 100
-	}
 	// Bids: importance × (1 − utility(attainment)), floored so that a class
 	// meeting its goal retains a trickle.
 	var sum float64
@@ -110,7 +104,7 @@ func (r *EconomicReallocator) reallocate() {
 	// The classes' query sets are disjoint, so applying the weights in
 	// Classes order sets what any other order would.
 	for i, c := range r.Classes {
-		w := total * r.bids[i] / sum
+		w := reallocWeight * r.bids[i] / sum
 		r.weights[i] = w
 		ids := r.QueriesOf(c.Name)
 		if len(ids) == 0 {

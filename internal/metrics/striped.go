@@ -22,10 +22,10 @@ import (
 // logarithm it replaced.
 
 // StripeShards normalizes a requested shard count for this package's striped
-// recorders and for internal/rt's striped gates: n rounds up to a power of
-// two, and n <= 0 selects the next power of two at or above 2×GOMAXPROCS, so
-// that randomly-distributed writers rarely collide on a shard even when
-// every P is writing.
+// recorders and for internal/rt's admission-ID allocator: n rounds up to a
+// power of two, and n <= 0 selects the next power of two at or above
+// 2×GOMAXPROCS, so that randomly-distributed writers rarely collide on a
+// shard even when every P is writing.
 func StripeShards(n int) int {
 	if n <= 0 {
 		n = max(2*runtime.GOMAXPROCS(0), 2)
@@ -34,14 +34,14 @@ func StripeShards(n int) int {
 }
 
 // StripeIdx draws a stripe: the shard selector for one decision's writes,
-// for this package's striped recorders and for internal/rt's striped gates
-// and qid allocator. Go does not expose the current P, so the next-best
-// allocation-free selector is the runtime's per-thread fast random state
-// (math/rand/v2's global functions): writers spread uniformly across shards,
-// which bounds the expected collision rate at writers/shards per instant. A
-// caller that writes several striped structures for one decision draws once
-// and hands the stripe to their At forms (IncAt, RecordAt), which mask it by
-// their own shard counts.
+// for this package's striped recorders and for internal/rt's qid allocator.
+// Go does not expose the current P, so the next-best allocation-free
+// selector is the runtime's per-thread fast random state (math/rand/v2's
+// global functions): writers spread uniformly across shards, which bounds
+// the expected collision rate at writers/shards per instant. A caller that
+// writes several striped structures for one decision draws once and hands
+// the stripe to their At forms (IncAt, RecordAt), which mask it by their own
+// shard counts.
 //
 //dbwlm:hotpath
 func StripeIdx() uint32 { return rand.Uint32() }

@@ -2,13 +2,13 @@
 // taxonomy's admission controls (Sections 3.2/3.4, Table 2) against real
 // concurrent goroutine traffic instead of simulated time. The admit/release
 // hot path is lock-free — per-class MPL and cost limits live in atomically
-// swapped limit blocks, admission slots in cache-line-padded shards taken
-// with CAS — and statistics collection is striped (internal/metrics), so no
-// mutex is ever touched while the gate is open. Queued work waits in
-// per-class FIFO queues with the queue-timeout and retry-batch semantics of
-// the simulated Manager, and the merged-shard snapshot satisfies
-// admission.View, so the threshold and indicator controllers from
-// internal/admission consume the live runtime unchanged.
+// swapped limit blocks, and each gate's occupancy is one cache-line-padded
+// counter taken with CAS — and statistics collection is striped
+// (internal/metrics), so no mutex is ever touched while the gate is open.
+// Queued work waits in per-class FIFO queues with the queue-timeout and
+// retry-batch semantics of the simulated Manager, and the merged-shard
+// snapshot satisfies admission.View, so the threshold and indicator
+// controllers from internal/admission consume the live runtime unchanged.
 package rt
 
 import "sync/atomic"
@@ -21,88 +21,56 @@ type gateLimits struct {
 	retryBatch    int32   // waiters re-evaluated per retry cycle (0 = all)
 }
 
-// gateShard is one padded slot counter. Admitted requests hold one unit in
-// exactly one shard; the shard index travels in the Grant so release
-// decrements the same cell.
-type gateShard struct {
-	n atomic.Int64
-	_ [120]byte
-}
-
-// gate is a lock-free striped admission gate. The MPL limit is split across
-// the shards (shardCap); an admit CASes its home shard and probes the others
-// before declaring the gate full, while uncontended admits touch a single
-// cache line. The per-shard caps guarantee at most maxMPL concurrent
-// holders, not exactly maxMPL: the probe reads one shard at a time, so while
-// holders leave shards it has passed and enter ones it has not reached, it
-// can report the gate full below the limit.
+// gate is a lock-free admission gate: one padded occupancy counter. An admit
+// refuses only when the occupancy it reads is at or above the MPL limit, so
+// with fewer holders than the limit it always takes a slot, and the counter
+// never exceeds the limit in force when each holder entered.
+//
+// The allocator places a gate at any 16-byte offset within a cache line, so
+// n is padded on both sides: at least a full line of the gate's own bytes
+// lies before and after it, and no neighbouring object (another gate's
+// limits and waiters, which every admit reads) shares its line.
 type gate struct {
-	shards  []gateShard
-	mask    uint32
+	_       [64]byte
+	n       atomic.Int64
+	_       [64]byte
 	limits  atomic.Pointer[gateLimits]
 	waiters atomic.Int64 // queued requests; fast paths branch on it
 }
 
-func newGate(shards int, lim gateLimits) *gate {
-	g := &gate{shards: make([]gateShard, shards), mask: uint32(shards - 1)}
+func newGate(lim gateLimits) *gate {
+	g := &gate{}
 	g.limits.Store(&lim)
 	return g
 }
 
-// shardCap is shard i's slice of the MPL limit: limit/shards with the
-// remainder spread over the lowest-indexed shards, so the caps sum to
-// exactly the limit.
+// tryEnter takes one admission slot, reporting false when the gate is full.
+// With no MPL limit it is incremented unconditionally.
 //
 //dbwlm:hotpath
-func shardCap(limit int64, shards, i int) int64 {
-	c := limit / int64(shards)
-	if int64(i) < limit%int64(shards) {
-		c++
+func (g *gate) tryEnter() bool {
+	limit := g.limits.Load().maxMPL
+	if limit <= 0 {
+		g.n.Add(1)
+		return true
 	}
-	return c
-}
-
-// tryEnter takes one admission slot, returning the shard it was taken from,
-// or -1 when every shard is at its cap (the gate is full). The home shard is
-// the decision's stripe; with no MPL limit it is incremented unconditionally.
-//
-//dbwlm:hotpath
-func (g *gate) tryEnter(stripe uint32) int32 {
-	lim := g.limits.Load()
-	home := int(stripe & g.mask)
-	if lim.maxMPL <= 0 {
-		g.shards[home].n.Add(1)
-		return int32(home)
-	}
-	n := len(g.shards)
-	for probe := 0; probe < n; probe++ {
-		i := (home + probe) & int(g.mask)
-		cap := shardCap(lim.maxMPL, n, i)
-		for {
-			cur := g.shards[i].n.Load()
-			if cur >= cap {
-				break
-			}
-			if g.shards[i].n.CompareAndSwap(cur, cur+1) {
-				return int32(i)
-			}
+	for {
+		cur := g.n.Load()
+		if cur >= limit {
+			return false
+		}
+		if g.n.CompareAndSwap(cur, cur+1) {
+			return true
 		}
 	}
-	return -1
 }
 
 // leave releases a slot taken by tryEnter.
 //
 //dbwlm:hotpath
-func (g *gate) leave(shard int32) { g.shards[shard].n.Add(-1) }
+func (g *gate) leave() { g.n.Add(-1) }
 
-// occupancy merges the shard counters: the number of current slot holders.
+// occupancy is the number of current slot holders.
 //
 //dbwlm:hotpath
-func (g *gate) occupancy() int64 {
-	var sum int64
-	for i := range g.shards {
-		sum += g.shards[i].n.Load()
-	}
-	return sum
-}
+func (g *gate) occupancy() int64 { return g.n.Load() }

@@ -101,7 +101,7 @@ func TestMAPELoopBurnRate(t *testing.T) {
 		{Class: "interactive", Target: 0.001, MissBudget: 0.01,
 			FastWindow: time.Second, SlowWindow: 4 * time.Second},
 		{Class: "batch"},
-	}, slo.Options{Now: r.NowNanos, Epoch: 250 * time.Millisecond})
+	}, slo.Options{Now: r.NowNanos})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,11 +1,13 @@
 package rt
 
 import (
+	"reflect"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"dbwlm/internal/admission"
+	"dbwlm/internal/metrics"
 	"dbwlm/internal/obsv"
 	"dbwlm/internal/policy"
 )
@@ -234,26 +236,58 @@ func TestDoneReadsClockOnce(t *testing.T) {
 	}
 }
 
-// TestAdmitOneStripe: a decision draws one stripe and every striped
-// structure it writes takes its shard from it, so on an open gate an
-// admitted grant's class and global gate shards equal its QID's shard bits.
+// TestAdmitOneStripe: each decision draws one stripe, and its QID takes its
+// shard from it — the one shard of the class's admitted counter that the same
+// decision moved is the QID's shard (both are built StripeShards(0) wide), and
+// the shard varies from decision to decision.
 func TestAdmitOneStripe(t *testing.T) {
-	r, err := New([]ClassSpec{{Name: "oltp", Priority: policy.PriorityHigh}},
-		Options{Shards: 8})
+	r, err := New([]ClassSpec{{Name: "oltp", Priority: policy.PriorityHigh}}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	r.SetRecorder(obsv.NewRecorder(1024))
+	admitted := r.classes[0].admitted
+	if n := len(counterShards(admitted)); n != len(r.qids.shards) {
+		t.Fatalf("admitted counter has %d shards, QID allocator %d", n, len(r.qids.shards))
+	}
+	seen := map[int64]bool{}
 	for i := 0; i < 200; i++ {
+		before := counterShards(admitted)
 		g := r.Admit(0, 10)
 		if !g.Admitted() {
 			t.Fatalf("open gate rejected: %+v", g)
 		}
-		if bits := int32(g.id & 7); g.shard != bits || g.gshard != bits {
-			t.Fatalf("grant %+v: shards %d/%d, QID shard bits %d", g, g.shard, g.gshard, bits)
+		moved := -1
+		for j, v := range counterShards(admitted) {
+			if v != before[j] {
+				if moved >= 0 {
+					t.Fatalf("grant %+v moved admitted shards %d and %d", g, moved, j)
+				}
+				moved = j
+			}
 		}
+		shard := g.id & int64(r.qids.mask)
+		if int64(moved) != shard {
+			t.Fatalf("grant %+v: QID shard %d, admitted counter moved shard %d", g, shard, moved)
+		}
+		seen[shard] = true
 		r.Done(g, 0)
 	}
+	if len(seen) < 2 {
+		t.Fatalf("200 decisions drew QIDs from %d of %d shards", len(seen), len(r.qids.shards))
+	}
+}
+
+// counterShards reads a striped counter's per-shard values. The shards are
+// unexported in package metrics, so this reads them through reflection; the
+// callers are single-goroutine, so plain reads are race-free.
+func counterShards(c *metrics.StripedCounter) []int64 {
+	shards := reflect.ValueOf(c).Elem().FieldByName("shards")
+	out := make([]int64, shards.Len())
+	for i := range out {
+		out[i] = shards.Index(i).FieldByName("v").FieldByName("v").Int()
+	}
+	return out
 }
 
 // BenchmarkLiveAdmitRecorded prices the flight recorder on the plain admit

@@ -207,7 +207,7 @@ func BenchmarkPredictAdmit(b *testing.B) {
 }
 
 // BenchmarkPredictAdmitParallel stresses the lock-free read structures —
-// cache shards, model pointer, gate shards — under contention.
+// cache shards, model pointer, gate counters — under contention.
 func BenchmarkPredictAdmitParallel(b *testing.B) {
 	g := newPredictGate(b, admission.BucketMonster)
 	train(g)

@@ -6,12 +6,12 @@ import "sync/atomic"
 // shared atomic counter — one cache line written by every admit on every
 // core, the first contention wall the multi-core wire benchmarks exposed
 // (DESIGN.md §11): with the recorder attached, the whole lock-free striped
-// gate design funneled through that one fetch-add. IDs only need to be unique
+// admit path funneled through that one fetch-add. IDs only need to be unique
 // and nonzero, not dense or globally ordered, so the allocator stripes
 // instead: each padded shard owns an independent counter and the ID packs
 // (counter << shardBits) | shardIndex. An allocation touches exactly one
 // shard-private cache line: the decision's stripe (Runtime.admitWith), the
-// same one its gates and counters take.
+// same one its counters and recorder take.
 type qidAlloc struct {
 	shards []qidShard
 	mask   uint32

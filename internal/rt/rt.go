@@ -45,9 +45,6 @@ type Options struct {
 	// GlobalMaxMPL caps concurrent admissions across all classes
 	// (0 = unlimited).
 	GlobalMaxMPL int
-	// Shards overrides the per-gate shard count (rounded up to a power of
-	// two; default sized from GOMAXPROCS).
-	Shards int
 	// Now overrides the monotonic clock (nanoseconds); tests inject a fake
 	// clock to drive queue timeouts deterministically.
 	Now func() int64
@@ -98,12 +95,10 @@ func VerdictFromName(name string) (Verdict, bool) {
 
 // Grant is the value an admission attempt resolves to. It is plain data — no
 // allocation on the admit path — and an admitted Grant must be handed back
-// via Done exactly once (it carries the gate shards its slot was taken from).
+// via Done exactly once.
 type Grant struct {
 	verdict Verdict
 	class   ClassID
-	shard   int32
-	gshard  int32
 	start   int64 // runtime clock nanos at admission
 	id      int64 // flight-recorder admission ID (0 when the recorder is off)
 }
@@ -204,7 +199,7 @@ func New(specs []ClassSpec, opts Options) (*Runtime, error) {
 	if len(specs) == 0 {
 		return nil, fmt.Errorf("rt: no classes")
 	}
-	shards := metrics.StripeShards(opts.Shards)
+	shards := metrics.StripeShards(0)
 	r := &Runtime{
 		byName:     make(map[string]ClassID, len(specs)),
 		retryEvery: opts.RetryEvery,
@@ -226,7 +221,7 @@ func New(specs []ClassSpec, opts Options) (*Runtime, error) {
 		}
 		cs := &classState{
 			spec:     spec,
-			gate:     newGate(shards, limitsOf(spec)),
+			gate:     newGate(limitsOf(spec)),
 			admitted: metrics.NewStripedCounter(shards),
 			queued:   metrics.NewStripedCounter(shards),
 			rejected: metrics.NewStripedCounter(shards),
@@ -238,7 +233,7 @@ func New(specs []ClassSpec, opts Options) (*Runtime, error) {
 		r.byName[spec.Name] = ClassID(len(r.classes))
 		r.classes = append(r.classes, cs)
 	}
-	r.global = newGate(shards, gateLimits{maxMPL: int64(opts.GlobalMaxMPL)})
+	r.global = newGate(gateLimits{maxMPL: int64(opts.GlobalMaxMPL)})
 	for id := range r.classes {
 		r.byPriority = append(r.byPriority, ClassID(id))
 	}
@@ -288,8 +283,8 @@ func (r *Runtime) ElapsedSeconds(g Grant) float64 {
 
 // Admit runs one request through the admission gate, blocking while it is
 // queued. The steady-state path — gate open, no waiters — is lock-free and
-// allocation-free: a limit-block load, a CAS on a padded gate shard, and
-// striped counter increments.
+// allocation-free: a limit-block load, a CAS on each padded gate counter,
+// and striped counter increments.
 //
 //dbwlm:hotpath
 func (r *Runtime) Admit(class ClassID, costTimerons float64) Grant {
@@ -318,8 +313,8 @@ func (r *Runtime) AdmitNoWait(class ClassID, costTimerons float64) Grant {
 func (r *Runtime) admitWith(class ClassID, costTimerons float64, fp uint64, predicted float64, wait bool) Grant {
 	cs := r.classes[class]
 	lim := cs.gate.limits.Load()
-	// One stripe per decision: the qid allocator, both gates, the class
-	// counter and the recorder each mask it by their own shard count.
+	// One stripe per decision: the qid allocator, the class counter and the
+	// recorder each mask it by their own shard count.
 	stripe := metrics.StripeIdx()
 	var qid int64
 	if r.rec != nil {
@@ -339,8 +334,8 @@ func (r *Runtime) admitWith(class ClassID, costTimerons float64, fp uint64, pred
 	// FIFO within class: once waiters exist, new arrivals park behind them
 	// instead of barging past on the fast path.
 	if !gated && cs.gate.waiters.Load() == 0 {
-		if gs := r.global.tryEnter(stripe); gs >= 0 {
-			if s := cs.gate.tryEnter(stripe); s >= 0 {
+		if r.global.tryEnter() {
+			if cs.gate.tryEnter() {
 				cs.admitted.IncAt(stripe)
 				start := r.now()
 				if r.rec != nil {
@@ -349,9 +344,9 @@ func (r *Runtime) admitWith(class ClassID, costTimerons float64, fp uint64, pred
 						Verdict: uint8(Admitted), Class: int32(class),
 						Value: costTimerons, Aux: predicted})
 				}
-				return Grant{verdict: Admitted, class: class, shard: s, gshard: gs, start: start, id: qid}
+				return Grant{verdict: Admitted, class: class, start: start, id: qid}
 			}
-			r.global.leave(gs)
+			r.global.leave()
 		}
 	}
 	if !wait {
@@ -436,8 +431,8 @@ func (r *Runtime) Done(g Grant, idealSeconds float64) {
 			Kind: obsv.KindDone, Reason: reason, Verdict: obsv.NoVerdict,
 			Class: int32(g.class), Value: elapsed, Aux: idealSeconds})
 	}
-	cs.gate.leave(g.shard)
-	r.global.leave(g.gshard)
+	cs.gate.leave()
+	r.global.leave()
 	if r.waiting.Load() > 0 {
 		//dbwlm:nolint hotpath -- waiters parked means the uncontended fast path is already gone; drain takes the queue mutex by design
 		r.drainWaiting()
@@ -514,16 +509,14 @@ func (r *Runtime) drain(cs *classState, class ClassID, enforceTimeout bool, park
 			w.ch <- Grant{verdict: RejectedCost, class: class, id: w.qid}
 			continue
 		}
+		if !r.global.tryEnter() {
+			return
+		}
+		if !cs.gate.tryEnter() {
+			r.global.leave()
+			return
+		}
 		stripe := metrics.StripeIdx()
-		gs := r.global.tryEnter(stripe)
-		if gs < 0 {
-			return
-		}
-		s := cs.gate.tryEnter(stripe)
-		if s < 0 {
-			r.global.leave(gs)
-			return
-		}
 		cs.queue.pop()
 		cs.gate.waiters.Add(-1)
 		r.waiting.Add(-1)
@@ -535,7 +528,7 @@ func (r *Runtime) drain(cs *classState, class ClassID, enforceTimeout bool, park
 				Verdict: uint8(Admitted), Class: int32(class),
 				Value: w.cost, Aux: float64(now-w.enqueuedAt) / 1e9})
 		}
-		w.ch <- Grant{verdict: Admitted, class: class, shard: s, gshard: gs, start: now, id: w.qid}
+		w.ch <- Grant{verdict: Admitted, class: class, start: now, id: w.qid}
 	}
 }
 
@@ -599,12 +592,12 @@ func (r *Runtime) SetLowPriorityGate(on bool) { r.lowPriorityGate.Store(on) }
 func (r *Runtime) LowPriorityGate() bool { return r.lowPriorityGate.Load() }
 
 // InEngine implements admission.View: the number of currently admitted
-// requests across all classes (merged from the global gate's shards).
+// requests across all classes (the global gate's occupancy).
 func (r *Runtime) InEngine() int { return int(r.global.occupancy()) }
 
 // StatsNow implements admission.View: a merged-shard snapshot in the same
 // shape the simulated engine reports, so threshold/indicator controllers run
-// unchanged. Each figure is exact at the instant its shards were read;
+// unchanged. Each figure is exact at the instant it was read;
 // cross-field consistency is not guaranteed (see DESIGN.md, Live runtime).
 func (r *Runtime) StatsNow() engine.Stats {
 	resident := int(r.global.occupancy())
@@ -764,17 +757,17 @@ func (r *Runtime) QueueLen(id ClassID) int64 {
 }
 
 // Token serializes an admitted Grant for transport to an external client
-// (the wlmd /admit response); ParseToken reverses it at /done. When the
-// flight recorder assigned an admission ID, a fifth field carries it so the
-// /done trace event correlates with the /admit one.
+// (the wlmd /admit response) as class:start; ParseToken reverses it at
+// /done. When the flight recorder assigned an admission ID, a third field
+// carries it so the /done trace event correlates with the /admit one.
 func (g Grant) Token() string {
 	if g.verdict != Admitted {
 		return ""
 	}
 	if g.id != 0 {
-		return fmt.Sprintf("%d:%d:%d:%d:%d", g.class, g.shard, g.gshard, g.start, g.id)
+		return fmt.Sprintf("%d:%d:%d", g.class, g.start, g.id)
 	}
-	return fmt.Sprintf("%d:%d:%d:%d", g.class, g.shard, g.gshard, g.start)
+	return fmt.Sprintf("%d:%d", g.class, g.start)
 }
 
 // Parts explodes a Grant into its transportable fields — the binary wire
@@ -782,41 +775,35 @@ func (g Grant) Token() string {
 // admitted grant round-trips through GrantFromParts on the wire /done path.
 //
 //dbwlm:hotpath
-func (g Grant) Parts() (class ClassID, shard, gshard int32, startNanos, id int64, admitted bool) {
-	return g.class, g.shard, g.gshard, g.start, g.id, g.verdict == Admitted
+func (g Grant) Parts() (class ClassID, startNanos, id int64, admitted bool) {
+	return g.class, g.start, g.id, g.verdict == Admitted
 }
 
 // GrantFromParts reconstructs an admitted Grant from the fields Parts
-// produced, with ParseToken's range validation; ok is false when the fields
-// do not name a valid slot. Allocation-free — the wire transport's /done
-// path.
+// produced; ok is false when class names no class. Allocation-free — the
+// wire transport's /done path.
 //
 //dbwlm:hotpath
-func (r *Runtime) GrantFromParts(class ClassID, shard, gshard int32, startNanos, id int64) (g Grant, ok bool) {
+func (r *Runtime) GrantFromParts(class ClassID, startNanos, id int64) (g Grant, ok bool) {
 	if class < 0 || int(class) >= len(r.classes) {
 		return Grant{}, false
 	}
-	if shard < 0 || int(shard) >= len(r.classes[class].gate.shards) ||
-		gshard < 0 || int(gshard) >= len(r.global.shards) {
-		return Grant{}, false
-	}
-	return Grant{verdict: Admitted, class: class, shard: shard, gshard: gshard,
-		start: startNanos, id: id}, true
+	return Grant{verdict: Admitted, class: class, start: startNanos, id: id}, true
 }
 
 // ParseToken reconstructs an admitted Grant from its token (with or without
-// the optional trailing admission-ID field), under GrantFromParts' range
-// validation.
+// the optional trailing admission-ID field), under GrantFromParts' class
+// check.
 func (r *Runtime) ParseToken(tok string) (Grant, error) {
 	parts := strings.Split(tok, ":")
-	if len(parts) != 4 && len(parts) != 5 {
+	if len(parts) != 2 && len(parts) != 3 {
 		return Grant{}, fmt.Errorf("rt: malformed token %q", tok)
 	}
-	var nums [5]int64
+	var nums [3]int64
 	for i, p := range parts {
 		bits := 64
-		if i < 3 {
-			bits = 32 // class, shard, gshard
+		if i == 0 {
+			bits = 32 // class
 		}
 		v, err := strconv.ParseInt(p, 10, bits)
 		if err != nil {
@@ -824,9 +811,9 @@ func (r *Runtime) ParseToken(tok string) (Grant, error) {
 		}
 		nums[i] = v
 	}
-	g, ok := r.GrantFromParts(ClassID(nums[0]), int32(nums[1]), int32(nums[2]), nums[3], nums[4])
+	g, ok := r.GrantFromParts(ClassID(nums[0]), nums[1], nums[2])
 	if !ok {
-		return Grant{}, fmt.Errorf("rt: token %q names no gate slot", tok)
+		return Grant{}, fmt.Errorf("rt: token %q names no class", tok)
 	}
 	return g, nil
 }

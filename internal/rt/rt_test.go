@@ -23,33 +23,88 @@ func testRuntime(t *testing.T, specs []ClassSpec, opts Options) *Runtime {
 	return r
 }
 
-// TestGateExactLimit: the striped gate admits exactly maxMPL concurrent
-// holders, no matter how the limit splits across shards.
+// TestGateExactLimit: the gate admits exactly maxMPL concurrent holders.
 func TestGateExactLimit(t *testing.T) {
-	for _, shards := range []int{1, 4, 8} {
-		for _, limit := range []int64{1, 3, 5, 8, 17} {
-			g := newGate(shards, gateLimits{maxMPL: limit})
-			var taken []int32
-			for {
-				s := g.tryEnter(uint32(len(taken)) * 2654435761) // home shards vary
-				if s < 0 {
-					break
-				}
-				taken = append(taken, s)
-			}
-			if int64(len(taken)) != limit {
-				t.Fatalf("shards=%d limit=%d: admitted %d", shards, limit, len(taken))
-			}
-			if g.occupancy() != limit {
-				t.Fatalf("occupancy %d != limit %d", g.occupancy(), limit)
-			}
-			for _, s := range taken {
-				g.leave(s)
-			}
-			if g.occupancy() != 0 {
-				t.Fatalf("occupancy %d after full release", g.occupancy())
-			}
+	for _, limit := range []int64{1, 3, 5, 8, 17} {
+		g := newGate(gateLimits{maxMPL: limit})
+		var taken int64
+		for g.tryEnter() {
+			taken++
 		}
+		if taken != limit {
+			t.Fatalf("limit=%d: admitted %d", limit, taken)
+		}
+		if g.occupancy() != limit {
+			t.Fatalf("occupancy %d != limit %d", g.occupancy(), limit)
+		}
+		for ; taken > 0; taken-- {
+			g.leave()
+		}
+		if g.occupancy() != 0 {
+			t.Fatalf("occupancy %d after full release", g.occupancy())
+		}
+	}
+}
+
+// TestGateNeverFullBelowLimit: with fewer concurrent callers than the class
+// MPL, AdmitNoWait never finds the gate full — the Table 2 MPL row admits
+// whenever occupancy is below the limit — and the occupancy sampled along
+// the way stays within [0, limit]. The second case stacks a global limit
+// above the class limit, so an admit passes both gates.
+func TestGateNeverFullBelowLimit(t *testing.T) {
+	const (
+		limit   = 3
+		workers = limit - 1
+		perWork = 50_000
+	)
+	for _, tc := range []struct {
+		name   string
+		global int
+	}{
+		{"class", 0},
+		{"class-under-global", limit + 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := testRuntime(t, []ClassSpec{{Name: "c", MaxMPL: limit}},
+				Options{GlobalMaxMPL: tc.global})
+			cs := r.classes[0]
+			var refused, outside atomic.Int64
+			var wg sync.WaitGroup
+			for w := 0; w < workers; w++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for i := 0; i < perWork; i++ {
+						g := r.AdmitNoWait(0, 0)
+						if !g.Admitted() {
+							refused.Add(1)
+							continue
+						}
+						// One class and fewer callers than the limit: both
+						// gates hold at most limit.
+						if i%64 == 0 {
+							for _, n := range []int64{cs.gate.occupancy(), r.global.occupancy()} {
+								if n < 0 || n > limit {
+									outside.Add(1)
+								}
+							}
+						}
+						r.Done(g, 0)
+					}
+				}()
+			}
+			wg.Wait()
+			if n := refused.Load(); n != 0 {
+				t.Errorf("%d of %d admits refused with %d callers below limit %d",
+					n, workers*perWork, workers, limit)
+			}
+			if n := outside.Load(); n != 0 {
+				t.Errorf("%d occupancy samples outside [0, %d]", n, limit)
+			}
+			if n := r.InEngine(); n != 0 {
+				t.Errorf("in-engine %d after drain", n)
+			}
+		})
 	}
 }
 
@@ -424,7 +479,7 @@ func TestTokenRoundTrip(t *testing.T) {
 		t.Fatalf("round-trip %+v != %+v", back, g)
 	}
 	r.Done(back, 0)
-	for _, bad := range []string{"", "1:2:3", "x:0:0:0", "9:0:0:0", "0:999:0:0"} {
+	for _, bad := range []string{"", "0", "0:1:2:3", "0:0:0:0:0", "x:0", "9:0", "0:x"} {
 		if _, err := r.ParseToken(bad); err == nil {
 			t.Fatalf("token %q accepted", bad)
 		}

@@ -147,8 +147,8 @@ func TestSLOMissedNeverExceedsTotal(t *testing.T) {
 				g := r.Admit(class, 1)
 				if class == 0 || i%2 == 0 {
 					// Backdate the grant: 5ms of service time, no sleep.
-					c, s, gs, start, id, _ := g.Parts()
-					g, _ = r.GrantFromParts(c, s, gs, start-5_000_000, id)
+					c, start, id, _ := g.Parts()
+					g, _ = r.GrantFromParts(c, start-5_000_000, id)
 				}
 				r.Done(g, 0)
 			}

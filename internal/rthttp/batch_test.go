@@ -170,10 +170,8 @@ func TestBatchEndpoint(t *testing.T) {
 		t.Fatalf("bad class: %v, want %v", res[2].Status, wire.StatusBadClass)
 	}
 	rel := postBatch(t, st.srv, []wire.Op{
-		{Code: wire.OpDone, Class: res[0].Class, Shard: res[0].Shard,
-			GShard: res[0].GShard, Start: res[0].Start, QID: res[0].QID},
-		{Code: wire.OpDone, Class: res[1].Class, Shard: res[1].Shard,
-			GShard: res[1].GShard, Start: res[1].Start, QID: res[1].QID,
+		{Code: wire.OpDone, Class: res[0].Class, Start: res[0].Start, QID: res[0].QID},
+		{Code: wire.OpDone, Class: res[1].Class, Start: res[1].Start, QID: res[1].QID,
 			FPHi: res[1].FPHi, FPLo: res[1].FPLo},
 	})
 	for i := range rel {
@@ -201,7 +199,8 @@ func TestBatchEndpoint(t *testing.T) {
 type replayStep struct {
 	// admit | admitsql | done | donesql, or a /done no grant stands behind:
 	// done-garbled (a token that does not parse; on the wire, a class outside
-	// the table) and done-forged (well-formed, shard out of range).
+	// the table) and done-forged (a grant of the retired striped shape: the
+	// five-field token, and on the wire non-zero reserved shard bytes).
 	op    string
 	class string // admit ops; "nope" is outside testSpecs
 	cost  float64
@@ -389,8 +388,7 @@ func replayEquivalence(t *testing.T, cacheCap int, script []replayStep) {
 					flush()
 				}
 				g := results[step.ref]
-				op := wire.Op{Code: wire.OpDone, Class: g.Class, Shard: g.Shard,
-					GShard: g.GShard, Start: g.Start, QID: g.QID}
+				op := wire.Op{Code: wire.OpDone, Class: g.Class, Start: g.Start, QID: g.QID}
 				if step.op == "donesql" {
 					fp := sqlmini.FingerprintSQL(doneSQL(script, step))
 					op.FPHi, op.FPLo = fp.Hi, fp.Lo
@@ -505,16 +503,16 @@ func TestWriteAdmitMatchesJSON(t *testing.T) {
 		status int
 		want   AdmitResponse
 	}{
-		{wire.Result{Code: wire.OpAdmit, Status: wire.StatusAdmitted, Shard: 1, GShard: 1, Start: 123456, QID: 789, Cost: 10},
-			http.StatusOK, AdmitResponse{Verdict: "admitted", Token: "0:1:1:123456:789"}},
+		{wire.Result{Code: wire.OpAdmit, Status: wire.StatusAdmitted, Start: 123456, QID: 789, Cost: 10},
+			http.StatusOK, AdmitResponse{Verdict: "admitted", Token: "0:123456:789"}},
 		{wire.Result{Code: wire.OpAdmit, Status: wire.StatusRejectedCost, Cost: 60000},
 			http.StatusTooManyRequests, AdmitResponse{Verdict: "rejected-cost"}},
-		{wire.Result{Code: wire.OpAdmitSQL, Status: wire.StatusAdmitted, Class: 1, GShard: 1, Start: 5, QID: 9,
+		{wire.Result{Code: wire.OpAdmitSQL, Status: wire.StatusAdmitted, Class: 1, Start: 5, QID: 9,
 			Cost: 1234.5, Predicted: 0.0625, Flags: both},
-			http.StatusOK, AdmitResponse{Verdict: "admitted", Token: "1:0:1:5:9", Cost: 1234.5,
+			http.StatusOK, AdmitResponse{Verdict: "admitted", Token: "1:5:9", Cost: 1234.5,
 				PredictedSeconds: 0.0625, PredictedBucket: "short", Modeled: true, CacheHit: true}},
 		{wire.Result{Code: wire.OpAdmitSQL, Status: wire.StatusAdmitted, Start: 1, Cost: 3e21}, // exponent formatting
-			http.StatusOK, AdmitResponse{Verdict: "admitted", Token: "0:0:0:1", Cost: 3e21}},
+			http.StatusOK, AdmitResponse{Verdict: "admitted", Token: "0:1", Cost: 3e21}},
 		{wire.Result{Code: wire.OpAdmitSQL, Status: wire.StatusRejectedPredicted, Cost: 5e-7},
 			http.StatusTooManyRequests, AdmitResponse{Verdict: "rejected-predicted", Cost: 5e-7}},
 	}

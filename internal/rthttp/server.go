@@ -179,8 +179,7 @@ func (s *Server) writeAdmit(w http.ResponseWriter, res *wire.Result) {
 	status := http.StatusTooManyRequests
 	if res.Status == wire.StatusAdmitted {
 		status = http.StatusOK
-		g, _ := s.rt.GrantFromParts(rt.ClassID(res.Class), int32(res.Shard),
-			int32(res.GShard), res.Start, res.QID)
+		g, _ := s.rt.GrantFromParts(rt.ClassID(res.Class), res.Start, res.QID)
 		resp.Token = g.Token()
 	}
 	if res.Code == wire.OpAdmitSQL {
@@ -195,19 +194,18 @@ func (s *Server) writeAdmit(w http.ResponseWriter, res *wire.Result) {
 	writeJSON(w, status, resp)
 }
 
-// handleDone is the form codec for one done op: the token's five grant
-// parts, `ideal`, and — stateless feedback — the fingerprint of an echoed
-// `sql`, which names the interned plan whose features the observed service
-// time trains.
+// handleDone is the form codec for one done op: the token's grant parts,
+// `ideal`, and — stateless feedback — the fingerprint of an echoed `sql`,
+// which names the interned plan whose features the observed service time
+// trains.
 func (s *Server) handleDone(w http.ResponseWriter, r *http.Request) {
 	g, err := s.rt.ParseToken(r.FormValue("token"))
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	class, shard, gshard, start, id, _ := g.Parts()
-	op := wire.Op{Code: wire.OpDone, Class: uint16(class), Shard: uint16(shard),
-		GShard: uint16(gshard), Start: start, QID: id}
+	class, start, id, _ := g.Parts()
+	op := wire.Op{Code: wire.OpDone, Class: uint16(class), Start: start, QID: id}
 	if op.Ideal, err = formFloat(r, "ideal"); err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return

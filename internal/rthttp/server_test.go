@@ -259,7 +259,7 @@ func TestMetricsWireGolden(t *testing.T) {
 
 	send := dialWire(t, l.Addr().String())
 	g := send([]wire.Op{{Code: wire.OpAdmit, Class: 0, Cost: 100}})[0]
-	send([]wire.Op{{Code: wire.OpDone, Class: g.Class, Shard: g.Shard, GShard: g.GShard, Start: g.Start}})
+	send([]wire.Op{{Code: wire.OpDone, Class: g.Class, Start: g.Start}})
 	bad, err := net.Dial("tcp", l.Addr().String())
 	if err != nil {
 		t.Fatal(err)

@@ -30,7 +30,7 @@ func newSLOTestRuntime(t testing.TB, clock *int64) *rt.Runtime {
 			FastWindow: time.Second, SlowWindow: 4 * time.Second},
 		{Class: "reporting", Target: 0.5},
 		{Class: "batch"},
-	}, slo.Options{Now: r.NowNanos, Epoch: 250 * time.Millisecond})
+	}, slo.Options{Now: r.NowNanos})
 	if err != nil {
 		t.Fatal(err)
 	}

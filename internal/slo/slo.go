@@ -149,9 +149,10 @@ type Options struct {
 	// deadline misses and windows agree). nil uses a process-start
 	// monotonic clock via time.
 	Now func() int64
-	// Epoch overrides the derived epoch duration (the window-quantization
-	// grain). 0 derives min(fast windows)/4, clamped to >= 1ms.
-	Epoch time.Duration
+	// epoch overrides the derived epoch duration (the window-quantization
+	// grain, min(fast windows)/4 clamped to >= 1ms); only this package's
+	// tests set it.
+	epoch time.Duration
 }
 
 // cell is one epoch's cumulative snapshot: everything ever recorded to the
@@ -246,7 +247,7 @@ func New(specs []Spec, opts Options) (*Engine, error) {
 			maxSlow = s.SlowWindow
 		}
 	}
-	epoch := opts.Epoch
+	epoch := opts.epoch
 	if epoch <= 0 {
 		epoch = minFast / 4
 	}

@@ -185,7 +185,7 @@ func TestRingVsReference(t *testing.T) {
 			var now int64
 			eng, err := New(cfg.specs, Options{
 				Now:   func() int64 { return now },
-				Epoch: cfg.epoch,
+				epoch: cfg.epoch,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -274,7 +274,7 @@ func TestBurnRateAndBudget(t *testing.T) {
 	e, err := New([]Spec{{
 		Class: "oltp", Target: 0.1, MissBudget: 0.01, BurnThreshold: 4,
 		FastWindow: time.Second, SlowWindow: 4 * time.Second,
-	}}, Options{Now: func() int64 { return now }, Epoch: 250 * time.Millisecond})
+	}}, Options{Now: func() int64 { return now }})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -403,7 +403,7 @@ func TestConcurrentObserve(t *testing.T) {
 	var now int64
 	clock := func() int64 { mu.Lock(); defer mu.Unlock(); return now }
 	e, err := New([]Spec{{Class: "a", Target: 0.01, FastWindow: time.Second, SlowWindow: 2 * time.Second}},
-		Options{Now: clock, Epoch: 100 * time.Millisecond})
+		Options{Now: clock, epoch: 100 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -462,7 +462,7 @@ func TestBurningWithBudgetLeft(t *testing.T) {
 	e, err := New([]Spec{{
 		Class: "oltp", Target: 0.1, MissBudget: 0.01, BurnThreshold: 4,
 		FastWindow: time.Second, SlowWindow: 4 * time.Second,
-	}}, Options{Now: func() int64 { return now }, Epoch: 250 * time.Millisecond})
+	}}, Options{Now: func() int64 { return now }})
 	if err != nil {
 		t.Fatal(err)
 	}

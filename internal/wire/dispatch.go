@@ -89,9 +89,8 @@ func (d *Dispatcher) dispatchOne(op *Op, r *Result) {
 	case OpAdmitSQL, OpAdmitFP:
 		d.dispatchPredict(op, r)
 	case OpDone:
-		g, ok := d.RT.GrantFromParts(rt.ClassID(op.Class), int32(op.Shard),
-			int32(op.GShard), op.Start, op.QID)
-		if !ok {
+		g, ok := d.RT.GrantFromParts(rt.ClassID(op.Class), op.Start, op.QID)
+		if !ok || op.Shard != 0 || op.GShard != 0 {
 			r.Status = StatusBadGrant
 			return
 		}
@@ -156,17 +155,16 @@ func (d *Dispatcher) dispatchPredict(op *Op, r *Result) {
 	d.fillGrant(g, r)
 }
 
-// fillGrant maps a runtime grant onto the wire result.
+// fillGrant maps a runtime grant onto the wire result; the reserved shard
+// fields stay zero.
 //
 //dbwlm:hotpath
 func (d *Dispatcher) fillGrant(g rt.Grant, r *Result) {
-	class, shard, gshard, start, id, admitted := g.Parts()
+	class, start, id, admitted := g.Parts()
 	r.Status = Status(g.Verdict())
 	r.QID = id
 	if admitted {
 		r.Class = uint16(class)
-		r.Shard = uint16(shard)
-		r.GShard = uint16(gshard)
 		r.Start = start
 	}
 }

@@ -33,7 +33,8 @@ func testPredict(t testing.TB, r *rt.Runtime) *rt.PredictGate {
 	return rt.NewPredictGate(r, cache, knn, admission.BucketMonster)
 }
 
-// doneOpFor turns an admitted result into the op that releases it.
+// doneOpFor turns an admitted result into the op that releases it, echoing
+// every grant field the result carries, reserved shard bytes included.
 func doneOpFor(r Result) Op {
 	return Op{Code: OpDone, Class: r.Class, Shard: r.Shard, GShard: r.GShard,
 		Start: r.Start, QID: r.QID}
@@ -81,6 +82,34 @@ func TestDispatchAdmitDone(t *testing.T) {
 		if st.Rejected+st.Admitted == 0 {
 			t.Fatalf("class %s saw no traffic", st.Class)
 		}
+	}
+}
+
+// TestDoneReservedShardBytes: admitted results carry zero in the reserved
+// shard and gshard fields, and a done op with either non-zero is refused as
+// a bad grant without releasing a slot.
+func TestDoneReservedShardBytes(t *testing.T) {
+	r := testRuntime(t)
+	d := &Dispatcher{RT: r}
+	res := d.Dispatch([]Op{{Code: OpAdmit, Class: 0, Cost: 100}}, nil)
+	if res[0].Status != StatusAdmitted || res[0].Shard != 0 || res[0].GShard != 0 {
+		t.Fatalf("admit result %+v, want admitted with zero reserved bytes", res[0])
+	}
+	shard, gshard := doneOpFor(res[0]), doneOpFor(res[0])
+	shard.Shard, gshard.GShard = 1, 1
+	for i, st := range d.Dispatch([]Op{shard, gshard}, nil) {
+		if st.Status != StatusBadGrant {
+			t.Fatalf("done %d with non-zero reserved bytes: %v, want %v", i, st.Status, StatusBadGrant)
+		}
+	}
+	if got := r.InEngine(); got != 1 {
+		t.Fatalf("in-engine %d after refused dones, want 1", got)
+	}
+	if rel := d.Dispatch([]Op{doneOpFor(res[0])}, nil); rel[0].Status != StatusReleased {
+		t.Fatalf("done: %v, want released", rel[0].Status)
+	}
+	if got := r.InEngine(); got != 0 {
+		t.Fatalf("in-engine %d after release, want 0", got)
 	}
 }
 

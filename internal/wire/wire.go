@@ -178,7 +178,9 @@ type Op struct {
 	// OpDone, where a nonzero fingerprint asks the daemon to train the
 	// predictor on the observed service time).
 	FPHi, FPLo uint64
-	// Grant fields returned by a prior admit result (OpDone).
+	// Grant fields returned by a prior admit result (OpDone). Shard and
+	// GShard are reserved and must be zero: the daemon answers a done op
+	// that sets either with StatusBadGrant.
 	GShard uint16
 	Shard  uint16
 	Start  int64
@@ -195,7 +197,8 @@ type Result struct {
 	// QID is the flight-recorder admission ID (0 when the recorder is off).
 	QID int64
 	// Grant fields, valid when Status == StatusAdmitted; the client echoes
-	// them in the OpDone that releases the slot.
+	// them in the OpDone that releases the slot. Shard and GShard are
+	// reserved and always zero.
 	Class  uint16
 	Shard  uint16
 	GShard uint16

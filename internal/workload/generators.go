@@ -191,10 +191,8 @@ type BIGen struct {
 	Priority     policy.Priority
 	SLO          policy.SLO
 	Templates    []BITemplate
-	Catalog      *sqlmini.Catalog
 	Seq          *Sequence
 	Est          *EstimateModel
-	Origin       Origin
 
 	rng   *sim.RNG
 	model *sqlmini.CostModel
@@ -207,13 +205,10 @@ func (g *BIGen) Name() string { return g.WorkloadName }
 // Start implements Generator.
 func (g *BIGen) Start(s *sim.Simulator, horizon sim.Time, submit SubmitFunc) {
 	g.rng = s.RNG().Fork(hashLabel(g.WorkloadName))
-	if g.Catalog == nil {
-		g.Catalog = sqlmini.DefaultCatalog()
-	}
 	if len(g.Templates) == 0 {
 		g.Templates = DefaultBITemplates()
 	}
-	g.model = sqlmini.NewCostModel(g.Catalog)
+	g.model = sqlmini.NewCostModel(sqlmini.DefaultCatalog())
 	g.plans = make([]*sqlmini.Plan, len(g.Templates))
 	for i, tpl := range g.Templates {
 		p, err := g.model.PlanSQL(tpl.SQL)
@@ -233,16 +228,12 @@ func (g *BIGen) MakeRequest(now sim.Time) *Request {
 	i := g.rng.Intn(len(g.plans))
 	tpl, plan := g.Templates[i], g.plans[i]
 	est, spec := g.Est.FromPlan(plan, tpl.Parallelism)
-	origin := g.Origin
-	if origin.App == "" {
-		origin = Origin{App: "bi-dashboard", User: "analyst", ClientIP: "10.0.2.20"}
-	}
 	r := NewRequest()
 	*r = Request{
 		ID:       g.Seq.Next(),
 		SQL:      append(r.SQL, tpl.SQL...),
 		Type:     plan.Stmt.Type,
-		Origin:   origin,
+		Origin:   Origin{App: "bi-dashboard", User: "analyst", ClientIP: "10.0.2.20"},
 		Workload: g.WorkloadName,
 		Priority: g.Priority,
 		SLO:      g.SLO,
