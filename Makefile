@@ -47,9 +47,9 @@ bench:
 # first Lloyd pass, Yinyang group bounds, incremental separations) against
 # its brute-force reference, the selection-built k-d tree against the
 # sort-built one, and
-# table-backed k-NN prediction against the linear scan, the shard-owned
-# flight recorder against the seqlock reference ring, the striped
-# histogram's bucket table and shard-owned shards against the logarithm and
+# table-backed k-NN prediction against the linear scan, the owned
+# flight-recorder ring against the seqlock reference ring, the concurrent
+# histogram's bucket table and owned record against the logarithm and
 # the per-field-atomic reference, the sequential histogram's bucket
 # table against the logarithm, the engine's deadlock sweep against the
 # map-keyed reference on random wait-for graphs, the Priority and SJF

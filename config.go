@@ -54,7 +54,6 @@ type ClassConfig struct {
 	Priority string       `json:"priority"` // low/medium/high/critical
 	Weight   float64      `json:"weight,omitempty"`
 	Tiers    []TierConfig `json:"tiers,omitempty"`
-	MaxConc  int          `json:"max_concurrency,omitempty"`
 }
 
 // TierConfig declares one aging tier.
@@ -180,12 +179,7 @@ func (cfg *ConfigFile) Apply(m *Manager) error {
 		if pri > topPriority {
 			topPriority = pri
 		}
-		class := &characterize.ServiceClass{
-			Name:           cc.Name,
-			Priority:       pri,
-			Weight:         cc.Weight,
-			MaxConcurrency: cc.MaxConc,
-		}
+		class := &characterize.ServiceClass{Name: cc.Name, Priority: pri, Weight: cc.Weight}
 		for _, tc := range cc.Tiers {
 			class.Tiers = append(class.Tiers, characterize.ServiceTier{Name: tc.Name, Weight: tc.Weight})
 		}
@@ -268,14 +262,20 @@ func (cfg *ConfigFile) Apply(m *Manager) error {
 		default:
 			return fmt.Errorf("dbwlm: unknown queue %q", s.Queue)
 		}
+		// The scheduler runs one dispatcher, so a config may name one limit.
 		var dispatcher scheduling.Dispatcher = scheduling.Unlimited{}
-		switch {
-		case s.MPL > 0:
-			dispatcher = &scheduling.MPL{Max: s.MPL}
-		case len(s.ClassMPL) > 0:
-			dispatcher = scheduling.NewClassMPL(s.ClassMPL)
-		case len(s.CostLimits) > 0:
-			dispatcher = scheduling.NewCostLimit(s.CostLimits)
+		set := 0
+		if s.MPL > 0 {
+			dispatcher, set = &scheduling.MPL{Max: s.MPL}, set+1
+		}
+		if len(s.ClassMPL) > 0 {
+			dispatcher, set = scheduling.NewClassMPL(s.ClassMPL), set+1
+		}
+		if len(s.CostLimits) > 0 {
+			dispatcher, set = scheduling.NewCostLimit(s.CostLimits), set+1
+		}
+		if set > 1 {
+			return fmt.Errorf("dbwlm: scheduler sets %d of mpl, class_mpl and cost_limits; it runs one dispatcher", set)
 		}
 		m.Scheduler = scheduling.NewScheduler(queue, dispatcher)
 	}

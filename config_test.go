@@ -71,6 +71,8 @@ func TestConfigErrors(t *testing.T) {
 		{"bad type", `{"service_classes":[{"name":"a","priority":"low"}],
 			"workloads":[{"name":"w","service_class":"a","match":{"types":["SELECT"]}}]}`},
 		{"bad queue", `{"scheduler":{"queue":"lifo"}}`},
+		{"class max_concurrency", `{"service_classes":[{"name":"a","priority":"low","max_concurrency":4}]}`},
+		{"two dispatchers", `{"scheduler":{"mpl":8,"class_mpl":{"a":2}}}`},
 		{"bad admission priority", `{"admission":{"cost_limits":{"urgent": 5}}}`},
 		{"bad workload priority", `{"service_classes":[{"name":"a","priority":"low"}],
 			"workloads":[{"name":"w","service_class":"a","match":{"app":"x"},"priority":"urgent"}]}`},

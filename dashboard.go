@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"dbwlm/internal/engine"
-	"dbwlm/internal/slo"
 )
 
 // DashboardRow is the per-workload live view of the Teradata manager's
@@ -20,7 +19,6 @@ type DashboardRow struct {
 	Completed      int64
 	MeanResponse   float64
 	SLGMet         bool
-	SLGRatio       float64
 	Killed         int64
 	Resubmits      int64
 }
@@ -54,33 +52,6 @@ func (m *Manager) Dashboard() string {
 	return b.String()
 }
 
-// SLOPanel renders the live SLO engine's per-class reports as the operator
-// console's objective panel: the objective itself (miss-budgeted deadline),
-// cumulative attainment, fast/slow-window burn rates, the windowed latency
-// percentile, error budget remaining, and whether the class is burning —
-// the wlmd-side companion to the simulated Manager's SLG column above.
-func SLOPanel(reports []slo.Report) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-14s %14s %9s %7s %10s %10s %10s %7s %8s\n",
-		"class", "objective", "done", "missed", "burn/fast", "burn/slow", "p-lat ms", "budget", "state")
-	for i := range reports {
-		r := &reports[i]
-		obj := "best-effort"
-		if r.TargetSeconds > 0 {
-			obj = fmt.Sprintf("%.4g%%<=%gms", (1-r.MissBudget)*100, r.TargetSeconds*1e3)
-		}
-		state := "ok"
-		if r.Burning {
-			state = "BURNING"
-		}
-		fmt.Fprintf(&b, "%-14s %14s %9d %7d %10.2f %10.2f %10.3f %6.0f%% %8s\n",
-			r.Class, obj, r.Total, r.Missed,
-			r.Windows[0].BurnRate, r.Windows[1].BurnRate,
-			1e3*r.Windows[0].Latency, 100*r.BudgetRemaining, state)
-	}
-	return b.String()
-}
-
 // DashboardRows returns the structured per-workload monitor rows in
 // workload-name order.
 func (m *Manager) DashboardRows() []DashboardRow {
@@ -96,7 +67,6 @@ func (m *Manager) DashboardRows() []DashboardRow {
 			Completed:    ws.Completed.Value(),
 			MeanResponse: ws.Response.Mean(),
 			SLGMet:       att.Met,
-			SLGRatio:     att.Ratio,
 			Killed:       ws.Killed.Value(),
 			Resubmits:    ws.Resubmits.Value(),
 		}

@@ -7,7 +7,6 @@ import (
 	"dbwlm/internal/engine"
 	"dbwlm/internal/scheduling"
 	"dbwlm/internal/sim"
-	"dbwlm/internal/slo"
 	"dbwlm/internal/workload"
 )
 
@@ -90,54 +89,5 @@ func TestDashboardCountsSuspended(t *testing.T) {
 	}
 	if !strings.Contains(m.Dashboard(), "big") {
 		t.Fatal("dashboard missing workload")
-	}
-}
-
-// TestSLOPanel renders a fixed report set: stable bytes, one row per class,
-// and the objective/state columns spelled the way operators read them.
-func TestSLOPanel(t *testing.T) {
-	reports := []slo.Report{
-		{
-			Class: "oltp", TargetSeconds: 0.05, MissBudget: 0.01,
-			Percentile: 95, BurnThreshold: 4, Total: 1000, Missed: 40,
-			Windows: [2]slo.WindowReport{
-				{Name: "fast", Seconds: 60, Total: 100, Missed: 50, MissRate: 0.5, BurnRate: 50, Latency: 0.080},
-				{Name: "slow", Seconds: 600, Total: 400, Missed: 60, MissRate: 0.15, BurnRate: 15, Latency: 0.070},
-			},
-			BudgetRemaining: 0, Burning: true,
-		},
-		{
-			Class: "adhoc", Total: 12,
-			Windows: [2]slo.WindowReport{
-				{Name: "fast", Seconds: 60, Total: 2, Latency: 1.5},
-				{Name: "slow", Seconds: 600, Total: 12, Latency: 2.0},
-			},
-			BudgetRemaining: 1,
-		},
-	}
-	out := SLOPanel(reports)
-	for i := 0; i < 3; i++ {
-		if again := SLOPanel(reports); again != out {
-			t.Fatalf("panel rendered different bytes:\n%s\nvs\n%s", out, again)
-		}
-	}
-	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
-	if len(lines) != 3 {
-		t.Fatalf("panel has %d lines, want header + 2 rows:\n%s", len(lines), out)
-	}
-	for _, want := range []string{"class", "objective", "burn/fast", "budget", "state"} {
-		if !strings.Contains(lines[0], want) {
-			t.Fatalf("header missing %q: %s", want, lines[0])
-		}
-	}
-	for _, want := range []string{"oltp", "99%<=50ms", "1000", "40", "50.00", "15.00", "80.000", "0%", "BURNING"} {
-		if !strings.Contains(lines[1], want) {
-			t.Fatalf("oltp row missing %q: %s", want, lines[1])
-		}
-	}
-	for _, want := range []string{"adhoc", "best-effort", "100%", "ok"} {
-		if !strings.Contains(lines[2], want) {
-			t.Fatalf("adhoc row missing %q: %s", want, lines[2])
-		}
 	}
 }

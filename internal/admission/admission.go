@@ -53,7 +53,7 @@ type Controller interface {
 // View is the snapshot of server load that state-dependent controllers
 // consume: the resident-request count and the instantaneous load statistics.
 // The simulated *engine.Engine satisfies it directly; the live runtime
-// (internal/rt) satisfies it with merged sharded counters, so the same
+// (internal/rt) satisfies it with its atomic counters, so the same
 // threshold and indicator controllers gate simulated and real traffic
 // unchanged. Implementations guarantee that each returned figure is exact at
 // some recent instant; they do not guarantee that different fields were read

@@ -104,7 +104,6 @@ type Loop struct {
 	cycles   int64
 	actions  int64
 	symptoms int64
-	stop     func()
 }
 
 // flightClass maps a symptom's class name through ClassID.
@@ -153,7 +152,7 @@ func (l *Loop) Start(s *sim.Simulator) {
 	if period <= 0 {
 		period = sim.Second
 	}
-	l.stop = s.Every(period, func() bool {
+	s.Every(period, func() bool {
 		l.RunOnce()
 		return true
 	})

@@ -159,7 +159,6 @@ func (c CandidateWorkload) ToDefinition() (*WorkloadDef, *ServiceClass) {
 	class := &ServiceClass{
 		Name:     "SC-" + c.Name,
 		Priority: c.RecommendedPriority,
-		SLO:      c.RecommendedSLG,
 	}
 	def := &WorkloadDef{
 		Name:         c.Name,

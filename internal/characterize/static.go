@@ -126,7 +126,8 @@ type ServiceTier struct {
 }
 
 // ServiceClass is the execution environment a workload runs in: resource
-// access weight, optional subclass tiers for aging, and a concurrency limit.
+// access weight and optional subclass tiers for aging. A class concurrency
+// limit is the scheduler's (scheduling.ClassMPL).
 type ServiceClass struct {
 	Name     string
 	Priority policy.Priority
@@ -135,10 +136,6 @@ type ServiceClass struct {
 	// Tiers are aging levels, highest first; empty means the class weight
 	// is the only level.
 	Tiers []ServiceTier
-	// MaxConcurrency is the class MPL (0 = unlimited).
-	MaxConcurrency int
-	// SLO carried by the class (workloads may override).
-	SLO policy.SLO
 }
 
 // EffectiveWeight is the class's top-tier resource weight.

@@ -82,8 +82,7 @@ type Stats struct {
 	InEngine       int     // total non-terminal queries
 	CPUUtilization float64 // fraction of cores busy last quantum
 	IOUtilization  float64
-	MemDemandMB    float64 // working memory demanded by resident queries
-	MemPressure    float64 // demand / capacity
+	MemPressure    float64 // working memory demanded by resident queries / capacity
 	ConflictRatio  float64
 	Completed      int64
 	Killed         int64
@@ -996,7 +995,6 @@ func (e *Engine) StatsNow() Stats {
 			st.Suspended++
 		}
 	}
-	st.MemDemandMB = memDemand
 	st.MemPressure = memDemand / e.cfg.MemoryMB
 	st.CPUUtilization = e.lastCPUUsed / e.cfg.Cores
 	st.IOUtilization = e.lastIOUsed / e.cfg.IOMBps

@@ -222,8 +222,8 @@ func TestSuspendDumpStateAndResume(t *testing.T) {
 		t.Fatalf("state = %v, want suspended after dump", q.State())
 	}
 	// While suspended it consumes no memory.
-	if st := e.StatsNow(); st.MemDemandMB != 0 {
-		t.Fatalf("suspended query still holds memory: %v", st.MemDemandMB)
+	if st := e.StatsNow(); st.MemPressure != 0 {
+		t.Fatalf("suspended query still holds memory: pressure %v", st.MemPressure)
 	}
 	if err := e.Resume(q.ID); err != nil {
 		t.Fatal(err)
@@ -369,8 +369,8 @@ func TestStatsUtilization(t *testing.T) {
 	if st.Running != 1 || st.InEngine != 1 {
 		t.Fatalf("stats = %+v", st)
 	}
-	if st.MemDemandMB != 100 {
-		t.Fatalf("mem demand = %v", st.MemDemandMB)
+	if want := 100 / e.cfg.MemoryMB; st.MemPressure != want {
+		t.Fatalf("mem pressure = %v, want 100 MB of %v", st.MemPressure, e.cfg.MemoryMB)
 	}
 }
 

@@ -47,7 +47,7 @@ func resetScenario(s *sim.Simulator, e *Engine, seed uint64) []string {
 	s.Run(s.Now().Add(60 * sim.Second))
 	st := e.StatsNow()
 	log = append(log, fmt.Sprintf("stats %d %d %d %d %.9f %.9f",
-		st.Completed, st.Killed, st.Deadlocks, st.InEngine, st.CPUUtilization, st.MemDemandMB))
+		st.Completed, st.Killed, st.Deadlocks, st.InEngine, st.CPUUtilization, st.MemPressure))
 	return log
 }
 

@@ -220,7 +220,7 @@ func TestSuspenderCycle(t *testing.T) {
 	if q.State() != engine.StateSuspended {
 		t.Fatalf("under pressure state = %v, want suspended", q.State())
 	}
-	if st := e.StatsNow(); st.MemDemandMB != 0 {
+	if st := e.StatsNow(); st.MemPressure != 0 {
 		t.Fatal("suspended query still holds memory")
 	}
 	pressure = false

@@ -98,8 +98,8 @@ func RunNiuScheduler(variant string, seed uint64) Row {
 		// server-seconds (mean cpu 4s across mean parallelism over 8 cores
 		// = 0.5 server-seconds), timerons from the templates' means.
 		loads := map[string]scheduling.ClassLoad{
-			"gold":   {ArrivalRate: 0.8, MeanServiceSeconds: 0.5, MeanTimerons: 6000},
-			"bronze": {ArrivalRate: 1.0, MeanServiceSeconds: 0.5, MeanTimerons: 6000},
+			"gold":   {ArrivalRate: 0.8, MeanServiceSeconds: 0.5},
+			"bronze": {ArrivalRate: 1.0, MeanServiceSeconds: 0.5},
 		}
 		s.Every(10*sim.Second, func() bool {
 			limits := planner.Plan(loads)

@@ -15,17 +15,13 @@ import (
 	"dbwlm/internal/scheduling"
 	"dbwlm/internal/sim"
 	"dbwlm/internal/sqlmini"
-	"dbwlm/internal/taxonomy"
 	"dbwlm/internal/workload"
 )
 
-// Profile is a commercial-system emulation: a name, the taxonomy classes
-// Table 4 attributes to the system, and an Attach function that configures a
-// manager accordingly.
+// Profile is a commercial-system emulation: a name and an Attach function
+// that configures a manager as Table 4 describes the system.
 type Profile struct {
 	Name string
-	// Classes are the taxonomy paths the profile employs (Table 4 row).
-	Classes []string
 	// Attach wires the profile into the manager.
 	Attach func(m *dbwlm.Manager)
 }
@@ -49,12 +45,6 @@ func chainDispatch(m *dbwlm.Manager, hook func(*dbwlm.Running)) {
 func DB2Profile() *Profile {
 	return &Profile{
 		Name: "IBM DB2 Workload Manager",
-		Classes: []string{
-			taxonomy.ClassCharacterizationStatic,
-			taxonomy.ClassAdmissionThreshold,
-			taxonomy.ClassExecutionReprioritize,
-			taxonomy.ClassExecutionCancel,
-		},
 		Attach: func(m *dbwlm.Manager) {
 			// Service classes: OLTP gets a high-weight class; analytical work
 			// runs in a tiered class subject to aging; ad hoc in a low class.
@@ -147,11 +137,6 @@ func DB2Profile() *Profile {
 func SQLServerProfile() *Profile {
 	return &Profile{
 		Name: "Microsoft SQL Server Resource/Query Governor",
-		Classes: []string{
-			taxonomy.ClassCharacterizationStatic,
-			taxonomy.ClassAdmissionThreshold,
-			taxonomy.ClassExecutionReprioritize,
-		},
 		Attach: func(m *dbwlm.Manager) {
 			pools, err := characterize.NewPoolSet(
 				&characterize.ResourcePool{Name: "oltp_pool", MinCPU: 0.5, MaxCPU: 1, MaxMem: 1},
@@ -271,11 +256,6 @@ func (p *PoolShares) Step() {
 func TeradataProfile() *Profile {
 	return &Profile{
 		Name: "Teradata Active System Management",
-		Classes: []string{
-			taxonomy.ClassCharacterizationStatic,
-			taxonomy.ClassAdmissionThreshold,
-			taxonomy.ClassExecutionCancel,
-		},
 		Attach: func(m *dbwlm.Manager) {
 			router := characterize.NewRouter(&characterize.ServiceClass{
 				Name: "WD-Default", Priority: policy.PriorityLow,

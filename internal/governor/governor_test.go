@@ -7,7 +7,6 @@ import (
 	"dbwlm/internal/characterize"
 	"dbwlm/internal/engine"
 	"dbwlm/internal/sim"
-	"dbwlm/internal/taxonomy"
 	"dbwlm/internal/workload"
 )
 
@@ -25,36 +24,18 @@ func runProfile(t *testing.T, p *Profile, seed uint64) *dbwlm.Manager {
 	return m
 }
 
+// TestProfilesListAndClasses: Profiles lists the three Table 4 systems in
+// the table's order, each with an Attach.
 func TestProfilesListAndClasses(t *testing.T) {
 	ps := Profiles()
-	if len(ps) != 3 {
-		t.Fatalf("profiles = %d", len(ps))
+	want := []string{"IBM DB2 Workload Manager", "Microsoft SQL Server Resource/Query Governor", "Teradata Active System Management"}
+	if len(ps) != len(want) {
+		t.Fatalf("profiles = %d, want %d", len(ps), len(want))
 	}
-	// Each profile's class list must match Table 4's assignment: all have
-	// static characterization and threshold admission; DB2 adds
-	// reprioritization + cancellation; SQL Server adds reprioritization;
-	// Teradata adds cancellation.
-	has := func(p *Profile, class string) bool {
-		for _, c := range p.Classes {
-			if c == class {
-				return true
-			}
+	for i, p := range ps {
+		if p.Name != want[i] || p.Attach == nil {
+			t.Fatalf("profile %d = %q (attach set %v), want %q", i, p.Name, p.Attach != nil, want[i])
 		}
-		return false
-	}
-	for _, p := range ps {
-		if !has(p, taxonomy.ClassCharacterizationStatic) || !has(p, taxonomy.ClassAdmissionThreshold) {
-			t.Fatalf("%s missing universal Table 4 classes", p.Name)
-		}
-	}
-	if !has(ps[0], taxonomy.ClassExecutionReprioritize) || !has(ps[0], taxonomy.ClassExecutionCancel) {
-		t.Fatal("DB2 profile classes wrong")
-	}
-	if !has(ps[1], taxonomy.ClassExecutionReprioritize) || has(ps[1], taxonomy.ClassExecutionCancel) {
-		t.Fatal("SQL Server profile classes wrong")
-	}
-	if !has(ps[2], taxonomy.ClassExecutionCancel) || has(ps[2], taxonomy.ClassExecutionReprioritize) {
-		t.Fatal("Teradata profile classes wrong")
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 	"dbwlm/internal/scheduling"
 	"dbwlm/internal/sim"
 	"dbwlm/internal/sqlmini"
-	"dbwlm/internal/taxonomy"
 )
 
 // OracleProfile emulates Oracle Database Resource Manager (paper ref [61]):
@@ -20,12 +19,6 @@ import (
 func OracleProfile() *Profile {
 	return &Profile{
 		Name: "Oracle Database Resource Manager",
-		Classes: []string{
-			taxonomy.ClassCharacterizationStatic,
-			taxonomy.ClassAdmissionThreshold,
-			taxonomy.ClassExecutionReprioritize,
-			taxonomy.ClassExecutionCancel,
-		},
 		Attach: func(m *dbwlm.Manager) {
 			// Consumer groups: interactive (OLTP), reporting, batch.
 			router := characterize.NewRouter(&characterize.ServiceClass{

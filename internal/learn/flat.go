@@ -51,8 +51,6 @@ type FlatKMeansResult struct {
 	Centroids []float64
 	// Dims is the row stride of Centroids.
 	Dims int
-	// Inertia is the total squared distance of points to their centroids.
-	Inertia float64
 }
 
 // K reports the number of centroids.
@@ -175,12 +173,8 @@ func kmeansFlat(data []float64, n, dims, k, iters int, rng *sim.RNG) (FlatKMeans
 		}
 	}
 
-	var inertia float64
-	for i := 0; i < n; i++ {
-		inertia += sqDistFlat(s.row(i), s.cent(s.assign[i]))
-	}
-	work.distEvals = int(s.evals.Load()) + n
-	return FlatKMeansResult{Assignments: s.assign, Centroids: s.cents, Dims: dims, Inertia: inertia}, work
+	work.distEvals = int(s.evals.Load())
+	return FlatKMeansResult{Assignments: s.assign, Centroids: s.cents, Dims: dims}, work
 }
 
 // flatKMeans is one KMeansFlat run: the centres, each point's assignment, and

@@ -32,7 +32,11 @@ func KMeans(points [][]float64, k, iters int, rng *sim.RNG) KMeansResult {
 	for c := range cents {
 		cents[c] = km.Centroid(c)
 	}
-	return KMeansResult{Assignments: km.Assignments, Centroids: cents, Inertia: km.Inertia}
+	var inertia float64
+	for i, c := range km.Assignments {
+		inertia += sqDist(flat[i*dims:(i+1)*dims], cents[c])
+	}
+	return KMeansResult{Assignments: km.Assignments, Centroids: cents, Inertia: inertia}
 }
 
 func sqDist(a, b []float64) float64 {

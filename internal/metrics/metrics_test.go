@@ -98,7 +98,7 @@ func TestHistogramRelativeError(t *testing.T) {
 }
 
 func TestSnapshotString(t *testing.T) {
-	h := NewStripedHistogram(1)
+	var h ConcurrentHistogram
 	h.Record(1)
 	h.Record(2)
 	s := h.Snapshot()
@@ -138,7 +138,7 @@ func TestRateWindowCount(t *testing.T) {
 }
 
 func TestWorkloadStats(t *testing.T) {
-	s := NewWorkloadStats("oltp")
+	s := NewWorkloadStats()
 	s.ObserveArrival(0)
 	s.ObserveCompletion(sim.Time(2*sim.Second), 2*sim.Second, 1*sim.Second, 0.5)
 	s.ObserveCompletion(sim.Time(4*sim.Second), 1*sim.Second, 0, 1.0)
@@ -155,7 +155,7 @@ func TestWorkloadStats(t *testing.T) {
 }
 
 func TestWorkloadStatsEmptyThroughput(t *testing.T) {
-	s := NewWorkloadStats("x")
+	s := NewWorkloadStats()
 	if s.OverallThroughput() != 0 {
 		t.Fatal("empty stats should report zero throughput")
 	}

@@ -8,27 +8,27 @@ import (
 )
 
 // refLogG, refBucketIndex and refBucketUpper are the bucket layout as the
-// striped histogram computed it before the table: a logarithm per record and
+// concurrent histogram computed it before the table: a logarithm per record and
 // a power per reported bound. FuzzStripedBucketIndexMatchesFormula holds the
 // table to them.
-var refLogG = math.Log(stripedGrowth)
+var refLogG = math.Log(concGrowth)
 
 func refBucketIndex(v float64) int {
-	if v <= stripedBase {
+	if v <= concBase {
 		return 0
 	}
-	i := int(math.Log(v/stripedBase)/refLogG) + 1
-	if i >= stripedBuckets {
-		return stripedBuckets - 1
+	i := int(math.Log(v/concBase)/refLogG) + 1
+	if i >= concBuckets {
+		return concBuckets - 1
 	}
 	return i
 }
 
 func refBucketUpper(i int) float64 {
 	if i == 0 {
-		return stripedBase
+		return concBase
 	}
-	return stripedBase * math.Pow(stripedGrowth, float64(i))
+	return concBase * math.Pow(concGrowth, float64(i))
 }
 
 // refHistLogG, refHistBucketIndex and refHistBucketUpper are the sequential
@@ -51,35 +51,26 @@ func refHistBucketUpper(i int) float64 {
 	return 1e-6 * math.Pow(1.05, float64(i))
 }
 
-// refHistogram is the striped histogram the shard-owned one replaced, kept as
-// the reference FuzzStripedHistogramMatchesReference holds it to: every
-// field of a shard is its own atomic, sum/min/max are CAS loops on the float
-// bits, and a merge derives each shard's count from the buckets it loaded.
+// refHistogram is the per-field-atomic record the owned one replaced, kept
+// as the reference FuzzStripedHistogramMatchesReference holds it to: every
+// field is its own atomic, sum/min/max are CAS loops on the float bits, and
+// a read derives the count from the buckets it loaded.
 type refHistogram struct {
-	shards []refShard
-	mask   uint32
-}
-
-type refShard struct {
-	buckets [stripedBuckets]atomic.Int64
+	buckets [concBuckets]atomic.Int64
 	count   atomic.Int64
 	sumBits atomic.Uint64
 	minBits atomic.Uint64
 	maxBits atomic.Uint64
-	_       [64]byte
 }
 
-func newRefHistogram(shards int) *refHistogram {
-	n := StripeShards(shards)
-	h := &refHistogram{shards: make([]refShard, n), mask: uint32(n - 1)}
-	for i := range h.shards {
-		h.shards[i].minBits.Store(math.Float64bits(math.Inf(1)))
-		h.shards[i].maxBits.Store(math.Float64bits(math.Inf(-1)))
-	}
+func newRefHistogram() *refHistogram {
+	h := &refHistogram{}
+	h.minBits.Store(math.Float64bits(math.Inf(1)))
+	h.maxBits.Store(math.Float64bits(math.Inf(-1)))
 	return h
 }
 
-func (h *refHistogram) RecordAt(stripe uint32, v float64) {
+func (h *refHistogram) Record(v float64) {
 	if math.IsNaN(v) || v < 0 {
 		v = 0
 	}
@@ -87,78 +78,54 @@ func (h *refHistogram) RecordAt(stripe uint32, v float64) {
 	if v > maxValue {
 		v = maxValue
 	}
-	s := &h.shards[stripe&h.mask]
 	for {
-		old := s.sumBits.Load()
+		old := h.sumBits.Load()
 		next := math.Float64bits(math.Float64frombits(old) + v)
-		if s.sumBits.CompareAndSwap(old, next) {
+		if h.sumBits.CompareAndSwap(old, next) {
 			break
 		}
 	}
 	for {
-		old := s.minBits.Load()
+		old := h.minBits.Load()
 		if v >= math.Float64frombits(old) {
 			break
 		}
-		if s.minBits.CompareAndSwap(old, math.Float64bits(v)) {
+		if h.minBits.CompareAndSwap(old, math.Float64bits(v)) {
 			break
 		}
 	}
 	for {
-		old := s.maxBits.Load()
+		old := h.maxBits.Load()
 		if v <= math.Float64frombits(old) {
 			break
 		}
-		if s.maxBits.CompareAndSwap(old, math.Float64bits(v)) {
+		if h.maxBits.CompareAndSwap(old, math.Float64bits(v)) {
 			break
 		}
 	}
-	s.buckets[refBucketIndex(v)].Add(1)
-	s.count.Add(1)
+	h.buckets[refBucketIndex(v)].Add(1)
+	h.count.Add(1)
 }
 
-func (h *refHistogram) MergeBuckets(dst *[StripedBuckets]int64) (count int64, sum float64) {
-	*dst = [StripedBuckets]int64{}
-	for i := range h.shards {
-		s := &h.shards[i]
-		if s.count.Load() == 0 {
-			continue
-		}
-		for b := range s.buckets {
-			n := s.buckets[b].Load()
-			dst[b] += n
-			count += n
-		}
-		sum += math.Float64frombits(s.sumBits.Load())
+func (h *refHistogram) Buckets(dst *[HistBuckets]int64) (count int64, sum float64) {
+	for b := range h.buckets {
+		n := h.buckets[b].Load()
+		dst[b] = n
+		count += n
 	}
-	return count, sum
+	return count, math.Float64frombits(h.sumBits.Load())
 }
 
-func (h *refHistogram) merge() merged {
-	m := merged{min: math.Inf(1), max: math.Inf(-1)}
-	m.count, m.sum = h.MergeBuckets(&m.buckets)
-	for i := range h.shards {
-		s := &h.shards[i]
-		if v := math.Float64frombits(s.minBits.Load()); v < m.min {
-			m.min = v
-		}
-		if v := math.Float64frombits(s.maxBits.Load()); v > m.max {
-			m.max = v
-		}
-	}
-	return m
+func (h *refHistogram) read() histState {
+	s := histState{min: math.Float64frombits(h.minBits.Load()), max: math.Float64frombits(h.maxBits.Load())}
+	s.count, s.sum = h.Buckets(&s.buckets)
+	return s
 }
 
-func (h *refHistogram) Count() int64 {
-	var n int64
-	for i := range h.shards {
-		n += h.shards[i].count.Load()
-	}
-	return n
-}
+func (h *refHistogram) Count() int64 { return h.count.Load() }
 
 func (h *refHistogram) Cumulative(f func(upperBound float64, cumulative int64)) (count int64, sum float64) {
-	m := h.merge()
+	m := h.read()
 	var cum int64
 	for i, n := range m.buckets {
 		if n == 0 {
@@ -170,7 +137,7 @@ func (h *refHistogram) Cumulative(f func(upperBound float64, cumulative int64)) 
 	return m.count, m.sum
 }
 
-func refPercentile(m *merged, p float64) float64 {
+func refPercentile(m *histState, p float64) float64 {
 	if m.count == 0 {
 		return 0
 	}
@@ -199,7 +166,7 @@ func refPercentile(m *merged, p float64) float64 {
 }
 
 func (h *refHistogram) Snapshot() Snapshot {
-	m := h.merge()
+	m := h.read()
 	if m.count == 0 {
 		return Snapshot{}
 	}
@@ -217,29 +184,29 @@ func (h *refHistogram) Snapshot() Snapshot {
 }
 
 // FuzzStripedBucketIndexMatchesFormula: the table-driven bucket index equals
-// the logarithm formula on every value RecordAt can pass it, and the table's
+// the logarithm formula on every value Record can pass it, and the table's
 // upper bounds equal the power formula. The seeds put every bucket boundary
 // to the test from both sides, so the seed corpus alone checks that no
 // table cell hides a boundary.
 func FuzzStripedBucketIndexMatchesFormula(f *testing.F) {
 	for _, v := range []float64{0, math.Copysign(0, -1), 5e-324, 2.2250738585072014e-308,
-		stripedBase, math.Nextafter(stripedBase, 1), 1e-7, 1.5e-4, 3e-4, 1,
+		concBase, math.Nextafter(concBase, 1), 1e-7, 1.5e-4, 3e-4, 1,
 		maxSample, math.Nextafter(maxSample, 0), math.Inf(1), math.NaN(), -1} {
 		f.Add(v)
 	}
-	for i := 1; i < stripedBuckets; i++ {
-		b := stripedLayout.lower[i]
+	for i := 1; i < concBuckets; i++ {
+		b := concLayout.lower[i]
 		f.Add(b)
 		f.Add(math.Nextafter(b, 0))
 		f.Add(math.Nextafter(b, math.Inf(1)))
 	}
 	f.Fuzz(func(t *testing.T, v float64) {
 		v = clampSample(v)
-		if got, want := stripedLayout.index(v), refBucketIndex(v); got != want {
+		if got, want := concLayout.index(v), refBucketIndex(v); got != want {
 			t.Fatalf("bucket(%v [%#x]) = %d, formula %d", v, math.Float64bits(v), got, want)
 		}
 		i := refBucketIndex(v)
-		if got, want := stripedLayout.upper[i], refBucketUpper(i); math.Float64bits(got) != math.Float64bits(want) {
+		if got, want := concLayout.upper[i], refBucketUpper(i); math.Float64bits(got) != math.Float64bits(want) {
 			t.Fatalf("upper(%d) = %v, formula %v", i, got, want)
 		}
 	})
@@ -275,12 +242,12 @@ func FuzzHistogramBucketIndexMatchesFormula(f *testing.F) {
 	})
 }
 
-// FuzzStripedHistogramMatchesReference feeds one value stream, with its
-// stripes, to the shard-owned histogram and to refHistogram and requires
-// bit-identical merged views. Each 9-byte record is a stripe byte and eight
-// value bytes: with the stripe's top bit set the bytes are a raw float64
-// (NaN, infinities, negatives, subnormals), otherwise their top 24 bits are
-// nanoseconds, the range live service times fall in.
+// FuzzStripedHistogramMatchesReference feeds one value stream to the owned
+// record (ConcurrentHistogram) and to refHistogram and requires bit-identical
+// views. Each 9-byte record is a form byte and eight value bytes: with the
+// form byte's top bit set the bytes are a raw float64 (NaN, infinities,
+// negatives, subnormals), otherwise their top 24 bits are nanoseconds, the
+// range live service times fall in.
 func FuzzStripedHistogramMatchesReference(f *testing.F) {
 	seed := func(recs ...[9]byte) []byte {
 		var out []byte
@@ -289,8 +256,8 @@ func FuzzStripedHistogramMatchesReference(f *testing.F) {
 		}
 		return out
 	}
-	rec := func(stripe byte, bits uint64) (r [9]byte) {
-		r[0] = stripe
+	rec := func(form byte, bits uint64) (r [9]byte) {
+		r[0] = form
 		binary.LittleEndian.PutUint64(r[1:], bits)
 		return r
 	}
@@ -298,24 +265,25 @@ func FuzzStripedHistogramMatchesReference(f *testing.F) {
 	f.Add(seed(rec(0, 150_000<<40), rec(1, 300_000<<40), rec(2, 100_000<<40), rec(3, 1<<40)))
 	f.Add(seed(rec(0x80, math.Float64bits(math.NaN())), rec(0x81, math.Float64bits(-3)),
 		rec(0x82, math.Float64bits(math.Inf(1))), rec(0x83, 1), rec(0x80, math.Float64bits(math.Copysign(0, -1))),
-		rec(0x81, 0), rec(0x82, math.Float64bits(stripedBase)), rec(0x83, math.Float64bits(1e30))))
+		rec(0x81, 0), rec(0x82, math.Float64bits(concBase)), rec(0x83, math.Float64bits(1e30))))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		h, ref := NewStripedHistogram(4), newRefHistogram(4)
+		var h ConcurrentHistogram
+		ref := newRefHistogram()
 		for ; len(data) >= 9; data = data[9:] {
 			bits := binary.LittleEndian.Uint64(data[1:9])
 			v := float64(bits>>40) * 1e-9
 			if data[0]&0x80 != 0 {
 				v = math.Float64frombits(bits)
 			}
-			h.RecordAt(uint32(data[0]), v)
-			ref.RecordAt(uint32(data[0]), v)
+			h.Record(v)
+			ref.Record(v)
 		}
 
-		var got, want [StripedBuckets]int64
-		gc, gs := h.MergeBuckets(&got)
-		wc, ws := ref.MergeBuckets(&want)
+		var got, want [HistBuckets]int64
+		gc, gs := h.Buckets(&got)
+		wc, ws := ref.Buckets(&want)
 		if got != want || gc != wc || math.Float64bits(gs) != math.Float64bits(ws) {
-			t.Fatalf("MergeBuckets = (%d, %v, %v), reference (%d, %v, %v)", gc, gs, got, wc, ws, want)
+			t.Fatalf("Buckets = (%d, %v, %v), reference (%d, %v, %v)", gc, gs, got, wc, ws, want)
 		}
 		if gn, wn := h.Count(), ref.Count(); gn != wn {
 			t.Fatalf("Count = %d, reference %d", gn, wn)

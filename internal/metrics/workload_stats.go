@@ -12,8 +12,6 @@ import (
 // time in system, Section 2.1), completion throughput, and control-action
 // counts (queued, rejected, killed, suspended, throttled).
 type WorkloadStats struct {
-	Name string
-
 	Response *Histogram // seconds in system (queue + execution)
 	Velocity *Histogram // ideal/actual, in (0, 1]
 	Wait     *Histogram // seconds in wait queues
@@ -32,10 +30,9 @@ type WorkloadStats struct {
 	haveArrival  bool
 }
 
-// NewWorkloadStats returns empty statistics for the named workload.
-func NewWorkloadStats(name string) *WorkloadStats {
+// NewWorkloadStats returns empty statistics; a Registry keys them by name.
+func NewWorkloadStats() *WorkloadStats {
 	return &WorkloadStats{
-		Name:       name,
 		Response:   NewHistogram(),
 		Velocity:   NewHistogram(),
 		Wait:       NewHistogram(),
@@ -93,7 +90,7 @@ type Registry struct {
 func NewRegistry() *Registry {
 	return &Registry{
 		workloads: make(map[string]*WorkloadStats),
-		System:    NewWorkloadStats("system"),
+		System:    NewWorkloadStats(),
 	}
 }
 
@@ -102,7 +99,7 @@ func (r *Registry) Workload(name string) *WorkloadStats {
 	if s, ok := r.workloads[name]; ok {
 		return s
 	}
-	s := NewWorkloadStats(name)
+	s := NewWorkloadStats()
 	r.workloads[name] = s
 	return s
 }

@@ -1,7 +1,7 @@
 // Package obsv is the observability substrate of the live runtime: a
 // fixed-size flight recorder for per-query lifecycle events and a
-// hand-rolled Prometheus text-format writer over the striped recorders of
-// internal/metrics. It is the Monitor stage of the paper's Section 5.3
+// hand-rolled Prometheus text-format writer over the concurrent histograms
+// of internal/metrics. It is the Monitor stage of the paper's Section 5.3
 // autonomic (MAPE) workload manager made inspectable: every admission
 // decision carries the reason the deciding gate fired, every MAPE iteration records
 // what it observed and which action it chose, and the whole trail drains
@@ -11,27 +11,26 @@
 //
 //   - Disabled (nil *Recorder), every hook is a single pointer-nil branch —
 //     zero allocations, zero atomics, no measurable cost.
-//   - Enabled, a Record claims one ring shard with a compare-and-swap,
-//     stores the event into the shard's next slot with a plain copy, and
-//     releases the shard with one atomic store — no allocation, no unbounded
-//     growth. A writer that finds its shard held probes the next one, so it
-//     never parks; it is delayed only while every shard is held. When the
-//     ring wraps, the oldest events are overwritten (and counted).
+//   - Enabled, a Record claims the one ring with a compare-and-swap, stores
+//     the event into the ring's next slot with a plain copy, and releases
+//     the ring with one atomic store — no allocation, no unbounded growth.
+//     A writer that finds the ring held spins until it is free, and the
+//     ring counts that once (RingBusy). When the ring wraps, the oldest
+//     events are overwritten (and counted).
 //
-// A shard's busy word is its ownership: whoever swapped it from 0 to 1 owns
-// the shard's cursor and slots until it stores 0 again. Drains and counters
-// take each shard the same way, briefly, so a drain never sees a half-written
-// event and concurrent record/drain is exact under the race detector.
+// The ring's busy word is its ownership: whoever swapped it from 0 to 1 owns
+// the cursor, the counters and the slots until it stores 0 again. Drains and
+// counters take the ring the same way, a drain for at most one pass over
+// it, so a drain never sees a half-written event and concurrent record/drain
+// is exact under the race detector.
 package obsv
 
 import (
 	"fmt"
 	"math/bits"
 	"runtime"
-	"sort"
+	"slices"
 	"sync/atomic"
-
-	"dbwlm/internal/metrics"
 )
 
 // Kind classifies a flight-recorder event.
@@ -171,8 +170,8 @@ const NoClass int32 = -1
 // Event is one flight-recorder record: 56 bytes of plain data, so recording
 // never allocates and both recording and draining copy it by value.
 type Event struct {
-	// Seq is the event's position+1 in its shard's event stream; it orders
-	// events within a shard.
+	// Seq is the event's position+1 in the ring's event stream: the ring
+	// assigns 1, 2, 3, … in record order.
 	Seq uint64
 	// At is the event time in nanoseconds on the recording component's
 	// clock (the runtime's monotonic clock for lifecycle events).
@@ -197,154 +196,97 @@ type Event struct {
 	Aux   float64
 }
 
-// ringShard is one writer stripe. busy is the shard's ownership word: a
-// writer or reader that swaps it from 0 to 1 owns cursor, held and slots
-// until it stores 0, and no one touches them otherwise. The padding keeps
-// neighbouring shards' busy words off each other's cache lines.
-type ringShard struct {
-	busy   atomic.Uint32
-	cursor uint64 // events ever recorded into this shard
-	held   uint64 // probes that found a shard held and then won this one
-	slots  []Event
-	_      [80]byte
-}
-
-// hold takes the shard off the hot path, yielding while someone else has it.
-func (sh *ringShard) hold() {
-	for !sh.busy.CompareAndSwap(0, 1) {
-		runtime.Gosched()
-	}
-}
-
-// Recorder is the flight recorder: a sharded ring of fixed total capacity.
-// A nil *Recorder is valid and records nothing — the disabled state is the
-// zero value of a pointer field, and every method nil-checks the receiver.
+// Recorder is the flight recorder: one ring of fixed capacity. busy is the
+// ring's ownership word: a writer or reader that swaps it from 0 to 1 owns
+// cursor, held and slots until it stores 0, and no one touches them
+// otherwise. A nil *Recorder is valid and records nothing — the disabled
+// state is the zero value of a pointer field, and every method nil-checks
+// the receiver.
 type Recorder struct {
-	shards []ringShard
-	smask  uint32
-	lmask  uint64 // per-shard slot-index mask
+	busy   atomic.Uint32
+	cursor uint64 // events ever recorded
+	held   uint64 // records that found the ring held
+	mask   uint64 // slot-index mask
+	slots  []Event
 }
 
-// NewRecorder builds a recorder retaining ~capacity events (rounded so each
-// of the GOMAXPROCS-derived shards holds a power-of-two slot count, minimum
-// 64). capacity <= 0 selects the 16384-event default.
+// NewRecorder builds a recorder retaining capacity events, rounded up to a
+// power of two, minimum 64, so Cap is the same on every host. capacity <= 0
+// selects the 16384-event default.
 func NewRecorder(capacity int) *Recorder {
-	return NewRecorderShards(capacity, 2*runtime.GOMAXPROCS(0))
-}
-
-// NewRecorderShards builds a recorder with an explicit writer-stripe count
-// (rounded up to a power of two, minimum 2). Cap() depends on the shard
-// count, so tests that pin an exact capacity — golden files — construct
-// through here instead of the GOMAXPROCS-derived default.
-func NewRecorderShards(capacity, shards int) *Recorder {
 	if capacity <= 0 {
 		capacity = 16384
 	}
-	nsh := shards
-	if nsh < 2 {
-		nsh = 2
-	}
-	nsh = 1 << bits.Len(uint(nsh-1))
-	per := capacity / nsh
-	if per < 64 {
-		per = 64
-	}
-	per = 1 << bits.Len(uint(per-1))
-	r := &Recorder{shards: make([]ringShard, nsh), smask: uint32(nsh - 1),
-		lmask: uint64(per - 1)}
-	for i := range r.shards {
-		r.shards[i].slots = make([]Event, per)
-	}
-	return r
+	n := max(1<<bits.Len(uint(capacity-1)), 64)
+	return &Recorder{slots: make([]Event, n), mask: uint64(n - 1)}
 }
 
-// Cap reports the total slot capacity.
+// Cap reports the slot capacity.
 func (r *Recorder) Cap() int {
 	if r == nil {
 		return 0
 	}
-	return len(r.shards) * int(r.lmask+1)
+	return len(r.slots)
 }
 
 // Record stores one event. Safe on a nil receiver (drops the event); never
-// allocates — one compare-and-swap to claim a shard chosen by a fresh stripe
-// (metrics.StripeIdx), one copy into its next slot, one store to release.
+// allocates — one compare-and-swap to claim the ring, one copy into its next
+// slot, one store to release. A record that finds the ring held spins
+// without parking until it is free, and counts once in RingBusy.
 //
 //dbwlm:hotpath
-func (r *Recorder) Record(e Event) { r.RecordAt(metrics.StripeIdx(), e) }
-
-// RecordAt is Record on the writer stripe the caller already drew (masked by
-// the shard count) — the live runtime draws one stripe per decision and
-// shares it with its gates and counters. If that shard is held, the event
-// goes to the next free one.
-//
-//dbwlm:hotpath
-func (r *Recorder) RecordAt(stripe uint32, e Event) {
+func (r *Recorder) Record(e Event) {
 	if r == nil {
 		return
 	}
-	sh := &r.shards[stripe&r.smask]
-	if !sh.busy.CompareAndSwap(0, 1) {
-		sh = r.probe(stripe)
-	}
-	pos := sh.cursor
-	sh.cursor = pos + 1
-	e.Seq = pos + 1
-	sh.slots[pos&r.lmask] = e
-	sh.busy.Store(0)
-}
-
-// probe claims the first free shard after stripe's, which was found held,
-// and charges every held shard it met to the one it wins. It spins without
-// parking, so it waits only while every shard is held.
-func (r *Recorder) probe(stripe uint32) *ringShard {
-	held := uint64(1)
-	for i := stripe + 1; ; i++ {
-		sh := &r.shards[i&r.smask]
-		if sh.busy.Load() == 0 && sh.busy.CompareAndSwap(0, 1) {
-			sh.held += held
-			return sh
+	if !r.busy.CompareAndSwap(0, 1) {
+		for r.busy.Load() != 0 || !r.busy.CompareAndSwap(0, 1) {
 		}
-		held++
+		r.held++
+	}
+	r.cursor++
+	e.Seq = r.cursor
+	r.slots[(r.cursor-1)&r.mask] = e
+	r.busy.Store(0)
+}
+
+// hold takes the ring for a reader, yielding while someone else has it.
+func (r *Recorder) hold() {
+	for !r.busy.CompareAndSwap(0, 1) {
+		runtime.Gosched()
 	}
 }
 
-// sum adds f over every shard, holding each while f reads it.
-func (r *Recorder) sum(f func(sh *ringShard) uint64) uint64 {
+// counters reads the ring's cursor and held count under one hold.
+func (r *Recorder) counters() (cursor, held uint64) {
 	if r == nil {
-		return 0
+		return 0, 0
 	}
-	var total uint64
-	for i := range r.shards {
-		sh := &r.shards[i]
-		sh.hold()
-		total += f(sh)
-		sh.busy.Store(0)
-	}
-	return total
+	r.hold()
+	cursor, held = r.cursor, r.held
+	r.busy.Store(0)
+	return cursor, held
 }
 
 // Recorded reports the total number of events ever recorded, including any
 // since overwritten.
 func (r *Recorder) Recorded() uint64 {
-	return r.sum(func(sh *ringShard) uint64 { return sh.cursor })
+	cursor, _ := r.counters()
+	return cursor
 }
 
 // Overwritten reports how many events the ring has discarded to stay fixed
 // size.
 func (r *Recorder) Overwritten() uint64 {
-	return r.sum(func(sh *ringShard) uint64 {
-		if size := uint64(len(sh.slots)); sh.cursor > size {
-			return sh.cursor - size
-		}
-		return 0
-	})
+	cursor, _ := r.counters()
+	return cursor - min(cursor, uint64(r.Cap()))
 }
 
-// ShardBusy reports how many times a writer found a shard held and probed
-// the next — the recorder's contention, zero while writers never collide.
-func (r *Recorder) ShardBusy() uint64 {
-	return r.sum(func(sh *ringShard) uint64 { return sh.held })
+// RingBusy reports how many records found the ring held and had to wait —
+// the recorder's contention, zero while writers never collide.
+func (r *Recorder) RingBusy() uint64 {
+	_, held := r.counters()
+	return held
 }
 
 // Filter selects events on drain. Start from MatchAll and override fields —
@@ -387,8 +329,9 @@ func (f *Filter) match(e *Event) bool {
 }
 
 // Tail drains the newest matching events, oldest first, at most n of them
-// (n <= 0 keeps every retained match). It holds one shard at a time while it
-// copies that shard's matches, so writers meanwhile record into the others.
+// (n <= 0 keeps every retained match). Events come in record order (Seq).
+// It holds the ring for at most one pass: it walks back from the newest
+// event and stops at the n-th match, into a slice allocated before the hold.
 func (r *Recorder) Tail(n int, f Filter) []Event {
 	if r == nil {
 		return nil
@@ -396,26 +339,18 @@ func (r *Recorder) Tail(n int, f Filter) []Event {
 	if f == (Filter{}) {
 		f = MatchAll
 	}
-	var out []Event
-	for i := range r.shards {
-		sh := &r.shards[i]
-		sh.hold()
-		retained := sh.slots[:min(sh.cursor, uint64(len(sh.slots)))]
-		for j := range retained {
-			if f.match(&retained[j]) {
-				out = append(out, retained[j])
-			}
-		}
-		sh.busy.Store(0)
+	if n <= 0 || n > len(r.slots) {
+		n = len(r.slots)
 	}
-	sort.Slice(out, func(a, b int) bool {
-		if out[a].At != out[b].At {
-			return out[a].At < out[b].At
+	out := make([]Event, 0, n)
+	r.hold()
+	oldest := r.cursor - min(r.cursor, uint64(len(r.slots)))
+	for pos := r.cursor; pos > oldest && len(out) < n; pos-- {
+		if e := &r.slots[(pos-1)&r.mask]; f.match(e) {
+			out = append(out, *e)
 		}
-		return out[a].Seq < out[b].Seq
-	})
-	if n > 0 && len(out) > n {
-		out = out[len(out)-n:]
 	}
+	r.busy.Store(0)
+	slices.Reverse(out)
 	return out
 }

@@ -3,6 +3,7 @@ package obsv
 import (
 	"sync"
 	"testing"
+	"time"
 )
 
 func TestNilRecorderIsDisabled(t *testing.T) {
@@ -95,28 +96,36 @@ func TestTailClassZeroAdmitted(t *testing.T) {
 	}
 }
 
-// TestRecordProbesHeldShard: a write whose shard is held lands in the next
-// shard, is counted once in ShardBusy, and leaves the held shard untouched.
-func TestRecordProbesHeldShard(t *testing.T) {
-	r := NewRecorderShards(256, 4)
-	r.shards[1].busy.Store(1)
-	r.RecordAt(1, Event{At: 7, QID: 7, Kind: KindAdmit})
-	r.shards[1].busy.Store(0)
-	if r.shards[1].cursor != 0 || r.shards[2].cursor != 1 || r.shards[2].slots[0].QID != 7 {
-		t.Fatalf("cursors %d/%d: the event did not move to the next shard",
-			r.shards[1].cursor, r.shards[2].cursor)
+// TestRecordWaitsForHeldRing: a record made while a drain holds the ring
+// lands after the drain releases it, and bumps RingBusy exactly once.
+func TestRecordWaitsForHeldRing(t *testing.T) {
+	r := NewRecorder(256)
+	r.Record(Event{At: 1, QID: 1, Kind: KindAdmit})
+	r.hold() // what a drain does for its pass
+	done := make(chan struct{})
+	go func() {
+		r.Record(Event{At: 2, QID: 2, Kind: KindAdmit})
+		close(done)
+	}()
+	time.Sleep(20 * time.Millisecond)
+	if r.cursor != 1 {
+		t.Fatalf("a record landed in a held ring: cursor %d", r.cursor)
 	}
-	if r.ShardBusy() != 1 || r.Recorded() != 1 {
-		t.Fatalf("shard busy %d recorded %d, want 1 and 1", r.ShardBusy(), r.Recorded())
+	r.busy.Store(0)
+	<-done
+	r.Record(Event{At: 3, QID: 3, Kind: KindAdmit})
+	if r.RingBusy() != 1 || r.Recorded() != 3 {
+		t.Fatalf("ring busy %d recorded %d, want 1 and 3", r.RingBusy(), r.Recorded())
 	}
-	r.RecordAt(1, Event{At: 8, QID: 8, Kind: KindAdmit})
-	if r.ShardBusy() != 1 || r.shards[1].cursor != 1 {
-		t.Fatal("an uncontended write probed or missed its own shard")
+	for i, e := range r.Tail(0, MatchAll) {
+		if e.Seq != uint64(i+1) || e.QID != int64(i+1) {
+			t.Fatalf("event %d: %+v, want seq and qid %d", i, e, i+1)
+		}
 	}
 }
 
 func TestRingOverwrites(t *testing.T) {
-	r := NewRecorder(64) // rounds up to shards*64, still far below 10k
+	r := NewRecorder(64)
 	const n = 10000
 	for i := 0; i < n; i++ {
 		r.Record(Event{At: int64(i), Kind: KindAdmit})
@@ -162,18 +171,18 @@ func TestKindAndReasonNames(t *testing.T) {
 }
 
 // TestConcurrentRecordDrain hammers the ring from many writers while Tail
-// and Recorded drain continuously: every write must be counted exactly once
-// and no drained event may mix two writes (run under -race in `make race`).
-// The second case puts 64 writers on two shards, so writers constantly find
-// their shard held and probe.
+// and Recorded drain continuously: every write must be counted exactly once,
+// no drained event may mix two writes, and every drain must be a run of
+// consecutive sequence numbers (run under -race in `make race`). The second
+// case puts 64 writers on the one ring, so writers constantly find it held.
 func TestConcurrentRecordDrain(t *testing.T) {
 	for _, c := range []struct {
 		name         string
 		r            *Recorder
 		writers, per int
 	}{
-		{"default-shards", NewRecorder(4096), 8, 5000},
-		{"64-writers-2-shards", NewRecorderShards(1024, 2), 64, 500},
+		{"8-writers", NewRecorder(4096), 8, 5000},
+		{"64-writers", NewRecorder(1024), 64, 500},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			r, total := c.r, uint64(c.writers*c.per)
@@ -194,9 +203,13 @@ func TestConcurrentRecordDrain(t *testing.T) {
 				}()
 			}
 			drain(func() {
-				for _, e := range r.Tail(0, MatchAll) {
+				events := r.Tail(0, MatchAll)
+				for i, e := range events {
 					if e.QID != e.At {
 						t.Errorf("torn event: at=%d qid=%d", e.At, e.QID)
+					}
+					if i > 0 && e.Seq != events[i-1].Seq+1 {
+						t.Errorf("drain skipped from seq %d to %d", events[i-1].Seq, e.Seq)
 					}
 				}
 			})
@@ -211,7 +224,7 @@ func TestConcurrentRecordDrain(t *testing.T) {
 					defer writers.Done()
 					for i := 0; i < c.per; i++ {
 						v := int64(w*c.per + i + 1)
-						r.RecordAt(uint32(w), Event{At: v, QID: v, Kind: KindAdmit, Verdict: NoVerdict, Class: NoClass})
+						r.Record(Event{At: v, QID: v, Kind: KindAdmit, Verdict: NoVerdict, Class: NoClass})
 					}
 				}(w)
 			}
@@ -226,38 +239,53 @@ func TestConcurrentRecordDrain(t *testing.T) {
 				t.Fatalf("retained %d, want recorded %d - overwritten %d",
 					len(retained), r.Recorded(), r.Overwritten())
 			}
-			for _, e := range retained {
-				if e.QID != e.At || e.QID < 1 || e.QID > int64(total) {
-					t.Fatalf("corrupt retained event %+v", e)
+			for i, e := range retained {
+				if e.QID != e.At || e.QID < 1 || e.QID > int64(total) || e.Seq != r.Overwritten()+uint64(i+1) {
+					t.Fatalf("corrupt retained event %d: %+v", i, e)
 				}
 			}
 		})
 	}
 }
 
+// BenchmarkTailFullRing prices a drain of a full 16384-event ring with
+// MatchAll and n = 0, the longest the ring is ever held; ns/op is the hold
+// plus the slice allocation made before it.
+func BenchmarkTailFullRing(b *testing.B) {
+	r := NewRecorder(16384)
+	for i := 0; i < r.Cap(); i++ {
+		r.Record(Event{At: int64(i), QID: int64(i), Kind: KindAdmit, Verdict: NoVerdict, Class: NoClass})
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if len(r.Tail(0, MatchAll)) != r.Cap() {
+			b.Fatal("short drain")
+		}
+	}
+}
+
 // FuzzRecorderMatchesReference records one random event sequence, replayed
-// rounds times, into the shard-owned ring and the seqlock reference at the
-// same capacity and shard count, and requires the same Recorded,
-// Overwritten and Tail answers for random filters and lengths. Each 6-byte
-// chunk of events is one record (stripe, kind/reason, class, verdict, qid,
-// time step); each 6-byte chunk of queries is one Tail (kind, class,
-// verdict, qid, since, n).
+// rounds times, into the owned ring and the seqlock reference at the same
+// capacity, and requires the same Recorded, Overwritten and Tail answers for
+// random filters and lengths. Each 6-byte chunk of events is one record
+// (fingerprint, kind/reason, class, verdict, qid, time step); each 6-byte
+// chunk of queries is one Tail (kind, class, verdict, qid, since, n).
 func FuzzRecorderMatchesReference(f *testing.F) {
-	f.Add(uint16(0), uint8(2), uint8(1), []byte{0, 1, 1, 0, 1, 1, 1, 3, 2, 3, 2, 0}, []byte{0, 0, 0, 0, 0, 0})
-	f.Add(uint16(100), uint8(4), uint8(40), []byte{3, 0x21, 0, 0, 1, 1, 5, 0x13, 1, 1, 2, 0, 6, 0x42, 3, 2, 0, 2},
+	f.Add(uint16(0), uint8(1), []byte{0, 1, 1, 0, 1, 1, 1, 3, 2, 3, 2, 0}, []byte{0, 0, 0, 0, 0, 0})
+	f.Add(uint16(100), uint8(40), []byte{3, 0x21, 0, 0, 1, 1, 5, 0x13, 1, 1, 2, 0, 6, 0x42, 3, 2, 0, 2},
 		[]byte{1, 1, 1, 0, 0, 3, 0, 0, 0, 1, 9, 0, 2, 2, 3, 0, 0, 1})
-	f.Add(uint16(300), uint8(1), uint8(255), []byte{9, 0x11, 2, 3, 4, 1, 8, 0x71, 0, 0, 0, 0},
+	f.Add(uint16(300), uint8(255), []byte{9, 0x11, 2, 3, 4, 1, 8, 0x71, 0, 0, 0, 0},
 		[]byte{1, 2, 1, 2, 0x80, 0, 0, 0, 0, 0, 0, 200})
-	f.Fuzz(func(t *testing.T, capacity uint16, shards, rounds uint8, events, queries []byte) {
+	f.Fuzz(func(t *testing.T, capacity uint16, rounds uint8, events, queries []byte) {
 		if len(events) > 6*64 || len(queries) > 6*16 {
 			return
 		}
-		r := NewRecorderShards(int(capacity), int(shards))
-		ref := newRefRecorder(int(capacity), int(shards))
+		r := NewRecorder(int(capacity))
+		ref := newRefRecorder(r.Cap())
 		at := int64(0)
 		for round := 0; round <= int(rounds); round++ {
 			for b := events; len(b) >= 6; b = b[6:] {
-				at += int64(b[5] % 4) // repeated times exercise the drain's tie-break
+				at += int64(b[5]%4) - 1 // time may stand or step back: a drain is in record order
 				e := Event{
 					At:      at,
 					QID:     int64(b[4] % 8),
@@ -269,9 +297,8 @@ func FuzzRecorderMatchesReference(f *testing.F) {
 					Value:   float64(b[4]),
 					Aux:     float64(round),
 				}
-				stripe := uint32(b[0]) * 0x9E3779B9
-				r.RecordAt(stripe, e)
-				ref.RecordAt(stripe, e)
+				r.Record(e)
+				ref.Record(e)
 			}
 			if r.Recorded() != ref.Recorded() || r.Overwritten() != ref.Overwritten() {
 				t.Fatalf("round %d: recorded/overwritten %d/%d, reference %d/%d", round,

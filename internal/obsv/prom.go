@@ -71,13 +71,13 @@ func (p *PromWriter) Val(v float64, labels ...string) {
 	p.write(b)
 }
 
-// Hist emits a striped histogram as the conventional _bucket/_sum/_count
+// Hist emits a concurrent histogram as the conventional _bucket/_sum/_count
 // series of the current family: cumulative counts at each non-empty bucket
 // upper bound plus the mandatory le="+Inf" terminal. Sparse emission keeps a
 // 128-bucket log histogram to a handful of lines; cumulative `le` semantics
 // stay exact because every omitted bucket's cumulative count equals the
 // previous emitted one.
-func (p *PromWriter) Hist(h *metrics.StripedHistogram, labels ...string) {
+func (p *PromWriter) Hist(h *metrics.ConcurrentHistogram, labels ...string) {
 	leLabels := make([]string, len(labels)+2)
 	copy(leLabels, labels)
 	leLabels[len(labels)] = "le"

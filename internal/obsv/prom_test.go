@@ -13,10 +13,8 @@ import (
 )
 
 // TestPromWriterGolden renders a fixed page of families — counters with
-// escaped labels, gauges, and a striped histogram — and compares it byte for
-// byte against testdata/prom.golden. Striped shard selection is random, but
-// the merge-on-read makes the rendered totals deterministic, which is what
-// lets a golden file exist at all. Regenerate with UPDATE_GOLDEN=1.
+// escaped labels, gauges, and a concurrent histogram — and compares it byte
+// for byte against testdata/prom.golden. Regenerate with UPDATE_GOLDEN=1.
 func TestPromWriterGolden(t *testing.T) {
 	var buf bytes.Buffer
 	p := NewPromWriter(&buf)
@@ -29,19 +27,16 @@ func TestPromWriterGolden(t *testing.T) {
 	p.Gauge("dbwlm_mem_pressure", "Reported memory pressure (1 = at budget).")
 	p.Val(0.75)
 
-	// Dyadic values only: shard striping randomizes the association order of
-	// the merged _sum, so the golden bytes are only stable for values whose
-	// sums are exact in any order.
-	h := metrics.NewStripedHistogram(4)
+	var h metrics.ConcurrentHistogram
 	for _, v := range []float64{0.0009765625, 0.0009765625, 0.00390625, 0.25, 0.25, 0.25, 2} {
 		h.Record(v)
 	}
 	p.Histogram("dbwlm_latency_seconds", "Service latency.")
-	p.Hist(h, "class", "interactive")
+	p.Hist(&h, "class", "interactive")
 
-	empty := metrics.NewStripedHistogram(4)
+	var empty metrics.ConcurrentHistogram
 	p.Histogram("dbwlm_queue_wait_seconds", "Queue wait.")
-	p.Hist(empty)
+	p.Hist(&empty)
 
 	if err := p.Err(); err != nil {
 		t.Fatal(err)
@@ -89,7 +84,7 @@ func (failWriter) Write([]byte) (int, error) { return 0, errors.New("sink closed
 // counts are cumulative, the +Inf terminal equals _count, and the sum is the
 // sum of observations.
 func TestPromHistogramCumulative(t *testing.T) {
-	h := metrics.NewStripedHistogram(4)
+	var h metrics.ConcurrentHistogram
 	vals := []float64{0.01, 0.02, 0.02, 5}
 	total := 0.0
 	for _, v := range vals {
@@ -99,7 +94,7 @@ func TestPromHistogramCumulative(t *testing.T) {
 	var buf bytes.Buffer
 	p := NewPromWriter(&buf)
 	p.Histogram("h_seconds", "h")
-	p.Hist(h)
+	p.Hist(&h)
 	out := buf.String()
 	if !strings.Contains(out, "h_seconds_count 4") {
 		t.Fatalf("missing count:\n%s", out)

@@ -7,26 +7,20 @@ import (
 )
 
 // refRecorder is the seqlock ring Recorder replaced, kept as the reference
-// FuzzRecorderMatchesReference holds the shard-owned ring to: a writer
-// fetch-adds a shard cursor, zeroes the slot's publish tag, stores the event
-// words one atomic at a time and stores the tag last; a drain copies between
-// two tag reads and drops a slot whose tag moved. Its Tail reads filters
-// by Recorder's rule (only a literal Filter{} means everything), so the two
-// differ only in the ring.
+// FuzzRecorderMatchesReference holds the owned ring to: a writer fetch-adds
+// the cursor, zeroes the slot's publish tag, stores the event words one
+// atomic at a time and stores the tag last; a drain copies between two tag
+// reads, drops a slot whose tag moved, and sorts what it kept by tag. Its
+// Tail reads filters by Recorder's rule (only a literal Filter{} means
+// everything), so the two differ only in the ring.
 type refRecorder struct {
-	shards []refShard
-	smask  uint32
-	lmask  uint64
-}
-
-type refShard struct {
 	cursor atomic.Uint64
-	_      [120]byte
 	slots  []refSlot
+	mask   uint64
 }
 
 type refSlot struct {
-	pub  atomic.Uint64 // 0 while being written, else shard position+1
+	pub  atomic.Uint64 // 0 while being written, else ring position+1
 	at   atomic.Int64
 	qid  atomic.Int64
 	fp   atomic.Uint64
@@ -35,21 +29,14 @@ type refSlot struct {
 	aux  atomic.Uint64
 }
 
-// newRefRecorder sizes the reference exactly as NewRecorderShards sizes the
-// ring under test.
-func newRefRecorder(capacity, shards int) *refRecorder {
-	r := NewRecorderShards(capacity, shards)
-	ref := &refRecorder{shards: make([]refShard, len(r.shards)), smask: r.smask, lmask: r.lmask}
-	for i := range ref.shards {
-		ref.shards[i].slots = make([]refSlot, r.lmask+1)
-	}
-	return ref
+// newRefRecorder builds a reference of exactly size slots (a power of two).
+func newRefRecorder(size int) *refRecorder {
+	return &refRecorder{slots: make([]refSlot, size), mask: uint64(size - 1)}
 }
 
-func (r *refRecorder) RecordAt(stripe uint32, e Event) {
-	sh := &r.shards[stripe&r.smask]
-	pos := sh.cursor.Add(1) - 1
-	s := &sh.slots[pos&r.lmask]
+func (r *refRecorder) Record(e Event) {
+	pos := r.cursor.Add(1) - 1
+	s := &r.slots[pos&r.mask]
 	s.pub.Store(0)
 	s.at.Store(e.At)
 	s.qid.Store(e.QID)
@@ -61,23 +48,13 @@ func (r *refRecorder) RecordAt(stripe uint32, e Event) {
 	s.pub.Store(pos + 1)
 }
 
-func (r *refRecorder) Recorded() uint64 {
-	var sum uint64
-	for i := range r.shards {
-		sum += r.shards[i].cursor.Load()
-	}
-	return sum
-}
+func (r *refRecorder) Recorded() uint64 { return r.cursor.Load() }
 
 func (r *refRecorder) Overwritten() uint64 {
-	var sum uint64
-	size := r.lmask + 1
-	for i := range r.shards {
-		if c := r.shards[i].cursor.Load(); c > size {
-			sum += c - size
-		}
+	if c, size := r.cursor.Load(), r.mask+1; c > size {
+		return c - size
 	}
-	return sum
+	return 0
 }
 
 func (r *refRecorder) Tail(n int, f Filter) []Event {
@@ -86,43 +63,32 @@ func (r *refRecorder) Tail(n int, f Filter) []Event {
 	}
 	var out []Event
 	var e Event
-	for i := range r.shards {
-		sh := &r.shards[i]
-		limit := sh.cursor.Load()
-		if limit > r.lmask+1 {
-			limit = r.lmask + 1
+	limit := min(r.cursor.Load(), r.mask+1)
+	for j := uint64(0); j < limit; j++ {
+		s := &r.slots[j]
+		p1 := s.pub.Load()
+		if p1 == 0 {
+			continue
 		}
-		for j := uint64(0); j < limit; j++ {
-			s := &sh.slots[j]
-			p1 := s.pub.Load()
-			if p1 == 0 {
-				continue
-			}
-			e.At = s.at.Load()
-			e.QID = s.qid.Load()
-			e.FP = s.fp.Load()
-			m := s.meta.Load()
-			e.Kind = Kind(m & 0xFF)
-			e.Reason = Reason(m >> 8 & 0xFF)
-			e.Verdict = uint8(m >> 16 & 0xFF)
-			e.Class = int32(uint32(m >> 32))
-			e.Value = math.Float64frombits(s.val.Load())
-			e.Aux = math.Float64frombits(s.aux.Load())
-			if s.pub.Load() != p1 {
-				continue // overwritten mid-copy
-			}
-			e.Seq = p1
-			if f.match(&e) {
-				out = append(out, e)
-			}
+		e.At = s.at.Load()
+		e.QID = s.qid.Load()
+		e.FP = s.fp.Load()
+		m := s.meta.Load()
+		e.Kind = Kind(m & 0xFF)
+		e.Reason = Reason(m >> 8 & 0xFF)
+		e.Verdict = uint8(m >> 16 & 0xFF)
+		e.Class = int32(uint32(m >> 32))
+		e.Value = math.Float64frombits(s.val.Load())
+		e.Aux = math.Float64frombits(s.aux.Load())
+		if s.pub.Load() != p1 {
+			continue // overwritten mid-copy
+		}
+		e.Seq = p1
+		if f.match(&e) {
+			out = append(out, e)
 		}
 	}
-	sort.Slice(out, func(a, b int) bool {
-		if out[a].At != out[b].At {
-			return out[a].At < out[b].At
-		}
-		return out[a].Seq < out[b].Seq
-	})
+	sort.Slice(out, func(a, b int) bool { return out[a].Seq < out[b].Seq })
 	if n > 0 && len(out) > n {
 		out = out[len(out)-n:]
 	}

@@ -135,7 +135,6 @@ func (s SLO) String() string {
 type Attainment struct {
 	Met      bool
 	Observed float64
-	Goal     float64
 	Ratio    float64 // >= 1 means met
 }
 
@@ -153,12 +152,12 @@ func (s SLO) Evaluate(avgRT, pctRT, velocity, throughput float64) Attainment {
 	case SLOThroughputFloor:
 		return ratioMore(throughput, s.Target)
 	default:
-		return Attainment{Met: true, Ratio: 1, Observed: 0, Goal: 0}
+		return Attainment{Met: true, Ratio: 1}
 	}
 }
 
 func ratioLess(observed, goal float64) Attainment {
-	a := Attainment{Observed: observed, Goal: goal}
+	a := Attainment{Observed: observed}
 	if observed <= 0 {
 		a.Met, a.Ratio = true, 1
 		return a
@@ -169,7 +168,7 @@ func ratioLess(observed, goal float64) Attainment {
 }
 
 func ratioMore(observed, goal float64) Attainment {
-	a := Attainment{Observed: observed, Goal: goal}
+	a := Attainment{Observed: observed}
 	if goal <= 0 {
 		a.Met, a.Ratio = true, 1
 		return a

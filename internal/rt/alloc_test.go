@@ -7,9 +7,8 @@ import (
 )
 
 // TestSteadyStateAdmitZeroAlloc pins the acceptance criterion: the open-gate
-// admit/release cycle allocates nothing. Grants are plain values, shard
-// selection uses the runtime's per-thread random state, and the striped
-// recorders increment preallocated padded cells.
+// admit/release cycle allocates nothing. Grants are plain values, and the
+// counters and histograms update fields of the class record in place.
 func TestSteadyStateAdmitZeroAlloc(t *testing.T) {
 	r, err := New([]ClassSpec{
 		{Name: "c", Priority: policy.PriorityHigh, MaxMPL: 1024, MaxCostTimerons: 1e6},

@@ -8,8 +8,8 @@ import (
 
 // BenchmarkLiveAdmit measures the lock-free admit/release cycle under
 // parallel load. Run with -cpu=1,2 to see admit throughput at GOMAXPROCS 1
-// and 2: the striped recorders keep the parallel paths on disjoint cache
-// lines, while every admit and release writes its gate's one counter.
+// and 2: every admit and release writes its gate's one counter and its
+// class's one counter and latency histogram, so parallel callers contend.
 func BenchmarkLiveAdmit(b *testing.B) {
 	r, err := New([]ClassSpec{
 		{Name: "oltp", Priority: policy.PriorityHigh, MaxMPL: 1 << 16, MaxCostTimerons: 1e6},
@@ -51,7 +51,7 @@ func BenchmarkLiveAdmitContended(b *testing.B) {
 	}
 }
 
-// BenchmarkSnapshot prices the merged-shard monitoring read with a reused
+// BenchmarkSnapshot prices the monitoring read with a reused
 // scratch buffer — the shape of the /stats polling loop.
 func BenchmarkSnapshot(b *testing.B) {
 	r, err := New([]ClassSpec{{Name: "a"}, {Name: "b"}, {Name: "c"}}, Options{})

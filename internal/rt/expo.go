@@ -5,11 +5,10 @@ import (
 	"dbwlm/internal/obsv"
 )
 
-// WritePrometheus renders the runtime's merged-shard statistics as
-// Prometheus text-format families — the GET /metrics body. Counters are the
-// striped per-class recorders (monotone, so scrape-to-scrape rates are
-// meaningful); histograms export their cumulative log-bucket arrays with
-// per-class labels.
+// WritePrometheus renders the runtime's statistics as Prometheus text-format
+// families — the GET /metrics body. Counters are the per-class counters
+// (monotone, so scrape-to-scrape rates are meaningful); histograms export
+// their cumulative log-bucket arrays with per-class labels.
 func (r *Runtime) WritePrometheus(p *obsv.PromWriter) {
 	p.Gauge("dbwlm_in_engine", "Requests currently admitted across all classes.")
 	p.Val(float64(r.InEngine()))
@@ -36,13 +35,13 @@ func (r *Runtime) WritePrometheus(p *obsv.PromWriter) {
 	}
 	p.Counter("dbwlm_decisions_total", "Admission decisions by class and verdict (rejected spans cost and predicted-bucket rejections).")
 	for _, cs := range r.classes {
-		p.Val(float64(cs.admitted.Value()), "class", cs.spec.Name, "verdict", Admitted.String())
-		p.Val(float64(cs.rejected.Value()), "class", cs.spec.Name, "verdict", RejectedCost.String())
-		p.Val(float64(cs.timeouts.Value()), "class", cs.spec.Name, "verdict", RejectedTimeout.String())
+		p.Val(float64(cs.admitted.Load()), "class", cs.spec.Name, "verdict", Admitted.String())
+		p.Val(float64(cs.rejected.Load()), "class", cs.spec.Name, "verdict", RejectedCost.String())
+		p.Val(float64(cs.timeouts.Load()), "class", cs.spec.Name, "verdict", RejectedTimeout.String())
 	}
 	p.Counter("dbwlm_queued_total", "Requests that parked in a wait queue before their verdict.")
 	for _, cs := range r.classes {
-		p.Val(float64(cs.queued.Value()), "class", cs.spec.Name)
+		p.Val(float64(cs.queued.Load()), "class", cs.spec.Name)
 	}
 	p.Counter("dbwlm_done_total", "Admitted requests released via Done.")
 	for _, cs := range r.classes {
@@ -50,15 +49,15 @@ func (r *Runtime) WritePrometheus(p *obsv.PromWriter) {
 	}
 	p.Histogram("dbwlm_latency_seconds", "Service time between grant and release.")
 	for _, cs := range r.classes {
-		p.Hist(cs.latency, "class", cs.spec.Name)
+		p.Hist(&cs.latency, "class", cs.spec.Name)
 	}
 	p.Histogram("dbwlm_queue_wait_seconds", "Time parked in the wait queue before admission.")
 	for _, cs := range r.classes {
-		p.Hist(cs.wait, "class", cs.spec.Name)
+		p.Hist(&cs.wait, "class", cs.spec.Name)
 	}
 	p.Histogram("dbwlm_velocity_ratio", "Execution velocity (ideal seconds / observed seconds) of completed work.")
 	for _, cs := range r.classes {
-		p.Hist(cs.velocity, "class", cs.spec.Name)
+		p.Hist(&cs.velocity, "class", cs.spec.Name)
 	}
 
 	if rec := r.rec; rec != nil {
@@ -66,8 +65,8 @@ func (r *Runtime) WritePrometheus(p *obsv.PromWriter) {
 		p.Val(float64(rec.Recorded()))
 		p.Counter("dbwlm_trace_overwritten_total", "Flight-recorder events overwritten by ring wrap.")
 		p.Val(float64(rec.Overwritten()))
-		p.Counter("dbwlm_trace_shard_busy_total", "Flight-recorder shard probes that found the shard held.")
-		p.Val(float64(rec.ShardBusy()))
+		p.Counter("dbwlm_trace_ring_busy_total", "Flight-recorder records that found the ring held.")
+		p.Val(float64(rec.RingBusy()))
 		p.Gauge("dbwlm_trace_capacity", "Flight-recorder slot capacity.")
 		p.Val(float64(rec.Cap()))
 	}
@@ -90,14 +89,14 @@ func (g *PredictGate) WritePrometheus(p *obsv.PromWriter) {
 	p.Val(float64(cache.Entries))
 	p.Counter("dbwlm_predictions_total", "Modeled runtime predictions by bucket.")
 	for b := 0; b < numBuckets; b++ {
-		p.Val(float64(g.byBucket[b].Value()), "bucket", admission.RuntimeBucket(b).String())
+		p.Val(float64(g.byBucket[b].Load()), "bucket", admission.RuntimeBucket(b).String())
 	}
 	p.Counter("dbwlm_predict_gated_total", "Admissions rejected because the predicted bucket exceeded the ceiling.")
-	p.Val(float64(g.gated.Value()))
+	p.Val(float64(g.gated.Load()))
 	p.Counter("dbwlm_predict_unmodeled_total", "Decisions taken before the model was trained.")
-	p.Val(float64(g.unmodeled.Value()))
+	p.Val(float64(g.unmodeled.Load()))
 	p.Counter("dbwlm_predict_memo_hits_total", "Modeled predictions answered from the model's table of recurring training points instead of a k-NN search.")
-	p.Val(float64(g.memoHits.Value()))
+	p.Val(float64(g.memoHits.Load()))
 	p.Counter("dbwlm_predict_retrains_total", "Background model retrains completed.")
 	p.Val(float64(g.knn.Retrains()))
 	p.Gauge("dbwlm_predict_trained", "1 once the predictor gates on a trained model.")
@@ -112,5 +111,5 @@ func (g *PredictGate) WritePrometheus(p *obsv.PromWriter) {
 	p.Gauge("dbwlm_predict_refit_seconds", "How long fitting that model took.")
 	p.Val(took.Seconds())
 	p.Histogram("dbwlm_predicted_seconds", "Predicted service seconds on modeled admits.")
-	p.Hist(g.predicted)
+	p.Hist(&g.predicted)
 }

@@ -3,11 +3,12 @@
 // concurrent goroutine traffic instead of simulated time. The admit/release
 // hot path is lock-free — per-class MPL and cost limits live in atomically
 // swapped limit blocks, and each gate's occupancy is one cache-line-padded
-// counter taken with CAS — and statistics collection is striped
-// (internal/metrics), so no mutex is ever touched while the gate is open.
+// counter taken with CAS — and each statistic is one atomic counter or one
+// owned histogram record (internal/metrics), so no mutex is ever touched
+// while the gate is open.
 // Queued work waits in per-class FIFO queues with the queue-timeout and
-// retry-batch semantics of the simulated Manager, and the merged-shard
-// snapshot satisfies admission.View, so the threshold and indicator
+// retry-batch semantics of the simulated Manager, and the stats snapshot
+// satisfies admission.View, so the threshold and indicator
 // controllers from internal/admission consume the live runtime unchanged.
 package rt
 

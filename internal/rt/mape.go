@@ -11,7 +11,7 @@ import (
 )
 
 // NewMAPELoop builds the live autonomic manager (Section 5.3) over the
-// runtime: the monitor snapshots the merged-shard view, the analyzer applies
+// runtime: the monitor snapshots the stats view, the analyzer applies
 // the indicator thresholds (Zhang et al.) to diagnose overload — or
 // underload once the congestion gate is closed and the indicators have
 // cleared — the planner picks the gate action, and the executor flips the

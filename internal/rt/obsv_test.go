@@ -2,12 +2,12 @@ package rt
 
 import (
 	"reflect"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"dbwlm/internal/admission"
-	"dbwlm/internal/metrics"
 	"dbwlm/internal/obsv"
 	"dbwlm/internal/policy"
 )
@@ -236,58 +236,36 @@ func TestDoneReadsClockOnce(t *testing.T) {
 	}
 }
 
-// TestAdmitOneStripe: each decision draws one stripe, and its QID takes its
-// shard from it — the one shard of the class's admitted counter that the same
-// decision moved is the QID's shard (both are built StripeShards(0) wide), and
-// the shard varies from decision to decision.
-func TestAdmitOneStripe(t *testing.T) {
-	r, err := New([]ClassSpec{{Name: "oltp", Priority: policy.PriorityHigh}}, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.SetRecorder(obsv.NewRecorder(1024))
-	admitted := r.classes[0].admitted
-	if n := len(counterShards(admitted)); n != len(r.qids.shards) {
-		t.Fatalf("admitted counter has %d shards, QID allocator %d", n, len(r.qids.shards))
-	}
-	seen := map[int64]bool{}
-	for i := 0; i < 200; i++ {
-		before := counterShards(admitted)
-		g := r.Admit(0, 10)
-		if !g.Admitted() {
-			t.Fatalf("open gate rejected: %+v", g)
+// TestObservablesIndependentOfGOMAXPROCS: a recorder's capacity and the
+// QIDs a runtime hands out are the same whatever the host's parallelism —
+// capacities are the requested size rounded up to a power of two (minimum
+// 64), and QIDs are 1, 2, 3, … in decision order, rejections included.
+func TestObservablesIndependentOfGOMAXPROCS(t *testing.T) {
+	observe := func(procs int) (caps []int, qids []int64) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		for _, c := range []int{1, 100, 1000, 16384} {
+			caps = append(caps, obsv.NewRecorder(c).Cap())
 		}
-		moved := -1
-		for j, v := range counterShards(admitted) {
-			if v != before[j] {
-				if moved >= 0 {
-					t.Fatalf("grant %+v moved admitted shards %d and %d", g, moved, j)
-				}
-				moved = j
-			}
+		r, err := New([]ClassSpec{{Name: "oltp", MaxCostTimerons: 100}}, Options{})
+		if err != nil {
+			t.Fatal(err)
 		}
-		shard := g.id & int64(r.qids.mask)
-		if int64(moved) != shard {
-			t.Fatalf("grant %+v: QID shard %d, admitted counter moved shard %d", g, shard, moved)
+		r.SetRecorder(obsv.NewRecorder(1024))
+		for i := 0; i < 8; i++ {
+			g := r.Admit(0, float64(i%2)*1000) // every other one over the cost limit
+			qids = append(qids, g.id)
+			r.Done(g, 0)
 		}
-		seen[shard] = true
-		r.Done(g, 0)
+		return caps, qids
 	}
-	if len(seen) < 2 {
-		t.Fatalf("200 decisions drew QIDs from %d of %d shards", len(seen), len(r.qids.shards))
+	caps1, qids1 := observe(1)
+	caps8, qids8 := observe(8)
+	if want := []int{64, 128, 1024, 16384}; !reflect.DeepEqual(caps1, want) || !reflect.DeepEqual(caps8, want) {
+		t.Fatalf("recorder capacities %v at GOMAXPROCS 1, %v at 8, want %v", caps1, caps8, want)
 	}
-}
-
-// counterShards reads a striped counter's per-shard values. The shards are
-// unexported in package metrics, so this reads them through reflection; the
-// callers are single-goroutine, so plain reads are race-free.
-func counterShards(c *metrics.StripedCounter) []int64 {
-	shards := reflect.ValueOf(c).Elem().FieldByName("shards")
-	out := make([]int64, shards.Len())
-	for i := range out {
-		out[i] = shards.Index(i).FieldByName("v").FieldByName("v").Int()
+	if want := []int64{1, 2, 3, 4, 5, 6, 7, 8}; !reflect.DeepEqual(qids1, want) || !reflect.DeepEqual(qids8, want) {
+		t.Fatalf("first QIDs %v at GOMAXPROCS 1, %v at 8, want %v", qids1, qids8, want)
 	}
-	return out
 }
 
 // BenchmarkLiveAdmitRecorded prices the flight recorder on the plain admit

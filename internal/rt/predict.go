@@ -1,6 +1,8 @@
 package rt
 
 import (
+	"sync/atomic"
+
 	"dbwlm/internal/admission"
 	"dbwlm/internal/metrics"
 	"dbwlm/internal/obsv"
@@ -50,34 +52,20 @@ type PredictGate struct {
 	knn       *admission.KNNPredictor
 	maxBucket admission.RuntimeBucket
 
-	predicted *metrics.StripedHistogram // predicted seconds on modeled admits
-	gated     *metrics.StripedCounter   // RejectedPredicted count
-	unmodeled *metrics.StripedCounter   // decisions taken without a model
-	memoHits  *metrics.StripedCounter   // modeled predictions the model's recurring-point table answered
+	predicted metrics.ConcurrentHistogram // predicted seconds on modeled admits
+	gated     atomic.Int64                // RejectedPredicted count
+	unmodeled atomic.Int64                // decisions taken without a model
+	memoHits  atomic.Int64                // modeled predictions the model's recurring-point table answered
 	// byBucket counts modeled predictions per runtime bucket — the
 	// bucket-labeled series of the /metrics exposition.
-	byBucket [numBuckets]*metrics.StripedCounter
+	byBucket [numBuckets]atomic.Int64
 }
 
 // NewPredictGate wires a prediction gate over the runtime. maxBucket is the
 // largest admissible predicted bucket (BucketMonster admits everything the
 // cost limits allow, i.e. disables the bucket gate).
 func NewPredictGate(r *Runtime, cache *sqlmini.PlanCache, knn *admission.KNNPredictor, maxBucket admission.RuntimeBucket) *PredictGate {
-	shards := metrics.StripeShards(0)
-	g := &PredictGate{
-		rt:        r,
-		cache:     cache,
-		knn:       knn,
-		maxBucket: maxBucket,
-		predicted: metrics.NewStripedHistogram(shards),
-		gated:     metrics.NewStripedCounter(shards),
-		unmodeled: metrics.NewStripedCounter(shards),
-		memoHits:  metrics.NewStripedCounter(shards),
-	}
-	for b := range g.byBucket {
-		g.byBucket[b] = metrics.NewStripedCounter(shards)
-	}
-	return g
+	return &PredictGate{rt: r, cache: cache, knn: knn, maxBucket: maxBucket}
 }
 
 // AdmitSQLBytes runs one raw SQL statement through the full prediction
@@ -130,17 +118,17 @@ func (g *PredictGate) admitPlanned(class ClassID, e *sqlmini.CachedPlan, hit, wa
 	if s, memo, ok := g.knn.PredictSecondsMemo(&f); ok {
 		pred.Seconds, pred.Bucket, pred.Modeled = s, admission.BucketOf(s), true
 		if memo {
-			g.memoHits.Inc()
+			g.memoHits.Add(1)
 		}
 		if b := int(pred.Bucket); b >= 0 && b < numBuckets {
-			g.byBucket[b].Inc()
+			g.byBucket[b].Add(1)
 		}
 		if pred.Bucket > g.maxBucket {
-			g.gated.Inc()
-			g.rt.classes[class].rejected.Inc()
+			g.gated.Add(1)
+			g.rt.classes[class].rejected.Add(1)
 			var qid int64
 			if rec := g.rt.rec; rec != nil {
-				qid = g.rt.qids.next(metrics.StripeIdx())
+				qid = g.rt.qids.Add(1)
 				rec.Record(obsv.Event{At: g.rt.now(), QID: qid, FP: e.FP.Lo,
 					Kind: obsv.KindAdmit, Reason: obsv.ReasonPredictedBucket,
 					Verdict: uint8(RejectedPredicted), Class: int32(class),
@@ -150,7 +138,7 @@ func (g *PredictGate) admitPlanned(class ClassID, e *sqlmini.CachedPlan, hit, wa
 		}
 		g.predicted.Record(s)
 	} else {
-		g.unmodeled.Inc()
+		g.unmodeled.Add(1)
 	}
 	return g.rt.admitWith(class, pred.Timerons, e.FP.Lo, pred.Seconds, wait), pred, nil
 }
@@ -177,7 +165,7 @@ func (g *PredictGate) ObserveFP(fp sqlmini.Fingerprint, seconds float64) bool {
 // transports render Prediction.Seconds.
 func BucketName(seconds float64) string { return admission.BucketOf(seconds).String() }
 
-// PredictStats is the merged monitoring view of the prediction pipeline.
+// PredictStats is the monitoring view of the prediction pipeline.
 type PredictStats struct {
 	Cache     sqlmini.CacheStats `json:"cache"`
 	Gated     int64              `json:"gated"`
@@ -197,14 +185,14 @@ type PredictStats struct {
 	RefitSeconds    float64 `json:"refit_seconds"`
 }
 
-// Stats merges the gate's stripes and the plan cache's shards.
+// Stats reads the gate's counters and merges the plan cache's shards.
 func (g *PredictGate) Stats() PredictStats {
 	age, took := g.knn.LastFit()
 	return PredictStats{
 		Cache:           g.cache.Stats(),
-		Gated:           g.gated.Value(),
-		Unmodeled:       g.unmodeled.Value(),
-		MemoHits:        g.memoHits.Value(),
+		Gated:           g.gated.Load(),
+		Unmodeled:       g.unmodeled.Load(),
+		MemoHits:        g.memoHits.Load(),
 		Predicted:       g.predicted.Snapshot(),
 		Retrains:        g.knn.Retrains(),
 		Trained:         g.knn.Trained(),

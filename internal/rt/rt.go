@@ -108,22 +108,22 @@ type Grant struct {
 //dbwlm:hotpath
 func (g Grant) Verdict() Verdict { return g.verdict }
 
-// classState is one service class: its gate, FIFO queue, and striped stats.
+// classState is one service class: its gate, FIFO queue, and stats.
 type classState struct {
 	spec  ClassSpec
 	gate  *gate
 	queue waitQueue
 
-	admitted *metrics.StripedCounter
-	queued   *metrics.StripedCounter
-	rejected *metrics.StripedCounter
-	timeouts *metrics.StripedCounter
+	admitted atomic.Int64
+	queued   atomic.Int64
+	rejected atomic.Int64
+	timeouts atomic.Int64
 	// latency is the one record of a completion: seconds admitted -> done,
-	// its merged count the done total. An attached SLO engine judges
-	// deadlines against it (SetSLO).
-	latency  *metrics.StripedHistogram
-	wait     *metrics.StripedHistogram // seconds queued before admission
-	velocity *metrics.StripedHistogram // ideal/actual for completed work
+	// its count the done total. An attached SLO engine judges deadlines
+	// against it (SetSLO).
+	latency  metrics.ConcurrentHistogram
+	wait     metrics.ConcurrentHistogram // seconds queued before admission
+	velocity metrics.ConcurrentHistogram // ideal/actual for completed work
 }
 
 // Runtime is the live admission runtime. All exported methods are safe for
@@ -152,12 +152,11 @@ type Runtime struct {
 	cpuUtil       metrics.AtomicGauge
 
 	// rec is the flight recorder; nil (the default) disables it, and every
-	// hook below is a single nil-check branch in that state. qids hands out
-	// the admission IDs that correlate one request's lifecycle events —
-	// striped, so enabling the recorder adds no shared-line write to the
-	// admit path (qid.go).
+	// hook below is a single nil-check branch in that state. qids counts the
+	// admission IDs handed out while it is attached: the IDs that correlate
+	// one request's lifecycle events are 1, 2, 3, … in decision order.
 	rec  *obsv.Recorder
-	qids qidAlloc
+	qids atomic.Int64
 
 	// slo is the SLO attainment engine; nil (the default) disables deadline
 	// accounting at Done, same single-branch discipline as rec.
@@ -185,7 +184,7 @@ func (r *Runtime) Recorder() *obsv.Recorder { return r.rec }
 // stats too.
 func (r *Runtime) SetSLO(e *slo.Engine) {
 	for i := 0; i < min(e.Classes(), len(r.classes)); i++ {
-		e.Bind(i, r.classes[i].latency)
+		e.Bind(i, &r.classes[i].latency)
 	}
 	r.slo = e
 }
@@ -199,7 +198,6 @@ func New(specs []ClassSpec, opts Options) (*Runtime, error) {
 	if len(specs) == 0 {
 		return nil, fmt.Errorf("rt: no classes")
 	}
-	shards := metrics.StripeShards(0)
 	r := &Runtime{
 		byName:     make(map[string]ClassID, len(specs)),
 		retryEvery: opts.RetryEvery,
@@ -219,17 +217,7 @@ func New(specs []ClassSpec, opts Options) (*Runtime, error) {
 		if _, dup := r.byName[spec.Name]; dup {
 			return nil, fmt.Errorf("rt: duplicate class %q", spec.Name)
 		}
-		cs := &classState{
-			spec:     spec,
-			gate:     newGate(limitsOf(spec)),
-			admitted: metrics.NewStripedCounter(shards),
-			queued:   metrics.NewStripedCounter(shards),
-			rejected: metrics.NewStripedCounter(shards),
-			timeouts: metrics.NewStripedCounter(shards),
-			latency:  metrics.NewStripedHistogram(shards),
-			wait:     metrics.NewStripedHistogram(shards),
-			velocity: metrics.NewStripedHistogram(shards),
-		}
+		cs := &classState{spec: spec, gate: newGate(limitsOf(spec))}
 		r.byName[spec.Name] = ClassID(len(r.classes))
 		r.classes = append(r.classes, cs)
 	}
@@ -240,7 +228,6 @@ func New(specs []ClassSpec, opts Options) (*Runtime, error) {
 	sort.SliceStable(r.byPriority, func(i, j int) bool {
 		return r.classes[r.byPriority[i]].spec.Priority > r.classes[r.byPriority[j]].spec.Priority
 	})
-	r.qids.init(shards)
 	return r, nil
 }
 
@@ -284,7 +271,7 @@ func (r *Runtime) ElapsedSeconds(g Grant) float64 {
 // Admit runs one request through the admission gate, blocking while it is
 // queued. The steady-state path — gate open, no waiters — is lock-free and
 // allocation-free: a limit-block load, a CAS on each padded gate counter,
-// and striped counter increments.
+// and a counter increment.
 //
 //dbwlm:hotpath
 func (r *Runtime) Admit(class ClassID, costTimerons float64) Grant {
@@ -313,17 +300,14 @@ func (r *Runtime) AdmitNoWait(class ClassID, costTimerons float64) Grant {
 func (r *Runtime) admitWith(class ClassID, costTimerons float64, fp uint64, predicted float64, wait bool) Grant {
 	cs := r.classes[class]
 	lim := cs.gate.limits.Load()
-	// One stripe per decision: the qid allocator, the class counter and the
-	// recorder each mask it by their own shard count.
-	stripe := metrics.StripeIdx()
 	var qid int64
 	if r.rec != nil {
-		qid = r.qids.next(stripe)
+		qid = r.qids.Add(1)
 	}
 	if lim.maxCost > 0 && costTimerons > lim.maxCost {
-		cs.rejected.IncAt(stripe)
+		cs.rejected.Add(1)
 		if r.rec != nil {
-			r.rec.RecordAt(stripe, obsv.Event{At: r.now(), QID: qid, FP: fp,
+			r.rec.Record(obsv.Event{At: r.now(), QID: qid, FP: fp,
 				Kind: obsv.KindAdmit, Reason: obsv.ReasonCostLimit,
 				Verdict: uint8(RejectedCost), Class: int32(class),
 				Value: costTimerons, Aux: predicted})
@@ -336,10 +320,10 @@ func (r *Runtime) admitWith(class ClassID, costTimerons float64, fp uint64, pred
 	if !gated && cs.gate.waiters.Load() == 0 {
 		if r.global.tryEnter() {
 			if cs.gate.tryEnter() {
-				cs.admitted.IncAt(stripe)
+				cs.admitted.Add(1)
 				start := r.now()
 				if r.rec != nil {
-					r.rec.RecordAt(stripe, obsv.Event{At: start, QID: qid, FP: fp,
+					r.rec.Record(obsv.Event{At: start, QID: qid, FP: fp,
 						Kind: obsv.KindAdmit, Reason: obsv.ReasonFastPath,
 						Verdict: uint8(Admitted), Class: int32(class),
 						Value: costTimerons, Aux: predicted})
@@ -350,9 +334,9 @@ func (r *Runtime) admitWith(class ClassID, costTimerons float64, fp uint64, pred
 		}
 	}
 	if !wait {
-		cs.timeouts.IncAt(stripe)
+		cs.timeouts.Add(1)
 		if r.rec != nil {
-			r.rec.RecordAt(stripe, obsv.Event{At: r.now(), QID: qid, FP: fp,
+			r.rec.Record(obsv.Event{At: r.now(), QID: qid, FP: fp,
 				Kind: obsv.KindAdmit, Reason: obsv.ReasonQueueTimeout,
 				Verdict: uint8(RejectedTimeout), Class: int32(class),
 				Value: costTimerons, Aux: 0})
@@ -385,7 +369,7 @@ func (r *Runtime) await(cs *classState, class ClassID, cost float64, qid int64, 
 			Kind: obsv.KindEnqueue, Reason: reason, Verdict: obsv.NoVerdict,
 			Class: int32(class), Value: cost, Aux: predicted})
 	}
-	cs.queued.Inc()
+	cs.queued.Add(1)
 	r.drain(cs, class, false, w)
 	g := <-w.ch
 	waiterPool.Put(w)
@@ -407,19 +391,17 @@ func (r *Runtime) Done(g Grant, idealSeconds float64) {
 		return
 	}
 	cs := r.classes[g.class]
-	// One clock reading and one stripe per release: the latency sample, the
-	// SLO check and the done event share now; the histograms and the
-	// recorder share stripe.
+	// One clock reading per release: the latency sample, the SLO check and
+	// the done event share now.
 	now := r.now()
-	stripe := metrics.StripeIdx()
 	elapsed := float64(now-g.start) / 1e9
-	cs.latency.RecordAt(stripe, elapsed)
+	cs.latency.Record(elapsed)
 	if idealSeconds > 0 && elapsed > 0 {
 		v := idealSeconds / elapsed
 		if v > 1 {
 			v = 1
 		}
-		cs.velocity.RecordAt(stripe, v)
+		cs.velocity.Record(v)
 	}
 	missed := r.slo.Missed(int32(g.class), elapsed)
 	if r.rec != nil {
@@ -427,7 +409,7 @@ func (r *Runtime) Done(g Grant, idealSeconds float64) {
 		if missed {
 			reason = obsv.ReasonDeadlineMiss
 		}
-		r.rec.RecordAt(stripe, obsv.Event{At: now, QID: g.id,
+		r.rec.Record(obsv.Event{At: now, QID: g.id,
 			Kind: obsv.KindDone, Reason: reason, Verdict: obsv.NoVerdict,
 			Class: int32(g.class), Value: elapsed, Aux: idealSeconds})
 	}
@@ -480,7 +462,7 @@ func (r *Runtime) drain(cs *classState, class ClassID, enforceTimeout bool, park
 			cs.queue.pop()
 			cs.gate.waiters.Add(-1)
 			r.waiting.Add(-1)
-			cs.timeouts.Inc()
+			cs.timeouts.Add(1)
 			if r.rec != nil {
 				r.rec.Record(obsv.Event{At: now, QID: w.qid, FP: w.fp,
 					Kind: obsv.KindAdmit, Reason: obsv.ReasonQueueTimeout,
@@ -499,7 +481,7 @@ func (r *Runtime) drain(cs *classState, class ClassID, enforceTimeout bool, park
 			cs.queue.pop()
 			cs.gate.waiters.Add(-1)
 			r.waiting.Add(-1)
-			cs.rejected.Inc()
+			cs.rejected.Add(1)
 			if r.rec != nil {
 				r.rec.Record(obsv.Event{At: now, QID: w.qid, FP: w.fp,
 					Kind: obsv.KindAdmit, Reason: obsv.ReasonCostLimit,
@@ -516,14 +498,13 @@ func (r *Runtime) drain(cs *classState, class ClassID, enforceTimeout bool, park
 			r.global.leave()
 			return
 		}
-		stripe := metrics.StripeIdx()
 		cs.queue.pop()
 		cs.gate.waiters.Add(-1)
 		r.waiting.Add(-1)
-		cs.admitted.IncAt(stripe)
-		cs.wait.RecordAt(stripe, float64(now-w.enqueuedAt)/1e9)
+		cs.admitted.Add(1)
+		cs.wait.Record(float64(now-w.enqueuedAt) / 1e9)
 		if r.rec != nil {
-			r.rec.RecordAt(stripe, obsv.Event{At: now, QID: w.qid, FP: w.fp,
+			r.rec.Record(obsv.Event{At: now, QID: w.qid, FP: w.fp,
 				Kind: obsv.KindAdmit, Reason: obsv.ReasonDrained,
 				Verdict: uint8(Admitted), Class: int32(class),
 				Value: w.cost, Aux: float64(now-w.enqueuedAt) / 1e9})
@@ -595,8 +576,8 @@ func (r *Runtime) LowPriorityGate() bool { return r.lowPriorityGate.Load() }
 // requests across all classes (the global gate's occupancy).
 func (r *Runtime) InEngine() int { return int(r.global.occupancy()) }
 
-// StatsNow implements admission.View: a merged-shard snapshot in the same
-// shape the simulated engine reports, so threshold/indicator controllers run
+// StatsNow implements admission.View: a snapshot in the same shape the
+// simulated engine reports, so threshold/indicator controllers run
 // unchanged. Each figure is exact at the instant it was read;
 // cross-field consistency is not guaranteed (see DESIGN.md, Live runtime).
 func (r *Runtime) StatsNow() engine.Stats {
@@ -688,7 +669,7 @@ func (r *Runtime) Policy() *policy.RuntimePolicy {
 	return p
 }
 
-// ClassStats is the merged per-class monitoring view.
+// ClassStats is the per-class monitoring view.
 type ClassStats struct {
 	Class    string           `json:"class"`
 	Priority string           `json:"priority"`
@@ -704,7 +685,7 @@ type ClassStats struct {
 	Velocity metrics.Snapshot `json:"velocity"`
 }
 
-// StatsOf merges one class's shards.
+// StatsOf reads one class's statistics.
 //
 //dbwlm:hotpath
 func (r *Runtime) StatsOf(id ClassID) ClassStats {
@@ -715,10 +696,10 @@ func (r *Runtime) StatsOf(id ClassID) ClassStats {
 		Priority: cs.spec.Priority.String(),
 		InEngine: cs.gate.occupancy(),
 		QueueLen: cs.gate.waiters.Load(),
-		Admitted: cs.admitted.Value(),
-		Queued:   cs.queued.Value(),
-		Rejected: cs.rejected.Value(),
-		Timeouts: cs.timeouts.Value(),
+		Admitted: cs.admitted.Load(),
+		Queued:   cs.queued.Load(),
+		Rejected: cs.rejected.Load(),
+		Timeouts: cs.timeouts.Load(),
 		Done:     latency.Count,
 		Latency:  latency,
 		Wait:     cs.wait.Snapshot(),
@@ -726,10 +707,10 @@ func (r *Runtime) StatsOf(id ClassID) ClassStats {
 	}
 }
 
-// Snapshot merges every class in class-ID order.
+// Snapshot reads every class in class-ID order.
 func (r *Runtime) Snapshot() []ClassStats { return r.SnapshotInto(nil) }
 
-// SnapshotInto fills buf with the merged per-class view, reusing its backing
+// SnapshotInto fills buf with the per-class view, reusing its backing
 // array when it is large enough — the monitoring loop's scratch-buffer path,
 // which allocates nothing once the buffer is warm (nil or short buffers grow
 // as Snapshot would).

@@ -490,7 +490,7 @@ func TestTokenRoundTrip(t *testing.T) {
 }
 
 // TestVelocityAndLatencyRecorded: Done folds service latency and execution
-// velocity into the striped recorders.
+// velocity into the class's histograms.
 func TestVelocityAndLatencyRecorded(t *testing.T) {
 	var clock atomic.Int64
 	r := testRuntime(t, []ClassSpec{{Name: "c"}}, Options{Now: clock.Load})

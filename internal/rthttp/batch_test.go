@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"dbwlm/internal/admission"
-	"dbwlm/internal/metrics"
 	"dbwlm/internal/obsv"
 	"dbwlm/internal/rt"
 	"dbwlm/internal/sqlmini"
@@ -199,7 +198,7 @@ func TestBatchEndpoint(t *testing.T) {
 type replayStep struct {
 	// admit | admitsql | done | donesql, or a /done no grant stands behind:
 	// done-garbled (a token that does not parse; on the wire, a class outside
-	// the table) and done-forged (a grant of the retired striped shape: the
+	// the table) and done-forged (a grant of the retired sharded shape: the
 	// five-field token, and on the wire non-zero reserved shard bytes).
 	op    string
 	class string // admit ops; "nope" is outside testSpecs
@@ -253,8 +252,8 @@ func TestAdmitNonASCIISQL(t *testing.T) {
 // the TCP listener — identical verdict sequences, identical per-class grant
 // accounting, identical flight-recorder event streams, identical plan-cache
 // traffic. Independent stacks with deterministic clocks run the same script,
-// one per transport; only QIDs (striped allocator values) are allowed to
-// differ. The failure scripts hold the refusals to the same standard: what
+// one per transport, and nothing may differ: not the histograms' sums, not
+// the events' QIDs or sequence numbers. The failure scripts hold the refusals to the same standard: what
 // one transport refuses the others refuse, and a refused /done releases
 // nothing.
 func TestBatchReplayEquivalence(t *testing.T) {
@@ -427,33 +426,26 @@ func replayEquivalence(t *testing.T, cacheCap int, script []replayStep) {
 		}
 
 		// Grant accounting: per-class counters and the latency/wait histograms
-		// built from the deterministic clocks must match field for field. The
-		// histograms' Mean/Sum are merged across randomly-striped shards, so the
-		// same samples can accumulate in a different order between the two
-		// runtimes — those two fields get an ulp-scale tolerance, everything
-		// else (counts, exact sample min/max, bucket-bound percentiles) is
-		// compared bit for bit.
+		// built from the deterministic clocks must match bit for bit, Mean and
+		// Sum included: each histogram is one record, fed in op order.
 		snapA, snapB := a.rt.Snapshot(), b.rt.Snapshot()
-		if !reflect.DeepEqual(roundSums(snapA), roundSums(snapB)) {
+		if !reflect.DeepEqual(snapA, snapB) {
 			t.Fatalf("class stats diverge:\n http: %+v\n %s: %+v", snapA, other.name, snapB)
 		}
 		if a.rt.InEngine() != 0 || b.rt.InEngine() != 0 {
 			t.Fatalf("in-engine after a balanced script: http %d, %s %d", a.rt.InEngine(), other.name, b.rt.InEngine())
 		}
 
-		// Flight-recorder streams: same events, same reasons, same timestamps,
-		// same order. QIDs are striped-allocator values and legitimately differ.
+		// Flight-recorder streams: the same events whole — sequence numbers,
+		// QIDs, reasons, timestamps — in the same order.
 		evA := a.rt.Recorder().Tail(0, obsv.MatchAll)
 		evB := b.rt.Recorder().Tail(0, obsv.MatchAll)
 		if len(evA) != len(evB) {
 			t.Fatalf("recorder drained %d vs %d events", len(evA), len(evB))
 		}
 		for i := range evA {
-			x, y := evA[i], evB[i]
-			if x.At != y.At || x.Kind != y.Kind || x.Reason != y.Reason ||
-				x.Class != y.Class || x.Verdict != y.Verdict || x.FP != y.FP ||
-				x.Value != y.Value || x.Aux != y.Aux {
-				t.Fatalf("event %d diverges:\n http: %+v\n %s: %+v", i, x, other.name, y)
+			if evA[i] != evB[i] {
+				t.Fatalf("event %d diverges:\n http: %+v\n %s: %+v", i, evA[i], other.name, evB[i])
 			}
 		}
 
@@ -571,22 +563,4 @@ func TestSingleOpAllocs(t *testing.T) {
 	if allocs > 90 {
 		t.Fatalf("admit+done roundtrip allocates %v allocs, want <= 90", allocs)
 	}
-}
-
-// roundSums copies stats with every histogram Mean/Sum rounded to 10
-// significant digits — the two summation-order-sensitive fields of a
-// striped-shard merge.
-func roundSums(stats []rt.ClassStats) []rt.ClassStats {
-	out := make([]rt.ClassStats, len(stats))
-	r := func(v float64) float64 {
-		f, _ := strconv.ParseFloat(strconv.FormatFloat(v, 'e', 9, 64), 64)
-		return f
-	}
-	for i, cs := range stats {
-		for _, s := range []*metrics.Snapshot{&cs.Latency, &cs.Wait, &cs.Velocity} {
-			s.Mean, s.Sum = r(s.Mean), r(s.Sum)
-		}
-		out[i] = cs
-	}
-	return out
 }

@@ -27,7 +27,7 @@ import (
 // POST /admit before running work against the database and POST /done after;
 // the admission verdict — and any queueing — happens here, in front of the
 // engine, exactly as the taxonomy's admission-control layer prescribes.
-// GET /metrics exposes the striped statistics in Prometheus text format and
+// GET /metrics exposes the runtime's statistics in Prometheus text format and
 // GET /trace drains the flight recorder. Every response — including 400/404/
 // 405 errors — is JSON with Content-Type set, except the Prometheus page.
 //
@@ -248,7 +248,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	w.Write(out)
 }
 
-// StatsResponse is the /stats reply: the merged-shard monitoring view.
+// StatsResponse is the /stats reply: the per-class monitoring view.
 // Predict is present only on a predict-enabled server.
 type StatsResponse struct {
 	InEngine        int  `json:"in_engine"`

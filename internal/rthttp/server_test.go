@@ -177,8 +177,9 @@ func TestMethodNotAllowed(t *testing.T) {
 
 // TestMetricsGolden drives a fixed admit/done sequence on an injected clock
 // and compares the full GET /metrics page against testdata/metrics.golden.
-// Everything on the page is deterministic: counters and histograms merge
-// across shards before rendering, and the injected clock fixes every latency.
+// Everything on the page is deterministic: each statistic is one record, the
+// recorder's capacity is the requested one, and the injected clock fixes
+// every latency.
 // Regenerate with UPDATE_GOLDEN=1.
 func TestMetricsGolden(t *testing.T) {
 	clock := int64(0)
@@ -186,9 +187,7 @@ func TestMetricsGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Explicit shard count pins Cap() (and so dbwlm_trace_capacity) across
-	// machines with different GOMAXPROCS.
-	r.SetRecorder(obsv.NewRecorderShards(1024, 8))
+	r.SetRecorder(obsv.NewRecorder(1024))
 	r.SetLoad(0.5, 0.25, 0.75)
 
 	g1 := r.Admit(0, 100) // interactive, fast path

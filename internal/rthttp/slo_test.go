@@ -131,7 +131,7 @@ func TestSLOGolden(t *testing.T) {
 func TestMetricsSLOGolden(t *testing.T) {
 	clock := int64(0)
 	r := newSLOTestRuntime(t, &clock)
-	r.SetRecorder(obsv.NewRecorderShards(1024, 8))
+	r.SetRecorder(obsv.NewRecorder(1024))
 
 	g := r.Admit(0, 100)
 	clock += 5_000_000 // 5ms: misses the 1ms interactive target

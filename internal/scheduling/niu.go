@@ -27,8 +27,6 @@ type ClassLoad struct {
 	// ArrivalRate × MeanServiceSeconds is then the class's utilization of
 	// the whole server, which is what the M/M/1-PS model reasons over.
 	MeanServiceSeconds float64
-	// MeanTimerons is the mean estimated cost per request.
-	MeanTimerons float64
 }
 
 // Utility maps predicted attainment (targetRT / predictedRT) to [0, 1] with

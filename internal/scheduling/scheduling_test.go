@@ -253,8 +253,8 @@ func TestPlannerFavorsImportantTightClass(t *testing.T) {
 		ServerTimeronsPerSecond: 10000,
 	}
 	loads := map[string]ClassLoad{
-		"gold":   {ArrivalRate: 5, MeanServiceSeconds: 0.1, MeanTimerons: 100},
-		"bronze": {ArrivalRate: 5, MeanServiceSeconds: 0.1, MeanTimerons: 100},
+		"gold":   {ArrivalRate: 5, MeanServiceSeconds: 0.1},
+		"bronze": {ArrivalRate: 5, MeanServiceSeconds: 0.1},
 	}
 	limits := p.Plan(loads)
 	if limits["gold"] <= limits["bronze"] {
@@ -279,8 +279,8 @@ func TestPlannerIgnoresIdleClasses(t *testing.T) {
 		ServerTimeronsPerSecond: 10000,
 	}
 	loads := map[string]ClassLoad{
-		"busy": {ArrivalRate: 5, MeanServiceSeconds: 0.1, MeanTimerons: 100},
-		"idle": {ArrivalRate: 0, MeanServiceSeconds: 0.1, MeanTimerons: 100},
+		"busy": {ArrivalRate: 5, MeanServiceSeconds: 0.1},
+		"idle": {ArrivalRate: 0, MeanServiceSeconds: 0.1},
 	}
 	limits := p.Plan(loads)
 	fr := p.Fractions(limits, loads)

@@ -18,25 +18,23 @@
 //
 // The write path is the same discipline as the rest of the monitoring
 // substrate (internal/metrics): a completion is one record into the class's
-// striped latency histogram, whose merged count is the completion total, and
-// a deadline miss is one increment of a striped miss counter — a handful of
-// atomic RMWs on padded shards, zero allocations, no locks, no time
-// arithmetic. Writers never touch the window structure at all. The live
+// latency histogram, whose count is the completion total, and a deadline
+// miss is one increment of an atomic miss counter — a handful of atomic
+// operations, zero allocations, no locks, no time arithmetic. Writers never touch the window structure at all. The live
 // runtime binds each class to its own latency histogram (Bind), records
 // there once per completion, and asks the engine only to judge (Missed);
 // Observe is record-then-judge on one call, for a standalone engine.
 //
 // Windowing happens entirely on the cold read path. Time is divided into
 // fixed epochs; every evaluation first calls advance, which closes any
-// epochs that ended before now by snapshotting the *cumulative* merged state
+// epochs that ended before now by snapshotting the *cumulative* state
 // (miss counter, bucket array and count) into a fixed ring of cells, one
 // snapshot per closed epoch. A windowed view over the last W
 // nanoseconds is then a subtraction: current cumulative state minus the
 // snapshot at the newest epoch that closed before now-W. Because cumulative
 // state is monotone, the diff is exact over the covered span — no
 // double-counting, no lost updates, regardless of how writers race the
-// snapshot. Windowed percentiles walk the diffed bucket array
-// (merge-on-read, like every striped reader).
+// snapshot. Windowed percentiles walk the diffed bucket array.
 //
 // Two quantizations are inherent and documented rather than hidden: a
 // window's true coverage is [W, W+epoch) — conservatively long by less than
@@ -57,6 +55,7 @@ import (
 	"fmt"
 	"math/bits"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"dbwlm/internal/metrics"
@@ -161,11 +160,11 @@ type cell struct {
 	epoch   int64
 	count   int64
 	missed  int64
-	buckets [metrics.StripedBuckets]int64
+	buckets [metrics.HistBuckets]int64
 }
 
-// track is one class's accounting. The striped fields are the lock-free
-// write side; ring and the objective knobs are rotated/read only while the
+// track is one class's accounting. hist and missed are the lock-free write
+// side; ring and the objective knobs are rotated/read only while the
 // owning Engine's mutex is held.
 type track struct {
 	class string
@@ -180,10 +179,10 @@ type track struct {
 	fastNS int64
 	slowNS int64
 
-	// hist is the class's completion record (its merged count is the
-	// completion total); Bind swaps in a caller's histogram.
-	hist   *metrics.StripedHistogram
-	missed *metrics.StripedCounter
+	// hist is the class's completion record (its count is the completion
+	// total); Bind swaps in a caller's histogram.
+	hist   *metrics.ConcurrentHistogram
+	missed atomic.Int64
 	ring   []cell
 }
 
@@ -202,7 +201,7 @@ type Engine struct {
 	tracks     []track
 	// reports and diff are evaluation scratch; guarded by mu.
 	reports []Report
-	diff    [metrics.StripedBuckets]int64
+	diff    [metrics.HistBuckets]int64
 }
 
 // New builds an engine for specs, indexed by position (class ID order).
@@ -238,8 +237,7 @@ func New(specs []Spec, opts Options) (*Engine, error) {
 		t.burnThresh = s.BurnThreshold
 		t.fastNS = s.FastWindow.Nanoseconds()
 		t.slowNS = s.SlowWindow.Nanoseconds()
-		t.hist = metrics.NewStripedHistogram(0)
-		t.missed = metrics.NewStripedCounter(0)
+		t.hist = new(metrics.ConcurrentHistogram)
 		if minFast == 0 || s.FastWindow < minFast {
 			minFast = s.FastWindow
 		}
@@ -301,7 +299,7 @@ func (e *Engine) EpochNS() int64 {
 // own histogram: the caller records each completion into h and judges it
 // with Missed. Call before the class records anything, as the runtime does
 // when the engine is attached.
-func (e *Engine) Bind(class int, h *metrics.StripedHistogram) {
+func (e *Engine) Bind(class int, h *metrics.ConcurrentHistogram) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.tracks[class].hist = h
@@ -325,7 +323,7 @@ func (e *Engine) Observe(class int32, seconds float64) bool {
 // Missed judges one completion the caller has already recorded into the
 // class's histogram: it reports whether seconds exceeded the class deadline
 // and, if so, counts the miss. The record must come first — evaluations load
-// the miss counter before merging the histogram, which keeps Missed <= Total
+// the miss counter before reading the histogram, which keeps Missed <= Total
 // in every cumulative report. Safe on a nil receiver and for out-of-range
 // classes (reports false). Lock-free and allocation-free.
 //
@@ -336,7 +334,7 @@ func (e *Engine) Missed(class int32, seconds float64) bool {
 	}
 	t := &e.tracks[class]
 	if target := t.target.Value(); target > 0 && seconds > target {
-		t.missed.Inc()
+		t.missed.Add(1)
 		return true
 	}
 	return false
@@ -492,12 +490,12 @@ func (e *Engine) baseline(t *track, cutoff int64) *cell {
 }
 
 // snapshot reads t's cumulative state. The miss counter is loaded before
-// the histogram merge: a completion's bucket is published before its miss is
-// counted (Missed), so every miss loaded here has its record in the merge and
-// Missed <= Total holds however writers race the read.
+// the histogram read: a completion's bucket is published before its miss is
+// counted (Missed), so every miss loaded here has its record in the read and
+// Missed <= Total holds however writers race it.
 func snapshot(t *track) cell {
-	c := cell{missed: t.missed.Value()}
-	c.count, _ = t.hist.MergeBuckets(&c.buckets)
+	c := cell{missed: t.missed.Load()}
+	c.count, _ = t.hist.Buckets(&c.buckets)
 	return c
 }
 
@@ -526,7 +524,7 @@ func (e *Engine) evalTrack(t *track, now int64, rp *Report) {
 		e.diff = cur.buckets
 		if base := e.baseline(t, now-spans[wi]); base != nil {
 			w.Total -= base.count
-			// A completion recorded before the baseline's merge but judged
+			// A completion recorded before the baseline's read but judged
 			// after its miss load carries its miss into the window without
 			// its record; the clamp keeps windowed Missed <= Total too.
 			w.Missed = min(w.Missed-base.missed, w.Total)

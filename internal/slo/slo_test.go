@@ -11,8 +11,8 @@ import (
 	"dbwlm/internal/metrics"
 )
 
-// refModel is the unsharded reference the epoch ring is checked against: one
-// plain histogram and plain counters per class, cumulative snapshots in an
+// refModel is the reference the epoch ring is checked against: one
+// histogram and plain counters per class, cumulative snapshots in an
 // unbounded map instead of a ring. It mirrors the documented windowing
 // semantics (evaluation-driven epoch closing, baseline = newest epoch closed
 // before the window start, clamped into the retained span) but shares no
@@ -28,13 +28,13 @@ type refTrack struct {
 	class                                      string
 	target, missBudget, percentile, burnThresh float64
 	fastNS, slowNS                             int64
-	hist                                       *metrics.StripedHistogram
+	hist                                       *metrics.ConcurrentHistogram
 	missed, total                              int64
 	snaps                                      map[int64]refSnap
 }
 
 type refSnap struct {
-	buckets       [metrics.StripedBuckets]int64
+	buckets       [metrics.HistBuckets]int64
 	count         int64
 	missed, total int64
 }
@@ -50,7 +50,7 @@ func newRef(e *Engine, specs []Spec) *refModel {
 			class: sp.Class, target: sp.Target, missBudget: sp.MissBudget,
 			percentile: sp.Percentile, burnThresh: sp.BurnThreshold,
 			fastNS: sp.FastWindow.Nanoseconds(), slowNS: sp.SlowWindow.Nanoseconds(),
-			hist:  metrics.NewStripedHistogram(1),
+			hist:  new(metrics.ConcurrentHistogram),
 			snaps: make(map[int64]refSnap),
 		})
 	}
@@ -68,7 +68,7 @@ func (m *refModel) observe(class int, v float64) {
 
 func (m *refModel) cum(t *refTrack) refSnap {
 	var s refSnap
-	s.count, _ = t.hist.MergeBuckets(&s.buckets)
+	s.count, _ = t.hist.Buckets(&s.buckets)
 	s.missed, s.total = t.missed, t.total
 	return s
 }
@@ -125,7 +125,7 @@ func (m *refModel) eval(now int64) []Report {
 			}
 			w.Total = cur.total - base.total
 			w.Missed = cur.missed - base.missed
-			var diff [metrics.StripedBuckets]int64
+			var diff [metrics.HistBuckets]int64
 			for j := range diff {
 				diff[j] = cur.buckets[j] - base.buckets[j]
 			}
@@ -153,7 +153,7 @@ func (m *refModel) eval(now int64) []Report {
 // TestRingVsReference drives random observe/clock-skip/evaluate sequences —
 // sub-epoch skew, multi-epoch hops, idle gaps longer than the ring span, and
 // clock jumps that wrap the ring many times over — and requires the engine's
-// reports to equal the unsharded reference's exactly at every evaluation.
+// reports to equal the reference's exactly at every evaluation.
 func TestRingVsReference(t *testing.T) {
 	configs := []struct {
 		name  string
@@ -234,7 +234,7 @@ func TestRingVsReference(t *testing.T) {
 }
 
 // TestEvaluateDeterministic drives two independently-constructed engines
-// (default sharding) through the same sequence and requires byte-identical
+// through the same sequence and requires byte-identical
 // JSON reports — the property the /slo golden test builds on.
 func TestEvaluateDeterministic(t *testing.T) {
 	specs := []Spec{

@@ -98,7 +98,7 @@ func (m *CostModel) BuildPlan(stmt *Statement) (*Plan, error) {
 	case StmtLoad:
 		root = m.planLoad(stmt.Load)
 	case StmtCall:
-		root = &Operator{Kind: OpCall, Detail: stmt.Call.Proc, EstRows: 1,
+		root = &Operator{Kind: OpCall, EstRows: 1,
 			EstCPU: 0.01, EstIO: 1, EstMem: 8}
 	}
 	if root == nil {
@@ -174,7 +174,6 @@ func (m *CostModel) planSelect(sel *SelectStmt) *Operator {
 		outRows := math.Max(1, math.Max(build.EstRows, probe.EstRows)) // FK-join heuristic
 		cur = &Operator{
 			Kind:     OpHashJoin,
-			Detail:   fmt.Sprintf("%s=%s", j.On.Left, j.On.Right),
 			Children: []*Operator{probe, build},
 			EstRows:  outRows,
 			EstCPU:   (build.EstRows + probe.EstRows + outRows) * m.CPUPerRow * 2,
@@ -212,7 +211,7 @@ func (m *CostModel) planSelect(sel *SelectStmt) *Operator {
 	if sel.Distinct {
 		in := cur
 		cur = &Operator{
-			Kind: OpAggregate, Detail: "distinct", Children: []*Operator{in},
+			Kind: OpAggregate, Children: []*Operator{in},
 			EstRows: math.Max(1, in.EstRows*0.5),
 			EstCPU:  in.EstRows * m.CPUPerRow,
 			EstMem:  in.EstRows * 50 / (1 << 20),
@@ -280,7 +279,7 @@ func (m *CostModel) planDelete(del *DeleteStmt) *Operator {
 }
 
 func (m *CostModel) planDDL(ddl *DDLStmt) *Operator {
-	op := &Operator{Kind: OpDDL, Detail: ddl.Action + " " + ddl.Object, Table: ddl.Table,
+	op := &Operator{Kind: OpDDL, Table: ddl.Table,
 		EstRows: 0, EstCPU: 0.005, EstIO: 0.1, EstMem: 4}
 	if ddl.Action == "CREATE" && ddl.Object == "INDEX" && ddl.Table != "" {
 		// Index builds scan and sort the whole table.

@@ -42,7 +42,6 @@ func (k OpKind) String() string {
 type Operator struct {
 	Kind     OpKind
 	Table    string // for scans and mutations
-	Detail   string
 	Children []*Operator
 
 	// Estimates produced by the cost model.

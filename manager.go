@@ -418,18 +418,6 @@ func (m *Manager) RunningAll() []*Running {
 	return out
 }
 
-// QueriesOfClass lists the engine query IDs in flight under a service class
-// — the reallocator's view — in ascending order, as RunningAll.
-func (m *Manager) QueriesOfClass(class string) []int64 {
-	var out []int64
-	for _, q := range m.eng.Live() {
-		if rr := RunningOf(q); rr != nil && rr.Class != nil && rr.Class.Name == class {
-			out = append(out, q.ID)
-		}
-	}
-	return out
-}
-
 // Attainment evaluates a workload's SLO against its observed statistics.
 func (m *Manager) Attainment(name string) policy.Attainment {
 	slo, ok := m.slos[name]

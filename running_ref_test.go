@@ -23,19 +23,6 @@ func (r refRunning) all() []*Running {
 	return out
 }
 
-// ofClass is QueriesOfClass as it was: the IDs of the map's records in a
-// service class, sorted.
-func (r refRunning) ofClass(class string) []int64 {
-	out := make([]int64, 0, len(r))
-	for id, rr := range r {
-		if rr.Class != nil && rr.Class.Name == class {
-			out = append(out, id)
-		}
-	}
-	slices.Sort(out)
-	return out
-}
-
 // sessions is the dashboard's tally as it was over the map, taken over
 // records already checked to be the map's: per workload, the active and the
 // suspended sessions.
@@ -64,8 +51,7 @@ func ids(rs []*Running) []int64 {
 // WatchRunning holds every Manager that runs until the test ends to the
 // map-keyed reference: as each record joins its in-flight set and as each
 // leaves it, RunningAll must list the reference's records in the same order,
-// QueriesOfClass the reference's IDs of the record's class, and the
-// dashboard rows must carry the reference's session tallies. It returns the
+// and the dashboard rows must carry the reference's session tallies. It returns the
 // number of checks made so far. Managers must run on the test's goroutine.
 func WatchRunning(t *testing.T) (checks func() int) {
 	refs := map[*Manager]refRunning{}
@@ -100,20 +86,6 @@ func WatchRunning(t *testing.T) (checks func() int) {
 			if len(got) != len(ref) {
 				t.Fatalf("check %d at %v: RunningAll lists %d records, the map %d", n, m.Now(), len(got), len(ref))
 			}
-		}
-		class := rr.Class.Name
-		var want []int64
-		if len(ref) <= 256 {
-			want = ref.ofClass(class)
-		} else {
-			for _, r := range got { // the map's records, in order
-				if r.Class.Name == class {
-					want = append(want, r.Query.ID)
-				}
-			}
-		}
-		if ofClass := m.QueriesOfClass(class); !slices.Equal(ofClass, want) && len(ofClass)+len(want) > 0 {
-			t.Fatalf("check %d at %v: QueriesOfClass(%q) lists %v, the map %v", n, m.Now(), class, ofClass, want)
 		}
 		tally := sessions(got)
 		for _, row := range m.DashboardRows() {
